@@ -10,7 +10,7 @@
 //	ssrec-bench -quick              # coarse grids for a fast pass
 //
 // Throughput mode replays the post-training item stream as concurrent
-// Recommend requests and reports items/sec plus P50/P99 per-item latency
+// one-item RecommendBatch requests and reports items/sec plus P50/P99 per-item latency
 // (optionally as JSON):
 //
 //	ssrec-bench -throughput -parallel 8 -partitions 4 -json out.json
@@ -42,16 +42,15 @@ func main() {
 
 		throughput   = flag.Bool("throughput", false, "serving-throughput mode (items/sec, P50/P99 latency)")
 		refresh      = flag.Bool("refresh", false, "index-refresh micro-benchmark mode (ns/op per refresh scenario)")
-		parallel     = flag.Int("parallel", 1, "throughput mode: concurrent Recommend workers")
+		parallel     = flag.Int("parallel", 1, "throughput mode: concurrent query workers")
 		partitions   = flag.Int("partitions", 1, "throughput mode: intra-query partitions (Config.Parallelism)")
 		shards       = flag.Int("shards", 1, "throughput mode: serve through an N-shard scatter-gather deployment")
 		remoteShards = flag.String("remote-shards", "", "throughput mode: serve through REMOTE shardd endpoints — either \"N\" (spawn N loopback shards in-process) or comma-separated shardd addresses in shard-index order; the trained snapshot is pushed via the handoff protocol")
 		replicas     = flag.Int("replicas", 1, "throughput mode: replicas per -remote-shards slot (numeric spec spawns shards*R loopback servers, address lists must be slot-major with shards*R entries)")
 		writers      = flag.Int("writers", 0, "throughput mode: concurrent ObserveBatch ingestion workers (0 = read-only)")
-		batch        = flag.Int("batch", 64, "throughput mode: observe micro-batch size (<=1 replays per-item Observe)")
+		batch        = flag.Int("batch", 64, "throughput mode: observe micro-batch size (<=1 sends one-observation batches)")
 		topK         = flag.Int("k", 30, "throughput mode: recommendations per item")
 		session      = flag.Bool("session", false, "throughput mode: drive readers and writers through OpenSession-style sessions (one ordered Push/Ask stream per worker) instead of direct calls")
-		scatter      = flag.String("scatter", "stream", "throughput mode, -remote-shards only: scatter transport — \"stream\" multiplexes every query over one per-shard query stream, \"item\" opens one HTTP/2 stream per item (the pre-mux wire behavior, for comparison)")
 		walDir       = flag.String("wal", "", "throughput mode, single-engine only: durable ingest WAL directory — every write batch is logged (and per -fsync, fsynced) before it is applied, measuring the durability tax on the ingest path")
 		fsync        = flag.String("fsync", "batch", "throughput mode, -wal only: fsync policy — batch (sync before every ack), interval (background 100ms ticker), off (OS page cache only)")
 		jsonOut      = flag.String("json", "", "throughput mode: write the JSON report here")
@@ -67,7 +66,7 @@ func main() {
 		runThroughput(throughputConfig{
 			Scale: *scale, Seed: *seed, Parallel: *parallel, Partitions: *partitions,
 			Shards: *shards, Replicas: *replicas, RemoteShards: *remoteShards, Writers: *writers, Batch: *batch,
-			K: *topK, Session: *session, Scatter: *scatter, WALDir: *walDir, Fsync: *fsync, JSONPath: *jsonOut,
+			K: *topK, Session: *session, WALDir: *walDir, Fsync: *fsync, JSONPath: *jsonOut,
 			ScrapeURL: *scrapeURL,
 		})
 		return

@@ -1,9 +1,9 @@
 // throughput.go is the serving-throughput mode of ssrec-bench: it trains
 // an engine on the leading third of a generated stream, then replays the
-// remaining items as concurrent Recommend requests against the RWMutex
-// engine — optionally with concurrent writers ingesting the post-training
-// interaction stream through ObserveBatch — reporting reader and writer
-// throughput plus the per-item latency distribution.
+// remaining items as concurrent one-item RecommendBatch requests against
+// the RWMutex engine — optionally with concurrent writers ingesting the
+// post-training interaction stream through ObserveBatch — reporting
+// reader and writer throughput plus the per-item latency distribution.
 //
 //	ssrec-bench -throughput -parallel 8 -partitions 4 -writers 2 -batch 64 -json out.json
 //
@@ -15,8 +15,8 @@
 // -writers    W  concurrent ingestion workers (0 = read-only replay)
 // -batch      B  observe micro-batch size: B interactions per write-lock
 //
-//	acquisition + index flush (ObserveBatch); B <= 1 replays
-//	the v1 per-interaction Observe path for comparison
+//	acquisition + index flush (ObserveBatch); B <= 1 sends
+//	one-observation batches, the per-interaction baseline
 //
 // -shards     N  replay through an N-shard scatter-gather deployment
 //
@@ -28,22 +28,16 @@
 //
 //	RPC transport (internal/shardrpc): X is either "N" — spawn N
 //	loopback shards in-process (self-contained; still real TCP +
-//	HTTP/2 + the bound-streaming protocol) — or a comma-separated
+//	HTTP/2 + the bound-streaming query stream) — or a comma-separated
 //	list of running ssrec-shardd addresses in shard-index order.
 //	Either way the trained snapshot is pushed to every shard via
 //	the handoff protocol before the replay; reader latency then
 //	includes the network scatter/gather round trip
 //
-// -scatter stream|item  (with -remote-shards) multiplex every query over
-//
-//	one per-shard query stream (default), or open one HTTP/2
-//	stream per item — the pre-mux wire behavior, kept for
-//	before/after comparison (BENCH_PR5.json)
-//
 // -session  drive readers and writers through ordered Push/Ask sessions
 //
 //	(core.Session — the OpenSession path) instead of direct
-//	Recommend/ObserveBatch calls
+//	RecommendBatch/ObserveBatch calls
 //
 // -wal <dir>  (single-engine only) interpose the durable ingest WAL
 //
@@ -95,7 +89,6 @@ type throughputConfig struct {
 	Batch        int
 	K            int
 	Session      bool
-	Scatter      string // "stream" (multiplexed, default) or "item"
 	WALDir       string // non-empty: wrap the single engine with the durable ingest WAL
 	Fsync        string // WAL fsync policy: "batch", "interval" or "off"
 	JSONPath     string
@@ -108,15 +101,13 @@ type throughputConfig struct {
 // measure the RPC transport), anything else is a comma-separated list of
 // running ssrec-shardd addresses in shard-index order. Either way the
 // trained engine's snapshot is pushed to every shard over the handoff
-// protocol before the replay starts. scatter "item" disables the
-// multiplexed query stream (one HTTP/2 stream per item — the pre-mux
-// behavior, kept measurable for BENCH_PR5.json comparisons). replicas > 1
+// protocol before the replay starts. replicas > 1
 // replicates every slot that many ways: a numeric spec spawns N*replicas
 // loopback servers (slot-major), an address list must already be
 // slot-major with N*replicas entries; writes broadcast to every replica
 // and reads load-balance across them, so the R=1 vs R=2 read numbers
 // measure the replica fan-in directly.
-func bootRemoteShards(eng *core.Engine, spec, scatter string, replicas int) (*shard.Router, int) {
+func bootRemoteShards(eng *core.Engine, spec string, replicas int) (*shard.Router, int) {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "throughput: "+format+"\n", args...)
 		os.Exit(1)
@@ -161,9 +152,7 @@ func bootRemoteShards(eng *core.Engine, spec, scatter string, replicas int) (*sh
 	for i := 0; i < n; i++ {
 		group := make([]shard.Shard, replicas)
 		for j := 0; j < replicas; j++ {
-			c := shardrpc.NewClient(addrs[i*replicas+j], i, n)
-			c.DisableMuxScatter = scatter == "item"
-			group[j] = c
+			group[j] = shardrpc.NewClient(addrs[i*replicas+j], i, n)
 		}
 		if replicas == 1 {
 			slots[i] = group[0]
@@ -185,16 +174,10 @@ func bootRemoteShards(eng *core.Engine, spec, scatter string, replicas int) (*sh
 	return router, n
 }
 
-// benchBackend is the serving surface the replay drives — one engine or a
-// sharded router, interchangeably. It is a superset of core.SessionBackend
-// so -session can open sessions over it.
-type benchBackend interface {
-	Recommend(v model.Item, k int) []model.Recommendation
-	Observe(ir model.Interaction, v model.Item)
-	ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error)
-	RecommendBatch(ctx context.Context, items []model.Item, opts ...core.Option) ([]core.Result, error)
-	RegisterItem(v model.Item)
-}
+// benchBackend is the serving surface the replay drives — one engine, its
+// WAL-backed wrapper or a sharded router, interchangeably: the v2 surface
+// server.Backend serves, so -session can open sessions over it.
+type benchBackend = core.SessionBackend
 
 // ThroughputResult is the JSON report of one throughput run.
 type ThroughputResult struct {
@@ -210,7 +193,6 @@ type ThroughputResult struct {
 	Shards      int     `json:"shards"`              // scatter-gather deployment width (1 = single engine)
 	Replicas    int     `json:"replicas,omitempty"`  // replicas per shard slot (omitted when 1)
 	Transport   string  `json:"transport,omitempty"` // "rpc" when the shards are remote (loopback or external)
-	Scatter     string  `json:"scatter,omitempty"`   // "stream" (multiplexed) or "item" (one h2 stream per item); rpc only
 	Session     bool    `json:"session,omitempty"`   // replay driven through sessions (Push/Ask) instead of direct calls
 	Items       int     `json:"items"`
 	TotalSec    float64 `json:"total_sec"`
@@ -228,7 +210,6 @@ type ThroughputResult struct {
 	WriterItemsPerSec   float64 `json:"writer_items_per_sec,omitempty"`
 	WriterFlushedUsers  int     `json:"writer_flushed_users,omitempty"`
 	WriterLockAcquires  int     `json:"writer_lock_acquires,omitempty"`
-	WriterObservePath   string  `json:"writer_observe_path,omitempty"` // "observe" (v1) or "observe_batch" (v2)
 	WriterMeanBatchSize float64 `json:"writer_mean_batch_size,omitempty"`
 
 	// Durable-ingest numbers (zero without -wal).
@@ -256,10 +237,6 @@ func runThroughput(tc throughputConfig) {
 	}
 	if shards < 1 {
 		shards = 1
-	}
-	if tc.Scatter != "item" && tc.Scatter != "stream" {
-		fmt.Fprintf(os.Stderr, "throughput: -scatter must be \"stream\" or \"item\", got %q\n", tc.Scatter)
-		os.Exit(1)
 	}
 	cfg := dataset.YTubeConfig(scale)
 	cfg.Seed = seed
@@ -299,10 +276,12 @@ func runThroughput(tc throughputConfig) {
 	// transport (-remote-shards) — and replay through the scatter-gather
 	// router.
 	var backend benchBackend = eng
+	register := eng.RegisterItem
 	transport := ""
 	if remoteShards != "" {
-		router, n := bootRemoteShards(eng, remoteShards, tc.Scatter, tc.Replicas)
+		router, n := bootRemoteShards(eng, remoteShards, tc.Replicas)
 		backend, shards, transport = router, n, "rpc"
+		register = router.RegisterItem
 	} else if shards > 1 {
 		var buf bytes.Buffer
 		if err := eng.SaveTo(&buf); err != nil {
@@ -315,12 +294,13 @@ func runThroughput(tc throughputConfig) {
 			os.Exit(1)
 		}
 		backend = router
+		register = router.RegisterItem
 	}
 
 	// Register every item up front so the measured section stays on the
 	// read-locked path (registration is the write-lock upgrade).
 	for _, v := range queries {
-		backend.RegisterItem(v)
+		register(v)
 	}
 
 	// -wal: interpose the durable ingest log — through server.WrapWAL, the
@@ -391,7 +371,7 @@ func runThroughput(tc throughputConfig) {
 					}
 					<-ses.Results() // ordered: the one pending ask's answer
 				} else {
-					backend.Recommend(queries[i], k)
+					backend.RecommendBatch(context.Background(), queries[i:i+1], core.WithK(k)) //nolint:errcheck // latency probe; results unused
 				}
 				latencies[i] = time.Since(t0)
 			}
@@ -400,8 +380,8 @@ func runThroughput(tc throughputConfig) {
 
 	// Concurrent writers: contiguous shards of the interaction stream,
 	// ingested in micro-batches of `batch` (one write lock + one index
-	// flush per micro-batch). batch <= 1 replays the v1 per-interaction
-	// Observe path as the amortisation baseline.
+	// flush per micro-batch). batch <= 1 sends one-observation batches as
+	// the amortisation baseline.
 	var (
 		writerWG sync.WaitGroup
 		// writerEndNs is the elapsed-since-start time of the last writer
@@ -441,15 +421,9 @@ func runThroughput(tc throughputConfig) {
 				} else {
 					for len(chunk) > 0 {
 						n := min(batch, len(chunk))
-						if batch <= 1 {
-							o := chunk[0]
-							backend.Observe(model.Interaction{UserID: o.UserID, ItemID: o.Item.ID, Timestamp: o.Timestamp}, o.Item)
-							writerApplied.Add(1)
-						} else {
-							rep, _ := backend.ObserveBatch(context.Background(), chunk[:n])
-							writerApplied.Add(int64(rep.Applied))
-							flushedUsers.Add(int64(rep.Flushed))
-						}
+						rep, _ := backend.ObserveBatch(context.Background(), chunk[:n])
+						writerApplied.Add(int64(rep.Applied))
+						flushedUsers.Add(int64(rep.Flushed))
 						lockAcquires.Add(1)
 						chunk = chunk[n:]
 					}
@@ -501,15 +475,12 @@ func runThroughput(tc throughputConfig) {
 		P99Us:       us(pct(0.99)),
 		MaxUs:       us(latencies[len(latencies)-1]),
 	}
-	if res.Transport == "rpc" {
-		res.Scatter = tc.Scatter
-		if tc.Replicas > 1 {
-			res.Replicas = tc.Replicas
-		}
+	if res.Transport == "rpc" && tc.Replicas > 1 {
+		res.Replicas = tc.Replicas
 	}
 	shardsDesc := fmt.Sprintf("%d shards", res.Shards)
 	if res.Transport == "rpc" {
-		shardsDesc = fmt.Sprintf("%d remote shards (scatter=%s)", res.Shards, res.Scatter)
+		shardsDesc = fmt.Sprintf("%d remote shards", res.Shards)
 		if res.Replicas > 1 {
 			shardsDesc += fmt.Sprintf(" x%d replicas", res.Replicas)
 		}
@@ -528,15 +499,11 @@ func runThroughput(tc throughputConfig) {
 		res.WriterItemsPerSec = float64(writerApplied.Load()) / writerWall.Seconds()
 		res.WriterFlushedUsers = int(flushedUsers.Load())
 		res.WriterLockAcquires = int(lockAcquires.Load())
-		res.WriterObservePath = "observe_batch"
-		if batch <= 1 {
-			res.WriterObservePath = "observe"
-		}
 		if n := lockAcquires.Load(); n > 0 {
 			res.WriterMeanBatchSize = float64(writerApplied.Load()) / float64(n)
 		}
-		fmt.Printf("ingest:     %d interactions, %d writers, batch=%d (%s): %.0f interactions/sec, %d lock acquisitions\n",
-			res.WriterItems, res.Writers, res.Batch, res.WriterObservePath, res.WriterItemsPerSec, res.WriterLockAcquires)
+		fmt.Printf("ingest:     %d interactions, %d writers, batch=%d: %.0f interactions/sec, %d lock acquisitions\n",
+			res.WriterItems, res.Writers, res.Batch, res.WriterItemsPerSec, res.WriterLockAcquires)
 	}
 	if walLog != nil {
 		st := walLog.Stats()

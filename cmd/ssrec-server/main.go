@@ -1,5 +1,5 @@
 // Command ssrec-server serves a trained ssRec engine over the JSON HTTP
-// API of internal/server (v2 batch-first protocol + deprecated v1).
+// API of internal/server (the v2 batch-first protocol and /v2/session).
 //
 // Either load a model saved with the library's persistence support:
 //
@@ -96,7 +96,7 @@ func main() {
 		walSyncEvery  = flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence of -wal-fsync=interval")
 		walCheckpoint = flag.Duration("wal-checkpoint", time.Minute, "periodic checkpoint cadence: snapshot the engine into the WAL and compact the covered segments (0 disables)")
 
-		authToken     = flag.String("auth-token", "", "shared bearer token: required on every /v1/* and /v2/* call (including /v2/session) AND presented to -shard-addrs shardds (pair with ssrec-shardd -auth-token)")
+		authToken     = flag.String("auth-token", "", "shared bearer token: required on every /v2/* call (including /v2/session) AND presented to -shard-addrs shardds (pair with ssrec-shardd -auth-token)")
 		adminReshard  = flag.Bool("admin-reshard", false, "enable POST /v2/reshard: online in-process split/merge of a -shards deployment to the requested width (403 when off; pair with -auth-token in production)")
 		maxSessions   = flag.Int("max-sessions", 64, "cap on concurrent /v2/session streams (excess rejected 503 + Retry-After; <= 0 disables)")
 		sessionCredit = flag.Int("session-credit", server.DefaultSessionCredit, "per-session flow-control window (command lines in flight before the client must wait for credit)")
@@ -104,7 +104,7 @@ func main() {
 		sessionBurst  = flag.Int("session-burst", 0, "token-bucket burst of -session-rate (default max(1, rate))")
 		sessionLinger = flag.Duration("session-linger", 200*time.Millisecond, "flush a session's pending observations at most this long after the first arrives (<= 0 disables the timer)")
 
-		principalRate  = flag.Float64("principal-rate", 0, "per-principal request quota in requests/sec on /v1/* and /v2/* (principal = bearer token, else client host; token bucket; 0 = unlimited)")
+		principalRate  = flag.Float64("principal-rate", 0, "per-principal request quota in requests/sec on /v2/* (principal = bearer token, else client host; token bucket; 0 = unlimited)")
 		principalBurst = flag.Int("principal-burst", 0, "token-bucket burst of -principal-rate (default max(1, rate))")
 
 		traceAll  = flag.Bool("trace", false, "trace EVERY request (otherwise only requests carrying an X-Ssrec-Trace header are traced); fetch span trees via GET /v2/trace/{id}")
@@ -288,7 +288,7 @@ func main() {
 		if partitionsSet {
 			eng.SetParallelism(*partitions) // explicit flag overrides the snapshot's value
 		}
-		backend = core.WrapSafe(eng)
+		backend = eng
 	}
 
 	var walBackend *server.WALBackend
@@ -304,7 +304,7 @@ func main() {
 		}
 	}
 
-	srv := server.NewBackend(backend)
+	srv := server.New(backend)
 	srv.MaxK = *maxK
 	srv.MaxBatch = *maxBatch
 	srv.BatchSize = *batchSize
@@ -328,7 +328,7 @@ func main() {
 		log.Printf("request tracing enabled for every request (GET /v2/trace/{id})")
 	}
 	if *principalRate > 0 {
-		log.Printf("per-principal quota enabled: %.3g req/s on /v1/* and /v2/*", *principalRate)
+		log.Printf("per-principal quota enabled: %.3g req/s on /v2/*", *principalRate)
 	}
 	if *pprofAddr != "" {
 		telemetry.ServePprof(*pprofAddr, func(err error) { log.Printf("pprof listener: %v", err) })
@@ -338,7 +338,7 @@ func main() {
 		log.Printf("admin resharding enabled on POST /v2/reshard")
 	}
 	if *authToken != "" {
-		log.Printf("bearer auth enabled on /v1/* and /v2/* (only /healthz stays open)")
+		log.Printf("bearer auth enabled on /v2/* (only /healthz and /metrics stay open)")
 	}
 
 	var checkpointStop chan struct{}

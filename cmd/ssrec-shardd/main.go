@@ -35,9 +35,7 @@
 //	curl -s localhost:9101/shard/v1/readyz  # readiness: 200 only when booted AND trained
 //	curl -s localhost:9101/shard/v1/stats
 //
-// (/shard/v1/health is a deprecated alias of the old combined check; it
-// keeps answering, with a Deprecation header — point restart probes at
-// /livez and load-balancer membership at /readyz.)
+// Point restart probes at /livez and load-balancer membership at /readyz.
 package main
 
 import (
@@ -67,7 +65,7 @@ func main() {
 
 		partitions = flag.Int("partitions", 0, "intra-query search partitions; > 0 overrides the snapshot's setting and applies to handoff boots")
 		boundFlush = flag.Duration("bound-flush", shardrpc.DefaultBoundFlush, "sampling interval of the bound-raise stream on the recommend exchange")
-		authToken  = flag.String("auth-token", "", "shared bearer token: every endpoint (health included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
+		authToken  = flag.String("auth-token", "", "shared bearer token: every endpoint (livez/readyz included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
 
 		walDir        = flag.String("wal-dir", "", "durable ingest WAL directory: every admitted write batch is logged before it is applied, and on boot the latest checkpoint plus the log tail are recovered (taking precedence over -model)")
 		walFsync      = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval (background ticker), off (OS page cache only)")

@@ -914,6 +914,28 @@ func (e *Engine) IndexStats() (stats cppse.IndexStats, ok bool) {
 	return e.index.Stats(), true
 }
 
+// IndexStatsView is the concurrency-safe subset of cppse.IndexStats, plus
+// the engine-level refresh-error counter.
+type IndexStatsView struct {
+	Blocks   int
+	Trees    int
+	Users    int
+	HashKeys int
+	// RefreshErrors counts failed index refreshes (Engine.RefreshErrors).
+	RefreshErrors int64
+}
+
+// IndexView snapshots the index statistics as an IndexStatsView (zero
+// index figures before Train; RefreshErrors is engine-level and reported
+// regardless). Concurrency-safe.
+func (e *Engine) IndexView() IndexStatsView {
+	v := IndexStatsView{RefreshErrors: e.RefreshErrors()}
+	if st, ok := e.IndexStats(); ok {
+		v.Blocks, v.Trees, v.Users, v.HashKeys = st.Blocks, st.Trees, st.Users, st.HashKeys
+	}
+	return v
+}
+
 // Store exposes the profile store (read-mostly; used by experiments).
 func (e *Engine) Store() *profile.Store { return e.store }
 

@@ -151,14 +151,14 @@ func TestFlushUpdatesCount(t *testing.T) {
 	}
 }
 
-func TestSafeEngineConcurrentUse(t *testing.T) {
+func TestEngineConcurrentUse(t *testing.T) {
 	ds := testDataset(t)
-	safe := NewSafe(Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
+	eng := New(Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
 	parts := ds.Partition(6)
 	var train []model.Interaction
 	train = append(train, parts[0]...)
 	train = append(train, parts[1]...)
-	if err := safe.Train(ds.Items, train, ds.Item); err != nil {
+	if err := eng.Train(ds.Items, train, ds.Item); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
 	done := make(chan bool)
@@ -167,22 +167,22 @@ func TestSafeEngineConcurrentUse(t *testing.T) {
 			defer func() { done <- true }()
 			for i := 0; i < 50; i++ {
 				v := ds.Items[(g*50+i)%len(ds.Items)]
-				safe.Recommend(v, 5)
+				eng.Recommend(v, 5)
 				ir := model.Interaction{UserID: "concurrent-user", ItemID: v.ID, Timestamp: v.Timestamp + 1}
-				safe.Observe(ir, v)
+				eng.Observe(ir, v)
 			}
 		}(g)
 	}
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if safe.Users() == 0 {
+	if eng.Users() == 0 {
 		t.Fatal("no users after concurrent feed")
 	}
-	if s := safe.IndexStats(); s.Trees == 0 {
+	if s := eng.IndexView(); s.Trees == 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if safe.Name() != "ssRec" {
-		t.Fatalf("Name = %s", safe.Name())
+	if eng.Name() != "ssRec" {
+		t.Fatalf("Name = %s", eng.Name())
 	}
 }

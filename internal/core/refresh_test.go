@@ -111,8 +111,8 @@ func TestRefreshErrorsSurfaced(t *testing.T) {
 		t.Fatalf("RefreshErrors = %d, want 1", got)
 	}
 	// Surfaced through the stats view (and hence /v2/stats).
-	if got := WrapSafe(eng).IndexStats().RefreshErrors; got != 1 {
-		t.Fatalf("IndexStats().RefreshErrors = %d, want 1", got)
+	if got := eng.IndexView().RefreshErrors; got != 1 {
+		t.Fatalf("IndexView().RefreshErrors = %d, want 1", got)
 	}
 	// The engine keeps serving.
 	if recs := eng.Recommend(v, 5); recs == nil {

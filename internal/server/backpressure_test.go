@@ -30,19 +30,16 @@ func (b *blockingBackend) ObserveBatch(ctx context.Context, batch []core.Observa
 	return core.BatchReport{Applied: len(batch), Flushed: len(batch)}, nil
 }
 
-func (b *blockingBackend) Recommend(v model.Item, k int) []model.Recommendation { return nil }
-func (b *blockingBackend) Observe(ir model.Interaction, v model.Item)           {}
-func (b *blockingBackend) RegisterItem(v model.Item)                            {}
 func (b *blockingBackend) RecommendBatch(ctx context.Context, items []model.Item, opts ...core.Option) ([]core.Result, error) {
 	return make([]core.Result, len(items)), nil
 }
-func (b *blockingBackend) Users() int                      { return 0 }
-func (b *blockingBackend) Parallelism() int                { return 1 }
-func (b *blockingBackend) IndexStats() core.IndexStatsView { return core.IndexStatsView{} }
+func (b *blockingBackend) Users() int                     { return 0 }
+func (b *blockingBackend) Parallelism() int               { return 1 }
+func (b *blockingBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
 
 func TestObserveV2SaturationReturns503(t *testing.T) {
 	bb := &blockingBackend{entered: make(chan struct{}, 8), release: make(chan struct{})}
-	s := NewBackend(bb)
+	s := New(bb)
 	s.MaxInflightObserve = 1
 	s.RetryAfter = 2 * time.Second
 	s.BatchSize = 1 // flush per line so the first request blocks immediately
@@ -91,7 +88,7 @@ func TestObserveV2SaturationReturns503(t *testing.T) {
 // not a committed NDJSON stream.
 func TestObserveV2RejectionIsNotStreamed(t *testing.T) {
 	bb := &blockingBackend{entered: make(chan struct{}, 8), release: make(chan struct{})}
-	s := NewBackend(bb)
+	s := New(bb)
 	s.MaxInflightObserve = 1
 	s.BatchSize = 1
 	h := s.Handler()

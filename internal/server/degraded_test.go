@@ -41,15 +41,12 @@ func (d degradedBackend) ObserveBatch(ctx context.Context, batch []core.Observat
 	return core.BatchReport{Applied: len(batch), Flushed: len(batch)}, d.degraded()
 }
 
-func (degradedBackend) Recommend(v model.Item, k int) []model.Recommendation { return nil }
-func (degradedBackend) Observe(ir model.Interaction, v model.Item)           {}
-func (degradedBackend) RegisterItem(v model.Item)                            {}
-func (degradedBackend) Users() int                                           { return 1 }
-func (degradedBackend) Parallelism() int                                     { return 1 }
-func (degradedBackend) IndexStats() core.IndexStatsView                      { return core.IndexStatsView{} }
+func (degradedBackend) Users() int                     { return 1 }
+func (degradedBackend) Parallelism() int               { return 1 }
+func (degradedBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
 
 func TestRecommendV2DegradedPartialResults(t *testing.T) {
-	s := NewBackend(degradedBackend{})
+	s := New(degradedBackend{})
 	rr := post(t, s.Handler(), "/v2/recommend", map[string]any{
 		"items": []map[string]any{{"id": "x", "category": "c"}}, "k": 3,
 	})
@@ -70,7 +67,7 @@ func TestRecommendV2DegradedPartialResults(t *testing.T) {
 }
 
 func TestObserveV2DegradedSummary(t *testing.T) {
-	s := NewBackend(degradedBackend{})
+	s := New(degradedBackend{})
 	s.BatchSize = 2
 	line := `{"user_id":"u1","item":{"id":"i1","category":"c"},"timestamp":1}` + "\n"
 	rr := postRaw(t, s.Handler(), "/v2/observe", "application/x-ndjson", []byte(strings.Repeat(line, 3)))

@@ -30,7 +30,7 @@ import (
 // (handlers are concurrency-safe; the engine just reports not_trained on
 // queries and absorbs observations into profiles).
 var fuzzHandler = sync.OnceValue(func() http.Handler {
-	s := New(core.NewSafe(core.Config{Categories: []string{"cat00", "cat01"}}))
+	s := New(core.New(core.Config{Categories: []string{"cat00", "cat01"}}))
 	s.BatchSize = 3 // force micro-batch boundaries inside small inputs
 	return s.Handler()
 })

@@ -1,7 +1,7 @@
 // golden_test.go pins the wire format against drift: the /v2/stats
-// response shape (single-engine and sharded) and the v1 deprecation
-// headers are compared against golden files in testdata/. A renamed JSON
-// field, a dropped header or an accidentally-added key fails CI.
+// response shape (single-engine and sharded) is compared against golden
+// files in testdata/. A renamed JSON field or an accidentally-added key
+// fails CI.
 //
 // Regenerate after an INTENTIONAL wire change with
 //
@@ -15,8 +15,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 )
 
@@ -109,41 +107,4 @@ func TestGoldenStatsV2ShardedShape(t *testing.T) {
 func TestGoldenStatsV2ReplicatedShape(t *testing.T) {
 	s, ds := testReplicatedServer(t, 2, 2)
 	checkGolden(t, "v2_stats_replicated_shape.golden", statsShape(t, s, itemBody(ds.Items[0])))
-}
-
-// TestGoldenV1DeprecationHeaders pins the RFC 8594-style sunset signalling
-// of every v1 route (and its absence on v2/health routes).
-func TestGoldenV1DeprecationHeaders(t *testing.T) {
-	s, ds := testServer(t)
-	h := s.Handler()
-	probes := []struct {
-		method, path string
-		body         map[string]any
-	}{
-		{http.MethodPost, "/v1/recommend", map[string]any{"item": itemBody(ds.Items[0]), "k": 1}},
-		{http.MethodPost, "/v1/observe", map[string]any{"user_id": "gold", "item": itemBody(ds.Items[0]), "timestamp": 1}},
-		{http.MethodPost, "/v1/items", map[string]any{"item": itemBody(ds.Items[0])}},
-		{http.MethodGet, "/v1/stats", nil},
-		{http.MethodPost, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(ds.Items[0])}}},
-		{http.MethodGet, "/v2/stats", nil},
-		{http.MethodGet, "/healthz", nil},
-	}
-	var b strings.Builder
-	for _, p := range probes {
-		var rr interface {
-			Header() http.Header
-		}
-		if p.method == http.MethodGet {
-			rr = get(t, h, p.path)
-		} else {
-			rr = post(t, h, p.path, p.body)
-		}
-		keys := []string{"Deprecation", "Link"}
-		sort.Strings(keys)
-		fmt.Fprintf(&b, "%s %s\n", p.method, p.path)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s: %s\n", k, rr.Header().Get(k))
-		}
-	}
-	checkGolden(t, "v1_deprecation_headers.golden", []byte(b.String()))
 }

@@ -1,9 +1,8 @@
-// middleware.go instruments every request of the v1/v2 API: a request ID
+// middleware.go instruments every request of the API: a request ID
 // (accepted from X-Request-ID or generated) is echoed on the response, the
 // per-route latency/error counters behind /v2/stats are recorded (into the
-// telemetry registry, which /metrics and /v2/stats both read), a root
-// trace span is opened when the request is traced, and v1 routes are
-// stamped with deprecation headers pointing at their v2 successors.
+// telemetry registry, which /metrics and /v2/stats both read), and a root
+// trace span is opened when the request is traced.
 package server
 
 import (
@@ -54,14 +53,6 @@ func statusString(code int) string {
 	return strconv.Itoa(code)
 }
 
-// v1Successor maps each deprecated v1 route to its v2 replacement.
-var v1Successor = map[string]string{
-	"/v1/recommend": "/v2/recommend",
-	"/v1/observe":   "/v2/observe",
-	"/v1/items":     "/v2/observe",
-	"/v1/stats":     "/v2/stats",
-}
-
 // statusRecorder captures the response status for the latency counters
 // while passing Flush through (the NDJSON observe stream needs it).
 type statusRecorder struct {
@@ -85,8 +76,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // underlying writer.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// instrument wraps the mux with request-ID, deprecation, latency and
-// tracing middleware. A request is traced when TraceAll is set OR the
+// instrument wraps the mux with request-ID, latency and tracing
+// middleware. A request is traced when TraceAll is set OR the
 // caller sent an X-Ssrec-Trace header (per-request opt-in); untraced
 // requests pay one header lookup and nothing else.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -96,12 +87,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			id = nextRequestID()
 		}
 		w.Header().Set(requestIDHeader, id)
-		if succ, ok := v1Successor[r.URL.Path]; ok {
-			// RFC 8594-style deprecation signalling; the v1 wire protocol
-			// stays available but new integrations should target v2.
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", succ))
-		}
 		var span *telemetry.Span
 		// Presence of the header opts in, even with an empty value — a
 		// client asking for a trace should not have to mint an id.
@@ -135,14 +120,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 // requireAuth gates the whole API surface behind a shared bearer token
 // when Server.AuthToken is set: every /v2/* route (including the
-// /v2/session stream) AND every deprecated /v1/* route answers 401
-// without "Authorization: Bearer <token>" — a token-protected deployment
-// must not leave its legacy write paths open. Only /healthz and /metrics
-// stay unauthenticated; probes and scrapers must not need credentials.
-// Comparison is constant-time.
+// /v2/session stream) answers 401 without "Authorization: Bearer
+// <token>". Only /healthz and /metrics stay unauthenticated; probes and
+// scrapers must not need credentials. Comparison is constant-time.
 func (s *Server) requireAuth(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.AuthToken != "" && (strings.HasPrefix(r.URL.Path, "/v2/") || strings.HasPrefix(r.URL.Path, "/v1/")) {
+		if s.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/v2/") {
 			tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 			if !ok || subtle.ConstantTimeCompare([]byte(tok), []byte(s.AuthToken)) != 1 {
 				w.Header().Set("WWW-Authenticate", `Bearer realm="ssrec"`)

@@ -2,7 +2,7 @@
 // adoption path for systems that want stream recommendation as a sidecar
 // service rather than an embedded library.
 //
-// The batch-first v2 protocol (see v2.go) is the primary request/response
+// The batch-first v2 protocol (see v2.go) is the request/response
 // surface, and /v2/session (see session.go) is the streaming profile —
 // one full-duplex NDJSON stream of interleaved observations, queries and
 // pushed answers with credit-based flow control:
@@ -11,15 +11,7 @@
 //	POST /v2/recommend   {"items":[{...}...], "k":10}  → per-item results
 //	POST /v2/observe     NDJSON bulk ingest            → streamed statuses
 //	GET  /v2/stats                                     → index + serving + session stats
-//
-// The one-item-per-request v1 protocol remains served for existing
-// clients, with Deprecation/Link successor headers:
-//
-//	POST /v1/recommend   {"item": {...}, "k": 10}      → ranked user list
-//	POST /v1/observe     {"user_id": "...", "item": {...}, "timestamp": ...}
-//	POST /v1/items       {"item": {...}}               → register a new item
-//	GET  /v1/stats                                      → index statistics
-//	GET  /healthz                                       → liveness
+//	GET  /healthz                                      → liveness
 //
 // Every response carries an X-Request-ID (caller-supplied or generated)
 // and feeds the per-route latency counters reported by /v2/stats.
@@ -42,21 +34,19 @@ import (
 	"ssrec/internal/wal"
 )
 
-// Backend is the engine surface the server serves. Two implementations
-// ship: *core.SafeEngine (one in-process engine) and *shard.Router (an
-// N-shard scatter-gather deployment) — the wire protocol is identical
-// either way, which the conformance suite in internal/shard guarantees.
-// A backend that additionally implements ShardStats() []shard.Stats gets
-// per-shard entries in /v2/stats.
+// Backend is the engine surface the server serves. Three implementations
+// ship: *core.Engine (one in-process engine), *WALBackend (that engine
+// behind the durable ingest log) and *shard.Router (an N-shard
+// scatter-gather deployment) — the wire protocol is identical either way,
+// which the conformance suite in internal/shard guarantees. A backend
+// that additionally implements ShardStats() []shard.Stats gets per-shard
+// entries in /v2/stats.
 type Backend interface {
-	Recommend(v model.Item, k int) []model.Recommendation
-	Observe(ir model.Interaction, v model.Item)
-	RegisterItem(v model.Item)
 	RecommendBatch(ctx context.Context, items []model.Item, opts ...core.Option) ([]core.Result, error)
 	ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error)
 	Users() int
 	Parallelism() int
-	IndexStats() core.IndexStatsView
+	IndexView() core.IndexStatsView
 }
 
 // shardStatser is the optional Backend extension behind the per-shard
@@ -84,9 +74,10 @@ type resharder interface {
 	Reshard(ctx context.Context, m int, members ...shard.Shard) error
 }
 
-// Compile-time checks: both shipped backends satisfy the interface.
+// Compile-time checks: the shipped backends satisfy the interface.
 var (
-	_ Backend        = (*core.SafeEngine)(nil)
+	_ Backend        = (*core.Engine)(nil)
+	_ Backend        = (*WALBackend)(nil)
 	_ Backend        = (*shard.Router)(nil)
 	_ shardStatser   = (*shard.Router)(nil)
 	_ replicaStatser = (*shard.Router)(nil)
@@ -110,8 +101,8 @@ type Server struct {
 	// /v2/observe groups into one Engine.ObserveBatch call (one write
 	// lock + one index flush per group). Default 64.
 	BatchSize int
-	// MaxBodyBytes bounds request bodies. Default 1<<20 for v1 JSON
-	// bodies; /v2/observe streams and uses 64 MiB more.
+	// MaxBodyBytes bounds request bodies (/v2/observe streams count their
+	// whole body against it). Default 64 MiB.
 	MaxBodyBytes int64
 	// MaxInflightObserve caps concurrent /v2/observe streams. Excess
 	// requests are REJECTED up front with 503 + Retry-After instead of
@@ -140,15 +131,15 @@ type Server struct {
 	SessionBurst int
 	// SessionLinger flushes a session's pending observations at most this
 	// long after the first one arrived, so trickle streams are ingested
-	// promptly without waiting for a full micro-batch. NewBackend sets
+	// promptly without waiting for a full micro-batch. New sets
 	// 200ms; <= 0 disables the timer (flush points then depend only on
 	// the command sequence, which the conformance suite relies on).
 	SessionLinger time.Duration
 
 	// AuthToken, when non-empty, requires "Authorization: Bearer <token>"
-	// on every /v2/* route (including /v2/session) AND every deprecated
-	// /v1/* route; mismatches answer 401. Only /healthz stays open. Set
-	// before serving; not synchronised.
+	// on every /v2/* route (including /v2/session); mismatches answer 401.
+	// Only /healthz and /metrics stay open. Set before serving; not
+	// synchronised.
 	AuthToken string
 
 	// TraceAll, when true, opens a root trace span for EVERY request
@@ -158,7 +149,7 @@ type Server struct {
 	TraceAll bool
 
 	// PrincipalRate, when > 0, paces each principal (bearer token, or
-	// remote host when the request carries none) to this many /v1+/v2
+	// remote host when the request carries none) to this many /v2
 	// requests per second (token bucket; PrincipalBurst is the bucket
 	// size, default max(1, PrincipalRate)). Excess requests answer 429 +
 	// Retry-After. Set before serving; not synchronised.
@@ -190,12 +181,9 @@ type Server struct {
 	principals  map[string]*principalBucket
 }
 
-// New builds a server around a (trained) single engine.
-func New(eng *core.SafeEngine) *Server { return NewBackend(eng) }
-
-// NewBackend builds a server around any Backend — the entry point for a
-// sharded deployment (*shard.Router).
-func NewBackend(b Backend) *Server {
+// New builds a server around a (trained) Backend: a single engine, its
+// WAL-backed wrapper or a sharded deployment.
+func New(b Backend) *Server {
 	reg := telemetry.NewRegistry()
 	s := &Server{
 		eng:                b,
@@ -214,10 +202,6 @@ func NewBackend(b Backend) *Server {
 		SessionCredit:      DefaultSessionCredit,
 		SessionLinger:      200 * time.Millisecond,
 	}
-	s.mux.HandleFunc("POST /v1/recommend", s.handleRecommend)
-	s.mux.HandleFunc("POST /v1/observe", s.handleObserve)
-	s.mux.HandleFunc("POST /v1/items", s.handleItem)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v2/recommend", s.handleRecommendV2)
 	s.mux.HandleFunc("POST /v2/observe", s.handleObserveV2)
 	s.mux.HandleFunc("POST /v2/session", s.handleSessionV2)
@@ -233,9 +217,9 @@ func NewBackend(b Backend) *Server {
 	return s
 }
 
-// Handler returns the instrumented HTTP handler (request IDs, deprecation
-// headers, latency counters, tracing, bearer auth and per-principal
-// quotas on /v1+/v2 when configured).
+// Handler returns the instrumented HTTP handler (request IDs, latency
+// counters, tracing, bearer auth and per-principal quotas on /v2 when
+// configured).
 func (s *Server) Handler() http.Handler {
 	return s.instrument(s.requireAuth(s.principalQuota(s.mux)))
 }
@@ -275,104 +259,12 @@ func (it itemJSON) validate() error {
 	return nil
 }
 
-type recommendRequest struct {
-	Item itemJSON `json:"item"`
-	K    int      `json:"k"`
-}
-
 type recommendationJSON struct {
 	UserID string  `json:"user_id"`
 	Score  float64 `json:"score"`
 }
 
-type recommendResponse struct {
-	ItemID          string               `json:"item_id"`
-	Recommendations []recommendationJSON `json:"recommendations"`
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req recommendRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := req.Item.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > s.MaxK {
-		req.K = s.MaxK
-	}
-	recs := s.eng.Recommend(req.Item.model(), req.K)
-	resp := recommendResponse{ItemID: req.Item.ID, Recommendations: make([]recommendationJSON, 0, len(recs))}
-	for _, rec := range recs {
-		resp.Recommendations = append(resp.Recommendations, recommendationJSON{UserID: rec.UserID, Score: rec.Score})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type observeRequest struct {
-	UserID    string   `json:"user_id"`
-	Item      itemJSON `json:"item"`
-	Timestamp int64    `json:"timestamp"`
-}
-
-func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req observeRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.UserID == "" {
-		httpError(w, http.StatusBadRequest, "user_id is required")
-		return
-	}
-	if err := req.Item.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ir := model.Interaction{UserID: req.UserID, ItemID: req.Item.ID, Timestamp: req.Timestamp}
-	s.eng.Observe(ir, req.Item.model())
-	w.WriteHeader(http.StatusNoContent)
-}
-
-type itemRequest struct {
-	Item itemJSON `json:"item"`
-}
-
-func (s *Server) handleItem(w http.ResponseWriter, r *http.Request) {
-	var req itemRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := req.Item.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.eng.RegisterItem(req.Item.model())
-	w.WriteHeader(http.StatusNoContent)
-}
-
-type statsResponse struct {
-	Users    int `json:"users"`
-	Blocks   int `json:"blocks"`
-	Trees    int `json:"trees"`
-	HashKeys int `json:"hash_keys"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.IndexStats()
-	writeJSON(w, http.StatusOK, statsResponse{
-		Users: st.Users, Blocks: st.Blocks, Trees: st.Trees, HashKeys: st.HashKeys,
-	})
-}
-
 // ---- plumbing ----
-
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return decodeLimit(w, r, dst, 1<<20)
-}
 
 func decodeLimit(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))

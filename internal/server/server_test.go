@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"ssrec/internal/core"
@@ -19,24 +21,12 @@ func testServer(t testing.TB) (*Server, *dataset.Dataset) {
 	cfg := dataset.YTubeConfig(0.2)
 	cfg.Seed = 31
 	ds := dataset.Generate(cfg)
-	safe := core.NewSafe(core.Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
+	eng := core.New(core.Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
 	// Train via the harness (batch path) on the leading third.
-	if err := evalx.Train(asTrainer{safe}, ds, evalx.Setup{}); err != nil {
+	if err := evalx.Train(eng, ds, evalx.Setup{}); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	return New(safe), ds
-}
-
-// asTrainer adapts SafeEngine to the harness interfaces.
-type asTrainer struct{ *core.SafeEngine }
-
-func (a asTrainer) Name() string                               { return a.SafeEngine.Name() }
-func (a asTrainer) Observe(ir model.Interaction, v model.Item) { a.SafeEngine.Observe(ir, v) }
-func (a asTrainer) Recommend(v model.Item, k int) []model.Recommendation {
-	return a.SafeEngine.Recommend(v, k)
-}
-func (a asTrainer) Train(items []model.Item, irs []model.Interaction, resolve func(string) (model.Item, bool)) error {
-	return a.SafeEngine.Train(items, irs, resolve)
+	return New(eng), ds
 }
 
 func post(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -66,6 +56,20 @@ func itemBody(v model.Item) map[string]any {
 	}
 }
 
+// recommendOne posts a one-item /v2/recommend and returns its result.
+func recommendOne(t *testing.T, h http.Handler, item map[string]any, k int) resultV2JSON {
+	t.Helper()
+	rr := post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{item}, "k": k})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	}
+	resp := decodeV2(t, rr)
+	if len(resp.Results) != 1 {
+		t.Fatalf("%d results, want 1", len(resp.Results))
+	}
+	return resp.Results[0]
+}
+
 func TestHealthz(t *testing.T) {
 	s, _ := testServer(t)
 	rr := get(t, s.Handler(), "/healthz")
@@ -77,60 +81,54 @@ func TestHealthz(t *testing.T) {
 func TestRecommendEndpoint(t *testing.T) {
 	s, ds := testServer(t)
 	v := ds.Items[len(ds.Items)-1]
-	rr := post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(v), "k": 5})
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	res := recommendOne(t, s.Handler(), itemBody(v), 5)
+	if res.ItemID != v.ID || res.Error != nil {
+		t.Errorf("item_id = %s, error = %+v", res.ItemID, res.Error)
 	}
-	var resp struct {
-		ItemID          string `json:"item_id"`
-		Recommendations []struct {
-			UserID string  `json:"user_id"`
-			Score  float64 `json:"score"`
-		} `json:"recommendations"`
+	if len(res.Recommendations) == 0 || len(res.Recommendations) > 5 {
+		t.Errorf("got %d recommendations", len(res.Recommendations))
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if resp.ItemID != v.ID {
-		t.Errorf("item_id = %s", resp.ItemID)
-	}
-	if len(resp.Recommendations) == 0 || len(resp.Recommendations) > 5 {
-		t.Errorf("got %d recommendations", len(resp.Recommendations))
-	}
-	for i := 1; i < len(resp.Recommendations); i++ {
-		if resp.Recommendations[i].Score > resp.Recommendations[i-1].Score {
+	for i := 1; i < len(res.Recommendations); i++ {
+		if res.Recommendations[i].Score > res.Recommendations[i-1].Score {
 			t.Error("unsorted recommendations")
 		}
 	}
 }
 
+// TestRecommendDefaultsAndCaps: k is clamped to MaxK, and an absent k
+// defaults to core.DefaultK.
 func TestRecommendDefaultsAndCaps(t *testing.T) {
 	s, ds := testServer(t)
 	s.MaxK = 3
-	v := ds.Items[len(ds.Items)-1]
-	rr := post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(v), "k": 50})
-	var resp struct {
-		Recommendations []json.RawMessage `json:"recommendations"`
+	v := itemBody(ds.Items[len(ds.Items)-1])
+	if res := recommendOne(t, s.Handler(), v, 50); len(res.Recommendations) != 3 {
+		t.Errorf("MaxK not enforced: %d recommendations, want 3", len(res.Recommendations))
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Recommendations) > 3 {
-		t.Errorf("MaxK not enforced: %d", len(resp.Recommendations))
+	s.MaxK = 100
+	if res := recommendOne(t, s.Handler(), v, 0); len(res.Recommendations) != core.DefaultK {
+		t.Errorf("default k: %d recommendations, want %d", len(res.Recommendations), core.DefaultK)
 	}
 }
 
+// TestRecommendValidation: a body the decoder refuses is a 400 for the
+// whole request; an item failing validation is a per-item invalid_item.
 func TestRecommendValidation(t *testing.T) {
-	s, _ := testServer(t)
-	cases := []map[string]any{
-		{"item": map[string]any{"category": "x"}},       // missing id
-		{"item": map[string]any{"id": "a"}},             // missing category
-		{"item": map[string]any{}, "unknown_field": 12}, // unknown field
+	s, ds := testServer(t)
+	for i, body := range []map[string]any{
+		{"items": []map[string]any{itemBody(ds.Items[0])}, "unknown_field": 12},
+		{"items": []map[string]any{{"id": "a", "category": "x", "bogus": true}}},
+	} {
+		if rr := post(t, s.Handler(), "/v2/recommend", body); rr.Code != http.StatusBadRequest {
+			t.Errorf("case %d: status %d, want 400", i, rr.Code)
+		}
 	}
-	for i, body := range cases {
-		rr := post(t, s.Handler(), "/v1/recommend", body)
-		if rr.Code != http.StatusBadRequest {
-			t.Errorf("case %d: status %d", i, rr.Code)
+	for i, item := range []map[string]any{
+		{"category": "x"}, // missing id
+		{"id": "a"},       // missing category
+	} {
+		res := recommendOne(t, s.Handler(), item, 5)
+		if res.Error == nil || res.Error.Code != "invalid_item" {
+			t.Errorf("item %d: error = %+v, want invalid_item", i, res.Error)
 		}
 	}
 }
@@ -139,10 +137,10 @@ func TestObserveEndpoint(t *testing.T) {
 	s, ds := testServer(t)
 	before := s.eng.Users()
 	v := ds.Items[0]
-	rr := post(t, s.Handler(), "/v1/observe", map[string]any{
-		"user_id": "http-user", "item": itemBody(v), "timestamp": v.Timestamp + 9,
-	})
-	if rr.Code != http.StatusNoContent {
+	rr := postRaw(t, s.Handler(), "/v2/observe", "application/x-ndjson",
+		[]byte(observeLine("http-user", v, v.Timestamp+9)))
+	out := ndjsonLines(t, rr.Body.String())
+	if rr.Code != http.StatusOK || len(out) != 2 || out[0]["status"] != "ok" {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body)
 	}
 	if s.eng.Users() != before+1 {
@@ -150,82 +148,144 @@ func TestObserveEndpoint(t *testing.T) {
 	}
 }
 
+// TestObserveValidation: an observation without a user is refused per
+// line and leaves the engine untouched.
 func TestObserveValidation(t *testing.T) {
 	s, ds := testServer(t)
-	v := ds.Items[0]
-	rr := post(t, s.Handler(), "/v1/observe", map[string]any{"item": itemBody(v)})
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("missing user_id accepted: %d", rr.Code)
+	before := s.eng.Users()
+	rr := postRaw(t, s.Handler(), "/v2/observe", "application/x-ndjson",
+		[]byte(observeLine("", ds.Items[0], 1)))
+	out := ndjsonLines(t, rr.Body.String())
+	if len(out) != 2 || out[0]["status"] != "error" {
+		t.Fatalf("missing user_id accepted: %s", rr.Body)
+	}
+	if sum := out[1]; int(sum["applied"].(float64)) != 0 || int(sum["invalid"].(float64)) != 1 {
+		t.Fatalf("summary = %v", sum)
+	}
+	if s.eng.Users() != before {
+		t.Errorf("user count %d, want %d", s.eng.Users(), before)
 	}
 }
 
+// TestItemEndpoint: a fresh item's first /v2/recommend registers it —
+// the path that replaced the retired POST /v1/items.
 func TestItemEndpoint(t *testing.T) {
 	s, ds := testServer(t)
+	eng := s.eng.(*core.Engine)
 	v := model.Item{ID: "fresh-http-item", Category: ds.Categories[0], Producer: "up0000",
 		Entities: []string{"x"}, Timestamp: 99}
-	rr := post(t, s.Handler(), "/v1/items", map[string]any{"item": itemBody(v)})
-	if rr.Code != http.StatusNoContent {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body)
+	if !eng.NeedsRegistration([]model.Item{v}) {
+		t.Fatal("fresh item already registered")
+	}
+	if res := recommendOne(t, s.Handler(), itemBody(v), 5); res.Error != nil {
+		t.Fatalf("fresh item errored: %+v", res.Error)
+	}
+	if eng.NeedsRegistration([]model.Item{v}) {
+		t.Fatal("fresh item not registered by its first query")
 	}
 }
 
+// TestStatsEndpoint: a single-engine /v2/stats reports the engine's own
+// figures and no shard topology.
 func TestStatsEndpoint(t *testing.T) {
 	s, _ := testServer(t)
-	rr := get(t, s.Handler(), "/v1/stats")
+	rr := get(t, s.Handler(), "/v2/stats")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d", rr.Code)
 	}
-	var resp struct {
-		Users  int `json:"users"`
-		Blocks int `json:"blocks"`
-		Trees  int `json:"trees"`
-	}
+	var resp statsV2Response
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Users == 0 || resp.Trees == 0 {
+	if resp.Users != s.eng.Users() || resp.Trees == 0 || resp.Parallelism != s.eng.Parallelism() {
 		t.Errorf("degenerate stats: %+v", resp)
+	}
+	if resp.ShardCount != 0 || resp.Shards != nil {
+		t.Errorf("single engine reports shards: %+v", resp)
 	}
 }
 
 func TestMethodRouting(t *testing.T) {
 	s, _ := testServer(t)
-	rr := get(t, s.Handler(), "/v1/recommend")
-	if rr.Code != http.StatusMethodNotAllowed && rr.Code != http.StatusNotFound {
-		t.Errorf("GET /v1/recommend = %d", rr.Code)
+	for _, path := range []string{"/v2/recommend", "/v2/observe", "/v2/session"} {
+		if rr := get(t, s.Handler(), path); rr.Code != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s = %d, want 405", path, rr.Code)
+		}
+	}
+	if rr := post(t, s.Handler(), "/v2/stats", nil); rr.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v2/stats = %d, want 405", rr.Code)
 	}
 }
 
 func TestInvalidJSON(t *testing.T) {
 	s, _ := testServer(t)
-	req := httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader([]byte("{nope")))
-	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, req)
+	rr := postRaw(t, s.Handler(), "/v2/recommend", "application/json", []byte("{nope"))
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("status %d", rr.Code)
 	}
+	var body errorResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || !strings.HasPrefix(body.Error, "invalid JSON") {
+		t.Fatalf("error body %q (%v)", rr.Body, err)
+	}
 }
 
+// TestConcurrentRequests is the -race hammer of the HTTP edge: concurrent
+// /v2/recommend readers and /v2/observe writers on one engine.
 func TestConcurrentRequests(t *testing.T) {
 	s, ds := testServer(t)
-	done := make(chan bool)
+	h := s.Handler()
+	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
+		wg.Add(1)
 		go func(g int) {
-			defer func() { done <- true }()
+			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				v := ds.Items[(g*25+i)%len(ds.Items)]
+				var rr *httptest.ResponseRecorder
 				if g%2 == 0 {
-					post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(v), "k": 5})
+					rr = post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(v)}, "k": 5})
 				} else {
-					post(t, s.Handler(), "/v1/observe", map[string]any{
-						"user_id": fmt.Sprintf("load-user-%d", g), "item": itemBody(v),
-						"timestamp": v.Timestamp + int64(i),
-					})
+					rr = postRaw(t, h, "/v2/observe", "application/x-ndjson",
+						[]byte(observeLine(fmt.Sprintf("load-user-%d", g), v, v.Timestamp+int64(i))))
+				}
+				if rr.Code != http.StatusOK {
+					t.Errorf("goroutine %d request %d: status %d", g, i, rr.Code)
 				}
 			}
 		}(g)
 	}
-	for g := 0; g < 6; g++ {
-		<-done
+	wg.Wait()
+}
+
+// TestRetiredV1Routes: the removed v1 routes answer 404 and are counted
+// under the shared "unmatched" route label — no per-route series appears
+// for them in /metrics.
+func TestRetiredV1Routes(t *testing.T) {
+	s, ds := testServer(t)
+	h := s.Handler()
+	retired := []struct{ method, path string }{
+		{http.MethodPost, "/v1/recommend"},
+		{http.MethodPost, "/v1/observe"},
+		{http.MethodPost, "/v1/items"},
+		{http.MethodGet, "/v1/stats"},
+	}
+	for _, r := range retired {
+		var rr *httptest.ResponseRecorder
+		if r.method == http.MethodGet {
+			rr = get(t, h, r.path)
+		} else {
+			rr = post(t, h, r.path, map[string]any{"item": itemBody(ds.Items[0]), "k": 3})
+		}
+		if rr.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", r.method, r.path, rr.Code)
+		}
+	}
+	metrics := get(t, h, "/metrics").Body.String()
+	want := fmt.Sprintf(`ssrec_http_requests_total{route="unmatched"} %d`, len(retired))
+	if !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, metrics)
+	}
+	if strings.Contains(metrics, "/v1/") {
+		t.Errorf("/metrics carries a per-route series for a retired route:\n%s", metrics)
 	}
 }

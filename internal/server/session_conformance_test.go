@@ -33,7 +33,7 @@ func TestSessionConformanceWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boot serving engine: %v", err)
 	}
-	s := New(core.WrapSafe(serving))
+	s := New(serving)
 	// Align the wire session's flush points with the reference schedule:
 	// micro-batch = ReplayBatch, no linger timer, and a window generous
 	// enough that flow control never changes the command order (it cannot

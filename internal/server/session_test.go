@@ -127,7 +127,7 @@ func TestSessionStreamBasics(t *testing.T) {
 // stream complete.
 func TestSessionCreditBlocksCompliantClient(t *testing.T) {
 	bb := &blockingBackend{entered: make(chan struct{}, 64), release: make(chan struct{})}
-	s := NewBackend(bb)
+	s := New(bb)
 	const window = 8
 	s.SessionCredit = window
 	s.BatchSize = 2 // flushes early — and parks on the blocked backend
@@ -220,7 +220,11 @@ func TestSessionBatchClampPreventsStarvation(t *testing.T) {
 // TestSessionFlowControlViolation: a client that ignores credit is cut
 // off with a flow_control error instead of growing server-side buffers.
 func TestSessionFlowControlViolation(t *testing.T) {
-	s, ds, addr := sessionTestServer(t)
+	// The backend parks every flush until the session is torn down, so no
+	// observation credit is retired (and none re-granted) during the
+	// flood: the kill must land on exactly the first line past the window.
+	s := New(stalledBackend{})
+	addr := startH2C(t, s)
 	const window = 8
 	s.SessionCredit = window
 	s.BatchSize = 1024
@@ -242,9 +246,8 @@ func TestSessionFlowControlViolation(t *testing.T) {
 	go func() {
 		enc := json.NewEncoder(pw)
 		for i := 0; i < 4*window; i++ {
-			v := ds.Items[i%len(ds.Items)]
 			line := sessionLineIn{Obs: &observeLineJSON{UserID: "flood",
-				Item: itemJSON{ID: v.ID, Category: v.Category}, Timestamp: int64(i)}}
+				Item: itemJSON{ID: "i1", Category: "c"}, Timestamp: int64(i)}}
 			if enc.Encode(line) != nil {
 				return
 			}
@@ -277,6 +280,22 @@ func TestSessionFlowControlViolation(t *testing.T) {
 	}
 	pw.Close()
 }
+
+// stalledBackend parks every ObserveBatch until its context ends, so a
+// session over it never completes a flush.
+type stalledBackend struct{}
+
+func (stalledBackend) ObserveBatch(ctx context.Context, _ []core.Observation) (core.BatchReport, error) {
+	<-ctx.Done()
+	return core.BatchReport{}, ctx.Err()
+}
+
+func (stalledBackend) RecommendBatch(ctx context.Context, items []model.Item, _ ...core.Option) ([]core.Result, error) {
+	return make([]core.Result, len(items)), nil
+}
+func (stalledBackend) Users() int                     { return 0 }
+func (stalledBackend) Parallelism() int               { return 1 }
+func (stalledBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
 
 // TestSessionAdmission503 shares the overload path with /v2/observe: the
 // Retry-After formatting must be byte-identical (regression-guards the
@@ -503,27 +522,32 @@ func TestSessionRateLimit(t *testing.T) {
 }
 
 // TestV2Auth: with -auth-token set, every /v2 route (session included)
-// AND every deprecated /v1 route requires the bearer token; only
-// /healthz stays open.
+// requires the bearer token; only /healthz and /metrics stay open.
 func TestV2Auth(t *testing.T) {
 	s, ds, addr := sessionTestServer(t)
 	const token = "hunter2-but-longer"
 	s.AuthToken = token
 	h := s.Handler()
 
-	// Tokenless v2 and v1 → 401 with a challenge.
-	for _, path := range []string{"/v2/stats", "/v1/stats"} {
-		rr := get(t, h, path)
-		if rr.Code != http.StatusUnauthorized {
-			t.Fatalf("GET %s without token = %d, want 401", path, rr.Code)
-		}
-		if rr.Header().Get("WWW-Authenticate") == "" {
-			t.Fatalf("GET %s: missing WWW-Authenticate challenge", path)
-		}
+	// Tokenless → 401 with a challenge, on the read AND write paths.
+	rr := get(t, h, "/v2/stats")
+	if rr.Code != http.StatusUnauthorized {
+		t.Fatalf("GET /v2/stats without token = %d, want 401", rr.Code)
 	}
-	rr := post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(ds.Items[0])}})
+	if rr.Header().Get("WWW-Authenticate") == "" {
+		t.Fatal("GET /v2/stats: missing WWW-Authenticate challenge")
+	}
+	rr = post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(ds.Items[0])}})
 	if rr.Code != http.StatusUnauthorized {
 		t.Fatalf("POST /v2/recommend without token = %d, want 401", rr.Code)
+	}
+	before := s.eng.Users()
+	rr = postRaw(t, h, "/v2/observe", "application/x-ndjson", []byte(observeLine("intruder", ds.Items[0], 1)))
+	if rr.Code != http.StatusUnauthorized {
+		t.Fatalf("POST /v2/observe without token = %d, want 401", rr.Code)
+	}
+	if s.eng.Users() != before {
+		t.Fatal("tokenless observe reached the engine")
 	}
 	if _, err := DialSession(context.Background(), addr); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("tokenless session dial = %v, want 401", err)
@@ -559,24 +583,18 @@ func TestV2Auth(t *testing.T) {
 		t.Fatalf("authed close: %v", err)
 	}
 
-	// The deprecated v1 surface is guarded too: a token-protected
-	// deployment must not leave its legacy write paths open.
-	if rr := get(t, h, "/v1/stats"); rr.Code != http.StatusUnauthorized {
-		t.Fatalf("tokenless /v1/stats = %d, want 401", rr.Code)
-	}
-	rr = post(t, h, "/v1/items", map[string]any{"item": itemBody(ds.Items[0])})
-	if rr.Code != http.StatusUnauthorized {
-		t.Fatalf("tokenless POST /v1/items = %d, want 401", rr.Code)
-	}
-	req, _ = http.NewRequest(http.MethodGet, "/v1/stats", nil)
+	// The write path serves with the token.
+	req, _ = http.NewRequest(http.MethodPost, "/v2/observe", strings.NewReader(observeLine("member", ds.Items[0], 1)))
 	req.Header.Set("Authorization", "Bearer "+token)
 	if rw = newRecorder(t, h, req); rw.Code != http.StatusOK {
-		t.Fatalf("authed /v1/stats = %d, want 200", rw.Code)
+		t.Fatalf("authed /v2/observe = %d, want 200", rw.Code)
 	}
 
-	// Only the liveness probe stays open.
-	if rr := get(t, h, "/healthz"); rr.Code != http.StatusOK {
-		t.Fatalf("tokenless /healthz = %d, want 200", rr.Code)
+	// Only the liveness probe and the scrape endpoint stay open.
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if rr := get(t, h, path); rr.Code != http.StatusOK {
+			t.Fatalf("tokenless %s = %d, want 200", path, rr.Code)
+		}
 	}
 }
 
@@ -609,7 +627,7 @@ func (r *recorderResult) Write(b []byte) (int, error) {
 // the pump stalls and command admission stops at queue+buffer capacity —
 // no unbounded growth, and draining recovers everything.
 func TestSessionQueueBoundWithoutConsumer(t *testing.T) {
-	eng := core.NewSafe(core.Config{Categories: []string{"c"}, TrainMaxIter: 2, Restarts: 1, Seed: 3})
+	eng := core.New(core.Config{Categories: []string{"c"}, TrainMaxIter: 2, Restarts: 1, Seed: 3})
 	corpus, irs := tinyTrainCorpus()
 	byID := map[string]model.Item{}
 	for _, v := range corpus {

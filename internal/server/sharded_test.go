@@ -38,7 +38,7 @@ func testShardedServer(t *testing.T, n int) (*Server, *dataset.Dataset) {
 	if err != nil {
 		t.Fatalf("boot router: %v", err)
 	}
-	return NewBackend(r), ds
+	return New(r), ds
 }
 
 // testReplicatedServer boots the same corpus as an n-slot deployment with
@@ -63,7 +63,7 @@ func testReplicatedServer(t *testing.T, n, rep int) (*Server, *dataset.Dataset) 
 	}
 	sup := r.StartSupervisor(time.Hour) // present in stats; sweeps never fire mid-test
 	t.Cleanup(sup.Stop)
-	return NewBackend(r), ds
+	return New(r), ds
 }
 
 // TestStatsV2ReplicaHealth: a replicated deployment surfaces per-slot

@@ -111,12 +111,12 @@ func (s *Server) takePrincipal(key string, now time.Time) bool {
 	return true
 }
 
-// principalQuota enforces PrincipalRate on the API surface (/v1/* and
-// /v2/*; /healthz and /metrics stay unmetered). It sits INSIDE
+// principalQuota enforces PrincipalRate on the API surface (/v2/*;
+// /healthz and /metrics stay unmetered). It sits INSIDE
 // requireAuth so an invalid token is 401 before it is 429.
 func (s *Server) principalQuota(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.PrincipalRate > 0 && (strings.HasPrefix(r.URL.Path, "/v2/") || strings.HasPrefix(r.URL.Path, "/v1/")) {
+		if s.PrincipalRate > 0 && strings.HasPrefix(r.URL.Path, "/v2/") {
 			if !s.takePrincipal(principal(r), time.Now()) {
 				s.rejectStatus(w, http.StatusTooManyRequests, "principal request quota exceeded")
 				return

@@ -17,8 +17,8 @@
 //	                    per-route latency counters.
 //
 // Per-item failures never fail the request: they surface as error objects
-// in item order so clients can retry selectively. v1 remains served; see
-// DESIGN.md for the migration table and deprecation path.
+// in item order so clients can retry selectively. DESIGN.md maps the
+// retired v1 routes to their v2 successors.
 package server
 
 import (
@@ -114,7 +114,7 @@ func (s *Server) handleRecommendV2(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validation-failed items never reach the engine (registering them
 	// would pollute the producer layer and the expander with bogus
-	// observations, as v1 also guards against); valid items are compacted
+	// observations); valid items are compacted
 	// into the engine batch and results merged back by position.
 	items := make([]model.Item, len(req.Items))
 	precheck := make([]*errorJSON, len(req.Items))
@@ -200,8 +200,7 @@ type observeSummaryJSON struct {
 	Error   *errorJSON `json:"error,omitempty"`
 }
 
-// maxNDJSONLine bounds one observation line (1 MiB, matching the v1 body
-// cap).
+// maxNDJSONLine bounds one observation line (1 MiB).
 const maxNDJSONLine = 1 << 20
 
 func (s *Server) handleObserveV2(w http.ResponseWriter, r *http.Request) {
@@ -566,7 +565,7 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		st := s.eng.IndexStats()
+		st := s.eng.IndexView()
 		resp.Users, resp.Blocks, resp.Trees, resp.HashKeys = st.Users, st.Blocks, st.Trees, st.HashKeys
 		resp.RefreshErrors = st.RefreshErrors
 		resp.Parallelism = s.eng.Parallelism()

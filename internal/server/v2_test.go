@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssrec/internal/core"
 	"ssrec/internal/model"
 )
 
@@ -59,30 +60,23 @@ func TestRecommendV2Batch(t *testing.T) {
 	}
 }
 
-// TestRecommendV2MatchesV1: the batch protocol returns exactly what the
-// per-item v1 endpoint returns.
-func TestRecommendV2MatchesV1(t *testing.T) {
+// TestRecommendV2MatchesEngine: the batch protocol returns exactly what
+// the engine's own RecommendBatch returns, scores bit-for-bit.
+func TestRecommendV2MatchesEngine(t *testing.T) {
 	s, ds := testServer(t)
 	h := s.Handler()
 	for _, v := range ds.Items[:5] {
-		v1 := post(t, h, "/v1/recommend", map[string]any{"item": itemBody(v), "k": 7})
-		var v1resp recommendResponse
-		if err := json.Unmarshal(v1.Body.Bytes(), &v1resp); err != nil {
-			t.Fatal(err)
+		want, err := s.eng.RecommendBatch(context.Background(), []model.Item{v}, core.WithK(7))
+		if err != nil || want[0].Err != nil {
+			t.Fatalf("engine: %v / %v", err, want[0].Err)
 		}
-		v2 := post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(v)}, "k": 7})
-		v2resp := decodeV2(t, v2)
-		if len(v2resp.Results) != 1 {
-			t.Fatalf("%d v2 results", len(v2resp.Results))
+		got := recommendOne(t, h, itemBody(v), 7).Recommendations
+		if len(got) != len(want[0].Recommendations) {
+			t.Fatalf("item %s: wire %d recs, engine %d", v.ID, len(got), len(want[0].Recommendations))
 		}
-		got := v2resp.Results[0].Recommendations
-		want := v1resp.Recommendations
-		if len(got) != len(want) {
-			t.Fatalf("item %s: v2 %d recs, v1 %d", v.ID, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("item %s rec %d: v2 %+v, v1 %+v", v.ID, i, got[i], want[i])
+		for i, rec := range want[0].Recommendations {
+			if got[i] != (recommendationJSON{UserID: rec.UserID, Score: rec.Score}) {
+				t.Fatalf("item %s rec %d: wire %+v, engine %+v", v.ID, i, got[i], rec)
 			}
 		}
 	}
@@ -289,21 +283,6 @@ func TestStatsV2(t *testing.T) {
 	rs, ok := resp.Requests["POST /v2/recommend"]
 	if !ok || rs.Count < 1 {
 		t.Fatalf("missing recommend route counters: %+v", resp.Requests)
-	}
-}
-
-func TestV1DeprecationHeaders(t *testing.T) {
-	s, ds := testServer(t)
-	rr := post(t, s.Handler(), "/v1/recommend", map[string]any{"item": itemBody(ds.Items[0]), "k": 3})
-	if rr.Header().Get("Deprecation") != "true" {
-		t.Error("v1 response missing Deprecation header")
-	}
-	if link := rr.Header().Get("Link"); !strings.Contains(link, "/v2/recommend") {
-		t.Errorf("Link = %q, want successor-version pointer", link)
-	}
-	rr2 := get(t, s.Handler(), "/v2/stats")
-	if rr2.Header().Get("Deprecation") != "" {
-		t.Error("v2 response carries Deprecation header")
 	}
 }
 

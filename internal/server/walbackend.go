@@ -1,13 +1,11 @@
 // walbackend.go makes the single-engine deployment durable: WrapWAL
 // interposes a write-ahead log between the HTTP handlers and the engine,
-// appending every admitted write — v2 observe micro-batches, v1 single
-// observations and item registrations — BEFORE applying it, under one
-// mutex so a checkpoint's snapshot and its sequence watermark always
+// appending every admitted write — observe micro-batches and the item
+// registrations a cold query batch performs — BEFORE applying it, under
+// one mutex so a checkpoint's snapshot and its sequence watermark always
 // agree (the same ordering internal/shardrpc applies per shard). A write
-// that cannot be made durable is not applied: /v2/observe reports the
-// failure on its summary line; the void v1 paths drop the write and
-// count it (AppendFailures), preferring a visible gap in the counters to
-// an ack the log cannot replay.
+// that cannot be made durable is not applied: the call fails, and
+// /v2/observe reports the failure on its summary line.
 package server
 
 import (
@@ -15,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
@@ -24,30 +21,25 @@ import (
 )
 
 // WALBackend is a Backend that logs every write durably before applying
-// it to the wrapped engine.
+// it to the wrapped engine. The engine is a field, not an embedding: an
+// embedded engine would re-export its unlogged write methods and let a
+// caller bypass the log.
 type WALBackend struct {
-	*core.SafeEngine
 	eng *core.Engine
 	log *wal.Log
 
-	mu             sync.Mutex // serialises append+apply against Checkpoint
-	appendFailures atomic.Uint64
+	mu sync.Mutex // serialises append+apply against Checkpoint
 }
 
-// WrapWAL wraps an engine (and its SafeEngine serving view) with the
-// durable ingest log. The caller recovers the log into the engine BEFORE
-// wrapping (see cmd/ssrec-server): WrapWAL only covers writes from here
-// on.
+// WrapWAL wraps an engine with the durable ingest log. The caller
+// recovers the log into the engine BEFORE wrapping (see cmd/ssrec-server):
+// WrapWAL only covers writes from here on.
 func WrapWAL(e *core.Engine, l *wal.Log) *WALBackend {
-	return &WALBackend{SafeEngine: core.WrapSafe(e), eng: e, log: l}
+	return &WALBackend{eng: e, log: l}
 }
 
 // Log exposes the underlying WAL (for stats and shutdown checkpoints).
 func (b *WALBackend) Log() *wal.Log { return b.log }
-
-// AppendFailures counts v1 void-path writes dropped because the log
-// refused the append.
-func (b *WALBackend) AppendFailures() uint64 { return b.appendFailures.Load() }
 
 // Checkpoint writes an engine snapshot into the log and compacts the
 // segments it covers. Taken under the same mutex as every append+apply,
@@ -87,40 +79,14 @@ func (b *WALBackend) RecommendBatch(ctx context.Context, items []model.Item, opt
 		}
 		b.mu.Unlock()
 	}
-	return b.SafeEngine.RecommendBatch(ctx, items, opts...)
-}
-
-// Recommend implements Backend for the deprecated v1 single-item query
-// under the same rule as RecommendBatch. The v1 surface cannot report
-// an append failure, so a cold item whose registration cannot be logged
-// is answered empty (and counted) rather than letting the engine
-// register state the log cannot replay.
-func (b *WALBackend) Recommend(v model.Item, k int) []model.Recommendation {
-	if b.eng.Trained() {
-		one := []model.Item{v}
-		b.mu.Lock()
-		if b.eng.NeedsRegistration(one) {
-			payload, err := wal.EncodeRegister(one)
-			if err == nil {
-				_, err = b.log.Append(wal.KindRegister, payload)
-			}
-			if err != nil {
-				b.appendFailures.Add(1)
-				b.mu.Unlock()
-				return nil
-			}
-			b.eng.RegisterItemBatch(one)
-		}
-		b.mu.Unlock()
-	}
-	return b.SafeEngine.Recommend(v, k)
+	return b.eng.RecommendBatch(ctx, items, opts...)
 }
 
 // ObserveBatch implements Backend: durable first, then apply. An append
 // failure refuses the batch — the ack must mean "recoverable".
 func (b *WALBackend) ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error) {
 	if len(batch) == 0 {
-		return b.SafeEngine.ObserveBatch(ctx, batch)
+		return b.eng.ObserveBatch(ctx, batch)
 	}
 	payload, err := wal.EncodeObserve(batch)
 	if err != nil {
@@ -135,46 +101,14 @@ func (b *WALBackend) ObserveBatch(ctx context.Context, batch []core.Observation)
 	if err != nil {
 		return core.BatchReport{}, fmt.Errorf("wal append: %w", err)
 	}
-	return b.SafeEngine.ObserveBatch(ctx, batch)
+	return b.eng.ObserveBatch(ctx, batch)
 }
 
-// Observe implements Backend for the deprecated v1 single-observation
-// path, logged as a one-element observe batch (recovery replays it
-// through ObserveBatch, which applies the same observation). The v1
-// surface cannot report an append failure, so the write is dropped and
-// counted instead of applied non-durably.
-func (b *WALBackend) Observe(ir model.Interaction, v model.Item) {
-	obs := []core.Observation{{UserID: ir.UserID, Item: v, Timestamp: ir.Timestamp}}
-	payload, err := wal.EncodeObserve(obs)
-	if err != nil {
-		b.appendFailures.Add(1)
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, err := b.log.Append(wal.KindObserve, payload); err != nil {
-		b.appendFailures.Add(1)
-		return
-	}
-	b.SafeEngine.Observe(ir, v)
-}
+// Users implements Backend.
+func (b *WALBackend) Users() int { return b.eng.Users() }
 
-// RegisterItem implements Backend for the deprecated v1 registration
-// path, logged as a one-element register batch under the same
-// drop-and-count rule as Observe.
-func (b *WALBackend) RegisterItem(v model.Item) {
-	payload, err := wal.EncodeRegister([]model.Item{v})
-	if err != nil {
-		b.appendFailures.Add(1)
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, err := b.log.Append(wal.KindRegister, payload); err != nil {
-		b.appendFailures.Add(1)
-		return
-	}
-	b.SafeEngine.RegisterItem(v)
-}
+// Parallelism implements Backend.
+func (b *WALBackend) Parallelism() int { return b.eng.Parallelism() }
 
-var _ Backend = (*WALBackend)(nil)
+// IndexView implements Backend.
+func (b *WALBackend) IndexView() core.IndexStatsView { return b.eng.IndexView() }

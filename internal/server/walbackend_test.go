@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -21,7 +22,7 @@ func walEngine(t *testing.T) (*core.Engine, *dataset.Dataset) {
 	cfg.Seed = 31
 	ds := dataset.Generate(cfg)
 	eng := core.New(core.Config{Categories: ds.Categories, TrainMaxIter: 5, Restarts: 1})
-	if err := evalx.Train(asTrainer{core.WrapSafe(eng)}, ds, evalx.Setup{}); err != nil {
+	if err := evalx.Train(eng, ds, evalx.Setup{}); err != nil {
 		t.Fatalf("train: %v", err)
 	}
 	return eng, ds
@@ -62,19 +63,21 @@ func TestWALBackendQueryRegistrationDurable(t *testing.T) {
 		t.Fatalf("warm batch: appends = %d, want 1 (warm queries are free)", got)
 	}
 
-	// v1 single-item query path, same rule.
-	v1 := model.Item{ID: "wal-cold-v1", Category: "cat03", Producer: "up0002", Entities: []string{"c03e001"}}
-	if recs := wb.Recommend(v1, 5); recs == nil {
-		t.Fatalf("v1 cold Recommend returned nil")
+	// A session ask takes the same logged path: the backend exposes no
+	// unlogged single-item fast path for core.Session to pick up.
+	fresh := model.Item{ID: "wal-cold-ask", Category: "cat03", Producer: "up0002", Entities: []string{"c03e001"}}
+	ses := core.NewSession(context.Background(), wb)
+	if err := ses.Ask(fresh, core.WithK(5)); err != nil {
+		t.Fatalf("session ask: %v", err)
+	}
+	if res := <-ses.Results(); res.Err != nil {
+		t.Fatalf("session ask result: %v", res.Err)
+	}
+	if err := ses.Close(); err != nil {
+		t.Fatalf("session close: %v", err)
 	}
 	if got := log.Stats().Appends; got != 2 {
-		t.Fatalf("v1 cold query: appends = %d, want 2", got)
-	}
-	if recs := wb.Recommend(v1, 5); recs == nil {
-		t.Fatalf("v1 warm Recommend returned nil")
-	}
-	if got := log.Stats().Appends; got != 2 {
-		t.Fatalf("v1 warm query: appends = %d, want 2", got)
+		t.Fatalf("cold session ask: appends = %d, want 2", got)
 	}
 
 	// An observe after the registrations, so replay ordering matters.
@@ -89,7 +92,7 @@ func TestWALBackendQueryRegistrationDurable(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	probes := append(append([]model.Item{}, cold...), v1)
+	probes := append(append([]model.Item{}, cold...), fresh)
 	for _, p := range probes {
 		want := live.Recommend(p, 10)
 		got := twin.Recommend(p, 10)
@@ -97,7 +100,30 @@ func TestWALBackendQueryRegistrationDurable(t *testing.T) {
 			t.Fatalf("recovered engine diverges on %s:\n live %v\n twin %v", p.ID, want, got)
 		}
 	}
-	if wb.AppendFailures() != 0 {
-		t.Fatalf("append failures = %d, want 0", wb.AppendFailures())
+}
+
+// TestWALBackendRefusesUnloggedRegistration: when the log cannot take
+// the registration record, a cold batch fails and the engine is left
+// without the registration — nothing is applied that recovery could not
+// replay.
+func TestWALBackendRefusesUnloggedRegistration(t *testing.T) {
+	live, _ := walEngine(t)
+	log, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.PolicyBatch})
+	if err != nil {
+		t.Fatalf("wal open: %v", err)
+	}
+	wb := WrapWAL(live, log)
+	log.Close()
+
+	cold := []model.Item{{ID: "wal-refused", Category: "cat02", Producer: "up0003", Entities: []string{"c02e001"}}}
+	if _, err := wb.RecommendBatch(context.Background(), cold, core.WithK(5)); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("cold RecommendBatch on a closed log: err = %v, want wal.ErrClosed", err)
+	}
+	if !live.NeedsRegistration(cold) {
+		t.Fatal("registration applied although its log append failed")
+	}
+	obs := []core.Observation{{UserID: "uc00001", Item: cold[0], Timestamp: 1700000000}}
+	if _, err := wb.ObserveBatch(context.Background(), obs); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("ObserveBatch on a closed log: err = %v, want wal.ErrClosed", err)
 	}
 }

@@ -3,8 +3,8 @@
 // registration) so the replicated dictionaries never drift, scatters each
 // query to every shard under one shared score bound, and gathers the
 // per-shard top-k heaps into the final ranking. Its surface mirrors
-// core.Engine / core.SafeEngine so the HTTP server and the bench harness
-// can serve either interchangeably.
+// core.Engine so the HTTP server and the bench harness can serve either
+// interchangeably.
 //
 // # Failover
 //
@@ -1092,7 +1092,7 @@ func (r *Router) RecommendBatch(ctx context.Context, items []model.Item, opts ..
 	return results, nil
 }
 
-// ---- v1-parity surface (server Backend, bench harness) ----
+// ---- v1-parity surface (the root ssrec.Recommender API) ----
 
 // Recommend is the v1 query over the deployment. Unlike the single
 // engine's v1 path it reports nothing on failure (nil); the v2 calls carry
@@ -1139,10 +1139,10 @@ func (f *fleet) firstUpStats() Stats {
 	return Stats{}
 }
 
-// IndexStats reports the deployment-level index view: the routing
+// IndexView reports the deployment-level index view: the routing
 // structures are replicated, so any healthy shard's block/tree/hash
 // figures are the deployment's, and Users covers every assigned user.
-func (r *Router) IndexStats() core.IndexStatsView {
+func (r *Router) IndexView() core.IndexStatsView {
 	st := r.fl().firstUpStats()
 	return core.IndexStatsView{
 		Blocks:   st.Blocks,

@@ -61,7 +61,7 @@ func TestRouterUnknownCategory(t *testing.T) {
 }
 
 // TestRouterV1Parity: the v1-shaped surface (Recommend / Observe /
-// RegisterItem / Users / IndexStats) behaves like the single engine's.
+// RegisterItem / Users / IndexView) behaves like the single engine's.
 func TestRouterV1Parity(t *testing.T) {
 	fx := fixture(t)
 	reference, err := core.LoadFrom(bytes.NewReader(fx.Snapshot))
@@ -73,8 +73,8 @@ func TestRouterV1Parity(t *testing.T) {
 		t.Errorf("Users: router %d, engine %d", r.Users(), reference.Users())
 	}
 	refStats, _ := reference.IndexStats()
-	if got := r.IndexStats(); got.Trees != refStats.Trees || got.Blocks != refStats.Blocks {
-		t.Errorf("IndexStats: router %+v, engine %+v", got, refStats)
+	if got := r.IndexView(); got.Trees != refStats.Trees || got.Blocks != refStats.Blocks {
+		t.Errorf("IndexView: router %+v, engine %+v", got, refStats)
 	}
 	for i := 0; i < 5; i++ {
 		v := fx.Queries[i]

@@ -2,19 +2,17 @@
 // one shardd process over HTTP/2 + NDJSON. A shard.Router can hold any
 // mix of Local and RemoteShard values — the seam is the Shard interface,
 // and this client implements the full protocol: broadcast ObserveBatch
-// (micro-batch as the atomic replication unit), the full-duplex
-// bound-streaming Recommend exchange, /stats, health probes (shard.Pinger)
-// and snapshot handoff (shard.SnapshotReceiver).
+// (micro-batch as the atomic replication unit), the multiplexed
+// bound-streaming query stream (querystream.go), /stats, health probes
+// (shard.Pinger) and snapshot handoff (shard.SnapshotReceiver).
 package shardrpc
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -56,16 +54,10 @@ type Client struct {
 	// every request — the shared bearer-token layer of a shardd fleet
 	// started with -auth-token. Set before first use; not synchronised.
 	AuthToken string
-	// DisableMuxScatter forces the one-HTTP/2-stream-per-item recommend
-	// exchange instead of the multiplexed query stream — the pre-mux wire
-	// behavior, kept for measurement (ssrec-bench -scatter item) and
-	// debugging. Set before first use; not synchronised.
-	DisableMuxScatter bool
 
 	// muxMu guards the lazily-dialed multiplexed query stream.
 	muxMu sync.Mutex
 	mux   *muxStream
-	noMux bool // server lacks the endpoint; fell back permanently
 }
 
 // NewClient connects shard idx of an of-wide deployment at addr
@@ -285,117 +277,26 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 	return resp.report(), decodeErr(resp.Error)
 }
 
-// Recommend implements shard.Shard: the full-duplex scatter leg. The
-// request body starts with the query envelope and then streams the
-// router-side bound (raised by the other shards) as NDJSON raise lines;
-// the response streams the shard's own raises back and terminates with
-// the result line. Raises are folded with Bound.Raise on both ends —
-// a monotone max — so a delayed, duplicated or lost raise only costs
-// pruning opportunity, never exactness; even with NO raises delivered the
-// shard's owned-users top-k is exact and the merged global result is
-// bit-identical.
+// Recommend implements shard.Shard: the scatter leg. The query is
+// multiplexed over the shard's long-lived query stream (one stream per
+// shard, not per item — see querystream.go): an ask line out, the shared
+// bound's raises relayed in both directions while the search runs, and a
+// terminal result line back. Raises are folded with Bound.Raise on both
+// ends — a monotone max — so a delayed, duplicated or lost raise only
+// costs pruning opportunity, never exactness; even with NO raises
+// delivered the shard's owned-users top-k is exact and the merged global
+// result is bit-identical.
 func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	// Preferred path: multiplex the query over the shard's long-lived
-	// query stream (one stream per shard, not per item — see
-	// querystream.go). Shardds without the endpoint fall back to the
-	// per-item exchange below, permanently.
-	if !c.DisableMuxScatter {
-		ms, err := c.muxStream()
-		switch {
-		case err == nil:
-			return ms.recommend(ctx, v, o, b)
-		case !errors.Is(err, errNoMux):
-			// Already classified by dialMux (unavailable / status error);
-			// only caller cancellation overrides it.
-			if ctx != nil && ctx.Err() != nil {
-				return core.Result{ItemID: v.ID}, ctx.Err()
-			}
-			return core.Result{ItemID: v.ID}, err
-		}
-	}
-	sctx, span := telemetry.StartSpan(ctx, "rpc.recommend")
-	span.SetAttr("shard", strconv.Itoa(c.idx))
-	defer span.End()
-	env := recommendEnvelope{Item: toItemWire(v), Options: toOptionsWire(o), Stream: b != nil,
-		Trace: telemetry.HeaderValue(sctx)}
-	last := math.Inf(-1)
-	if b != nil {
-		if lb := b.Load(); !math.IsInf(lb, -1) {
-			env.Bound = &lb
-			last = lb
-		}
-	}
-
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+pathRecommend, pr)
+	ms, err := c.muxStream()
 	if err != nil {
-		return core.Result{ItemID: v.ID}, fmt.Errorf("shardrpc: recommend: %w", err)
+		// Already classified by dialMux (unavailable / status error); only
+		// caller cancellation overrides it.
+		if ctx != nil && ctx.Err() != nil {
+			return core.Result{ItemID: v.ID}, ctx.Err()
+		}
+		return core.Result{ItemID: v.ID}, err
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	c.authorize(req)
-
-	// Writer side: the envelope, then (while streaming) periodic raises of
-	// the router-side bound. The pump exits when the exchange finishes
-	// (done closed → pipe closed) or the pipe breaks under it.
-	done := make(chan struct{})
-	go func() {
-		enc := json.NewEncoder(pw)
-		if err := enc.Encode(env); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		if !env.Stream {
-			pw.Close()
-			return
-		}
-		t := time.NewTicker(c.boundFlush())
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				pw.Close()
-				return
-			case <-t.C:
-				if lb := b.Load(); lb > last && !math.IsInf(lb, 1) {
-					last = lb
-					if err := enc.Encode(recLine{B: &lb}); err != nil {
-						return // pipe closed by the exchange ending
-					}
-				}
-			}
-		}
-	}()
-	defer close(done)
-
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return core.Result{ItemID: v.ID}, c.transportErr(ctx, "recommend", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return core.Result{ItemID: v.ID}, c.statusErr(ctx, "recommend", resp)
-	}
-
-	// Reader side: fold raises until the terminal result line.
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var line recLine
-		if err := dec.Decode(&line); err != nil {
-			return core.Result{ItemID: v.ID}, c.transportErr(ctx, "recommend", fmt.Errorf("stream ended without result: %w", err))
-		}
-		switch {
-		case line.B != nil:
-			if b != nil {
-				b.Raise(*line.B)
-			}
-		case line.Result != nil:
-			telemetry.ImportSpans(sctx, line.Spans)
-			return line.Result.result(), decodeErr(line.Err)
-		case line.Err != nil:
-			telemetry.ImportSpans(sctx, line.Spans)
-			return core.Result{ItemID: v.ID}, decodeErr(line.Err)
-		}
-	}
+	return ms.recommend(ctx, v, o, b)
 }
 
 // Stats implements shard.Shard. A transport failure reports zero-valued

@@ -1,8 +1,8 @@
-// mux_auth_test.go covers the multiplexed query stream (the batched
-// scatter leg) and the shared bearer-token layer: mux results must match
-// the per-item exchange bit-for-bit, an old shardd without the endpoint
-// must degrade to the per-item path transparently, cancellation must stay
-// a context error, and every endpoint must 401 without the token.
+// mux_auth_test.go covers the multiplexed query stream (the scatter leg)
+// and the shared bearer-token layer: mux results must match the engine's
+// per-item RecommendBound bit-for-bit, a shardd without the endpoint must
+// fail like any other 4xx (no silent fallback), cancellation must stay a
+// context error, and every endpoint must 401 without the token.
 package shardrpc
 
 import (
@@ -31,26 +31,28 @@ func bootClient(t *testing.T, lb *loopback) *Client {
 	return c
 }
 
-// TestMuxMatchesPerItem: the same queries over the multiplexed stream and
-// the per-item exchange return identical rankings.
+// TestMuxMatchesPerItem: every query over the multiplexed stream returns
+// exactly the ranking of the engine's own per-item RecommendBound, issued
+// in the same order (each query registers its item on both sides).
 func TestMuxMatchesPerItem(t *testing.T) {
 	tc := buildTinyCorpus()
 	lb := startLoopback(t, 0, 1)
 	muxed := bootClient(t, lb)
-	perItem := NewClient(lb.addr, 0, 1)
-	perItem.DisableMuxScatter = true
-	t.Cleanup(perItem.Close)
+	ref, err := core.LoadFrom(bytes.NewReader(tinySnapshot(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx := context.Background()
 	o := core.ResolveOptions(core.WithK(5))
 	for i, v := range append(tc.fresh, tc.query) {
-		a, errA := muxed.Recommend(ctx, v, o, nil)
-		b, errB := perItem.Recommend(ctx, v, o, nil)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("query %d: err %v vs %v", i, errA, errB)
+		got, gerr := muxed.Recommend(ctx, v, o, nil)
+		want, werr := ref.RecommendBound(ctx, v, o, nil)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("query %d: err %v vs %v", i, gerr, werr)
 		}
-		if !reflect.DeepEqual(a.Recommendations, b.Recommendations) {
-			t.Fatalf("query %d: mux result diverged\n mux %v\n item %v", i, a.Recommendations, b.Recommendations)
+		if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
+			t.Fatalf("query %d: mux result diverged\n mux    %v\n engine %v", i, got.Recommendations, want.Recommendations)
 		}
 	}
 }
@@ -102,10 +104,11 @@ func TestMuxConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMuxFallbackOnOldServer: a shardd build without the query-stream
-// endpoint answers 404; the client must fall back to the per-item
-// exchange permanently and still serve.
-func TestMuxFallbackOnOldServer(t *testing.T) {
+// TestQueryStreamNotFoundIsStatusErr: a shardd answering 404 on the
+// query stream gets no fallback path — the call fails with the ordinary
+// 4xx status error, which is not ErrShardUnavailable (a protocol
+// mismatch is not a transport fault to fail over from).
+func TestQueryStreamNotFoundIsStatusErr(t *testing.T) {
 	tc := buildTinyCorpus()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -115,7 +118,7 @@ func TestMuxFallbackOnOldServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the pre-mux build: 404 the new endpoint, serve the rest.
+	// A build without the endpoint: 404 the query stream, serve the rest.
 	old := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == pathQueryStream {
 			http.NotFound(w, r)
@@ -133,19 +136,17 @@ func TestMuxFallbackOnOldServer(t *testing.T) {
 	if err := c.Handoff(context.Background(), tinySnapshot(t)); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		res, err := c.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
-		if err != nil {
-			t.Fatalf("fallback recommend %d: %v", i, err)
+		if err == nil || !strings.Contains(err.Error(), "status 404") {
+			t.Fatalf("recommend %d: err = %v, want a status 404 error", i, err)
 		}
-		if len(res.Recommendations) == 0 {
-			t.Fatalf("fallback recommend %d: empty", i)
+		if errors.Is(err, shard.ErrShardUnavailable) {
+			t.Fatalf("recommend %d: 404 misclassified as unavailable: %v", i, err)
 		}
-	}
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if !c.noMux {
-		t.Fatal("client did not latch the per-item fallback")
+		if res.ItemID != tc.query.ID || len(res.Recommendations) != 0 {
+			t.Fatalf("recommend %d: result %+v, want an empty result for %s", i, res, tc.query.ID)
+		}
 	}
 }
 

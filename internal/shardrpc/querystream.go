@@ -1,18 +1,16 @@
-// querystream.go is the batched scatter leg of the shard RPC protocol:
-// instead of one HTTP/2 stream per item (POST /shard/v1/recommend), a
+// querystream.go is the scatter leg of the shard RPC protocol: a
 // router-side client opens ONE long-lived full-duplex exchange per shard
 // (POST /shard/v1/query_stream) and multiplexes every concurrent
 // recommend over it with stream-scoped query ids — asks, per-query bound
 // raises (both directions), cancels and terminal results all travel as
 // tagged NDJSON lines on the same stream.
 //
-// The bound protocol per query is unchanged from the per-item exchange
-// (monotone Bound.Raise folding, drift-tolerant by construction), so the
-// results stay bit-identical — the remote conformance suite now runs on
-// this path by default. What changes is the per-item overhead: a batch of
-// B items against S shards costs S streams instead of B×S, and a Session
-// issuing thousands of sequential asks reuses the same S streams for its
-// whole lifetime. BENCH_PR5.json records the before/after.
+// Per query the bound protocol is monotone Bound.Raise folding,
+// drift-tolerant by construction, so remote results stay bit-identical
+// to the single engine — the remote conformance suite runs on this path.
+// A batch of B items against S shards costs S streams, not B×S, and a
+// Session issuing thousands of sequential asks reuses the same S streams
+// for its whole lifetime.
 package shardrpc
 
 import (
@@ -81,9 +79,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var pump sync.WaitGroup
 	pump.Add(1)
 	go func() {
-		// ONE raise sampler for the whole stream (the per-item exchange
-		// pays one ticker per query): every boundFlush interval, publish
-		// each active query's bound if it rose since last sent.
+		// ONE raise sampler for the whole stream, not one ticker per
+		// query: every boundFlush interval, publish each active query's
+		// bound if it rose since last sent.
 		defer pump.Done()
 		t := time.NewTicker(s.boundFlush())
 		defer t.Stop()
@@ -155,7 +153,9 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				}
 				// Retire the query, then flush its final bound (the search
 				// just published its exact k-th score) before the terminal
-				// line, mirroring the per-item exchange.
+				// line: fast searches finish between sampler ticks, and
+				// sibling shards still running this query must see a
+				// finished shard's bound.
 				qmu.Lock()
 				delete(active, id)
 				final := b.Load()
@@ -189,11 +189,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- client side ----
-
-// errNoMux reports a shardd without the query-stream endpoint (an older
-// build): the client falls back to the one-stream-per-item exchange
-// permanently.
-var errNoMux = errors.New("shardrpc: query stream unsupported")
 
 // muxResp is one terminal answer delivered to a waiting Recommend call.
 // spans carries the shard-side trace spans off the terminal line (the
@@ -235,13 +230,9 @@ type muxStream struct {
 }
 
 // muxStream returns the client's open stream, dialing one if needed.
-// errNoMux means the server does not speak the protocol (fall back).
 func (c *Client) muxStream() (*muxStream, error) {
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
-	if c.noMux {
-		return nil, errNoMux
-	}
 	if c.mux != nil {
 		select {
 		case <-c.mux.done:
@@ -252,9 +243,6 @@ func (c *Client) muxStream() (*muxStream, error) {
 	}
 	ms, err := c.dialMux()
 	if err != nil {
-		if errors.Is(err, errNoMux) {
-			c.noMux = true
-		}
 		return nil, err
 	}
 	c.mux = ms
@@ -280,11 +268,6 @@ func (c *Client) dialMux() (*muxStream, error) {
 	if err != nil {
 		cancel()
 		return nil, unavailable(c.idx, "query_stream", err)
-	}
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		resp.Body.Close()
-		cancel()
-		return nil, errNoMux
 	}
 	if resp.StatusCode/100 != 2 {
 		err := c.statusErr(nil, "query_stream", resp)

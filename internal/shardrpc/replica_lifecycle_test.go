@@ -22,8 +22,7 @@ import (
 )
 
 // TestLivezReadyzSplit: /livez answers 200 for any serving process,
-// /readyz answers 503 until the shard is booted AND trained, and the
-// deprecated /health alias keeps answering 200 with successor headers.
+// /readyz answers 503 until the shard is booted AND trained.
 func TestLivezReadyzSplit(t *testing.T) {
 	lb := startLoopback(t, 0, 2)
 	get := func(path string) *http.Response {
@@ -43,16 +42,6 @@ func TestLivezReadyzSplit(t *testing.T) {
 	if resp := get("/shard/v1/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("blank readyz = %d, want 503", resp.StatusCode)
 	}
-	resp := get("/shard/v1/health")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("blank health = %d, want 200 (deprecated alias never gates)", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("/health is missing the Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/shard/v1/readyz") {
-		t.Fatalf("/health Link = %q, want successor pointer to /readyz", link)
-	}
 
 	// Booted + trained: ready.
 	c := NewClient(lb.addr, 0, 2)
@@ -62,6 +51,38 @@ func TestLivezReadyzSplit(t *testing.T) {
 	}
 	if resp := get("/shard/v1/readyz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("booted readyz = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRetiredShardRoutes: the removed per-item recommend exchange and the
+// old health alias answer 404 on a booted shard, counted under the
+// shared "unmatched" route label.
+func TestRetiredShardRoutes(t *testing.T) {
+	lb := startLoopback(t, 0, 1)
+	bootClient(t, lb)
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/shard/v1/recommend"},
+		{http.MethodGet, "/shard/v1/health"},
+	} {
+		req, err := http.NewRequest(r.method, "http://"+lb.addr+r.path, strings.NewReader(`{"item":{"id":"x","category":"music"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", r.method, r.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", r.method, r.path, resp.StatusCode)
+		}
+	}
+	var exp strings.Builder
+	if _, err := lb.srv.Metrics().WriteTo(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if want := `ssrec_shard_rpc_requests_total{route="unmatched"} 2`; !strings.Contains(exp.String(), want) {
+		t.Errorf("metrics lack %q:\n%s", want, exp.String())
 	}
 }
 

@@ -6,32 +6,37 @@
 // # Protocol
 //
 // One shardd process serves one shard of a deployment. All endpoints are
-// rooted under /shard/v1 and speak JSON, except the recommend exchange
-// (NDJSON, full-duplex) and the snapshot handoff (raw core.SaveTo bytes):
+// rooted under /shard/v1 and speak JSON, except the query stream (NDJSON,
+// full-duplex) and the snapshot transfer (raw core.SaveTo bytes):
 //
-//	GET  /shard/v1/health     → {shard, of, trained, boot_epoch}
-//	GET  /shard/v1/stats      → shard.Stats
-//	POST /shard/v1/register   {items:[...]}            → {changed}
-//	POST /shard/v1/observe    {observations:[...]}     → BatchReport
-//	POST /shard/v1/recommend  NDJSON duplex (see below)
-//	POST /shard/v1/snapshot   raw snapshot bytes       → 204
-//	POST /shard/v1/replay     {batches:[...]}          → {applied, boot_epoch}
+//	GET  /shard/v1/livez        → {shard, of, trained, boot_epoch} (always 200)
+//	GET  /shard/v1/readyz       → same body; 503 until booted AND trained
+//	GET  /shard/v1/stats        → shard.Stats
+//	POST /shard/v1/register     {items:[...]}            → {changed}
+//	POST /shard/v1/observe      {observations:[...]}     → BatchReport
+//	POST /shard/v1/query_stream NDJSON duplex (see below)
+//	POST /shard/v1/snapshot     raw snapshot bytes       → 204
+//	GET  /shard/v1/snapshot                              → raw snapshot bytes
+//	POST /shard/v1/replay       {batches:[...]}          → {applied, boot_epoch}
+//	POST /shard/v1/reshard      {slot, partition}        → {staged}
 //
-// # The bound-streaming recommend exchange
+// # The bound-streaming query stream
 //
 // The scatter leg of a query must share ONE lower bound across every
 // shard to keep Algorithm 1's pruning global. Over the wire this becomes
-// a full-duplex NDJSON exchange on a single HTTP/2 stream: the request
-// body opens with the query envelope (item, resolved options, the shared
-// bound's current value) and stays open, streaming `{"b":x}` raise lines
-// whenever the ROUTER-side bound rises (i.e. another shard published a
-// better k-th score); the response streams the SHARD-side raises back the
-// same way and terminates with the `{"result":...}` line. Both ends fold
-// incoming raises with sigtree.Bound.Raise — a lock-free monotone max —
-// which makes the protocol drift-tolerant BY CONSTRUCTION: raises may be
-// delayed, duplicated, reordered or dropped entirely and the search stays
-// exact, because the bound only ever prunes entries strictly below the
-// true global k-th score. A late raise costs pruning work, never results.
+// one long-lived full-duplex NDJSON exchange per shard on a single HTTP/2
+// stream, multiplexing every in-flight query by a stream-scoped id
+// (querystream.go): the router sends an ask line per query (item,
+// resolved options, the shared bound's current value), then `{"id":n,
+// "b":x}` raise lines whenever the ROUTER-side bound rises (i.e. another
+// shard published a better k-th score); the shard streams its own raises
+// back the same way and ends each query with its `{"id":n,"result":...}`
+// line. Both ends fold incoming raises with sigtree.Bound.Raise — a
+// lock-free monotone max — which makes the protocol drift-tolerant BY
+// CONSTRUCTION: raises may be delayed, duplicated, reordered or dropped
+// entirely and the search stays exact, because the bound only ever
+// prunes entries strictly below the true global k-th score. A late raise
+// costs pruning work, never results.
 // That is the paper's Algorithm 1 lower-bound argument carried over the
 // network unchanged; the stream-replay conformance suite
 // (conformance_test.go here, sharing the internal/shardtest fixture)
@@ -57,7 +62,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -70,7 +74,6 @@ import (
 	"ssrec/internal/core"
 	"ssrec/internal/model"
 	"ssrec/internal/shard"
-	"ssrec/internal/sigtree"
 	"ssrec/internal/telemetry"
 	"ssrec/internal/wal"
 )
@@ -126,8 +129,8 @@ type Server struct {
 
 	// reg/tracer are the shard's telemetry surface: GET /metrics serves
 	// the registry, and traces resumed off incoming asks (qsAsk.Trace,
-	// recommendEnvelope.Trace, X-Ssrec-Trace on writes) are retained here
-	// and fetchable via GET /shard/v1/trace/{id}.
+	// X-Ssrec-Trace on writes) are retained here and fetchable via
+	// GET /shard/v1/trace/{id}.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 
@@ -154,13 +157,11 @@ func NewServer(idx, of int) (*Server, error) {
 	s.registerGauges()
 	s.mux.Handle("GET /metrics", s.reg.Handler())
 	s.mux.HandleFunc("GET /shard/v1/trace/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET "+pathHealth, s.handleHealth)
 	s.mux.HandleFunc("GET "+pathLivez, s.handleLivez)
 	s.mux.HandleFunc("GET "+pathReadyz, s.handleReadyz)
 	s.mux.HandleFunc("GET "+pathStats, s.handleStats)
 	s.mux.HandleFunc("POST "+pathRegister, s.handleRegister)
 	s.mux.HandleFunc("POST "+pathObserve, s.handleObserve)
-	s.mux.HandleFunc("POST "+pathRecommend, s.handleRecommend)
 	s.mux.HandleFunc("POST "+pathQueryStream, s.handleQueryStream)
 	s.mux.HandleFunc("POST "+pathSnapshot, s.handleSnapshot)
 	s.mux.HandleFunc("GET "+pathSnapshot, s.handleSnapshotExport)
@@ -279,7 +280,7 @@ func (s *Server) registerGauges() {
 }
 
 // handleTrace serves the spans this shard retained for one trace id —
-// the same payload the terminal qsLine/recLine ships to the router, kept
+// the same payload the terminal qsLine ships to the router, kept
 // for direct inspection of a single shardd.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -325,9 +326,9 @@ func (s *Server) authorized(r *http.Request) bool {
 }
 
 // NewHTTPServer wraps the handler in an http.Server with unencrypted
-// HTTP/2 enabled — REQUIRED for the full-duplex recommend exchange (the
-// bound raise streams flow both ways on one stream; plain HTTP/1.1 cannot
-// do that client-side). No read/write timeouts are set: recommend streams
+// HTTP/2 enabled — REQUIRED for the full-duplex query stream (the bound
+// raise streams flow both ways on one stream; plain HTTP/1.1 cannot do
+// that client-side). No read/write timeouts are set: query streams
 // legitimately outlive any fixed budget, so deadlines belong to the
 // caller's context. ReadHeaderTimeout still bounds header slow-loris.
 func (s *Server) NewHTTPServer(addr string) *http.Server {
@@ -369,14 +370,6 @@ func (s *Server) serving(w http.ResponseWriter) *shard.Local {
 		return nil
 	}
 	return b.local
-}
-
-// handleHealth is the deprecated always-200 health report; probes should
-// use /livez (process up) or /readyz (ready to serve) instead.
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+pathReadyz+">; rel=\"successor-version\"")
-	s.writeJSON(w, http.StatusOK, s.healthSnapshot())
 }
 
 // handleLivez answers 200 whenever the process serves HTTP at all — the
@@ -543,127 +536,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		rep, err = l.ObserveBatch(ctx, batch)
 	}
 	s.writeJSON(w, http.StatusOK, observeRespWire{reportWire: toReportWire(rep), Error: encodeErr(err)})
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	l := s.serving(w)
-	if l == nil {
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
-	var env recommendEnvelope
-	if err := dec.Decode(&env); err != nil {
-		s.httpError(w, http.StatusBadRequest, "invalid envelope: %v", err)
-		return
-	}
-
-	// Resume the caller's trace when the envelope carries one: shard-side
-	// spans are retained locally AND shipped back on the terminal line.
-	ctx := r.Context()
-	var coll *telemetry.Collector
-	var sp *telemetry.Span
-	if env.Trace != "" {
-		ctx, coll = s.tracer.Resume(ctx, env.Trace)
-		ctx, sp = telemetry.StartSpan(ctx, "shardd.recommend")
-		sp.SetAttr("shard", strconv.Itoa(s.idx))
-	}
-
-	b := sigtree.NewBound()
-	last := math.Inf(-1)
-	if env.Bound != nil {
-		b.Raise(*env.Bound)
-		last = *env.Bound
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	rc.EnableFullDuplex() //nolint:errcheck // no-op on HTTP/2, best-effort on HTTP/1
-	w.WriteHeader(http.StatusOK)
-	rc.Flush() //nolint:errcheck // commit headers so the client unblocks
-
-	var mu sync.Mutex // serialises raise lines and the terminal line
-	enc := json.NewEncoder(w)
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	var pumps sync.WaitGroup
-	if env.Stream {
-		// Inbound raises: the router relays other shards' k-th scores; fold
-		// them into the local bound so this shard prunes globally. Exits
-		// when the request body ends — the client half-closes its stream as
-		// soon as it reads the terminal result line — and is joined before
-		// ServeHTTP returns (reading r.Body after the handler exits is
-		// outside the net/http contract).
-		go func() {
-			defer close(readerDone)
-			for {
-				var line recLine
-				if err := dec.Decode(&line); err != nil {
-					return
-				}
-				if line.B != nil {
-					b.Raise(*line.B)
-				}
-			}
-		}()
-		// Outbound raises: sample the local bound and publish increases.
-		pumps.Add(1)
-		go func() {
-			defer pumps.Done()
-			t := time.NewTicker(s.boundFlush())
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if v := b.Load(); v > last && !math.IsInf(v, 1) {
-						last = v
-						mu.Lock()
-						enc.Encode(recLine{B: &v}) //nolint:errcheck // stream best-effort
-						rc.Flush()                 //nolint:errcheck
-						mu.Unlock()
-					}
-				}
-			}
-		}()
-	}
-
-	res, rerr := l.Recommend(ctx, env.Item.model(), env.Options.options(), b)
-	sp.End()
-
-	close(stop)
-	pumps.Wait() // raise lines stop; the terminal line must be last
-	mu.Lock()
-	if env.Stream {
-		// Final raise: the search just published its k-th exact score into
-		// the local bound; flush it even if the sampling ticker never fired
-		// (fast searches finish between ticks), so sibling shards still
-		// running this query always see a finished shard's bound.
-		if v := b.Load(); v > last && !math.IsInf(v, 1) {
-			enc.Encode(recLine{B: &v}) //nolint:errcheck
-		}
-	}
-	enc.Encode(recLine{Result: toResultWire(res), Err: encodeErr(rerr), Spans: coll.Take()}) //nolint:errcheck
-	mu.Unlock()
-	if env.Stream {
-		// Join the inbound reader before ServeHTTP returns (reading r.Body
-		// afterwards is outside the net/http contract): flush the terminal
-		// line so the client sees it, reads it, and closes its request
-		// stream, which ends the reader's Decode. A peer that never closes
-		// gets its body closed from this side after a grace period, which
-		// unblocks the pending read; the second wait is belt-and-braces for
-		// transports where Close does not interrupt an in-flight Read.
-		rc.Flush() //nolint:errcheck
-		select {
-		case <-readerDone:
-		case <-time.After(time.Second):
-			r.Body.Close() //nolint:errcheck // force the reader off the body
-			select {
-			case <-readerDone:
-			case <-time.After(time.Second):
-			}
-		}
-	}
 }
 
 // handleReshard stages a reshard: the router announces, before the

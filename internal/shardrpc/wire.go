@@ -29,17 +29,14 @@ import (
 )
 
 // Endpoint paths of the shard RPC protocol (all rooted under /shard/v1).
-// pathHealth is a deprecated alias of pathReadyz's information at
-// always-200 status — probes should use pathLivez (process up) or
-// pathReadyz (booted AND trained, i.e. safe to serve) instead.
+// Probes use pathLivez (process up) or pathReadyz (booted AND trained,
+// i.e. safe to serve).
 const (
-	pathHealth      = "/shard/v1/health"
 	pathLivez       = "/shard/v1/livez"
 	pathReadyz      = "/shard/v1/readyz"
 	pathStats       = "/shard/v1/stats"
 	pathRegister    = "/shard/v1/register"
 	pathObserve     = "/shard/v1/observe"
-	pathRecommend   = "/shard/v1/recommend"
 	pathQueryStream = "/shard/v1/query_stream"
 	pathSnapshot    = "/shard/v1/snapshot"
 	pathReplay      = "/shard/v1/replay"
@@ -226,47 +223,9 @@ func (w optionsWire) options() core.QueryOptions {
 	return core.QueryOptions{K: w.K, Parallelism: w.Parallelism, NoExpansion: w.NoExpansion}
 }
 
-// recommendEnvelope is the FIRST NDJSON line of a POST /shard/v1/recommend
-// request body. When Stream is true the client keeps the request body open
-// and follows with boundLine raises (the router-side view of the shared
-// bound, fed by the other shards), and the server interleaves its own
-// boundLine raises into the response before the terminal resultLine.
-type recommendEnvelope struct {
-	Item    itemWire    `json:"item"`
-	Options optionsWire `json:"options"`
-	// Bound is the shared bound's value at scatter time, omitted while
-	// -Inf (nothing published yet).
-	Bound *float64 `json:"bound,omitempty"`
-	// Stream requests the full-duplex bound protocol.
-	Stream bool `json:"stream,omitempty"`
-	// Trace carries the caller's trace context ("<trace>-<span>", the
-	// X-Ssrec-Trace header form); empty when the request is untraced, so
-	// the wire stays byte-identical with telemetry off.
-	Trace string `json:"trace,omitempty"`
-}
-
-// recLine is one NDJSON line of the recommend exchange AFTER the envelope
-// — in either direction. Exactly one field is set per line:
-//
-//   - B: a monotone raise of the shared lower bound (drift-tolerant — the
-//     receiver folds it with Bound.Raise, so delayed, duplicated or
-//     reordered deliveries only cost pruning, never correctness);
-//   - Result (+ optionally Err): the terminal server line carrying the
-//     shard's exact owned-users top-k and the per-call error, if any;
-//   - Err alone: the terminal server line of a failed call.
-type recLine struct {
-	B      *float64    `json:"b,omitempty"`
-	Result *resultWire `json:"result,omitempty"`
-	Err    *errWire    `json:"error,omitempty"`
-	// Spans returns the shard-side spans of a traced call on the
-	// terminal line; absent when the call was untraced.
-	Spans []telemetry.SpanData `json:"spans,omitempty"`
-}
-
 // qsAsk starts one query on a multiplexed query stream (POST
-// /shard/v1/query_stream): the per-item payload of the former one-stream-
-// per-item exchange, tagged with the stream-scoped query id carried by the
-// enclosing qsLine.
+// /shard/v1/query_stream), tagged with the stream-scoped query id carried
+// by the enclosing qsLine.
 type qsAsk struct {
 	Item    itemWire    `json:"item"`
 	Options optionsWire `json:"options"`
@@ -283,8 +242,9 @@ type qsAsk struct {
 // payload field is set:
 //
 //   - Ask (client→shard): start query ID;
-//   - B: a monotone raise of query ID's shared bound (same drift-tolerant
-//     Bound.Raise folding as the per-item exchange);
+//   - B: a monotone raise of query ID's shared lower bound (drift-tolerant
+//     — the receiver folds it with Bound.Raise, so delayed, duplicated or
+//     reordered deliveries only cost pruning, never correctness);
 //   - Cancel (client→shard): abandon query ID (the shard cancels its
 //     search; the client has already returned);
 //   - Result/Err (shard→client): the terminal line of query ID.
