@@ -41,7 +41,7 @@
 //
 // -wal <dir>  (single-engine only) interpose the durable ingest WAL
 //
-//	(internal/wal via server.WrapWAL — the exact production wrapper)
+//	(wal.Durable — the exact production write path)
 //	between the writers and the engine: every write batch is logged,
 //	and per -fsync fsynced, BEFORE it is applied, so the writer
 //	numbers measure the durability tax on the ingest path
@@ -70,7 +70,6 @@ import (
 	"ssrec/internal/core"
 	"ssrec/internal/dataset"
 	"ssrec/internal/model"
-	"ssrec/internal/server"
 	"ssrec/internal/shard"
 	"ssrec/internal/shardrpc"
 	"ssrec/internal/wal"
@@ -303,9 +302,9 @@ func runThroughput(tc throughputConfig) {
 		register(v)
 	}
 
-	// -wal: interpose the durable ingest log — through server.WrapWAL, the
-	// exact production wrapper — AFTER the boot-state setup (training and
-	// registrations), anchored by a checkpoint the way a daemon anchors
+	// -wal: interpose the durable ingest log — through wal.Durable, the
+	// exact production write path — AFTER the boot-state setup (training
+	// and registrations), anchored by a checkpoint the way a daemon anchors
 	// its boot, so the log captures only the measured writes.
 	var walLog *wal.Log
 	if tc.WALDir != "" {
@@ -323,12 +322,12 @@ func runThroughput(tc throughputConfig) {
 			fmt.Fprintf(os.Stderr, "throughput: open wal %s: %v\n", tc.WALDir, err)
 			os.Exit(1)
 		}
-		wb := server.WrapWAL(eng, walLog)
-		if err := wb.Checkpoint(); err != nil {
+		d := wal.NewDurable(walLog, eng)
+		if err := d.Checkpoint(); err != nil {
 			fmt.Fprintf(os.Stderr, "throughput: wal checkpoint: %v\n", err)
 			os.Exit(1)
 		}
-		backend = wb
+		backend = d
 	}
 
 	// Writer stream: the post-training interactions, resolved to items.

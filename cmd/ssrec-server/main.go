@@ -134,8 +134,8 @@ func main() {
 		eng      *core.Engine
 		snapshot []byte
 		walLog   *wal.Log
+		durable  *wal.Durable
 	)
-	walRecovered := false
 	if *walDir != "" {
 		policy, err := wal.ParsePolicy(*walFsync)
 		if err != nil {
@@ -146,40 +146,24 @@ func main() {
 			log.Fatalf("open wal %s: %v", *walDir, err)
 		}
 		defer walLog.Close() //nolint:errcheck // final checkpoint below is the durability point
-		ckpt, seq, ok, err := walLog.LatestCheckpoint()
+		var replayed int
+		durable, replayed, err = wal.Recover(context.Background(), walLog, core.LoadFrom)
 		switch {
 		case err != nil:
-			log.Fatalf("wal checkpoint: %v", err)
-		case ok:
-			eng, err = core.LoadFrom(ckpt)
-			ckpt.Close() //nolint:errcheck // read-only
-			if err != nil {
-				log.Fatalf("boot engine from wal checkpoint: %v", err)
-			}
-			replayed := 0
-			if err := walLog.Replay(seq+1, func(rec wal.Record) error {
-				replayed++
-				return wal.Apply(context.Background(), rec, eng)
-			}); err != nil {
-				log.Fatalf("replay wal tail: %v", err)
-			}
-			walRecovered = true
+			log.Fatalf("recover from wal %s: %v", *walDir, err)
+		case durable != nil:
+			eng = durable.Engine()
 			log.Printf("engine recovered from wal %s: checkpoint seq %d + %d replayed record(s), fsync=%s (%d users)",
-				*walDir, seq, replayed, policy, eng.Users())
+				*walDir, walLog.Stats().CheckpointSeq, replayed, policy, eng.Users())
 			if *model != "" || *demo {
 				log.Printf("-model/-demo ignored: the wal already holds the serving state")
 			}
-		case walLog.Stats().LastSeq > 0:
-			// Records without a checkpoint describe deltas over a base state
-			// this process does not have — refusing beats replaying onto the
-			// wrong engine.
-			log.Fatalf("wal %s holds records but no checkpoint; recover the directory or point -wal-dir elsewhere", *walDir)
 		default:
 			log.Printf("wal %s empty: logging writes from first boot, fsync=%s", *walDir, policy)
 		}
 	}
 	switch {
-	case walRecovered:
+	case durable != nil:
 		// Serving state came from the WAL above.
 	case *model != "":
 		data, err := os.ReadFile(*model)
@@ -291,17 +275,18 @@ func main() {
 		backend = eng
 	}
 
-	var walBackend *server.WALBackend
 	if walLog != nil {
 		// Durable single-engine serving: writes append to the log before
 		// they apply, so an acked write is recoverable.
-		walBackend = server.WrapWAL(eng, walLog)
-		backend = walBackend
-		if err := walBackend.Checkpoint(); err != nil {
-			// Anchor the boot state: a crash before the first periodic
-			// checkpoint must still recover to it.
+		if durable == nil {
+			durable = wal.NewDurable(walLog, eng)
+		}
+		// Anchor the boot state: a crash before the first periodic
+		// checkpoint must still recover to it.
+		if err := durable.Checkpoint(); err != nil {
 			log.Fatalf("initial wal checkpoint: %v", err)
 		}
+		backend = durable
 	}
 
 	srv := server.New(backend)
@@ -314,7 +299,6 @@ func main() {
 	srv.SessionRate = *sessionRate
 	srv.SessionBurst = *sessionBurst
 	srv.SessionLinger = *sessionLinger
-	srv.WAL = walLog
 	srv.AdminReshard = *adminReshard
 	srv.TraceAll = *traceAll
 	srv.PrincipalRate = *principalRate
@@ -341,23 +325,9 @@ func main() {
 		log.Printf("bearer auth enabled on /v2/* (only /healthz and /metrics stay open)")
 	}
 
-	var checkpointStop chan struct{}
-	if walBackend != nil && *walCheckpoint > 0 {
-		checkpointStop = make(chan struct{})
-		go func() {
-			t := time.NewTicker(*walCheckpoint)
-			defer t.Stop()
-			for {
-				select {
-				case <-checkpointStop:
-					return
-				case <-t.C:
-					if err := walBackend.Checkpoint(); err != nil {
-						log.Printf("wal checkpoint: %v", err)
-					}
-				}
-			}
-		}()
+	stopCheckpoints := func() {}
+	if durable != nil {
+		stopCheckpoints = wal.CheckpointEvery(*walCheckpoint, durable.Checkpoint, func(err error) { log.Printf("wal checkpoint: %v", err) })
 	}
 	// Serve HTTP/1.1 AND unencrypted HTTP/2 (h2c with prior knowledge):
 	// the /v2/session full-duplex exchange needs h2c — request and
@@ -399,13 +369,11 @@ func main() {
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("serve: %v", err)
 		}
-		if checkpointStop != nil {
-			close(checkpointStop)
-		}
-		if walBackend != nil {
+		stopCheckpoints()
+		if durable != nil {
 			// Compact the log so the next boot recovers from one snapshot;
 			// failure is not fatal — the un-compacted log replays exactly.
-			if err := walBackend.Checkpoint(); err != nil {
+			if err := durable.Checkpoint(); err != nil {
 				log.Printf("final wal checkpoint: %v", err)
 			}
 		}

@@ -131,39 +131,22 @@ func main() {
 		if err != nil {
 			log.Fatalf("boot shard %d/%d from %s: %v", *index, *of, *model, err)
 		}
-		srv.Boot(eng)
+		// With a WAL, Boot anchors the fresh boot in a checkpoint so a
+		// crash before the first periodic checkpoint still recovers to it.
+		if err := srv.Boot(eng); err != nil {
+			log.Fatalf("initial wal checkpoint: %v", err)
+		}
 		if ist, ok := eng.IndexStats(); ok {
 			log.Printf("shard %d/%d booted from %s: %d/%d owned users, %d leaves",
 				*index, *of, *model, ist.OwnedUsers, eng.Users(), ist.TotalLeafCount)
-		}
-		if srv.WAL != nil {
-			// Anchor the fresh boot in the log so a crash before the first
-			// periodic checkpoint still recovers to this state.
-			if err := srv.CheckpointWAL(); err != nil {
-				log.Fatalf("initial wal checkpoint: %v", err)
-			}
 		}
 	} else if !recovered {
 		log.Printf("shard %d/%d blank: awaiting snapshot handoff on POST /shard/v1/snapshot", *index, *of)
 	}
 
-	var checkpointStop chan struct{}
-	if srv.WAL != nil && *walCheckpoint > 0 {
-		checkpointStop = make(chan struct{})
-		go func() {
-			t := time.NewTicker(*walCheckpoint)
-			defer t.Stop()
-			for {
-				select {
-				case <-checkpointStop:
-					return
-				case <-t.C:
-					if err := srv.CheckpointWAL(); err != nil {
-						log.Printf("wal checkpoint: %v", err)
-					}
-				}
-			}
-		}()
+	stopCheckpoints := func() {}
+	if srv.WAL != nil {
+		stopCheckpoints = wal.CheckpointEvery(*walCheckpoint, srv.CheckpointWAL, func(err error) { log.Printf("wal checkpoint: %v", err) })
 	}
 
 	httpSrv := srv.NewHTTPServer(*addr)
@@ -188,9 +171,7 @@ func main() {
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("serve: %v", err)
 		}
-		if checkpointStop != nil {
-			close(checkpointStop)
-		}
+		stopCheckpoints()
 		if srv.WAL != nil {
 			// A final checkpoint compacts the log so the next boot recovers
 			// from one snapshot instead of a long replay; failure is not

@@ -222,18 +222,7 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []model.Item, opts ..
 // reports false; the shard router uses this to decide whether an
 // excluded shard that skipped the broadcast actually fell behind.
 func (e *Engine) RegisterItemBatch(items []model.Item) bool {
-	e.mu.RLock()
-	needs := len(e.dirty) > 0
-	if !needs {
-		for _, v := range items {
-			if _, known := e.itemZ[v.ID]; !known {
-				needs = true
-				break
-			}
-		}
-	}
-	e.mu.RUnlock()
-	if !needs {
+	if !e.NeedsRegistration(items) {
 		return false
 	}
 	e.mu.Lock()
@@ -249,15 +238,17 @@ func (e *Engine) RegisterItemBatch(items []model.Item) bool {
 	return changed
 }
 
-// NeedsRegistration reports whether RegisterItemBatch(items) would
-// advance the replicated dictionaries — i.e. whether any item is
-// previously unseen. Read-locked and mutation-free: the durable-ingest
-// backend uses it to decide whether a query batch's registration
-// prologue must be logged before it is applied, so a warm batch costs
-// no log record.
+// NeedsRegistration reports whether RegisterItemBatch(items) would change
+// anything: some item is previously unseen, or index maintenance is
+// pending. It is RegisterItemBatch's own fast-path test, read-locked and
+// mutation-free. The durable engine (internal/wal) logs a registration
+// exactly when this is true, so a warm batch costs no log record.
 func (e *Engine) NeedsRegistration(items []model.Item) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if len(e.dirty) > 0 {
+		return true
+	}
 	for _, v := range items {
 		if _, known := e.itemZ[v.ID]; !known {
 			return true

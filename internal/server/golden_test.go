@@ -9,13 +9,20 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
+
+	"ssrec/internal/core"
+	"ssrec/internal/model"
+	"ssrec/internal/wal"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -102,6 +109,50 @@ func TestGoldenStatsV2Shape(t *testing.T) {
 func TestGoldenStatsV2ShardedShape(t *testing.T) {
 	s, ds := testShardedServer(t, 2)
 	checkGolden(t, "v2_stats_sharded_shape.golden", statsShape(t, s, itemBody(ds.Items[0])))
+}
+
+var (
+	walDirRe = regexp.MustCompile(`"dir":"[^"]*"`)
+	walAgeRe = regexp.MustCompile(`"checkpoint_age_ms":[-+.0-9eE]+`)
+)
+
+// TestGoldenStatsV2WALBlock pins the wal block of a single-engine
+// /v2/stats served with a durable log: key order and every counter, with
+// the directory and checkpoint age canonicalized. The shard RPC pins the
+// same block of /shard/v1/stats (internal/shardrpc).
+func TestGoldenStatsV2WALBlock(t *testing.T) {
+	s, ds := testServer(t)
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.PolicyBatch})
+	if err != nil {
+		t.Fatalf("wal open: %v", err)
+	}
+	defer l.Close()
+	d := wal.NewDurable(l, s.eng.(*core.Engine))
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("boot checkpoint: %v", err)
+	}
+	h := New(d).Handler()
+
+	cold := model.Item{ID: "golden-wal-cold", Category: ds.Categories[0], Producer: "up0000", Entities: []string{"c00e001"}}
+	post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(cold)}, "k": 3})
+	line, _ := json.Marshal(map[string]any{"user_id": "uc00001", "item": itemBody(cold), "timestamp": 1700000000})
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v2/observe", bytes.NewReader(append(line, '\n'))))
+
+	rr := get(t, h, "/v2/stats")
+	var v struct {
+		WAL json.RawMessage `json:"wal"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil || v.WAL == nil {
+		t.Fatalf("no wal block in %s (%v)", rr.Body, err)
+	}
+	block := walDirRe.ReplaceAll(v.WAL, []byte(`"dir":"<dir>"`))
+	block = walAgeRe.ReplaceAll(block, []byte(`"checkpoint_age_ms":"<ms>"`))
+	var out bytes.Buffer
+	if err := json.Indent(&out, block, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	out.WriteByte('\n')
+	checkGolden(t, "v2_stats_wal_block.golden", out.Bytes())
 }
 
 func TestGoldenStatsV2ReplicatedShape(t *testing.T) {

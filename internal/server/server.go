@@ -35,7 +35,7 @@ import (
 )
 
 // Backend is the engine surface the server serves. Three implementations
-// ship: *core.Engine (one in-process engine), *WALBackend (that engine
+// ship: *core.Engine (one in-process engine), *wal.Durable (that engine
 // behind the durable ingest log) and *shard.Router (an N-shard
 // scatter-gather deployment) — the wire protocol is identical either way,
 // which the conformance suite in internal/shard guarantees. A backend
@@ -53,6 +53,13 @@ type Backend interface {
 // /v2/stats entries.
 type shardStatser interface {
 	ShardStats() []shard.Stats
+}
+
+// walLogger is the optional Backend extension behind the /v2/stats wal
+// block and the ssrec_wal_appends_total gauge: a durable backend exposes
+// its write-ahead log.
+type walLogger interface {
+	Log() *wal.Log
 }
 
 // replicaStatser is the optional Backend extension behind the per-slot
@@ -77,7 +84,8 @@ type resharder interface {
 // Compile-time checks: the shipped backends satisfy the interface.
 var (
 	_ Backend        = (*core.Engine)(nil)
-	_ Backend        = (*WALBackend)(nil)
+	_ Backend        = (*wal.Durable)(nil)
+	_ walLogger      = (*wal.Durable)(nil)
 	_ Backend        = (*shard.Router)(nil)
 	_ shardStatser   = (*shard.Router)(nil)
 	_ replicaStatser = (*shard.Router)(nil)
@@ -164,11 +172,6 @@ type Server struct {
 	// before serving; not synchronised.
 	AdminReshard bool
 
-	// WAL, when non-nil, is the durable ingest log whose state /v2/stats
-	// reports (the single-engine deployment's log installed via WrapWAL;
-	// sharded deployments report per-shard logs from shard stats instead).
-	WAL *wal.Log
-
 	// inflightObserve counts running /v2/observe streams;
 	// inflightSessions counts open /v2/session streams.
 	inflightObserve  atomic.Int64
@@ -181,8 +184,8 @@ type Server struct {
 	principals  map[string]*principalBucket
 }
 
-// New builds a server around a (trained) Backend: a single engine, its
-// WAL-backed wrapper or a sharded deployment.
+// New builds a server around a (trained) Backend: a single engine, that
+// engine behind its write-ahead log, or a sharded deployment.
 func New(b Backend) *Server {
 	reg := telemetry.NewRegistry()
 	s := &Server{

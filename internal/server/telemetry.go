@@ -36,10 +36,10 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("ssrec_wal_appends_total",
 		"WAL appends of the single-engine durable log (0 without a WAL).",
 		func() float64 {
-			if s.WAL == nil {
-				return 0
+			if wl, ok := s.eng.(walLogger); ok {
+				return float64(wl.Log().Stats().Appends)
 			}
-			return float64(s.WAL.Stats().Appends)
+			return 0
 		})
 }
 

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
@@ -343,9 +342,9 @@ type statsV2Response struct {
 	Requests    map[string]RouteStats `json:"requests"`
 
 	// WAL reports the durable ingest log of a single-engine deployment
-	// (Server.WAL); sharded deployments carry per-shard logs inside Shards
-	// instead.
-	WAL *walJSON `json:"wal,omitempty"`
+	// (a *wal.Durable backend); sharded deployments carry per-shard logs
+	// inside Shards instead.
+	WAL *wal.Stats `json:"wal,omitempty"`
 }
 
 // sessionStatsJSON reports the /v2/session serving counters and limits.
@@ -429,52 +428,18 @@ func toReshardingJSON(st shard.ReshardStatus) *reshardingJSON {
 	}
 }
 
-// walJSON is the wire form of a durable ingest log's state.
-type walJSON struct {
-	Dir             string  `json:"dir"`
-	Policy          string  `json:"fsync_policy"`
-	Segments        int     `json:"segments"`
-	Bytes           int64   `json:"bytes"`
-	LastSeq         uint64  `json:"last_seq"`
-	CheckpointSeq   uint64  `json:"checkpoint_seq"`
-	HasCheckpoint   bool    `json:"has_checkpoint"`
-	CheckpointAgeMs float64 `json:"checkpoint_age_ms"`
-	Appends         uint64  `json:"appends"`
-	Syncs           uint64  `json:"syncs"`
-	Checkpoints     uint64  `json:"checkpoints"`
-}
-
-func toWALJSON(st *wal.Stats) *walJSON {
-	if st == nil {
-		return nil
-	}
-	return &walJSON{
-		Dir:             st.Dir,
-		Policy:          string(st.Policy),
-		Segments:        st.Segments,
-		Bytes:           st.Bytes,
-		LastSeq:         st.LastSeq,
-		CheckpointSeq:   st.CheckpointSeq,
-		HasCheckpoint:   st.HasCheckpoint,
-		CheckpointAgeMs: float64(st.CheckpointAge) / float64(time.Millisecond),
-		Appends:         st.Appends,
-		Syncs:           st.Syncs,
-		Checkpoints:     st.Checkpoints,
-	}
-}
-
 // shardStatsJSON is the wire form of one shard's statistics.
 type shardStatsJSON struct {
-	Shard         int      `json:"shard"`
-	Trained       bool     `json:"trained"`
-	Users         int      `json:"users"`
-	OwnedUsers    int      `json:"owned_users"`
-	Leaves        int      `json:"leaves"`
-	Blocks        int      `json:"blocks"`
-	Trees         int      `json:"trees"`
-	HashKeys      int      `json:"hash_keys"`
-	RefreshErrors int64    `json:"refresh_errors"`
-	WAL           *walJSON `json:"wal,omitempty"`
+	Shard         int        `json:"shard"`
+	Trained       bool       `json:"trained"`
+	Users         int        `json:"users"`
+	OwnedUsers    int        `json:"owned_users"`
+	Leaves        int        `json:"leaves"`
+	Blocks        int        `json:"blocks"`
+	Trees         int        `json:"trees"`
+	HashKeys      int        `json:"hash_keys"`
+	RefreshErrors int64      `json:"refresh_errors"`
+	WAL           *wal.Stats `json:"wal,omitempty"`
 }
 
 func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
@@ -518,7 +483,7 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 				Trees:         sh.Trees,
 				HashKeys:      sh.HashKeys,
 				RefreshErrors: sh.RefreshErrors,
-				WAL:           toWALJSON(sh.WAL),
+				WAL:           sh.WAL,
 			})
 			resp.RefreshErrors += sh.RefreshErrors
 		}
@@ -570,9 +535,9 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 		resp.RefreshErrors = st.RefreshErrors
 		resp.Parallelism = s.eng.Parallelism()
 	}
-	if s.WAL != nil {
-		st := s.WAL.Stats()
-		resp.WAL = toWALJSON(&st)
+	if wl, ok := s.eng.(walLogger); ok {
+		st := wl.Log().Stats()
+		resp.WAL = &st
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

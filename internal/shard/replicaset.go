@@ -82,6 +82,9 @@ type ReplicaSet struct {
 	missedWrite []atomic.Bool
 	debtGen     []atomic.Uint64
 	reseeding   []atomic.Bool
+	// debtMu orders recordDebt against includeIfUnchanged: without it a
+	// re-inclusion could interleave with a debt record and erase it.
+	debtMu sync.Mutex
 
 	epochMu   sync.Mutex
 	lastEpoch []string
@@ -158,15 +161,29 @@ func (rs *ReplicaSet) SetProbeInterval(d time.Duration) {
 }
 
 func (rs *ReplicaSet) recordDebt(j int) {
+	rs.debtMu.Lock()
+	defer rs.debtMu.Unlock()
 	rs.missedWrite[j].Store(true)
 	rs.debtGen[j].Add(1)
 	rs.down[j].Store(true)
 }
 
-func (rs *ReplicaSet) clearDebtIfUnchanged(j int, gen uint64) {
-	if rs.debtGen[j].Load() == gen {
-		rs.missedWrite[j].Store(false)
+// includeIfUnchanged clears replica j's debt and re-includes it for reads
+// and writes, unless debt was recorded since the caller captured gen: that
+// debt postdates whatever the caller verified (a probe, a snapshot, a
+// replayed tail), so the replica stays excluded rather than serving one
+// batch behind. Clearing and re-including in one step leaves no window in
+// which a read can reach a replica that still owes a batch. It reports
+// whether j rejoined.
+func (rs *ReplicaSet) includeIfUnchanged(j int, gen uint64) bool {
+	rs.debtMu.Lock()
+	defer rs.debtMu.Unlock()
+	if rs.debtGen[j].Load() != gen {
+		return false
 	}
+	rs.missedWrite[j].Store(false)
+	rs.down[j].Store(false)
+	return true
 }
 
 // logWrite assigns the next slot write sequence to a batch and retains
@@ -231,6 +248,34 @@ func (rs *ReplicaSet) knownEpoch(j int) string {
 	rs.epochMu.Lock()
 	defer rs.epochMu.Unlock()
 	return rs.lastEpoch[j]
+}
+
+// refreshEpoch re-reads replica j's boot epoch after a reseed or replay
+// minted a fresh one. A failed ping forgets the baseline rather than
+// keeping the pre-reseed epoch: a stale baseline would make the new epoch
+// look like proof of a LATER re-seed, and the next probe would re-include
+// the replica over debt it still owes.
+func (rs *ReplicaSet) refreshEpoch(ctx context.Context, j int, p Pinger) {
+	epoch, err := p.Ping(ctx)
+	if err != nil {
+		epoch = ""
+	}
+	rs.epochMu.Lock()
+	rs.lastEpoch[j] = epoch
+	rs.epochMu.Unlock()
+}
+
+// fence claims replica j for a supervisor reseed: probes refuse it while
+// reseeding is set, and the generation bump defeats a probe already in
+// flight. Without it a replica re-included between the job's capture and
+// its handoff would take writes the snapshot then overwrites. It returns
+// the generation that guards the reseed's own re-inclusion.
+func (rs *ReplicaSet) fence(j int) uint64 {
+	rs.reseeding[j].Store(true)
+	rs.debtMu.Lock()
+	defer rs.debtMu.Unlock()
+	rs.down[j].Store(true)
+	return rs.debtGen[j].Add(1)
 }
 
 func (rs *ReplicaSet) unavailErr() error {
@@ -340,6 +385,11 @@ func (rs *ReplicaSet) maybeProbe() {
 // Ping uses to distinguish ErrNotTrained from unavailability.
 func (rs *ReplicaSet) probeReplica(ctx context.Context, j int) (ok, untrained bool) {
 	gen := rs.debtGen[j].Load()
+	if rs.reseeding[j].Load() {
+		// The reseed owns re-inclusion; its fresh epoch is no proof to a
+		// probe until the reseed has recorded it.
+		return false, false
+	}
 	if p, isP := rs.replicas[j].(Pinger); isP {
 		epoch, err := p.Ping(ctx)
 		if err != nil {
@@ -352,21 +402,12 @@ func (rs *ReplicaSet) probeReplica(ctx context.Context, j int) (ok, untrained bo
 				rs.recordEpoch(j, epoch)
 				return false, false
 			}
-			rs.clearDebtIfUnchanged(j, gen)
 		}
 		rs.recordEpoch(j, epoch)
-	} else {
-		if !rs.replicas[j].Stats().Trained {
-			return false, true
-		}
-		rs.clearDebtIfUnchanged(j, gen)
+	} else if !rs.replicas[j].Stats().Trained {
+		return false, true
 	}
-	rs.down[j].Store(false)
-	if rs.missedWrite[j].Load() {
-		rs.down[j].Store(true)
-		return false, false
-	}
-	return true, false
+	return rs.includeIfUnchanged(j, gen), false
 }
 
 // Ping implements Pinger at SLOT level: the slot is serveable while any
@@ -636,20 +677,14 @@ func (rs *ReplicaSet) reseedReplica(ctx context.Context, j int, sr SnapshotRecei
 		return err
 	}
 	rs.resetApplied(j)
-	rs.clearDebtIfUnchanged(j, gen)
-	rs.down[j].Store(false)
 	if p, ok := rs.replicas[j].(Pinger); ok {
 		pctx, cancel := context.WithTimeout(detach(ctx), readyProbeTimeout)
-		if epoch, err := p.Ping(pctx); err == nil {
-			rs.recordEpoch(j, epoch)
-		}
+		rs.refreshEpoch(pctx, j, p)
 		cancel()
 	}
 	// Debt that postdates the snapshot keeps the replica excluded; the
 	// snapshot itself was applied, so the handoff still counts.
-	if rs.missedWrite[j].Load() {
-		rs.down[j].Store(true)
-	}
+	rs.includeIfUnchanged(j, gen)
 	return nil
 }
 

@@ -220,12 +220,15 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 				continue
 			}
 			jobs = append(jobs, reseedJob{rs: rs, j: j, sr: sr,
-				gen: rs.debtGen[j].Load(), routerGen: f.debtGen[rs.idx].Load()})
+				gen: rs.fence(j), routerGen: f.debtGen[rs.idx].Load()})
 		}
 	}
 	if len(jobs) > 0 {
 		snapshot, err := s.sourceSnapshot(ctx, f)
 		if err != nil {
+			for _, job := range jobs {
+				job.rs.reseeding[job.j].Store(false)
+			}
 			s.failures.Add(uint64(len(jobs)))
 			s.lastErr.Store(fmt.Sprintf("snapshot export: %v", err))
 			s.probeRouter(ctx, f)
@@ -233,7 +236,6 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 		}
 		clean := true
 		for _, job := range jobs {
-			job.rs.reseeding[job.j].Store(true)
 			err := job.sr.Handoff(ctx, snapshot)
 			if err != nil {
 				job.rs.reseeding[job.j].Store(false)
@@ -244,18 +246,12 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 				continue
 			}
 			job.rs.resetApplied(job.j)
-			job.rs.clearDebtIfUnchanged(job.j, job.gen)
-			job.rs.down[job.j].Store(false)
 			if p, ok := job.rs.replicas[job.j].(Pinger); ok {
-				if epoch, perr := p.Ping(ctx); perr == nil {
-					job.rs.recordEpoch(job.j, epoch)
-				}
+				job.rs.refreshEpoch(ctx, job.j, p)
 			}
 			// Debt recorded since the capture postdates the snapshot: the
 			// replica stays excluded and is reseeded again next sweep.
-			if job.rs.missedWrite[job.j].Load() {
-				job.rs.down[job.j].Store(true)
-			}
+			job.rs.includeIfUnchanged(job.j, job.gen)
 			job.rs.reseeding[job.j].Store(false)
 			job.rs.seedGen.Add(1)
 			// The slot now holds a replica provably reseeded with state at
@@ -321,18 +317,12 @@ func (s *Supervisor) tryDeltaReplay(ctx context.Context, f *fleet, rs *ReplicaSe
 		return false
 	}
 	rs.noteApplied(j, batches[len(batches)-1].Seq)
-	rs.clearDebtIfUnchanged(j, gen)
-	rs.down[j].Store(false)
 	// The replay minted a fresh boot epoch on the replica — record it so
 	// the fail-closed probe rules see the proof-of-reseed signal.
-	if epoch2, perr := p.Ping(ctx); perr == nil {
-		rs.recordEpoch(j, epoch2)
-	}
+	rs.refreshEpoch(ctx, j, p)
 	// Debt recorded since the capture postdates the replayed tail: the
 	// replica stays excluded and catches up again next sweep.
-	if rs.missedWrite[j].Load() {
-		rs.down[j].Store(true)
-	}
+	rs.includeIfUnchanged(j, gen)
 	rs.reseeding[j].Store(false)
 	rs.seedGen.Add(1)
 	f.clearDebtIfUnchanged(rs.idx, routerGen)
@@ -352,8 +342,14 @@ func (s *Supervisor) probeRouter(ctx context.Context, f *fleet) {
 
 // sourceSnapshot exports one snapshot from any healthy provider — a
 // shard snapshot carries the full replicated state, so one export seeds
-// every needy replica of every slot this sweep.
+// every needy replica of every slot this sweep. The export holds the
+// router's write gate, so it lands between two write batches: exported
+// mid-broadcast, it could already hold a batch another slot has not yet
+// received, and a replica of that slot reseeded from it would then take
+// the batch a second time from the broadcast.
 func (s *Supervisor) sourceSnapshot(ctx context.Context, f *fleet) ([]byte, error) {
+	s.r.reshardMu.Lock()
+	defer s.r.reshardMu.Unlock()
 	var firstErr error
 	for i, sh := range f.shards {
 		sp, ok := sh.(SnapshotProvider)

@@ -287,6 +287,12 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 // delivered the shard's owned-users top-k is exact and the merged global
 // result is bit-identical.
 func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+	// A caller that already gave up gets its context error, never an
+	// answer: once the ask is sent, a fast reply and the cancellation race
+	// in the wait below.
+	if ctx != nil && ctx.Err() != nil {
+		return core.Result{ItemID: v.ID}, ctx.Err()
+	}
 	ms, err := c.muxStream()
 	if err != nil {
 		// Already classified by dialMux (unavailable / status error); only

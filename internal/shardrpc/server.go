@@ -61,15 +61,15 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"io"
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
@@ -78,10 +78,6 @@ import (
 	"ssrec/internal/wal"
 )
 
-// Server is the shardd request handler: one engine shard behind the
-// shard RPC protocol. A Server boots either from Boot (an engine loaded
-// in-process, e.g. from a -model file) or over the wire via the snapshot
-// handoff; until then every serving endpoint answers 503.
 // bootState pairs an installed engine with the boot-epoch token minted
 // for it. The pair is published atomically: a health probe must never
 // observe a new epoch with the previous engine still serving (the Router
@@ -89,9 +85,32 @@ import (
 // epoch and the engine travel in one pointer.
 type bootState struct {
 	local *shard.Local
-	epoch string
+	// durable is the same engine behind the server's WAL; nil without
+	// one. One Durable serves every boot of a server, so its mutex orders
+	// each write against the handoff that replaces the engine.
+	durable *wal.Durable
+	epoch   string
 }
 
+// writer is the write surface of a shard: its Local, or its Durable when
+// the server logs. Every write handler, the delta replay and the snapshot
+// handoff go through it.
+type writer interface {
+	RegisterItems(ctx context.Context, items []model.Item) (bool, error)
+	ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error)
+}
+
+func (b *bootState) writer() writer {
+	if b.durable != nil {
+		return b.durable
+	}
+	return b.local
+}
+
+// Server is the shardd request handler: one engine shard behind the
+// shard RPC protocol. A Server boots either from Boot (an engine loaded
+// in-process, e.g. from a -model file) or over the wire via the snapshot
+// handoff; until then every serving endpoint answers 503.
 type Server struct {
 	idx, of int
 	boot    atomic.Pointer[bootState]
@@ -110,16 +129,16 @@ type Server struct {
 	MaxBodyBytes int64
 	// MaxSnapshotBytes bounds snapshot handoffs (default 1 GiB).
 	MaxSnapshotBytes int64
-	// WAL, when non-nil, is the shard's durable ingest log: every admitted
-	// write batch is appended (and fsynced per the log's policy) BEFORE it
-	// is applied, so an acknowledged batch is always recoverable — a shard
-	// that cannot persist a batch refuses it with a 5xx, which the router
-	// treats as a missed write. Set before serving; not synchronised.
+	// WAL, when non-nil, is the shard's durable ingest log: every boot
+	// wraps the engine in a wal.Durable, which appends each admitted write
+	// batch (fsynced per the log's policy) BEFORE applying it, so an
+	// acknowledged batch is always recoverable — a shard that cannot
+	// persist a batch refuses it with a 5xx, which the router treats as a
+	// missed write. Set before serving; not synchronised.
 	WAL *wal.Log
-	// walMu serialises the append+apply critical section of every write
-	// with CheckpointWAL, so a checkpoint's snapshot and its sequence
-	// watermark always agree (no batch can land between the two).
-	walMu sync.Mutex
+	// bootMu serialises boots, so the engine the Durable holds and the
+	// engine published for reads always come from the same handoff.
+	bootMu sync.Mutex
 
 	// reshardPending is the partition table staged by POST /shard/v1/
 	// reshard: the next snapshot handoff consumes it and boots via
@@ -174,14 +193,34 @@ func NewServer(idx, of int) (*Server, error) {
 // boot epoch (published atomically with the engine). The engine must
 // have been loaded with the matching shard identity (core.LoadShardFrom
 // with the same idx/of) or built with Config.ShardIndex/ShardCount set.
-func (s *Server) Boot(e *core.Engine) {
+// With a WAL the engine is a new baseline the log's records do not
+// describe, so Boot rebases the Durable onto it, which always anchors a
+// checkpoint; when that fails the previous engine keeps serving.
+func (s *Server) Boot(e *core.Engine) error {
+	s.bootMu.Lock()
+	defer s.bootMu.Unlock()
+	var d *wal.Durable
+	if s.WAL != nil {
+		if prev := s.boot.Load(); prev != nil {
+			d = prev.durable
+		} else {
+			d = wal.NewDurable(s.WAL, e)
+		}
+		if err := d.Rebase(e); err != nil {
+			return err
+		}
+	}
+	s.publish(e, d)
+	return nil
+}
+
+// publish installs e (and its Durable, if any) under a fresh boot epoch,
+// applying the -partitions override. The caller holds bootMu.
+func (s *Server) publish(e *core.Engine, d *wal.Durable) {
 	if s.Parallelism > 0 {
 		e.SetParallelism(s.Parallelism)
 	}
-	s.boot.Store(&bootState{
-		local: shard.NewLocal(s.idx, e),
-		epoch: newEpoch(),
-	})
+	s.boot.Store(&bootState{local: shard.NewLocal(s.idx, e), durable: d, epoch: newEpoch()})
 }
 
 func newEpoch() string {
@@ -200,7 +239,7 @@ func (s *Server) refreshEpoch() string {
 	if b == nil {
 		return ""
 	}
-	nb := &bootState{local: b.local, epoch: newEpoch()}
+	nb := &bootState{local: b.local, durable: b.durable, epoch: newEpoch()}
 	s.boot.Store(nb)
 	return nb.epoch
 }
@@ -209,38 +248,23 @@ func (s *Server) refreshEpoch() string {
 func (s *Server) Booted() bool { return s.boot.Load() != nil }
 
 // BootFromWAL recovers the shard from its attached WAL with zero manual
-// steps: load the latest snapshot checkpoint, replay the delta tail
-// (every record past the checkpoint sequence, in order), and boot.
-// recovered is false — with no error — when the WAL holds no checkpoint
-// yet (a genuinely blank shard: boot from -model or await a handoff).
-// A WAL with records but no checkpoint is refused: there is no baseline
-// to replay onto, and guessing one would silently diverge the replicas.
+// steps (wal.Recover: the latest checkpoint plus the delta tail) and
+// boots it. recovered is false — with no error — when the WAL is empty (a
+// genuinely blank shard: boot from -model or await a handoff); a WAL with
+// records but no checkpoint is refused.
 func (s *Server) BootFromWAL(ctx context.Context) (recovered bool, replayed int, err error) {
 	if s.WAL == nil {
 		return false, 0, fmt.Errorf("shardrpc: no WAL attached")
 	}
-	rc, seq, ok, err := s.WAL.LatestCheckpoint()
-	if err != nil {
-		return false, 0, err
-	}
-	if !ok {
-		if st := s.WAL.Stats(); st.LastSeq > 0 {
-			return false, 0, fmt.Errorf("shardrpc: wal holds %d records but no checkpoint; no baseline to replay onto", st.LastSeq)
-		}
-		return false, 0, nil
-	}
-	defer rc.Close()
-	e, err := core.LoadShardFrom(rc, s.idx, s.of)
-	if err != nil {
-		return false, 0, fmt.Errorf("shardrpc: wal checkpoint: %w", err)
-	}
-	if err := s.WAL.Replay(seq+1, func(rec wal.Record) error {
-		replayed++
-		return wal.Apply(ctx, rec, e)
-	}); err != nil {
+	d, replayed, err := wal.Recover(ctx, s.WAL, func(r io.Reader) (*core.Engine, error) {
+		return core.LoadShardFrom(r, s.idx, s.of)
+	})
+	if err != nil || d == nil {
 		return false, replayed, err
 	}
-	s.Boot(e)
+	s.bootMu.Lock()
+	defer s.bootMu.Unlock()
+	s.publish(d.Engine(), d)
 	return true, replayed, nil
 }
 
@@ -363,13 +387,13 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 // serving returns the booted shard or answers 503 (the client maps 5xx to
 // ErrShardUnavailable — an unbooted shard is indistinguishable from an
 // unreachable one, and both are cured by a snapshot handoff).
-func (s *Server) serving(w http.ResponseWriter) *shard.Local {
+func (s *Server) serving(w http.ResponseWriter) *bootState {
 	b := s.boot.Load()
 	if b == nil {
 		s.httpError(w, http.StatusServiceUnavailable, "shard %d/%d not booted (awaiting snapshot handoff)", s.idx, s.of)
 		return nil
 	}
-	return b.local
+	return b
 }
 
 // handleLivez answers 200 whenever the process serves HTTP at all — the
@@ -401,11 +425,11 @@ func (s *Server) healthSnapshot() healthWire {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	l := s.serving(w)
-	if l == nil {
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
-	st := l.Stats()
+	st := b.local.Stats()
 	if s.WAL != nil {
 		ws := s.WAL.Stats()
 		st.WAL = &ws
@@ -431,18 +455,6 @@ func (s *Server) resumeWrite(r *http.Request, name string) (context.Context, *te
 	return ctx, sp
 }
 
-// logBatch appends one admitted batch to the WAL (no-op without one).
-// It is called with walMu held, before the batch is applied: a batch
-// that cannot be persisted is refused before it can diverge the durable
-// log from the engine.
-func (s *Server) logBatch(kind wal.Kind, payload []byte, encErr error) error {
-	if encErr != nil {
-		return encErr
-	}
-	_, err := s.WAL.Append(kind, payload)
-	return err
-}
-
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
 	if err := dec.Decode(dst); err != nil {
@@ -453,8 +465,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	l := s.serving(w)
-	if l == nil {
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
 	var req registerWire
@@ -473,25 +485,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// unacknowledged batch the router will re-drive.
 	ctx, wspan := s.resumeWrite(r, "shardd.register")
 	defer wspan.End()
-	var changed bool
-	var err error
-	if s.WAL != nil {
-		s.walMu.Lock()
-		payload, perr := wal.EncodeRegister(items)
-		wsp := telemetry.LeafSpan(ctx, "wal.append")
-		wsp.SetAttr("kind", "register")
-		werr := s.logBatch(wal.KindRegister, payload, perr)
-		wsp.End()
-		if werr != nil {
-			s.walMu.Unlock()
-			s.httpError(w, http.StatusInternalServerError, "wal append: %v", werr)
-			return
-		}
-		changed, err = l.RegisterItems(ctx, items)
-		s.walMu.Unlock()
-	} else {
-		changed, err = l.RegisterItems(ctx, items)
-	}
+	changed, err := b.writer().RegisterItems(ctx, items)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "register: %v", err)
 		return
@@ -500,8 +494,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	l := s.serving(w)
-	if l == nil {
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
 	var req observeWire
@@ -516,24 +510,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// and persisted before applied for the same ack-after-durable reason.
 	ctx, wspan := s.resumeWrite(r, "shardd.observe")
 	defer wspan.End()
-	var rep core.BatchReport
-	var err error
-	if s.WAL != nil {
-		s.walMu.Lock()
-		payload, perr := wal.EncodeObserve(batch)
-		wsp := telemetry.LeafSpan(ctx, "wal.append")
-		wsp.SetAttr("kind", "observe")
-		werr := s.logBatch(wal.KindObserve, payload, perr)
-		wsp.End()
-		if werr != nil {
-			s.walMu.Unlock()
-			s.httpError(w, http.StatusInternalServerError, "wal append: %v", werr)
-			return
-		}
-		rep, err = l.ObserveBatch(ctx, batch)
-		s.walMu.Unlock()
-	} else {
-		rep, err = l.ObserveBatch(ctx, batch)
+	rep, err := b.writer().ObserveBatch(ctx, batch)
+	if errors.Is(err, wal.ErrNotLogged) {
+		s.httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
 	s.writeJSON(w, http.StatusOK, observeRespWire{reportWire: toReportWire(rep), Error: encodeErr(err)})
 }
@@ -592,16 +572,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "snapshot: %v", err)
 		return
 	}
-	s.Boot(e)
-	// A handoff rebases the engine on state the WAL's existing records do
-	// not describe: checkpoint immediately, so the log is exactly "this
-	// snapshot + every batch admitted after it" again. A shard that
-	// cannot persist the new baseline must not ack the handoff.
-	if s.WAL != nil {
-		if err := s.CheckpointWAL(); err != nil {
-			s.httpError(w, http.StatusInternalServerError, "wal checkpoint after handoff: %v", err)
-			return
-		}
+	// With a WAL, Boot anchors the new baseline in a checkpoint, so the
+	// log is exactly "this snapshot + every batch admitted after it"
+	// again. A shard that cannot persist the baseline must not ack.
+	if err := s.Boot(e); err != nil {
+		s.httpError(w, http.StatusInternalServerError, "wal checkpoint after handoff: %v", err)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -613,11 +589,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // supervisor to the snapshot path. Success mints a fresh boot epoch:
 // the same proof-of-reseed signal a snapshot handoff produces.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	l := s.serving(w)
-	if l == nil {
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
-	if !l.Engine().Trained() {
+	if !b.local.Engine().Trained() {
 		s.httpError(w, http.StatusServiceUnavailable, "shard %d/%d not trained; needs a snapshot, not a delta", s.idx, s.of)
 		return
 	}
@@ -625,30 +601,32 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	// The same write surface as the live write path: with a WAL every
+	// replayed batch is logged before it is applied.
 	ctx := context.WithoutCancel(r.Context())
+	wr := b.writer()
 	applied := 0
-	for _, b := range req.Batches {
+	for _, rb := range req.Batches {
+		var err error
 		switch {
-		case b.Register != nil:
-			items := make([]model.Item, len(b.Register.Items))
-			for i, it := range b.Register.Items {
+		case rb.Register != nil:
+			items := make([]model.Item, len(rb.Register.Items))
+			for i, it := range rb.Register.Items {
 				items[i] = it.model()
 			}
-			if err := s.applyLogged(ctx, l, wal.KindRegister, items, nil); err != nil {
-				s.httpError(w, http.StatusInternalServerError, "replay seq %d: %v", b.Seq, err)
-				return
-			}
-		case b.Observe != nil:
-			batch := make([]core.Observation, len(b.Observe.Observations))
-			for i, o := range b.Observe.Observations {
+			_, err = wr.RegisterItems(ctx, items)
+		case rb.Observe != nil:
+			batch := make([]core.Observation, len(rb.Observe.Observations))
+			for i, o := range rb.Observe.Observations {
 				batch[i] = core.Observation{UserID: o.UserID, Item: o.Item.model(), Timestamp: o.Timestamp}
 			}
-			if err := s.applyLogged(ctx, l, wal.KindObserve, nil, batch); err != nil {
-				s.httpError(w, http.StatusInternalServerError, "replay seq %d: %v", b.Seq, err)
-				return
-			}
+			_, err = wr.ObserveBatch(ctx, batch)
 		default:
-			s.httpError(w, http.StatusBadRequest, "replay seq %d: neither register nor observe", b.Seq)
+			s.httpError(w, http.StatusBadRequest, "replay seq %d: neither register nor observe", rb.Seq)
+			return
+		}
+		if err != nil {
+			s.httpError(w, http.StatusInternalServerError, "replay seq %d: %v", rb.Seq, err)
 			return
 		}
 		applied++
@@ -656,51 +634,14 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, replayRespWire{Applied: applied, BootEpoch: s.refreshEpoch()})
 }
 
-// applyLogged applies one replayed batch under the same durable-first
-// discipline as the live write path.
-func (s *Server) applyLogged(ctx context.Context, l *shard.Local, kind wal.Kind, items []model.Item, batch []core.Observation) error {
-	if s.WAL != nil {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		var payload []byte
-		var perr error
-		if kind == wal.KindRegister {
-			payload, perr = wal.EncodeRegister(items)
-		} else {
-			payload, perr = wal.EncodeObserve(batch)
-		}
-		if err := s.logBatch(kind, payload, perr); err != nil {
-			return fmt.Errorf("wal append: %w", err)
-		}
-	}
-	if kind == wal.KindRegister {
-		_, err := l.RegisterItems(ctx, items)
-		return err
-	}
-	_, err := l.ObserveBatch(ctx, batch)
-	return err
-}
-
-// CheckpointWAL writes the booted engine's snapshot into the WAL as a
-// fresh checkpoint and compacts every logged record it covers. It
-// serialises against the write path (walMu), so the snapshot and the
-// checkpoint's sequence watermark agree exactly. A no-op without a WAL,
-// before boot, while untrained, or when nothing was appended since the
-// last checkpoint.
+// CheckpointWAL checkpoints the booted shard's Durable (a no-op without
+// a WAL, before boot, or when nothing was logged since the last
+// checkpoint).
 func (s *Server) CheckpointWAL() error {
-	if s.WAL == nil {
-		return nil
+	if b := s.boot.Load(); b != nil && b.durable != nil {
+		return b.durable.Checkpoint()
 	}
-	b := s.boot.Load()
-	if b == nil || !b.local.Engine().Trained() {
-		return nil
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if st := s.WAL.Stats(); st.HasCheckpoint && st.LastSeq == st.CheckpointSeq {
-		return nil
-	}
-	return s.WAL.Checkpoint(func(w io.Writer) error { return b.local.Engine().SaveTo(w) })
+	return nil
 }
 
 // handleSnapshotExport streams the booted engine's full snapshot
@@ -709,10 +650,11 @@ func (s *Server) CheckpointWAL() error {
 // snapshot carries the complete replicated state and the receiver
 // rebuilds its own leaf partition on load.
 func (s *Server) handleSnapshotExport(w http.ResponseWriter, _ *http.Request) {
-	l := s.serving(w)
-	if l == nil {
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
+	l := b.local
 	if !l.Engine().Trained() {
 		s.httpError(w, http.StatusServiceUnavailable, "shard %d/%d not trained; nothing to export", s.idx, s.of)
 		return

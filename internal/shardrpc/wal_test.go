@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -22,6 +23,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"testing"
 	"time"
@@ -196,6 +198,232 @@ func TestWALServerRecovery(t *testing.T) {
 		t.Fatalf("stats RPC wal block = %+v, want checkpoint + tail watermarks", st.WAL)
 	}
 	_ = wal2
+}
+
+// restartWAL stops a WAL-backed loopback shard without a shutdown
+// checkpoint and recovers a new one from the same directory.
+func restartWAL(t *testing.T, lb *loopback, l *wal.Log, dir string) (*loopback, *wal.Log, int) {
+	t.Helper()
+	lb.hs.Close()
+	if err := l.Close(); err != nil {
+		t.Fatalf("close wal: %v", err)
+	}
+	lb2, l2 := walLoopback(t, dir, lb.srv.idx, lb.srv.of)
+	recovered, replayed, err := lb2.srv.BootFromWAL(context.Background())
+	if err != nil || !recovered {
+		t.Fatalf("BootFromWAL: recovered=%v err=%v", recovered, err)
+	}
+	return lb2, l2, replayed
+}
+
+// TestHandoffOntoIdleWALAnchorsCheckpoint: a snapshot handoff rebases the
+// shard, so it must anchor a checkpoint even when nothing was logged since
+// the previous one. Two handoffs with no write between them, then a
+// restart: recovery must serve the SECOND snapshot.
+func TestHandoffOntoIdleWALAnchorsCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	tc := buildTinyCorpus()
+	dir := t.TempDir()
+	snapA := tinySnapshot(t)
+
+	// Snapshot B is A plus a batch, so the two baselines rank differently.
+	engB, err := core.LoadFrom(bytes.NewReader(snapA))
+	if err != nil {
+		t.Fatalf("load A: %v", err)
+	}
+	var obs []core.Observation
+	for u := 0; u < 8; u++ {
+		obs = append(obs, core.Observation{UserID: fmt.Sprintf("user%d", u), Item: tc.fresh[u%3], Timestamp: int64(900 + u)})
+	}
+	if _, err := engB.ObserveBatch(ctx, obs); err != nil {
+		t.Fatalf("observe B: %v", err)
+	}
+	var snapB bytes.Buffer
+	if err := engB.SaveTo(&snapB); err != nil {
+		t.Fatalf("save B: %v", err)
+	}
+
+	lb, l := walLoopback(t, dir, 0, 1)
+	c := NewClient(lb.addr, 0, 1)
+	defer c.Close()
+	o := core.ResolveOptions(core.WithK(5))
+	recommend := func(c *Client) core.Result {
+		t.Helper()
+		res, err := c.Recommend(ctx, tc.query, o, nil)
+		if err != nil {
+			t.Fatalf("recommend: %v", err)
+		}
+		res.Stats = sigtree.SearchStats{}
+		return res
+	}
+	if err := c.Handoff(ctx, snapA); err != nil {
+		t.Fatalf("handoff A: %v", err)
+	}
+	answerA := recommend(c)
+	if err := c.Handoff(ctx, snapB.Bytes()); err != nil {
+		t.Fatalf("handoff B: %v", err)
+	}
+	answerB := recommend(c)
+	if reflect.DeepEqual(answerA, answerB) {
+		t.Fatal("snapshots A and B answer alike; the test cannot tell them apart")
+	}
+
+	lb2, _, replayed := restartWAL(t, lb, l, dir)
+	if replayed != 0 {
+		t.Fatalf("replayed %d records, want 0 (no write after the handoffs)", replayed)
+	}
+	c2 := NewClient(lb2.addr, 0, 1)
+	defer c2.Close()
+	if got := recommend(c2); !reflect.DeepEqual(got, answerB) {
+		t.Fatalf("recovered shard serves a stale baseline:\n  got:  %+v\n  want: %+v (snapshot B)\n  A:    %+v", got, answerB, answerA)
+	}
+}
+
+// TestWALRegisterLogsOnlyChanges: a register batch is logged only when
+// it changes the engine, so a repeated warm registration costs no record.
+func TestWALRegisterLogsOnlyChanges(t *testing.T) {
+	ctx := context.Background()
+	tc := buildTinyCorpus()
+	lb, l := walLoopback(t, t.TempDir(), 0, 1)
+	c := NewClient(lb.addr, 0, 1)
+	defer c.Close()
+	if err := c.Handoff(ctx, tinySnapshot(t)); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	items := []model.Item{tc.fresh[0], tc.fresh[1]}
+	for i, want := range []bool{true, false} {
+		changed, err := c.RegisterItems(ctx, items)
+		if err != nil || changed != want {
+			t.Fatalf("register #%d: changed=%v err=%v, want %v", i+1, changed, err, want)
+		}
+	}
+	if got := l.Stats().Appends; got != 1 {
+		t.Fatalf("two identical registrations logged %d records, want 1", got)
+	}
+}
+
+// TestWALRefusalLeavesEngineUnchanged: a shard whose log cannot take a
+// batch answers 5xx and applies nothing, so the router counts a missed
+// write and the engine still matches its log.
+func TestWALRefusalLeavesEngineUnchanged(t *testing.T) {
+	ctx := context.Background()
+	tc := buildTinyCorpus()
+	lb, l := walLoopback(t, t.TempDir(), 0, 1)
+	c := NewClient(lb.addr, 0, 1)
+	defer c.Close()
+	if err := c.Handoff(ctx, tinySnapshot(t)); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	o := core.ResolveOptions(core.WithK(8))
+	before, err := c.Recommend(ctx, tc.query, o, nil)
+	if err != nil {
+		t.Fatalf("recommend: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close wal: %v", err)
+	}
+
+	cold := []model.Item{tc.fresh[2]}
+	if _, err := c.RegisterItems(ctx, cold); !errors.Is(err, shard.ErrShardUnavailable) {
+		t.Fatalf("register on a closed log: err = %v, want a 5xx (ErrShardUnavailable)", err)
+	}
+	var obs []core.Observation
+	for u := 0; u < 8; u++ {
+		obs = append(obs, core.Observation{UserID: fmt.Sprintf("user%d", u), Item: tc.fresh[3], Timestamp: int64(900 + u)})
+	}
+	if _, err := c.ObserveBatch(ctx, obs); !errors.Is(err, shard.ErrShardUnavailable) {
+		t.Fatalf("observe on a closed log: err = %v, want a 5xx (ErrShardUnavailable)", err)
+	}
+	eng := lb.srv.boot.Load().local.Engine()
+	if !eng.NeedsRegistration(append(cold, tc.fresh[3])) {
+		t.Fatal("items registered although their log append failed")
+	}
+	after, err := c.Recommend(ctx, tc.query, o, nil)
+	if err != nil {
+		t.Fatalf("recommend: %v", err)
+	}
+	before.Stats, after.Stats = sigtree.SearchStats{}, sigtree.SearchStats{}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("engine changed although its log refused the writes:\n  before: %+v\n  after:  %+v", before, after)
+	}
+}
+
+// TestGoldenShardStatsWALBlock pins the wal block of /shard/v1/stats:
+// key order and every counter, with the directory and checkpoint age
+// canonicalized. Regenerate after an intentional change with -update.
+func TestGoldenShardStatsWALBlock(t *testing.T) {
+	ctx := context.Background()
+	tc := buildTinyCorpus()
+	lb, _ := walLoopback(t, t.TempDir(), 0, 1)
+	c := NewClient(lb.addr, 0, 1)
+	defer c.Close()
+	if err := c.Handoff(ctx, tinySnapshot(t)); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	if _, err := c.RegisterItems(ctx, []model.Item{tc.fresh[0]}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	obs := []core.Observation{
+		{UserID: "user1", Item: tc.fresh[0], Timestamp: 900},
+		{UserID: "user3", Item: tc.items[1], Timestamp: 901},
+	}
+	if _, err := c.ObserveBatch(ctx, obs); err != nil {
+		t.Fatalf("observe: %v", err)
+	}
+	resp, err := http.Get("http://" + lb.addr + pathStats)
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("stats body: %v", err)
+	}
+	checkWALGolden(t, "shard_stats_wal_block.golden", body)
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+var (
+	walDirRe = regexp.MustCompile(`"dir":"[^"]*"`)
+	walAgeRe = regexp.MustCompile(`"checkpoint_age_ms":[-+.0-9eE]+`)
+)
+
+// checkWALGolden compares the wal block of a stats payload, indented and
+// with its directory and checkpoint age canonicalized, against a golden
+// file in testdata/.
+func checkWALGolden(t *testing.T, name string, payload []byte) {
+	t.Helper()
+	var v struct {
+		WAL json.RawMessage `json:"wal"`
+	}
+	if err := json.Unmarshal(payload, &v); err != nil || v.WAL == nil {
+		t.Fatalf("no wal block in %s (%v)", payload, err)
+	}
+	block := walDirRe.ReplaceAll(v.WAL, []byte(`"dir":"<dir>"`))
+	block = walAgeRe.ReplaceAll(block, []byte(`"checkpoint_age_ms":"<ms>"`))
+	var got bytes.Buffer
+	if err := json.Indent(&got, block, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	got.WriteByte('\n')
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update): %v", path, err)
+	}
+	if !bytes.Equal(want, got.Bytes()) {
+		t.Errorf("wal block drifted from %s.\n--- got ---\n%s--- want ---\n%s", path, got.Bytes(), want)
+	}
 }
 
 // buildShardd compiles the real ssrec-shardd binary into a temp dir.

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
@@ -331,76 +330,24 @@ type statsWire struct {
 	HashKeys    int  `json:"hash_keys"`
 	Parallelism int  `json:"parallelism"`
 	// RefreshErrors counts failed index refreshes on the shard's engine.
-	RefreshErrors int64         `json:"refresh_errors,omitempty"`
-	WAL           *walStatsWire `json:"wal,omitempty"`
-}
-
-// walStatsWire is the wire form of wal.Stats: the shard's durable
-// ingest log, absent when the shard runs without one.
-type walStatsWire struct {
-	Dir             string  `json:"dir"`
-	Policy          string  `json:"fsync_policy"`
-	Segments        int     `json:"segments"`
-	Bytes           int64   `json:"bytes"`
-	LastSeq         uint64  `json:"last_seq"`
-	CheckpointSeq   uint64  `json:"checkpoint_seq"`
-	HasCheckpoint   bool    `json:"has_checkpoint"`
-	CheckpointAgeMs float64 `json:"checkpoint_age_ms"`
-	Appends         uint64  `json:"appends"`
-	Syncs           uint64  `json:"syncs"`
-	Checkpoints     uint64  `json:"checkpoints"`
-}
-
-func toWALStatsWire(st *wal.Stats) *walStatsWire {
-	if st == nil {
-		return nil
-	}
-	return &walStatsWire{
-		Dir:             st.Dir,
-		Policy:          string(st.Policy),
-		Segments:        st.Segments,
-		Bytes:           st.Bytes,
-		LastSeq:         st.LastSeq,
-		CheckpointSeq:   st.CheckpointSeq,
-		HasCheckpoint:   st.HasCheckpoint,
-		CheckpointAgeMs: float64(st.CheckpointAge) / float64(time.Millisecond),
-		Appends:         st.Appends,
-		Syncs:           st.Syncs,
-		Checkpoints:     st.Checkpoints,
-	}
-}
-
-func (w *walStatsWire) stats() *wal.Stats {
-	if w == nil {
-		return nil
-	}
-	return &wal.Stats{
-		Dir:           w.Dir,
-		Policy:        wal.Policy(w.Policy),
-		Segments:      w.Segments,
-		Bytes:         w.Bytes,
-		LastSeq:       w.LastSeq,
-		CheckpointSeq: w.CheckpointSeq,
-		HasCheckpoint: w.HasCheckpoint,
-		CheckpointAge: time.Duration(w.CheckpointAgeMs * float64(time.Millisecond)),
-		Appends:       w.Appends,
-		Syncs:         w.Syncs,
-		Checkpoints:   w.Checkpoints,
-	}
+	RefreshErrors int64 `json:"refresh_errors,omitempty"`
+	// WAL is the shard's durable ingest log in the wire form wal.Stats
+	// defines, absent when the shard runs without one.
+	WAL *wal.Stats `json:"wal,omitempty"`
 }
 
 func toStatsWire(st shard.Stats) statsWire {
 	return statsWire{Shard: st.Shard, Trained: st.Trained, Users: st.Users,
 		OwnedUsers: st.OwnedUsers, Leaves: st.Leaves, Blocks: st.Blocks,
 		Trees: st.Trees, HashKeys: st.HashKeys, Parallelism: st.Parallelism,
-		RefreshErrors: st.RefreshErrors, WAL: toWALStatsWire(st.WAL)}
+		RefreshErrors: st.RefreshErrors, WAL: st.WAL}
 }
 
 func (w statsWire) stats() shard.Stats {
 	return shard.Stats{Shard: w.Shard, Trained: w.Trained, Users: w.Users,
 		OwnedUsers: w.OwnedUsers, Leaves: w.Leaves, Blocks: w.Blocks,
 		Trees: w.Trees, HashKeys: w.HashKeys, Parallelism: w.Parallelism,
-		RefreshErrors: w.RefreshErrors, WAL: w.WAL.stats()}
+		RefreshErrors: w.RefreshErrors, WAL: w.WAL}
 }
 
 // ---- error transport ----

@@ -1,7 +1,7 @@
-// payload.go is the canonical batch codec for WAL records. It mirrors
-// the shard RPC wire shapes (so a logged batch round-trips exactly what
-// the RPC admitted) but is owned here: the RPC layer depends on the WAL,
-// not the other way around.
+// payload.go is the batch codec of WAL records. It mirrors the shard RPC
+// wire shapes (so a logged batch round-trips exactly what the RPC
+// admitted) but is owned here: the RPC layer depends on the WAL, not the
+// other way around. Only Durable encodes and Recover decodes.
 package wal
 
 import (
@@ -73,9 +73,9 @@ func (p itemPayload) item() model.Item {
 	}
 }
 
-// EncodeObserve encodes an observation micro-batch for a KindObserve
+// encodeObserve encodes an observation micro-batch for a KindObserve
 // record.
-func EncodeObserve(batch []core.Observation) ([]byte, error) {
+func encodeObserve(batch []core.Observation) ([]byte, error) {
 	p := observePayload{Batch: make([]obsPayload, len(batch))}
 	for i, o := range batch {
 		p.Batch[i] = obsPayload{User: o.UserID, Item: toItemPayload(o.Item), TS: o.Timestamp}
@@ -83,8 +83,8 @@ func EncodeObserve(batch []core.Observation) ([]byte, error) {
 	return marshalPayload(p)
 }
 
-// DecodeObserve decodes a KindObserve payload.
-func DecodeObserve(payload []byte) ([]core.Observation, error) {
+// decodeObserve decodes a KindObserve payload.
+func decodeObserve(payload []byte) ([]core.Observation, error) {
 	var p observePayload
 	if err := unmarshalPayload(payload, &p); err != nil {
 		return nil, err
@@ -96,9 +96,9 @@ func DecodeObserve(payload []byte) ([]core.Observation, error) {
 	return batch, nil
 }
 
-// EncodeRegister encodes an item-registration batch for a KindRegister
+// encodeRegister encodes an item-registration batch for a KindRegister
 // record.
-func EncodeRegister(items []model.Item) ([]byte, error) {
+func encodeRegister(items []model.Item) ([]byte, error) {
 	p := registerPayload{Items: make([]itemPayload, len(items))}
 	for i, it := range items {
 		p.Items[i] = toItemPayload(it)
@@ -106,8 +106,8 @@ func EncodeRegister(items []model.Item) ([]byte, error) {
 	return marshalPayload(p)
 }
 
-// DecodeRegister decodes a KindRegister payload.
-func DecodeRegister(payload []byte) ([]model.Item, error) {
+// decodeRegister decodes a KindRegister payload.
+func decodeRegister(payload []byte) ([]model.Item, error) {
 	var p registerPayload
 	if err := unmarshalPayload(payload, &p); err != nil {
 		return nil, err
@@ -119,34 +119,25 @@ func DecodeRegister(payload []byte) ([]model.Item, error) {
 	return items, nil
 }
 
-// Applier is the write surface recovery replay drives — satisfied by
-// *core.Engine.
-type Applier interface {
-	RegisterItemBatch(items []model.Item) bool
-	ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error)
-}
-
-var _ Applier = (*core.Engine)(nil)
-
-// Apply decodes one record and replays it into a. Batches re-apply in
+// apply decodes one record and replays it into e. Batches re-apply in
 // their original admission order, so replaying the tail past a
 // checkpoint reproduces the pre-crash state exactly.
-func Apply(ctx context.Context, rec Record, a Applier) error {
+func apply(ctx context.Context, rec Record, e *core.Engine) error {
 	switch rec.Kind {
 	case KindObserve:
-		batch, err := DecodeObserve(rec.Payload)
+		batch, err := decodeObserve(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("wal: record %d: %w", rec.Seq, err)
 		}
-		if _, err := a.ObserveBatch(ctx, batch); err != nil {
+		if _, err := e.ObserveBatch(ctx, batch); err != nil {
 			return fmt.Errorf("wal: record %d: %w", rec.Seq, err)
 		}
 	case KindRegister:
-		items, err := DecodeRegister(rec.Payload)
+		items, err := decodeRegister(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("wal: record %d: %w", rec.Seq, err)
 		}
-		a.RegisterItemBatch(items)
+		e.RegisterItemBatch(items)
 	default:
 		return fmt.Errorf("wal: record %d: unknown kind %d", rec.Seq, rec.Kind)
 	}

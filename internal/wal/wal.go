@@ -9,9 +9,9 @@
 // away; it was never acknowledged, so dropping it preserves exactness.
 //
 // The log knows nothing about the wire protocol: payloads are opaque
-// bytes. EncodeObserve/EncodeRegister provide the canonical payload
-// codec shared by every layer that logs batches, and Apply replays a
-// decoded record into anything with the engine's write surface.
+// bytes. Durable (durable.go) is the one writer every daemon uses: it
+// owns the log, the engine and the append+apply mutex, encodes each batch
+// with the payload codec (payload.go) and recovers with Recover.
 package wal
 
 import (
@@ -70,7 +70,7 @@ type Record struct {
 	Seq uint64
 	// Kind tags the payload codec.
 	Kind Kind
-	// Payload is the encoded batch (see EncodeObserve/EncodeRegister).
+	// Payload is the encoded batch (see payload.go).
 	Payload []byte
 }
 
@@ -148,19 +148,20 @@ type Options struct {
 	SegmentBytes int64
 }
 
-// Stats snapshots the log for /v2/stats and per-shard stats.
+// Stats snapshots the log. Its JSON form is the one wire form of the
+// wal block in /v2/stats and /shard/v1/stats.
 type Stats struct {
-	Dir           string
-	Policy        Policy
-	Segments      int    // segment files, including the active one
-	Bytes         int64  // total segment bytes
-	LastSeq       uint64 // last appended (or recovered) sequence, 0 when empty
-	CheckpointSeq uint64 // sequence the latest checkpoint covers through
-	HasCheckpoint bool
-	CheckpointAge time.Duration // age of the latest checkpoint, 0 when none
-	Appends       uint64
-	Syncs         uint64
-	Checkpoints   uint64
+	Dir             string  `json:"dir"`
+	Policy          Policy  `json:"fsync_policy"`
+	Segments        int     `json:"segments"`       // segment files, including the active one
+	Bytes           int64   `json:"bytes"`          // total segment bytes
+	LastSeq         uint64  `json:"last_seq"`       // last appended (or recovered) sequence, 0 when empty
+	CheckpointSeq   uint64  `json:"checkpoint_seq"` // sequence the latest checkpoint covers through
+	HasCheckpoint   bool    `json:"has_checkpoint"`
+	CheckpointAgeMs float64 `json:"checkpoint_age_ms"` // age of the latest checkpoint, 0 when none
+	Appends         uint64  `json:"appends"`
+	Syncs           uint64  `json:"syncs"`
+	Checkpoints     uint64  `json:"checkpoints"`
 }
 
 type segInfo struct {
@@ -539,9 +540,9 @@ func (l *Log) Checkpoint(write func(io.Writer) error) error {
 	return nil
 }
 
-// LatestCheckpoint opens the newest checkpoint for reading, returning
+// latestCheckpoint opens the newest checkpoint for reading, returning
 // the sequence it covers through. ok is false when none exists.
-func (l *Log) LatestCheckpoint() (r io.ReadCloser, seq uint64, ok bool, err error) {
+func (l *Log) latestCheckpoint() (r io.ReadCloser, seq uint64, ok bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.hasCkpt {
@@ -577,7 +578,7 @@ func (l *Log) Stats() Stats {
 		st.Bytes += l.segBytes
 	}
 	if l.hasCkpt {
-		st.CheckpointAge = time.Since(l.ckptAt)
+		st.CheckpointAgeMs = float64(time.Since(l.ckptAt)) / float64(time.Millisecond)
 	}
 	return st
 }

@@ -217,9 +217,9 @@ func TestCheckpointCompaction(t *testing.T) {
 	l.Close()
 
 	l2 := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
-	rc, seq, ok, err := l2.LatestCheckpoint()
+	rc, seq, ok, err := l2.latestCheckpoint()
 	if err != nil || !ok || seq != 8 {
-		t.Fatalf("LatestCheckpoint = seq %d, ok %v, err %v; want 8, true, nil", seq, ok, err)
+		t.Fatalf("latestCheckpoint = seq %d, ok %v, err %v; want 8, true, nil", seq, ok, err)
 	}
 	snap, _ := io.ReadAll(rc)
 	rc.Close()
@@ -317,39 +317,38 @@ func TestPayloadCodecsAndApply(t *testing.T) {
 		{UserID: "u1", Item: items[0], Timestamp: 100},
 		{UserID: "u2", Item: items[1], Timestamp: 101},
 	}
-	rp, err := EncodeRegister(items)
+	rp, err := encodeRegister(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotItems, err := DecodeRegister(rp)
+	gotItems, err := decodeRegister(rp)
 	if err != nil || len(gotItems) != 2 || gotItems[0].ID != "i1" || len(gotItems[0].Entities) != 2 {
 		t.Fatalf("register round-trip = %+v, %v", gotItems, err)
 	}
-	op, err := EncodeObserve(obs)
+	op, err := encodeObserve(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotObs, err := DecodeObserve(op)
+	gotObs, err := decodeObserve(op)
 	if err != nil || len(gotObs) != 2 || gotObs[0].UserID != "u1" || gotObs[1].Item.ID != "i2" {
 		t.Fatalf("observe round-trip = %+v, %v", gotObs, err)
 	}
 
 	eng := core.New(core.Config{Categories: []string{"c"}})
-	ctx := context.Background()
-	if err := Apply(ctx, Record{Seq: 1, Kind: KindRegister, Payload: rp}, eng); err != nil {
-		t.Fatalf("Apply register: %v", err)
+	if err := apply(context.Background(), Record{Seq: 1, Kind: KindRegister, Payload: rp}, eng); err != nil {
+		t.Fatalf("apply register: %v", err)
 	}
-	if err := Apply(ctx, Record{Seq: 2, Kind: KindObserve, Payload: op}, eng); err != nil {
-		t.Fatalf("Apply observe: %v", err)
+	if err := apply(context.Background(), Record{Seq: 2, Kind: KindObserve, Payload: op}, eng); err != nil {
+		t.Fatalf("apply observe: %v", err)
 	}
-	if err := Apply(ctx, Record{Seq: 3, Kind: Kind(99)}, eng); err == nil {
-		t.Fatal("Apply accepted unknown kind")
+	if err := apply(context.Background(), Record{Seq: 3, Kind: Kind(99)}, eng); err == nil {
+		t.Fatal("apply accepted unknown kind")
 	}
-	if err := Apply(ctx, Record{Seq: 4, Kind: KindObserve, Payload: []byte("{")}, eng); err == nil {
-		t.Fatal("Apply accepted malformed observe payload")
+	if err := apply(context.Background(), Record{Seq: 4, Kind: KindObserve, Payload: []byte("{")}, eng); err == nil {
+		t.Fatal("apply accepted malformed observe payload")
 	}
-	if err := Apply(ctx, Record{Seq: 5, Kind: KindRegister, Payload: []byte("{")}, eng); err == nil {
-		t.Fatal("Apply accepted malformed register payload")
+	if err := apply(context.Background(), Record{Seq: 5, Kind: KindRegister, Payload: []byte("{")}, eng); err == nil {
+		t.Fatal("apply accepted malformed register payload")
 	}
 }
 
@@ -378,8 +377,8 @@ func TestStatsAndTempCleanup(t *testing.T) {
 	if st.LastSeq != 0 || st.HasCheckpoint || st.Dir != dir || st.Policy != PolicyBatch {
 		t.Fatalf("fresh stats = %+v", st)
 	}
-	if _, seq, ok, err := l.LatestCheckpoint(); ok || seq != 0 || err != nil {
-		t.Fatalf("LatestCheckpoint on fresh log = %d, %v, %v", seq, ok, err)
+	if _, seq, ok, err := l.latestCheckpoint(); ok || seq != 0 || err != nil {
+		t.Fatalf("latestCheckpoint on fresh log = %d, %v, %v", seq, ok, err)
 	}
 	if _, err := l.Append(KindObserve, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -388,7 +387,7 @@ func TestStatsAndTempCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = l.Stats()
-	if st.LastSeq != 1 || st.CheckpointSeq != 1 || st.CheckpointAge < 0 {
+	if st.LastSeq != 1 || st.CheckpointSeq != 1 || st.CheckpointAgeMs < 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if err := l.Sync(); err != nil {
