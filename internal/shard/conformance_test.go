@@ -149,7 +149,11 @@ func TestConformanceDirtyMaskStreamReplay(t *testing.T) {
 						t.Fatalf("boot: %v", err)
 					}
 					// Masks are the default path; the fold is opt-in.
-					r.SetIncrementalFold(arm.fold)
+					for _, row := range r.fl().grid {
+						for _, e := range row {
+							e.SetIncrementalFold(arm.fold)
+						}
+					}
 					got := fx.ReplayBatchSize(t, r, batchSize, maxBatches)
 					shardtest.Diff(t, want, got, fmt.Sprintf("batch=%d %s", batchSize, arm.name))
 				})

@@ -125,8 +125,8 @@ func TestSupervisorDeltaReplayHealsSmallDebt(t *testing.T) {
 	sup := NewSupervisor(r, time.Hour)
 	sup.Sweep(ctx)
 
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
-		t.Fatalf("stale replica not healed: down=%v debt=%v", rs.down[1].Load(), rs.missedWrite[1].Load())
+	if rs.isDown(1) || rs.owes(1) {
+		t.Fatalf("stale replica not healed: down=%v debt=%v", rs.isDown(1), rs.owes(1))
 	}
 	st := sup.Stats()
 	if st.DeltaReseeds != 1 || st.DeltaReseedFailures != 0 {
@@ -144,7 +144,7 @@ func TestSupervisorDeltaReplayHealsSmallDebt(t *testing.T) {
 	if got := stubs[0][1].handoffs.Load(); got != 0 {
 		t.Fatalf("delta-healed replica received %d snapshot handoffs, want 0", got)
 	}
-	if ap, cur := rs.applied[1].Load(), rs.wseq.Load(); ap != cur {
+	if ap, cur := rs.appliedSeq(1), rs.wseq.Load(); ap != cur {
 		t.Fatalf("applied watermark %d after replay, want %d", ap, cur)
 	}
 }
@@ -163,8 +163,8 @@ func TestSupervisorDeltaReplayRespectsThreshold(t *testing.T) {
 	sup.SetDeltaReplayMax(1) // debt is 2
 	sup.Sweep(ctx)
 
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
-		t.Fatalf("stale replica not healed: down=%v debt=%v", rs.down[1].Load(), rs.missedWrite[1].Load())
+	if rs.isDown(1) || rs.owes(1) {
+		t.Fatalf("stale replica not healed: down=%v debt=%v", rs.isDown(1), rs.owes(1))
 	}
 	st := sup.Stats()
 	if st.DeltaReseeds != 0 {
@@ -179,7 +179,7 @@ func TestSupervisorDeltaReplayRespectsThreshold(t *testing.T) {
 	if got := stubs[0][1].handoffs.Load(); got == 0 {
 		t.Fatal("replica above the delta threshold never received a snapshot")
 	}
-	if ap := rs.applied[1].Load(); ap != 0 {
+	if ap := rs.appliedSeq(1); ap != 0 {
 		t.Fatalf("applied watermark %d after snapshot reseed, want 0 (unknown)", ap)
 	}
 }
@@ -196,8 +196,8 @@ func TestSupervisorDeltaReplayFailureFallsBack(t *testing.T) {
 	sup := NewSupervisor(r, time.Hour)
 	sup.Sweep(ctx)
 
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
-		t.Fatalf("stale replica not healed: down=%v debt=%v", rs.down[1].Load(), rs.missedWrite[1].Load())
+	if rs.isDown(1) || rs.owes(1) {
+		t.Fatalf("stale replica not healed: down=%v debt=%v", rs.isDown(1), rs.owes(1))
 	}
 	st := sup.Stats()
 	if st.DeltaReseedFailures != 1 || st.DeltaReseeds != 0 {

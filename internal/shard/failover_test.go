@@ -24,13 +24,14 @@ import (
 // mode, where every call reports ErrShardUnavailable. It implements
 // Pinger and SnapshotReceiver so the probe/handoff paths are testable.
 type stubShard struct {
-	inner    *Local
-	failing  atomic.Bool // transport-style failure: ErrShardUnavailable
-	fatal    atomic.Bool // clean refusal: plain error, batch NOT applied
-	pingOK   atomic.Bool
-	calls    atomic.Int64 // serving calls attempted while failing or not
-	handoffs atomic.Int64
-	epoch    atomic.Int64 // bumped per accepted handoff (a re-seed)
+	inner     *Local
+	failing   atomic.Bool // transport-style failure: ErrShardUnavailable
+	fatal     atomic.Bool // clean refusal: plain error, batch NOT applied
+	pingOK    atomic.Bool
+	calls     atomic.Int64 // serving calls attempted while failing or not
+	handoffs  atomic.Int64
+	snapshots atomic.Int64 // snapshot exports served
+	epoch     atomic.Int64 // bumped per accepted handoff (a re-seed)
 }
 
 func (s *stubShard) Index() int { return s.inner.Index() }
@@ -425,6 +426,44 @@ func TestRouterProbeRefusesStaleShard(t *testing.T) {
 	}
 	if down := r.Down(); len(down) != 0 {
 		t.Fatalf("Down() = %v after re-seed", down)
+	}
+}
+
+// TestRouterHandoffFailedPingForgetsBaseline: a handoff whose confirming
+// ping fails must not keep the PRE-handoff epoch as the shard's baseline.
+// The shard is already at the handoff's new epoch, so after a later
+// missed write that epoch would pass as proof of a re-seed the shard
+// never had, and a probe would re-include it one batch behind.
+func TestRouterHandoffFailedPingForgetsBaseline(t *testing.T) {
+	fx := fixture(t)
+	r, stubs := stubDeployment(t)
+	ctx := context.Background()
+	stubs[0].pingOK.Store(true)
+	stubs[1].pingOK.Store(true)
+	if err := r.HandoffSnapshot(ctx, fx.Snapshot); err != nil { // baseline epoch-1
+		t.Fatal(err)
+	}
+	stubs[1].pingOK.Store(false)
+	if err := r.HandoffSnapshot(ctx, fx.Snapshot); err != nil { // shard 1 at epoch-2, unconfirmed
+		t.Fatal(err)
+	}
+
+	stubs[1].failing.Store(true)
+	if _, err := r.ObserveBatch(ctx, fx.Obs[:16]); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("not excluded: %v", err)
+	}
+	stubs[1].failing.Store(false)
+	stubs[1].pingOK.Store(true) // blip over: reachable, still at epoch-2, stale
+
+	if up := r.Probe(ctx); len(up) != 0 {
+		t.Fatalf("Probe = %v, want refusal (the shard was not re-seeded since its debt)", up)
+	}
+	if down := r.Down(); !reflect.DeepEqual(down, []int{1}) {
+		t.Fatalf("Down() = %v, want [1]", down)
+	}
+	stubs[1].epoch.Add(1) // a real re-seed stays provable
+	if up := r.Probe(ctx); !reflect.DeepEqual(up, []int{1}) {
+		t.Fatalf("Probe = %v, want [1] after a re-seed", up)
 	}
 }
 

@@ -22,6 +22,7 @@ func (s *stubShard) Snapshot(ctx context.Context) ([]byte, error) {
 	if s.failing.Load() {
 		return nil, errors.Join(ErrShardUnavailable, s.err("snapshot"))
 	}
+	s.snapshots.Add(1)
 	return s.inner.Snapshot(ctx)
 }
 
@@ -99,7 +100,7 @@ func TestReplicaSetReadFailover(t *testing.T) {
 		}
 	}
 	rs := slotSet(t, wounded, 0)
-	if !rs.down[0].Load() {
+	if !rs.isDown(0) {
 		t.Fatal("failed replica not excluded")
 	}
 	states := rs.health()
@@ -129,7 +130,7 @@ func TestReplicaSetReadFailoverCounter(t *testing.T) {
 	if rs.failovers.Load() == 0 {
 		t.Fatal("failover counter never moved")
 	}
-	if !rs.down[0].Load() {
+	if !rs.isDown(0) {
 		t.Fatal("failed replica not excluded by the read path")
 	}
 }
@@ -149,7 +150,7 @@ func TestReplicaSetWriteDebtAndHandoffRejoin(t *testing.T) {
 	if _, err := r.ObserveBatch(ctx, fx.Obs[:64]); err != nil {
 		t.Fatalf("write with a surviving sibling must not degrade: %v", err)
 	}
-	if !rs.missedWrite[1].Load() || !rs.down[1].Load() {
+	if !rs.owes(1) || !rs.isDown(1) {
 		t.Fatal("failed replica owes no missed-write debt")
 	}
 	if rs.health()[1].MissedWrite != true {
@@ -160,11 +161,11 @@ func TestReplicaSetWriteDebtAndHandoffRejoin(t *testing.T) {
 	// records the epoch baseline, the second sees it unchanged).
 	stubs[0][1].failing.Store(false)
 	for i := 0; i < 2; i++ {
-		if ok, _ := rs.probeReplica(ctx, 1); ok {
+		if ok, _ := rs.probe(ctx, 1); ok {
 			t.Fatalf("probe %d re-included a debtor without epoch proof", i)
 		}
 	}
-	if !rs.down[1].Load() {
+	if !rs.isDown(1) {
 		t.Fatal("debtor rejoined without re-seed")
 	}
 
@@ -174,7 +175,7 @@ func TestReplicaSetWriteDebtAndHandoffRejoin(t *testing.T) {
 	if err := rs.Handoff(ctx, fx.Snapshot); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
-	if rs.missedWrite[1].Load() || rs.down[1].Load() {
+	if rs.owes(1) || rs.isDown(1) {
 		t.Fatal("handoff did not re-include the debtor")
 	}
 	if rs.seedGen.Load() != genBefore+1 {
@@ -302,12 +303,12 @@ func TestSupervisorSweepReseedsStaleReplica(t *testing.T) {
 	}
 	// Sweep 1 records the epoch baseline (fail closed) and re-seeds.
 	sup.Sweep(ctx)
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
+	if rs.isDown(1) || rs.owes(1) {
 		// The first probe inside the sweep may only establish the baseline;
 		// one more sweep must finish the re-seed.
 		sup.Sweep(ctx)
 	}
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
+	if rs.isDown(1) || rs.owes(1) {
 		t.Fatal("supervisor did not re-seed the stale replica")
 	}
 	st := sup.Stats()
@@ -319,6 +320,115 @@ func TestSupervisorSweepReseedsStaleReplica(t *testing.T) {
 	}
 	if stubs[0][1].handoffs.Load() == 0 {
 		t.Fatal("stale replica never received a snapshot")
+	}
+}
+
+// TestSupervisorNeverSourcesFromSlotInRouterDebt: a slot the Router holds
+// in missed-write debt is never a snapshot source, even once its replicas
+// look healthy to their own set — they all lack the batch the whole slot
+// missed. The sweep sources from a healthy slot instead and re-seeds every
+// replica of the indebted slot, which then rejoins the Router.
+func TestSupervisorNeverSourcesFromSlotInRouterDebt(t *testing.T) {
+	fx := fixture(t)
+	ctx := context.Background()
+	r, stubs := replicaDeployment(t)
+
+	// Both replicas of slot 0 fail a read: the set excludes them without
+	// debt (reads mutate nothing), and the Router excludes slot 0.
+	for _, s := range stubs[0] {
+		s.failing.Store(true)
+		s.pingOK.Store(false)
+	}
+	o := core.ResolveOptions(core.WithK(5))
+	if _, err := r.recommendOne(ctx, fx.Queries[0], o); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("read with slot 0 down: %v", err)
+	}
+	if down := r.Down(); len(down) != 1 || down[0] != 0 {
+		t.Fatalf("Down() = %v, want [0]", down)
+	}
+
+	// Batch B lands while slot 0 is out (Router-level debt); replica 1 of
+	// slot 1 misses it too (set-level debt).
+	stubs[1][1].failing.Store(true)
+	if _, err := r.ObserveBatch(ctx, fx.Obs[:64]); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("batch B: %v", err)
+	}
+	for _, s := range append(stubs[0], stubs[1][1]) {
+		s.failing.Store(false)
+		s.pingOK.Store(true)
+	}
+
+	sup := NewSupervisor(r, time.Hour)
+	sup.Sweep(ctx)
+	for j, s := range stubs[0] {
+		if n := s.snapshots.Load(); n != 0 {
+			t.Fatalf("slot 0 replica %d exported %d snapshot(s) while slot 0 owed batch B", j, n)
+		}
+		if s.handoffs.Load() == 0 {
+			t.Fatalf("slot 0 replica %d was never re-seeded", j)
+		}
+	}
+	if stubs[1][0].snapshots.Load() != 1 {
+		t.Fatalf("slot 1 replica 0 exported %d snapshots, want the sweep's one", stubs[1][0].snapshots.Load())
+	}
+	if down := r.Down(); len(down) != 0 {
+		t.Fatalf("Down() = %v after the sweep, want []", down)
+	}
+	for _, h := range r.ReplicaHealth() {
+		if h.State != "healthy" || h.MissedWrite {
+			t.Fatalf("replica %d/%d = %+v after the sweep, want healthy", h.Slot, h.Replica, h)
+		}
+	}
+}
+
+// TestRouterProbeRefusesSlotAfterReplicaReseed: re-seeding one replica of
+// a serving slot must not move the slot epoch the Router holds as its
+// baseline. Otherwise, once the whole slot later misses a batch, that
+// earlier reseed passes as proof of a slot re-seed and a probe
+// re-includes replicas that never received the batch.
+func TestRouterProbeRefusesSlotAfterReplicaReseed(t *testing.T) {
+	fx := fixture(t)
+	ctx := context.Background()
+	r, stubs := replicaDeployment(t)
+	if err := r.HandoffSnapshot(ctx, fx.Snapshot); err != nil { // slot baselines rs-1
+		t.Fatal(err)
+	}
+
+	// Replica 1 of slot 0 misses a write and the supervisor re-seeds it
+	// while slot 0 keeps serving.
+	stubs[0][1].failing.Store(true)
+	if _, err := r.ObserveBatch(ctx, fx.Obs[:64]); err != nil {
+		t.Fatalf("write with a surviving sibling: %v", err)
+	}
+	stubs[0][1].failing.Store(false)
+	sup := NewSupervisor(r, time.Hour)
+	sup.Sweep(ctx)
+	if sup.Stats().Reseeds == 0 || len(slotSet(t, r, 0).downList()) != 0 {
+		t.Fatalf("replica reseed did not heal slot 0: %+v", r.ReplicaHealth())
+	}
+
+	// Now the whole slot misses batch B: both replicas fail a read (no
+	// set-level debt) and B lands while the Router excludes slot 0.
+	for _, s := range stubs[0] {
+		s.failing.Store(true)
+		s.pingOK.Store(false)
+	}
+	if _, err := r.recommendOne(ctx, fx.Queries[0], core.ResolveOptions(core.WithK(5))); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("read with slot 0 down: %v", err)
+	}
+	if _, err := r.ObserveBatch(ctx, fx.Obs[64:128]); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("batch B: %v", err)
+	}
+	for _, s := range stubs[0] {
+		s.failing.Store(false)
+		s.pingOK.Store(true)
+	}
+	if up := r.Probe(ctx); len(up) != 0 {
+		t.Fatalf("Probe = %v, want refusal (slot 0 was not re-seeded since batch B)", up)
+	}
+	sup.Sweep(ctx)
+	if down := r.Down(); len(down) != 0 {
+		t.Fatalf("Down() = %v after a re-seeding sweep, want []", down)
 	}
 }
 
@@ -343,17 +453,17 @@ func TestSupervisorSweepCountsFailures(t *testing.T) {
 	if st.ReseedFailures == 0 || st.LastError == "" {
 		t.Fatalf("unreachable replica produced no failure: %+v", st)
 	}
-	if !rs.down[1].Load() {
+	if !rs.isDown(1) {
 		t.Fatal("failed handoff re-included the replica")
 	}
 
 	stubs[0][1].failing.Store(false)
 	stubs[0][1].pingOK.Store(true)
 	sup.Sweep(ctx)
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
+	if rs.isDown(1) || rs.owes(1) {
 		sup.Sweep(ctx) // baseline-then-prove may need one more pass
 	}
-	if rs.down[1].Load() || rs.missedWrite[1].Load() {
+	if rs.isDown(1) || rs.owes(1) {
 		t.Fatal("recovered replica never re-seeded")
 	}
 	st = sup.Stats()

@@ -18,15 +18,14 @@
 //
 // # Failure accounting
 //
-// The set mirrors the Router's per-shard machinery one level down: a
-// replica that fails with ErrShardUnavailable is excluded from the set,
-// write batches it missed record missed-write debt (generation-guarded),
-// and re-inclusion of a debtor requires a boot-epoch change proving a
-// re-seed. The set's own Ping reports slot health to the Router: the slot
-// epoch is derived from the set's reseed generation, so Router-level debt
-// (a batch the WHOLE slot missed) is cleared only after some replica
-// accepted a fresh snapshot — the same fail-closed rule the Router
-// applies to plain shards.
+// The set and the Router embed the same member-set primitive (members.go):
+// exclusion, generation-guarded missed-write debt, the boot-epoch proof of
+// re-seed, probing and re-seeding are one copy applied to replicas here
+// and to shards there. The set's own Ping reports slot health to the
+// Router: the slot epoch is derived from the set's reseed generation, so
+// Router-level debt (a batch the WHOLE slot missed) is cleared only after
+// some replica accepted a fresh snapshot — the same fail-closed rule the
+// Router applies to plain shards.
 package shard
 
 import (
@@ -75,19 +74,10 @@ type ReplicaState struct {
 
 // ReplicaSet multiplexes one shard slot over R replicas.
 type ReplicaSet struct {
-	idx      int
-	replicas []Shard
-
-	down        []atomic.Bool
-	missedWrite []atomic.Bool
-	debtGen     []atomic.Uint64
-	reseeding   []atomic.Bool
-	// debtMu orders recordDebt against includeIfUnchanged: without it a
-	// re-inclusion could interleave with a debt record and erase it.
-	debtMu sync.Mutex
-
-	epochMu   sync.Mutex
-	lastEpoch []string
+	idx int
+	// members holds the replicas and their exclusion, missed-write debt,
+	// epoch baselines and probe schedule (members.go).
+	members
 
 	// ewma[j] holds math.Float64bits of replica j's read-latency EWMA in
 	// milliseconds; 0 means no sample yet. Updates are load-compute-store
@@ -95,9 +85,12 @@ type ReplicaSet struct {
 	ewma []atomic.Uint64
 	rr   atomic.Uint64 // read counter driving periodic exploration
 
-	// seedGen counts accepted snapshot handoffs; the slot's boot epoch is
-	// derived from it, so the Router's fail-closed re-inclusion rule sees
-	// an epoch change exactly when some replica was re-seeded.
+	// seedGen counts slot re-seeds: accepted slot handoffs and supervisor
+	// reseeds of a slot the Router holds in debt. The slot's boot epoch is
+	// derived from it, and both run inside a Router-level reseed of the
+	// slot, so the Router sees an epoch change exactly when the slot was
+	// re-seeded and records it as its baseline at once. Re-seeding one
+	// replica of a serving slot leaves it alone.
 	seedGen atomic.Uint64
 
 	// Delta catch-up bookkeeping: every non-empty write batch gets the
@@ -111,8 +104,6 @@ type ReplicaSet struct {
 	applied []atomic.Uint64
 	tailMu  sync.Mutex
 	tail    []ReplayBatch
-
-	probes *probeSchedule
 
 	failovers atomic.Uint64 // reads retried on a sibling after a failure
 }
@@ -128,69 +119,37 @@ func NewReplicaSet(idx int, replicas ...Shard) (*ReplicaSet, error) {
 			return nil, fmt.Errorf("shard: slot %d replica %d reports shard index %d", idx, j, s.Index())
 		}
 	}
-	return &ReplicaSet{
-		idx:         idx,
-		replicas:    replicas,
-		down:        make([]atomic.Bool, len(replicas)),
-		missedWrite: make([]atomic.Bool, len(replicas)),
-		debtGen:     make([]atomic.Uint64, len(replicas)),
-		reseeding:   make([]atomic.Bool, len(replicas)),
-		applied:     make([]atomic.Uint64, len(replicas)),
-		lastEpoch:   make([]string, len(replicas)),
-		ewma:        make([]atomic.Uint64, len(replicas)),
-		probes:      newProbeSchedule(len(replicas), DefaultProbeInterval),
-	}, nil
+	rs := &ReplicaSet{
+		idx:     idx,
+		applied: make([]atomic.Uint64, len(replicas)),
+		ewma:    make([]atomic.Uint64, len(replicas)),
+	}
+	rs.init(replicas)
+	return rs, nil
 }
 
 // Index implements Shard.
 func (rs *ReplicaSet) Index() int { return rs.idx }
 
 // Replicas reports the set's width.
-func (rs *ReplicaSet) Replicas() int { return len(rs.replicas) }
-
-// setReplica swaps replica j — the in-process Train bootstrap path, which
-// runs before the deployment serves; it is not safe under traffic.
-func (rs *ReplicaSet) setReplica(j int, s Shard) { rs.replicas[j] = s }
+func (rs *ReplicaSet) Replicas() int { return len(rs.shards) }
 
 // SetProbeInterval adjusts the set's internal re-probe base interval.
-func (rs *ReplicaSet) SetProbeInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultProbeInterval
-	}
-	rs.probes.setBase(d)
-}
+func (rs *ReplicaSet) SetProbeInterval(d time.Duration) { rs.setProbeInterval(d) }
 
-func (rs *ReplicaSet) recordDebt(j int) {
-	rs.debtMu.Lock()
-	defer rs.debtMu.Unlock()
-	rs.missedWrite[j].Store(true)
-	rs.debtGen[j].Add(1)
-	rs.down[j].Store(true)
-}
-
-// includeIfUnchanged clears replica j's debt and re-includes it for reads
-// and writes, unless debt was recorded since the caller captured gen: that
-// debt postdates whatever the caller verified (a probe, a snapshot, a
-// replayed tail), so the replica stays excluded rather than serving one
-// batch behind. Clearing and re-including in one step leaves no window in
-// which a read can reach a replica that still owes a batch. It reports
-// whether j rejoined.
-func (rs *ReplicaSet) includeIfUnchanged(j int, gen uint64) bool {
-	rs.debtMu.Lock()
-	defer rs.debtMu.Unlock()
-	if rs.debtGen[j].Load() != gen {
-		return false
-	}
-	rs.missedWrite[j].Store(false)
-	rs.down[j].Store(false)
-	return true
-}
-
-// logWrite assigns the next slot write sequence to a batch and retains
-// it in the delta ring. Sequencing assumes the slot's write stream is
-// ordered — the same assumption the replication exactness argument
-// already rests on.
-func (rs *ReplicaSet) logWrite(items []model.Item, obs []core.Observation) uint64 {
+// logWrite assigns the next slot write sequence to a batch, retains it in
+// the delta ring and chooses the batch's target replicas — all under
+// tailMu. Choosing the targets in the same critical section is what makes
+// delta replay exact: a replay takes its batches from the ring under
+// tailMu, so it can hold batch N only after N's targets were chosen, and
+// it re-includes its (excluded) replica only after replaying. A replica a
+// replay covering N re-includes was therefore down when N's targets were
+// chosen, and N reaches it once — from the replay, never also from the
+// broadcast. Chosen after the section, the targets could include a
+// replica a replay had just re-included, which would apply N twice.
+// Sequencing assumes the slot's write stream is ordered — the same
+// assumption the replication exactness argument already rests on.
+func (rs *ReplicaSet) logWrite(items []model.Item, obs []core.Observation) (uint64, []leg) {
 	rs.tailMu.Lock()
 	defer rs.tailMu.Unlock()
 	seq := rs.wseq.Add(1)
@@ -198,7 +157,7 @@ func (rs *ReplicaSet) logWrite(items []model.Item, obs []core.Observation) uint6
 	if len(rs.tail) > deltaTailCap {
 		rs.tail = rs.tail[len(rs.tail)-deltaTailCap:]
 	}
-	return seq
+	return seq, rs.targets()
 }
 
 // noteApplied records that replica j applied sequence seq (monotone).
@@ -218,6 +177,10 @@ func (rs *ReplicaSet) noteApplied(j int, seq uint64) {
 // next applied broadcast.
 func (rs *ReplicaSet) resetApplied(j int) { rs.applied[j].Store(0) }
 
+// appliedSeq reports the highest write sequence replica j is known to
+// have applied (0 = unknown).
+func (rs *ReplicaSet) appliedSeq(j int) uint64 { return rs.applied[j].Load() }
+
 // deltaTail returns the ring entries covering (after, through], or
 // ok=false when the ring no longer holds that tail contiguously.
 func (rs *ReplicaSet) deltaTail(after, through uint64) ([]ReplayBatch, bool) {
@@ -235,71 +198,18 @@ func (rs *ReplicaSet) deltaTail(after, through uint64) ([]ReplayBatch, bool) {
 	return out, true
 }
 
-func (rs *ReplicaSet) recordEpoch(j int, epoch string) {
-	if epoch == "" {
-		return
-	}
-	rs.epochMu.Lock()
-	rs.lastEpoch[j] = epoch
-	rs.epochMu.Unlock()
-}
-
-func (rs *ReplicaSet) knownEpoch(j int) string {
-	rs.epochMu.Lock()
-	defer rs.epochMu.Unlock()
-	return rs.lastEpoch[j]
-}
-
-// refreshEpoch re-reads replica j's boot epoch after a reseed or replay
-// minted a fresh one. A failed ping forgets the baseline rather than
-// keeping the pre-reseed epoch: a stale baseline would make the new epoch
-// look like proof of a LATER re-seed, and the next probe would re-include
-// the replica over debt it still owes.
-func (rs *ReplicaSet) refreshEpoch(ctx context.Context, j int, p Pinger) {
-	epoch, err := p.Ping(ctx)
-	if err != nil {
-		epoch = ""
-	}
-	rs.epochMu.Lock()
-	rs.lastEpoch[j] = epoch
-	rs.epochMu.Unlock()
-}
-
-// fence claims replica j for a supervisor reseed: probes refuse it while
-// reseeding is set, and the generation bump defeats a probe already in
-// flight. Without it a replica re-included between the job's capture and
-// its handoff would take writes the snapshot then overwrites. It returns
-// the generation that guards the reseed's own re-inclusion.
-func (rs *ReplicaSet) fence(j int) uint64 {
-	rs.reseeding[j].Store(true)
-	rs.debtMu.Lock()
-	defer rs.debtMu.Unlock()
-	rs.down[j].Store(true)
-	return rs.debtGen[j].Add(1)
-}
-
 func (rs *ReplicaSet) unavailErr() error {
 	return fmt.Errorf("%w: slot %d: no healthy replica", ErrShardUnavailable, rs.idx)
 }
 
 // health snapshots the per-replica states for monitoring.
 func (rs *ReplicaSet) health() []ReplicaState {
-	out := make([]ReplicaState, len(rs.replicas))
-	for j := range rs.replicas {
-		st := ReplicaState{
-			Slot:        rs.idx,
-			Replica:     j,
-			State:       "healthy",
-			MissedWrite: rs.missedWrite[j].Load(),
-		}
+	out := make([]ReplicaState, len(rs.shards))
+	for j := range rs.shards {
+		st := ReplicaState{Slot: rs.idx, Replica: j}
+		st.State, st.MissedWrite = rs.state(j)
 		if bits := rs.ewma[j].Load(); bits != 0 {
 			st.LatencyEWMAMs = math.Float64frombits(bits)
-		}
-		switch {
-		case rs.reseeding[j].Load():
-			st.State = "reseeding"
-		case rs.down[j].Load() || st.MissedWrite:
-			st.State = "excluded"
 		}
 		out[j] = st
 	}
@@ -324,9 +234,9 @@ func (rs *ReplicaSet) observeLatency(j int, d time.Duration) {
 // replicas sort first so they get measured); every explorePeriod-th call
 // rotates the winner to the back so the runner-up's EWMA stays live.
 func (rs *ReplicaSet) readOrder() []int {
-	order := make([]int, 0, len(rs.replicas))
-	for j := range rs.replicas {
-		if !rs.down[j].Load() {
+	order := make([]int, 0, len(rs.shards))
+	for j := range rs.shards {
+		if !rs.isDown(j) {
 			order = append(order, j)
 		}
 	}
@@ -346,81 +256,17 @@ func (rs *ReplicaSet) readOrder() []int {
 	return order
 }
 
-// maybeProbe kicks an asynchronous re-probe of the excluded replicas
-// whose backoff is due — the set-internal mirror of Router.maybeProbe.
-func (rs *ReplicaSet) maybeProbe() {
-	var down []int
-	for j := range rs.replicas {
-		if rs.down[j].Load() {
-			down = append(down, j)
-		}
-	}
-	if len(down) == 0 {
-		return
-	}
-	due := rs.probes.claimDue(down)
-	if len(due) == 0 {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-		defer cancel()
-		for _, j := range due {
-			if !rs.down[j].Load() {
-				continue
-			}
-			if ok, _ := rs.probeReplica(ctx, j); ok {
-				rs.probes.success(j)
-			} else {
-				rs.probes.failure(j)
-			}
-		}
-	}()
-}
-
-// probeReplica re-checks replica j and re-includes it when safe, under
-// the same fail-closed rules Router.probeOne applies to shards: a debtor
-// rejoins only on a changed boot epoch (proof of re-seed). untrained
-// reports a replica that is reachable but awaiting training — the signal
-// Ping uses to distinguish ErrNotTrained from unavailability.
-func (rs *ReplicaSet) probeReplica(ctx context.Context, j int) (ok, untrained bool) {
-	gen := rs.debtGen[j].Load()
-	if rs.reseeding[j].Load() {
-		// The reseed owns re-inclusion; its fresh epoch is no proof to a
-		// probe until the reseed has recorded it.
-		return false, false
-	}
-	if p, isP := rs.replicas[j].(Pinger); isP {
-		epoch, err := p.Ping(ctx)
-		if err != nil {
-			rs.down[j].Store(true)
-			return false, false
-		}
-		if rs.missedWrite[j].Load() {
-			known := rs.knownEpoch(j)
-			if epoch == "" || known == "" || epoch == known {
-				rs.recordEpoch(j, epoch)
-				return false, false
-			}
-		}
-		rs.recordEpoch(j, epoch)
-	} else if !rs.replicas[j].Stats().Trained {
-		return false, true
-	}
-	return rs.includeIfUnchanged(j, gen), false
-}
-
 // Ping implements Pinger at SLOT level: the slot is serveable while any
 // replica is healthy and debt-free. Down replicas are re-probed inline
 // (this is the Router's explicit recovery path). The returned epoch is
 // derived from the reseed generation, so the Router's fail-closed
-// re-inclusion of a debtor slot requires a replica re-seed — not merely a
+// re-inclusion of a debtor slot requires a slot re-seed — not merely a
 // replica reconnecting with whatever stale state it kept.
 func (rs *ReplicaSet) Ping(ctx context.Context) (string, error) {
 	healthy := 0
 	anyUntrained := false
-	for j := range rs.replicas {
-		ok, untrained := rs.probeReplica(ctx, j)
+	for j := range rs.shards {
+		ok, untrained := rs.probe(ctx, j)
 		if ok {
 			healthy++
 		} else if untrained {
@@ -439,9 +285,9 @@ func (rs *ReplicaSet) Ping(ctx context.Context) (string, error) {
 // Stats implements Shard: the replicas are bit-identical, so the first
 // healthy one speaks for the slot.
 func (rs *ReplicaSet) Stats() Stats {
-	for j := range rs.replicas {
-		if !rs.down[j].Load() {
-			s := rs.replicas[j].Stats()
+	for j := range rs.shards {
+		if !rs.isDown(j) {
+			s := rs.shards[j].Stats()
 			s.Shard = rs.idx
 			return s
 		}
@@ -458,68 +304,36 @@ func (rs *ReplicaSet) Stats() Stats {
 func (rs *ReplicaSet) RegisterItems(ctx context.Context, items []model.Item) (bool, error) {
 	bctx := detach(ctx)
 	var seq uint64
+	var legs []leg
 	if len(items) > 0 {
-		seq = rs.logWrite(items, nil)
+		seq, legs = rs.logWrite(items, nil)
+	} else {
+		legs = rs.targets()
 	}
-	n := len(rs.replicas)
-	errs := make([]error, n)
-	changed := make([]bool, n)
-	ran := make([]bool, n)
-	var wg sync.WaitGroup
-	for j := range rs.replicas {
-		if rs.down[j].Load() {
-			continue
-		}
-		ran[j] = true
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			changed[j], errs[j] = rs.replicas[j].RegisterItems(bctx, items)
-		}(j)
-	}
-	wg.Wait()
-	anySuccess, advanced, anyUnavail := false, false, false
-	var fatal error
-	for j := range rs.replicas {
-		if !ran[j] {
-			continue
-		}
-		switch {
-		case errs[j] == nil:
-			anySuccess = true
+	changed := make([]bool, len(rs.shards))
+	anyOK, anyUnavail, refused := rs.broadcast(legs, func(j int) (err error) {
+		changed[j], err = rs.shards[j].RegisterItems(bctx, items)
+		return err
+	})
+	advanced := false
+	for j, l := range legs {
+		if l.called && l.err == nil {
 			advanced = advanced || changed[j]
 			if seq != 0 {
 				rs.noteApplied(j, seq)
 			}
-		case errors.Is(errs[j], ErrShardUnavailable):
-			anyUnavail = true
-			rs.down[j].Store(true)
-		default:
-			// A clean refusal while a sibling may have applied the batch:
-			// this replica provably diverged — exclude it with debt below.
-			if fatal == nil {
-				fatal = fmt.Errorf("slot %d replica %d: %w", rs.idx, j, errs[j])
-			}
 		}
 	}
-	ranAny := anySuccess || anyUnavail || fatal != nil
-	// Debt mirrors Router.registerBroadcast: proven advance, or unknowable
-	// outcome (only unavailable legs ran, or no replica ran at all — the
-	// batch may still land on sibling slots), debts every replica that did
-	// not succeed.
-	mutated := (anySuccess && advanced) || (!anySuccess && anyUnavail) || !ranAny
-	if len(items) > 0 && mutated {
-		for j := range rs.replicas {
-			if !ran[j] || errs[j] != nil {
-				rs.recordDebt(j)
-			}
-		}
-	}
-	if anySuccess {
+	// Proven advance, or an unknowable outcome — no leg succeeded and some
+	// leg was unavailable (it may have applied), or no replica ran at all
+	// while the batch may still land on sibling slots — debts every
+	// replica that did not succeed.
+	rs.settle(legs, len(items) > 0 && ((anyOK && advanced) || (!anyOK && (anyUnavail || refused < 0))))
+	switch {
+	case anyOK:
 		return advanced, nil
-	}
-	if fatal != nil {
-		return false, fatal
+	case refused >= 0:
+		return false, rs.refusal(refused, legs)
 	}
 	return false, rs.unavailErr()
 }
@@ -536,64 +350,32 @@ func (rs *ReplicaSet) ObserveBatch(ctx context.Context, batch []core.Observation
 	}
 	rs.maybeProbe()
 	bctx := detach(ctx)
-	seq := rs.logWrite(nil, batch)
-	n := len(rs.replicas)
-	reps := make([]core.BatchReport, n)
-	errs := make([]error, n)
-	ran := make([]bool, n)
-	var wg sync.WaitGroup
-	for j := range rs.replicas {
-		if rs.down[j].Load() {
-			continue
-		}
-		ran[j] = true
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			reps[j], errs[j] = rs.replicas[j].ObserveBatch(bctx, batch)
-		}(j)
-	}
-	wg.Wait()
+	seq, legs := rs.logWrite(nil, batch)
+	reps := make([]core.BatchReport, len(rs.shards))
+	anyOK, anyUnavail, refused := rs.broadcast(legs, func(j int) (err error) {
+		reps[j], err = rs.shards[j].ObserveBatch(bctx, batch)
+		return err
+	})
 	var rep core.BatchReport
-	base := false
-	anyUnavail := false
-	var fatal error
-	for j := range rs.replicas {
-		if !ran[j] {
-			continue
-		}
-		switch {
-		case errs[j] == nil:
+	for j := len(legs) - 1; j >= 0; j-- {
+		if legs[j].called && legs[j].err == nil {
 			rs.noteApplied(j, seq)
-			if !base {
-				rep = reps[j]
-				base = true
-			}
-		case errors.Is(errs[j], ErrShardUnavailable):
-			anyUnavail = true
-			rs.down[j].Store(true)
-		default:
-			if fatal == nil {
-				fatal = fmt.Errorf("slot %d replica %d: %w", rs.idx, j, errs[j])
-			}
+			rep = reps[j]
 		}
 	}
-	ranAny := base || anyUnavail || fatal != nil
-	mutated := (base && rep.Applied > 0) || (!base && anyUnavail) || !ranAny
-	if mutated {
-		for j := range rs.replicas {
-			if !ran[j] || errs[j] != nil {
-				rs.recordDebt(j)
-			}
-		}
-	}
-	if base {
+	// RegisterItems' rule, with Applied > 0 as the proof of advance.
+	rs.settle(legs, (anyOK && rep.Applied > 0) || (!anyOK && (anyUnavail || refused < 0)))
+	switch {
+	case anyOK:
 		return rep, nil
-	}
-	if fatal != nil {
-		return rep, fatal
+	case refused >= 0:
+		return rep, rs.refusal(refused, legs)
 	}
 	return rep, rs.unavailErr()
+}
+
+func (rs *ReplicaSet) refusal(j int, legs []leg) error {
+	return fmt.Errorf("slot %d replica %d: %w", rs.idx, j, legs[j].err)
 }
 
 // Recommend implements Shard: ONE healthy replica answers the query —
@@ -612,11 +394,11 @@ func (rs *ReplicaSet) Recommend(ctx context.Context, v model.Item, o core.QueryO
 		sctx, span := telemetry.StartSpan(ctx, "replica.read")
 		span.SetAttr("slot", strconv.Itoa(rs.idx))
 		span.SetAttr("replica", strconv.Itoa(j))
-		res, err := rs.replicas[j].Recommend(sctx, v, o, b)
+		res, err := rs.shards[j].Recommend(sctx, v, o, b)
 		if err != nil && errors.Is(err, ErrShardUnavailable) {
 			span.SetAttr("failover", "true")
 			span.End()
-			rs.down[j].Store(true)
+			rs.exclude(j)
 			tried = true
 			continue
 		}
@@ -641,13 +423,16 @@ func (rs *ReplicaSet) Recommend(ctx context.Context, v model.Item, o core.QueryO
 func (rs *ReplicaSet) Handoff(ctx context.Context, snapshot []byte) error {
 	receivers, accepted := 0, 0
 	var firstErr error
-	for j := range rs.replicas {
-		sr, ok := rs.replicas[j].(SnapshotReceiver)
+	for j := range rs.shards {
+		sr, ok := rs.shards[j].(SnapshotReceiver)
 		if !ok {
 			continue
 		}
 		receivers++
-		if err := rs.reseedReplica(ctx, j, sr, snapshot); err != nil {
+		// Debt recorded while the snapshot is in flight survives the
+		// reseed, keeping the replica excluded rather than one batch
+		// behind; the snapshot itself was applied, so it still counts.
+		if err := rs.reseed(ctx, j, rs.claim(j), rs.handoff(ctx, j, sr, snapshot)); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %d: %w", j, err)
 			}
@@ -665,55 +450,28 @@ func (rs *ReplicaSet) Handoff(ctx context.Context, snapshot []byte) error {
 	return nil
 }
 
-// reseedReplica pushes one snapshot to replica j under the generation
-// guard: debt recorded while the snapshot was in flight survives the
-// clear, keeping the replica excluded rather than one batch behind.
-func (rs *ReplicaSet) reseedReplica(ctx context.Context, j int, sr SnapshotReceiver, snapshot []byte) error {
-	gen := rs.debtGen[j].Load()
-	rs.reseeding[j].Store(true)
-	defer rs.reseeding[j].Store(false)
-	if err := sr.Handoff(ctx, snapshot); err != nil {
-		rs.down[j].Store(true)
-		return err
+// handoff is the push of a snapshot reseed of replica j: after the
+// snapshot the set cannot know which broadcasts it covered, so the
+// replica's applied sequence restarts unknown.
+func (rs *ReplicaSet) handoff(ctx context.Context, j int, sr SnapshotReceiver, snapshot []byte) func() error {
+	return func() error {
+		if err := sr.Handoff(ctx, snapshot); err != nil {
+			return err
+		}
+		rs.resetApplied(j)
+		return nil
 	}
-	rs.resetApplied(j)
-	if p, ok := rs.replicas[j].(Pinger); ok {
-		pctx, cancel := context.WithTimeout(detach(ctx), readyProbeTimeout)
-		rs.refreshEpoch(pctx, j, p)
-		cancel()
-	}
-	// Debt that postdates the snapshot keeps the replica excluded; the
-	// snapshot itself was applied, so the handoff still counts.
-	rs.includeIfUnchanged(j, gen)
-	return nil
 }
 
 // Snapshot implements SnapshotProvider: exported from the first healthy,
 // debt-free replica that can provide one — the supervisor's reseed
 // source.
 func (rs *ReplicaSet) Snapshot(ctx context.Context) ([]byte, error) {
-	var firstErr error
-	for j := range rs.replicas {
-		if rs.down[j].Load() || rs.missedWrite[j].Load() {
-			continue
-		}
-		sp, ok := rs.replicas[j].(SnapshotProvider)
-		if !ok {
-			continue
-		}
-		data, err := sp.Snapshot(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return data, nil
+	data, err := rs.snapshotSource(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("slot %d: %w", rs.idx, err)
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return nil, fmt.Errorf("%w: slot %d: no healthy snapshot source", ErrShardUnavailable, rs.idx)
+	return data, nil
 }
 
 // ReplicaHealth reports the per-replica states of every slot — one entry
@@ -727,8 +485,9 @@ func (r *Router) ReplicaHealth() []ReplicaState {
 			out = append(out, rs.health()...)
 			continue
 		}
-		st := ReplicaState{Slot: i, State: "healthy", MissedWrite: f.missedWrite[i].Load()}
-		if f.down[i].Load() || st.MissedWrite {
+		// A plain shard reports only healthy or excluded.
+		st := ReplicaState{Slot: i, State: "healthy", MissedWrite: f.owes(i)}
+		if f.isDown(i) || st.MissedWrite {
 			st.State = "excluded"
 		}
 		out = append(out, st)

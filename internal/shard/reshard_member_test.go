@@ -248,7 +248,7 @@ func TestReshardSnapshotExportRefusal(t *testing.T) {
 	t.Run("provider excluded", func(t *testing.T) {
 		stub := &stubShard{inner: NewLocal(0, e)}
 		r := newRouter([]Shard{stub}, nil)
-		r.fl().down[0].Store(true)
+		r.fl().exclude(0)
 		if err := r.Reshard(ctx, 2); !errors.Is(err, ErrShardUnavailable) {
 			t.Fatalf("err = %v, want ErrShardUnavailable (source excluded)", err)
 		}

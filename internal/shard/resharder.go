@@ -261,7 +261,7 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 	old := r.fl()
 	next := old.partition.Next(m)
 	rsd := newReshardState(old.partition, next, m)
-	snapshot, err := exportFleetSnapshot(ctx, old)
+	snapshot, err := old.snapshotSource(ctx)
 	if err != nil {
 		r.reshardMu.Unlock()
 		return r.finishReshard(rsd, ReshardPhaseFailed, fmt.Errorf("shard: reshard snapshot export: %w", err))
@@ -273,9 +273,9 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 	// the successor table. The old fleet serves throughout; admitted
 	// writes pile into the ring.
 	newShards := make([]Shard, m)
-	var newLocals []*core.Engine
+	var newGrid [][]*core.Engine
 	if len(members) == 0 {
-		newLocals = make([]*core.Engine, m)
+		newGrid = make([][]*core.Engine, m)
 		for i := 0; i < m; i++ {
 			if err := ctx.Err(); err != nil {
 				return r.finishReshard(rsd, ReshardPhaseCancelled, err)
@@ -287,7 +287,7 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 				}
 				return r.finishReshard(rsd, ReshardPhaseFailed, fmt.Errorf("shard: seed slot %d: %w", i, err))
 			}
-			newLocals[i] = e
+			newGrid[i] = []*core.Engine{e}
 			newShards[i] = NewLocal(i, e)
 			rsd.seeded.Add(1)
 		}
@@ -350,8 +350,8 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 			return r.finishReshard(rsd, ReshardPhaseFailed, err)
 		}
 	}
-	nf := newFleet(newShards, newLocals, next)
-	nf.probes.setBase(old.probes.baseInterval())
+	nf := newFleet(newShards, newGrid, next)
+	nf.setProbeInterval(old.probeInterval())
 	r.fleet.Store(nf)
 	r.rsd.Store(nil)
 	r.reshardMu.Unlock()
@@ -371,36 +371,6 @@ func (r *Router) finishReshard(rsd *reshardState, phase string, err error) error
 	st := rsd.snapshot(false, errText, r.reshardsDone.Load())
 	r.lastReshard.Store(&st)
 	return err
-}
-
-// exportFleetSnapshot exports one snapshot from the first healthy,
-// debt-free provider of the fleet — called under the exclusive reshard
-// gate, so the bytes are an exact watermark of the admitted stream.
-func exportFleetSnapshot(ctx context.Context, f *fleet) ([]byte, error) {
-	var firstErr error
-	for i, sh := range f.shards {
-		sp, ok := sh.(SnapshotProvider)
-		if !ok {
-			continue
-		}
-		if _, isSet := sh.(*ReplicaSet); !isSet {
-			if f.down[i].Load() || f.missedWrite[i].Load() {
-				continue
-			}
-		}
-		data, err := sp.Snapshot(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return data, nil
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return nil, fmt.Errorf("%w: no healthy snapshot source in deployment", ErrShardUnavailable)
 }
 
 // applyMirror replays mirrored batches onto every new member, in

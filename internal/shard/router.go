@@ -62,51 +62,25 @@ const probeTimeout = 2 * time.Second
 // makes the resharding pointer swap safe: a goroutine still holding the
 // old fleet keeps operating on retired-but-intact state.
 type fleet struct {
-	shards []Shard
-	// locals holds the wrapped engines when the deployment is in-process
-	// (New / FromSnapshot) — Train and SetParallelism need them; a mixed
-	// or RPC deployment leaves the slice nil and bootstraps out-of-band.
-	locals []*core.Engine
-	// replLocals holds the engine grid of a replicated in-process
-	// deployment (NewReplicated / FromSnapshotReplicated): replLocals[i][j]
-	// is replica j of slot i. Remote replicated deployments leave it nil.
-	replLocals [][]*core.Engine
+	// members holds the shard handles and their exclusion, missed-write
+	// debt, epoch baselines and probe schedule (members.go).
+	members
+	// grid holds the engines of an in-process deployment: grid[i][j] is
+	// replica j of slot i, one column for an unreplicated one (New,
+	// FromSnapshot and their replicated forms) — Train and SetParallelism
+	// need them. A mixed or RPC deployment leaves it nil and bootstraps
+	// out-of-band.
+	grid [][]*core.Engine
 	// partition is this fleet's versioned ownership table; epoch 0 agrees
 	// exactly with the legacy model.ShardOf rule, each reshard installs
 	// the successor epoch with the replacement fleet.
 	partition model.Partition
-
-	// down[i] marks shard i excluded after an ErrShardUnavailable failure;
-	// probes paces the lazy re-probe per shard (exponential backoff with
-	// jitter — see backoff.go).
-	down   []atomic.Bool
-	probes *probeSchedule
-	// missedWrite[i] records that a replicated write landed on the
-	// deployment while shard i was excluded: its state has diverged, and
-	// a probe must NOT re-include it unless its boot epoch proves it was
-	// re-seeded since (see Probe). debtGen[i] counts recordings — a
-	// clearer (Probe, HandoffSnapshot) captures the generation before its
-	// decision and only wipes debt that decision actually covers, so a
-	// batch landing concurrently keeps the shard excluded.
-	missedWrite []atomic.Bool
-	debtGen     []atomic.Uint64
-	// epochMu guards lastEpoch, the most recent boot-epoch token observed
-	// per shard (from probes and post-handoff pings).
-	epochMu   sync.Mutex
-	lastEpoch []string
 }
 
-func newFleet(shards []Shard, locals []*core.Engine, p model.Partition) *fleet {
-	return &fleet{
-		shards:      shards,
-		locals:      locals,
-		partition:   p,
-		down:        make([]atomic.Bool, len(shards)),
-		probes:      newProbeSchedule(len(shards), DefaultProbeInterval),
-		missedWrite: make([]atomic.Bool, len(shards)),
-		debtGen:     make([]atomic.Uint64, len(shards)),
-		lastEpoch:   make([]string, len(shards)),
-	}
+func newFleet(shards []Shard, grid [][]*core.Engine, p model.Partition) *fleet {
+	f := &fleet{grid: grid, partition: p}
+	f.init(shards)
+	return f
 }
 
 // Router fans the engine API out over the shards of one deployment.
@@ -138,53 +112,14 @@ type Router struct {
 	reshardsDone atomic.Uint64
 }
 
-func newRouter(shards []Shard, locals []*core.Engine) *Router {
+func newRouter(shards []Shard, grid [][]*core.Engine) *Router {
 	r := &Router{}
-	r.fleet.Store(newFleet(shards, locals, model.LegacyPartition(len(shards))))
+	r.fleet.Store(newFleet(shards, grid, model.LegacyPartition(len(shards))))
 	return r
 }
 
 // fl returns the current fleet (never nil after construction).
 func (r *Router) fl() *fleet { return r.fleet.Load() }
-
-// recordDebt marks shard i as having missed a replicated write: it must
-// re-seed from a snapshot before rejoining. Down is (re-)asserted with
-// the debt so a concurrent Probe decision cannot leave the shard
-// serving one batch behind.
-func (f *fleet) recordDebt(i int) {
-	f.missedWrite[i].Store(true)
-	f.debtGen[i].Add(1)
-	f.down[i].Store(true)
-}
-
-// clearDebtIfUnchanged wipes shard i's missed-write debt only when no
-// new debt was recorded since the caller captured gen: debt from a batch
-// that landed DURING a handoff push or probe decision postdates the
-// snapshot that decision was based on and must survive it.
-func (f *fleet) clearDebtIfUnchanged(i int, gen uint64) {
-	if f.debtGen[i].Load() == gen {
-		f.missedWrite[i].Store(false)
-	}
-}
-
-// recordEpoch stores the latest observed boot epoch for a shard.
-func (f *fleet) recordEpoch(i int, epoch string) {
-	if epoch == "" {
-		return
-	}
-	f.epochMu.Lock()
-	f.lastEpoch[i] = epoch
-	f.epochMu.Unlock()
-}
-
-func (f *fleet) knownEpoch(i int) string {
-	f.epochMu.Lock()
-	defer f.epochMu.Unlock()
-	return f.lastEpoch[i]
-}
-
-// markDown excludes a shard after an unavailable failure.
-func (f *fleet) markDown(i int) { f.down[i].Store(true) }
 
 // readyProbeTimeout bounds the readiness classification pings.
 const readyProbeTimeout = 2 * time.Second
@@ -195,7 +130,7 @@ const readyProbeTimeout = 2 * time.Second
 // state); the checks fan out in parallel so an unreachable remote shard
 // costs at most one timeout, not one per shard. When NO shard reports
 // trained the error distinguishes a genuinely untrained deployment
-// (ErrNotTrained — locals awaiting Train) from an unreachable or
+// (ErrNotTrained — in-process engines awaiting Train) from an unreachable or
 // blank-awaiting-handoff one (wrapped ErrShardUnavailable): probeable
 // shards that fail their ping are excluded on the spot, engaging the
 // lazy re-probe machinery even before the first successful query.
@@ -207,13 +142,13 @@ func (r *Router) ready(ctx context.Context) error {
 	// Kick the lazy probe here too: with every shard excluded this
 	// function short-circuits the serving path (where recommendOne would
 	// probe), and without a probe an all-down fleet could never rejoin.
-	r.maybeProbe(f)
+	f.maybeProbe()
 	type status struct{ trained, unavailable bool }
 	sts := make([]status, len(f.shards))
 	checked := 0
 	var wg sync.WaitGroup
 	for i := range f.shards {
-		if f.down[i].Load() {
+		if f.isDown(i) {
 			continue
 		}
 		checked++
@@ -244,7 +179,7 @@ func (r *Router) ready(ctx context.Context) error {
 			return nil
 		}
 		if sts[i].unavailable {
-			f.markDown(i)
+			f.exclude(i)
 			anyUnavailable = true
 		}
 	}
@@ -277,14 +212,14 @@ func New(cfg core.Config, n int) *Router {
 		n = 1
 	}
 	shards := make([]Shard, n)
-	locals := make([]*core.Engine, n)
+	grid := make([][]*core.Engine, n)
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.ShardIndex, c.ShardCount = i, n
-		locals[i] = core.New(c)
-		shards[i] = NewLocal(i, locals[i])
+		grid[i] = []*core.Engine{core.New(c)}
+		shards[i] = NewLocal(i, grid[i][0])
 	}
-	return newRouter(shards, locals)
+	return newRouter(shards, grid)
 }
 
 // FromSnapshot boots an n-shard in-process deployment from ONE trained
@@ -297,16 +232,16 @@ func FromSnapshot(data []byte, n int) (*Router, error) {
 		n = 1
 	}
 	shards := make([]Shard, n)
-	locals := make([]*core.Engine, n)
+	grid := make([][]*core.Engine, n)
 	for i := 0; i < n; i++ {
 		e, err := core.LoadShardFrom(bytes.NewReader(data), i, n)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		locals[i] = e
+		grid[i] = []*core.Engine{e}
 		shards[i] = NewLocal(i, e)
 	}
-	return newRouter(shards, locals), nil
+	return newRouter(shards, grid), nil
 }
 
 // NewReplicated builds an in-process deployment of n slots × rep replicas:
@@ -337,9 +272,7 @@ func NewReplicated(cfg core.Config, n, rep int) (*Router, error) {
 		}
 		shards[i] = rs
 	}
-	r := newRouter(shards, nil)
-	r.fl().replLocals = grid
-	return r, nil
+	return newRouter(shards, grid), nil
 }
 
 // FromSnapshotReplicated boots an n-slot × rep-replica in-process
@@ -372,9 +305,7 @@ func FromSnapshotReplicated(data []byte, n, rep int) (*Router, error) {
 		}
 		shards[i] = rs
 	}
-	r := newRouter(shards, nil)
-	r.fl().replLocals = grid
-	return r, nil
+	return newRouter(shards, grid), nil
 }
 
 // Shards reports the deployment width.
@@ -404,7 +335,7 @@ func (r *Router) ShardStats() []Stats {
 	out := make([]Stats, len(f.shards))
 	var wg sync.WaitGroup
 	for i, s := range f.shards {
-		if f.down[i].Load() {
+		if f.isDown(i) {
 			out[i] = Stats{Shard: s.Index()}
 			continue
 		}
@@ -425,136 +356,37 @@ func (r *Router) Owner(userID string) int {
 }
 
 // Down lists the currently excluded shard indices, ascending.
-func (r *Router) Down() []int {
-	f := r.fl()
-	var out []int
-	for i := range f.down {
-		if f.down[i].Load() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (r *Router) Down() []int { return r.fl().downList() }
 
 // SetProbeInterval adjusts the BASE interval of the lazy re-probe (each
 // shard backs off exponentially from this base while it keeps failing,
 // capped at ProbeBackoffCap, and resets to it on the first success);
 // d <= 0 restores the default. Setting the base rewinds every shard's
 // backoff and makes it due immediately.
-func (r *Router) SetProbeInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultProbeInterval
-	}
-	r.fl().probes.setBase(d)
-}
+func (r *Router) SetProbeInterval(d time.Duration) { r.fl().setProbeInterval(d) }
 
 // Probe synchronously re-checks every excluded shard and re-includes the
 // ones that pass. A shard implementing Pinger must report healthy,
 // identity-correct and trained — and, when replicated writes landed
-// while it was out (missedWrite), its boot epoch must have CHANGED since
+// while it was out (missed-write debt), its boot epoch must have CHANGED since
 // last observed, proving it was re-seeded from a snapshot rather than
 // left running pre-exclusion state; a merely-reachable stale shard would
 // silently serve rankings missing every batch it skipped. Shards without
-// a probe surface (in-process) are re-included optimistically. Probe
+// a probe surface (in-process) are re-included once trained. Probe
 // returns the re-included indices.
 func (r *Router) Probe(ctx context.Context) []int {
 	f := r.fl()
-	var up []int
-	for i := range f.shards {
-		if !f.down[i].Load() {
-			continue
-		}
-		if f.probeOne(ctx, i) {
-			f.probes.success(i)
-			up = append(up, i)
-		} else {
-			f.probes.failure(i)
-		}
-	}
-	return up
-}
-
-// probeOne re-checks one excluded shard and re-includes it when it passes;
-// reports whether the shard rejoined. Extracted from Probe so the lazy
-// query-path probe can sweep just the shards whose backoff is due.
-func (f *fleet) probeOne(ctx context.Context, i int) bool {
-	gen := f.debtGen[i].Load()
-	if p, ok := f.shards[i].(Pinger); ok {
-		epoch, err := p.Ping(ctx)
-		if err != nil {
-			return false
-		}
-		if f.missedWrite[i].Load() {
-			// The shard missed replicated writes: re-inclusion is safe
-			// ONLY on proof of a re-seed, i.e. a boot epoch that changed
-			// from a recorded baseline. No epoch support, no baseline,
-			// or an unchanged epoch all FAIL CLOSED — recording the
-			// observed epoch as the baseline, so that a direct operator
-			// handoff to the shardd becomes provable on the next probe.
-			known := f.knownEpoch(i)
-			if epoch == "" || known == "" || epoch == known {
-				f.recordEpoch(i, epoch)
-				return false
-			}
-			f.clearDebtIfUnchanged(i, gen)
-		}
-		f.recordEpoch(i, epoch)
-	} else {
-		// No probe surface (in-process): re-include optimistically.
-		f.clearDebtIfUnchanged(i, gen)
-	}
-	f.down[i].Store(false)
-	// Close the probe/broadcast race: debt recorded while we were
-	// deciding survived the generation-guarded clear above — stay
-	// excluded rather than serving one batch behind.
-	if f.missedWrite[i].Load() {
-		f.down[i].Store(true)
-		return false
-	}
-	return true
-}
-
-// maybeProbe kicks an asynchronous probe of the excluded shards whose
-// backoff interval has elapsed, so a recovered shard rejoins without an
-// operator call but a dead one costs no per-query latency — and, unlike a
-// fixed-interval sweep, a shard that stays dead is probed less and less
-// often (ProbeBackoffCap-bounded) instead of every interval forever.
-func (r *Router) maybeProbe(f *fleet) {
-	var down []int
-	for i := range f.down {
-		if f.down[i].Load() {
-			down = append(down, i)
-		}
-	}
-	if len(down) == 0 {
-		return
-	}
-	due := f.probes.claimDue(down)
-	if len(due) == 0 {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-		defer cancel()
-		for _, i := range due {
-			if !f.down[i].Load() {
-				continue
-			}
-			if f.probeOne(ctx, i) {
-				f.probes.success(i)
-			} else {
-				f.probes.failure(i)
-			}
-		}
-	}()
+	return f.probeDown(ctx, f.downList())
 }
 
 // HandoffSnapshot ships a trained-engine snapshot (core.SaveTo bytes) to
 // every shard that implements SnapshotReceiver and re-includes it — the
 // boot path of a remote deployment and the recovery path of an excluded
 // shard (which has missed replicated batches and MUST reboot from a fresh
-// snapshot before rejoining). In-process shards are skipped; they boot
-// through New/FromSnapshot/Train.
+// snapshot before rejoining). A shard whose push fails is excluded, and a
+// shard whose confirming ping fails keeps no epoch baseline, so only a
+// later re-seed can prove it fresh. In-process shards are skipped; they
+// boot through New/FromSnapshot/Train.
 func (r *Router) HandoffSnapshot(ctx context.Context, snapshot []byte) error {
 	f := r.fl()
 	for i, s := range f.shards {
@@ -562,86 +394,41 @@ func (r *Router) HandoffSnapshot(ctx context.Context, snapshot []byte) error {
 		if !ok {
 			continue
 		}
-		// Capture the debt generation BEFORE the push: a broadcast that
+		// The generation is captured BEFORE the push: a broadcast that
 		// lands while the snapshot is in flight records debt the snapshot
-		// cannot contain, and the generation-guarded clear below leaves
-		// that debt (and the exclusion) in place.
-		gen := f.debtGen[i].Load()
-		if err := sr.Handoff(ctx, snapshot); err != nil {
+		// cannot contain, and that debt keeps the shard excluded — it
+		// rejoins on the next handoff (or probe after a re-seed).
+		if err := f.reseed(ctx, i, f.claim(i), func() error { return sr.Handoff(ctx, snapshot) }); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		// The handoff re-seeded the shard: clear the debt it covers and
-		// record the fresh boot epoch so later probes have a baseline.
-		f.clearDebtIfUnchanged(i, gen)
-		f.down[i].Store(false)
-		if p, ok := s.(Pinger); ok {
-			if epoch, err := p.Ping(ctx); err == nil {
-				f.recordEpoch(i, epoch)
-			}
-		}
-		// Debt that survived the guarded clear keeps the shard excluded —
-		// it rejoins on the next handoff (or probe after a re-seed).
-		if f.missedWrite[i].Load() {
-			f.down[i].Store(true)
-		}
 	}
 	return nil
 }
 
-// Train bootstraps an in-process deployment: shard 0 trains once on the
-// full stream, then every other shard boots from its snapshot
-// (LoadShardFrom) — identical replicated state, own leaf partition — so
-// an n-shard deployment costs ONE training, not n.
+// Train bootstraps an in-process deployment: replica 0 of slot 0 trains
+// once on the full stream, then every other engine of the grid boots from
+// its snapshot (LoadShardFrom) — identical replicated state, its slot's
+// leaf partition — so an n-slot × rep-replica deployment costs ONE
+// training, not n×rep.
 func (r *Router) Train(items []model.Item, interactions []model.Interaction, resolve func(string) (model.Item, bool)) error {
 	f := r.fl()
-	if f.replLocals != nil {
-		return r.trainReplicated(f, items, interactions, resolve)
-	}
-	if f.locals == nil {
+	if f.grid == nil {
 		return fmt.Errorf("shard: Train requires an in-process deployment (New or FromSnapshot); remote deployments train out-of-band and boot via HandoffSnapshot")
 	}
-	if err := f.locals[0].Train(items, interactions, resolve); err != nil {
+	if err := f.grid[0][0].Train(items, interactions, resolve); err != nil {
 		return err
 	}
-	if len(f.locals) == 1 {
+	n := len(f.grid)
+	if n == 1 && len(f.grid[0]) == 1 {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := f.locals[0].SaveTo(&buf); err != nil {
-		return fmt.Errorf("shard: snapshot shard 0: %w", err)
-	}
-	data := buf.Bytes()
-	for i := 1; i < len(f.locals); i++ {
-		e, err := core.LoadShardFrom(bytes.NewReader(data), i, len(f.locals))
-		if err != nil {
-			return fmt.Errorf("shard %d: boot from snapshot: %w", i, err)
-		}
-		f.locals[i] = e
-		f.shards[i] = NewLocal(i, e)
-	}
-	return nil
-}
-
-// trainReplicated bootstraps a replicated in-process deployment: replica 0
-// of slot 0 trains once on the full stream, then every other replica of
-// every slot boots from its snapshot (LoadShardFrom) — identical
-// replicated state, its slot's leaf partition — so an n×rep deployment
-// still costs ONE training.
-func (r *Router) trainReplicated(f *fleet, items []model.Item, interactions []model.Interaction, resolve func(string) (model.Item, bool)) error {
-	if err := f.replLocals[0][0].Train(items, interactions, resolve); err != nil {
-		return err
-	}
-	n := len(f.replLocals)
-	if n == 1 && len(f.replLocals[0]) == 1 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := f.replLocals[0][0].SaveTo(&buf); err != nil {
+	if err := f.grid[0][0].SaveTo(&buf); err != nil {
 		return fmt.Errorf("shard: snapshot slot 0: %w", err)
 	}
 	data := buf.Bytes()
-	for i := range f.replLocals {
-		for j := range f.replLocals[i] {
+	for i, row := range f.grid {
+		for j := range row {
 			if i == 0 && j == 0 {
 				continue
 			}
@@ -649,68 +436,24 @@ func (r *Router) trainReplicated(f *fleet, items []model.Item, interactions []mo
 			if err != nil {
 				return fmt.Errorf("slot %d replica %d: boot from snapshot: %w", i, j, err)
 			}
-			f.replLocals[i][j] = e
-			f.shards[i].(*ReplicaSet).setReplica(j, NewLocal(i, e))
+			row[j] = e
+			if rs, ok := f.shards[i].(*ReplicaSet); ok {
+				rs.shards[j] = NewLocal(i, e)
+			} else {
+				f.shards[i] = NewLocal(i, e)
+			}
 		}
 	}
 	return nil
 }
 
 // SetParallelism adjusts the intra-query worker count of every in-process
-// shard (no-op entries for non-local shards; remote shards take the
-// per-call core.WithParallelism option or their shardd -partitions flag).
+// engine (remote shards take the per-call core.WithParallelism option or
+// their shardd -partitions flag).
 func (r *Router) SetParallelism(n int) {
-	f := r.fl()
-	for _, e := range f.locals {
-		if e != nil {
+	for _, row := range r.fl().grid {
+		for _, e := range row {
 			e.SetParallelism(n)
-		}
-	}
-	for _, row := range f.replLocals {
-		for _, e := range row {
-			if e != nil {
-				e.SetParallelism(n)
-			}
-		}
-	}
-}
-
-// SetFullRefresh toggles the dirty-category-mask refresh optimisation on
-// every in-process shard (core.Engine.SetFullRefresh; true restores the
-// rebuild-everything reference path). Refresh policy is shard-local
-// maintenance — it never changes what a shard serves, only how it gets
-// there — so remote shards keep their own configuration.
-func (r *Router) SetFullRefresh(on bool) {
-	f := r.fl()
-	for _, e := range f.locals {
-		if e != nil {
-			e.SetFullRefresh(on)
-		}
-	}
-	for _, row := range f.replLocals {
-		for _, e := range row {
-			if e != nil {
-				e.SetFullRefresh(on)
-			}
-		}
-	}
-}
-
-// SetIncrementalFold toggles the incremental BiHMM fold-in
-// (core.Engine.SetIncrementalFold) on every in-process shard; like
-// SetFullRefresh this is shard-local maintenance policy.
-func (r *Router) SetIncrementalFold(on bool) {
-	f := r.fl()
-	for _, e := range f.locals {
-		if e != nil {
-			e.SetIncrementalFold(on)
-		}
-	}
-	for _, row := range f.replLocals {
-		for _, e := range row {
-			if e != nil {
-				e.SetIncrementalFold(on)
-			}
 		}
 	}
 }
@@ -763,83 +506,37 @@ func (r *Router) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 	r.reshardMu.RLock()
 	defer r.reshardMu.RUnlock()
 	f := r.fl()
-	r.maybeProbe(f) // write-only workloads must also drive shard recovery
+	f.maybeProbe() // write-only workloads must also drive shard recovery
 	bctx := detach(ctx)
 	bctx, obsSpan := telemetry.StartSpan(bctx, "router.observe")
 	obsSpan.SetAttr("batch", strconv.Itoa(len(batch)))
 	defer obsSpan.End()
 	reps := make([]core.BatchReport, len(f.shards))
-	errs := make([]error, len(f.shards))
-	ran := make([]bool, len(f.shards))
-	var excluded []int
-	var wg sync.WaitGroup
-	for i, s := range f.shards {
-		if f.down[i].Load() {
-			excluded = append(excluded, i)
-			continue
-		}
-		ran[i] = true
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			reps[i], errs[i] = s.ObserveBatch(bctx, batch)
-		}(i, s)
-	}
-	wg.Wait()
+	legs := f.targets()
+	anyOK, anyUnavail, refused := f.broadcast(legs, func(i int) (err error) {
+		reps[i], err = f.shards[i].ObserveBatch(bctx, batch)
+		return err
+	})
+	// Applied/Rejected/Errors are deterministic and identical on every
+	// shard: take them from the first healthy report, and sum Flushed.
 	var rep core.BatchReport
-	var fatal error
 	base := false
-	anyUnavail := false
-	var behind []int // shards that did not (or may not have) applied the batch
-	for i := range f.shards {
-		if !ran[i] {
-			continue
-		}
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrShardUnavailable) {
-				f.markDown(i)
-				anyUnavail = true
-				excluded = append(excluded, i)
-				continue
-			}
-			behind = append(behind, i)
-			// A clean non-transport error (4xx, decode failure) proves the
-			// shardd REFUSED the batch — it did not apply it, while its
-			// siblings may have. The call fails loudly with this error, and
-			// the debt below keeps the shard from silently serving behind.
-			if fatal == nil {
-				fatal = fmt.Errorf("shard %d: %w", i, errs[i])
-			}
+	for i, l := range legs {
+		if !l.called || l.err != nil {
 			continue
 		}
 		if !base {
-			// Applied/Rejected/Errors are deterministic and identical on
-			// every shard; take them from the first healthy report.
 			rep = reps[i]
 			rep.Flushed = 0
 			base = true
 		}
 		rep.Flushed += reps[i].Flushed
 	}
-	// Missed-write accounting, BEFORE any error return so no path skips
-	// it. Every shard that skipped (pre-excluded) or failed the batch owes
-	// a re-seed IF the batch may have mutated its siblings: a healthy
-	// report proves exactly what landed (Applied > 0 — validation is
-	// deterministic, so Applied == 0 proves a no-op everywhere), and an
-	// unavailable leg proves nothing — the shardd applies fully-received
-	// bodies under a detached context, so it MAY have applied — which
-	// records debt conservatively. recordDebt re-asserts down, closing
-	// the race with a concurrent Probe that cleared the flag before this
-	// batch's debt landed.
-	mutated := (base && rep.Applied > 0) || (!base && anyUnavail)
-	if mutated {
-		for _, i := range excluded {
-			f.recordDebt(i)
-		}
-		for _, i := range behind {
-			f.recordDebt(i)
-		}
-	}
+	// The batch mutated the deployment when a healthy report proves it
+	// (Applied > 0 — validation is deterministic, so Applied == 0 proves a
+	// no-op everywhere) or when only unavailable legs ran (they MAY have
+	// applied server-side). A fleet where no shard ran applied nothing.
+	f.settle(legs, (anyOK && rep.Applied > 0) || (!anyOK && anyUnavail))
 	// Mirror the batch to an in-flight reshard AFTER the old fleet
 	// applied it: the replacement fleet replays the ring in arrival
 	// order, so a sequential writer's stream lands on it in exactly the
@@ -847,8 +544,17 @@ func (r *Router) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 	if rsd := r.rsd.Load(); rsd != nil {
 		rsd.mirrorObserve(batch)
 	}
-	if fatal != nil {
-		return rep, fatal
+	// A clean refusal proves that shard did NOT apply the batch while its
+	// siblings may have: the call fails loudly, and the debt above keeps
+	// the shard from silently serving behind.
+	if refused >= 0 {
+		return rep, fmt.Errorf("shard %d: %w", refused, legs[refused].err)
+	}
+	var excluded []int
+	for i, l := range legs {
+		if l.unavailable() {
+			excluded = append(excluded, i)
+		}
 	}
 	if len(excluded) > 0 {
 		return rep, degradedErr(excluded)
@@ -867,77 +573,38 @@ func (r *Router) registerBroadcast(ctx context.Context, items []model.Item) erro
 	bctx := detach(ctx)
 	bctx, regSpan := telemetry.StartSpan(bctx, "router.register")
 	defer regSpan.End()
-	errs := make([]error, len(f.shards))
 	changed := make([]bool, len(f.shards))
-	ran := make([]bool, len(f.shards))
-	var wg sync.WaitGroup
-	for i, s := range f.shards {
-		if f.down[i].Load() {
-			continue
-		}
-		ran[i] = true
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			changed[i], errs[i] = s.RegisterItems(bctx, items)
-		}(i, s)
-	}
-	wg.Wait()
+	legs := f.targets()
+	anyOK, anyUnavail, refused := f.broadcast(legs, func(i int) (err error) {
+		changed[i], err = f.shards[i].RegisterItems(bctx, items)
+		return err
+	})
 	// The dictionaries are replicated, so every healthy shard agrees on
 	// whether the batch contained anything new: a successful leg with
 	// changed == false PROVES the broadcast was a no-op everywhere (warm
 	// re-registration, the overwhelmingly common query path) and no debt
 	// accrues — otherwise lazy re-inclusion would be unreachable under
 	// ordinary read traffic. A batch that DID advance the state — or
-	// whose outcome is unknowable because no leg succeeded (a failed
-	// remote leg may still have applied server-side) — leaves every
-	// skipped or failed shard owing a re-seed.
-	anySuccess, advanced, anyUnavail := false, false, false
-	var fatal error
-	for i := range f.shards {
-		if !ran[i] {
-			continue
-		}
-		if errs[i] == nil {
-			anySuccess = true
-			advanced = advanced || changed[i]
-			continue
-		}
-		if !errors.Is(errs[i], ErrShardUnavailable) {
-			// A clean refusal: this shard provably did not register the
-			// batch; debt below if its siblings may have.
-			if fatal == nil {
-				fatal = fmt.Errorf("shard %d: %w", i, errs[i])
-			}
-			continue
-		}
-		anyUnavail = true
-		f.markDown(i)
+	// whose outcome is unknowable because only unavailable legs ran —
+	// leaves every skipped or failed shard owing a re-seed.
+	advanced := false
+	for i, l := range legs {
+		advanced = advanced || (l.called && l.err == nil && changed[i])
 	}
-	// Debt accrues for every shard that skipped or failed the broadcast
-	// when it may have advanced the replicated state elsewhere: proven by
-	// a successful changed=true leg, or unknowable because only
-	// unavailable legs ran (they may have applied server-side). A
-	// successful changed=false leg proves a no-op everywhere, so warm
-	// re-registrations — the common query path — accrue no debt and lazy
-	// re-inclusion stays reachable under ordinary read traffic.
-	mutated := (anySuccess && advanced) || (!anySuccess && anyUnavail)
-	if len(items) > 0 && mutated {
-		for i := range f.shards {
-			if !ran[i] || errs[i] != nil {
-				f.recordDebt(i)
-			}
-		}
-	}
+	mutated := len(items) > 0 && ((anyOK && advanced) || (!anyOK && anyUnavail))
+	f.settle(legs, mutated)
 	// Mirror registrations that (may have) advanced the replicated
 	// dictionaries; a proven no-op is a no-op on the replacement fleet
 	// too (it boots from a snapshot that already contains those items).
-	if len(items) > 0 && mutated {
+	if mutated {
 		if rsd := r.rsd.Load(); rsd != nil {
 			rsd.mirrorRegister(items)
 		}
 	}
-	return fatal
+	if refused >= 0 {
+		return fmt.Errorf("shard %d: %w", refused, legs[refused].err)
+	}
+	return nil
 }
 
 // recommendOne scatters one item to every healthy shard under one shared
@@ -947,14 +614,14 @@ func (r *Router) registerBroadcast(ctx context.Context, items []model.Item) erro
 // missing) and the call wraps ErrShardUnavailable alongside it.
 func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOptions) (core.Result, error) {
 	f := r.fl()
-	r.maybeProbe(f)
+	f.maybeProbe()
 	if len(f.shards) == 1 {
-		if f.down[0].Load() {
+		if f.isDown(0) {
 			return core.Result{ItemID: v.ID}, degradedErr([]int{0})
 		}
 		res, err := f.shards[0].Recommend(ctx, v, o, nil)
 		if err != nil && errors.Is(err, ErrShardUnavailable) {
-			f.markDown(0)
+			f.exclude(0)
 		}
 		return res, err
 	}
@@ -967,7 +634,7 @@ func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOpt
 	var excluded []int
 	var wg sync.WaitGroup
 	for i, s := range f.shards {
-		if f.down[i].Load() {
+		if f.isDown(i) {
 			excluded = append(excluded, i)
 			continue
 		}
@@ -991,7 +658,7 @@ func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOpt
 			continue
 		}
 		if errs[i] != nil && errors.Is(errs[i], ErrShardUnavailable) {
-			f.markDown(i)
+			f.exclude(i)
 			excluded = append(excluded, i)
 			continue
 		}
@@ -1132,7 +799,7 @@ func (r *Router) Parallelism() int { return r.fl().firstUpStats().Parallelism }
 // shard's timeout.
 func (f *fleet) firstUpStats() Stats {
 	for i := range f.shards {
-		if !f.down[i].Load() {
+		if !f.isDown(i) {
 			return f.shards[i].Stats()
 		}
 	}

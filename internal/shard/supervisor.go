@@ -7,12 +7,15 @@
 // (unchanged boot epoch) and whose countable debt is small is healed by
 // DELTA REPLAY: just the missed write batches stream to it from the
 // set's in-memory tail ring. Everything else gets a snapshot: the sweep
-// exports ONE from any healthy replica of any slot (a shard snapshot
-// carries the full replicated state, so every slot boots from the same
-// bytes) and hands it to each needy replica under the generation guard —
-// and skips the export entirely when delta replay healed every needy
-// replica. A final Router.Probe lets recovered slots rejoin the scatter
-// set.
+// exports ONE from any healthy replica of any healthy slot (a shard
+// snapshot carries the full replicated state, so every slot boots from
+// the same bytes) and hands it to each needy replica under the generation
+// guard — and skips the export entirely when delta replay healed every
+// needy replica. A slot the Router holds in missed-write debt missed
+// batches its set never saw, so every one of its replicas is needy and
+// only a snapshot heals them; re-seeding such a slot's replica re-seeds
+// the slot at Router level too. A final Router.Probe lets recovered slots
+// rejoin the scatter set.
 package shard
 
 import (
@@ -167,16 +170,18 @@ func (r *Router) SupervisorStats() (SupervisorStats, bool) {
 	return s.Stats(), true
 }
 
-// reseedJob is one replica owed a snapshot, with its debt generations —
-// replica-level AND router-level for its slot — captured BEFORE the
-// snapshot export: debt recorded after the capture postdates the snapshot
-// and must survive the reseed (the replica is retried next sweep with a
-// fresher snapshot).
+// reseedJob is one replica owed a snapshot, with its debt generation
+// captured by the fence BEFORE the snapshot export: debt recorded after
+// the capture postdates the snapshot and must survive the reseed (the
+// replica is retried next sweep with a fresher snapshot). slotOwes marks
+// a slot in Router-level debt, whose reseed is guarded at that level by
+// routerGen, captured at the same point.
 type reseedJob struct {
 	rs        *ReplicaSet
 	j         int
 	sr        SnapshotReceiver
 	gen       uint64
+	slotOwes  bool
 	routerGen uint64
 }
 
@@ -191,43 +196,44 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 	// state is harmless — the next sweep loads the new fleet.
 	f := s.r.fl()
 	var jobs []reseedJob
-	for _, sh := range f.shards {
+	for i, sh := range f.shards {
 		rs, ok := sh.(*ReplicaSet)
 		if !ok {
 			continue
 		}
-		for j := range rs.replicas {
-			if !rs.down[j].Load() {
+		slotOwes, routerGen := f.owes(i), f.claim(i)
+		for j := range rs.shards {
+			if slotOwes {
+				// Every replica lacks the batches the slot missed.
+				rs.recordDebt(j)
+			} else if !rs.isDown(j) {
 				continue
 			}
-			sr, canSeed := rs.replicas[j].(SnapshotReceiver)
+			sr, canSeed := rs.shards[j].(SnapshotReceiver)
 			if !canSeed {
 				continue
 			}
 			// A plain probe first: a replica that merely reconnected with
 			// no debt (or with a provable re-seed) rejoins without a
-			// snapshot transfer.
-			if ok, _ := rs.probeReplica(ctx, j); ok {
-				rs.probes.success(j)
-				continue
+			// snapshot transfer. Next cheapest: a stale replica that kept
+			// its state catches up by replaying just the batches it
+			// missed. Only when both are unsafe or fail does it join the
+			// snapshot jobs — so a sweep where every needy replica
+			// delta-heals skips the snapshot export entirely.
+			if !slotOwes {
+				if ok, _ := rs.probe(ctx, j); ok || s.tryDeltaReplay(ctx, rs, j) {
+					continue
+				}
 			}
-			// Next cheapest: a stale replica that kept its state catches
-			// up by replaying just the batches it missed. Only when that
-			// is unsafe or fails does it join the snapshot jobs — so a
-			// sweep where every needy replica delta-heals skips the
-			// snapshot export entirely.
-			if s.tryDeltaReplay(ctx, f, rs, j) {
-				continue
-			}
-			jobs = append(jobs, reseedJob{rs: rs, j: j, sr: sr,
-				gen: rs.fence(j), routerGen: f.debtGen[rs.idx].Load()})
+			jobs = append(jobs, reseedJob{rs: rs, j: j, sr: sr, gen: rs.fence(j),
+				slotOwes: slotOwes, routerGen: routerGen})
 		}
 	}
 	if len(jobs) > 0 {
 		snapshot, err := s.sourceSnapshot(ctx, f)
 		if err != nil {
 			for _, job := range jobs {
-				job.rs.reseeding[job.j].Store(false)
+				job.rs.unfence(job.j)
 			}
 			s.failures.Add(uint64(len(jobs)))
 			s.lastErr.Store(fmt.Sprintf("snapshot export: %v", err))
@@ -236,31 +242,12 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 		}
 		clean := true
 		for _, job := range jobs {
-			err := job.sr.Handoff(ctx, snapshot)
-			if err != nil {
-				job.rs.reseeding[job.j].Store(false)
-				job.rs.down[job.j].Store(true)
+			if err := s.reseed(ctx, f, job, snapshot); err != nil {
 				s.failures.Add(1)
 				s.lastErr.Store(fmt.Sprintf("slot %d replica %d: handoff: %v", job.rs.idx, job.j, err))
 				clean = false
 				continue
 			}
-			job.rs.resetApplied(job.j)
-			if p, ok := job.rs.replicas[job.j].(Pinger); ok {
-				job.rs.refreshEpoch(ctx, job.j, p)
-			}
-			// Debt recorded since the capture postdates the snapshot: the
-			// replica stays excluded and is reseeded again next sweep.
-			job.rs.includeIfUnchanged(job.j, job.gen)
-			job.rs.reseeding[job.j].Store(false)
-			job.rs.seedGen.Add(1)
-			// The slot now holds a replica provably reseeded with state at
-			// least as fresh as the capture — clear the slot's ROUTER-level
-			// debt under the same generation guard, so probeRouter can
-			// re-include it. Without this, a slot whose epoch baseline was
-			// first observed after this reseed (the router could not ping
-			// while every replica was down) could never prove the re-seed.
-			f.clearDebtIfUnchanged(job.rs.idx, job.routerGen)
 			s.reseeds.Add(1)
 		}
 		if clean {
@@ -270,6 +257,26 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 	s.probeRouter(ctx, f)
 }
 
+// reseed hands the snapshot to one job's replica. In a slot the Router
+// holds in debt the replica's reseed is the push of a Router-level reseed
+// of the slot: the slot's epoch advances while the Router refuses to
+// probe it, the Router records the new epoch as its baseline, and the
+// slot rejoins unless Router-level debt postdates the export.
+func (s *Supervisor) reseed(ctx context.Context, f *fleet, job reseedJob, snapshot []byte) error {
+	rs := job.rs
+	push := func() error { return rs.reseed(ctx, job.j, job.gen, rs.handoff(ctx, job.j, job.sr, snapshot)) }
+	if !job.slotOwes {
+		return push()
+	}
+	return f.reseed(ctx, rs.idx, job.routerGen, func() error {
+		if err := push(); err != nil {
+			return err
+		}
+		rs.seedGen.Add(1)
+		return nil
+	})
+}
+
 // tryDeltaReplay heals a stale replica by replaying just the write
 // batches it missed, when that is provably safe: the replica must
 // implement Replayer, answer a Ping with the SAME boot epoch the set
@@ -277,30 +284,29 @@ func (s *Supervisor) Sweep(ctx context.Context) {
 // debt was counted against is still there — a blank or restarted
 // replica fails this and needs a snapshot), and its countable debt must
 // be within the delta threshold and still covered by the set's tail
-// ring. Success clears debt under the usual generation guards and bumps
-// the reseed generation, exactly like a snapshot handoff; failure
-// records a delta failure and falls back to the snapshot path this same
-// sweep.
-func (s *Supervisor) tryDeltaReplay(ctx context.Context, f *fleet, rs *ReplicaSet, j int) bool {
+// ring. Success clears debt under the usual generation guard, exactly
+// like a snapshot reseed; failure records a delta failure and falls back
+// to the snapshot path this same sweep. The ring holds only batches the
+// set saw, so a slot in Router-level debt never delta-heals.
+func (s *Supervisor) tryDeltaReplay(ctx context.Context, rs *ReplicaSet, j int) bool {
 	max := s.deltaMax.Load()
-	if max <= 0 || !rs.missedWrite[j].Load() {
+	if max <= 0 || !rs.owes(j) {
 		return false
 	}
-	rp, canReplay := rs.replicas[j].(Replayer)
-	p, canPing := rs.replicas[j].(Pinger)
+	rp, canReplay := rs.shards[j].(Replayer)
+	p, canPing := rs.shards[j].(Pinger)
 	if !canReplay || !canPing {
 		return false
 	}
-	gen := rs.debtGen[j].Load()
-	routerGen := f.debtGen[rs.idx].Load()
+	gen := rs.claim(j)
 	epoch, err := p.Ping(ctx)
 	if err != nil || epoch == "" {
 		return false
 	}
-	if known := rs.knownEpoch(j); known == "" || epoch != known {
+	if known := rs.baseline(j); known == "" || epoch != known {
 		return false
 	}
-	ap, cur := rs.applied[j].Load(), rs.wseq.Load()
+	ap, cur := rs.appliedSeq(j), rs.wseq.Load()
 	if ap == 0 || cur <= ap || cur-ap > uint64(max) {
 		return false
 	}
@@ -308,73 +314,42 @@ func (s *Supervisor) tryDeltaReplay(ctx context.Context, f *fleet, rs *ReplicaSe
 	if !ok {
 		return false
 	}
-	rs.reseeding[j].Store(true)
-	if err := rp.Replay(ctx, batches); err != nil {
-		rs.reseeding[j].Store(false)
-		rs.down[j].Store(true)
+	err = rs.reseed(ctx, j, gen, func() error {
+		if err := rp.Replay(ctx, batches); err != nil {
+			return err
+		}
+		rs.noteApplied(j, batches[len(batches)-1].Seq)
+		return nil
+	})
+	if err != nil {
 		s.deltaFailures.Add(1)
 		s.lastErr.Store(fmt.Sprintf("slot %d replica %d: delta replay: %v", rs.idx, j, err))
 		return false
 	}
-	rs.noteApplied(j, batches[len(batches)-1].Seq)
-	// The replay minted a fresh boot epoch on the replica — record it so
-	// the fail-closed probe rules see the proof-of-reseed signal.
-	rs.refreshEpoch(ctx, j, p)
-	// Debt recorded since the capture postdates the replayed tail: the
-	// replica stays excluded and catches up again next sweep.
-	rs.includeIfUnchanged(j, gen)
-	rs.reseeding[j].Store(false)
-	rs.seedGen.Add(1)
-	f.clearDebtIfUnchanged(rs.idx, routerGen)
 	s.deltaReseeds.Add(1)
 	return true
 }
 
 // probeRouter lets slots whose replicas recovered rejoin the scatter set.
 func (s *Supervisor) probeRouter(ctx context.Context, f *fleet) {
-	for i := range f.down {
-		if f.down[i].Load() {
-			s.r.Probe(ctx)
-			return
-		}
+	if len(f.downList()) > 0 {
+		s.r.Probe(ctx)
 	}
 }
 
-// sourceSnapshot exports one snapshot from any healthy provider — a
-// shard snapshot carries the full replicated state, so one export seeds
-// every needy replica of every slot this sweep. The export holds the
-// router's write gate, so it lands between two write batches: exported
-// mid-broadcast, it could already hold a batch another slot has not yet
-// received, and a replica of that slot reseeded from it would then take
-// the batch a second time from the broadcast.
+// sourceSnapshot exports one snapshot from the fleet's snapshot source —
+// a shard snapshot carries the full replicated state, so one export
+// seeds every needy replica of every slot this sweep. The export holds
+// the router's write gate, so it lands between two write batches:
+// exported mid-broadcast, it could already hold a batch another slot has
+// not yet received, and a replica of that slot reseeded from it would
+// then take the batch a second time from the broadcast.
 func (s *Supervisor) sourceSnapshot(ctx context.Context, f *fleet) ([]byte, error) {
 	s.r.reshardMu.Lock()
 	defer s.r.reshardMu.Unlock()
-	var firstErr error
-	for i, sh := range f.shards {
-		sp, ok := sh.(SnapshotProvider)
-		if !ok {
-			continue
-		}
-		if _, isSet := sh.(*ReplicaSet); !isSet {
-			// A plain shard must be healthy and debt-free to be a source;
-			// a ReplicaSet picks its own healthy replica internally.
-			if f.down[i].Load() || f.missedWrite[i].Load() {
-				continue
-			}
-		}
-		data, err := sp.Snapshot(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
+	data, err := f.snapshotSource(ctx)
+	if err == nil {
 		s.exports.Add(1)
-		return data, nil
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return nil, fmt.Errorf("%w: no healthy snapshot source in deployment", ErrShardUnavailable)
+	return data, err
 }

@@ -1,7 +1,7 @@
 // surface_test.go pins the administrative surface of the deployment
 // types: the Local accessors and delta-replay driver, the replicated
 // in-process bootstrap (one training fanned out to every replica), the
-// maintenance toggles that must reach replicated engine grids, and the
+// parallelism setting that must reach replicated engine grids, and the
 // snapshot-source selection rules shared by the supervisor and the
 // replica sets.
 package shard
@@ -57,8 +57,8 @@ func TestLocalAccessorsAndReplay(t *testing.T) {
 // TestReplicatedTrainAndMaintenanceFanout boots an n-slot × rep-replica
 // in-process deployment, trains it ONCE (slot 0 replica 0 trains, every
 // other replica boots from its snapshot) and checks the replicated
-// surface: replication factor, slot-major health, and the maintenance
-// toggles reaching every engine in the grid.
+// surface: replication factor, slot-major health, and SetParallelism
+// reaching every engine in the grid.
 func TestReplicatedTrainAndMaintenanceFanout(t *testing.T) {
 	tf := dsConfig(t)
 	r, err := NewReplicated(tf.engineCfg, 2, 2)
@@ -81,12 +81,16 @@ func TestReplicatedTrainAndMaintenanceFanout(t *testing.T) {
 		}
 	}
 
-	// Maintenance toggles must reach the whole replica grid (and stay
-	// no-ops semantically: the deployment still answers).
+	// SetParallelism must reach the whole replica grid (and stay a no-op
+	// semantically: the deployment still answers).
 	r.SetParallelism(2)
-	r.SetFullRefresh(true)
-	r.SetFullRefresh(false)
-	r.SetIncrementalFold(true)
+	for i, row := range r.fl().grid {
+		for j, e := range row {
+			if got := e.Parallelism(); got != 2 {
+				t.Fatalf("slot %d replica %d parallelism %d, want 2", i, j, got)
+			}
+		}
+	}
 	res, err := r.RecommendCtx(context.Background(), tf.query, core.WithK(5))
 	if err != nil {
 		t.Fatalf("RecommendCtx: %v", err)
@@ -121,7 +125,7 @@ func TestReplicaHealthPlainShards(t *testing.T) {
 	if len(hs) != 2 || hs[0].State != "healthy" || hs[1].State != "healthy" {
 		t.Fatalf("fresh deployment health %+v, want 2 healthy pseudo-replicas", hs)
 	}
-	r.fl().down[0].Store(true)
+	r.fl().exclude(0)
 	hs = r.ReplicaHealth()
 	if hs[0].State != "excluded" || hs[1].State != "healthy" {
 		t.Fatalf("health with slot 0 down %+v, want [excluded healthy]", hs)
@@ -179,7 +183,7 @@ func TestReplicaSetConstructionAndSources(t *testing.T) {
 	if err := rs2.Handoff(ctx, fx.Snapshot); err == nil {
 		t.Fatal("Handoff with zero accepting replicas succeeded")
 	}
-	rs2.down[0].Store(true)
+	rs2.exclude(0)
 	if _, err := rs2.Snapshot(ctx); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("Snapshot with every replica excluded: err = %v, want ErrShardUnavailable", err)
 	}
@@ -214,7 +218,7 @@ func TestSupervisorSourceSnapshotSelection(t *testing.T) {
 		t.Fatal("failing source succeeded")
 	}
 	stub.failing.Store(false)
-	f.down[0].Store(true)
+	f.exclude(0)
 	if _, err := s.sourceSnapshot(ctx, f); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("excluded source: err = %v, want ErrShardUnavailable", err)
 	}
