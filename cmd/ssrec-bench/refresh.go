@@ -17,6 +17,12 @@
 //	window_roll      every observation rolls the short-term window, so the
 //	                 all-dirty sentinel forces full rebuilds — the masked
 //	                 path's upper bound
+//	one_dirty_masked_wide
+//	                 one_dirty_masked over one block whose producer
+//	                 universe is 600 wide, the width of a ytube-10k block:
+//	                 the cost of aggregate maintenance in the signature
+//	                 trees scales with that width, which the three-producer
+//	                 fixture of the other scenarios cannot show
 package main
 
 import (
@@ -37,6 +43,10 @@ type refreshScenario struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
+	Users       int     `json:"users"` // users in the scenario's fixture
+	// ProdUniverse is the width of the producer universe of the refreshed
+	// user's block: the length of every producer vector a refresh folds.
+	ProdUniverse int `json:"prod_universe"`
 }
 
 // refreshReport is the JSON artifact of -refresh.
@@ -44,7 +54,7 @@ type refreshReport struct {
 	Bench      string `json:"bench"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	hostInfo
-	Users      int               `json:"users"`
+	Users      int               `json:"users"` // users in the three-producer fixture
 	WindowSize int               `json:"window_size"`
 	Scenarios  []refreshScenario `json:"scenarios"`
 
@@ -53,19 +63,26 @@ type refreshReport struct {
 	ScrapedMetrics map[string]float64 `json:"scraped_metrics,omitempty"`
 }
 
+// refreshShape sizes refreshFixture: nPerCohort users per cohort; user c's
+// i-th event goes to producer (i+c) mod prodsPerCat of its category, so
+// with enough users every producer is seen; fixedBlocks > 0 forces that
+// many user blocks (cppse.Config.FixedBlocks), 0 keeps the default
+// clustering.
+type refreshShape struct{ nPerCohort, prodsPerCat, fixedBlocks int }
+
 // refreshFixture builds a three-cohort store (the internal/cppse test
 // fixture's shape, scaled) and an index over it.
-func refreshFixture(nPerCohort int) (*cppse.Index, *profile.Store) {
+func refreshFixture(shape refreshShape) (*cppse.Index, *profile.Store) {
 	cats := []string{"sports", "music", "news"}
 	store := profile.NewStore(5)
 	mkEvent := func(cat string, i int) profile.Event {
 		return profile.Event{
 			Category: cat,
-			Producer: fmt.Sprintf("%s-up%d", cat, i%3),
+			Producer: fmt.Sprintf("%s-up%d", cat, i%shape.prodsPerCat),
 			Entities: []string{fmt.Sprintf("%s-e%d", cat, i%8)},
 		}
 	}
-	for c := 0; c < nPerCohort; c++ {
+	for c := 0; c < shape.nPerCohort; c++ {
 		sports := store.Get(fmt.Sprintf("sports%03d", c))
 		music := store.Get(fmt.Sprintf("music%03d", c))
 		mixed := store.Get(fmt.Sprintf("mixed%03d", c))
@@ -81,7 +98,7 @@ func refreshFixture(nPerCohort int) (*cppse.Index, *profile.Store) {
 	}
 	bg := profile.NewBackground(nil, 10)
 	probs := cppse.MLEProbs{Store: store, NCats: len(cats)}
-	ix, err := cppse.Build(store, bg, probs, cppse.Config{Categories: cats})
+	ix, err := cppse.Build(store, bg, probs, cppse.Config{Categories: cats, FixedBlocks: shape.fixedBlocks})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "refresh: build index: %v\n", err)
 		os.Exit(1)
@@ -109,19 +126,45 @@ func inhabitAllCats(p *profile.Profile) {
 	}
 }
 
+// prodUniverseOf returns the width of the producer universe of userID's
+// block (every fixture user inhabits "sports").
+func prodUniverseOf(ix *cppse.Index, userID string) int {
+	block, _ := ix.BlockOf(userID)
+	if tr := ix.Tree(block, "sports"); tr != nil {
+		return tr.Prod.Len()
+	}
+	return 0
+}
+
 func runRefresh(jsonPath, scrapeURL string) {
-	const nPerCohort = 100
+	// narrow is the internal/cppse fixture's shape; wide puts 600 users in
+	// one block over 3×200 producers.
+	narrow := refreshShape{nPerCohort: 100, prodsPerCat: 3}
+	wide := refreshShape{nPerCohort: 200, prodsPerCat: 200, fixedBlocks: 1}
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "refresh: %v\n", err)
 		os.Exit(1)
 	}
+	oneDirtyMasked := func(b *testing.B, ix *cppse.Index, store *profile.Store) {
+		p, _ := store.Lookup("mixed000")
+		inhabitAllCats(p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rolled := p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
+				Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
+			if err := ix.UpdateUserCats("mixed000", []string{"sports"}, rolled); err != nil {
+				fail(err)
+			}
+		}
+	}
 
 	scenarios := []struct {
-		name string
-		fn   func(b *testing.B)
+		name  string
+		shape refreshShape
+		fn    func(b *testing.B, ix *cppse.Index, store *profile.Store)
 	}{
-		{"cold_user", func(b *testing.B) {
-			ix, store := refreshFixture(nPerCohort)
+		{"cold_user", narrow, func(b *testing.B, ix *cppse.Index, store *profile.Store) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -135,22 +178,8 @@ func runRefresh(jsonPath, scrapeURL string) {
 				}
 			}
 		}},
-		{"one_dirty_masked", func(b *testing.B) {
-			ix, store := refreshFixture(nPerCohort)
-			p, _ := store.Lookup("mixed000")
-			inhabitAllCats(p)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rolled := p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
-					Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
-				if err := ix.UpdateUserCats("mixed000", []string{"sports"}, rolled); err != nil {
-					fail(err)
-				}
-			}
-		}},
-		{"one_dirty_full", func(b *testing.B) {
-			ix, store := refreshFixture(nPerCohort)
+		{"one_dirty_masked", narrow, oneDirtyMasked},
+		{"one_dirty_full", narrow, func(b *testing.B, ix *cppse.Index, store *profile.Store) {
 			p, _ := store.Lookup("mixed000")
 			inhabitAllCats(p)
 			b.ReportAllocs()
@@ -163,8 +192,7 @@ func runRefresh(jsonPath, scrapeURL string) {
 				}
 			}
 		}},
-		{"window_roll", func(b *testing.B) {
-			ix, store := refreshFixture(nPerCohort)
+		{"window_roll", narrow, func(b *testing.B, ix *cppse.Index, store *profile.Store) {
 			p, _ := store.Lookup("mixed000")
 			inhabitAllCats(p)
 			// Fill the window so every subsequent observation rolls it.
@@ -183,21 +211,29 @@ func runRefresh(jsonPath, scrapeURL string) {
 				}
 			}
 		}},
+		{"one_dirty_masked_wide", wide, oneDirtyMasked},
 	}
 
-	rep := refreshReport{Bench: "refresh", Users: 3 * nPerCohort, WindowSize: 5}
+	rep := refreshReport{Bench: "refresh", Users: 3 * narrow.nPerCohort, WindowSize: 5}
 	for _, sc := range scenarios {
-		r := testing.Benchmark(sc.fn)
+		var ix *cppse.Index
+		r := testing.Benchmark(func(b *testing.B) {
+			var store *profile.Store
+			ix, store = refreshFixture(sc.shape)
+			sc.fn(b, ix, store)
+		})
 		row := refreshScenario{
-			Name:        sc.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
+			Name:         sc.name,
+			NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp:  r.AllocsPerOp(),
+			BytesPerOp:   r.AllocedBytesPerOp(),
+			Iterations:   r.N,
+			Users:        3 * sc.shape.nPerCohort,
+			ProdUniverse: prodUniverseOf(ix, "mixed000"),
 		}
 		rep.Scenarios = append(rep.Scenarios, row)
-		fmt.Printf("refresh/%-17s %12.0f ns/op %8d B/op %6d allocs/op  (%d iterations)\n",
-			row.Name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp, row.Iterations)
+		fmt.Printf("refresh/%-21s %12.0f ns/op %8d B/op %6d allocs/op  (%d iterations, %d users, %d-wide producer universe)\n",
+			row.Name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp, row.Iterations, row.Users, row.ProdUniverse)
 	}
 
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)

@@ -24,6 +24,7 @@ package sigtree
 
 import (
 	"math"
+	"slices"
 )
 
 // Universe is an append-only name→index mapping shared by signatures and
@@ -93,47 +94,64 @@ func (s *Signature) Clone() Signature {
 	return c
 }
 
+// widenMax and narrowMin are the only comparison forms of every aggregate
+// fold — the full refold of recomputeSig and the field-wise refold of
+// refoldPath alike — so NaN and −0 resolve identically on both paths: a
+// value replaces the accumulator only when strictly greater (smaller).
+func widenMax(acc, v float64) float64 {
+	if v > acc {
+		return v
+	}
+	return acc
+}
+
+func narrowMin(acc, v float64) float64 {
+	if v < acc {
+		return v
+	}
+	return acc
+}
+
 // foldInto widens dst to dominate src: max of Pl/Ps and count vectors,
 // min of totals.
 func foldInto(dst, src *Signature) {
-	if src.Pl > dst.Pl {
-		dst.Pl = src.Pl
-	}
-	if src.Ps > dst.Ps {
-		dst.Ps = src.Ps
-	}
-	if src.ProdTotal < dst.ProdTotal {
-		dst.ProdTotal = src.ProdTotal
-	}
-	if src.EntTotal < dst.EntTotal {
-		dst.EntTotal = src.EntTotal
-	}
+	foldScalars(dst, src)
 	dst.ProdCounts = foldMax(dst.ProdCounts, src.ProdCounts)
 	dst.EntCounts = foldMax(dst.EntCounts, src.EntCounts)
 }
 
+// foldScalars is foldInto restricted to the four scalar fields.
+func foldScalars(dst, src *Signature) {
+	dst.Pl = widenMax(dst.Pl, src.Pl)
+	dst.Ps = widenMax(dst.Ps, src.Ps)
+	dst.ProdTotal = narrowMin(dst.ProdTotal, src.ProdTotal)
+	dst.EntTotal = narrowMin(dst.EntTotal, src.EntTotal)
+}
+
 func foldMax(dst, src []float64) []float64 {
-	if len(src) > len(dst) {
-		if cap(dst) >= len(src) {
-			// Grow within capacity, zeroing the exposed region — the
-			// allocation-free steady state of recomputeSig's buffer reuse.
-			old := len(dst)
-			dst = dst[:len(src)]
-			for i := old; i < len(dst); i++ {
-				dst[i] = 0
-			}
-		} else {
-			grown := make([]float64, len(src))
-			copy(grown, dst)
-			dst = grown
-		}
-	}
+	dst = growTo(dst, len(src))
 	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
+		dst[i] = widenMax(dst[i], v)
 	}
 	return dst
+}
+
+// growTo lengthens v to at least n, zeroing the exposed region; within
+// capacity it does not allocate — the steady state of recomputeSig's and
+// refoldPath's buffer reuse.
+func growTo(v []float64, n int) []float64 {
+	if n <= len(v) {
+		return v
+	}
+	if cap(v) < n {
+		grown := make([]float64, n)
+		copy(grown, v)
+		return grown
+	}
+	old := len(v)
+	v = v[:n]
+	clear(v[old:])
+	return v
 }
 
 // emptyAgg is the identity element for foldInto.
@@ -207,6 +225,26 @@ type node struct {
 	parent   *node
 }
 
+// kids returns the number of signatures n aggregates: its leaf entries or
+// its child nodes.
+func (n *node) kids() int {
+	if n.leaf {
+		return len(n.entries)
+	}
+	return len(n.children)
+}
+
+// kidSig returns the signature of n's i-th leaf entry or child node.
+func (n *node) kidSig(i int) *Signature {
+	if n.leaf {
+		return &n.entries[i].Sig
+	}
+	return &n.children[i].sig
+}
+
+// recomputeSig refolds n's aggregate from scratch over all its kids — the
+// structural paths' refresh (Insert, Delete, splits) and the oracle the
+// field-wise refold of refoldPath must reproduce bit for bit.
 func (n *node) recomputeSig() {
 	// Reuse the node's own count buffers: entries/children hold separate
 	// slices, so truncating and refolding in place is safe and keeps
@@ -214,14 +252,8 @@ func (n *node) recomputeSig() {
 	agg := emptyAgg()
 	agg.ProdCounts = n.sig.ProdCounts[:0]
 	agg.EntCounts = n.sig.EntCounts[:0]
-	if n.leaf {
-		for _, e := range n.entries {
-			foldInto(&agg, &e.Sig)
-		}
-	} else {
-		for _, c := range n.children {
-			foldInto(&agg, &c.sig)
-		}
+	for i := range n.kids() {
+		foldInto(&agg, n.kidSig(i))
 	}
 	n.sig = agg
 }
@@ -236,6 +268,12 @@ type Tree struct {
 	root   *node
 	fanout int
 	byUser map[string]*LeafEntry
+
+	// prodDirty and entDirty are refoldPath's coordinate scratch: the
+	// producer/entity indices still to refold at the current level. Trees
+	// are mutated only under their owner's write lock, so one pair per
+	// tree keeps a warm refresh allocation-free.
+	prodDirty, entDirty []int
 }
 
 // DefaultFanout is used when New is called with fanout < 2.
@@ -323,8 +361,9 @@ func (t *Tree) Update(userID string, sig Signature) bool {
 }
 
 func (t *Tree) updateEntry(e *LeafEntry, sig Signature) {
+	t.markDirty(&e.Sig, &sig)
 	e.Sig = sig
-	t.propagateUp(e.parent)
+	t.refoldPath(e)
 }
 
 // UpdateCopy replaces a user's signature by copying sig's values into the
@@ -336,27 +375,133 @@ func (t *Tree) UpdateCopy(userID string, sig *Signature) bool {
 	if e == nil {
 		return false
 	}
+	t.markDirty(&e.Sig, sig)
 	e.Sig.Pl, e.Sig.Ps = sig.Pl, sig.Ps
 	e.Sig.ProdTotal, e.Sig.EntTotal = sig.ProdTotal, sig.EntTotal
 	e.Sig.ProdCounts = append(e.Sig.ProdCounts[:0], sig.ProdCounts...)
 	e.Sig.EntCounts = append(e.Sig.EntCounts[:0], sig.EntCounts...)
-	t.propagateUp(e.parent)
+	t.refoldPath(e)
 	return true
 }
 
 // UpdateProbs restamps only the cached BiHMM probabilities of a user's
 // leaf, leaving the count statistics untouched — the non-dirty-category
 // leg of an incremental refresh, where the short-term prediction changed
-// (the window grew) but no event landed in this tree's category. Returns
-// false if the user is absent.
+// (the window grew) but no event landed in this tree's category. No count
+// coordinate is dirty, so the refold touches only the scalars and stops
+// at the first ancestor whose maxima did not move. Returns false if the
+// user is absent.
 func (t *Tree) UpdateProbs(userID string, pl, ps float64) bool {
 	e := t.byUser[userID]
 	if e == nil {
 		return false
 	}
 	e.Sig.Pl, e.Sig.Ps = pl, ps
-	t.propagateUp(e.parent)
+	t.prodDirty, t.entDirty = t.prodDirty[:0], t.entDirty[:0]
+	t.refoldPath(e)
 	return true
+}
+
+// markDirty records in the tree's coordinate scratch every producer and
+// entity index at which next differs from prev.
+func (t *Tree) markDirty(prev, next *Signature) {
+	t.prodDirty = appendChanged(t.prodDirty[:0], prev.ProdCounts, next.ProdCounts)
+	t.entDirty = appendChanged(t.entDirty[:0], prev.EntCounts, next.EntCounts)
+}
+
+// appendChanged appends the indices at which prev and next differ bit for
+// bit, reading a coordinate past either's end as +0 — so growth and
+// shrinkage are recorded like any other change.
+func appendChanged(dirty []int, prev, next []float64) []int {
+	common := min(len(prev), len(next))
+	for i := range common {
+		if math.Float64bits(prev[i]) != math.Float64bits(next[i]) {
+			dirty = append(dirty, i)
+		}
+	}
+	tail := prev[common:]
+	if len(next) > common {
+		tail = next[common:]
+	}
+	for i, v := range tail {
+		if math.Float64bits(v) != 0 {
+			dirty = append(dirty, common+i)
+		}
+	}
+	return dirty
+}
+
+// refoldPath restores the aggregates from e's leaf node to the root after
+// e changed in place, with t.prodDirty/t.entDirty holding the count
+// coordinates that changed. Each level refolds the four scalars over its
+// ≤ fanout kids, grows its vectors to e's length, and refolds the count
+// maxima only at the dirty coordinates; a coordinate whose aggregate came
+// out bit-identical is dropped before the next level, and the walk stops
+// at the first node whose aggregate did not change at all. Max and min
+// are exact and widenMax/narrowMin fold the kids in the same order as
+// recomputeSig, so every aggregate equals a from-scratch fold, up to
+// trailing zeros (which Score reads as zero anyway).
+func (t *Tree) refoldPath(e *LeafEntry) {
+	prodLen, entLen := len(e.Sig.ProdCounts), len(e.Sig.EntCounts)
+	for n := e.parent; n != nil; n = n.parent {
+		changed := refoldScalars(n)
+		if len(n.sig.ProdCounts) < prodLen || len(n.sig.EntCounts) < entLen {
+			n.sig.ProdCounts = growTo(n.sig.ProdCounts, prodLen)
+			n.sig.EntCounts = growTo(n.sig.EntCounts, entLen)
+			changed = true
+		}
+		t.prodDirty = refoldCounts(n, t.prodDirty, false)
+		t.entDirty = refoldCounts(n, t.entDirty, true)
+		if !changed && len(t.prodDirty) == 0 && len(t.entDirty) == 0 {
+			return
+		}
+	}
+}
+
+// refoldScalars refolds n's Pl/Ps maxima and total minima over its kids
+// and reports whether any of the four changed bit for bit.
+func refoldScalars(n *node) bool {
+	agg := emptyAgg()
+	for i := range n.kids() {
+		foldScalars(&agg, n.kidSig(i))
+	}
+	s := &n.sig
+	changed := math.Float64bits(agg.Pl) != math.Float64bits(s.Pl) ||
+		math.Float64bits(agg.Ps) != math.Float64bits(s.Ps) ||
+		math.Float64bits(agg.ProdTotal) != math.Float64bits(s.ProdTotal) ||
+		math.Float64bits(agg.EntTotal) != math.Float64bits(s.EntTotal)
+	s.Pl, s.Ps, s.ProdTotal, s.EntTotal = agg.Pl, agg.Ps, agg.ProdTotal, agg.EntTotal
+	return changed
+}
+
+// refoldCounts refolds n's producer (ent=false) or entity (ent=true) count
+// maxima at the dirty coordinates and returns, compacted in place, those
+// whose aggregate changed. A kid whose vector ends before a coordinate
+// does not take part, exactly as in foldMax.
+func refoldCounts(n *node, dirty []int, ent bool) []int {
+	agg := counts(&n.sig, ent)
+	kept := dirty[:0]
+	for _, i := range dirty {
+		var m float64
+		for k := range n.kids() {
+			if c := counts(n.kidSig(k), ent); i < len(c) {
+				m = widenMax(m, c[i])
+			}
+		}
+		if math.Float64bits(m) != math.Float64bits(agg[i]) {
+			agg[i] = m
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// counts returns s's entity (ent) or producer count vector.
+func counts(s *Signature, ent bool) []float64 {
+	if ent {
+		return s.EntCounts
+	}
+	return s.ProdCounts
 }
 
 func (t *Tree) propagateUp(n *node) {
@@ -485,7 +630,7 @@ func (t *Tree) Delete(userID string) bool {
 	n := e.parent
 	for i, cur := range n.entries {
 		if cur == e {
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			n.entries = slices.Delete(n.entries, i, i+1)
 			break
 		}
 	}
