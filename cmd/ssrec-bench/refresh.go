@@ -23,16 +23,25 @@
 //	                 the cost of aggregate maintenance in the signature
 //	                 trees scales with that width, which the three-producer
 //	                 fixture of the other scenarios cannot show
+//	engine_batch64   core.Engine.ObserveBatch of 64 observations on a
+//	                 trained BiHMM engine at the ytube shape (19
+//	                 categories): the only row whose index predicts from
+//	                 the BiHMM rather than cppse.MLEProbs, so the only one
+//	                 that prices the prediction refresh of every touched
+//	                 user alongside its leaf rebuilds
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
 
+	"ssrec/internal/core"
 	"ssrec/internal/cppse"
+	"ssrec/internal/dataset"
 	"ssrec/internal/profile"
 )
 
@@ -136,6 +145,58 @@ func prodUniverseOf(ix *cppse.Index, userID string) int {
 	return 0
 }
 
+// engineBatchScenario measures the engine_batch64 row: a BiHMM engine
+// trained on the first third of a ytube-shaped stream ingests the rest in
+// ObserveBatch calls of 64, cycling when the stream runs out.
+func engineBatchScenario(fail func(error)) refreshScenario {
+	const batch = 64
+	cfg := dataset.YTubeConfig(0.3)
+	cfg.Seed = 1
+	ds := dataset.Generate(cfg)
+	eng := core.New(core.Config{Categories: ds.Categories, Seed: cfg.Seed})
+	nTrain := len(ds.Interactions) / 3
+	if err := eng.Train(ds.Items, ds.Interactions[:nTrain], ds.Item); err != nil {
+		fail(err)
+	}
+	var stream []core.Observation
+	for _, ir := range ds.Interactions[nTrain:] {
+		if v, ok := ds.Item(ir.ItemID); ok {
+			stream = append(stream, core.Observation{UserID: ir.UserID, Item: v, Timestamp: ir.Timestamp})
+		}
+	}
+	if len(stream) < batch {
+		fail(fmt.Errorf("engine_batch64: stream too short (%d observations)", len(stream)))
+	}
+	off := 0
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if off+batch > len(stream) {
+				off = 0
+			}
+			if _, err := eng.ObserveBatch(context.Background(), stream[off:off+batch]); err != nil {
+				fail(err)
+			}
+			off += batch
+		}
+	})
+	row := refreshScenario{
+		Name:        "engine_batch64",
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Iterations:  r.N,
+		Users:       eng.Users(),
+	}
+	first := stream[0]
+	if block, ok := eng.Index().BlockOf(first.UserID); ok {
+		if tr := eng.Index().Tree(block, first.Item.Category); tr != nil {
+			row.ProdUniverse = tr.Prod.Len()
+		}
+	}
+	return row
+}
+
 func runRefresh(jsonPath, scrapeURL string) {
 	// narrow is the internal/cppse fixture's shape; wide puts 600 users in
 	// one block over 3×200 producers.
@@ -232,6 +293,9 @@ func runRefresh(jsonPath, scrapeURL string) {
 			ProdUniverse: prodUniverseOf(ix, "mixed000"),
 		}
 		rep.Scenarios = append(rep.Scenarios, row)
+	}
+	rep.Scenarios = append(rep.Scenarios, engineBatchScenario(fail))
+	for _, row := range rep.Scenarios {
 		fmt.Printf("refresh/%-21s %12.0f ns/op %8d B/op %6d allocs/op  (%d iterations, %d users, %d-wide producer universe)\n",
 			row.Name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp, row.Iterations, row.Users, row.ProdUniverse)
 	}

@@ -12,8 +12,8 @@
 // This is what turns the per-refresh prediction cost of a long-history
 // consumer from O(T·NU²) into O(new·NU²): the ssRec engine keeps one
 // ForwardState per (user, long/short side) and folds in only the
-// observations that arrived since the last index refresh
-// (core.Config.IncrementalFold).
+// observations that arrived since the last index refresh, and predicts
+// from it into rows it reuses across refreshes.
 package bihmm
 
 // ForwardState caches the scaled forward pass over a growing observation
@@ -80,54 +80,55 @@ func (m *BHMM) Extend(st *ForwardState, obs []Obs) {
 	}
 }
 
+// PredictScratchLen is the scratch length PredictNextMarginalState needs:
+// one consumer-state row and one category row.
+func (m *BHMM) PredictScratchLen() int { return m.NU + m.M }
+
 // PredictNextMarginalState is PredictNextMarginal evaluated from a cached
-// ForwardState instead of replaying the history: bitwise identical to
-// PredictNextMarginal(seq, zDist) when st has absorbed exactly seq.
-func (m *BHMM) PredictNextMarginalState(st *ForwardState, zDist []float64) []float64 {
-	if zDist == nil {
-		zDist = make([]float64, m.NZ+1)
-		for i := range zDist {
-			zDist[i] = 1 / float64(m.NZ+1)
-		}
-	}
-	out := make([]float64, m.M)
+// ForwardState instead of replaying the history, written into the
+// caller-owned out (length M) with scratch (at least PredictScratchLen
+// values) holding the per-z intermediate rows, so a warm caller allocates
+// nothing. It runs the statements of PredictNextMarginal over
+// PredictNextGivenZ in the same order on the same values, so out is
+// bitwise identical to PredictNextMarginal(seq, zDist) when st has
+// absorbed exactly seq — including the empty-history case (next = Pi, no
+// transition applied). A nil zDist is uniform.
+func (m *BHMM) PredictNextMarginalState(st *ForwardState, zDist, out, scratch []float64) {
+	next, p := scratch[:m.NU], scratch[m.NU:m.NU+m.M]
+	out = out[:m.M]
+	clear(out)
+	uniform := 1 / float64(m.NZ+1)
+	// Slot z conditions on producer state zForSlot(z), whose parameter
+	// slice is slot z again.
 	for z := 0; z <= m.NZ; z++ {
-		if zDist[z] == 0 {
+		w := uniform
+		if zDist != nil {
+			w = zDist[z]
+		}
+		if w == 0 {
 			continue
 		}
-		p := m.predictNextGivenZState(st, zForSlot(z, m.NZ))
-		for c := range out {
-			out[c] += zDist[z] * p[c]
-		}
-	}
-	return out
-}
-
-// predictNextGivenZState mirrors PredictNextGivenZ on a cached state: the
-// same A-step/B-step statements over the same values, including the
-// empty-history special case (next = Pi, no transition applied).
-func (m *BHMM) predictNextGivenZState(st *ForwardState, z int) []float64 {
-	zs := m.zSlot(z)
-	next := make([]float64, m.NU)
-	if st.n == 0 {
-		copy(next, m.Pi)
-	} else {
-		cur := st.alpha
-		for j := 0; j < m.NU; j++ {
-			var s float64
-			for i := 0; i < m.NU; i++ {
-				s += cur[i] * m.A[zs][i][j]
+		if st.n == 0 {
+			copy(next, m.Pi)
+		} else {
+			cur := st.alpha
+			for j := 0; j < m.NU; j++ {
+				var s float64
+				for i := 0; i < m.NU; i++ {
+					s += cur[i] * m.A[z][i][j]
+				}
+				next[j] = s
 			}
-			next[j] = s
+		}
+		for c := 0; c < m.M; c++ {
+			var s float64
+			for j := 0; j < m.NU; j++ {
+				s += next[j] * m.B[z][j][c]
+			}
+			p[c] = s
+		}
+		for c := range out {
+			out[c] += w * p[c]
 		}
 	}
-	out := make([]float64, m.M)
-	for c := 0; c < m.M; c++ {
-		var s float64
-		for j := 0; j < m.NU; j++ {
-			s += next[j] * m.B[zs][j][c]
-		}
-		out[c] = s
-	}
-	return out
 }

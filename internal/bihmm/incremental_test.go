@@ -31,6 +31,8 @@ func TestExtendMatchesForward(t *testing.T) {
 	zDist := []float64{0.1, 0.2, 0.3, 0.4}
 
 	var st ForwardState
+	got := make([]float64, m.M)
+	scratch := make([]float64, m.PredictScratchLen())
 	for n := 0; n <= len(seq); n++ {
 		if n > 0 {
 			m.Extend(&st, seq[n-1:n]) // one observation at a time
@@ -50,10 +52,7 @@ func TestExtendMatchesForward(t *testing.T) {
 		}
 		for _, zd := range [][]float64{nil, zDist} {
 			want := m.PredictNextMarginal(seq[:n], zd)
-			got := m.PredictNextMarginalState(&st, zd)
-			if len(got) != len(want) {
-				t.Fatalf("prefix %d: length %d != %d", n, len(got), len(want))
-			}
+			m.PredictNextMarginalState(&st, zd, got, scratch)
 			for c := range want {
 				if got[c] != want[c] {
 					t.Fatalf("prefix %d cat %d: state predict %v != full predict %v",
@@ -123,6 +122,38 @@ func TestExtendModelSwapResets(t *testing.T) {
 	}
 }
 
+// TestPredictStateReusesRows pins the reuse contract: predicting into rows
+// that hold a previous answer overwrites them completely, and a warm fold
+// plus prediction allocates nothing.
+func TestPredictStateReusesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := NewRandom(4, 19, 19, rng)
+	seq := randObsSeq(rng, m, 40)
+	out := make([]float64, m.M)
+	for i := range out {
+		out[i] = 42
+	}
+	scratch := make([]float64, m.PredictScratchLen())
+	var st ForwardState
+	m.Extend(&st, seq[:20])
+	m.PredictNextMarginalState(&st, nil, out, scratch)
+	want := m.PredictNextMarginal(seq[:20], nil)
+	for c := range want {
+		if out[c] != want[c] {
+			t.Fatalf("cat %d: reused row %v != replay %v", c, out[c], want[c])
+		}
+	}
+	n := 20
+	allocs := testing.AllocsPerRun(10, func() {
+		m.Extend(&st, seq[n:n+1])
+		n++
+		m.PredictNextMarginalState(&st, nil, out, scratch)
+	})
+	if allocs != 0 {
+		t.Errorf("warm fold + predict allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkPredictFullVsIncremental quantifies the win: predicting after
 // one appended observation on a 200-long history.
 func BenchmarkPredictFullVsIncremental(b *testing.B) {
@@ -139,6 +170,8 @@ func BenchmarkPredictFullVsIncremental(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		var st ForwardState
 		m.Extend(&st, seq[:len(seq)-1])
+		out := make([]float64, m.M)
+		scratch := make([]float64, m.PredictScratchLen())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -146,7 +179,7 @@ func BenchmarkPredictFullVsIncremental(b *testing.B) {
 			// st, so successive iterations model an ever-growing history —
 			// exactly the production shape.)
 			m.Extend(&st, seq[len(seq)-1:])
-			m.PredictNextMarginalState(&st, nil)
+			m.PredictNextMarginalState(&st, nil, out, scratch)
 		}
 	})
 }

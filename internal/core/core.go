@@ -76,14 +76,6 @@ type Config struct {
 	// bit-identical (the conformance suite replays both), so this is an
 	// escape hatch and the reference arm of that proof, not a tuning knob.
 	FullRefresh bool
-	// IncrementalFold makes the BiHMM-backed prediction refresh fold only
-	// NEW observations into a cached forward state instead of replaying
-	// the user's whole history per refresh (bihmm.ForwardState). Bitwise
-	// identical to the full pass — the fold replays the exact forward
-	// recurrence — with automatic fallback to a full replay whenever the
-	// cached state is not a prefix of the needed history (model swap,
-	// window-start move). Off by default.
-	IncrementalFold bool
 	// UpdateBatch batches index maintenance: profile changes are applied
 	// immediately, but the per-user index entries (Algorithm 2) refresh
 	// only every UpdateBatch observations — the paper's "periodic"
@@ -223,7 +215,9 @@ type Engine struct {
 	prodPos   map[string]int // items created per producer so far
 	index     *cppse.Index
 	predCache map[string]*predEntry
-	fwdCache  map[string]*fwdEntry // incremental forward states (IncrementalFold)
+	// predScratch is the prediction's per-slot scratch (grown to the
+	// widest model's PredictScratchLen); the write lock guards it.
+	predScratch []float64
 
 	// dirty users await batched index maintenance (Config.UpdateBatch),
 	// each carrying the mask of categories their pending observations
@@ -248,12 +242,17 @@ type dirtyMask struct {
 	cats []string
 }
 
-// predEntry caches one consumer's long/short category predictions keyed by
-// the observation length they were computed at.
+// predEntry caches one consumer's long/short category predictions, keyed
+// by the observation length they were computed at (-1 = stale), together
+// with the forward states they were folded from: the long side tracks the
+// prefix obs[:len-winLen], the short side the window suffix starting at
+// shortStart. A refresh writes into the entry's own rows.
 type predEntry struct {
-	obsLen int
-	long   []float64
-	short  []float64
+	obsLen      int
+	long, short []float64
+	longSt      bihmm.ForwardState
+	shortSt     bihmm.ForwardState
+	shortStart  int
 }
 
 // New creates an engine; Train must run before Recommend.
@@ -268,7 +267,6 @@ func New(cfg Config) *Engine {
 		itemZ:       make(map[string]int),
 		prodPos:     make(map[string]int),
 		predCache:   make(map[string]*predEntry),
-		fwdCache:    make(map[string]*fwdEntry),
 		dirty:       make(map[string]*dirtyMask),
 	}
 	for i, c := range cfg.Categories {
@@ -517,7 +515,9 @@ func (e *Engine) observeLocked(ir model.Interaction, v model.Item) {
 	p := e.store.Get(ir.UserID)
 	rolled := p.Observe(profile.EventFromItem(v, ir.Timestamp))
 	e.consumerObs[ir.UserID] = append(e.consumerObs[ir.UserID], e.obsFor(v))
-	delete(e.predCache, ir.UserID)
+	if ce := e.predCache[ir.UserID]; ce != nil {
+		ce.obsLen = -1
+	}
 	if e.index == nil {
 		return
 	}
@@ -740,20 +740,36 @@ func (e *Engine) categoryProb(userID, category string, short bool) float64 {
 	return ce.long[ci]
 }
 
+// refreshPrediction recomputes a user's cached predictions in place. The
+// forward states fold only the observations that arrived since the last
+// refresh; the observation stream is append-only, so the cached long
+// state is a valid prefix whenever it is bound to the same model and no
+// longer than the needed one — even across a window roll, which only moves
+// the long/short boundary forward. A state replays from scratch when it
+// cannot prove prefix-ness: the consumer's model changed (per-user model
+// vs population), the cached prefix is too long, or the window start moved
+// (the short side after a roll; at most WindowSize observations). The fold
+// replays Forward's recurrence and the prediction PredictNextMarginal's
+// statements, so the rows — and every downstream score — are bitwise
+// identical to a full replay of the history.
 func (e *Engine) refreshPrediction(userID string, obs []bihmm.Obs) *predEntry {
+	nCats := len(e.cfg.Categories)
+	ce := e.predCache[userID]
+	if ce == nil {
+		rows := make([]float64, 2*nCats)
+		ce = &predEntry{long: rows[:nCats:nCats], short: rows[nCats:]}
+		e.predCache[userID] = ce
+	}
+	ce.obsLen = len(obs)
 	m := e.consumers[userID]
 	if m == nil {
 		m = e.population
 	}
-	nCats := len(e.cfg.Categories)
-	ce := &predEntry{obsLen: len(obs)}
 	if m == nil {
-		uniform := make([]float64, nCats)
-		for i := range uniform {
-			uniform[i] = 1 / float64(nCats)
+		for i := range ce.long {
+			ce.long[i] = 1 / float64(nCats)
+			ce.short[i] = 1 / float64(nCats)
 		}
-		ce.long, ce.short = uniform, uniform
-		e.predCache[userID] = ce
 		return ce
 	}
 	winLen := 0
@@ -765,56 +781,22 @@ func (e *Engine) refreshPrediction(userID string, obs []bihmm.Obs) *predEntry {
 	}
 	longObs := obs[:len(obs)-winLen]
 	shortObs := obs[len(obs)-winLen:]
-	if e.cfg.IncrementalFold {
-		ce.long, ce.short = e.incrementalPredict(userID, m, longObs, shortObs)
-	} else {
-		ce.long = m.PredictNextMarginal(longObs, nil)
-		ce.short = m.PredictNextMarginal(shortObs, nil)
+	if !ce.longSt.For(m) || ce.longSt.Len() > len(longObs) {
+		ce.longSt.Reset(m)
 	}
-	e.predCache[userID] = ce
-	return ce
-}
-
-// fwdEntry caches one consumer's incremental forward states: the long side
-// tracks the prefix obs[:len-winLen], the short side the window suffix
-// starting at shortStart.
-type fwdEntry struct {
-	model      *bihmm.BHMM
-	long       bihmm.ForwardState
-	short      bihmm.ForwardState
-	shortStart int
-}
-
-// incrementalPredict is refreshPrediction's Config.IncrementalFold path:
-// fold only NEW observations into cached forward states and predict from
-// them. The observation stream is append-only, so the cached long state is
-// a valid prefix whenever its length fits — even across a window roll,
-// which only moves the long/short boundary forward. The state falls back
-// to a full replay (Reset + Extend over everything) when it cannot prove
-// prefix-ness: the consumer's model changed (a different *BHMM — per-user
-// model vs population), the cached prefix is longer than the needed one,
-// or the window start moved (short side after a roll; the replay is at
-// most WindowSize observations there). Either way the produced rows — and
-// therefore Pl/Ps and every downstream score — are bitwise identical to
-// the full forward pass.
-func (e *Engine) incrementalPredict(userID string, m *bihmm.BHMM, longObs, shortObs []bihmm.Obs) (long, short []float64) {
-	fe := e.fwdCache[userID]
-	if fe == nil {
-		fe = &fwdEntry{}
-		e.fwdCache[userID] = fe
-	}
-	if fe.model != m || fe.long.Len() > len(longObs) {
-		fe.long.Reset(m)
-	}
-	m.Extend(&fe.long, longObs[fe.long.Len():])
+	m.Extend(&ce.longSt, longObs[ce.longSt.Len():])
 	shortStart := len(longObs)
-	if fe.model != m || fe.shortStart != shortStart || fe.short.Len() > len(shortObs) {
-		fe.short.Reset(m)
-		fe.shortStart = shortStart
+	if !ce.shortSt.For(m) || ce.shortStart != shortStart || ce.shortSt.Len() > len(shortObs) {
+		ce.shortSt.Reset(m)
+		ce.shortStart = shortStart
 	}
-	m.Extend(&fe.short, shortObs[fe.short.Len():])
-	fe.model = m
-	return m.PredictNextMarginalState(&fe.long, nil), m.PredictNextMarginalState(&fe.short, nil)
+	m.Extend(&ce.shortSt, shortObs[ce.shortSt.Len():])
+	if n := m.PredictScratchLen(); len(e.predScratch) < n {
+		e.predScratch = make([]float64, n)
+	}
+	m.PredictNextMarginalState(&ce.longSt, nil, ce.long, e.predScratch)
+	m.PredictNextMarginalState(&ce.shortSt, nil, ce.short, e.predScratch)
+	return ce
 }
 
 // SetParallelism changes the parallel-search worker count at runtime —
@@ -835,18 +817,6 @@ func (e *Engine) SetFullRefresh(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cfg.FullRefresh = on
-}
-
-// SetIncrementalFold toggles the incremental BiHMM fold-in
-// (Config.IncrementalFold) at runtime. Turning it off drops the cached
-// forward states; turning it on rebuilds them lazily on the next refresh.
-func (e *Engine) SetIncrementalFold(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg.IncrementalFold = on
-	if !on {
-		clear(e.fwdCache)
-	}
 }
 
 // Parallelism reports the configured parallel-search worker count

@@ -160,8 +160,6 @@ func loadFrom(r io.Reader, reconfig func(*Config)) (*Engine, error) {
 			return nil, err
 		}
 		e.index = ix
-		e.predCache = make(map[string]*predEntry)
-		e.fwdCache = make(map[string]*fwdEntry)
 	} else if err := e.rebuildIndex(); err != nil {
 		return nil, err
 	}
@@ -178,8 +176,6 @@ func (e *Engine) rebuildIndex() error {
 		return err
 	}
 	e.index = ix
-	e.predCache = make(map[string]*predEntry)
-	e.fwdCache = make(map[string]*fwdEntry)
 	return nil
 }
 

@@ -2,9 +2,15 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"encoding/json"
+	"math"
+	"os"
 	"reflect"
 	"testing"
 
+	"ssrec/internal/dataset"
 	"ssrec/internal/model"
 )
 
@@ -184,5 +190,84 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 	if eng.Name() != "ssRec" {
 		t.Fatalf("Name = %s", eng.Name())
+	}
+}
+
+// TestLegacyIncrementalFoldSnapshot pins snapshot compatibility across the
+// removal of Config.IncrementalFold: testdata/incremental_fold.snap was
+// written while that field still existed, by an engine configured with
+// IncrementalFold: true (YTubeConfig(0.15), seed 5, TrainMaxIter 4,
+// Restarts 1, UpdateBatch 8, trained on partitions 0–1), and
+// incremental_fold.answers.json holds what that engine answered for the
+// first 25 interactions' items of partition 3 (k=5) after ingesting
+// partition 2. Gob skips the field the current Config lacks, so the
+// snapshot must load and serve the same answers bit for bit.
+func TestLegacyIncrementalFoldSnapshot(t *testing.T) {
+	const snapPath = "testdata/incremental_fold.snap"
+	f, err := os.Open(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy struct {
+		Config struct{ IncrementalFold bool }
+	}
+	err = gob.NewDecoder(gz).Decode(&legacy)
+	f.Close()
+	if err != nil {
+		t.Fatalf("decode legacy config: %v", err)
+	}
+	if !legacy.Config.IncrementalFold {
+		t.Fatal("fixture does not carry IncrementalFold: true")
+	}
+
+	eng, err := LoadFile(snapPath)
+	if err != nil {
+		t.Fatalf("LoadFile: %v", err)
+	}
+	raw, err := os.ReadFile("testdata/incremental_fold.answers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []struct {
+		Item string `json:"item"`
+		Recs []struct {
+			User  string  `json:"user"`
+			Score float64 `json:"score"`
+		} `json:"recs"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := dataset.YTubeConfig(0.15)
+	cfg.Seed = 5
+	ds := dataset.Generate(cfg)
+	parts := ds.Partition(6)
+	for _, ir := range parts[2] {
+		if v, ok := ds.Item(ir.ItemID); ok {
+			eng.Observe(ir, v)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no recorded answers")
+	}
+	for _, w := range want {
+		v, ok := ds.Item(w.Item)
+		if !ok {
+			t.Fatalf("item %s missing from the regenerated dataset", w.Item)
+		}
+		got := eng.Recommend(v, 5)
+		if len(got) != len(w.Recs) {
+			t.Fatalf("item %s: %d answers, recorded %d", w.Item, len(got), len(w.Recs))
+		}
+		for i, r := range w.Recs {
+			if got[i].UserID != r.User || math.Float64bits(got[i].Score) != math.Float64bits(r.Score) {
+				t.Fatalf("item %s rank %d: got %s %v, recorded %s %v", w.Item, i, got[i].UserID, got[i].Score, r.User, r.Score)
+			}
+		}
 	}
 }

@@ -207,14 +207,17 @@ func TestRefreshAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if masked > 0 {
-		t.Errorf("masked refresh allocates %.1f allocs/op, want 0", masked)
-	}
 	fullPath := testing.AllocsPerRun(50, func() {
 		if err := ix.UpdateUser("sports000"); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if raceEnabled {
+		return // race-mode sync.Pool drops pooled scratch: the counts mean nothing
+	}
+	if masked > 0 {
+		t.Errorf("masked refresh allocates %.1f allocs/op, want 0", masked)
+	}
 	if fullPath > 0 {
 		t.Errorf("full refresh allocates %.1f allocs/op, want 0 (scratch-pooled)", fullPath)
 	}

@@ -110,9 +110,10 @@ func TestConformanceReplicatedStreamReplay(t *testing.T) {
 // for the dirty-category-mask refresh: at every micro-batch size in
 // {1, 64, 256} (batch=1 flushes per observation; larger batches merge
 // masks across many observations before one flush), deployments running
-// the masked refresh — with and without the incremental BiHMM fold, at
-// shards 1 and 2 — must be observably equivalent to a reference engine
-// forced onto the rebuild-everything path (SetFullRefresh).
+// the masked refresh and the incremental BiHMM fold — a bare engine and
+// routed deployments at shards 1 and 2 — must be observably equivalent to
+// a reference engine forced onto the rebuild-everything path
+// (SetFullRefresh).
 func TestConformanceDirtyMaskStreamReplay(t *testing.T) {
 	fx := fixture(t)
 	// Query windows fire after every micro-batch, so small batch sizes are
@@ -133,28 +134,30 @@ func TestConformanceDirtyMaskStreamReplay(t *testing.T) {
 			reference.SetFullRefresh(true)
 			want := fx.ReplayBatchSize(t, reference, batchSize, maxBatches)
 
+			// Every arm runs the masked refresh and the incremental fold
+			// (the only prediction path). "shards=1/masked" is the bare,
+			// unrouted engine; the "+fold" arms go through the Router.
 			arms := []struct {
-				name   string
-				shards int
-				fold   bool
+				name string
+				boot func() (shardtest.Deployment, error)
 			}{
-				{"shards=1/masked", 1, false},
-				{"shards=1/masked+fold", 1, true},
-				{"shards=2/masked+fold", 2, true},
+				{"shards=1/masked", func() (shardtest.Deployment, error) {
+					return core.LoadFrom(bytes.NewReader(fx.Snapshot))
+				}},
+				{"shards=1/masked+fold", func() (shardtest.Deployment, error) {
+					return FromSnapshot(fx.Snapshot, 1)
+				}},
+				{"shards=2/masked+fold", func() (shardtest.Deployment, error) {
+					return FromSnapshot(fx.Snapshot, 2)
+				}},
 			}
 			for _, arm := range arms {
 				t.Run(arm.name, func(t *testing.T) {
-					r, err := FromSnapshot(fx.Snapshot, arm.shards)
+					d, err := arm.boot()
 					if err != nil {
 						t.Fatalf("boot: %v", err)
 					}
-					// Masks are the default path; the fold is opt-in.
-					for _, row := range r.fl().grid {
-						for _, e := range row {
-							e.SetIncrementalFold(arm.fold)
-						}
-					}
-					got := fx.ReplayBatchSize(t, r, batchSize, maxBatches)
+					got := fx.ReplayBatchSize(t, d, batchSize, maxBatches)
 					shardtest.Diff(t, want, got, fmt.Sprintf("batch=%d %s", batchSize, arm.name))
 				})
 			}

@@ -243,7 +243,7 @@ func (n *node) kidSig(i int) *Signature {
 }
 
 // recomputeSig refolds n's aggregate from scratch over all its kids — the
-// structural paths' refresh (Insert, Delete, splits) and the oracle the
+// structural paths' refresh (Delete, splits) and the oracle the
 // field-wise refold of refoldPath must reproduce bit for bit.
 func (n *node) recomputeSig() {
 	// Reuse the node's own count buffers: entries/children hold separate
@@ -343,10 +343,16 @@ func (t *Tree) Insert(userID string, sig Signature) {
 	e := &LeafEntry{UserID: userID, Sig: sig, parent: n}
 	n.entries = append(n.entries, e)
 	t.byUser[userID] = e
-	t.propagateUp(n)
 	if len(n.entries) > t.fanout {
+		t.propagateUp(n)
 		t.splitLeaf(n)
+		return
 	}
+	// Without a split the new leaf is one more kid under unchanged
+	// ancestors: every coordinate it holds is dirty against the empty
+	// signature, and the field-wise refold settles the rest.
+	t.markDirty(&Signature{}, &sig)
+	t.refoldPath(e)
 }
 
 // Update replaces a user's signature and refreshes ancestor aggregates.
@@ -432,8 +438,9 @@ func appendChanged(dirty []int, prev, next []float64) []int {
 }
 
 // refoldPath restores the aggregates from e's leaf node to the root after
-// e changed in place, with t.prodDirty/t.entDirty holding the count
-// coordinates that changed. Each level refolds the four scalars over its
+// e changed in place or was inserted without a split, with
+// t.prodDirty/t.entDirty holding the count coordinates that changed (for
+// an insert: every coordinate e holds). Each level refolds the four scalars over its
 // ≤ fanout kids, grows its vectors to e's length, and refolds the count
 // maxima only at the dirty coordinates; a coordinate whose aggregate came
 // out bit-identical is dropped before the next level, and the walk stops
