@@ -106,7 +106,7 @@ type throughputConfig struct {
 // slot-major with N*replicas entries; writes broadcast to every replica
 // and reads load-balance across them, so the R=1 vs R=2 read numbers
 // measure the replica fan-in directly.
-func bootRemoteShards(eng *core.Engine, spec string, replicas int) (*shard.Router, int) {
+func bootRemoteShards(eng *core.Engine, spec string, replicas int) *shard.Router {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "throughput: "+format+"\n", args...)
 		os.Exit(1)
@@ -139,38 +139,15 @@ func bootRemoteShards(eng *core.Engine, spec string, replicas int) (*shard.Route
 			n*replicas, n, replicas, strings.Join(addrs, ","))
 	} else {
 		addrs = shardrpc.SplitAddrs(spec)
-		if len(addrs) == 0 {
-			fail("-remote-shards %q: no addresses", spec)
-		}
-		if len(addrs)%replicas != 0 {
-			fail("-remote-shards: %d addresses not divisible by -replicas %d", len(addrs), replicas)
-		}
 	}
-	n := len(addrs) / replicas
-	slots := make([]shard.Shard, n)
-	for i := 0; i < n; i++ {
-		group := make([]shard.Shard, replicas)
-		for j := 0; j < replicas; j++ {
-			group[j] = shardrpc.NewClient(addrs[i*replicas+j], i, n)
-		}
-		if replicas == 1 {
-			slots[i] = group[0]
-		} else {
-			rs, err := shard.NewReplicaSet(i, group...)
-			if err != nil {
-				fail("slot %d: %v", i, err)
-			}
-			slots[i] = rs
-		}
-	}
-	router, err := shard.NewRouter(slots...)
+	router, err := shardrpc.Dial(addrs, replicas, "")
 	if err != nil {
-		fail("assemble remote deployment: %v", err)
+		fail("-remote-shards %q: %v", spec, err)
 	}
 	if err := router.HandoffSnapshot(context.Background(), buf.Bytes()); err != nil {
 		fail("snapshot handoff: %v", err)
 	}
-	return router, n
+	return router
 }
 
 // benchBackend is the serving surface the replay drives — one engine, its
@@ -278,8 +255,8 @@ func runThroughput(tc throughputConfig) {
 	register := eng.RegisterItem
 	transport := ""
 	if remoteShards != "" {
-		router, n := bootRemoteShards(eng, remoteShards, tc.Replicas)
-		backend, shards, transport = router, n, "rpc"
+		router := bootRemoteShards(eng, remoteShards, tc.Replicas)
+		backend, shards, transport = router, router.Shards(), "rpc"
 		register = router.RegisterItem
 	} else if shards > 1 {
 		var buf bytes.Buffer
@@ -287,7 +264,7 @@ func runThroughput(tc throughputConfig) {
 			fmt.Fprintf(os.Stderr, "throughput: snapshot: %v\n", err)
 			os.Exit(1)
 		}
-		router, err := shard.FromSnapshot(buf.Bytes(), shards)
+		router, err := shard.Open(shard.Topology{Slots: shards, Member: shard.Booted(buf.Bytes())})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "throughput: boot shards: %v\n", err)
 			os.Exit(1)

@@ -25,14 +25,18 @@
 //	ssrec-server -demo -shard-addrs 127.0.0.1:9101,127.0.0.1:9102 -addr :8080
 //
 // -replicas R replicates every shard slot R ways for fault-tolerant
-// reads: the -shard-addrs list becomes slot-major with shards*R entries
-// (slot i's replicas are entries i*R .. i*R+R-1), writes broadcast to all
-// replicas of a slot, reads load-balance across the healthy ones, and a
-// background supervisor (-supervise) auto-reseeds crashed replicas from a
-// healthy sibling:
+// reads: writes broadcast to all replicas of a slot, reads load-balance
+// across the healthy ones, and a background supervisor (-supervise)
+// auto-reseeds crashed replicas from a healthy sibling. In-process it
+// serves -shards slots (1 without it) of R engines each; the -shard-addrs
+// list becomes slot-major with shards*R entries (slot i's replicas are
+// entries i*R .. i*R+R-1):
 //
 //	ssrec-server -demo -replicas 2 \
 //	  -shard-addrs 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9201,127.0.0.1:9202
+//
+// Every router deployment (-shards, -replicas or -shard-addrs) refuses
+// -wal-dir; make it durable per shard with ssrec-shardd -wal-dir.
 //
 // Then:
 //
@@ -79,7 +83,7 @@ func main() {
 
 		partitions = flag.Int("partitions", 1, "intra-query search partitions (Config.Parallelism); overrides a loaded model's setting")
 		shards     = flag.Int("shards", 1, "serve an N-shard scatter-gather deployment (every shard boots from the same model/demo snapshot)")
-		replicas   = flag.Int("replicas", 1, "replicate every shard slot R ways: writes broadcast to all replicas, reads load-balance across healthy ones; with -shard-addrs the list must be slot-major with shards*R entries")
+		replicas   = flag.Int("replicas", 1, "replicate every shard slot R ways (one slot without -shards): writes broadcast to all replicas, reads load-balance across healthy ones; with -shard-addrs the list must be slot-major with shards*R entries")
 		supervise  = flag.Duration("supervise", shard.DefaultSupervisorInterval, "replica supervisor sweep interval (auto-reseed of stale/blank replicas from a healthy sibling; 0 disables; only with -replicas > 1)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated ssrec-shardd addresses (shard-index order, or slot-major with -replicas); serve a remote deployment, pushing the model/demo snapshot to every shard")
 		save       = flag.String("save", "", "after -demo training, save the engine here (core.SaveFile format)")
@@ -91,7 +95,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "HTTP write timeout (/v2/session clears it per stream)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain window after SIGINT/SIGTERM")
 
-		walDir        = flag.String("wal-dir", "", "durable ingest WAL directory for the single-engine server: every admitted write is logged before it is applied, and on boot the latest checkpoint plus the log tail are recovered (taking precedence over -model/-demo; incompatible with -shards/-shard-addrs — give each shardd its own -wal-dir instead)")
+		walDir        = flag.String("wal-dir", "", "durable ingest WAL directory for the single-engine server: every admitted write is logged before it is applied, and on boot the latest checkpoint plus the log tail are recovered (taking precedence over -model/-demo; incompatible with -shards/-replicas/-shard-addrs — give each shardd its own -wal-dir instead)")
 		walFsync      = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval (background ticker), off (OS page cache only)")
 		walSyncEvery  = flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence of -wal-fsync=interval")
 		walCheckpoint = flag.Duration("wal-checkpoint", time.Minute, "periodic checkpoint cadence: snapshot the engine into the WAL and compact the covered segments (0 disables)")
@@ -120,15 +124,15 @@ func main() {
 	})
 
 	// Resolve the serving state: a saved model file or a freshly trained
-	// demo engine. With -shards > 1 a snapshot boots every shard of a
-	// scatter-gather deployment, and with -shard-addrs it is pushed to
-	// every remote shardd over the handoff protocol; a single-engine
-	// server keeps the trained/loaded engine directly (no snapshot
-	// round-trip).
+	// demo engine. With -shards or -replicas > 1 a snapshot boots every
+	// member of a scatter-gather deployment, and with -shard-addrs it is
+	// pushed to every remote shardd over the handoff protocol; a
+	// single-engine server keeps the trained/loaded engine directly (no
+	// snapshot round-trip).
 	remote := shardrpc.SplitAddrs(*shardAddrs)
-	sharded := *shards > 1 || len(remote) > 0
+	sharded := *shards > 1 || *replicas > 1 || len(remote) > 0
 	if *walDir != "" && sharded {
-		log.Fatal("-wal-dir applies to the single-engine server only; make a sharded deployment durable per shard with ssrec-shardd -wal-dir")
+		log.Fatal("-wal-dir applies to the single-engine server only; make a sharded or replicated deployment durable per shard with ssrec-shardd -wal-dir")
 	}
 	var (
 		eng      *core.Engine
@@ -206,69 +210,44 @@ func main() {
 
 	var backend server.Backend
 	var supervisor *shard.Supervisor
-	switch {
-	case len(remote) > 0:
-		// ONE -auth-token secures both roles: this server's /v2 surface
-		// and its client legs into the shardd fleet.
+	if sharded {
 		var (
 			router *shard.Router
 			err    error
 		)
-		if *replicas > 1 {
-			router, err = shardrpc.DialReplicaRouterAuth(remote, *replicas, *authToken)
+		if len(remote) > 0 {
+			// ONE -auth-token secures both roles: this server's /v2
+			// surface and its client legs into the shardd fleet.
+			if router, err = shardrpc.Dial(remote, *replicas, *authToken); err != nil {
+				log.Fatalf("assemble remote deployment: %v", err)
+			}
+			if partitionsSet {
+				// Intra-query parallelism is a per-shardd setting on a
+				// remote deployment; SetParallelism cannot reach across
+				// the wire.
+				log.Printf("warning: -partitions is ignored with -shard-addrs; set it per shard with ssrec-shardd -partitions")
+			}
+			log.Printf("pushing snapshot to %d remote shard(s), slot-major: %v", len(remote), remote)
+			if err := router.HandoffSnapshot(context.Background(), snapshot); err != nil {
+				log.Fatalf("snapshot handoff: %v", err)
+			}
 		} else {
-			router, err = shardrpc.DialRouterAuth(remote, *authToken)
-		}
-		if err != nil {
-			log.Fatalf("assemble remote deployment: %v", err)
-		}
-		if partitionsSet {
-			// Intra-query parallelism is a per-shardd setting on a remote
-			// deployment; SetParallelism cannot reach across the wire.
-			log.Printf("warning: -partitions is ignored with -shard-addrs; set it per shard with ssrec-shardd -partitions")
-		}
-		log.Printf("pushing snapshot to %d remote shard(s)...", len(remote))
-		if err := router.HandoffSnapshot(context.Background(), snapshot); err != nil {
-			log.Fatalf("snapshot handoff: %v", err)
-		}
-		for _, st := range router.ShardStats() {
-			if *replicas > 1 {
-				slot := remote[st.Shard**replicas : (st.Shard+1)**replicas]
-				log.Printf("slot %d @ %v (%d replicas): %d/%d owned users, %d leaves", st.Shard, slot, *replicas, st.OwnedUsers, st.Users, st.Leaves)
-			} else {
-				log.Printf("shard %d @ %s: %d/%d owned users, %d leaves", st.Shard, remote[st.Shard], st.OwnedUsers, st.Users, st.Leaves)
+			if router, err = shard.Open(shard.Topology{Slots: *shards, Replicas: *replicas, Member: shard.Booted(snapshot)}); err != nil {
+				log.Fatalf("boot %d-shard deployment: %v", *shards, err)
+			}
+			if partitionsSet {
+				router.SetParallelism(*partitions)
 			}
 		}
-		if *replicas > 1 && *supervise > 0 {
-			supervisor = router.StartSupervisor(*supervise)
-			log.Printf("replica supervisor running (sweep every %v)", *supervise)
-		}
-		backend = router
-	case *shards > 1:
-		var (
-			router *shard.Router
-			err    error
-		)
-		if *replicas > 1 {
-			router, err = shard.FromSnapshotReplicated(snapshot, *shards, *replicas)
-		} else {
-			router, err = shard.FromSnapshot(snapshot, *shards)
-		}
-		if err != nil {
-			log.Fatalf("boot %d-shard deployment: %v", *shards, err)
-		}
-		if partitionsSet {
-			router.SetParallelism(*partitions)
-		}
 		for _, st := range router.ShardStats() {
-			log.Printf("shard %d: %d/%d owned users, %d leaves", st.Shard, st.OwnedUsers, st.Users, st.Leaves)
+			log.Printf("slot %d (%d replicas): %d/%d owned users, %d leaves", st.Shard, router.Replicas(), st.OwnedUsers, st.Users, st.Leaves)
 		}
 		if *replicas > 1 && *supervise > 0 {
 			supervisor = router.StartSupervisor(*supervise)
 			log.Printf("replica supervisor running (sweep every %v, %d replicas/slot)", *supervise, *replicas)
 		}
 		backend = router
-	default:
+	} else {
 		if partitionsSet {
 			eng.SetParallelism(*partitions) // explicit flag overrides the snapshot's value
 		}

@@ -70,12 +70,6 @@ type Config struct {
 	// DisableUpdates freezes profiles and index after Train (ssRec-nu,
 	// Fig. 9).
 	DisableUpdates bool
-	// FullRefresh disables the dirty-category-mask optimisation of index
-	// maintenance: every flush rebuilds ALL of a dirty user's leaves, as
-	// the engine did before masks existed. The masked path is provably
-	// bit-identical (the conformance suite replays both), so this is an
-	// escape hatch and the reference arm of that proof, not a tuning knob.
-	FullRefresh bool
 	// UpdateBatch batches index maintenance: profile changes are applied
 	// immediately, but the per-user index entries (Algorithm 2) refresh
 	// only every UpdateBatch observations — the paper's "periodic"
@@ -227,6 +221,9 @@ type Engine struct {
 	flushIDs   []string     // reusable scratch for flushUpdatesLocked
 	sinceFlush int
 	trained    bool
+	// fullRefresh forces the rebuild-everything reference path
+	// (SetFullRefresh).
+	fullRefresh bool
 
 	// refreshErrs counts index-refresh failures during flushes (surfaced
 	// as the refresh_errors stat; first occurrence is logged).
@@ -576,12 +573,12 @@ func (e *Engine) flushUpdatesLocked() int {
 	// were recomputed, and summing the count across shards must equal the
 	// single-engine figure. The dirty-category mask narrows the expensive
 	// leaf rebuilds to the categories this flush actually touched;
-	// Config.FullRefresh restores the rebuild-everything reference path.
+	// SetFullRefresh restores the rebuild-everything reference path.
 	n := 0
 	for _, id := range ids {
 		d := e.dirty[id]
 		var err error
-		if e.cfg.FullRefresh {
+		if e.fullRefresh {
 			err = e.index.UpdateUser(id)
 		} else {
 			err = e.index.UpdateUserCats(id, d.cats, d.all)
@@ -810,13 +807,15 @@ func (e *Engine) SetParallelism(n int) {
 	}
 }
 
-// SetFullRefresh toggles the dirty-category-mask optimisation at runtime
-// (Config.FullRefresh; true = rebuild every leaf per flush). Used by the
-// conformance suite to boot the reference arm from a shared snapshot.
+// SetFullRefresh switches index maintenance onto the rebuild-everything
+// reference path (true: every flush rebuilds ALL of a dirty user's
+// leaves, as the engine did before dirty-category masks existed). It is
+// the conformance oracle the masked refresh is proven bit-identical
+// against, not a tuning knob; it is not persisted in snapshots.
 func (e *Engine) SetFullRefresh(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cfg.FullRefresh = on
+	e.fullRefresh = on
 }
 
 // Parallelism reports the configured parallel-search worker count
@@ -836,7 +835,7 @@ func (e *Engine) Trained() bool {
 
 // SetShard re-scopes a trained engine as shard idx of an n-way deployment
 // and rebuilds the index so leaves cover only the owned user block — how a
-// shard boots from a shared snapshot (shard.FromSnapshot, ssrec-server
+// shard boots from a shared snapshot (shard.Booted, ssrec-server
 // -model -shards). n <= 1 restores the unsharded engine.
 func (e *Engine) SetShard(idx, n int) error {
 	if n > 1 && (idx < 0 || idx >= n) {

@@ -86,7 +86,7 @@ func LoadFrom(r io.Reader) (*Engine, error) {
 // LoadShardFrom deserialises a snapshot as shard idx of an n-way
 // deployment: identical restored state, but the rebuilt index materialises
 // leaves only for the owned user block. This is how every shard of a local
-// or remote deployment boots from ONE shared snapshot (shard.FromSnapshot)
+// or remote deployment boots from ONE shared snapshot (shard.Booted)
 // without paying the index build twice.
 func LoadShardFrom(r io.Reader, idx, n int) (*Engine, error) {
 	if n > 1 && (idx < 0 || idx >= n) {

@@ -29,7 +29,7 @@ func cloneTrained(t *testing.T, n int) (*Engine, []*Engine) {
 }
 
 // TestMaskedRefreshMatchesFullEngine is the engine-level exactness pin:
-// two arms boot from one snapshot — reference (FullRefresh) and masked
+// two arms boot from one snapshot — reference (SetFullRefresh) and masked
 // (default) — replay the same interaction stream observation by
 // observation (UpdateBatch default: flush per observe), and must answer
 // every query bit-identically throughout. Both arms predict through the
@@ -119,7 +119,7 @@ func TestRefreshErrorsSurfaced(t *testing.T) {
 	}
 }
 
-// TestFullRefreshSetter covers the escape hatch: flipping FullRefresh at
+// TestFullRefreshSetter covers the oracle setter: flipping SetFullRefresh at
 // runtime routes flushes through the rebuild-everything path and back.
 func TestFullRefreshSetter(t *testing.T) {
 	ds := testDataset(t)

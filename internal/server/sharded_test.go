@@ -34,7 +34,7 @@ func testShardedServer(t *testing.T, n int) (*Server, *dataset.Dataset) {
 	if err := eng.SaveTo(&buf); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	r, err := shard.FromSnapshot(buf.Bytes(), n)
+	r, err := shard.Open(shard.Topology{Slots: n, Member: shard.Booted(buf.Bytes())})
 	if err != nil {
 		t.Fatalf("boot router: %v", err)
 	}
@@ -57,7 +57,7 @@ func testReplicatedServer(t *testing.T, n, rep int) (*Server, *dataset.Dataset) 
 	if err := eng.SaveTo(&buf); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	r, err := shard.FromSnapshotReplicated(buf.Bytes(), n, rep)
+	r, err := shard.Open(shard.Topology{Slots: n, Replicas: rep, Member: shard.Booted(buf.Bytes())})
 	if err != nil {
 		t.Fatalf("boot replicated router: %v", err)
 	}

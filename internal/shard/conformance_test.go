@@ -61,7 +61,7 @@ func TestConformanceStreamReplay(t *testing.T) {
 	for _, n := range shardCounts {
 		for _, p := range parallelisms {
 			t.Run(fmt.Sprintf("shards=%d/parallelism=%d", n, p), func(t *testing.T) {
-				r, err := FromSnapshot(fx.Snapshot, n)
+				r, err := boot(fx.Snapshot, n, 1)
 				if err != nil {
 					t.Fatalf("boot: %v", err)
 				}
@@ -96,7 +96,19 @@ func TestConformanceReplicatedStreamReplay(t *testing.T) {
 
 	for _, rep := range replicas {
 		t.Run(fmt.Sprintf("shards=2/replicas=%d", rep), func(t *testing.T) {
-			r, err := FromSnapshotReplicated(fx.Snapshot, 2, rep)
+			member := Booted(fx.Snapshot)
+			if rep == 1 {
+				// Open serves a plain member at R=1; keep the
+				// one-replica set's code path covered by building it.
+				member = func(slot, replica, slots int) (Shard, error) {
+					m, err := Booted(fx.Snapshot)(slot, replica, slots)
+					if err != nil {
+						return nil, err
+					}
+					return NewReplicaSet(slot, m)
+				}
+			}
+			r, err := Open(Topology{Slots: 2, Replicas: rep, Member: member})
 			if err != nil {
 				t.Fatalf("boot: %v", err)
 			}
@@ -145,10 +157,10 @@ func TestConformanceDirtyMaskStreamReplay(t *testing.T) {
 					return core.LoadFrom(bytes.NewReader(fx.Snapshot))
 				}},
 				{"shards=1/masked+fold", func() (shardtest.Deployment, error) {
-					return FromSnapshot(fx.Snapshot, 1)
+					return boot(fx.Snapshot, 1, 1)
 				}},
 				{"shards=2/masked+fold", func() (shardtest.Deployment, error) {
-					return FromSnapshot(fx.Snapshot, 2)
+					return boot(fx.Snapshot, 2, 1)
 				}},
 			}
 			for _, arm := range arms {
@@ -178,7 +190,7 @@ func TestConformanceShardStats(t *testing.T) {
 	if !ok {
 		t.Fatal("reference engine reports no index")
 	}
-	r, err := FromSnapshot(fx.Snapshot, 4)
+	r, err := boot(fx.Snapshot, 4, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

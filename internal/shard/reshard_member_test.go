@@ -116,7 +116,7 @@ func (g *gateShard) Stats() Stats {
 // reference that saw the same admitted stream.
 func TestReshardMemberSeedingMirrorsLiveWrites(t *testing.T) {
 	fx := fixture(t)
-	r, err := FromSnapshot(fx.Snapshot, 1)
+	r, err := boot(fx.Snapshot, 1, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestReshardSnapshotExportRefusal(t *testing.T) {
 	t.Run("provider error", func(t *testing.T) {
 		stub := &stubShard{inner: NewLocal(0, e)}
 		stub.failing.Store(true)
-		r := newRouter([]Shard{stub, &noHandoffShard{idx: 1}}, nil)
+		r := newRouter([]Shard{stub, &noHandoffShard{idx: 1}})
 		err := r.Reshard(ctx, 2)
 		if err == nil || !strings.Contains(err.Error(), "snapshot export") {
 			t.Fatalf("err = %v, want snapshot export failure", err)
@@ -239,7 +239,7 @@ func TestReshardSnapshotExportRefusal(t *testing.T) {
 	})
 
 	t.Run("no provider", func(t *testing.T) {
-		r := newRouter([]Shard{&noHandoffShard{idx: 0}}, nil)
+		r := newRouter([]Shard{&noHandoffShard{idx: 0}})
 		if err := r.Reshard(ctx, 2); !errors.Is(err, ErrShardUnavailable) {
 			t.Fatalf("err = %v, want ErrShardUnavailable (no snapshot source)", err)
 		}
@@ -247,7 +247,7 @@ func TestReshardSnapshotExportRefusal(t *testing.T) {
 
 	t.Run("provider excluded", func(t *testing.T) {
 		stub := &stubShard{inner: NewLocal(0, e)}
-		r := newRouter([]Shard{stub}, nil)
+		r := newRouter([]Shard{stub})
 		r.fl().exclude(0)
 		if err := r.Reshard(ctx, 2); !errors.Is(err, ErrShardUnavailable) {
 			t.Fatalf("err = %v, want ErrShardUnavailable (source excluded)", err)

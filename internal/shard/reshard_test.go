@@ -53,7 +53,7 @@ func TestReshardConformanceSplitMerge(t *testing.T) {
 	}
 	want := fx.Replay(t, reference, maxBatches)
 
-	r, err := FromSnapshot(fx.Snapshot, 2)
+	r, err := boot(fx.Snapshot, 2, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestReshardConcurrentHammer(t *testing.T) {
 		capBatches = 8
 	}
 
-	r, err := FromSnapshot(fx.Snapshot, 2)
+	r, err := boot(fx.Snapshot, 2, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -311,7 +311,7 @@ func (s *noHandoffShard) Stats() Stats { return Stats{Shard: s.idx} }
 // leaked no goroutines.
 func TestReshardCancelNoLeakNoDisruption(t *testing.T) {
 	fx := fixture(t)
-	r, err := FromSnapshot(fx.Snapshot, 1)
+	r, err := boot(fx.Snapshot, 1, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -402,7 +402,7 @@ func TestReshardCancelNoLeakNoDisruption(t *testing.T) {
 // created.
 func TestReshardValidation(t *testing.T) {
 	fx := fixture(t)
-	r, err := FromSnapshot(fx.Snapshot, 1)
+	r, err := boot(fx.Snapshot, 1, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

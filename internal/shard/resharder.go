@@ -273,9 +273,7 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 	// the successor table. The old fleet serves throughout; admitted
 	// writes pile into the ring.
 	newShards := make([]Shard, m)
-	var newGrid [][]*core.Engine
 	if len(members) == 0 {
-		newGrid = make([][]*core.Engine, m)
 		for i := 0; i < m; i++ {
 			if err := ctx.Err(); err != nil {
 				return r.finishReshard(rsd, ReshardPhaseCancelled, err)
@@ -287,7 +285,6 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 				}
 				return r.finishReshard(rsd, ReshardPhaseFailed, fmt.Errorf("shard: seed slot %d: %w", i, err))
 			}
-			newGrid[i] = []*core.Engine{e}
 			newShards[i] = NewLocal(i, e)
 			rsd.seeded.Add(1)
 		}
@@ -350,7 +347,7 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 			return r.finishReshard(rsd, ReshardPhaseFailed, err)
 		}
 	}
-	nf := newFleet(newShards, newGrid, next)
+	nf := newFleet(newShards, next)
 	nf.setProbeInterval(old.probeInterval())
 	r.fleet.Store(nf)
 	r.rsd.Store(nil)

@@ -65,22 +65,40 @@ type fleet struct {
 	// members holds the shard handles and their exclusion, missed-write
 	// debt, epoch baselines and probe schedule (members.go).
 	members
-	// grid holds the engines of an in-process deployment: grid[i][j] is
-	// replica j of slot i, one column for an unreplicated one (New,
-	// FromSnapshot and their replicated forms) — Train and SetParallelism
-	// need them. A mixed or RPC deployment leaves it nil and bootstraps
-	// out-of-band.
-	grid [][]*core.Engine
 	// partition is this fleet's versioned ownership table; epoch 0 agrees
 	// exactly with the legacy model.ShardOf rule, each reshard installs
 	// the successor epoch with the replacement fleet.
 	partition model.Partition
 }
 
-func newFleet(shards []Shard, grid [][]*core.Engine, p model.Partition) *fleet {
-	f := &fleet{grid: grid, partition: p}
+func newFleet(shards []Shard, p model.Partition) *fleet {
+	f := &fleet{partition: p}
 	f.init(shards)
 	return f
+}
+
+// locals walks the fleet's members for in-process engines: grid[i] holds
+// slot i's *Local members, one per replica. all reports whether every
+// member is a *Local or a *ReplicaSet of *Locals; a remote or mixed
+// deployment has members the walk cannot see into.
+func (f *fleet) locals() (grid [][]*Local, all bool) {
+	all = true
+	grid = make([][]*Local, len(f.shards))
+	for i, s := range f.shards {
+		slot := []Shard{s}
+		if rs, ok := s.(*ReplicaSet); ok {
+			slot = rs.shards
+		}
+		for _, m := range slot {
+			l, ok := m.(*Local)
+			if !ok {
+				all = false
+				continue
+			}
+			grid[i] = append(grid[i], l)
+		}
+	}
+	return grid, all
 }
 
 // Router fans the engine API out over the shards of one deployment.
@@ -112,9 +130,9 @@ type Router struct {
 	reshardsDone atomic.Uint64
 }
 
-func newRouter(shards []Shard, grid [][]*core.Engine) *Router {
+func newRouter(shards []Shard) *Router {
 	r := &Router{}
-	r.fleet.Store(newFleet(shards, grid, model.LegacyPartition(len(shards))))
+	r.fleet.Store(newFleet(shards, model.LegacyPartition(len(shards))))
 	return r
 }
 
@@ -189,9 +207,74 @@ func (r *Router) ready(ctx context.Context) error {
 	return core.ErrNotTrained
 }
 
-// NewRouter assembles a router over pre-built shards — the entry point for
-// RPC and mixed local/remote deployments. Shards must be passed in index
-// order.
+// Topology describes a deployment for Open: Slots user-block partitions,
+// each served by Replicas identically-partitioned members. Member builds
+// replica `replica` of slot `slot` in a `slots`-wide deployment; Engines
+// and Booted are the in-process sources, and shardrpc.Dial plugs in
+// remote clients.
+type Topology struct {
+	Slots    int
+	Replicas int
+	Member   func(slot, replica, slots int) (Shard, error)
+}
+
+// Open assembles a Router over a Topology, slot-major: the members of
+// slot i are built for replica 0, 1, ... in order. Replicas > 1 groups
+// each slot's members in a ReplicaSet; otherwise each slot is its one
+// plain member. A width below 1 reads as 1.
+func Open(t Topology) (*Router, error) {
+	slots, reps := max(t.Slots, 1), max(t.Replicas, 1)
+	shards := make([]Shard, slots)
+	for i := range shards {
+		replicas := make([]Shard, reps)
+		for j := range replicas {
+			m, err := t.Member(i, j, slots)
+			if err != nil {
+				return nil, fmt.Errorf("shard: slot %d replica %d: %w", i, j, err)
+			}
+			replicas[j] = m
+		}
+		shards[i] = replicas[0]
+		if reps > 1 {
+			rs, err := NewReplicaSet(i, replicas...)
+			if err != nil {
+				return nil, err
+			}
+			shards[i] = rs
+		}
+	}
+	return NewRouter(shards...)
+}
+
+// Engines is the Topology member source of a fresh in-process deployment:
+// every member is a new engine built from cfg, with ShardIndex and
+// ShardCount set to its slot. Train bootstraps it.
+func Engines(cfg core.Config) func(slot, replica, slots int) (Shard, error) {
+	return func(slot, _, slots int) (Shard, error) {
+		c := cfg
+		c.ShardIndex, c.ShardCount = slot, slots
+		return NewLocal(slot, core.New(c)), nil
+	}
+}
+
+// Booted is the Topology member source that boots every member from ONE
+// trained-engine snapshot (core.SaveTo bytes): each restores the same
+// replicated state and rebuilds only its slot's leaf partition, so any
+// replica answers a slot query bit-identically. One training or one
+// -save run, N boots.
+func Booted(snapshot []byte) func(slot, replica, slots int) (Shard, error) {
+	return func(slot, _, slots int) (Shard, error) {
+		e, err := core.LoadShardFrom(bytes.NewReader(snapshot), slot, slots)
+		if err != nil {
+			return nil, err
+		}
+		return NewLocal(slot, e), nil
+	}
+}
+
+// NewRouter assembles a router over pre-built shards, passed in index
+// order — the primitive under Open, and the entry point for hand-built
+// mixed deployments.
 func NewRouter(shards ...Shard) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
@@ -201,111 +284,7 @@ func NewRouter(shards ...Shard) (*Router, error) {
 			return nil, fmt.Errorf("shard: shard at position %d reports index %d", i, s.Index())
 		}
 	}
-	return newRouter(shards, nil), nil
-}
-
-// New builds an n-shard in-process deployment from one engine Config. The
-// config's ShardIndex/ShardCount are overridden per shard; n <= 1 degrades
-// to a single-engine deployment behind the same Router surface.
-func New(cfg core.Config, n int) *Router {
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]Shard, n)
-	grid := make([][]*core.Engine, n)
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.ShardIndex, c.ShardCount = i, n
-		grid[i] = []*core.Engine{core.New(c)}
-		shards[i] = NewLocal(i, grid[i][0])
-	}
-	return newRouter(shards, grid)
-}
-
-// FromSnapshot boots an n-shard in-process deployment from ONE trained
-// engine snapshot (core.SaveTo bytes): every shard restores the same
-// replicated state and rebuilds only its own leaf partition. This is the
-// cheap way to stand up a deployment — one training or one -save run, N
-// boots — and the model ssrec-server -model -shards uses.
-func FromSnapshot(data []byte, n int) (*Router, error) {
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]Shard, n)
-	grid := make([][]*core.Engine, n)
-	for i := 0; i < n; i++ {
-		e, err := core.LoadShardFrom(bytes.NewReader(data), i, n)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		grid[i] = []*core.Engine{e}
-		shards[i] = NewLocal(i, e)
-	}
-	return newRouter(shards, grid), nil
-}
-
-// NewReplicated builds an in-process deployment of n slots × rep replicas:
-// every slot is a ReplicaSet of rep identically-partitioned engines behind
-// the same Router surface. rep <= 1 still wraps each slot in a one-replica
-// set, so the replica code path is exercised uniformly.
-func NewReplicated(cfg core.Config, n, rep int) (*Router, error) {
-	if n < 1 {
-		n = 1
-	}
-	if rep < 1 {
-		rep = 1
-	}
-	shards := make([]Shard, n)
-	grid := make([][]*core.Engine, n)
-	for i := 0; i < n; i++ {
-		grid[i] = make([]*core.Engine, rep)
-		members := make([]Shard, rep)
-		for j := 0; j < rep; j++ {
-			c := cfg
-			c.ShardIndex, c.ShardCount = i, n
-			grid[i][j] = core.New(c)
-			members[j] = NewLocal(i, grid[i][j])
-		}
-		rs, err := NewReplicaSet(i, members...)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = rs
-	}
-	return newRouter(shards, grid), nil
-}
-
-// FromSnapshotReplicated boots an n-slot × rep-replica in-process
-// deployment from ONE trained-engine snapshot: every replica of slot i
-// restores the same replicated state and rebuilds slot i's leaf partition,
-// so any replica answers a slot query bit-identically.
-func FromSnapshotReplicated(data []byte, n, rep int) (*Router, error) {
-	if n < 1 {
-		n = 1
-	}
-	if rep < 1 {
-		rep = 1
-	}
-	shards := make([]Shard, n)
-	grid := make([][]*core.Engine, n)
-	for i := 0; i < n; i++ {
-		grid[i] = make([]*core.Engine, rep)
-		members := make([]Shard, rep)
-		for j := 0; j < rep; j++ {
-			e, err := core.LoadShardFrom(bytes.NewReader(data), i, n)
-			if err != nil {
-				return nil, fmt.Errorf("slot %d replica %d: %w", i, j, err)
-			}
-			grid[i][j] = e
-			members[j] = NewLocal(i, e)
-		}
-		rs, err := NewReplicaSet(i, members...)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = rs
-	}
-	return newRouter(shards, grid), nil
+	return newRouter(shards), nil
 }
 
 // Shards reports the deployment width.
@@ -386,7 +365,7 @@ func (r *Router) Probe(ctx context.Context) []int {
 // snapshot before rejoining). A shard whose push fails is excluded, and a
 // shard whose confirming ping fails keeps no epoch baseline, so only a
 // later re-seed can prove it fresh. In-process shards are skipped; they
-// boot through New/FromSnapshot/Train.
+// boot through Open (Booted) or Train.
 func (r *Router) HandoffSnapshot(ctx context.Context, snapshot []byte) error {
 	f := r.fl()
 	for i, s := range f.shards {
@@ -405,43 +384,40 @@ func (r *Router) HandoffSnapshot(ctx context.Context, snapshot []byte) error {
 	return nil
 }
 
-// Train bootstraps an in-process deployment: replica 0 of slot 0 trains
-// once on the full stream, then every other engine of the grid boots from
-// its snapshot (LoadShardFrom) — identical replicated state, its slot's
-// leaf partition — so an n-slot × rep-replica deployment costs ONE
-// training, not n×rep.
+// Train bootstraps an in-process deployment: the first engine (replica 0
+// of slot 0) trains once on the full stream, then every other engine
+// boots from its snapshot (LoadShardFrom) — identical replicated state,
+// its slot's leaf partition — so an n-slot × rep-replica deployment costs
+// ONE training, not n×rep. The engines are found by walking the members;
+// a deployment with any member that is not a *Local (or a ReplicaSet of
+// them) is refused. Train is a bootstrap step: it swaps the engines under
+// the members, so it must return before the deployment serves.
 func (r *Router) Train(items []model.Item, interactions []model.Interaction, resolve func(string) (model.Item, bool)) error {
-	f := r.fl()
-	if f.grid == nil {
-		return fmt.Errorf("shard: Train requires an in-process deployment (New or FromSnapshot); remote deployments train out-of-band and boot via HandoffSnapshot")
+	grid, all := r.fl().locals()
+	if !all {
+		return fmt.Errorf("shard: Train requires an in-process deployment; remote deployments train out-of-band and boot via HandoffSnapshot")
 	}
-	if err := f.grid[0][0].Train(items, interactions, resolve); err != nil {
+	first := grid[0][0].eng
+	if err := first.Train(items, interactions, resolve); err != nil {
 		return err
 	}
-	n := len(f.grid)
-	if n == 1 && len(f.grid[0]) == 1 {
+	if len(grid) == 1 && len(grid[0]) == 1 {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := f.grid[0][0].SaveTo(&buf); err != nil {
+	if err := first.SaveTo(&buf); err != nil {
 		return fmt.Errorf("shard: snapshot slot 0: %w", err)
 	}
-	data := buf.Bytes()
-	for i, row := range f.grid {
-		for j := range row {
+	for i, row := range grid {
+		for j, l := range row {
 			if i == 0 && j == 0 {
 				continue
 			}
-			e, err := core.LoadShardFrom(bytes.NewReader(data), i, n)
+			e, err := core.LoadShardFrom(bytes.NewReader(buf.Bytes()), i, len(grid))
 			if err != nil {
 				return fmt.Errorf("slot %d replica %d: boot from snapshot: %w", i, j, err)
 			}
-			row[j] = e
-			if rs, ok := f.shards[i].(*ReplicaSet); ok {
-				rs.shards[j] = NewLocal(i, e)
-			} else {
-				f.shards[i] = NewLocal(i, e)
-			}
+			l.eng = e
 		}
 	}
 	return nil
@@ -451,9 +427,10 @@ func (r *Router) Train(items []model.Item, interactions []model.Interaction, res
 // engine (remote shards take the per-call core.WithParallelism option or
 // their shardd -partitions flag).
 func (r *Router) SetParallelism(n int) {
-	for _, row := range r.fl().grid {
-		for _, e := range row {
-			e.SetParallelism(n)
+	grid, _ := r.fl().locals()
+	for _, row := range grid {
+		for _, l := range row {
+			l.eng.SetParallelism(n)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,20 +16,111 @@ import (
 	"ssrec/internal/model"
 )
 
+// boot opens an in-process slots × replicas deployment booted from one
+// snapshot.
+func boot(snapshot []byte, slots, replicas int) (*Router, error) {
+	return Open(Topology{Slots: slots, Replicas: replicas, Member: Booted(snapshot)})
+}
+
 func bootRouter(t testing.TB, n int) *Router {
 	t.Helper()
 	fx := fixture(t)
-	r, err := FromSnapshot(fx.Snapshot, n)
+	r, err := boot(fx.Snapshot, n, 1)
 	if err != nil {
 		t.Fatalf("boot %d-shard router: %v", n, err)
 	}
 	return r
 }
 
-func TestNewRouterValidation(t *testing.T) {
+// TestOpen covers the one assembly path over Slots × Replicas: the
+// member source is called slot-major with the clamped width, slots keep
+// their index, members are wrapped in a ReplicaSet iff Replicas > 1, one
+// Train boots every engine, and every shape answers like the single
+// engine. Member errors name their slot and replica.
+func TestOpen(t *testing.T) {
+	tf := dsConfig(t)
+	var want []model.Recommendation
+	for _, slots := range []int{0, 1, 2} {
+		for _, reps := range []int{0, 1, 3} {
+			t.Run(fmt.Sprintf("slots=%d/replicas=%d", slots, reps), func(t *testing.T) {
+				n, rep := max(slots, 1), max(reps, 1)
+				engines := Engines(tf.engineCfg)
+				var calls, wantCalls [][3]int
+				r, err := Open(Topology{Slots: slots, Replicas: reps, Member: func(slot, replica, of int) (Shard, error) {
+					calls = append(calls, [3]int{slot, replica, of})
+					return engines(slot, replica, of)
+				}})
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < rep; j++ {
+						wantCalls = append(wantCalls, [3]int{i, j, n})
+					}
+				}
+				if !reflect.DeepEqual(calls, wantCalls) {
+					t.Fatalf("member source calls %v, want %v", calls, wantCalls)
+				}
+				if r.Shards() != n || r.Replicas() != rep {
+					t.Fatalf("%d shards x %d replicas, want %d x %d", r.Shards(), r.Replicas(), n, rep)
+				}
+				grid, all := r.fl().locals()
+				if !all {
+					t.Fatal("in-process deployment has a non-local member")
+				}
+				for i, s := range r.fl().shards {
+					if s.Index() != i {
+						t.Fatalf("slot %d reports index %d", i, s.Index())
+					}
+					if _, wrapped := s.(*ReplicaSet); wrapped != (reps > 1) {
+						t.Fatalf("slot %d wrapped=%v with Replicas=%d", i, wrapped, reps)
+					}
+					if len(grid[i]) != rep {
+						t.Fatalf("slot %d has %d engines, want %d", i, len(grid[i]), rep)
+					}
+				}
+				if err := r.Train(tf.items, tf.irs, tf.resolve); err != nil {
+					t.Fatalf("Train: %v", err)
+				}
+				for i, row := range grid {
+					for j, l := range row {
+						if idx, of := l.Engine().Shard(); !l.Engine().Trained() || idx != i || of != n {
+							t.Fatalf("slot %d replica %d: trained=%v shard (%d, %d)", i, j, l.Engine().Trained(), idx, of)
+						}
+					}
+				}
+				res, err := r.RecommendCtx(context.Background(), tf.query, core.WithK(5))
+				if err != nil || len(res.Recommendations) == 0 {
+					t.Fatalf("RecommendCtx: %v (%d results)", err, len(res.Recommendations))
+				}
+				if want == nil {
+					want = res.Recommendations
+				} else if !reflect.DeepEqual(res.Recommendations, want) {
+					t.Fatalf("answer %v differs from the 1x1 deployment's %v", res.Recommendations, want)
+				}
+			})
+		}
+	}
+
+	errBoom := errors.New("boom")
+	_, err := Open(Topology{Slots: 2, Replicas: 3, Member: func(slot, replica, of int) (Shard, error) {
+		if slot == 1 && replica == 2 {
+			return nil, errBoom
+		}
+		return Engines(tf.engineCfg)(slot, replica, of)
+	}})
+	if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "slot 1 replica 2") {
+		t.Fatalf("member error = %v, want boom naming slot 1 replica 2", err)
+	}
+	if _, err := boot([]byte("not a snapshot"), 2, 1); err == nil || !strings.Contains(err.Error(), "slot 0 replica 0") {
+		t.Fatalf("garbage snapshot: err = %v, want a slot 0 replica 0 boot error", err)
+	}
 	if _, err := NewRouter(); err == nil {
 		t.Error("empty router accepted")
 	}
+}
+
+func TestNewRouterValidation(t *testing.T) {
 	eng := core.New(core.Config{Categories: []string{"c"}})
 	if _, err := NewRouter(NewLocal(1, eng)); err == nil {
 		t.Error("out-of-order shard index accepted")
@@ -39,7 +131,10 @@ func TestNewRouterValidation(t *testing.T) {
 }
 
 func TestRouterUntrained(t *testing.T) {
-	r := New(core.Config{Categories: []string{"cat"}}, 3)
+	r, err := Open(Topology{Slots: 3, Member: Engines(core.Config{Categories: []string{"cat"}})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	results, err := r.RecommendBatch(context.Background(), []model.Item{{ID: "x", Category: "cat"}})
 	if !errors.Is(err, core.ErrNotTrained) {
 		t.Fatalf("err = %v, want ErrNotTrained", err)
@@ -304,17 +399,14 @@ func TestRouterObserveBatchAtomicity(t *testing.T) {
 	}
 }
 
-func TestFromSnapshotGarbage(t *testing.T) {
-	if _, err := FromSnapshot([]byte("not a snapshot"), 2); err == nil {
-		t.Error("garbage snapshot accepted")
-	}
-}
-
 func TestRouterTrain(t *testing.T) {
 	fx := fixture(t)
 	_ = fx
 	cfg := dsConfig(t)
-	r := New(cfg.engineCfg, 2)
+	r, err := Open(Topology{Slots: 2, Member: Engines(cfg.engineCfg)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Train(cfg.items, cfg.irs, cfg.resolve); err != nil {
 		t.Fatalf("Train: %v", err)
 	}

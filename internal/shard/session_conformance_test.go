@@ -49,7 +49,7 @@ func TestSessionConformanceStreamReplay(t *testing.T) {
 
 	for _, n := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			r, err := FromSnapshot(fx.Snapshot, n)
+			r, err := boot(fx.Snapshot, n, 1)
 			if err != nil {
 				t.Fatalf("boot: %v", err)
 			}

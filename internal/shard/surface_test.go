@@ -61,9 +61,9 @@ func TestLocalAccessorsAndReplay(t *testing.T) {
 // reaching every engine in the grid.
 func TestReplicatedTrainAndMaintenanceFanout(t *testing.T) {
 	tf := dsConfig(t)
-	r, err := NewReplicated(tf.engineCfg, 2, 2)
+	r, err := Open(Topology{Slots: 2, Replicas: 2, Member: Engines(tf.engineCfg)})
 	if err != nil {
-		t.Fatalf("NewReplicated: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	if err := r.Train(tf.items, tf.irs, tf.resolve); err != nil {
 		t.Fatalf("Train: %v", err)
@@ -84,9 +84,10 @@ func TestReplicatedTrainAndMaintenanceFanout(t *testing.T) {
 	// SetParallelism must reach the whole replica grid (and stay a no-op
 	// semantically: the deployment still answers).
 	r.SetParallelism(2)
-	for i, row := range r.fl().grid {
-		for j, e := range row {
-			if got := e.Parallelism(); got != 2 {
+	grid, _ := r.fl().locals()
+	for i, row := range grid {
+		for j, l := range row {
+			if got := l.Engine().Parallelism(); got != 2 {
 				t.Fatalf("slot %d replica %d parallelism %d, want 2", i, j, got)
 			}
 		}
@@ -98,18 +99,6 @@ func TestReplicatedTrainAndMaintenanceFanout(t *testing.T) {
 	if len(res.Recommendations) == 0 {
 		t.Fatal("no recommendations from the replicated deployment")
 	}
-
-	// Degenerate widths clamp to 1×1 and skip the snapshot fan-out.
-	r1, err := NewReplicated(tf.engineCfg, 0, 0)
-	if err != nil {
-		t.Fatalf("NewReplicated(0,0): %v", err)
-	}
-	if err := r1.Train(tf.items, tf.irs, tf.resolve); err != nil {
-		t.Fatalf("1x1 Train: %v", err)
-	}
-	if got := r1.Replicas(); got != 1 {
-		t.Fatalf("1x1 Replicas() = %d, want 1", got)
-	}
 }
 
 // TestReplicaHealthPlainShards checks the pseudo-replica rows reported
@@ -117,7 +106,7 @@ func TestReplicatedTrainAndMaintenanceFanout(t *testing.T) {
 // down slot.
 func TestReplicaHealthPlainShards(t *testing.T) {
 	fx := fixture(t)
-	r, err := FromSnapshot(fx.Snapshot, 2)
+	r, err := boot(fx.Snapshot, 2, 1)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -201,7 +190,7 @@ func TestSupervisorSourceSnapshotSelection(t *testing.T) {
 	}
 	ctx := context.Background()
 	stub := &stubShard{inner: NewLocal(0, e)}
-	r := newRouter([]Shard{stub, &noHandoffShard{idx: 1}}, nil)
+	r := newRouter([]Shard{stub, &noHandoffShard{idx: 1}})
 	s := NewSupervisor(r, 0)
 	f := r.fl()
 

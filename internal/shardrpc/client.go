@@ -113,31 +113,35 @@ func SplitAddrs(s string) []string {
 	return out
 }
 
-// DialRouter assembles a scatter-gather Router over remote shards, one
-// Client per address in shard-index order — the single construction path
-// shared by ssrec.Open(WithRemoteShards), ssrec-server -shard-addrs and
-// ssrec-bench -remote-shards. No I/O happens here (connections dial
-// lazily); boot or re-seed the fleet with Router.HandoffSnapshot, or
-// start each shardd with -model.
-func DialRouter(addrs []string) (*shard.Router, error) {
-	return DialRouterAuth(addrs, "")
-}
-
-// DialRouterAuth is DialRouter with a shared bearer token: every shard
-// client authenticates as "Authorization: Bearer <token>" against shardds
-// started with the matching -auth-token. An empty token dials without
-// authentication.
-func DialRouterAuth(addrs []string, token string) (*shard.Router, error) {
+// Dial assembles a scatter-gather Router over remote shards, one Client
+// per address — the single construction path shared by
+// ssrec.Open(WithRemoteShards), ssrec-server -shard-addrs and ssrec-bench
+// -remote-shards. The list is SLOT-MAJOR: with n = len(addrs)/replicas
+// slots, addrs[i*replicas : (i+1)*replicas] are the replicas of slot i,
+// each dialed with shard identity (i, n); shard.Open groups them in a
+// ReplicaSet when replicas > 1 and serves plain clients otherwise. A
+// non-empty token authenticates every call as "Authorization: Bearer
+// <token>" against shardds started with the matching -auth-token.
+//
+// No I/O happens here (connections dial lazily); boot or re-seed the
+// fleet with Router.HandoffSnapshot, or start each shardd with -model.
+func Dial(addrs []string, replicas int, token string) (*shard.Router, error) {
+	replicas = max(replicas, 1)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("shardrpc: no shard addresses")
 	}
-	shards := make([]shard.Shard, len(addrs))
-	for i, a := range addrs {
-		c := NewClient(a, i, len(addrs))
-		c.AuthToken = token
-		shards[i] = c
+	if len(addrs)%replicas != 0 {
+		return nil, fmt.Errorf("shardrpc: %d addresses do not divide into replica sets of %d", len(addrs), replicas)
 	}
-	return shard.NewRouter(shards...)
+	return shard.Open(shard.Topology{
+		Slots:    len(addrs) / replicas,
+		Replicas: replicas,
+		Member: func(slot, replica, slots int) (shard.Shard, error) {
+			c := NewClient(addrs[slot*replicas+replica], slot, slots)
+			c.AuthToken = token
+			return c, nil
+		},
+	})
 }
 
 // Index implements shard.Shard.
@@ -389,45 +393,6 @@ func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
 		return nil, c.transportErr(ctx, "snapshot export", err)
 	}
 	return data, nil
-}
-
-// DialReplicaRouter is DialReplicaRouterAuth without authentication.
-func DialReplicaRouter(addrs []string, replicas int) (*shard.Router, error) {
-	return DialReplicaRouterAuth(addrs, replicas, "")
-}
-
-// DialReplicaRouterAuth assembles a replica-aware Router over remote
-// shards: the address list is SLOT-MAJOR — with n = len(addrs)/replicas
-// slots, addrs[i*replicas : (i+1)*replicas] are the replicas of slot i,
-// every one dialed with shard identity (i, n) and grouped in a
-// shard.ReplicaSet. replicas <= 1 degrades to the plain DialRouterAuth
-// wiring (no set wrapper).
-func DialReplicaRouterAuth(addrs []string, replicas int, token string) (*shard.Router, error) {
-	if replicas <= 1 {
-		return DialRouterAuth(addrs, token)
-	}
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("shardrpc: no shard addresses")
-	}
-	if len(addrs)%replicas != 0 {
-		return nil, fmt.Errorf("shardrpc: %d addresses do not divide into replica sets of %d", len(addrs), replicas)
-	}
-	n := len(addrs) / replicas
-	sets := make([]shard.Shard, n)
-	for i := 0; i < n; i++ {
-		members := make([]shard.Shard, replicas)
-		for j := 0; j < replicas; j++ {
-			c := NewClient(addrs[i*replicas+j], i, n)
-			c.AuthToken = token
-			members[j] = c
-		}
-		rs, err := shard.NewReplicaSet(i, members...)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = rs
-	}
-	return shard.NewRouter(sets...)
 }
 
 // Replay implements shard.Replayer: streams just the write batches a

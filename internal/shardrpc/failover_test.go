@@ -63,6 +63,12 @@ func TestRouterFailoverLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every re-inclusion below must come from the explicit Probe calls.
+	// A lazy query-path probe launched while shard 1 is down could land
+	// after the recovery handoff and re-include it first, so pace lazy
+	// probes out of the test: the long base interval, armed by the first
+	// explicit Probe's failure, keeps every later query-path kick idle.
+	r.SetProbeInterval(time.Hour)
 	if err := r.HandoffSnapshot(ctx, snap); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
@@ -78,6 +84,11 @@ func TestRouterFailoverLifecycle(t *testing.T) {
 
 	// ---- kill shard 1 mid-stream ----
 	hs1.Close()
+	// The healthy query above left c1 a cached query stream. On a loaded
+	// host its reader can lag the kill, and the first query after the
+	// recovery below would then ride the dead connection and re-exclude
+	// shard 1. Wait for the stream to see the kill.
+	awaitStreamClosed(t, c1)
 
 	// The write path reports the typed degraded error: the batch landed on
 	// the healthy shard but was NOT replicated everywhere.
@@ -92,6 +103,12 @@ func TestRouterFailoverLifecycle(t *testing.T) {
 	}
 	if down := r.Down(); !reflect.DeepEqual(down, []int{1}) {
 		t.Fatalf("Down() = %v, want [1]", down)
+	}
+
+	// Probing a dead endpoint keeps it excluded. It runs before any query
+	// so the failed probe schedules the next lazy one an hour out.
+	if up := r.Probe(ctx); len(up) != 0 {
+		t.Fatalf("Probe re-included a dead shard: %v", up)
 	}
 
 	// The read path serves partial results with the typed error: shard 0's
@@ -117,11 +134,6 @@ func TestRouterFailoverLifecycle(t *testing.T) {
 	}
 	if after := counter.n.Load(); after != before {
 		t.Fatalf("router sent %d request(s) to an excluded shard", after-before)
-	}
-
-	// Probing a dead endpoint keeps it excluded.
-	if up := r.Probe(ctx); len(up) != 0 {
-		t.Fatalf("Probe re-included a dead shard: %v", up)
 	}
 
 	// ---- restart shardd at the same address, BLANK ----
@@ -169,6 +181,23 @@ func TestRouterFailoverLifecycle(t *testing.T) {
 	}
 	if len(res.Recommendations) == 0 {
 		t.Fatal("recovered deployment returned nothing")
+	}
+}
+
+// awaitStreamClosed waits until c's cached query stream, if it has one,
+// has observed the death of its connection.
+func awaitStreamClosed(t *testing.T, c *Client) {
+	t.Helper()
+	c.muxMu.Lock()
+	ms := c.mux
+	c.muxMu.Unlock()
+	if ms == nil {
+		return
+	}
+	select {
+	case <-ms.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("query stream did not observe the shard's death")
 	}
 }
 

@@ -1,7 +1,7 @@
 // replica_lifecycle_test.go covers the replica-set machinery over the
 // real transport: the /livez //readyz probe split, the GET-snapshot
-// export that feeds the supervisor's auto-reseed, the slot-major
-// DialReplicaRouter topology, and the all-replicas-down lifecycle — a
+// export that feeds the supervisor's auto-reseed, the slot-major Dial
+// topology, and the all-replicas-down lifecycle — a
 // slot with zero healthy replicas must serve the typed shard_unavailable
 // partial result (not hang) and recover automatically once ANY replica
 // returns and the supervisor reseeds it from a healthy sibling.
@@ -136,10 +136,11 @@ func TestSnapshotExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDialReplicaRouterTopology: the slot-major address grouping and its
-// validation — 4 addrs at R=2 form 2 slots whose replicas answer with
-// shard identity (i, 2); a count that does not divide is refused.
-func TestDialReplicaRouterTopology(t *testing.T) {
+// TestDial: the slot-major address grouping and its validation — an
+// empty list and a count that does not divide are refused, replicas <= 1
+// gives one plain client per slot, and 4 addrs at R=2 form 2 slots whose
+// replicas answer with shard identity (i, 2).
+func TestDial(t *testing.T) {
 	ctx := context.Background()
 	tc := buildTinyCorpus()
 	var addrs []string
@@ -149,13 +150,39 @@ func TestDialReplicaRouterTopology(t *testing.T) {
 		}
 	}
 
-	if _, err := DialReplicaRouter(addrs[:3], 2); err == nil {
+	if _, err := Dial(nil, 1, ""); err == nil {
+		t.Fatal("an empty address list must be refused")
+	}
+	if _, err := Dial(addrs[:3], 2, ""); err == nil {
 		t.Fatal("3 addrs at R=2 must be refused")
 	}
+	plain := []string{addrs[0], addrs[2]} // replica 0 of each slot
+	for _, rep := range []int{-1, 0, 1} {
+		r, err := Dial(plain, rep, "")
+		if err != nil {
+			t.Fatalf("Dial(R=%d): %v", rep, err)
+		}
+		if r.Shards() != 2 || r.Replicas() != 1 {
+			t.Fatalf("Dial(R=%d): %d shards x %d replicas, want 2 x 1", rep, r.Shards(), r.Replicas())
+		}
+		if err := r.HandoffSnapshot(ctx, tinySnapshot(t)); err != nil {
+			t.Fatalf("Dial(R=%d) handoff: %v", rep, err)
+		}
+		if _, err := r.RecommendCtx(ctx, tc.query, core.WithK(5)); err != nil {
+			t.Fatalf("Dial(R=%d) recommend: %v", rep, err)
+		}
+		// A replica set would have sampled a read latency; a plain client
+		// slot reports none.
+		for i, st := range r.ReplicaHealth() {
+			if st.Slot != i || st.Replica != 0 || st.LatencyEWMAMs != 0 {
+				t.Fatalf("Dial(R=%d): health row %d = %+v, want a plain client for slot %d", rep, i, st, i)
+			}
+		}
+	}
 
-	r, err := DialReplicaRouter(addrs, 2)
+	r, err := Dial(addrs, 2, "")
 	if err != nil {
-		t.Fatalf("DialReplicaRouter: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	if got := r.Replicas(); got != 2 {
 		t.Fatalf("Replicas() = %d, want 2", got)
@@ -170,8 +197,15 @@ func TestDialReplicaRouterTopology(t *testing.T) {
 	if len(res.Recommendations) == 0 {
 		t.Fatal("replicated remote deployment returned nothing")
 	}
-	if states := r.ReplicaHealth(); len(states) != 4 {
+	states := r.ReplicaHealth()
+	if len(states) != 4 {
 		t.Fatalf("ReplicaHealth reported %d replicas, want 4: %+v", len(states), states)
+	}
+	// Each slot's read went to one replica of its set, which sampled it.
+	for slot := 0; slot < 2; slot++ {
+		if states[2*slot].LatencyEWMAMs+states[2*slot+1].LatencyEWMAMs == 0 {
+			t.Fatalf("slot %d recorded no read latency: %+v", slot, states)
+		}
 	}
 }
 

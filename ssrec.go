@@ -195,14 +195,27 @@ func WithoutExpansion() Option { return core.WithoutExpansion() }
 
 // Recommender is the assembled ssRec system: either one in-process engine
 // (New, or Open without options) or a sharded scatter-gather deployment
-// (Open with WithShards) behind the same method set. The two are
-// observably equivalent — identical rankings, scores and order — which the
-// conformance suite in internal/shard enforces.
+// (Open with WithShards, WithReplicas or WithRemoteShards) behind the same
+// method set. The two are observably equivalent — identical rankings,
+// scores and order — which the conformance suite in internal/shard
+// enforces.
 type Recommender struct {
-	eng    *core.Engine  // single-engine deployment; nil when sharded
-	router *shard.Router // sharded deployment; nil when single-engine
-	cfg    Config        // the Open config (remote Train builds from it)
-	remote bool          // true when the shards live behind WithRemoteShards
+	b      backend // a *core.Engine or a *shard.Router
+	cfg    Config  // the Open config (remote Train builds from it)
+	remote bool    // true when the shards live behind WithRemoteShards
+}
+
+// backend is the serving surface a Recommender delegates to; *core.Engine
+// and *shard.Router both satisfy it.
+type backend interface {
+	Train(items []Item, interactions []Interaction, resolve func(string) (Item, bool)) error
+	RecommendCtx(ctx context.Context, v Item, opts ...Option) (Result, error)
+	RecommendBatch(ctx context.Context, items []Item, opts ...Option) ([]Result, error)
+	ObserveBatch(ctx context.Context, batch []Observation) (BatchReport, error)
+	Recommend(v Item, k int) []Recommendation
+	Observe(ir Interaction, v Item)
+	RegisterItem(v Item)
+	Users() int
 }
 
 // OpenOption configures Open.
@@ -225,7 +238,8 @@ func WithAuthToken(token string) OpenOption {
 // WithShards serves the recommender as an n-shard deployment: user blocks
 // are partitioned across n engine shards and every query is scattered to
 // all of them under a shared score bound (see internal/shard). n <= 1 is
-// the ordinary single engine.
+// one slot: the ordinary single engine, unless WithReplicas asks for
+// more than one replica.
 func WithShards(n int) OpenOption {
 	return func(o *openOptions) { o.shards = n }
 }
@@ -239,9 +253,10 @@ func WithShards(n int) OpenOption {
 // crashed replica is re-seeded from a healthy sibling (by the supervisor,
 // see shard.Router.StartSupervisor, or a manual Handoff).
 //
-// In-process (WithShards) it composes as n*r engines; with
-// WithRemoteShards the address list must be slot-major with n*r entries:
-// addrs[i*r : (i+1)*r] are the replicas of slot i.
+// In-process it composes as n*r engines, n from WithShards (1 without
+// it: WithReplicas alone serves one slot r ways); with WithRemoteShards
+// the address list must be slot-major with n*r entries: addrs[i*r :
+// (i+1)*r] are the replicas of slot i.
 func WithReplicas(r int) OpenOption {
 	return func(o *openOptions) { o.replicas = r }
 }
@@ -270,29 +285,21 @@ func Open(cfg Config, opts ...OpenOption) *Recommender {
 		opt(&o)
 	}
 	if len(o.addrs) > 0 {
-		if o.replicas > 1 {
-			// Errors only on an empty or non-divisible address list; the
-			// former is checked above and the latter panics loudly below
-			// rather than silently serving a mis-shaped fleet.
-			router, err := shardrpc.DialReplicaRouterAuth(o.addrs, o.replicas, o.authToken)
-			if err != nil {
-				panic(fmt.Sprintf("ssrec: WithRemoteShards/WithReplicas: %v", err))
-			}
-			return &Recommender{router: router, cfg: cfg, remote: true}
+		// Dial errors only on an address list that does not divide into
+		// replica sets; that panics loudly rather than silently serving a
+		// mis-shaped fleet.
+		router, err := shardrpc.Dial(o.addrs, o.replicas, o.authToken)
+		if err != nil {
+			panic(fmt.Sprintf("ssrec: WithRemoteShards/WithReplicas: %v", err))
 		}
-		// DialRouterAuth errors only on an empty address list, checked above.
-		router, _ := shardrpc.DialRouterAuth(o.addrs, o.authToken)
-		return &Recommender{router: router, cfg: cfg, remote: true}
+		return &Recommender{b: router, cfg: cfg, remote: true}
 	}
-	if o.shards > 1 {
-		if o.replicas > 1 {
-			// NewReplicated errors only on n < 1 or rep < 1, excluded here.
-			router, _ := shard.NewReplicated(cfg, o.shards, o.replicas)
-			return &Recommender{router: router, cfg: cfg}
-		}
-		return &Recommender{router: shard.New(cfg, o.shards), cfg: cfg}
+	if o.shards > 1 || o.replicas > 1 {
+		// Fresh engines cannot fail to build, so Open cannot fail here.
+		router, _ := shard.Open(shard.Topology{Slots: o.shards, Replicas: o.replicas, Member: shard.Engines(cfg)})
+		return &Recommender{b: router, cfg: cfg}
 	}
-	return &Recommender{eng: core.New(cfg), cfg: cfg}
+	return &Recommender{b: core.New(cfg), cfg: cfg}
 }
 
 // New creates a single-engine recommender. Config.Categories is required.
@@ -302,8 +309,8 @@ func New(cfg Config) *Recommender {
 
 // Shards reports the deployment width (1 for a single engine).
 func (r *Recommender) Shards() int {
-	if r.router != nil {
-		return r.router.Shards()
+	if rt := r.Router(); rt != nil {
+		return rt.Shards()
 	}
 	return 1
 }
@@ -312,18 +319,24 @@ func (r *Recommender) Shards() int {
 // (persistence, experiments). It is nil for a sharded deployment — the
 // shards are managed through the router and must not be mutated
 // individually.
-func (r *Recommender) Engine() *core.Engine { return r.eng }
+func (r *Recommender) Engine() *core.Engine {
+	e, _ := r.b.(*core.Engine)
+	return e
+}
 
 // Router exposes the shard router of a sharded deployment (nil for a
 // single engine).
-func (r *Recommender) Router() *shard.Router { return r.router }
+func (r *Recommender) Router() *shard.Router {
+	rt, _ := r.b.(*shard.Router)
+	return rt
+}
 
 // Name identifies the configured system arm.
 func (r *Recommender) Name() string {
-	if r.router != nil {
-		return fmt.Sprintf("ssRec[%d shards]", r.router.Shards())
+	if rt := r.Router(); rt != nil {
+		return fmt.Sprintf("ssRec[%d shards]", rt.Shards())
 	}
-	return r.eng.Name()
+	return r.Engine().Name()
 }
 
 // Train bootstraps the recommender on a batch of items and interactions.
@@ -332,21 +345,18 @@ func (r *Recommender) Name() string {
 // ships that snapshot to every shardd over the handoff protocol, so ONE
 // Train call boots the whole fleet.
 func (r *Recommender) Train(items []Item, interactions []Interaction, resolve func(string) (Item, bool)) error {
-	if r.remote {
-		eng := core.New(r.cfg)
-		if err := eng.Train(items, interactions, resolve); err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if err := eng.SaveTo(&buf); err != nil {
-			return fmt.Errorf("ssrec: snapshot trained engine: %w", err)
-		}
-		return r.router.HandoffSnapshot(context.Background(), buf.Bytes())
+	if !r.remote {
+		return r.b.Train(items, interactions, resolve)
 	}
-	if r.router != nil {
-		return r.router.Train(items, interactions, resolve)
+	eng := core.New(r.cfg)
+	if err := eng.Train(items, interactions, resolve); err != nil {
+		return err
 	}
-	return r.eng.Train(items, interactions, resolve)
+	var buf bytes.Buffer
+	if err := eng.SaveTo(&buf); err != nil {
+		return fmt.Errorf("ssrec: snapshot trained engine: %w", err)
+	}
+	return r.Router().HandoffSnapshot(context.Background(), buf.Bytes())
 }
 
 // Handoff ships a trained-engine snapshot (Engine.SaveTo / core.SaveFile
@@ -355,10 +365,10 @@ func (r *Recommender) Train(items []Item, interactions []Interaction, resolve fu
 // recovery runbook step after a shardd restart. It is a no-op for
 // in-process deployments, whose shards boot through Train.
 func (r *Recommender) Handoff(ctx context.Context, snapshot []byte) error {
-	if r.router == nil {
-		return nil
+	if rt := r.Router(); rt != nil {
+		return rt.HandoffSnapshot(ctx, snapshot)
 	}
-	return r.router.HandoffSnapshot(ctx, snapshot)
+	return nil
 }
 
 // TrainDataset bootstraps the recommender on the leading fraction of a
@@ -374,18 +384,12 @@ func (r *Recommender) TrainDataset(ds *Dataset, fraction float64) error {
 
 // RecommendCtx is the v2 single-item query (see core.Engine.RecommendCtx).
 func (r *Recommender) RecommendCtx(ctx context.Context, v Item, opts ...Option) (Result, error) {
-	if r.router != nil {
-		return r.router.RecommendCtx(ctx, v, opts...)
-	}
-	return r.eng.RecommendCtx(ctx, v, opts...)
+	return r.b.RecommendCtx(ctx, v, opts...)
 }
 
 // RecommendBatch is the v2 multi-item query (see core.Engine.RecommendBatch).
 func (r *Recommender) RecommendBatch(ctx context.Context, items []Item, opts ...Option) ([]Result, error) {
-	if r.router != nil {
-		return r.router.RecommendBatch(ctx, items, opts...)
-	}
-	return r.eng.RecommendBatch(ctx, items, opts...)
+	return r.b.RecommendBatch(ctx, items, opts...)
 }
 
 // ObserveBatch is the v2 micro-batched stream ingest (see
@@ -393,10 +397,7 @@ func (r *Recommender) RecommendBatch(ctx context.Context, items []Item, opts ...
 // atomic replication unit: it is broadcast to every shard uncancellably,
 // and cancellation applies between batches.
 func (r *Recommender) ObserveBatch(ctx context.Context, batch []Observation) (BatchReport, error) {
-	if r.router != nil {
-		return r.router.ObserveBatch(ctx, batch)
-	}
-	return r.eng.ObserveBatch(ctx, batch)
+	return r.b.ObserveBatch(ctx, batch)
 }
 
 // OpenSession turns the request/response API into the paper's standing
@@ -421,36 +422,22 @@ func (r *Recommender) OpenSession(ctx context.Context, opts ...SessionOption) *S
 
 // Recommend is the v1 query: top-k users for an incoming item.
 func (r *Recommender) Recommend(v Item, k int) []Recommendation {
-	if r.router != nil {
-		return r.router.Recommend(v, k)
-	}
-	return r.eng.Recommend(v, k)
+	return r.b.Recommend(v, k)
 }
 
 // Observe is the v1 single-interaction ingest.
 func (r *Recommender) Observe(ir Interaction, v Item) {
-	if r.router != nil {
-		r.router.Observe(ir, v)
-		return
-	}
-	r.eng.Observe(ir, v)
+	r.b.Observe(ir, v)
 }
 
 // RegisterItem tells the deployment about a newly arrived item.
 func (r *Recommender) RegisterItem(v Item) {
-	if r.router != nil {
-		r.router.RegisterItem(v)
-		return
-	}
-	r.eng.RegisterItem(v)
+	r.b.RegisterItem(v)
 }
 
 // Users reports the number of tracked profiles.
 func (r *Recommender) Users() int {
-	if r.router != nil {
-		return r.router.Users()
-	}
-	return r.eng.Users()
+	return r.b.Users()
 }
 
 // Evaluate runs the paper's stream-simulation protocol (6 timestamp

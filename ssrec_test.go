@@ -111,6 +111,41 @@ func TestPublicShardedFlow(t *testing.T) {
 	}
 }
 
+// TestReplicasWithoutShards: WithReplicas alone serves one slot r ways
+// (it used to be dropped, leaving a single unreplicated engine), and the
+// replicated deployment answers bit-identically to New(cfg).
+func TestReplicasWithoutShards(t *testing.T) {
+	ds := GenerateYTubeLike(0.2, 9)
+	cfg := Config{Categories: ds.Categories(), TrainMaxIter: 5, Restarts: 1}
+	single := New(cfg)
+	replicated := Open(cfg, WithReplicas(2))
+	rt := replicated.Router()
+	if rt == nil {
+		t.Fatal("WithReplicas(2) served a single engine")
+	}
+	if rt.Shards() != 1 || rt.Replicas() != 2 {
+		t.Fatalf("deployment is %d shards x %d replicas, want 1 x 2", rt.Shards(), rt.Replicas())
+	}
+	for _, r := range []*Recommender{single, replicated} {
+		if err := r.TrainDataset(ds, 1.0/3); err != nil {
+			t.Fatalf("TrainDataset: %v", err)
+		}
+	}
+	ctx := context.Background()
+	items := ds.Items()
+	for _, v := range items[len(items)-8:] {
+		want, werr := single.RecommendCtx(ctx, v, WithK(10))
+		got, gerr := replicated.RecommendCtx(ctx, v, WithK(10))
+		if werr != nil || gerr != nil {
+			t.Fatalf("item %s: errs %v / %v", v.ID, werr, gerr)
+		}
+		if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
+			t.Fatalf("item %s: replicated deployment diverged\n got %v\nwant %v",
+				v.ID, got.Recommendations, want.Recommendations)
+		}
+	}
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	ds := GenerateYTubeLike(0.2, 9)
 	rec := New(Config{Categories: ds.Categories(), TrainMaxIter: 5, Restarts: 1})
