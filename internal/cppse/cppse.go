@@ -300,6 +300,8 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 	}
 
 	// (3)+(4) trees and hash entries.
+	sc := getRefreshScratch()
+	defer putRefreshScratch(sc)
 	for _, c := range res.Clusters {
 		for _, cat := range cfg.Categories {
 			var members []*profile.Profile
@@ -323,11 +325,11 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 				continue
 			}
 			tr := sigtree.New(c.ID, cat, ix.prodUni[c.ID], ents, cfg.Fanout)
-			ix.trees[treeKey{c.ID, cat}] = tr // register before leafSignature reads tr.Ent
+			ix.trees[treeKey{c.ID, cat}] = tr // register before leafSignatureInto reads tr.Ent
 			ix.treesByCat[cat] = append(ix.treesByCat[cat], tr)
 			for _, p := range members {
 				if ix.owns(p.UserID) {
-					tr.Insert(p.UserID, ix.leafSignature(p, c.ID, cat))
+					tr.Insert(p.UserID, *ix.leafSignatureInto(sc, p, c.ID, cat))
 				}
 			}
 			for _, e := range ents.Names() {
@@ -356,37 +358,6 @@ func (ix *Index) userInterested(p *profile.Profile, cat string) bool {
 		}
 	}
 	return false
-}
-
-// leafSignature encodes a user's statistics for one tree.
-func (ix *Index) leafSignature(p *profile.Profile, block int, cat string) sigtree.Signature {
-	prodU := ix.prodUni[block]
-	sig := sigtree.Signature{
-		Pl:         ix.probs.Long(p.UserID, cat),
-		Ps:         ix.probs.Short(p.UserID, cat),
-		ProdCounts: make([]float64, prodU.Len()),
-		ProdTotal:  float64(p.ProducerTotal()),
-		EntTotal:   float64(p.EntityTotal(cat)),
-	}
-	for _, up := range p.Producers() {
-		if i, ok := prodU.Index(up); ok {
-			sig.ProdCounts[i] = float64(p.ProducerCount(up))
-		}
-	}
-	tr := ix.trees[treeKey{block, cat}]
-	var entU *sigtree.Universe
-	if tr != nil {
-		entU = tr.Ent
-	}
-	if entU != nil {
-		sig.EntCounts = make([]float64, entU.Len())
-		for _, e := range p.EntitiesIn(cat) {
-			if i, ok := entU.Index(e); ok {
-				sig.EntCounts[i] = float64(p.EntityCount(cat, e))
-			}
-		}
-	}
-	return sig
 }
 
 // Recommend returns the top-k users for the prepared item query, plus the
@@ -468,7 +439,7 @@ func (ix *Index) lookupTrees(q ranking.ItemQuery) []*sigtree.Tree {
 // Sharding split (Config.Owns): block assignment, universe growth and hash
 // insertion always run — every shard must route candidates identically —
 // but the signature recomputation (the BiHMM forward passes behind
-// leafSignature) and the tree write happen only for owned users. That is
+// leafSignatureInto) and the tree write happen only for owned users. That is
 // the maintenance cost a sharded deployment divides N ways.
 func (ix *Index) UpdateUser(userID string) error {
 	return ix.UpdateUserCats(userID, nil, true)

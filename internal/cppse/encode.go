@@ -24,6 +24,7 @@ type queryScratch struct {
 	tqs     []sigtree.TreeQuery
 	queries []sigtree.Query       // value slab; tqs point into it
 	arena   []sigtree.WeightedIdx // backing for all queries' Ents
+	weights []float64             // backing for all queries' EntW
 	dense   []float64             // entity-weight accumulator, indexed by universe idx
 	stamp   []int                 // dense[i] is valid iff stamp[i] == epoch
 	touched []int
@@ -49,6 +50,7 @@ func (sc *queryScratch) reset() {
 	sc.tqs = sc.tqs[:0]
 	sc.queries = sc.queries[:0]
 	sc.arena = sc.arena[:0]
+	sc.weights = sc.weights[:0]
 }
 
 // release drops every index reference (tree pointers in the dedup set,
@@ -151,6 +153,9 @@ func (ix *Index) encodeAll(sc *queryScratch, q ranking.ItemQuery) []sigtree.Tree
 		}
 		// Full slice expression: later arena growth must copy, not clobber.
 		sq.Ents = sc.arena[start:len(sc.arena):len(sc.arena)]
+		start = len(sc.weights)
+		sc.weights = sigtree.AppendEntWeights(sc.weights, sq.Ents)
+		sq.EntW = sc.weights[start:len(sc.weights):len(sc.weights)]
 		sc.queries = append(sc.queries, sq)
 	}
 	for i, tr := range sc.trees {

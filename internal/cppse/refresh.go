@@ -10,7 +10,9 @@
 package cppse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,10 +22,9 @@ import (
 )
 
 // refreshScratch carries the reusable buffers of one UpdateUserCats call:
-// the sorted category/producer/entity name slices and the dense signature
-// vectors that UpdateUser used to allocate per (user, category). The
-// signature buffers are scratch-backed, so they are written into trees
-// only through Tree.UpdateCopy / Signature.Clone — never stored directly.
+// the sorted category/producer/entity name slices and the signature lists
+// of the (user, category) being rebuilt. Trees copy a signature's lists on
+// every write, so the scratch is never retained.
 type refreshScratch struct {
 	cats  []string
 	prods []string
@@ -49,21 +50,12 @@ func clearStrings(s *[]string) {
 	*s = (*s)[:0]
 }
 
-// growZero resizes dst to n zeroed elements, reusing capacity.
-func growZero(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	return dst
-}
-
-// leafSignatureInto is leafSignature built into pooled scratch buffers:
-// identical values, no per-call dense-vector allocations. The returned
-// signature aliases sc and is only valid until the next use of sc.
+// leafSignatureInto encodes a user's statistics for one tree into pooled
+// scratch: the producer and entity counts the profile holds, as Coords
+// sorted by universe index — no pass over the universe. Profile counts
+// are positive integers, so every listed count is positive and every
+// unlisted one is the +0 a sparse list reads. The returned signature
+// aliases sc and is only valid until the next use of sc; trees copy it.
 func (ix *Index) leafSignatureInto(sc *refreshScratch, p *profile.Profile, block int, cat string) *sigtree.Signature {
 	prodU := ix.prodUni[block]
 	sig := &sc.sig
@@ -71,26 +63,36 @@ func (ix *Index) leafSignatureInto(sc *refreshScratch, p *profile.Profile, block
 	sig.Ps = ix.probs.Short(p.UserID, cat)
 	sig.ProdTotal = float64(p.ProducerTotal())
 	sig.EntTotal = float64(p.EntityTotal(cat))
-	sig.ProdCounts = growZero(sig.ProdCounts, prodU.Len())
+	sig.Prod = sig.Prod[:0]
 	sc.prods = p.AppendProducers(sc.prods[:0])
 	for _, up := range sc.prods {
 		if i, ok := prodU.Index(up); ok {
-			sig.ProdCounts[i] = float64(p.ProducerCount(up))
+			sig.Prod = appendCount(sig.Prod, i, p.ProducerCount(up))
 		}
 	}
-	sig.EntCounts = sig.EntCounts[:0]
-	tr := ix.trees[treeKey{block, cat}]
-	if tr != nil && tr.Ent != nil {
-		sig.EntCounts = growZero(sig.EntCounts, tr.Ent.Len())
+	slices.SortFunc(sig.Prod, byIdx)
+	sig.Ent = sig.Ent[:0]
+	if tr := ix.trees[treeKey{block, cat}]; tr != nil {
 		sc.ents = p.AppendEntitiesIn(cat, sc.ents[:0])
 		for _, e := range sc.ents {
 			if i, ok := tr.Ent.Index(e); ok {
-				sig.EntCounts[i] = float64(p.EntityCount(cat, e))
+				sig.Ent = appendCount(sig.Ent, i, p.EntityCount(cat, e))
 			}
 		}
+		slices.SortFunc(sig.Ent, byIdx)
 	}
 	return sig
 }
+
+// appendCount lists count n at universe index i unless it is zero.
+func appendCount(cs []sigtree.Coord, i, n int) []sigtree.Coord {
+	if n == 0 {
+		return cs
+	}
+	return append(cs, sigtree.Coord{Idx: int32(i), Val: float64(n)})
+}
+
+func byIdx(a, b sigtree.Coord) int { return cmp.Compare(a.Idx, b.Idx) }
 
 // UpdateUserCats refreshes one user's index entries under a dirty-category
 // mask — the per-user body of Algorithm 2, split into its two halves:
@@ -168,7 +170,7 @@ func (ix *Index) UpdateUserCats(userID string, dirtyCats []string, allDirty bool
 		if allDirty || containsString(dirtyCats, cat) || !tr.Has(userID) {
 			sig := ix.leafSignatureInto(sc, p, block, cat)
 			if !tr.UpdateCopy(userID, sig) {
-				tr.Insert(userID, sig.Clone())
+				tr.Insert(userID, *sig)
 			}
 		} else {
 			tr.UpdateProbs(userID, ix.probs.Long(userID, cat), ix.probs.Short(userID, cat))

@@ -3,6 +3,7 @@ package cppse
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssrec/internal/model"
@@ -23,36 +24,14 @@ func mixedEvent(i int) profile.Event {
 	}
 }
 
-// sigsEquivalent compares two leaf signatures semantically: Pl/Ps/totals
-// bitwise, count vectors bitwise after zero-padding to a common length.
-// Length may legitimately differ — a Pl/Ps-only restamp keeps a count
-// vector stamped against an older (smaller) universe, and sigtree.Score
-// reads absent trailing indexes as zero — so trailing zeros are identity.
+// sigsEquivalent compares two leaf signatures: Pl/Ps/totals and every
+// listed count. Leaves list only their positive counts, so equal lists
+// are equal signatures at every universe coordinate.
 func sigsEquivalent(a, b sigtree.Signature) bool {
 	if a.Pl != b.Pl || a.Ps != b.Ps || a.ProdTotal != b.ProdTotal || a.EntTotal != b.EntTotal {
 		return false
 	}
-	return vecsEquivalent(a.ProdCounts, b.ProdCounts) && vecsEquivalent(a.EntCounts, b.EntCounts)
-}
-
-func vecsEquivalent(a, b []float64) bool {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		var va, vb float64
-		if i < len(a) {
-			va = a[i]
-		}
-		if i < len(b) {
-			vb = b[i]
-		}
-		if va != vb {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Prod, b.Prod) && slices.Equal(a.Ent, b.Ent)
 }
 
 // compareIndexes asserts that the masked and full indexes hold equivalent

@@ -290,6 +290,13 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 // costs pruning opportunity, never exactness; even with NO raises
 // delivered the shard's owned-users top-k is exact and the merged global
 // result is bit-identical.
+//
+// A cached stream can outlive its peer: a shardd restarted at the same
+// address leaves the client a stream whose reader has not yet seen the
+// old connection die. When such a stream fails before the shard replied
+// to this query, the call drops it and asks once more on a freshly dialled
+// stream. A fresh stream that fails is not retried, so a dead shard costs
+// one dial, not a loop.
 func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
 	// A caller that already gave up gets its context error, never an
 	// answer: once the ask is sent, a fast reply and the cancellation race
@@ -297,16 +304,22 @@ func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOption
 	if ctx != nil && ctx.Err() != nil {
 		return core.Result{ItemID: v.ID}, ctx.Err()
 	}
-	ms, err := c.muxStream()
-	if err != nil {
-		// Already classified by dialMux (unavailable / status error); only
-		// caller cancellation overrides it.
-		if ctx != nil && ctx.Err() != nil {
-			return core.Result{ItemID: v.ID}, ctx.Err()
+	for retry := false; ; retry = true {
+		ms, cached, err := c.muxStream()
+		if err != nil {
+			// Already classified by dialMux (unavailable / status error);
+			// only caller cancellation overrides it.
+			if ctx != nil && ctx.Err() != nil {
+				return core.Result{ItemID: v.ID}, ctx.Err()
+			}
+			return core.Result{ItemID: v.ID}, err
 		}
-		return core.Result{ItemID: v.ID}, err
+		res, unanswered, err := ms.recommend(ctx, v, o, b)
+		if !unanswered || !cached || retry || (ctx != nil && ctx.Err() != nil) {
+			return res, err
+		}
+		c.dropMux(ms)
 	}
-	return ms.recommend(ctx, v, o, b)
 }
 
 // Stats implements shard.Shard. A transport failure reports zero-valued

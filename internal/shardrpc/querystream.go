@@ -197,15 +197,19 @@ type muxResp struct {
 	res   core.Result
 	err   error
 	spans []telemetry.SpanData
+	// unanswered marks a stream failure that reached the query before any
+	// line for it arrived.
+	unanswered bool
 }
 
 // muxQuery is one in-flight query of a multiplexed stream, on the client
 // side: the router's shared bound for the item, the last value relayed to
 // this shard, and the waiter channel.
 type muxQuery struct {
-	b    *sigtree.Bound
-	last float64
-	ch   chan muxResp
+	b       *sigtree.Bound
+	last    float64
+	ch      chan muxResp
+	replied bool // a line for this query arrived (guarded by the stream's mu)
 }
 
 // muxStream is one open query-stream exchange: all of a Client's
@@ -229,8 +233,10 @@ type muxStream struct {
 	stop chan struct{} // stops the raise pump
 }
 
-// muxStream returns the client's open stream, dialing one if needed.
-func (c *Client) muxStream() (*muxStream, error) {
+// muxStream returns the client's open stream, dialing one if needed, and
+// reports whether the stream was already open (cached) rather than dialled
+// by this call.
+func (c *Client) muxStream() (*muxStream, bool, error) {
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
 	if c.mux != nil {
@@ -238,15 +244,25 @@ func (c *Client) muxStream() (*muxStream, error) {
 		case <-c.mux.done:
 			c.mux = nil // broken; dial fresh below
 		default:
-			return c.mux, nil
+			return c.mux, true, nil
 		}
 	}
 	ms, err := c.dialMux()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c.mux = ms
-	return ms, nil
+	return ms, false, nil
+}
+
+// dropMux forgets ms as the client's stream, if it still is, so the next
+// call dials a fresh one even before ms's reader has seen the failure.
+func (c *Client) dropMux(ms *muxStream) {
+	c.muxMu.Lock()
+	if c.mux == ms {
+		c.mux = nil
+	}
+	c.muxMu.Unlock()
 }
 
 // dialMux opens one query-stream exchange. The stream outlives any single
@@ -316,7 +332,7 @@ func (ms *muxStream) fail(err error) {
 	ms.cancel()
 	close(ms.stop)
 	for _, q := range waiters {
-		q.ch <- muxResp{err: err}
+		q.ch <- muxResp{err: err, unanswered: !q.replied}
 	}
 }
 
@@ -337,6 +353,9 @@ func (ms *muxStream) read(body io.ReadCloser) {
 		case line.B != nil:
 			ms.mu.Lock()
 			q := ms.act[line.ID]
+			if q != nil {
+				q.replied = true
+			}
 			ms.mu.Unlock()
 			if q != nil && q.b != nil {
 				q.b.Raise(*line.B)
@@ -395,7 +414,9 @@ func (ms *muxStream) pump() {
 
 // recommend runs one query over the multiplexed stream: ask line out,
 // raises in both directions while the search runs, terminal line back.
-func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+// unanswered reports a transport failure of the stream that came before
+// the shard replied to this query at all.
+func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (_ core.Result, unanswered bool, _ error) {
 	sctx, span := telemetry.StartSpan(ctx, "rpc.recommend")
 	span.SetAttr("shard", strconv.Itoa(ms.c.idx))
 	defer span.End()
@@ -411,7 +432,7 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 	if ms.broken {
 		err := ms.err
 		ms.mu.Unlock()
-		return core.Result{ItemID: v.ID}, ms.c.transportErr(ctx, "recommend", err)
+		return core.Result{ItemID: v.ID}, true, ms.c.transportErr(ctx, "recommend", err)
 	}
 	ms.nextID++
 	id := ms.nextID
@@ -420,7 +441,7 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 
 	if err := ms.write(qsLine{ID: id, Ask: ask}); err != nil {
 		// fail() already swept the registration into the waiter channel.
-		return core.Result{ItemID: v.ID}, ms.c.transportErr(ctx, "recommend", err)
+		return core.Result{ItemID: v.ID}, true, ms.c.transportErr(ctx, "recommend", err)
 	}
 	select {
 	case r := <-q.ch:
@@ -435,10 +456,10 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 			if broken {
 				// A transport failure, not a shard-reported error: wrap it
 				// so the Router's failover keys on ErrShardUnavailable.
-				return r.res, ms.c.transportErr(ctx, "recommend", r.err)
+				return r.res, r.unanswered, ms.c.transportErr(ctx, "recommend", r.err)
 			}
 		}
-		return r.res, r.err
+		return r.res, false, r.err
 	case <-ctx.Done():
 		// Abandon the query: unregister so the late terminal is discarded
 		// and tell the shard to stop searching.
@@ -446,7 +467,7 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 		delete(ms.act, id)
 		ms.mu.Unlock()
 		ms.write(qsLine{ID: id, Cancel: true}) //nolint:errcheck // best-effort
-		return core.Result{ItemID: v.ID}, ctx.Err()
+		return core.Result{ItemID: v.ID}, false, ctx.Err()
 	}
 }
 

@@ -20,6 +20,16 @@
 // descendant — the exact analogue of Lemma 1, but tight even for
 // producers/entities outside the block universe (their background term is
 // carried on the query). See DESIGN.md.
+//
+// Counts are sparse: a sorted list of (index, count) Coords, where an
+// index not listed reads +0. A leaf node keeps its entries' lists back to
+// back in one slab, so scoring the node walks a few adjacent cache lines;
+// an aggregate lists exactly the coordinates whose folded maximum is not
+// +0, and mirrors a list that is dense enough as a vector for one-load
+// reads. Every read returns the bits a dense vector over the universe
+// would hold, and Score skips only W·(+0) terms, which add nothing to a
+// sum that starts at +0; so scores, tree shapes and traversals are those
+// of the dense encoding.
 package sigtree
 
 import (
@@ -72,32 +82,105 @@ func (u *Universe) Len() int { return len(u.names) }
 // Names returns the backing name slice (do not mutate).
 func (u *Universe) Names() []string { return u.names }
 
+// Coord is one stored coordinate of a sparse count vector: a universe
+// index and the count there.
+type Coord struct {
+	Idx int32
+	Val float64
+}
+
 // Signature is the impact encoding of one leaf entry (a user's long- and
 // short-term statistics under the tree's category) or the max/min
-// aggregation of an internal entry.
+// aggregation of an internal entry. Prod and Ent list their coordinates by
+// strictly ascending Idx; an index not listed reads +0.
 type Signature struct {
+	// The fields Score reads come first, so they share cache lines.
+	ProdTotal float64 // Σ producer counts of the user (min over children for IEntry)
+	EntTotal  float64 // Σ entity counts of the user in this category (min for IEntry)
+
+	// logPl and logPs cache safeLog(Pl) and safeLog(Ps) for Score. The
+	// tree restamps them whenever it writes Pl/Ps, on leaves and
+	// aggregates alike.
+	logPl, logPs float64
+
+	Prod []Coord // browse counts over the block's producer universe
+	Ent  []Coord // entity counts (this category) over the tree's entity universe
+
 	Pl float64 // cached long-term BiHMM probability p(c|u)
 	Ps float64 // cached short-term BiHMM probability ps(c|u)
-
-	ProdCounts []float64 // raw browse counts over the block's producer universe
-	ProdTotal  float64   // Σ producer counts of the user (min over children for IEntry)
-
-	EntCounts []float64 // raw entity counts (this category) over the tree's entity universe
-	EntTotal  float64   // Σ entity counts of the user in this category (min for IEntry)
 }
 
 // Clone deep-copies the signature.
 func (s *Signature) Clone() Signature {
 	c := *s
-	c.ProdCounts = append([]float64(nil), s.ProdCounts...)
-	c.EntCounts = append([]float64(nil), s.EntCounts...)
+	c.Prod = slices.Clone(s.Prod)
+	c.Ent = slices.Clone(s.Ent)
 	return c
+}
+
+// stampLogs refreshes the cached logarithms from Pl and Ps.
+func (s *Signature) stampLogs() {
+	s.logPl, s.logPs = safeLog(s.Pl), safeLog(s.Ps)
+}
+
+// coords returns s's entity (ent) or producer coordinate list.
+func (s *Signature) coords(ent bool) *[]Coord {
+	if ent {
+		return &s.Ent
+	}
+	return &s.Prod
+}
+
+// seekIdx returns the first position in cs whose Idx is at least idx: a
+// binary search down to a short run, then a linear scan — most lists are
+// a cache line or two long.
+func seekIdx(cs []Coord, idx int32) int {
+	lo, hi := 0, len(cs)
+	for hi-lo > 8 {
+		mid := int(uint(lo+hi) >> 1)
+		if cs[mid].Idx < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for lo < hi && cs[lo].Idx < idx {
+		lo++
+	}
+	return lo
+}
+
+// at returns the count cs holds at idx, +0 when it lists none.
+func at(cs []Coord, idx int32) float64 {
+	if i := seekIdx(cs, idx); i < len(cs) && cs[i].Idx == idx {
+		return cs[i].Val
+	}
+	return 0
+}
+
+// growTo lengthens v to at least n, zeroing the exposed region; within
+// capacity it does not allocate.
+func growTo(v []float64, n int) []float64 {
+	if n <= len(v) {
+		return v
+	}
+	if cap(v) < n {
+		grown := make([]float64, n, n+n/4)
+		copy(grown, v)
+		return grown
+	}
+	old := len(v)
+	v = v[:n]
+	clear(v[old:])
+	return v
 }
 
 // widenMax and narrowMin are the only comparison forms of every aggregate
 // fold — the full refold of recomputeSig and the field-wise refold of
 // refoldPath alike — so NaN and −0 resolve identically on both paths: a
 // value replaces the accumulator only when strictly greater (smaller).
+// A count fold starts from +0, so it never yields −0 or NaN, and +0 is
+// exactly what an unlisted coordinate reads.
 func widenMax(acc, v float64) float64 {
 	if v > acc {
 		return v
@@ -112,15 +195,8 @@ func narrowMin(acc, v float64) float64 {
 	return acc
 }
 
-// foldInto widens dst to dominate src: max of Pl/Ps and count vectors,
-// min of totals.
-func foldInto(dst, src *Signature) {
-	foldScalars(dst, src)
-	dst.ProdCounts = foldMax(dst.ProdCounts, src.ProdCounts)
-	dst.EntCounts = foldMax(dst.EntCounts, src.EntCounts)
-}
-
-// foldScalars is foldInto restricted to the four scalar fields.
+// foldScalars widens dst's Pl/Ps maxima and narrows its total minima to
+// dominate src.
 func foldScalars(dst, src *Signature) {
 	dst.Pl = widenMax(dst.Pl, src.Pl)
 	dst.Ps = widenMax(dst.Ps, src.Ps)
@@ -128,33 +204,8 @@ func foldScalars(dst, src *Signature) {
 	dst.EntTotal = narrowMin(dst.EntTotal, src.EntTotal)
 }
 
-func foldMax(dst, src []float64) []float64 {
-	dst = growTo(dst, len(src))
-	for i, v := range src {
-		dst[i] = widenMax(dst[i], v)
-	}
-	return dst
-}
-
-// growTo lengthens v to at least n, zeroing the exposed region; within
-// capacity it does not allocate — the steady state of recomputeSig's and
-// refoldPath's buffer reuse.
-func growTo(v []float64, n int) []float64 {
-	if n <= len(v) {
-		return v
-	}
-	if cap(v) < n {
-		grown := make([]float64, n)
-		copy(grown, v)
-		return grown
-	}
-	old := len(v)
-	v = v[:n]
-	clear(v[old:])
-	return v
-}
-
-// emptyAgg is the identity element for foldInto.
+// emptyAgg is the identity element of the aggregate fold (its cached
+// logarithms are not stamped).
 func emptyAgg() Signature {
 	return Signature{ProdTotal: math.Inf(1), EntTotal: math.Inf(1)}
 }
@@ -168,15 +219,18 @@ type WeightedIdx struct {
 
 // Query is the pseudo-query encoding of an incoming item against one tree
 // (the paper's Example 1): the producer one-hot collapses to ProdIdx, the
-// entity frequency/weight vectors to the sparse Ents list, and the
-// user-independent smoothing mass is precomputed in BgProd/BgEnt.
+// entity frequency/weight vectors to the sparse Ents list (distinct,
+// ascending Idx, finite non-zero weights) and the same weights laid out
+// by index in EntW, and the user-independent smoothing mass is
+// precomputed in BgProd/BgEnt.
 type Query struct {
 	ProdIdx int     // index of the item's producer in the block universe, -1 if absent
 	BgProd  float64 // background probability of the item's producer
 	Ents    []WeightedIdx
-	BgEnt   float64 // Σ_e freq_e·w_e·bg(e) over all query entities
-	Mu      float64 // Dirichlet pseudo-count
-	LambdaS float64 // Eq. 3 balance
+	EntW    []float64 // the weights of Ents by universe index, 0 elsewhere (AppendEntWeights)
+	BgEnt   float64   // Σ_e freq_e·w_e·bg(e) over all query entities
+	Mu      float64   // Dirichlet pseudo-count
+	LambdaS float64   // Eq. 3 balance
 }
 
 const logFloor = 1e-12
@@ -188,41 +242,92 @@ func safeLog(v float64) float64 {
 	return math.Log(v)
 }
 
+// AppendEntWeights appends to dst the weights of ents laid out by universe
+// index — 0 elsewhere, up to the last entity — and returns dst; the
+// appended run is the EntW of a query whose Ents are ents.
+func AppendEntWeights(dst []float64, ents []WeightedIdx) []float64 {
+	if len(ents) == 0 {
+		return dst
+	}
+	start := len(dst)
+	dst = append(dst, make([]float64, ents[len(ents)-1].Idx+1)...)
+	for _, we := range ents {
+		dst[start+we.Idx] = we.W
+	}
+	return dst
+}
+
 // Score evaluates R(entry, v) per Definition 2 / Eq. 3 against a signature
-// (leaf or internal). For internal entries this is the Recommendation
-// Upper Bound.
-func Score(sig *Signature, q *Query) float64 {
+// (leaf or internal) held by a Tree, whose cached logarithms are current.
+// For internal entries this is the Recommendation Upper Bound.
+//
+// The entity dot product walks sig's entity list and looks each weight up
+// in q.EntW. Both are index-ascending, so the terms are added in q.Ents
+// order. It skips the entities sig does not list: their term is W·(+0),
+// ±0 for a finite W, and adding ±0 leaves the sum — which starts at +0
+// and so is never −0 — bit for bit unchanged.
+func Score(sig *Signature, q *Query) float64 { return score(sig, nil, nil, q) }
+
+// score is Score reading the producer and entity counts from prodVec and
+// entVec, an aggregate's vectors, where they are non-nil.
+func score(sig *Signature, prodVec, entVec []float64, q *Query) float64 {
 	var prodCount float64
-	if q.ProdIdx >= 0 && q.ProdIdx < len(sig.ProdCounts) {
-		prodCount = sig.ProdCounts[q.ProdIdx]
+	if q.ProdIdx >= 0 {
+		if prodVec != nil {
+			if q.ProdIdx < len(prodVec) {
+				prodCount = prodVec[q.ProdIdx]
+			}
+		} else {
+			prodCount = at(sig.Prod, int32(q.ProdIdx))
+		}
 	}
 	prodTerm := (prodCount + q.Mu*q.BgProd) / (sig.ProdTotal + q.Mu)
 
 	var entDot float64
-	for _, we := range q.Ents {
-		if we.Idx >= 0 && we.Idx < len(sig.EntCounts) {
-			entDot += we.W * sig.EntCounts[we.Idx]
+	if v := entVec; v != nil {
+		for _, we := range q.Ents {
+			if we.Idx >= 0 && we.Idx < len(v) {
+				entDot += we.W * v[we.Idx]
+			}
+		}
+	} else {
+		w := q.EntW
+		for _, c := range sig.Ent {
+			if int(c.Idx) < len(w) && w[c.Idx] != 0 {
+				entDot += w[c.Idx] * c.Val
+			}
 		}
 	}
 	entTerm := (entDot + q.Mu*q.BgEnt) / (sig.EntTotal + q.Mu)
 
-	longTerm := safeLog(sig.Pl) + safeLog(prodTerm) + safeLog(entTerm)
-	return (1-q.LambdaS)*longTerm + q.LambdaS*safeLog(sig.Ps)
+	longTerm := sig.logPl + safeLog(prodTerm) + safeLog(entTerm)
+	return (1-q.LambdaS)*longTerm + q.LambdaS*sig.logPs
 }
 
-// LeafEntry is an LEntry: one user's signature plus its location.
+// LeafEntry is an LEntry: one user's signature.
 type LeafEntry struct {
 	UserID string
 	Sig    Signature
-	parent *node
 }
 
 type node struct {
+	// prodVec and entVec hold the aggregate's producer and entity counts
+	// by coordinate while the list is dense enough (wantsVec), and are nil
+	// otherwise. An index past a vector's end reads +0. They and the head of
+	// sig are what scoring the node reads, so they lead the struct.
+	prodVec, entVec []float64
+	sig             Signature // aggregate (IEntry signature)
+
 	leaf     bool
-	entries  []*LeafEntry // when leaf
-	children []*node      // when internal
-	sig      Signature    // aggregate (IEntry signature)
+	entries  []LeafEntry // when leaf, held by value so a scan reads them in address order
+	children []*node     // when internal
 	parent   *node
+	size     int // leaf entries in the subtree
+
+	// slab backs the Prod and Ent lists of a leaf node's entries, packed
+	// back to back in entry order; every entry list is a capacity-capped
+	// window of it.
+	slab []Coord
 }
 
 // kids returns the number of signatures n aggregates: its leaf entries or
@@ -234,28 +339,91 @@ func (n *node) kids() int {
 	return len(n.children)
 }
 
+// find returns the position of userID among leaf node n's entries.
+func (n *node) find(userID string) int {
+	for i := range n.entries {
+		if n.entries[i].UserID == userID {
+			return i
+		}
+	}
+	panic("sigtree: user missing from its leaf node")
+}
+
+// denseSpan sets when an aggregate also keeps a list as a vector indexed
+// by coordinate: when the list holds at least one coordinate in every
+// denseSpan of its span (last index + 1), so the vector costs at most
+// denseSpan/2 times the list's bytes. Reading a count from a sorted list
+// is a binary search, a chain of dependent cache misses, where a vector
+// read is one load. At ytube-10k (seed 1) leaf-node aggregates list 27
+// of 582 producers (5 %) and 31 of 80 entities (39 %); the nodes above
+// them list 113–541 producers (19–93 %) and 67–80 entities. Serial search
+// with every aggregate list mirrored was no faster than with these
+// leaf-node producer lists left sparse, and held 30 MB more live heap;
+// mirroring only lists longer than 64 coordinates, which leaves most
+// entity lists sparse, was about 15 % slower.
+const denseSpan = 8
+
+// wantsVec reports whether list cs is dense enough to mirror.
+func wantsVec(cs []Coord) bool {
+	return len(cs) > 0 && int(cs[len(cs)-1].Idx)+1 <= denseSpan*len(cs)
+}
+
+// score evaluates the query against n's aggregate.
+func (n *node) score(q *Query) float64 { return score(&n.sig, n.prodVec, n.entVec, q) }
+
+// vec returns n's producer (ent=false) or entity vector.
+func (n *node) vec(ent bool) *[]float64 {
+	if ent {
+		return &n.entVec
+	}
+	return &n.prodVec
+}
+
+// count returns n's aggregate producer or entity count at idx.
+func (n *node) count(ent bool, idx int32) float64 {
+	if v := *n.vec(ent); v != nil {
+		if int(idx) < len(v) {
+			return v[idx]
+		}
+		return 0
+	}
+	return at(*n.sig.coords(ent), idx)
+}
+
+// kidCount returns the producer or entity count of n's k-th kid at idx.
+func (n *node) kidCount(k int, ent bool, idx int32) float64 {
+	if n.leaf {
+		return at(*n.entries[k].Sig.coords(ent), idx)
+	}
+	return n.children[k].count(ent, idx)
+}
+
+// syncVec rebuilds n's producer or entity vector from the list, or drops
+// it when the list is too sparse to mirror.
+func (n *node) syncVec(ent bool) {
+	cs, v := *n.sig.coords(ent), n.vec(ent)
+	if !wantsVec(cs) {
+		*v = nil
+		return
+	}
+	width := int(cs[len(cs)-1].Idx) + 1
+	if cap(*v) < width {
+		*v = make([]float64, width)
+	} else {
+		*v = (*v)[:width]
+		clear(*v)
+	}
+	for _, c := range cs {
+		(*v)[c.Idx] = c.Val
+	}
+}
+
 // kidSig returns the signature of n's i-th leaf entry or child node.
 func (n *node) kidSig(i int) *Signature {
 	if n.leaf {
 		return &n.entries[i].Sig
 	}
 	return &n.children[i].sig
-}
-
-// recomputeSig refolds n's aggregate from scratch over all its kids — the
-// structural paths' refresh (Delete, splits) and the oracle the
-// field-wise refold of refoldPath must reproduce bit for bit.
-func (n *node) recomputeSig() {
-	// Reuse the node's own count buffers: entries/children hold separate
-	// slices, so truncating and refolding in place is safe and keeps
-	// propagateUp allocation-free once the buffers have grown to size.
-	agg := emptyAgg()
-	agg.ProdCounts = n.sig.ProdCounts[:0]
-	agg.EntCounts = n.sig.EntCounts[:0]
-	for i := range n.kids() {
-		foldInto(&agg, n.kidSig(i))
-	}
-	n.sig = agg
 }
 
 // Tree is one extended signature tree for a ⟨block, category⟩ pair.
@@ -267,13 +435,17 @@ type Tree struct {
 
 	root   *node
 	fanout int
-	byUser map[string]*LeafEntry
+	byUser map[string]*node // the leaf node holding each user
 
-	// prodDirty and entDirty are refoldPath's coordinate scratch: the
-	// producer/entity indices still to refold at the current level. Trees
-	// are mutated only under their owner's write lock, so one pair per
-	// tree keeps a warm refresh allocation-free.
-	prodDirty, entDirty []int
+	// Write-path scratch. prodDirty and entDirty are refoldPath's
+	// coordinate lists: the indices still to refold at the current level.
+	// cursors holds recomputeSig's merge positions, one per kid, and
+	// packing stages a leaf node's slab while it is rewritten. Trees are
+	// mutated only under their owner's write lock, so one set per tree
+	// keeps a warm refresh allocation-free.
+	prodDirty, entDirty []int32
+	cursors             []int
+	packing             []Coord
 }
 
 // DefaultFanout is used when New is called with fanout < 2.
@@ -284,27 +456,39 @@ func New(blockID int, category string, prod, ent *Universe, fanout int) *Tree {
 	if fanout < 2 {
 		fanout = DefaultFanout
 	}
+	root := &node{leaf: true, sig: emptyAgg()}
+	root.sig.stampLogs()
 	return &Tree{
 		BlockID:  blockID,
 		Category: category,
 		Prod:     prod,
 		Ent:      ent,
-		root:     &node{leaf: true, sig: emptyAgg()},
+		root:     root,
 		fanout:   fanout,
-		byUser:   make(map[string]*LeafEntry),
+		byUser:   make(map[string]*node),
 	}
 }
 
 // Len returns the number of leaf entries (users).
 func (t *Tree) Len() int { return len(t.byUser) }
 
-// Get returns the signature stored for userID.
+// entry returns the leaf node holding userID and the user's position in
+// it, or a nil node if the user is absent.
+func (t *Tree) entry(userID string) (*node, int) {
+	n := t.byUser[userID]
+	if n == nil {
+		return nil, -1
+	}
+	return n, n.find(userID)
+}
+
+// Get returns a copy of the signature stored for userID.
 func (t *Tree) Get(userID string) (Signature, bool) {
-	e := t.byUser[userID]
-	if e == nil {
+	n, i := t.entry(userID)
+	if n == nil {
 		return Signature{}, false
 	}
-	return e.Sig, true
+	return n.entries[i].Sig.Clone(), true
 }
 
 // Has reports whether the user has a leaf entry.
@@ -319,11 +503,11 @@ func (t *Tree) Users() []string {
 	return out
 }
 
-// Insert adds a new leaf entry. Inserting an existing user updates it
-// instead.
+// Insert adds a new leaf entry, copying sig's lists into the tree.
+// Inserting an existing user updates it instead.
 func (t *Tree) Insert(userID string, sig Signature) {
-	if e := t.byUser[userID]; e != nil {
-		t.updateEntry(e, sig)
+	if n, i := t.entry(userID); n != nil {
+		t.updateEntry(n, i, &sig)
 		return
 	}
 	// Descend along the child whose aggregate signature expands least to
@@ -331,20 +515,22 @@ func (t *Tree) Insert(userID string, sig Signature) {
 	// end up co-located, which is what keeps internal upper bounds tight.
 	n := t.root
 	for !n.leaf {
-		best, bestCost := n.children[0], expansionCost(&n.children[0].sig, &sig)
+		best, bestCost := n.children[0], expansionCost(n.children[0], &sig)
 		for _, c := range n.children[1:] {
-			if cost := expansionCost(&c.sig, &sig); cost < bestCost ||
-				(cost == bestCost && subtreeSize(c) < subtreeSize(best)) {
+			if cost := expansionCost(c, &sig); cost < bestCost ||
+				(cost == bestCost && c.size < best.size) {
 				best, bestCost = c, cost
 			}
 		}
 		n = best
 	}
-	e := &LeafEntry{UserID: userID, Sig: sig, parent: n}
-	n.entries = append(n.entries, e)
-	t.byUser[userID] = e
+	n.entries = append(n.entries, LeafEntry{UserID: userID})
+	for a := n; a != nil; a = a.parent {
+		a.size++
+	}
+	t.byUser[userID] = n
+	t.writeLeaf(n, len(n.entries)-1, &sig)
 	if len(n.entries) > t.fanout {
-		t.propagateUp(n)
 		t.splitLeaf(n)
 		return
 	}
@@ -352,42 +538,33 @@ func (t *Tree) Insert(userID string, sig Signature) {
 	// ancestors: every coordinate it holds is dirty against the empty
 	// signature, and the field-wise refold settles the rest.
 	t.markDirty(&Signature{}, &sig)
-	t.refoldPath(e)
+	t.refoldPath(n)
 }
 
 // Update replaces a user's signature and refreshes ancestor aggregates.
 // Returns false if the user is absent.
 func (t *Tree) Update(userID string, sig Signature) bool {
-	e := t.byUser[userID]
-	if e == nil {
-		return false
-	}
-	t.updateEntry(e, sig)
-	return true
+	return t.UpdateCopy(userID, &sig)
 }
 
-func (t *Tree) updateEntry(e *LeafEntry, sig Signature) {
-	t.markDirty(&e.Sig, &sig)
-	e.Sig = sig
-	t.refoldPath(e)
-}
-
-// UpdateCopy replaces a user's signature by copying sig's values into the
-// leaf-owned slices instead of adopting them — the write path for
-// scratch-backed signatures (cppse's pooled refresh buffers), which must
-// never be stored into the tree. Returns false if the user is absent.
+// UpdateCopy is Update taking the signature by pointer — the write path
+// for scratch-backed signatures (cppse's pooled refresh buffers). The tree
+// copies sig's lists into its own storage and never retains sig. Returns
+// false if the user is absent.
 func (t *Tree) UpdateCopy(userID string, sig *Signature) bool {
-	e := t.byUser[userID]
-	if e == nil {
+	n, i := t.entry(userID)
+	if n == nil {
 		return false
 	}
-	t.markDirty(&e.Sig, sig)
-	e.Sig.Pl, e.Sig.Ps = sig.Pl, sig.Ps
-	e.Sig.ProdTotal, e.Sig.EntTotal = sig.ProdTotal, sig.EntTotal
-	e.Sig.ProdCounts = append(e.Sig.ProdCounts[:0], sig.ProdCounts...)
-	e.Sig.EntCounts = append(e.Sig.EntCounts[:0], sig.EntCounts...)
-	t.refoldPath(e)
+	t.updateEntry(n, i, sig)
 	return true
+}
+
+// updateEntry rewrites the i-th entry of leaf node n.
+func (t *Tree) updateEntry(n *node, i int, sig *Signature) {
+	t.markDirty(&n.entries[i].Sig, sig)
+	t.writeLeaf(n, i, sig)
+	t.refoldPath(n)
 }
 
 // UpdateProbs restamps only the cached BiHMM probabilities of a user's
@@ -398,65 +575,111 @@ func (t *Tree) UpdateCopy(userID string, sig *Signature) bool {
 // at the first ancestor whose maxima did not move. Returns false if the
 // user is absent.
 func (t *Tree) UpdateProbs(userID string, pl, ps float64) bool {
-	e := t.byUser[userID]
-	if e == nil {
+	n, i := t.entry(userID)
+	if n == nil {
 		return false
 	}
+	e := &n.entries[i]
 	e.Sig.Pl, e.Sig.Ps = pl, ps
+	e.Sig.stampLogs()
 	t.prodDirty, t.entDirty = t.prodDirty[:0], t.entDirty[:0]
-	t.refoldPath(e)
+	t.refoldPath(n)
 	return true
+}
+
+// writeLeaf stores sig into the i-th entry of leaf node n: the scalars in
+// place, the lists in place when their lengths are unchanged (the steady
+// state of a count going up) and otherwise by repacking the node's slab.
+func (t *Tree) writeLeaf(n *node, i int, sig *Signature) {
+	e := &n.entries[i]
+	e.Sig.Pl, e.Sig.Ps = sig.Pl, sig.Ps
+	e.Sig.ProdTotal, e.Sig.EntTotal = sig.ProdTotal, sig.EntTotal
+	e.Sig.stampLogs()
+	if len(e.Sig.Prod) == len(sig.Prod) && len(e.Sig.Ent) == len(sig.Ent) {
+		copy(e.Sig.Prod, sig.Prod)
+		copy(e.Sig.Ent, sig.Ent)
+		return
+	}
+	t.repack(n, i, sig)
+}
+
+// repack rewrites leaf node n's slab with its entries' lists back to back,
+// taking the i-th entry's lists from sig (i < 0: none). The slab is reused
+// while it is large enough and otherwise grows as append grows it.
+func (t *Tree) repack(n *node, i int, sig *Signature) {
+	lists := func(k int) ([]Coord, []Coord) {
+		if k == i {
+			return sig.Prod, sig.Ent
+		}
+		return n.entries[k].Sig.Prod, n.entries[k].Sig.Ent
+	}
+	buf := t.packing[:0]
+	for k := range n.entries {
+		p, en := lists(k)
+		buf = append(buf, p...)
+		buf = append(buf, en...)
+	}
+	t.packing = buf
+	n.slab = append(n.slab[:0], buf...)
+	off := 0
+	for k := range n.entries {
+		p, en := lists(k)
+		np, ne := len(p), len(en)
+		x := &n.entries[k]
+		x.Sig.Prod = n.slab[off : off+np : off+np]
+		off += np
+		x.Sig.Ent = n.slab[off : off+ne : off+ne]
+		off += ne
+	}
 }
 
 // markDirty records in the tree's coordinate scratch every producer and
 // entity index at which next differs from prev.
 func (t *Tree) markDirty(prev, next *Signature) {
-	t.prodDirty = appendChanged(t.prodDirty[:0], prev.ProdCounts, next.ProdCounts)
-	t.entDirty = appendChanged(t.entDirty[:0], prev.EntCounts, next.EntCounts)
+	t.prodDirty = appendChanged(t.prodDirty[:0], prev.Prod, next.Prod)
+	t.entDirty = appendChanged(t.entDirty[:0], prev.Ent, next.Ent)
 }
 
-// appendChanged appends the indices at which prev and next differ bit for
-// bit, reading a coordinate past either's end as +0 — so growth and
-// shrinkage are recorded like any other change.
-func appendChanged(dirty []int, prev, next []float64) []int {
-	common := min(len(prev), len(next))
-	for i := range common {
-		if math.Float64bits(prev[i]) != math.Float64bits(next[i]) {
-			dirty = append(dirty, i)
-		}
-	}
-	tail := prev[common:]
-	if len(next) > common {
-		tail = next[common:]
-	}
-	for i, v := range tail {
-		if math.Float64bits(v) != 0 {
-			dirty = append(dirty, common+i)
+// appendChanged appends, in ascending order, the indices at which prev and
+// next differ bit for bit, reading an unlisted coordinate as +0.
+func appendChanged(dirty []int32, prev, next []Coord) []int32 {
+	i, j := 0, 0
+	for i < len(prev) || j < len(next) {
+		switch {
+		case j == len(next) || (i < len(prev) && prev[i].Idx < next[j].Idx):
+			if math.Float64bits(prev[i].Val) != 0 {
+				dirty = append(dirty, prev[i].Idx)
+			}
+			i++
+		case i == len(prev) || next[j].Idx < prev[i].Idx:
+			if math.Float64bits(next[j].Val) != 0 {
+				dirty = append(dirty, next[j].Idx)
+			}
+			j++
+		default:
+			if math.Float64bits(prev[i].Val) != math.Float64bits(next[j].Val) {
+				dirty = append(dirty, next[j].Idx)
+			}
+			i++
+			j++
 		}
 	}
 	return dirty
 }
 
-// refoldPath restores the aggregates from e's leaf node to the root after
-// e changed in place or was inserted without a split, with
+// refoldPath restores the aggregates from leaf node n to the root after
+// one of its entries changed in place or was inserted without a split, with
 // t.prodDirty/t.entDirty holding the count coordinates that changed (for
-// an insert: every coordinate e holds). Each level refolds the four scalars over its
-// ≤ fanout kids, grows its vectors to e's length, and refolds the count
-// maxima only at the dirty coordinates; a coordinate whose aggregate came
-// out bit-identical is dropped before the next level, and the walk stops
-// at the first node whose aggregate did not change at all. Max and min
-// are exact and widenMax/narrowMin fold the kids in the same order as
-// recomputeSig, so every aggregate equals a from-scratch fold, up to
-// trailing zeros (which Score reads as zero anyway).
-func (t *Tree) refoldPath(e *LeafEntry) {
-	prodLen, entLen := len(e.Sig.ProdCounts), len(e.Sig.EntCounts)
-	for n := e.parent; n != nil; n = n.parent {
+// an insert: every coordinate the entry holds). Each level refolds the four
+// scalars over its ≤ fanout kids and the count maxima only at the dirty
+// coordinates; a coordinate whose aggregate came out bit-identical is
+// dropped before the next level, and the walk stops at the first node
+// whose aggregate did not change at all. Max and min are exact and
+// widenMax/narrowMin fold the kids in the same order as recomputeSig, so
+// every aggregate equals a from-scratch fold.
+func (t *Tree) refoldPath(n *node) {
+	for ; n != nil; n = n.parent {
 		changed := refoldScalars(n)
-		if len(n.sig.ProdCounts) < prodLen || len(n.sig.EntCounts) < entLen {
-			n.sig.ProdCounts = growTo(n.sig.ProdCounts, prodLen)
-			n.sig.EntCounts = growTo(n.sig.EntCounts, entLen)
-			changed = true
-		}
 		t.prodDirty = refoldCounts(n, t.prodDirty, false)
 		t.entDirty = refoldCounts(n, t.entDirty, true)
 		if !changed && len(t.prodDirty) == 0 && len(t.entDirty) == 0 {
@@ -477,69 +700,128 @@ func refoldScalars(n *node) bool {
 		math.Float64bits(agg.Ps) != math.Float64bits(s.Ps) ||
 		math.Float64bits(agg.ProdTotal) != math.Float64bits(s.ProdTotal) ||
 		math.Float64bits(agg.EntTotal) != math.Float64bits(s.EntTotal)
-	s.Pl, s.Ps, s.ProdTotal, s.EntTotal = agg.Pl, agg.Ps, agg.ProdTotal, agg.EntTotal
+	if changed {
+		s.Pl, s.Ps, s.ProdTotal, s.EntTotal = agg.Pl, agg.Ps, agg.ProdTotal, agg.EntTotal
+		s.stampLogs()
+	}
 	return changed
 }
 
 // refoldCounts refolds n's producer (ent=false) or entity (ent=true) count
 // maxima at the dirty coordinates and returns, compacted in place, those
-// whose aggregate changed. A kid whose vector ends before a coordinate
-// does not take part, exactly as in foldMax.
-func refoldCounts(n *node, dirty []int, ent bool) []int {
-	agg := counts(&n.sig, ent)
+// whose aggregate changed. A coordinate whose maximum falls to +0 leaves
+// the aggregate's list; one that rises from +0 joins it. A dense vector
+// follows every change.
+func refoldCounts(n *node, dirty []int32, ent bool) []int32 {
+	agg := n.sig.coords(ent)
 	kept := dirty[:0]
 	for _, i := range dirty {
 		var m float64
 		for k := range n.kids() {
-			if c := counts(n.kidSig(k), ent); i < len(c) {
-				m = widenMax(m, c[i])
-			}
+			m = widenMax(m, n.kidCount(k, ent, i))
 		}
-		if math.Float64bits(m) != math.Float64bits(agg[i]) {
-			agg[i] = m
-			kept = append(kept, i)
+		pos := seekIdx(*agg, i)
+		listed := pos < len(*agg) && (*agg)[pos].Idx == i
+		var cur float64
+		if listed {
+			cur = (*agg)[pos].Val
 		}
+		if math.Float64bits(m) == math.Float64bits(cur) {
+			continue
+		}
+		switch {
+		case math.Float64bits(m) == 0:
+			*agg = slices.Delete(*agg, pos, pos+1)
+		case listed:
+			(*agg)[pos].Val = m
+		default:
+			*agg = slices.Insert(*agg, pos, Coord{Idx: i, Val: m})
+		}
+		if v := n.vec(ent); *v != nil {
+			*v = growTo(*v, int(i)+1)
+			(*v)[i] = m
+		}
+		kept = append(kept, i)
+	}
+	if len(kept) > 0 && *n.vec(ent) == nil && wantsVec(*agg) {
+		n.syncVec(ent)
 	}
 	return kept
 }
 
-// counts returns s's entity (ent) or producer count vector.
-func counts(s *Signature, ent bool) []float64 {
-	if ent {
-		return s.EntCounts
+// recomputeSig refolds n's aggregate from scratch over all its kids — the
+// structural paths' refresh (Delete, splits) and the oracle the
+// field-wise refold of refoldPath must reproduce bit for bit. It reuses
+// the node's own list buffers (kids never share them), so a warm refold
+// does not allocate.
+func (t *Tree) recomputeSig(n *node) {
+	agg := emptyAgg()
+	for i := range n.kids() {
+		foldScalars(&agg, n.kidSig(i))
 	}
-	return s.ProdCounts
+	agg.stampLogs()
+	if cap(t.cursors) < n.kids() {
+		t.cursors = make([]int, n.kids())
+	}
+	cur := t.cursors[:n.kids()]
+	agg.Prod = foldCounts(n.sig.Prod[:0], cur, n, false)
+	agg.Ent = foldCounts(n.sig.Ent[:0], cur, n, true)
+	n.sig = agg
+	n.syncVec(false)
+	n.syncVec(true)
+}
+
+// foldCounts appends to dst the k-way merge of n's kids' producer or
+// entity lists: at each listed index the widenMax fold, from +0, of the
+// kids' counts, kept only when it is not +0.
+func foldCounts(dst []Coord, cur []int, n *node, ent bool) []Coord {
+	clear(cur)
+	for {
+		var next int32
+		found := false
+		for k := range cur {
+			if cs := *n.kidSig(k).coords(ent); cur[k] < len(cs) && (!found || cs[cur[k]].Idx < next) {
+				next, found = cs[cur[k]].Idx, true
+			}
+		}
+		if !found {
+			return dst
+		}
+		var m float64
+		for k := range cur {
+			if cs := *n.kidSig(k).coords(ent); cur[k] < len(cs) && cs[cur[k]].Idx == next {
+				m = widenMax(m, cs[cur[k]].Val)
+				cur[k]++
+			}
+		}
+		if math.Float64bits(m) != 0 {
+			dst = append(dst, Coord{Idx: next, Val: m})
+		}
+	}
 }
 
 func (t *Tree) propagateUp(n *node) {
 	for ; n != nil; n = n.parent {
-		n.recomputeSig()
+		t.recomputeSig(n)
 	}
 }
 
-// expansionCost estimates how much agg must widen to dominate sig: the sum
-// of count increases plus (heavily weighted) probability increases and
-// total decreases. Lower cost = better fit.
-func expansionCost(agg, sig *Signature) float64 {
+// expansionCost estimates how much n's aggregate must widen to dominate
+// sig: the sum of count increases plus (heavily weighted) probability
+// increases and total decreases. Lower cost = better fit. The count
+// increases are summed over sig's listed coordinates in ascending index
+// order — the order a dense walk adds them in, since an unlisted
+// coordinate (+0) never exceeds an aggregate.
+func expansionCost(n *node, sig *Signature) float64 {
 	var cost float64
-	for i, v := range sig.ProdCounts {
-		var cur float64
-		if i < len(agg.ProdCounts) {
-			cur = agg.ProdCounts[i]
-		}
-		if v > cur {
-			cost += v - cur
+	for _, ent := range []bool{false, true} {
+		for _, c := range *sig.coords(ent) {
+			if cur := n.count(ent, c.Idx); c.Val > cur {
+				cost += c.Val - cur
+			}
 		}
 	}
-	for i, v := range sig.EntCounts {
-		var cur float64
-		if i < len(agg.EntCounts) {
-			cur = agg.EntCounts[i]
-		}
-		if v > cur {
-			cost += v - cur
-		}
-	}
+	agg := &n.sig
 	if sig.Pl > agg.Pl {
 		cost += 50 * (sig.Pl - agg.Pl)
 	}
@@ -555,29 +837,18 @@ func expansionCost(agg, sig *Signature) float64 {
 	return cost
 }
 
-func subtreeSize(n *node) int {
-	if n.leaf {
-		return len(n.entries)
-	}
-	s := 0
-	for _, c := range n.children {
-		s += subtreeSize(c)
-	}
-	return s
-}
-
 func (t *Tree) splitLeaf(n *node) {
 	half := len(n.entries) / 2
 	left := &node{leaf: true, entries: n.entries[:half:half], parent: n.parent}
-	right := &node{leaf: true, entries: append([]*LeafEntry(nil), n.entries[half:]...), parent: n.parent}
-	for _, e := range left.entries {
-		e.parent = left
+	right := &node{leaf: true, entries: slices.Clone(n.entries[half:]), parent: n.parent}
+	for _, half := range []*node{left, right} {
+		for i := range half.entries {
+			t.byUser[half.entries[i].UserID] = half
+		}
+		half.size = len(half.entries)
+		t.repack(half, -1, nil)
+		t.recomputeSig(half)
 	}
-	for _, e := range right.entries {
-		e.parent = right
-	}
-	left.recomputeSig()
-	right.recomputeSig()
 	t.replaceChild(n, left, right)
 }
 
@@ -585,14 +856,13 @@ func (t *Tree) splitInternal(n *node) {
 	half := len(n.children) / 2
 	left := &node{children: n.children[:half:half], parent: n.parent}
 	right := &node{children: append([]*node(nil), n.children[half:]...), parent: n.parent}
-	for _, c := range left.children {
-		c.parent = left
+	for _, half := range []*node{left, right} {
+		for _, c := range half.children {
+			c.parent = half
+			half.size += c.size
+		}
+		t.recomputeSig(half)
 	}
-	for _, c := range right.children {
-		c.parent = right
-	}
-	left.recomputeSig()
-	right.recomputeSig()
 	t.replaceChild(n, left, right)
 }
 
@@ -601,19 +871,13 @@ func (t *Tree) splitInternal(n *node) {
 func (t *Tree) replaceChild(n, left, right *node) {
 	p := n.parent
 	if p == nil {
-		newRoot := &node{children: []*node{left, right}}
+		newRoot := &node{children: []*node{left, right}, size: n.size}
 		left.parent, right.parent = newRoot, newRoot
-		newRoot.recomputeSig()
+		t.recomputeSig(newRoot)
 		t.root = newRoot
 		return
 	}
-	pos := -1
-	for i, c := range p.children {
-		if c == n {
-			pos = i
-			break
-		}
-	}
+	pos := slices.Index(p.children, n)
 	rebuilt := make([]*node, 0, len(p.children)+1)
 	rebuilt = append(rebuilt, p.children[:pos]...)
 	rebuilt = append(rebuilt, left, right)
@@ -630,18 +894,16 @@ func (t *Tree) replaceChild(n, left, right *node) {
 // balanced); their aggregates become the fold identity. Returns false if
 // the user is absent.
 func (t *Tree) Delete(userID string) bool {
-	e := t.byUser[userID]
-	if e == nil {
+	n, i := t.entry(userID)
+	if n == nil {
 		return false
 	}
-	n := e.parent
-	for i, cur := range n.entries {
-		if cur == e {
-			n.entries = slices.Delete(n.entries, i, i+1)
-			break
-		}
+	n.entries = slices.Delete(n.entries, i, i+1)
+	for a := n; a != nil; a = a.parent {
+		a.size--
 	}
 	delete(t.byUser, userID)
+	t.repack(n, -1, nil)
 	t.propagateUp(n)
 	return true
 }
@@ -652,7 +914,7 @@ func (t *Tree) RootScore(q *Query) float64 {
 	if t.Len() == 0 {
 		return math.Inf(-1)
 	}
-	return Score(&t.root.sig, q)
+	return t.root.score(q)
 }
 
 // Depth returns the height of the tree (1 = single leaf node).

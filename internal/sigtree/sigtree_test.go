@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,28 +14,30 @@ import (
 // universe sizes.
 func randomSignature(nProd, nEnt int, rng *rand.Rand) Signature {
 	s := Signature{
-		Pl:         0.05 + 0.9*rng.Float64(),
-		Ps:         0.05 + 0.9*rng.Float64(),
-		ProdCounts: make([]float64, nProd),
-		EntCounts:  make([]float64, nEnt),
+		Pl: 0.05 + 0.9*rng.Float64(),
+		Ps: 0.05 + 0.9*rng.Float64(),
 	}
-	for i := range s.ProdCounts {
-		s.ProdCounts[i] = float64(rng.Intn(20))
-		s.ProdTotal += s.ProdCounts[i]
+	prod, ent := make([]float64, nProd), make([]float64, nEnt)
+	for i := range prod {
+		prod[i] = float64(rng.Intn(20))
+		s.ProdTotal += prod[i]
 	}
-	for i := range s.EntCounts {
-		s.EntCounts[i] = float64(rng.Intn(10))
-		s.EntTotal += s.EntCounts[i]
+	for i := range ent {
+		ent[i] = float64(rng.Intn(10))
+		s.EntTotal += ent[i]
 	}
 	if s.ProdTotal == 0 {
-		s.ProdCounts[0], s.ProdTotal = 1, 1
+		prod[0], s.ProdTotal = 1, 1
 	}
 	if s.EntTotal == 0 {
-		s.EntCounts[0], s.EntTotal = 1, 1
+		ent[0], s.EntTotal = 1, 1
 	}
+	s.Prod, s.Ent = fromDense(prod), fromDense(ent)
 	return s
 }
 
+// randomQuery builds a query with up to three distinct entities, listed
+// in ascending index order as the cppse encoder emits them.
 func randomQuery(nProd, nEnt int, rng *rand.Rand) *Query {
 	q := &Query{
 		ProdIdx: rng.Intn(nProd),
@@ -52,6 +55,8 @@ func randomQuery(nProd, nEnt int, rng *rand.Rand) *Query {
 		used[idx] = true
 		q.Ents = append(q.Ents, WeightedIdx{Idx: idx, W: 0.5 + rng.Float64()})
 	}
+	slices.SortFunc(q.Ents, func(a, b WeightedIdx) int { return a.Idx - b.Idx })
+	q.EntW = AppendEntWeights(nil, q.Ents)
 	return q
 }
 
@@ -136,7 +141,7 @@ func TestTreeGrowsDepth(t *testing.T) {
 	}
 }
 
-// collectInvariant walks the tree checking that every internal signature
+// checkDomination walks the tree checking that every internal signature
 // dominates its children (Lemma 1 precondition).
 func checkDomination(t *testing.T, n *node) {
 	t.Helper()
@@ -158,14 +163,14 @@ func checkDomination(t *testing.T, n *node) {
 		if k.ProdTotal < n.sig.ProdTotal-1e-12 || k.EntTotal < n.sig.EntTotal-1e-12 {
 			t.Fatalf("child total below aggregate min")
 		}
-		for i, v := range k.ProdCounts {
-			if v > n.sig.ProdCounts[i]+1e-12 {
-				t.Fatalf("prod count %d: child %v > agg %v", i, v, n.sig.ProdCounts[i])
+		for _, c := range k.Prod {
+			if agg := at(n.sig.Prod, c.Idx); c.Val > agg+1e-12 {
+				t.Fatalf("prod count %d: child %v > agg %v", c.Idx, c.Val, agg)
 			}
 		}
-		for i, v := range k.EntCounts {
-			if v > n.sig.EntCounts[i]+1e-12 {
-				t.Fatalf("ent count %d: child %v > agg %v", i, v, n.sig.EntCounts[i])
+		for _, c := range k.Ent {
+			if agg := at(n.sig.Ent, c.Idx); c.Val > agg+1e-12 {
+				t.Fatalf("ent count %d: child %v > agg %v", c.Idx, c.Val, agg)
 			}
 		}
 	}
@@ -264,10 +269,12 @@ func TestSearchPrunes(t *testing.T) {
 		sig := archetypes[i%5].Clone()
 		sig.Pl = clamp01(sig.Pl + (rng.Float64()-0.5)*0.05)
 		sig.Ps = clamp01(sig.Ps + (rng.Float64()-0.5)*0.05)
-		for j := range sig.EntCounts {
-			sig.EntCounts[j] += float64(rng.Intn(2))
+		ent := toDense(sig.Ent, 6)
+		for j := range ent {
+			ent[j] += float64(rng.Intn(2))
 			sig.EntTotal++
 		}
+		sig.Ent = fromDense(ent)
 		tr.Insert(fmt.Sprintf("u%03d", i), sig)
 	}
 	q := randomQuery(4, 6, rng)
@@ -296,17 +303,18 @@ func clamp01(v float64) float64 {
 func TestScoreMonotoneInCounts(t *testing.T) {
 	base := Signature{
 		Pl: 0.3, Ps: 0.2,
-		ProdCounts: []float64{5, 0}, ProdTotal: 5,
-		EntCounts: []float64{3, 1}, EntTotal: 4,
+		Prod: fromDense([]float64{5, 0}), ProdTotal: 5,
+		Ent: fromDense([]float64{3, 1}), EntTotal: 4,
 	}
+	base.stampLogs()
 	more := base.Clone()
-	more.ProdCounts[0] = 10
-	q := &Query{ProdIdx: 0, BgProd: 0.05, Ents: []WeightedIdx{{0, 1}}, BgEnt: 0.05, Mu: 10, LambdaS: 0.4}
+	more.Prod[0].Val = 10
+	q := &Query{ProdIdx: 0, BgProd: 0.05, Ents: []WeightedIdx{{0, 1}}, EntW: []float64{1}, BgEnt: 0.05, Mu: 10, LambdaS: 0.4}
 	if Score(&more, q) <= Score(&base, q) {
 		t.Error("score not monotone in producer count")
 	}
 	moreEnt := base.Clone()
-	moreEnt.EntCounts[0] = 9
+	moreEnt.Ent[0].Val = 9
 	if Score(&moreEnt, q) <= Score(&base, q) {
 		t.Error("score not monotone in entity count")
 	}
@@ -318,8 +326,9 @@ func TestScoreMonotoneInCounts(t *testing.T) {
 }
 
 func TestScoreHandlesMissingProducer(t *testing.T) {
-	sig := Signature{Pl: 0.3, Ps: 0.2, ProdCounts: []float64{1}, ProdTotal: 1,
-		EntCounts: []float64{1}, EntTotal: 1}
+	sig := Signature{Pl: 0.3, Ps: 0.2, Prod: []Coord{{0, 1}}, ProdTotal: 1,
+		Ent: []Coord{{0, 1}}, EntTotal: 1}
+	sig.stampLogs()
 	q := &Query{ProdIdx: -1, BgProd: 0.02, Ents: nil, BgEnt: 0.01, Mu: 10, LambdaS: 0.4}
 	s := Score(&sig, q)
 	if math.IsInf(s, 0) || math.IsNaN(s) {
@@ -328,11 +337,11 @@ func TestScoreHandlesMissingProducer(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	s := Signature{ProdCounts: []float64{1, 2}, EntCounts: []float64{3}}
+	s := Signature{Prod: []Coord{{0, 1}, {1, 2}}, Ent: []Coord{{0, 3}}}
 	c := s.Clone()
-	c.ProdCounts[0] = 99
-	c.EntCounts[0] = 99
-	if s.ProdCounts[0] == 99 || s.EntCounts[0] == 99 {
+	c.Prod[0].Val = 99
+	c.Ent[0].Val = 99
+	if s.Prod[0].Val == 99 || s.Ent[0].Val == 99 {
 		t.Fatal("Clone shares storage")
 	}
 }
