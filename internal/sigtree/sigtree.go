@@ -530,15 +530,15 @@ func (t *Tree) Insert(userID string, sig Signature) {
 	}
 	t.byUser[userID] = n
 	t.writeLeaf(n, len(n.entries)-1, &sig)
-	if len(n.entries) > t.fanout {
-		t.splitLeaf(n)
-		return
-	}
-	// Without a split the new leaf is one more kid under unchanged
-	// ancestors: every coordinate it holds is dirty against the empty
-	// signature, and the field-wise refold settles the rest.
+	// The new leaf is one more kid under unchanged ancestors: every
+	// coordinate it holds is dirty against the empty signature, and the
+	// field-wise refold settles the rest. A split that follows leaves
+	// every ancestor's fold as it is — the same leaves, in the same order.
 	t.markDirty(&Signature{}, &sig)
 	t.refoldPath(n)
+	if len(n.entries) > t.fanout {
+		t.splitLeaf(n)
+	}
 }
 
 // Update replaces a user's signature and refreshes ancestor aggregates.
@@ -867,7 +867,9 @@ func (t *Tree) splitInternal(n *node) {
 }
 
 // replaceChild swaps n for (left, right) under n's parent, growing a new
-// root if n was the root, and splits the parent if it overflows.
+// root if n was the root, and splits the parent if it overflows. The
+// halves fold the same leaves as n did, in the same order, so no ancestor
+// aggregate changes: max is order-free and min keeps the first minimum.
 func (t *Tree) replaceChild(n, left, right *node) {
 	p := n.parent
 	if p == nil {
@@ -883,7 +885,6 @@ func (t *Tree) replaceChild(n, left, right *node) {
 	rebuilt = append(rebuilt, left, right)
 	rebuilt = append(rebuilt, p.children[pos+1:]...)
 	p.children = rebuilt
-	t.propagateUp(p)
 	if len(p.children) > t.fanout {
 		t.splitInternal(p)
 	}
