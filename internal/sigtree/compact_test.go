@@ -12,7 +12,7 @@ import (
 
 // This file holds the compact signatures to the dense encoding they
 // replaced: a dense-vector reference of the aggregate folds and of Score,
-// and a write-sequence driver shared by the seeded property tests and
+// and a write-sequence runner shared by the seeded property tests and
 // FuzzCompactSignature.
 
 // fromDense lists every coordinate of v that is not +0 — the sparse form
@@ -155,7 +155,7 @@ func checkList(t testing.TB, cs []Coord, width int, agg bool, what string) {
 // signature, which steers Insert; the cached logarithms of every
 // aggregate and leaf are current; entry counts match; and each leaf
 // node's entry lists lie back to back in its slab.
-func checkDenseReference(t testing.TB, d *opDriver, step string) {
+func checkDenseReference(t testing.TB, d *opRunner, step string) {
 	t.Helper()
 	probe := d.signature()
 	leaves := make(map[*LeafEntry]denseSig, d.tr.Len())
@@ -251,7 +251,7 @@ func checkLogs(t testing.TB, s *Signature, step string) {
 // checkSearchAgainstDense runs a few random queries through Search,
 // SequentialScan and a dense-reference scan of the leaves; all three must
 // agree bit for bit.
-func checkSearchAgainstDense(t testing.TB, d *opDriver, step string) {
+func checkSearchAgainstDense(t testing.TB, d *opRunner, step string) {
 	t.Helper()
 	users := make(map[string]denseSig, d.tr.Len())
 	for id := range d.tr.byUser {
@@ -303,13 +303,13 @@ func (b *byteSource) next() int {
 func (b *byteSource) Intn(n int) int   { return b.next() % n }
 func (b *byteSource) Float64() float64 { return float64(b.next()) / 256 }
 
-// opDriver applies a random sequence of Insert/Update/UpdateCopy/
+// opRunner applies a random sequence of Insert/Update/UpdateCopy/
 // UpdateProbs/Delete to one tree while the universes grow under it.
 // With special set, NaN and ±0 are mixed into every value, so the folds
 // are exercised on the values whose comparisons differ; without it the
 // values are those cppse writes (positive integer counts, probabilities
 // in (0, 1)) and scores stay comparable.
-type opDriver struct {
+type opRunner struct {
 	tr          *Tree
 	src         opSource
 	special     bool
@@ -319,13 +319,13 @@ type opDriver struct {
 	scratch     Signature
 }
 
-func newOpDriver(src opSource, special bool, fanout int) *opDriver {
-	return &opDriver{tr: New(0, "c", NewUniverse(nil), NewUniverse(nil), fanout),
+func newOpRunner(src opSource, special bool, fanout int) *opRunner {
+	return &opRunner{tr: New(0, "c", NewUniverse(nil), NewUniverse(nil), fanout),
 		src: src, special: special, nProd: 3, nEnt: 2}
 }
 
-// value occasionally swaps v for NaN, −0 or +0 when the driver is special.
-func (d *opDriver) value(v float64) float64 {
+// value occasionally swaps v for NaN, −0 or +0 when the runner is special.
+func (d *opRunner) value(v float64) float64 {
 	if !d.special {
 		return v
 	}
@@ -341,7 +341,7 @@ func (d *opDriver) value(v float64) float64 {
 }
 
 // signature builds a leaf with about three listed coordinates of each kind.
-func (d *opDriver) signature() Signature {
+func (d *opRunner) signature() Signature {
 	prod, ent := make([]float64, d.nProd), make([]float64, d.nEnt)
 	for range 3 {
 		prod[d.src.Intn(d.nProd)] = d.value(float64(1 + d.src.Intn(6)))
@@ -360,7 +360,7 @@ func (d *opDriver) signature() Signature {
 // perturb returns cur with a few fields changed, as one observation
 // changes a leaf: sometimes nothing but Pl, sometimes a count or two —
 // set, raised or dropped to zero.
-func (d *opDriver) perturb(cur Signature) Signature {
+func (d *opRunner) perturb(cur Signature) Signature {
 	prod, ent := toDense(cur.Prod, d.nProd), toDense(cur.Ent, d.nEnt)
 	for range d.src.Intn(3) {
 		prod[d.src.Intn(d.nProd)] = d.value(float64(d.src.Intn(7)))
@@ -383,7 +383,7 @@ func (d *opDriver) perturb(cur Signature) Signature {
 // query builds a query over the current universes: a producer inside or
 // outside them, and up to three distinct entities in ascending order with
 // finite positive weights.
-func (d *opDriver) query() *Query {
+func (d *opRunner) query() *Query {
 	q := &Query{ProdIdx: d.src.Intn(d.nProd+1) - 1, BgProd: 0.01 + 0.1*d.src.Float64(),
 		BgEnt: 0.01 + 0.2*d.src.Float64(), Mu: 10, LambdaS: 0.4}
 	for range 3 {
@@ -398,7 +398,7 @@ func (d *opDriver) query() *Query {
 }
 
 // step applies one write and describes it.
-func (d *opDriver) step() string {
+func (d *opRunner) step() string {
 	if d.src.Intn(10) == 0 {
 		d.nProd += 1 + d.src.Intn(3)
 	}
@@ -452,7 +452,7 @@ func (d *opDriver) step() string {
 // scan return the same users with the same score bits.
 func TestCompactMatchesDenseReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		d := newOpDriver(rand.New(rand.NewSource(seed)), false, 2+int(seed%5))
+		d := newOpRunner(rand.New(rand.NewSource(seed)), false, 2+int(seed%5))
 		for op := range 300 {
 			step := fmt.Sprintf("seed %d op %d %s", seed, op, d.step())
 			checkDenseReference(t, d, step)
@@ -471,7 +471,7 @@ func FuzzCompactSignature(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &byteSource{data: data}
 		mode := src.next()
-		d := newOpDriver(src, mode&1 == 1, 2+mode/2%5)
+		d := newOpRunner(src, mode&1 == 1, 2+mode/2%5)
 		for op := 0; len(src.data) > 0 && op < 200; op++ {
 			step := fmt.Sprintf("op %d %s", op, d.step())
 			checkAggregatesExact(t, d.tr, d.tr.root, step)

@@ -40,7 +40,7 @@ func checkAggregatesExact(t testing.TB, tr *Tree, n *node, step string) {
 // reference fold of the leaves.
 func TestFieldwiseRefoldMatchesFullFold(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		d := newOpDriver(rand.New(rand.NewSource(seed)), true, 2+int(seed%4))
+		d := newOpRunner(rand.New(rand.NewSource(seed)), true, 2+int(seed%4))
 		for op := range 400 {
 			step := fmt.Sprintf("seed %d op %d %s", seed, op, d.step())
 			checkAggregatesExact(t, d.tr, d.tr.root, step)
