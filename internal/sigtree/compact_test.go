@@ -11,7 +11,7 @@ import (
 )
 
 // This file holds the compact signatures to the dense encoding they
-// replaced: a dense-vector reference of the aggregate folds and of Score,
+// replaced: a dense-vector reference of the aggregate folds and of score,
 // and a write-sequence runner shared by the seeded property tests and
 // FuzzCompactSignature.
 
@@ -91,7 +91,7 @@ func denseFold(n *node, nProd, nEnt int, leaves map[*LeafEntry]denseSig) denseSi
 	return d
 }
 
-// denseScore is Score in the dense encoding: a direct read at the
+// denseScore is score in the dense encoding: a direct read at the
 // producer index, every entity term added, four logarithms.
 func denseScore(d denseSig, q *Query) float64 {
 	var prodCount float64
@@ -303,7 +303,7 @@ func (b *byteSource) next() int {
 func (b *byteSource) Intn(n int) int   { return b.next() % n }
 func (b *byteSource) Float64() float64 { return float64(b.next()) / 256 }
 
-// opRunner applies a random sequence of Insert/Update/UpdateCopy/
+// opRunner applies a random sequence of Insert/UpdateCopy/
 // UpdateProbs/Delete to one tree while the universes grow under it.
 // With special set, NaN and ±0 are mixed into every value, so the folds
 // are exercised on the values whose comparisons differ; without it the
@@ -415,8 +415,9 @@ func (d *opRunner) step() string {
 	case k < 4:
 		id := d.users[d.src.Intn(len(d.users))]
 		cur, _ := d.tr.Get(id)
-		d.tr.Update(id, d.perturb(cur))
-		return "Update " + id
+		next := d.perturb(cur)
+		d.tr.UpdateCopy(id, &next)
+		return "UpdateCopy (fresh lists) " + id
 	case k < 7:
 		id := d.users[d.src.Intn(len(d.users))]
 		cur, _ := d.tr.Get(id)
@@ -509,7 +510,7 @@ func TestSkippedZeroTermsAreExact(t *testing.T) {
 			q.Ents[i].W = weights[rng.Intn(len(weights))]
 		}
 		q.EntW = AppendEntWeights(nil, q.Ents)
-		if a, b := Score(&sparse, q), Score(&padded, q); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := score(&sparse, nil, nil, q), score(&padded, nil, nil, q); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("trial %d: skipping +0 terms moved the score %v → %v (weights %v)", trial, b, a, q.Ents)
 		}
 	}

@@ -70,7 +70,6 @@ type Searcher struct {
 	seq   int
 	topk  topK
 	stats SearchStats
-	sink  float64 // keeps prefetch's loads live
 }
 
 var searcherPool = sync.Pool{New: func() any { return new(Searcher) }}
@@ -194,11 +193,10 @@ func (s *Searcher) RunCtx(ctx context.Context, tqs []TreeQuery, k int, shared *B
 		}
 		n := it.node
 		s.stats.NodesVisited++
-		s.prefetch(n)
 		if n.leaf {
 			for i := range n.entries {
 				e := &n.entries[i]
-				s.topk.Offer(e.UserID, Score(&e.Sig, it.q))
+				s.topk.Offer(e.UserID, score(&e.Sig, nil, nil, it.q))
 				s.stats.EntriesScored++
 			}
 			if shared != nil && s.topk.Full() {
@@ -224,26 +222,6 @@ func (s *Searcher) RunCtx(ctx context.Context, tqs []TreeQuery, k int, shared *B
 	clear(s.pq)
 	s.pq = s.pq[:0]
 	return s.topk.Sorted(), s.stats, err
-}
-
-// prefetch reads one word from each cache line that scoring n's kids
-// starts on — a leaf node's entries and slab, or the head of each child
-// node — before any of them is scored. The loads are independent, so
-// their cache misses overlap instead of each waiting behind the
-// dependent loads of the score before it. At ytube-10k it took a median
-// 5 % off serial search in three paired runs.
-func (s *Searcher) prefetch(n *node) {
-	var sum float64
-	for i := range n.entries {
-		sum += n.entries[i].Sig.ProdTotal
-	}
-	for i := 0; i < len(n.slab); i += 4 { // four 16-byte Coords per 64-byte line
-		sum += n.slab[i].Val
-	}
-	for _, c := range n.children {
-		sum += c.sig.ProdTotal
-	}
-	s.sink += sum
 }
 
 func (s *Searcher) remainingEntries() int {
@@ -421,7 +399,7 @@ func SequentialScan(tqs []TreeQuery, k int) []model.Recommendation {
 	var scan func(n *node, q *Query)
 	scan = func(n *node, q *Query) {
 		for i := range n.entries {
-			topk.Offer(n.entries[i].UserID, Score(&n.entries[i].Sig, q))
+			topk.Offer(n.entries[i].UserID, score(&n.entries[i].Sig, nil, nil, q))
 		}
 		for _, c := range n.children {
 			scan(c, q)

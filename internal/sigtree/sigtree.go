@@ -27,7 +27,7 @@
 // an aggregate lists exactly the coordinates whose folded maximum is not
 // +0, and mirrors a list that is dense enough as a vector for one-load
 // reads. Every read returns the bits a dense vector over the universe
-// would hold, and Score skips only W·(+0) terms, which add nothing to a
+// would hold, and scoring skips only W·(+0) terms, which add nothing to a
 // sum that starts at +0; so scores, tree shapes and traversals are those
 // of the dense encoding.
 package sigtree
@@ -94,11 +94,11 @@ type Coord struct {
 // aggregation of an internal entry. Prod and Ent list their coordinates by
 // strictly ascending Idx; an index not listed reads +0.
 type Signature struct {
-	// The fields Score reads come first, so they share cache lines.
+	// The fields scoring reads come first, so they share cache lines.
 	ProdTotal float64 // Σ producer counts of the user (min over children for IEntry)
 	EntTotal  float64 // Σ entity counts of the user in this category (min for IEntry)
 
-	// logPl and logPs cache safeLog(Pl) and safeLog(Ps) for Score. The
+	// logPl and logPs cache safeLog(Pl) and safeLog(Ps) for scoring. The
 	// tree restamps them whenever it writes Pl/Ps, on leaves and
 	// aggregates alike.
 	logPl, logPs float64
@@ -257,19 +257,18 @@ func AppendEntWeights(dst []float64, ents []WeightedIdx) []float64 {
 	return dst
 }
 
-// Score evaluates R(entry, v) per Definition 2 / Eq. 3 against a signature
-// (leaf or internal) held by a Tree, whose cached logarithms are current.
-// For internal entries this is the Recommendation Upper Bound.
+// score evaluates R(entry, v) per Definition 2 / Eq. 3 against a
+// signature (leaf or internal) held by a Tree, whose cached logarithms are
+// current; for internal entries this is the Recommendation Upper Bound. It
+// reads the producer and entity counts from prodVec and entVec, an
+// aggregate's vectors, where they are non-nil, and from sig's lists
+// otherwise.
 //
-// The entity dot product walks sig's entity list and looks each weight up
-// in q.EntW. Both are index-ascending, so the terms are added in q.Ents
-// order. It skips the entities sig does not list: their term is W·(+0),
-// ±0 for a finite W, and adding ±0 leaves the sum — which starts at +0
-// and so is never −0 — bit for bit unchanged.
-func Score(sig *Signature, q *Query) float64 { return score(sig, nil, nil, q) }
-
-// score is Score reading the producer and entity counts from prodVec and
-// entVec, an aggregate's vectors, where they are non-nil.
+// From a list, the entity dot product walks sig's entity list and looks
+// each weight up in q.EntW. Both are index-ascending, so the terms are
+// added in q.Ents order. It skips the entities sig does not list: their
+// term is W·(+0), ±0 for a finite W, and adding ±0 leaves the sum — which
+// starts at +0 and so is never −0 — bit for bit unchanged.
 func score(sig *Signature, prodVec, entVec []float64, q *Query) float64 {
 	var prodCount float64
 	if q.ProdIdx >= 0 {
@@ -541,16 +540,10 @@ func (t *Tree) Insert(userID string, sig Signature) {
 	}
 }
 
-// Update replaces a user's signature and refreshes ancestor aggregates.
-// Returns false if the user is absent.
-func (t *Tree) Update(userID string, sig Signature) bool {
-	return t.UpdateCopy(userID, &sig)
-}
-
-// UpdateCopy is Update taking the signature by pointer — the write path
-// for scratch-backed signatures (cppse's pooled refresh buffers). The tree
-// copies sig's lists into its own storage and never retains sig. Returns
-// false if the user is absent.
+// UpdateCopy replaces a user's signature and refreshes ancestor
+// aggregates. The tree copies sig's lists into its own storage and never
+// retains sig, so callers may pass scratch-backed signatures (cppse's
+// pooled refresh buffers). Returns false if the user is absent.
 func (t *Tree) UpdateCopy(userID string, sig *Signature) bool {
 	n, i := t.entry(userID)
 	if n == nil {

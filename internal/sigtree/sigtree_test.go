@@ -129,8 +129,8 @@ func TestInsertExistingUpdates(t *testing.T) {
 
 func TestUpdateMissingUser(t *testing.T) {
 	tr, rng := buildTree(t, 5, 4, 3)
-	if tr.Update("ghost", randomSignature(4, 6, rng)) {
-		t.Fatal("Update invented a user")
+	if sig := randomSignature(4, 6, rng); tr.UpdateCopy("ghost", &sig) {
+		t.Fatal("UpdateCopy invented a user")
 	}
 }
 
@@ -185,21 +185,22 @@ func TestDominationInvariantAfterUpdates(t *testing.T) {
 	tr, rng := buildTree(t, 80, 4, 6)
 	for i := 0; i < 200; i++ {
 		u := fmt.Sprintf("u%03d", rng.Intn(80))
-		tr.Update(u, randomSignature(4, 6, rng))
+		sig := randomSignature(4, 6, rng)
+		tr.UpdateCopy(u, &sig)
 	}
 	checkDomination(t, tr.root)
 }
 
 func TestUpperBoundHoldsForAllEntries(t *testing.T) {
 	// R(root) must upper-bound R(leaf) for every user and many queries —
-	// the Lemma 2 statement, via the Score function.
+	// the Lemma 2 statement, via the score function.
 	tr, rng := buildTree(t, 60, 4, 7)
 	for trial := 0; trial < 50; trial++ {
 		q := randomQuery(4, 6, rng)
 		rootScore := tr.RootScore(q)
 		for _, u := range tr.Users() {
 			sig, _ := tr.Get(u)
-			if s := Score(&sig, q); s > rootScore+1e-9 {
+			if s := score(&sig, nil, nil, q); s > rootScore+1e-9 {
 				t.Fatalf("leaf %s score %v exceeds root bound %v", u, s, rootScore)
 			}
 		}
@@ -310,17 +311,17 @@ func TestScoreMonotoneInCounts(t *testing.T) {
 	more := base.Clone()
 	more.Prod[0].Val = 10
 	q := &Query{ProdIdx: 0, BgProd: 0.05, Ents: []WeightedIdx{{0, 1}}, EntW: []float64{1}, BgEnt: 0.05, Mu: 10, LambdaS: 0.4}
-	if Score(&more, q) <= Score(&base, q) {
+	if score(&more, nil, nil, q) <= score(&base, nil, nil, q) {
 		t.Error("score not monotone in producer count")
 	}
 	moreEnt := base.Clone()
 	moreEnt.Ent[0].Val = 9
-	if Score(&moreEnt, q) <= Score(&base, q) {
+	if score(&moreEnt, nil, nil, q) <= score(&base, nil, nil, q) {
 		t.Error("score not monotone in entity count")
 	}
 	lessTotal := base.Clone()
 	lessTotal.EntTotal = 2
-	if Score(&lessTotal, q) <= Score(&base, q) {
+	if score(&lessTotal, nil, nil, q) <= score(&base, nil, nil, q) {
 		t.Error("score not decreasing in entity total")
 	}
 }
@@ -330,7 +331,7 @@ func TestScoreHandlesMissingProducer(t *testing.T) {
 		Ent: []Coord{{0, 1}}, EntTotal: 1}
 	sig.stampLogs()
 	q := &Query{ProdIdx: -1, BgProd: 0.02, Ents: nil, BgEnt: 0.01, Mu: 10, LambdaS: 0.4}
-	s := Score(&sig, q)
+	s := score(&sig, nil, nil, q)
 	if math.IsInf(s, 0) || math.IsNaN(s) {
 		t.Fatalf("score = %v", s)
 	}
@@ -381,7 +382,8 @@ func TestDominationProperty(t *testing.T) {
 		users := 0
 		for _, op := range ops {
 			if op%3 == 0 && users > 0 {
-				tr.Update(fmt.Sprintf("u%d", int(op)%users), randomSignature(2, 3, rng))
+				sig := randomSignature(2, 3, rng)
+				tr.UpdateCopy(fmt.Sprintf("u%d", int(op)%users), &sig)
 			} else {
 				tr.Insert(fmt.Sprintf("u%d", users), randomSignature(2, 3, rng))
 				users++
