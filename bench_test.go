@@ -169,21 +169,19 @@ func BenchmarkFig11UpdateCost(b *testing.B) {
 	})
 }
 
-// benchRecommender memoizes one trained engine per partition level so the
-// BenchmarkRecommendParallel sub-benchmarks don't retrain per run.
-var benchRecommenders = map[int]*Recommender{}
+// benchRecommender memoizes one trained engine so the query benchmarks
+// don't retrain per run.
+var benchRec *Recommender
 var benchQueries []Item
 var benchRecMu sync.Mutex
 
-func benchRecommender(b *testing.B, parallelism int) (*Recommender, []Item) {
+func benchRecommender(b *testing.B) (*Recommender, []Item) {
 	b.Helper()
 	benchRecMu.Lock()
 	defer benchRecMu.Unlock()
-	rec := benchRecommenders[parallelism]
-	if rec == nil {
+	if benchRec == nil {
 		ds := GenerateYTubeLike(0.5, 42)
-		rec = New(Config{Categories: ds.Categories(), Parallelism: parallelism,
-			TrainMaxIter: 5, Restarts: 1, Seed: 42})
+		rec := New(Config{Categories: ds.Categories(), TrainMaxIter: 5, Restarts: 1, Seed: 42})
 		if err := rec.TrainDataset(ds, 1.0/3); err != nil {
 			b.Fatalf("train: %v", err)
 		}
@@ -191,29 +189,20 @@ func benchRecommender(b *testing.B, parallelism int) (*Recommender, []Item) {
 		for _, v := range items {
 			rec.RegisterItem(v)
 		}
-		benchRecommenders[parallelism] = rec
-		if benchQueries == nil {
-			benchQueries = items[len(items)-200:]
-		}
+		benchRec, benchQueries = rec, items[len(items)-200:]
 	}
-	return rec, benchQueries
+	return benchRec, benchQueries
 }
 
-// BenchmarkRecommendParallel reproduces the Fig 10 partition sweep with
-// real goroutine partitions: per-item recommendation time (k=30) as the
-// intra-query worker count grows. On multi-core hardware the per-item
-// time drops with partitions; allocations stay flat (the query core is
-// allocation-free at every level).
-func BenchmarkRecommendParallel(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("partitions=%d", p), func(b *testing.B) {
-			rec, queries := benchRecommender(b, p)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec.Recommend(queries[i%len(queries)], 30)
-			}
-		})
+// BenchmarkRecommend is the per-item recommendation time (k=30) of one
+// serial query; allocations stay flat (the query core is
+// allocation-free).
+func BenchmarkRecommend(b *testing.B) {
+	rec, queries := benchRecommender(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Recommend(queries[i%len(queries)], 30)
 	}
 }
 
@@ -221,7 +210,7 @@ func BenchmarkRecommendParallel(b *testing.B) {
 // issues overlapping Recommend calls against the engine's read-locked
 // query path (sequential per-query core, concurrency across requests).
 func BenchmarkRecommendThroughput(b *testing.B) {
-	rec, queries := benchRecommender(b, 1)
+	rec, queries := benchRecommender(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -13,7 +13,7 @@
 // one-item RecommendBatch requests and reports items/sec plus P50/P99 per-item latency
 // (optionally as JSON):
 //
-//	ssrec-bench -throughput -parallel 8 -partitions 4 -json out.json
+//	ssrec-bench -throughput -parallel 8 -json out.json
 //
 // Refresh mode runs the index-refresh micro-benchmark family (the write
 // path the dirty-category masks optimise) and reports ns/op, B/op and
@@ -43,7 +43,6 @@ func main() {
 		throughput   = flag.Bool("throughput", false, "serving-throughput mode (items/sec, P50/P99 latency)")
 		refresh      = flag.Bool("refresh", false, "index-refresh micro-benchmark mode (ns/op per refresh scenario)")
 		parallel     = flag.Int("parallel", 1, "throughput mode: concurrent query workers")
-		partitions   = flag.Int("partitions", 1, "throughput mode: intra-query partitions (Config.Parallelism)")
 		shards       = flag.Int("shards", 1, "throughput mode: serve through an N-shard scatter-gather deployment")
 		remoteShards = flag.String("remote-shards", "", "throughput mode: serve through REMOTE shardd endpoints — either \"N\" (spawn N loopback shards in-process) or comma-separated shardd addresses in shard-index order; the trained snapshot is pushed via the handoff protocol")
 		replicas     = flag.Int("replicas", 1, "throughput mode: replicas per -remote-shards slot (numeric spec spawns shards*R loopback servers, address lists must be slot-major with shards*R entries)")
@@ -64,7 +63,7 @@ func main() {
 	}
 	if *throughput {
 		runThroughput(throughputConfig{
-			Scale: *scale, Seed: *seed, Parallel: *parallel, Partitions: *partitions,
+			Scale: *scale, Seed: *seed, Parallel: *parallel,
 			Shards: *shards, Replicas: *replicas, RemoteShards: *remoteShards, Writers: *writers, Batch: *batch,
 			K: *topK, Session: *session, WALDir: *walDir, Fsync: *fsync, JSONPath: *jsonOut,
 			ScrapeURL: *scrapeURL,

@@ -5,13 +5,9 @@
 // post-training interaction stream through ObserveBatch — reporting
 // reader and writer throughput plus the per-item latency distribution.
 //
-//	ssrec-bench -throughput -parallel 8 -partitions 4 -writers 2 -batch 64 -json out.json
+//	ssrec-bench -throughput -parallel 8 -writers 2 -batch 64 -json out.json
 //
 // -parallel   N  concurrent request workers (serving concurrency)
-// -partitions M  intra-query worker count (core.Config.Parallelism,
-//
-//	the paper's Fig 10 partition axis with real goroutines)
-//
 // -writers    W  concurrent ingestion workers (0 = read-only replay)
 // -batch      B  observe micro-batch size: B interactions per write-lock
 //
@@ -80,7 +76,6 @@ type throughputConfig struct {
 	Scale        float64
 	Seed         int64
 	Parallel     int
-	Partitions   int
 	Shards       int
 	Replicas     int
 	RemoteShards string
@@ -165,7 +160,6 @@ type ThroughputResult struct {
 	hostInfo
 	K           int     `json:"k"`
 	Parallel    int     `json:"parallel"`            // concurrent request workers
-	Partitions  int     `json:"partitions"`          // intra-query parallelism
 	Shards      int     `json:"shards"`              // scatter-gather deployment width (1 = single engine)
 	Replicas    int     `json:"replicas,omitempty"`  // replicas per shard slot (omitted when 1)
 	Transport   string  `json:"transport,omitempty"` // "rpc" when the shards are remote (loopback or external)
@@ -202,7 +196,7 @@ type ThroughputResult struct {
 
 func runThroughput(tc throughputConfig) {
 	scale, seed := tc.Scale, tc.Seed
-	parallel, partitions, shards := tc.Parallel, tc.Partitions, tc.Shards
+	parallel, shards := tc.Parallel, tc.Shards
 	remoteShards, writers, batch, k := tc.RemoteShards, tc.Writers, tc.Batch, tc.K
 	jsonPath := tc.JSONPath
 	if parallel < 1 {
@@ -217,11 +211,7 @@ func runThroughput(tc throughputConfig) {
 	cfg := dataset.YTubeConfig(scale)
 	cfg.Seed = seed
 	ds := dataset.Generate(cfg)
-	eng := core.New(core.Config{
-		Categories:  ds.Categories,
-		Parallelism: partitions,
-		Seed:        seed,
-	})
+	eng := core.New(core.Config{Categories: ds.Categories, Seed: seed})
 	nTrain := len(ds.Interactions) / 3
 	if nTrain < 1 {
 		fmt.Fprintf(os.Stderr, "throughput: dataset too small at scale %v (%d interactions)\n",
@@ -439,7 +429,6 @@ func runThroughput(tc throughputConfig) {
 		hostInfo:    captureHostInfo(),
 		K:           k,
 		Parallel:    parallel,
-		Partitions:  partitions,
 		Shards:      shards,
 		Transport:   transport,
 		Session:     tc.Session,
@@ -465,8 +454,8 @@ func runThroughput(tc throughputConfig) {
 	if res.Session {
 		mode = ", sessions"
 	}
-	fmt.Printf("throughput: %d items, %d workers, %d partitions, %s%s: %.0f items/sec  p50=%.0fµs p99=%.0fµs\n",
-		res.Items, res.Parallel, res.Partitions, shardsDesc, mode, res.ItemsPerSec, res.P50Us, res.P99Us)
+	fmt.Printf("throughput: %d items, %d workers, %s%s: %.0f items/sec  p50=%.0fµs p99=%.0fµs\n",
+		res.Items, res.Parallel, shardsDesc, mode, res.ItemsPerSec, res.P50Us, res.P99Us)
 	if writers > 0 && writerWall > 0 {
 		res.Writers = writers
 		res.Batch = batch

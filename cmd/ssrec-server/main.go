@@ -81,7 +81,6 @@ func main() {
 		scale = flag.Float64("scale", 0.3, "demo dataset scale")
 		seed  = flag.Int64("seed", 42, "demo dataset seed")
 
-		partitions = flag.Int("partitions", 1, "intra-query search partitions (Config.Parallelism); overrides a loaded model's setting")
 		shards     = flag.Int("shards", 1, "serve an N-shard scatter-gather deployment (every shard boots from the same model/demo snapshot)")
 		replicas   = flag.Int("replicas", 1, "replicate every shard slot R ways (one slot without -shards): writes broadcast to all replicas, reads load-balance across healthy ones; with -shard-addrs the list must be slot-major with shards*R entries")
 		supervise  = flag.Duration("supervise", shard.DefaultSupervisorInterval, "replica supervisor sweep interval (auto-reseed of stale/blank replicas from a healthy sibling; 0 disables; only with -replicas > 1)")
@@ -116,12 +115,6 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof + GET /debug/exectrace on this side address (e.g. 127.0.0.1:6060; empty disables; never expose publicly)")
 	)
 	flag.Parse()
-	partitionsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "partitions" {
-			partitionsSet = true
-		}
-	})
 
 	// Resolve the serving state: a saved model file or a freshly trained
 	// demo engine. With -shards or -replicas > 1 a snapshot boots every
@@ -186,7 +179,7 @@ func main() {
 		cfg := dataset.YTubeConfig(*scale)
 		cfg.Seed = *seed
 		ds := dataset.Generate(cfg)
-		eng = core.New(core.Config{Categories: ds.Categories, Seed: *seed, Parallelism: *partitions})
+		eng = core.New(core.Config{Categories: ds.Categories, Seed: *seed})
 		if err := evalx.Train(eng, ds, evalx.Setup{}); err != nil {
 			log.Fatalf("train demo engine: %v", err)
 		}
@@ -221,12 +214,6 @@ func main() {
 			if router, err = shardrpc.Dial(remote, *replicas, *authToken); err != nil {
 				log.Fatalf("assemble remote deployment: %v", err)
 			}
-			if partitionsSet {
-				// Intra-query parallelism is a per-shardd setting on a
-				// remote deployment; SetParallelism cannot reach across
-				// the wire.
-				log.Printf("warning: -partitions is ignored with -shard-addrs; set it per shard with ssrec-shardd -partitions")
-			}
 			log.Printf("pushing snapshot to %d remote shard(s), slot-major: %v", len(remote), remote)
 			if err := router.HandoffSnapshot(context.Background(), snapshot); err != nil {
 				log.Fatalf("snapshot handoff: %v", err)
@@ -234,9 +221,6 @@ func main() {
 		} else {
 			if router, err = shard.Open(shard.Topology{Slots: *shards, Replicas: *replicas, Member: shard.Booted(snapshot)}); err != nil {
 				log.Fatalf("boot %d-shard deployment: %v", *shards, err)
-			}
-			if partitionsSet {
-				router.SetParallelism(*partitions)
 			}
 		}
 		for _, st := range router.ShardStats() {
@@ -248,9 +232,6 @@ func main() {
 		}
 		backend = router
 	} else {
-		if partitionsSet {
-			eng.SetParallelism(*partitions) // explicit flag overrides the snapshot's value
-		}
 		backend = eng
 	}
 

@@ -63,7 +63,6 @@ func main() {
 		of    = flag.Int("of", 1, "deployment width (total shard count)")
 		model = flag.String("model", "", "boot from a saved engine snapshot (core.SaveFile format); omit to await a snapshot handoff")
 
-		partitions = flag.Int("partitions", 0, "intra-query search partitions; > 0 overrides the snapshot's setting and applies to handoff boots")
 		boundFlush = flag.Duration("bound-flush", shardrpc.DefaultBoundFlush, "sampling interval of the bound-raise stream on the recommend exchange")
 		authToken  = flag.String("auth-token", "", "shared bearer token: every endpoint (livez/readyz included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
 
@@ -81,7 +80,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.Parallelism = *partitions
 	srv.BoundFlush = *boundFlush
 	srv.AuthToken = *authToken
 	if *authToken != "" {

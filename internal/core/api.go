@@ -2,7 +2,7 @@
 // calls with structured errors and functional options.
 //
 //   - RecommendCtx / RecommendBatch serve top-k queries with per-call
-//     options (WithK, WithParallelism, WithoutExpansion), sentinel errors
+//     options (WithK, WithoutExpansion), sentinel errors
 //     (ErrNotTrained, ErrUnknownCategory) and ctx cancellation propagated
 //     into the sigtree search loop.
 //   - ObserveBatch ingests a micro-batch of interactions under ONE write
@@ -43,12 +43,10 @@ var (
 
 // QueryOptions collects the per-call knobs of RecommendCtx/RecommendBatch.
 // Construct it through Option values; the zero value means "engine
-// defaults" (k=10, configured parallelism, configured expansion).
+// defaults" (k=10, configured expansion).
 type QueryOptions struct {
 	// K is the result size. <= 0 takes DefaultK.
 	K int
-	// Parallelism overrides Config.Parallelism for this call when > 0.
-	Parallelism int
 	// NoExpansion disables entity expansion for this call only (the
 	// per-query form of Config.DisableExpansion).
 	NoExpansion bool
@@ -63,10 +61,6 @@ type Option func(*QueryOptions)
 
 // WithK sets the number of users to return.
 func WithK(k int) Option { return func(o *QueryOptions) { o.K = k } }
-
-// WithParallelism overrides the partitioned-search worker count for this
-// call only; n <= 0 keeps the engine's configured value.
-func WithParallelism(n int) Option { return func(o *QueryOptions) { o.Parallelism = n } }
 
 // WithoutExpansion disables proximity entity expansion for this call.
 func WithoutExpansion() Option { return func(o *QueryOptions) { o.NoExpansion = true } }
@@ -140,7 +134,7 @@ func (e *Engine) recommendOne(ctx context.Context, v model.Item, o QueryOptions,
 	defer ranking.PutQueryScratch(sc)
 	q := e.buildQueryScratch(sc, v, o.NoExpansion)
 	span := telemetry.LeafSpan(ctx, "sigtree.search")
-	recs, stats, err := e.index.RecommendBound(ctx, q, o.K, o.Parallelism, b)
+	recs, stats, err := e.index.RecommendBound(ctx, q, o.K, b)
 	span.SetAttr("item", v.ID)
 	span.SetAttr("nodes", strconv.Itoa(stats.NodesVisited))
 	span.SetAttr("scored", strconv.Itoa(stats.EntriesScored))

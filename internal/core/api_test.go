@@ -24,8 +24,8 @@ func TestRecommendCtxEquivalence(t *testing.T) {
 		tested++
 		want := e.Recommend(v, 10)
 		for _, opts := range [][]Option{
+			{},
 			{WithK(10)},
-			{WithK(10), WithParallelism(4)},
 		} {
 			res, err := e.RecommendCtx(ctx, v, opts...)
 			if err != nil {
@@ -232,7 +232,7 @@ func TestRecommendBatchCancelledMidway(t *testing.T) {
 // TestBatchAPIConcurrencyHammer drives RecommendBatch readers against an
 // ObserveBatch writer — the v2 acceptance hammer; run with -race.
 func TestBatchAPIConcurrencyHammer(t *testing.T) {
-	e, items, irs := streamEngine(t, Config{UpdateBatch: 4, Parallelism: 2})
+	e, items, irs := streamEngine(t, Config{UpdateBatch: 4})
 	byID := make(map[string]model.Item, len(items))
 	for _, v := range items {
 		byID[v.ID] = v

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -34,56 +34,67 @@ func streamEngine(t testing.TB, cfg Config) (*Engine, []model.Item, []model.Inte
 // against a concurrent Observe/FlushUpdates writer — the contract the
 // RWMutex serves. Run with -race.
 func TestConcurrentRecommendObserve(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
-			e, items, irs := streamEngine(t, Config{UpdateBatch: 4, Parallelism: parallelism})
-			byID := make(map[string]model.Item, len(items))
-			for _, v := range items {
-				byID[v.ID] = v
-			}
-			const readers = 6
-			var wg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for i := r; i < len(items); i += readers {
-						recs := e.Recommend(items[i], 10)
-						for j := 1; j < len(recs); j++ {
-							if model.ByScoreDesc(recs[j], recs[j-1]) {
-								t.Errorf("unsorted result under concurrency: %v", recs)
-								return
-							}
-						}
-					}
-				}(r)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i, ir := range irs {
-					if v, ok := byID[ir.ItemID]; ok {
-						e.Observe(ir, v)
-					}
-					if i%50 == 0 {
-						e.FlushUpdates()
-						e.Users()
-						e.IndexStats()
+	e, items, irs := streamEngine(t, Config{UpdateBatch: 4})
+	byID := make(map[string]model.Item, len(items))
+	for _, v := range items {
+		byID[v.ID] = v
+	}
+	const readers = 6
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; i < len(items); i += readers {
+				recs := e.Recommend(items[i], 10)
+				for j := 1; j < len(recs); j++ {
+					if model.ByScoreDesc(recs[j], recs[j-1]) {
+						t.Errorf("unsorted result under concurrency: %v", recs)
+						return
 					}
 				}
-			}()
-			wg.Wait()
-		})
+			}
+		}(r)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, ir := range irs {
+			if v, ok := byID[ir.ItemID]; ok {
+				e.Observe(ir, v)
+			}
+			if i%50 == 0 {
+				e.FlushUpdates()
+				e.Users()
+				e.IndexStats()
+			}
+		}
+	}()
+	wg.Wait()
 }
 
-// TestParallelismConfigEquivalence runs the identical stream through a
-// sequential and a parallel engine: every recommendation list must be
-// bit-identical (the engine-level statement of the SearchParallel
-// determinism contract).
+// TestParallelismConfigEquivalence: the deprecated Config.Parallelism
+// still rides in snapshots but changes nothing. Snapshots of one engine
+// saved with Parallelism 0 and 8 load with the field intact and answer
+// the replayed stream bit-identically.
 func TestParallelismConfigEquivalence(t *testing.T) {
-	seqEng, items, irs := streamEngine(t, Config{})
-	parEng, _, _ := streamEngine(t, Config{Parallelism: 4})
+	src, items, irs := streamEngine(t, Config{})
+	var engs []*Engine
+	for _, p := range []int{0, 8} {
+		src.cfg.Parallelism = p
+		var buf bytes.Buffer
+		if err := src.SaveTo(&buf); err != nil {
+			t.Fatalf("SaveTo: %v", err)
+		}
+		e, err := LoadFrom(&buf)
+		if err != nil {
+			t.Fatalf("LoadFrom: %v", err)
+		}
+		if e.cfg.Parallelism != p {
+			t.Fatalf("snapshot saved with Parallelism %d loaded %d", p, e.cfg.Parallelism)
+		}
+		engs = append(engs, e)
+	}
 	byID := make(map[string]model.Item, len(items))
 	for _, v := range items {
 		byID[v.ID] = v
@@ -95,15 +106,15 @@ func TestParallelismConfigEquivalence(t *testing.T) {
 			continue
 		}
 		if i%7 == 0 {
-			seq := seqEng.Recommend(v, 10)
-			par := parEng.Recommend(v, 10)
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("item %s: sequential and parallel engines diverged\n seq %v\n par %v", v.ID, seq, par)
+			a, b := engs[0].Recommend(v, 10), engs[1].Recommend(v, 10)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("item %s: Parallelism 0 and 8 snapshots diverged\n  0: %v\n  8: %v", v.ID, a, b)
 			}
 			checked++
 		}
-		seqEng.Observe(ir, v)
-		parEng.Observe(ir, v)
+		for _, e := range engs {
+			e.Observe(ir, v)
+		}
 	}
 	if checked == 0 {
 		t.Fatal("no items checked")

@@ -84,10 +84,11 @@ type Config struct {
 	Fanout       int
 	HashBuckets  int
 
-	// Parallelism is the worker count of the partitioned parallel top-k
-	// search (sigtree.SearchParallel): candidate trees fan out to that
-	// many goroutines per query, pruning against a shared lower bound.
-	// 0 or 1 keeps the sequential path; results are bit-identical.
+	// Parallelism is ignored: every query is searched serially (see
+	// DESIGN.md, "Why search is serial"). The field stays so snapshots
+	// written with or without it load in either direction.
+	//
+	// Deprecated: it has no effect.
 	Parallelism int
 
 	// ShardIndex / ShardCount make this engine one shard of an N-way
@@ -432,7 +433,6 @@ func (e *Engine) indexConfig() cppse.Config {
 		FixedBlocks:  e.cfg.FixedBlocks,
 		Fanout:       e.cfg.Fanout,
 		HashBuckets:  e.cfg.HashBuckets,
-		Parallelism:  e.cfg.Parallelism,
 		Owns:         owns,
 	}
 }
@@ -796,17 +796,6 @@ func (e *Engine) refreshPrediction(userID string, obs []bihmm.Obs) *predEntry {
 	return ce
 }
 
-// SetParallelism changes the parallel-search worker count at runtime —
-// e.g. to override the value restored from a snapshot by LoadFrom.
-func (e *Engine) SetParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg.Parallelism = n
-	if e.index != nil {
-		e.index.SetParallelism(n)
-	}
-}
-
 // SetFullRefresh switches index maintenance onto the rebuild-everything
 // reference path (true: every flush rebuilds ALL of a dirty user's
 // leaves, as the engine did before dirty-category masks existed). It is
@@ -816,14 +805,6 @@ func (e *Engine) SetFullRefresh(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.fullRefresh = on
-}
-
-// Parallelism reports the configured parallel-search worker count
-// (concurrency-safe).
-func (e *Engine) Parallelism() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cfg.Parallelism
 }
 
 // Trained reports whether Train has completed (concurrency-safe).

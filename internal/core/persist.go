@@ -118,17 +118,31 @@ func LoadPartitionFrom(r io.Reader, idx int, p model.Partition) (*Engine, error)
 }
 
 func loadFrom(r io.Reader, reconfig func(*Config)) (*Engine, error) {
+	snap, err := decodeSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	reconfig(&snap.Config)
+	return restore(snap)
+}
+
+// decodeSnapshot reads a SaveTo stream: gzip inflate and gob decode.
+func decodeSnapshot(r io.Reader) (*engineSnapshot, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: gzip open: %w", err)
 	}
 	defer gz.Close()
-	var snap engineSnapshot
-	if err := gob.NewDecoder(gz).Decode(&snap); err != nil {
+	snap := new(engineSnapshot)
+	if err := gob.NewDecoder(gz).Decode(snap); err != nil {
 		return nil, fmt.Errorf("core: decode engine: %w", err)
 	}
-	reconfig(&snap.Config)
+	return snap, nil
+}
 
+// restore turns a decoded snapshot into a ready-to-serve engine: it adopts
+// the learned components and profiles and rebuilds the CPPse-index.
+func restore(snap *engineSnapshot) (*Engine, error) {
 	e := New(snap.Config)
 	e.bg = profile.BackgroundFromSnapshot(snap.Background)
 	e.expander = entity.ExpanderFromSnapshot(snap.Expander)

@@ -41,14 +41,6 @@ type Config struct {
 	Fanout int
 	// HashBuckets of the chained table. Default 1 << 12.
 	HashBuckets int
-	// Parallelism is the worker count of the partitioned parallel query
-	// path (sigtree.SearchParallel): candidate trees are spread over that
-	// many goroutines which prune against a shared lower bound. 0 or 1
-	// keeps the sequential path; results are bit-identical at every
-	// level. The index itself must not be mutated during a parallel
-	// query — the engine's RWMutex enforces this.
-	Parallelism int
-
 	// Owns gates which users this index materialises leaf entries for —
 	// the sharding hook of internal/shard. nil owns everyone (the single-
 	// engine case). A sharded index still tracks every user's block
@@ -362,44 +354,33 @@ func (ix *Index) userInterested(p *profile.Profile, cat string) bool {
 
 // Recommend returns the top-k users for the prepared item query, plus the
 // pruning statistics of the search. The query should be built with
-// ranking.BuildQuery (expansion included when desired). With
-// Config.Parallelism > 1 the candidate trees are searched by a worker
-// pool (sigtree.SearchParallel); results are bit-identical either way.
+// ranking.BuildQuery (expansion included when desired).
 func (ix *Index) Recommend(q ranking.ItemQuery, k int) ([]model.Recommendation, sigtree.SearchStats) {
-	recs, stats, _ := ix.RecommendCtx(nil, q, k, 0)
+	recs, stats, _ := ix.RecommendBound(nil, q, k, nil)
 	return recs, stats
 }
 
-// RecommendCtx is Recommend with cooperative cancellation and a per-call
-// parallelism override: the search loop polls ctx (sigtree.RunCtx) and
-// returns ctx.Err() when it fires; parallelism > 0 overrides
-// Config.Parallelism for this query only, 0 keeps the configured value.
+// RecommendCtx is Recommend with cooperative cancellation: the search
+// loop polls ctx (sigtree.RunCtx) and returns ctx.Err() when it fires.
 // Results are bit-identical to Recommend when the context never fires.
+//
+// Deprecated: parallelism is ignored; every query is searched serially
+// (DESIGN.md, "Why search is serial"). Use RecommendBound.
 func (ix *Index) RecommendCtx(ctx context.Context, q ranking.ItemQuery, k, parallelism int) ([]model.Recommendation, sigtree.SearchStats, error) {
-	return ix.RecommendBound(ctx, q, k, parallelism, nil)
+	return ix.RecommendBound(ctx, q, k, nil)
 }
 
-// RecommendBound is RecommendCtx pruning against (and raising) a
+// RecommendBound is the cancellable search pruning against (and raising) a
 // caller-supplied cross-shard bound: the shard-local leg of the router's
 // scatter-gather query. The returned list covers only the users this index
 // owns; the router merges the per-shard lists with sigtree.MergeTopK. A
-// nil bound is the single-process case and behaves exactly like
-// RecommendCtx.
-func (ix *Index) RecommendBound(ctx context.Context, q ranking.ItemQuery, k, parallelism int, b *sigtree.Bound) ([]model.Recommendation, sigtree.SearchStats, error) {
-	if parallelism <= 0 {
-		parallelism = ix.cfg.Parallelism
-	}
+// nil bound is the single-process case.
+func (ix *Index) RecommendBound(ctx context.Context, q ranking.ItemQuery, k int, b *sigtree.Bound) ([]model.Recommendation, sigtree.SearchStats, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	tqs := ix.encodeAll(sc, q)
-	return sigtree.SearchParallelBoundCtx(ctx, tqs, k, parallelism, b)
+	return sigtree.SearchCtx(ctx, tqs, k, b)
 }
-
-// SetParallelism adjusts the query worker count (Config.Parallelism) of a
-// built index, e.g. to override the value a snapshot was saved with. Not
-// safe to call concurrently with Recommend — the engine holds its write
-// lock around it.
-func (ix *Index) SetParallelism(n int) { ix.cfg.Parallelism = n }
 
 // CandidateUsers returns the users reachable for a query — the candidate
 // set a sequential scan over the same trees would consider. Used by

@@ -1,21 +1,69 @@
 package cppse
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ssrec/internal/model"
 	"ssrec/internal/profile"
 	"ssrec/internal/ranking"
+	"ssrec/internal/sigtree"
 )
 
-// TestRecommendParallelEquivalence asserts the index returns bit-identical
-// top-k lists (users, scores, tie-break order) at every parallelism level,
-// and that both match the no-pruning sequential scan over the same
-// candidate trees.
+// shardIndexes builds one fixture as an unsharded index plus n indexes
+// that each own one user shard (model.ShardOf), as the engines of an
+// n-shard deployment do. All of them read the same profile store.
+func shardIndexes(t testing.TB, nPerCohort, n int) (*Index, []*Index, *profile.Store) {
+	t.Helper()
+	store, bg, cats := fixture(t, nPerCohort)
+	probs := MLEProbs{Store: store, NCats: len(cats)}
+	build := func(owns func(string) bool) *Index {
+		ix, err := Build(store, bg, probs, Config{Categories: cats, Owns: owns})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return ix
+	}
+	full := build(nil)
+	shards := make([]*Index, n)
+	for i := range shards {
+		shards[i] = build(func(u string) bool { return model.ShardOf(u, n) == i })
+	}
+	return full, shards, store
+}
+
+// recommendScattered answers q as the shard router does: one concurrent
+// RecommendBound leg per shard index, all pruning against one shared
+// bound, the per-shard lists folded by sigtree.MergeTopK.
+func recommendScattered(t testing.TB, shards []*Index, q ranking.ItemQuery, k int) []model.Recommendation {
+	t.Helper()
+	b := sigtree.NewBound()
+	lists := make([][]model.Recommendation, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, ix := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lists[i], _, errs[i] = ix.RecommendBound(context.Background(), q, k, b)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("RecommendBound: %v", err)
+	}
+	return sigtree.MergeTopK(k, lists...)
+}
+
+// TestRecommendParallelEquivalence asserts that concurrent RecommendBound
+// legs over the user shards of one fixture, sharing one bound, merge to
+// the no-pruning RecommendScan answer of the unsharded index: the same
+// users, scores and tie-break order at every shard count.
 func TestRecommendParallelEquivalence(t *testing.T) {
-	seq, _, _ := buildIndex(t, 20, Config{})
 	queries := []model.Item{
 		sportsItem(0),
 		sportsItem(3),
@@ -24,19 +72,14 @@ func TestRecommendParallelEquivalence(t *testing.T) {
 		{ID: "n", Category: "news", Producer: "sports-up2",
 			Entities: []string{"news-e2", "sports-e3"}},
 	}
-	for _, p := range []int{1, 2, 8} {
-		par, _, _ := buildIndex(t, 20, Config{Parallelism: p})
+	for _, n := range []int{1, 2, 4} {
+		full, shards, _ := shardIndexes(t, 20, n)
 		for qi, v := range queries {
 			q := ranking.BuildQuery(v, nil)
 			for _, k := range []int{1, 5, 30, 500} {
-				want, _ := seq.Recommend(q, k)
-				scan := seq.RecommendScan(q, k)
-				if !reflect.DeepEqual(want, scan) {
-					t.Fatalf("query %d k=%d: sequential Recommend != RecommendScan", qi, k)
-				}
-				got, _ := par.Recommend(q, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("query %d k=%d parallelism=%d:\n got %v\nwant %v", qi, k, p, got, want)
+				want := full.RecommendScan(q, k)
+				if got := recommendScattered(t, shards, q, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d k=%d shards=%d:\n got %v\nwant %v", qi, k, n, got, want)
 				}
 			}
 		}
@@ -72,23 +115,25 @@ func TestRecommendEncoderReuse(t *testing.T) {
 }
 
 // TestRecommendAfterUpdateParallel checks the maintenance path (Algorithm
-// 2) composes with the parallel query path: post-update results match the
-// sequential scan reference.
+// 2) composes with the shared-bound query: after a user update reaches
+// every shard index, the scattered answer matches the unsharded scan.
 func TestRecommendAfterUpdateParallel(t *testing.T) {
-	ix, store, _ := buildIndex(t, 10, Config{Parallelism: 4})
+	full, shards, store := shardIndexes(t, 10, 4)
 	p := store.Get("newbie")
 	for i := 0; i < 8; i++ {
 		p.Observe(profile.Event{Category: "sports", Producer: fmt.Sprintf("sports-up%d", i%3),
 			Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
 	}
-	if err := ix.UpdateUser("newbie"); err != nil {
-		t.Fatalf("UpdateUser: %v", err)
+	for _, ix := range append([]*Index{full}, shards...) {
+		if err := ix.UpdateUser("newbie"); err != nil {
+			t.Fatalf("UpdateUser: %v", err)
+		}
 	}
 	q := ranking.BuildQuery(sportsItem(1), nil)
-	got, _ := ix.Recommend(q, 10)
-	want := ix.RecommendScan(q, 10)
+	got := recommendScattered(t, shards, q, 10)
+	want := full.RecommendScan(q, 10)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-update parallel mismatch:\n got %v\nwant %v", got, want)
+		t.Fatalf("post-update scattered mismatch:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -34,7 +34,6 @@ func (b *blockingBackend) RecommendBatch(ctx context.Context, items []model.Item
 	return make([]core.Result, len(items)), nil
 }
 func (b *blockingBackend) Users() int                     { return 0 }
-func (b *blockingBackend) Parallelism() int               { return 1 }
 func (b *blockingBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
 
 func TestObserveV2SaturationReturns503(t *testing.T) {

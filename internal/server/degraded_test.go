@@ -42,7 +42,6 @@ func (d degradedBackend) ObserveBatch(ctx context.Context, batch []core.Observat
 }
 
 func (degradedBackend) Users() int                     { return 1 }
-func (degradedBackend) Parallelism() int               { return 1 }
 func (degradedBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
 
 func TestRecommendV2DegradedPartialResults(t *testing.T) {

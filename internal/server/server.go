@@ -45,7 +45,6 @@ type Backend interface {
 	RecommendBatch(ctx context.Context, items []model.Item, opts ...core.Option) ([]core.Result, error)
 	ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error)
 	Users() int
-	Parallelism() int
 	IndexView() core.IndexStatsView
 }
 

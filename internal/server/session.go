@@ -7,8 +7,7 @@
 // Client → server, one tagged command per line, in stream order:
 //
 //	{"obs":{"user_id":"u1","item":{...},"timestamp":3}}    observation
-//	{"ask":{"item":{...},"k":10,"parallelism":0,
-//	        "expansion":true}}                             query
+//	{"ask":{"item":{...},"k":10,"expansion":true}}         query
 //	{"flush":true}                                         barrier
 //
 // Server → client:
@@ -64,8 +63,6 @@ type sessionAskJSON struct {
 	Item itemJSON `json:"item"`
 	// K is the result size (default DefaultK, capped at MaxK).
 	K int `json:"k"`
-	// Parallelism overrides the partitioned-search worker count when > 0.
-	Parallelism int `json:"parallelism"`
 	// Expansion disables entity expansion when explicitly false.
 	Expansion *bool `json:"expansion"`
 }
@@ -350,7 +347,7 @@ read:
 				k = core.DefaultK
 			}
 			k = min(k, s.MaxK)
-			opts := []core.Option{core.WithK(k), core.WithParallelism(line.Ask.Parallelism)}
+			opts := []core.Option{core.WithK(k)}
 			if line.Ask.Expansion != nil && !*line.Ask.Expansion {
 				opts = append(opts, core.WithoutExpansion())
 			}

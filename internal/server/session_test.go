@@ -294,7 +294,6 @@ func (stalledBackend) RecommendBatch(ctx context.Context, items []model.Item, _ 
 	return make([]core.Result, len(items)), nil
 }
 func (stalledBackend) Users() int                     { return 0 }
-func (stalledBackend) Parallelism() int               { return 1 }
 func (stalledBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
 
 // TestSessionAdmission503 shares the overload path with /v2/observe: the

@@ -210,8 +210,7 @@ func (s *ClientSession) Ask(v model.Item, opts ...core.Option) error {
 	ask := &sessionAskJSON{
 		Item: itemJSON{ID: v.ID, Category: v.Category, Producer: v.Producer,
 			Entities: v.Entities, Description: v.Description, Timestamp: v.Timestamp},
-		K:           o.K,
-		Parallelism: o.Parallelism,
+		K: o.K,
 	}
 	if o.NoExpansion {
 		f := false

@@ -1,7 +1,6 @@
 // v2.go implements the batch-first wire protocol over the engine's v2 API:
 //
-//	POST /v2/recommend  {"items":[{...}...], "k":10, "parallelism":0,
-//	                     "expansion":true}
+//	POST /v2/recommend  {"items":[{...}...], "k":10, "expansion":true}
 //	                    → {"results":[{item_id, recommendations} |
 //	                                  {item_id, error:{code,message}}]}
 //	POST /v2/observe    NDJSON bulk ingest: one observation per line
@@ -80,9 +79,6 @@ type recommendV2Request struct {
 	Items []itemJSON `json:"items"`
 	// K is the per-item result size (default 10, capped at MaxK).
 	K int `json:"k"`
-	// Parallelism overrides the engine's partitioned-search worker count
-	// for this request when > 0.
-	Parallelism int `json:"parallelism"`
 	// Expansion disables entity expansion when explicitly false.
 	Expansion *bool `json:"expansion"`
 }
@@ -134,7 +130,7 @@ func (s *Server) handleRecommendV2(w http.ResponseWriter, r *http.Request) {
 	if req.K > s.MaxK {
 		req.K = s.MaxK
 	}
-	opts := []core.Option{core.WithK(req.K), core.WithParallelism(req.Parallelism)}
+	opts := []core.Option{core.WithK(req.K)}
 	if req.Expansion != nil && !*req.Expansion {
 		opts = append(opts, core.WithoutExpansion())
 	}
@@ -324,10 +320,9 @@ type statsV2Response struct {
 	// may lag their profile.
 	RefreshErrors int64 `json:"refresh_errors"`
 
-	Parallelism int `json:"parallelism"`
-	BatchSize   int `json:"batch_size"`
-	MaxBatch    int `json:"max_batch"`
-	MaxK        int `json:"max_k"`
+	BatchSize int `json:"batch_size"`
+	MaxBatch  int `json:"max_batch"`
+	MaxK      int `json:"max_k"`
 
 	// ShardCount/Shards describe a sharded deployment (absent for a
 	// single engine). ReplicaSets and Supervisor additionally describe its
@@ -491,7 +486,6 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 		for _, sh := range shardStats {
 			if sh.Trained {
 				resp.Users, resp.Blocks, resp.Trees, resp.HashKeys = sh.Users, sh.Blocks, sh.Trees, sh.HashKeys
-				resp.Parallelism = sh.Parallelism
 				break
 			}
 		}
@@ -533,7 +527,6 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 		st := s.eng.IndexView()
 		resp.Users, resp.Blocks, resp.Trees, resp.HashKeys = st.Users, st.Blocks, st.Trees, st.HashKeys
 		resp.RefreshErrors = st.RefreshErrors
-		resp.Parallelism = s.eng.Parallelism()
 	}
 	if wl, ok := s.eng.(walLogger); ok {
 		st := wl.Log().Stats()

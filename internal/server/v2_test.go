@@ -123,6 +123,17 @@ func TestRecommendV2EmptyItems(t *testing.T) {
 	}
 }
 
+// TestRecommendV2RetiredParallelism: the parallelism field is gone from
+// the request, so the strict decoder refuses it like any unknown field.
+func TestRecommendV2RetiredParallelism(t *testing.T) {
+	s, ds := testServer(t)
+	rr := post(t, s.Handler(), "/v2/recommend", map[string]any{
+		"items": []map[string]any{itemBody(ds.Items[0])}, "parallelism": 2})
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "parallelism") {
+		t.Fatalf("status %d, want 400 naming the field: %s", rr.Code, rr.Body.String())
+	}
+}
+
 // TestRecommendV2CancelledContext: a request whose context is already
 // cancelled reports per-item cancellation instead of fabricated results.
 func TestRecommendV2CancelledContext(t *testing.T) {

@@ -423,18 +423,6 @@ func (r *Router) Train(items []model.Item, interactions []model.Interaction, res
 	return nil
 }
 
-// SetParallelism adjusts the intra-query worker count of every in-process
-// engine (remote shards take the per-call core.WithParallelism option or
-// their shardd -partitions flag).
-func (r *Router) SetParallelism(n int) {
-	grid, _ := r.fl().locals()
-	for _, row := range grid {
-		for _, l := range row {
-			l.eng.SetParallelism(n)
-		}
-	}
-}
-
 // detach strips cancellation for the broadcast legs: a micro-batch (or a
 // registration batch) is the atomic replication unit — if half the shards
 // applied it and half refused on a cancelled context, the replicated
@@ -586,7 +574,7 @@ func (r *Router) registerBroadcast(ctx context.Context, items []model.Item) erro
 
 // recommendOne scatters one item to every healthy shard under one shared
 // bound and gathers the per-shard heaps into the global top-k. Stats are
-// summed; Partitions accumulates the workers used across shards. With
+// summed. With
 // shards excluded the merged result is partial (their owned users are
 // missing) and the call wraps ErrShardUnavailable alongside it.
 func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOptions) (core.Result, error) {
@@ -641,7 +629,6 @@ func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOpt
 		}
 		lists = append(lists, parts[i].Recommendations)
 		res.Stats.Add(parts[i].Stats)
-		res.Stats.Partitions += parts[i].Stats.Partitions
 		if firstErr == nil && errs[i] != nil {
 			firstErr = errs[i]
 		}
@@ -765,10 +752,6 @@ func (r *Router) RegisterItem(v model.Item) {
 // Users counts tracked profiles (replicated — the first healthy shard's
 // figure is the deployment's).
 func (r *Router) Users() int { return r.fl().firstUpStats().Users }
-
-// Parallelism reports the intra-query worker count of the first healthy
-// shard.
-func (r *Router) Parallelism() int { return r.fl().firstUpStats().Parallelism }
 
 // firstUpStats snapshots the first non-excluded shard. With every shard
 // excluded it reports zero values WITHOUT a round trip — a monitoring

@@ -23,9 +23,8 @@
 // A query fans out to every shard with ONE shared sigtree.Bound: as soon
 // as any shard's local top-k fills, its k-th exact score raises the bound
 // and prunes every other shard's traversal. The per-shard top-k heaps are
-// folded with sigtree.MergeTopK. Correctness is the SearchParallel
-// argument lifted over the shard boundary: each shard's k-th best exact
-// score lower-bounds the global k-th best, pruning is strict, ties are
+// folded with sigtree.MergeTopK. Each shard's k-th best exact score
+// lower-bounds the global k-th best, pruning is strict, ties are
 // expanded — so results stay bit-identical at every shard count.
 //
 // # The RPC seam
@@ -76,8 +75,6 @@ type Stats struct {
 	Blocks   int
 	Trees    int
 	HashKeys int
-	// Parallelism is the shard's intra-query worker count.
-	Parallelism int
 	// RefreshErrors counts failed index refreshes on this shard's engine
 	// (core.Engine.RefreshErrors) — non-zero means some owned user's
 	// leaves may lag their profile.
@@ -260,10 +257,9 @@ func (l *Local) Snapshot(ctx context.Context) ([]byte, error) {
 // Stats implements Shard.
 func (l *Local) Stats() Stats {
 	s := Stats{
-		Shard:       l.idx,
-		Trained:     l.eng.Trained(),
-		Users:       l.eng.Users(),
-		Parallelism: l.eng.Parallelism(),
+		Shard:   l.idx,
+		Trained: l.eng.Trained(),
+		Users:   l.eng.Users(),
 	}
 	s.RefreshErrors = l.eng.RefreshErrors()
 	if ist, ok := l.eng.IndexStats(); ok {

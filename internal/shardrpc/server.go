@@ -115,9 +115,6 @@ type Server struct {
 	idx, of int
 	boot    atomic.Pointer[bootState]
 
-	// Parallelism, when > 0, is applied to every engine booted by a
-	// snapshot handoff (the shardd -partitions flag).
-	Parallelism int
 	// AuthToken, when non-empty, requires "Authorization: Bearer <token>"
 	// on EVERY endpoint (health included — the Router's prober carries the
 	// token); mismatches answer 401. The shardd -auth-token flag. Set
@@ -214,12 +211,9 @@ func (s *Server) Boot(e *core.Engine) error {
 	return nil
 }
 
-// publish installs e (and its Durable, if any) under a fresh boot epoch,
-// applying the -partitions override. The caller holds bootMu.
+// publish installs e (and its Durable, if any) under a fresh boot epoch.
+// The caller holds bootMu.
 func (s *Server) publish(e *core.Engine, d *wal.Durable) {
-	if s.Parallelism > 0 {
-		e.SetParallelism(s.Parallelism)
-	}
 	s.boot.Store(&bootState{local: shard.NewLocal(s.idx, e), durable: d, epoch: newEpoch()})
 }
 

@@ -210,16 +210,15 @@ func (w reportWire) report() core.BatchReport {
 // the router — defaults applied, no functional options cross the wire).
 type optionsWire struct {
 	K           int  `json:"k"`
-	Parallelism int  `json:"parallelism,omitempty"`
 	NoExpansion bool `json:"no_expansion,omitempty"`
 }
 
 func toOptionsWire(o core.QueryOptions) optionsWire {
-	return optionsWire{K: o.K, Parallelism: o.Parallelism, NoExpansion: o.NoExpansion}
+	return optionsWire{K: o.K, NoExpansion: o.NoExpansion}
 }
 
 func (w optionsWire) options() core.QueryOptions {
-	return core.QueryOptions{K: w.K, Parallelism: w.Parallelism, NoExpansion: w.NoExpansion}
+	return core.QueryOptions{K: w.K, NoExpansion: w.NoExpansion}
 }
 
 // qsAsk starts one query on a multiplexed query stream (POST
@@ -277,7 +276,6 @@ type statsLine struct {
 	NodesVisited   int `json:"nodes,omitempty"`
 	EntriesScored  int `json:"scored,omitempty"`
 	EntriesSkipped int `json:"skipped,omitempty"`
-	Partitions     int `json:"partitions,omitempty"`
 }
 
 func toResultWire(res core.Result) *resultWire {
@@ -285,7 +283,6 @@ func toResultWire(res core.Result) *resultWire {
 		NodesVisited:   res.Stats.NodesVisited,
 		EntriesScored:  res.Stats.EntriesScored,
 		EntriesSkipped: res.Stats.EntriesSkipped,
-		Partitions:     res.Stats.Partitions,
 	}}
 	for _, rec := range res.Recommendations {
 		w.Recommendations = append(w.Recommendations, recWire{UserID: rec.UserID, Score: rec.Score})
@@ -298,7 +295,6 @@ func (w *resultWire) result() core.Result {
 		NodesVisited:   w.Stats.NodesVisited,
 		EntriesScored:  w.Stats.EntriesScored,
 		EntriesSkipped: w.Stats.EntriesSkipped,
-		Partitions:     w.Stats.Partitions,
 	}}
 	for _, rec := range w.Recommendations {
 		res.Recommendations = append(res.Recommendations, model.Recommendation{UserID: rec.UserID, Score: rec.Score})
@@ -320,15 +316,14 @@ type healthWire struct {
 
 // statsWire is the wire form of shard.Stats.
 type statsWire struct {
-	Shard       int  `json:"shard"`
-	Trained     bool `json:"trained"`
-	Users       int  `json:"users"`
-	OwnedUsers  int  `json:"owned_users"`
-	Leaves      int  `json:"leaves"`
-	Blocks      int  `json:"blocks"`
-	Trees       int  `json:"trees"`
-	HashKeys    int  `json:"hash_keys"`
-	Parallelism int  `json:"parallelism"`
+	Shard      int  `json:"shard"`
+	Trained    bool `json:"trained"`
+	Users      int  `json:"users"`
+	OwnedUsers int  `json:"owned_users"`
+	Leaves     int  `json:"leaves"`
+	Blocks     int  `json:"blocks"`
+	Trees      int  `json:"trees"`
+	HashKeys   int  `json:"hash_keys"`
 	// RefreshErrors counts failed index refreshes on the shard's engine.
 	RefreshErrors int64 `json:"refresh_errors,omitempty"`
 	// WAL is the shard's durable ingest log in the wire form wal.Stats
@@ -339,14 +334,14 @@ type statsWire struct {
 func toStatsWire(st shard.Stats) statsWire {
 	return statsWire{Shard: st.Shard, Trained: st.Trained, Users: st.Users,
 		OwnedUsers: st.OwnedUsers, Leaves: st.Leaves, Blocks: st.Blocks,
-		Trees: st.Trees, HashKeys: st.HashKeys, Parallelism: st.Parallelism,
+		Trees: st.Trees, HashKeys: st.HashKeys,
 		RefreshErrors: st.RefreshErrors, WAL: st.WAL}
 }
 
 func (w statsWire) stats() shard.Stats {
 	return shard.Stats{Shard: w.Shard, Trained: w.Trained, Users: w.Users,
 		OwnedUsers: w.OwnedUsers, Leaves: w.Leaves, Blocks: w.Blocks,
-		Trees: w.Trees, HashKeys: w.HashKeys, Parallelism: w.Parallelism,
+		Trees: w.Trees, HashKeys: w.HashKeys,
 		RefreshErrors: w.RefreshErrors, WAL: w.WAL}
 }
 

@@ -100,11 +100,10 @@ type Transcript struct {
 // Replay drives the deterministic schedule — micro-batches of
 // observations, each followed by a rotating recommendation batch over
 // future items — and records the transcript. maxBatches <= 0 replays the
-// full stream; extra query options (e.g. core.WithParallelism) are
-// appended to the schedule's WithK.
-func (fx *Fixture) Replay(tb testing.TB, d Deployment, maxBatches int, opts ...core.Option) *Transcript {
+// full stream.
+func (fx *Fixture) Replay(tb testing.TB, d Deployment, maxBatches int) *Transcript {
 	tb.Helper()
-	return fx.ReplayBatchSize(tb, d, ReplayBatch, maxBatches, opts...)
+	return fx.ReplayBatchSize(tb, d, ReplayBatch, maxBatches)
 }
 
 // ReplayBatchSize is Replay with the micro-batch size as a parameter — the
@@ -113,9 +112,9 @@ func (fx *Fixture) Replay(tb testing.TB, d Deployment, maxBatches int, opts ...c
 // many observations before one flush, exercising mask merging). Transcripts
 // are only comparable between replays that used the SAME batch size: the
 // flush schedule is observable through BatchReport.Flushed.
-func (fx *Fixture) ReplayBatchSize(tb testing.TB, d Deployment, batchSize, maxBatches int, opts ...core.Option) *Transcript {
+func (fx *Fixture) ReplayBatchSize(tb testing.TB, d Deployment, batchSize, maxBatches int) *Transcript {
 	tb.Helper()
-	return fx.ReplayWithHooks(tb, d, batchSize, maxBatches, nil, opts...)
+	return fx.ReplayWithHooks(tb, d, batchSize, maxBatches, nil)
 }
 
 // ReplayWithHooks is ReplayBatchSize with mid-stream intervention points:
@@ -126,14 +125,14 @@ func (fx *Fixture) ReplayBatchSize(tb testing.TB, d Deployment, batchSize, maxBa
 // stream; the fault-injection suites can likewise kill or revive replicas
 // at deterministic stream positions. Hooks run on the replay goroutine —
 // anything concurrent must be launched by the hook itself.
-func (fx *Fixture) ReplayWithHooks(tb testing.TB, d Deployment, batchSize, maxBatches int, hooks map[int]func(batchIdx int), opts ...core.Option) *Transcript {
+func (fx *Fixture) ReplayWithHooks(tb testing.TB, d Deployment, batchSize, maxBatches int, hooks map[int]func(batchIdx int)) *Transcript {
 	tb.Helper()
 	if batchSize <= 0 {
 		tb.Fatalf("batchSize %d", batchSize)
 	}
 	ctx := context.Background()
 	tr := &Transcript{}
-	qopts := append([]core.Option{core.WithK(ReplayK)}, opts...)
+	k := core.WithK(ReplayK)
 	batchIdx := 0
 	for lo := 0; lo < len(fx.Obs); lo += batchSize {
 		hi := min(lo+batchSize, len(fx.Obs))
@@ -147,7 +146,7 @@ func (fx *Fixture) ReplayWithHooks(tb testing.TB, d Deployment, batchSize, maxBa
 		rep.Errors = nil // compared separately via Rejected
 		tr.Reports = append(tr.Reports, rep)
 		q := QueryWindow(fx.Queries, batchIdx)
-		results, err := d.RecommendBatch(ctx, q, qopts...)
+		results, err := d.RecommendBatch(ctx, q, k)
 		if err != nil {
 			tb.Fatalf("batch %d: RecommendBatch: %v", batchIdx, err)
 		}
@@ -173,11 +172,11 @@ func (fx *Fixture) ReplayWithHooks(tb testing.TB, d Deployment, batchSize, maxBa
 // the entity expander, per-item and whole-window query batches are
 // different (both deterministic) schedules; a session transcript must be
 // compared against THIS reference.
-func (fx *Fixture) ReplaySeq(tb testing.TB, d Deployment, maxBatches int, opts ...core.Option) *Transcript {
+func (fx *Fixture) ReplaySeq(tb testing.TB, d Deployment, maxBatches int) *Transcript {
 	tb.Helper()
 	ctx := context.Background()
 	tr := &Transcript{}
-	qopts := append([]core.Option{core.WithK(ReplayK)}, opts...)
+	k := core.WithK(ReplayK)
 	batchIdx := 0
 	for lo := 0; lo < len(fx.Obs); lo += ReplayBatch {
 		hi := min(lo+ReplayBatch, len(fx.Obs))
@@ -189,7 +188,7 @@ func (fx *Fixture) ReplaySeq(tb testing.TB, d Deployment, maxBatches int, opts .
 		tr.Reports = append(tr.Reports, rep)
 		window := make([]core.Result, 0, ReplayQueryLen)
 		for _, q := range QueryWindow(fx.Queries, batchIdx) {
-			results, err := d.RecommendBatch(ctx, []model.Item{q}, qopts...)
+			results, err := d.RecommendBatch(ctx, []model.Item{q}, k)
 			if err != nil {
 				tb.Fatalf("batch %d: RecommendBatch(%s): %v", batchIdx, q.ID, err)
 			}
@@ -223,9 +222,9 @@ type SessionDriver interface {
 // grouped back into the schedule's windows. The session must be opened
 // with a micro-batch of ReplayBatch and no linger so its flush points
 // coincide with the reference's; Close is called at the end.
-func (fx *Fixture) ReplaySession(tb testing.TB, ses SessionDriver, maxBatches int, opts ...core.Option) *Transcript {
+func (fx *Fixture) ReplaySession(tb testing.TB, ses SessionDriver, maxBatches int) *Transcript {
 	tb.Helper()
-	qopts := append([]core.Option{core.WithK(ReplayK)}, opts...)
+	k := core.WithK(ReplayK)
 	var collected []core.Result
 	done := make(chan struct{})
 	go func() {
@@ -244,7 +243,7 @@ func (fx *Fixture) ReplaySession(tb testing.TB, ses SessionDriver, maxBatches in
 			}
 		}
 		for _, q := range QueryWindow(fx.Queries, batchIdx) {
-			if err := ses.Ask(q, qopts...); err != nil {
+			if err := ses.Ask(q, k); err != nil {
 				tb.Fatalf("batch %d: Ask(%s): %v", batchIdx, q.ID, err)
 			}
 		}

@@ -4,120 +4,62 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 )
 
 // TestSearchCtxNilEquivalence: a nil or never-cancelled context changes
-// nothing — results stay bit-identical to Search at every parallelism.
+// nothing — results stay bit-identical to Search.
 func TestSearchCtxNilEquivalence(t *testing.T) {
 	tqs := buildForest(t, 7, 60, 11)
-	ctx := context.Background()
 	for _, k := range []int{1, 10, 50} {
 		want, _ := Search(tqs, k)
-		for _, p := range []int{0, 2, 8} {
-			got, _, err := SearchParallelCtx(ctx, tqs, k, p)
+		for _, ctx := range []context.Context{nil, context.Background()} {
+			got, _, err := SearchCtx(ctx, tqs, k, nil)
 			if err != nil {
-				t.Fatalf("k=%d p=%d: %v", k, p, err)
+				t.Fatalf("k=%d: %v", k, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d p=%d: ctx path diverged", k, p)
+				t.Fatalf("k=%d: ctx path diverged", k)
 			}
 		}
 	}
 }
 
 // TestSearchCtxCancelled: a cancelled context aborts the traversal with
-// context.Canceled on both the sequential and the partitioned path.
+// context.Canceled.
 func TestSearchCtxCancelled(t *testing.T) {
 	tqs := buildForest(t, 7, 400, 13)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, p := range []int{0, 4} {
-		_, _, err := SearchParallelCtx(ctx, tqs, 10, p)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", p, err)
-		}
+	if _, _, err := SearchCtx(ctx, tqs, 10, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestSearchParallelCtxMidFlightCancel cancels while the partition workers
-// are live: every worker must observe the cancellation at its next poll,
-// the call must report ctx.Err(), and all workers must be joined — no
-// goroutine may outlive SearchParallelCtx (leak-checked against a
-// goroutine-count baseline). The deadline sweep makes at least one run
-// cancel mid-traversal rather than at the entry check.
-func TestSearchParallelCtxMidFlightCancel(t *testing.T) {
+// TestSearchCtxMidFlightCancel sweeps deadlines so that at least one run
+// is cancelled mid-traversal rather than at the entry check: the search
+// must report ctx.Err() then, and complete with results otherwise.
+func TestSearchCtxMidFlightCancel(t *testing.T) {
 	tqs := buildForest(t, 9, 800, 13)
-	base := runtime.NumGoroutine()
 	sawCancel, sawComplete := false, false
 	for _, timeout := range []time.Duration{time.Nanosecond, 10 * time.Microsecond, 200 * time.Microsecond, 5 * time.Millisecond, time.Second} {
-		for _, p := range []int{2, 8} {
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			recs, _, err := SearchParallelCtx(ctx, tqs, 20, p)
-			cancel()
-			if err != nil {
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("timeout %v p=%d: err = %v", timeout, p, err)
-				}
-				sawCancel = true
-			} else {
-				sawComplete = true
-				if len(recs) == 0 {
-					t.Fatalf("timeout %v p=%d: completed with no results", timeout, p)
-				}
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		recs, _, err := SearchCtx(ctx, tqs, 20, nil)
+		cancel()
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("timeout %v: err = %v", timeout, err)
+			}
+			sawCancel = true
+		} else {
+			sawComplete = true
+			if len(recs) == 0 {
+				t.Fatalf("timeout %v: completed with no results", timeout)
 			}
 		}
 	}
 	if !sawCancel || !sawComplete {
 		t.Fatalf("sweep did not cover both outcomes (cancelled=%v completed=%v)", sawCancel, sawComplete)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("search workers leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestSearchParallelBoundCtxExternal: an externally supplied bound behaves
-// exactly like the internal one (bit-identical results) at every
-// parallelism — the single-process statement of the cross-shard protocol —
-// and a pre-poisoned bound above the true k-th score must only ever prune,
-// never fabricate results.
-func TestSearchParallelBoundCtxExternal(t *testing.T) {
-	tqs := buildForest(t, 7, 120, 11)
-	ctx := context.Background()
-	for _, k := range []int{1, 10, 40} {
-		want, _ := Search(tqs, k)
-		for _, p := range []int{0, 1, 2, 8} {
-			got, _, err := SearchParallelBoundCtx(ctx, tqs, k, p, NewBound())
-			if err != nil {
-				t.Fatalf("k=%d p=%d: %v", k, p, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d p=%d: external bound diverged\n got %v\nwant %v", k, p, got, want)
-			}
-		}
-		// A bound pre-raised to the true best score prunes aggressively,
-		// but pruning is strict (<) and ties are expanded — so the best
-		// entry must still surface at rank 0. (Lower-ranked entries are
-		// legitimately pruned or kept depending on traversal timing; only
-		// the at-bound guarantee is part of the protocol.)
-		if len(want) > 0 {
-			poisoned := NewBound()
-			poisoned.Raise(want[0].Score)
-			got, _, err := SearchParallelBoundCtx(ctx, tqs, k, 4, poisoned)
-			if err != nil {
-				t.Fatalf("poisoned k=%d: %v", k, err)
-			}
-			if len(got) == 0 || got[0] != want[0] {
-				t.Fatalf("poisoned bound lost the at-bound best entry: got %v, want first %+v", got, want[0])
-			}
-		}
 	}
 }

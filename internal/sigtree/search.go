@@ -1,7 +1,7 @@
 // search.go implements Algorithm 1 — branch-and-bound top-k over the
-// extended signature trees — as a reusable, allocation-free Searcher plus
-// a partitioned parallel front-end (SearchParallel). See DESIGN.md,
-// "Parallel partitioned search".
+// extended signature trees — as a reusable, allocation-free Searcher. A
+// query is searched serially; the only concurrency is across shards,
+// which share a Bound. See DESIGN.md, "Why search is serial".
 //
 // The query core is deliberately zero-allocation in steady state: the
 // priority queue stores pqItem values in a reusable slab (no per-node
@@ -25,17 +25,14 @@ type TreeQuery struct {
 	Query *Query
 }
 
-// SearchStats reports pruning effectiveness for one search. For
-// SearchParallel the counters are summed over all partitions.
+// SearchStats reports pruning effectiveness for one search.
 type SearchStats struct {
 	NodesVisited   int // internal/leaf nodes expanded
 	EntriesScored  int // leaf entries whose exact score was computed
 	EntriesSkipped int // pruned by the upper bound (never scored)
-	Partitions     int // worker partitions used (0 = sequential path)
 }
 
-// Add accumulates another search's pruning counters (Partitions is a
-// configuration echo, not a counter, and is left to the caller).
+// Add accumulates another search's pruning counters.
 func (s *SearchStats) Add(o SearchStats) {
 	s.NodesVisited += o.NodesVisited
 	s.EntriesScored += o.EntriesScored
@@ -63,8 +60,8 @@ func pqLess(a, b *pqItem) bool {
 
 // Searcher owns the scratch state of one branch-and-bound run: the value
 // slab of the priority queue and the top-k accumulator. A zero Searcher
-// is ready to use; Search and SearchParallel draw them from an internal
-// pool so steady-state queries do not allocate.
+// is ready to use; Search and SearchCtx draw them from an internal pool
+// so steady-state queries do not allocate.
 type Searcher struct {
 	pq    []pqItem
 	seq   int
@@ -75,7 +72,7 @@ type Searcher struct {
 var searcherPool = sync.Pool{New: func() any { return new(Searcher) }}
 
 // NewSearcher returns a fresh standalone Searcher (callers that want to
-// manage reuse themselves; Search/SearchParallel pool internally).
+// manage reuse themselves; Search/SearchCtx pool internally).
 func NewSearcher() *Searcher { return new(Searcher) }
 
 func (s *Searcher) reset(k int) {
@@ -128,8 +125,8 @@ func (s *Searcher) pop() pqItem {
 }
 
 // lowerBound is the effective pruning bound: the worst score of the local
-// top-k once full, raised further by the shared cross-partition bound
-// when one is attached.
+// top-k once full, raised further by the shared cross-shard bound when
+// one is attached.
 func (s *Searcher) lowerBound(shared *Bound) float64 {
 	lb := s.topk.WorstScore()
 	if shared != nil {
@@ -143,13 +140,12 @@ func (s *Searcher) lowerBound(shared *Bound) float64 {
 // Run executes Algorithm 1 over the given trees, pruning against the
 // optional shared lower bound, and returns the local top-k best-first.
 //
-// Correctness under a shared bound: the bound is the maximum over
-// partitions of each partition's current k-th best exact score, which is
-// a monotone lower bound on the *global* k-th best exact score (the
-// global candidate pool is a superset of every partition's). Pruning is
-// strict (<), so an entry at exactly the final k-th score is always
-// expanded and user-ID tie-breaking stays identical to the sequential
-// path.
+// Correctness under a shared bound: every value raised into it is some
+// participant's current k-th best exact score, a monotone lower bound on
+// the global k-th best exact score (the global candidate pool is a
+// superset of every participant's). Pruning is strict (<), so an entry
+// at exactly the final k-th score is always expanded and user-ID
+// tie-breaking stays identical to SequentialScan.
 func (s *Searcher) Run(tqs []TreeQuery, k int, shared *Bound) ([]model.Recommendation, SearchStats) {
 	recs, stats, _ := s.RunCtx(nil, tqs, k, shared)
 	return recs, stats
@@ -215,7 +211,6 @@ func (s *Searcher) RunCtx(ctx context.Context, tqs []TreeQuery, k int, shared *B
 			}
 		}
 	}
-	s.stats.Partitions = 0
 	// Drop node references left by an early break so pooled Searchers
 	// don't pin replaced index structures.
 	s.pq = s.pq[:cap(s.pq)]
@@ -237,23 +232,28 @@ func (s *Searcher) remainingEntries() int {
 // exact score is below a pruned candidate's true score (no false pruning:
 // Lemmas 1–2).
 func Search(tqs []TreeQuery, k int) ([]model.Recommendation, SearchStats) {
-	recs, stats, _ := SearchCtx(nil, tqs, k)
+	recs, stats, _ := SearchCtx(nil, tqs, k, nil)
 	return recs, stats
 }
 
-// SearchCtx is Search with cooperative cancellation (see Searcher.RunCtx);
-// on cancellation it returns ctx.Err() along with partial results.
-func SearchCtx(ctx context.Context, tqs []TreeQuery, k int) ([]model.Recommendation, SearchStats, error) {
+// SearchCtx is Search on a pooled Searcher with cooperative cancellation
+// (see Searcher.RunCtx; on cancellation it returns ctx.Err() along with
+// partial results), pruning against and raising the optional shared
+// bound. The bound is the cross-shard protocol: every shard of a
+// scatter-gather query searches its own users with the SAME Bound, so one
+// shard's k-th best exact score prunes every other shard's traversal, and
+// the router folds the per-shard lists with MergeTopK. A nil bound is the
+// single-process case.
+func SearchCtx(ctx context.Context, tqs []TreeQuery, k int, shared *Bound) ([]model.Recommendation, SearchStats, error) {
 	s := searcherPool.Get().(*Searcher)
-	recs, stats, err := s.RunCtx(ctx, tqs, k, nil)
+	recs, stats, err := s.RunCtx(ctx, tqs, k, shared)
 	searcherPool.Put(s)
 	return recs, stats, err
 }
 
-// Bound is a monotonically increasing float64 shared by the partitions of
-// one parallel search — and, through SearchParallelBoundCtx, by the shards
-// of one scatter-gather deployment: the best global lower bound on the
-// final k-th exact score published so far. Create with NewBound; the zero
+// Bound is a monotonically increasing float64 shared by the shards of one
+// scatter-gather query: the best global lower bound on the final k-th
+// exact score published so far. Create with NewBound; the zero
 // value is NOT ready (the bound must start at -Inf).
 //
 // Bound is the wire protocol of cross-shard pruning: an RPC shard keeps a
@@ -287,95 +287,7 @@ func (l *Bound) Raise(v float64) {
 	}
 }
 
-// SearchParallel is the partitioned Algorithm 1: candidate trees are
-// dealt round-robin to `parallelism` workers, each running the same
-// branch-and-bound as Search over its partition while pruning against a
-// shared atomic lower bound (each partition's k-th best raises the bound
-// for all others), and the per-partition top-k heaps are merged with the
-// global comparator. Results — users, scores and tie-break order — are
-// bit-identical to Search and SequentialScan for every parallelism level.
-//
-// parallelism <= 1 (or fewer than two candidate trees) falls back to the
-// sequential path.
-func SearchParallel(tqs []TreeQuery, k, parallelism int) ([]model.Recommendation, SearchStats) {
-	recs, stats, _ := SearchParallelCtx(nil, tqs, k, parallelism)
-	return recs, stats
-}
-
-// SearchParallelCtx is SearchParallel with cooperative cancellation: every
-// partition worker polls the context (see Searcher.RunCtx) and bails out
-// early when it is done, after which the call reports ctx.Err() and the
-// merged partial results must not be served as exact.
-func SearchParallelCtx(ctx context.Context, tqs []TreeQuery, k, parallelism int) ([]model.Recommendation, SearchStats, error) {
-	return SearchParallelBoundCtx(ctx, tqs, k, parallelism, nil)
-}
-
-// SearchParallelBoundCtx is SearchParallelCtx pruning against (and
-// raising) a caller-supplied shared bound — the entry point of the
-// cross-shard protocol: every shard of a scatter-gather deployment runs
-// its partition of the candidate trees through here with the SAME Bound,
-// so one shard's k-th best exact score prunes every other shard's
-// traversal. A nil bound is created internally (the single-process case).
-//
-// The correctness argument is the same as SearchParallel's: each
-// participant's k-th best exact score is a monotone lower bound on the
-// global k-th best (the global candidate pool is a superset of every
-// participant's), pruning is strict, and ties at the bound are still
-// expanded — so the merged results are bit-identical to a sequential scan
-// no matter how participants are partitioned, locally or across shards.
-func SearchParallelBoundCtx(ctx context.Context, tqs []TreeQuery, k, parallelism int, shared *Bound) ([]model.Recommendation, SearchStats, error) {
-	if parallelism > len(tqs) {
-		parallelism = len(tqs)
-	}
-	if parallelism <= 1 || len(tqs) < 2 {
-		s := searcherPool.Get().(*Searcher)
-		recs, stats, err := s.RunCtx(ctx, tqs, k, shared)
-		searcherPool.Put(s)
-		return recs, stats, err
-	}
-	parts := make([][]TreeQuery, parallelism)
-	for i, tq := range tqs {
-		w := i % parallelism
-		parts[w] = append(parts[w], tq)
-	}
-	if shared == nil {
-		shared = NewBound()
-	}
-	partRecs := make([][]model.Recommendation, parallelism)
-	partStats := make([]SearchStats, parallelism)
-	partErrs := make([]error, parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := searcherPool.Get().(*Searcher)
-			partRecs[w], partStats[w], partErrs[w] = s.RunCtx(ctx, parts[w], k, shared)
-			searcherPool.Put(s)
-		}(w)
-	}
-	wg.Wait()
-	// Deterministic merge: each partition's top-k is already exact for its
-	// candidate subset, and the Offer comparator (score desc, user-ID asc)
-	// is order-independent, so folding partitions in index order yields
-	// the global top-k with sequential tie-breaking.
-	merged := newTopK(k)
-	var stats SearchStats
-	var err error
-	for w := 0; w < parallelism; w++ {
-		for _, r := range partRecs[w] {
-			merged.Offer(r.UserID, r.Score)
-		}
-		stats.Add(partStats[w])
-		if err == nil && partErrs[w] != nil {
-			err = partErrs[w]
-		}
-	}
-	stats.Partitions = parallelism
-	return merged.Sorted(), stats, err
-}
-
-// MergeTopK folds several per-partition top-k lists into the global top-k
+// MergeTopK folds several per-shard top-k lists into the global top-k
 // using the search comparator (score descending, user-ID ascending tie
 // break). Because the Offer comparator is order-independent and every
 // input list is exact for its own candidate subset, folding lists in any

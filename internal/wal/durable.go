@@ -159,9 +159,6 @@ func (d *Durable) RecommendBatch(ctx context.Context, items []model.Item, opts .
 // Users reports the engine's profile count.
 func (d *Durable) Users() int { return d.Engine().Users() }
 
-// Parallelism reports the engine's intra-query worker count.
-func (d *Durable) Parallelism() int { return d.Engine().Parallelism() }
-
 // IndexView snapshots the engine's index statistics.
 func (d *Durable) IndexView() core.IndexStatsView { return d.Engine().IndexView() }
 

@@ -113,7 +113,7 @@ func TestDurableColdQueryRegistration(t *testing.T) {
 			t.Fatalf("recovered engine diverges on %s:\n live %v\n twin %v", p.ID, want, got)
 		}
 	}
-	if d.Users() != twin.Users() || d.Parallelism() != twin.Parallelism() || d.IndexView() != twin.IndexView() {
+	if d.Users() != twin.Users() || d.IndexView() != twin.IndexView() {
 		t.Fatalf("recovered engine stats diverge: users %d/%d", d.Users(), twin.Users())
 	}
 }

@@ -37,7 +37,7 @@
 // The batch-first calls (RecommendBatch, ObserveBatch) are the throughput
 // path; the v1 per-item methods (Recommend, Observe) remain as thin
 // equivalents without error reporting. Per-call behavior is tuned with
-// functional options (WithK, WithParallelism, WithoutExpansion);
+// functional options (WithK, WithoutExpansion);
 // failures surface as wrapped sentinel errors (ErrNotTrained,
 // ErrUnknownCategory, ErrInvalidObservation) and honor context
 // cancellation down to the index search loop.
@@ -123,8 +123,7 @@ type (
 	BatchReport = core.BatchReport
 	// ObservationError details one rejected ObserveBatch entry.
 	ObservationError = core.ObservationError
-	// Option is a per-call query option (WithK, WithParallelism,
-	// WithoutExpansion).
+	// Option is a per-call query option (WithK, WithoutExpansion).
 	Option = core.Option
 	// QueryOptions is the resolved option set an Option mutates.
 	QueryOptions = core.QueryOptions
@@ -185,10 +184,6 @@ var (
 
 // WithK sets the number of users a query returns (default core.DefaultK).
 func WithK(k int) Option { return core.WithK(k) }
-
-// WithParallelism overrides the partitioned-search worker count for one
-// call; n <= 0 keeps the engine's configured value.
-func WithParallelism(n int) Option { return core.WithParallelism(n) }
 
 // WithoutExpansion disables proximity entity expansion for one call.
 func WithoutExpansion() Option { return core.WithoutExpansion() }

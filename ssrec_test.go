@@ -35,7 +35,7 @@ func TestPublicV2Flow(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnknownCategory", err)
 	}
 
-	results, err := rec.RecommendBatch(ctx, items[len(items)-4:], WithK(5), WithParallelism(2))
+	results, err := rec.RecommendBatch(ctx, items[len(items)-4:], WithK(5))
 	if err != nil {
 		t.Fatalf("RecommendBatch: %v", err)
 	}
