@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -31,46 +32,54 @@ func streamEngine(t testing.TB, cfg Config) (*Engine, []model.Item, []model.Inte
 }
 
 // TestConcurrentRecommendObserve hammers overlapping Recommend calls
-// against a concurrent Observe/FlushUpdates writer — the contract the
-// RWMutex serves. Run with -race.
+// against concurrent Observe/FlushUpdates writers — the contract the
+// RWMutex serves. At parallelism p the interaction stream is split
+// round-robin over p writers, so p > 1 also contends writer against
+// writer. Run with -race.
 func TestConcurrentRecommendObserve(t *testing.T) {
-	e, items, irs := streamEngine(t, Config{UpdateBatch: 4})
-	byID := make(map[string]model.Item, len(items))
-	for _, v := range items {
-		byID[v.ID] = v
-	}
-	const readers = 6
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; i < len(items); i += readers {
-				recs := e.Recommend(items[i], 10)
-				for j := 1; j < len(recs); j++ {
-					if model.ByScoreDesc(recs[j], recs[j-1]) {
-						t.Errorf("unsorted result under concurrency: %v", recs)
-						return
+	for _, parallelism := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
+			e, items, irs := streamEngine(t, Config{UpdateBatch: 4})
+			byID := make(map[string]model.Item, len(items))
+			for _, v := range items {
+				byID[v.ID] = v
+			}
+			const readers = 6
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := r; i < len(items); i += readers {
+						recs := e.Recommend(items[i], 10)
+						for j := 1; j < len(recs); j++ {
+							if model.ByScoreDesc(recs[j], recs[j-1]) {
+								t.Errorf("unsorted result under concurrency: %v", recs)
+								return
+							}
+						}
 					}
-				}
+				}(r)
 			}
-		}(r)
+			for w := 0; w < parallelism; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(irs); i += parallelism {
+						if v, ok := byID[irs[i].ItemID]; ok {
+							e.Observe(irs[i], v)
+						}
+						if i%50 == 0 {
+							e.FlushUpdates()
+							e.Users()
+							e.IndexStats()
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i, ir := range irs {
-			if v, ok := byID[ir.ItemID]; ok {
-				e.Observe(ir, v)
-			}
-			if i%50 == 0 {
-				e.FlushUpdates()
-				e.Users()
-				e.IndexStats()
-			}
-		}
-	}()
-	wg.Wait()
 }
 
 // TestParallelismConfigEquivalence: the deprecated Config.Parallelism

@@ -3,9 +3,11 @@
 // recommendation batches — into a single engine and into sharded
 // deployments, and asserts the deployments are OBSERVABLY EQUIVALENT:
 // identical ranked results (IDs, scores, order), identical per-item
-// errors and identical ingest reports, at every shard count.
+// errors and identical ingest reports, at every cell of the
+// shards × parallelism matrix.
 //
-//	shards ∈ {1, 2, 8}
+//	shards      ∈ {1, 2, 8}
+//	parallelism ∈ {1, 4}   (concurrent callers asking each query window)
 //
 // Every deployment boots from the SAME trained-engine snapshot, so the
 // only variable is the sharding itself. The replayed stream carries at
@@ -34,16 +36,20 @@ func queryWindow(items []model.Item, batchIdx int) []model.Item {
 	return shardtest.QueryWindow(items, batchIdx)
 }
 
-// TestConformanceStreamReplay is the acceptance gate: every shard count
-// replays the full seeded stream and must be observably equivalent to the
-// single reference engine.
+// TestConformanceStreamReplay is the acceptance gate: every cell of the
+// shards × parallelism matrix replays the full seeded stream and must be
+// observably equivalent to the single reference engine. At parallelism p
+// each query window is asked by p concurrent callers, all of which must
+// get the reference answer.
 func TestConformanceStreamReplay(t *testing.T) {
 	fx := fixture(t)
 	maxBatches := 0 // full stream
 	shardCounts := []int{1, 2, 8}
+	parallelisms := []int{1, 4}
 	if testing.Short() {
 		maxBatches = 12
 		shardCounts = []int{1, 2}
+		parallelisms = []int{1}
 	}
 
 	reference, err := core.LoadFrom(bytes.NewReader(fx.Snapshot))
@@ -55,14 +61,16 @@ func TestConformanceStreamReplay(t *testing.T) {
 		len(want.Reports), len(fx.Obs), len(want.Results)*shardtest.ReplayQueryLen)
 
 	for _, n := range shardCounts {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			r, err := boot(fx.Snapshot, n, 1)
-			if err != nil {
-				t.Fatalf("boot: %v", err)
-			}
-			got := fx.Replay(t, r, maxBatches)
-			shardtest.Diff(t, want, got, fmt.Sprintf("shards=%d", n))
-		})
+		for _, p := range parallelisms {
+			t.Run(fmt.Sprintf("shards=%d/parallelism=%d", n, p), func(t *testing.T) {
+				r, err := boot(fx.Snapshot, n, 1)
+				if err != nil {
+					t.Fatalf("boot: %v", err)
+				}
+				got := fx.ReplayCallers(t, r, maxBatches, p)
+				shardtest.Diff(t, want, got, fmt.Sprintf("shards=%d p=%d", n, p))
+			})
+		}
 	}
 }
 

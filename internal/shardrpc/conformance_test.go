@@ -4,8 +4,9 @@
 // shardd endpoints — real TCP, real HTTP/2, the full bound-streaming
 // protocol — and must be bit-identical to the single reference engine:
 //
-//	transport = remote (2 shardd endpoints)
-//	shards    ∈ {2}
+//	transport   = remote (2 shardd endpoints)
+//	shards      ∈ {2}
+//	parallelism ∈ {1, 4}   (concurrent callers asking each query window)
 //	plus one mixed cell: shard 0 in-process, shard 1 remote
 //
 // By default the suite serves the shards from in-process loopback
@@ -70,12 +71,15 @@ func remoteRouter(t *testing.T, addrs []string, snapshot []byte) *shard.Router {
 // TestConformanceRemoteStreamReplay is the network-transport acceptance
 // gate: a 2-shard remote deployment replays the full seeded stream over
 // loopback HTTP/2 and must be observably equivalent — identical ranked
-// results, per-item errors and ingest reports — to the single engine.
+// results, per-item errors and ingest reports — to the single engine,
+// with each query window asked by 1 and by 4 concurrent callers.
 func TestConformanceRemoteStreamReplay(t *testing.T) {
 	fx := shardtest.Load(t)
 	maxBatches := 0 // full stream
+	parallelisms := []int{1, 4}
 	if testing.Short() {
 		maxBatches = 12
+		parallelisms = []int{1}
 	}
 	const n = 2
 	addrs := conformanceAddrs(t, n)
@@ -88,14 +92,16 @@ func TestConformanceRemoteStreamReplay(t *testing.T) {
 	t.Logf("reference transcript: %d micro-batches, %d interactions, %d queries",
 		len(want.Reports), len(fx.Obs), len(want.Results)*shardtest.ReplayQueryLen)
 
-	t.Run(fmt.Sprintf("remote/shards=%d", n), func(t *testing.T) {
-		r := remoteRouter(t, addrs, fx.Snapshot)
-		got := fx.Replay(t, r, maxBatches)
-		shardtest.Diff(t, want, got, fmt.Sprintf("remote shards=%d", n))
-		if down := r.Down(); len(down) != 0 {
-			t.Fatalf("shards excluded during a healthy replay: %v", down)
-		}
-	})
+	for _, p := range parallelisms {
+		t.Run(fmt.Sprintf("remote/shards=%d/parallelism=%d", n, p), func(t *testing.T) {
+			r := remoteRouter(t, addrs, fx.Snapshot) // handoff = per-cell state reset
+			got := fx.ReplayCallers(t, r, maxBatches, p)
+			shardtest.Diff(t, want, got, fmt.Sprintf("remote shards=%d p=%d", n, p))
+			if down := r.Down(); len(down) != 0 {
+				t.Fatalf("shards excluded during a healthy replay: %v", down)
+			}
+		})
+	}
 }
 
 // TestConformanceRemoteSessionReplay is the remote column of the SESSION

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ssrec/internal/core"
@@ -106,6 +107,16 @@ func (fx *Fixture) Replay(tb testing.TB, d Deployment, maxBatches int) *Transcri
 	return fx.ReplayBatchSize(tb, d, ReplayBatch, maxBatches)
 }
 
+// ReplayCallers is Replay with every query window asked by callers
+// concurrent RecommendBatch calls instead of one. Queries only read the
+// deployment, so every caller must get the same answer; the transcript
+// records it, and a caller that disagrees fails the replay. callers <= 1
+// is Replay.
+func (fx *Fixture) ReplayCallers(tb testing.TB, d Deployment, maxBatches, callers int) *Transcript {
+	tb.Helper()
+	return fx.replay(tb, d, ReplayBatch, maxBatches, nil, callers)
+}
+
 // ReplayBatchSize is Replay with the micro-batch size as a parameter — the
 // write-path conformance suites sweep it (batch=1 flushes the index after
 // every observation; larger batches accumulate dirty-category masks across
@@ -127,6 +138,11 @@ func (fx *Fixture) ReplayBatchSize(tb testing.TB, d Deployment, batchSize, maxBa
 // anything concurrent must be launched by the hook itself.
 func (fx *Fixture) ReplayWithHooks(tb testing.TB, d Deployment, batchSize, maxBatches int, hooks map[int]func(batchIdx int)) *Transcript {
 	tb.Helper()
+	return fx.replay(tb, d, batchSize, maxBatches, hooks, 1)
+}
+
+func (fx *Fixture) replay(tb testing.TB, d Deployment, batchSize, maxBatches int, hooks map[int]func(batchIdx int), callers int) *Transcript {
+	tb.Helper()
 	if batchSize <= 0 {
 		tb.Fatalf("batchSize %d", batchSize)
 	}
@@ -146,17 +162,34 @@ func (fx *Fixture) ReplayWithHooks(tb testing.TB, d Deployment, batchSize, maxBa
 		rep.Errors = nil // compared separately via Rejected
 		tr.Reports = append(tr.Reports, rep)
 		q := QueryWindow(fx.Queries, batchIdx)
-		results, err := d.RecommendBatch(ctx, q, k)
-		if err != nil {
-			tb.Fatalf("batch %d: RecommendBatch: %v", batchIdx, err)
+		answers := make([][]core.Result, max(callers, 1))
+		errs := make([]error, len(answers))
+		var wg sync.WaitGroup
+		for c := range answers {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				answers[c], errs[c] = d.RecommendBatch(ctx, q, k)
+			}(c)
 		}
-		for i := range results {
-			// Pruning counters legitimately differ across shardings (each
-			// deployment prunes with different bound timing); observable
-			// equivalence is about results, not traversal effort.
-			results[i].Stats = sigtree.SearchStats{}
+		wg.Wait()
+		for c, results := range answers {
+			if errs[c] != nil {
+				tb.Fatalf("batch %d: caller %d: RecommendBatch: %v", batchIdx, c, errs[c])
+			}
+			for i := range results {
+				// Pruning counters legitimately differ across shardings
+				// (each deployment prunes with different bound timing);
+				// observable equivalence is about results, not traversal
+				// effort.
+				results[i].Stats = sigtree.SearchStats{}
+			}
+			if c > 0 && !reflect.DeepEqual(results, answers[0]) {
+				tb.Fatalf("batch %d: concurrent callers 0 and %d got different answers\n  0: %v\n%3d: %v",
+					batchIdx, c, answers[0], c, results)
+			}
 		}
-		tr.Results = append(tr.Results, results)
+		tr.Results = append(tr.Results, answers[0])
 		batchIdx++
 		if maxBatches > 0 && batchIdx >= maxBatches {
 			break
