@@ -162,19 +162,20 @@ func main() {
 	switch {
 	case durable != nil:
 		// Serving state came from the WAL above.
-	case *model != "":
+	case *model != "" && sharded:
+		// Every member boots from (or is pushed) the same bytes.
 		data, err := os.ReadFile(*model)
 		if err != nil {
 			log.Fatalf("load model: %v", err)
 		}
 		snapshot = data
 		log.Printf("loaded model snapshot from %s (%d bytes)", *model, len(snapshot))
-		if !sharded {
-			if eng, err = core.LoadFrom(bytes.NewReader(snapshot)); err != nil {
-				log.Fatalf("boot engine: %v", err)
-			}
-			log.Printf("engine ready (%d users)", eng.Users())
+	case *model != "":
+		var err error
+		if eng, err = core.LoadFile(*model); err != nil {
+			log.Fatalf("boot engine: %v", err)
 		}
+		log.Printf("engine ready from %s (%d users)", *model, eng.Users())
 	case *demo:
 		cfg := dataset.YTubeConfig(*scale)
 		cfg.Seed = *seed

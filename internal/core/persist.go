@@ -2,11 +2,16 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 
 	"ssrec/internal/bihmm"
 	"ssrec/internal/cppse"
@@ -15,33 +20,64 @@ import (
 	"ssrec/internal/profile"
 )
 
-// engineSnapshot is the on-disk form of a trained Engine: every learned
-// component plus the raw profile state. The bulk of the CPPse-index is
-// NOT serialised — universes, trees, leaves and the hash table are pure
-// functions of the profile/model state and are rebuilt on load, which
-// keeps the wire format small and forward-compatible with index-layout
-// changes. The one exception is Index: the block clustering and user →
-// block assignments are path-dependent (one-pass clustering over the
-// profiles as they were at build time, plus incremental nearest-centroid
-// assignments since), so they ride along and pin the rebuild. A nil
-// Index (snapshots written before the field existed) falls back to
-// re-clustering from the restored profiles.
-type engineSnapshot struct {
-	Config      Config
-	Profiles    []profile.Snapshot
-	Background  profile.BackgroundSnapshot
-	Expander    entity.ExpanderSnapshot
-	Producers   bihmm.LayerSnapshot
-	ConsumerObs map[string][]bihmm.Obs
-	Consumers   map[string]*bihmm.BHMM
-	Population  *bihmm.BHMM
-	ItemZ       map[string]int
-	ProdPos     map[string]int
-	Index       *cppse.State
+// A snapshot is one stream (see DESIGN.md, "Snapshot format"):
+//
+//	magic "ssrecSNP" | uvarint version
+//	head record     Config and the small learned components, as gob
+//	user record × n one per profile, in store order
+//	trailer record  uvarint n
+//
+// A record is a kind byte, a uvarint payload length and the payload. The
+// bulk of the CPPse-index is NOT serialised — universes, trees, leaves and
+// the hash table are pure functions of the profile/model state and are
+// rebuilt on load. The one exception is the head's Index: the block
+// clustering and user → block assignments are path-dependent (one-pass
+// clustering over the profiles as they were at build time, plus
+// incremental nearest-centroid assignments since), so they ride along and
+// pin the rebuild.
+var snapMagic = []byte("ssrecSNP")
+
+const snapVersion = 1
+
+// Record kinds.
+const (
+	recHead    = 1
+	recUser    = 2
+	recTrailer = 3
+)
+
+// Record payload caps, checked before anything is read or allocated. The
+// head holds Config, the background, expander and producer layer, the
+// population model, the item maps and the index skeleton; a user record
+// one user's events, observations and BiHMM.
+const (
+	maxHeadRecord = 256 << 20
+	maxUserRecord = 16 << 20
+)
+
+// User record flags.
+const (
+	userHasObs   = 1 << 0
+	userHasModel = 1 << 1
+)
+
+// snapshotHead is the head record's payload. It stays gob so Config can
+// gain or lose fields without a format change.
+type snapshotHead struct {
+	Config     Config
+	Background profile.BackgroundSnapshot
+	Expander   entity.ExpanderSnapshot
+	Producers  bihmm.LayerSnapshot
+	Population *bihmm.BHMM
+	ItemZ      map[string]int
+	ProdPos    map[string]int
+	Index      *cppse.State
 }
 
-// SaveTo serialises the trained engine as gzip-compressed gob. It returns
-// an error if the engine has not been trained.
+// SaveTo streams the trained engine to w in the snapshot format, through
+// a bounded buffer and straight from live state: nothing is copied but
+// the head record. It returns an error if the engine has not been
+// trained. The engine's write lock is held throughout.
 func (e *Engine) SaveTo(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -49,36 +85,163 @@ func (e *Engine) SaveTo(w io.Writer) error {
 		return fmt.Errorf("core: cannot save an untrained engine")
 	}
 	e.flushUpdatesLocked()
-	snap := engineSnapshot{
-		Config:      e.cfg,
-		Background:  e.bg.Snapshot(),
-		Expander:    e.expander.Snapshot(),
-		Producers:   e.producers.Snapshot(),
-		ConsumerObs: e.consumerObs,
-		Consumers:   e.consumers,
-		Population:  e.population,
-		ItemZ:       e.itemZ,
-		ProdPos:     e.prodPos,
+	head := snapshotHead{
+		Config:     e.cfg,
+		Background: e.bg.Snapshot(),
+		Expander:   e.expander.Snapshot(),
+		Producers:  e.producers.Snapshot(),
+		Population: e.population,
+		ItemZ:      e.itemZ,
+		ProdPos:    e.prodPos,
 	}
 	if e.index != nil {
 		st := e.index.State()
-		snap.Index = &st
+		head.Index = &st
 	}
+	sw := &snapWriter{w: bufio.NewWriterSize(w, 64<<10), names: make(map[string]uint64)}
+	sw.w.Write(snapMagic)                              //nolint:errcheck // sticky: surfaces at Flush
+	sw.w.Write(binary.AppendUvarint(nil, snapVersion)) //nolint:errcheck
+	var hb bytes.Buffer
+	if err := gob.NewEncoder(&hb).Encode(&head); err != nil {
+		return fmt.Errorf("core: encode snapshot head: %w", err)
+	}
+	sw.buf = hb.Bytes()
+	sw.record(recHead)
+	sw.buf = nil
+	var users, withObs, withModel int
 	e.store.Each(func(p *profile.Profile) {
-		snap.Profiles = append(snap.Profiles, p.Snapshot())
+		obs, hasObs := e.consumerObs[p.UserID]
+		m := e.consumers[p.UserID]
+		if hasObs {
+			withObs++
+		}
+		if m != nil {
+			withModel++
+		}
+		sw.user(p, obs, hasObs, m)
+		users++
 	})
-	gz := gzip.NewWriter(w)
-	if err := gob.NewEncoder(gz).Encode(snap); err != nil {
-		return fmt.Errorf("core: encode engine: %w", err)
+	if withObs != len(e.consumerObs) || withModel != len(e.consumers) {
+		return fmt.Errorf("core: consumer state held for users without a profile")
 	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("core: gzip close: %w", err)
+	sw.buf = binary.AppendUvarint(sw.buf[:0], uint64(users))
+	sw.record(recTrailer)
+	if err := sw.w.Flush(); err != nil {
+		return fmt.Errorf("core: write snapshot: %w", err)
 	}
 	return nil
 }
 
-// LoadFrom deserialises an engine previously written by SaveTo and rebuilds
-// the CPPse-index, returning a ready-to-serve engine.
+// snapWriter builds one record at a time in buf and frames it into w.
+// Category, producer and entity names go through a table shared by the
+// whole stream: a name's first occurrence is written inline as reference
+// 0 and takes the next id, later ones are written as id+1.
+type snapWriter struct {
+	w     *bufio.Writer
+	err   error // the writer's first failure; later records are skipped
+	buf   []byte
+	names map[string]uint64
+}
+
+func (sw *snapWriter) record(kind byte) {
+	if sw.err != nil {
+		return
+	}
+	var frame [1 + binary.MaxVarintLen64]byte
+	frame[0] = kind
+	n := 1 + binary.PutUvarint(frame[1:], uint64(len(sw.buf)))
+	if _, err := sw.w.Write(frame[:n]); err != nil {
+		sw.err = err
+	} else if _, err := sw.w.Write(sw.buf); err != nil {
+		sw.err = err
+	}
+}
+
+func (sw *snapWriter) uvarint(v uint64) { sw.buf = binary.AppendUvarint(sw.buf, v) }
+func (sw *snapWriter) varint(v int64)   { sw.buf = binary.AppendVarint(sw.buf, v) }
+
+func (sw *snapWriter) str(s string) {
+	sw.uvarint(uint64(len(s)))
+	sw.buf = append(sw.buf, s...)
+}
+
+func (sw *snapWriter) name(s string) {
+	if id, ok := sw.names[s]; ok {
+		sw.uvarint(id + 1)
+		return
+	}
+	sw.names[s] = uint64(len(sw.names))
+	sw.uvarint(0)
+	sw.str(s)
+}
+
+func (sw *snapWriter) floats(fs []float64) {
+	for _, f := range fs {
+		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(f))
+	}
+}
+
+func (sw *snapWriter) events(evs []profile.Event) {
+	sw.uvarint(uint64(len(evs)))
+	var prev int64
+	for _, ev := range evs {
+		sw.name(ev.Category)
+		sw.name(ev.Producer)
+		sw.uvarint(uint64(len(ev.Entities)))
+		for _, ent := range ev.Entities {
+			sw.name(ent)
+		}
+		sw.varint(ev.Timestamp - prev)
+		prev = ev.Timestamp
+	}
+}
+
+// user writes one user record: id, flags, the profile's window size, long
+// list and window, then the observations and the BiHMM if present.
+func (sw *snapWriter) user(p *profile.Profile, obs []bihmm.Obs, hasObs bool, m *bihmm.BHMM) {
+	if sw.err != nil {
+		return
+	}
+	sw.buf = sw.buf[:0]
+	sw.str(p.UserID)
+	var flags byte
+	if hasObs {
+		flags |= userHasObs
+	}
+	if m != nil {
+		flags |= userHasModel
+	}
+	sw.buf = append(sw.buf, flags)
+	sw.uvarint(uint64(p.WindowSize()))
+	long, window := p.Events()
+	sw.events(long)
+	sw.events(window)
+	if hasObs {
+		sw.uvarint(uint64(len(obs)))
+		for _, o := range obs {
+			sw.varint(int64(o.Cat))
+			sw.varint(int64(o.Z))
+		}
+	}
+	if m != nil {
+		sw.uvarint(uint64(m.NU))
+		sw.uvarint(uint64(m.NZ))
+		sw.uvarint(uint64(m.M))
+		sw.floats(m.Pi)
+		for _, rows := range [][][][]float64{m.A, m.B} {
+			for _, z := range rows {
+				for _, row := range z {
+					sw.floats(row)
+				}
+			}
+		}
+	}
+	sw.record(recUser)
+}
+
+// LoadFrom deserialises an engine previously written by SaveTo (or a
+// legacy gzip(gob) snapshot) and rebuilds the CPPse-index, returning a
+// ready-to-serve engine.
 func LoadFrom(r io.Reader) (*Engine, error) {
 	return loadFrom(r, func(*Config) {})
 }
@@ -118,15 +281,428 @@ func LoadPartitionFrom(r io.Reader, idx int, p model.Partition) (*Engine, error)
 }
 
 func loadFrom(r io.Reader, reconfig func(*Config)) (*Engine, error) {
-	snap, err := decodeSnapshot(r)
+	e, st, err := decodeFrom(r, reconfig)
 	if err != nil {
 		return nil, err
 	}
-	reconfig(&snap.Config)
-	return restore(snap)
+	if err := e.finishLoad(st); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-// decodeSnapshot reads a SaveTo stream: gzip inflate and gob decode.
+// decodeFrom restores every learned component and profile from a
+// snapshot stream of either format, leaving only the index to build.
+func decodeFrom(r io.Reader, reconfig func(*Config)) (*Engine, *cppse.State, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	if magic, err := br.Peek(len(snapMagic)); err == nil && bytes.Equal(magic, snapMagic) {
+		br.Discard(len(snapMagic)) //nolint:errcheck // peeked
+		return decodeStream(br, reconfig)
+	}
+	snap, err := decodeSnapshot(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	reconfig(&snap.Config)
+	e := fromHead(&snapshotHead{
+		Config:     snap.Config,
+		Background: snap.Background,
+		Expander:   snap.Expander,
+		Producers:  snap.Producers,
+		Population: snap.Population,
+		ItemZ:      snap.ItemZ,
+		ProdPos:    snap.ProdPos,
+	})
+	if snap.ConsumerObs != nil {
+		e.consumerObs = snap.ConsumerObs
+	}
+	if snap.Consumers != nil {
+		e.consumers = snap.Consumers
+	}
+	for _, ps := range snap.Profiles {
+		e.store.Put(profile.FromSnapshot(ps))
+	}
+	return e, snap.Index, nil
+}
+
+// fromHead assembles an engine from the head's components; profiles,
+// observations and consumer models follow.
+func fromHead(h *snapshotHead) *Engine {
+	e := New(h.Config)
+	e.bg = profile.BackgroundFromSnapshot(h.Background)
+	e.expander = entity.ExpanderFromSnapshot(h.Expander)
+	e.producers = bihmm.LayerFromSnapshot(h.Producers)
+	e.population = h.Population
+	if h.ItemZ != nil {
+		e.itemZ = h.ItemZ
+	}
+	if h.ProdPos != nil {
+		e.prodPos = h.ProdPos
+	}
+	return e
+}
+
+// finishLoad rebuilds the CPPse-index, pinned to st when the snapshot
+// carried one. A nil st (snapshots written before the index state was
+// recorded) falls back to re-clustering from the restored profiles.
+func (e *Engine) finishLoad(st *cppse.State) error {
+	if st != nil {
+		ix, err := buildIndexFromState(e, *st)
+		if err != nil {
+			return err
+		}
+		e.index = ix
+	} else if err := e.rebuildIndex(); err != nil {
+		return err
+	}
+	e.trained = true
+	return nil
+}
+
+// errSnapshot marks every refusal of a malformed streamed snapshot.
+var errSnapshot = errors.New("core: malformed snapshot")
+
+// decodeStream reads a streamed snapshot after its magic: the version,
+// the head, one user record at a time straight into the engine, and the
+// trailer's count.
+func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.State, error) {
+	v, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: version: %w", errSnapshot, eof(err))
+	}
+	if v != snapVersion {
+		return nil, nil, fmt.Errorf("core: snapshot version %d not supported (this build reads %d)", v, snapVersion)
+	}
+	d := &snapReader{r: br}
+	if kind, err := d.next(); err != nil {
+		return nil, nil, err
+	} else if kind != recHead {
+		return nil, nil, fmt.Errorf("%w: record kind %d before the head", errSnapshot, kind)
+	}
+	var head snapshotHead
+	if err := gob.NewDecoder(bytes.NewReader(d.buf)).Decode(&head); err != nil {
+		return nil, nil, fmt.Errorf("%w: head: %w", errSnapshot, err)
+	}
+	reconfig(&head.Config)
+	e := fromHead(&head)
+	var users uint64
+	for {
+		kind, err := d.next()
+		if err != nil {
+			return nil, nil, err
+		}
+		switch kind {
+		case recUser:
+			if err := d.user(e); err != nil {
+				return nil, nil, err
+			}
+			users++
+		case recTrailer:
+			n := d.uvarint()
+			if d.err == nil && d.off != len(d.buf) {
+				d.fail("trailing bytes in the trailer")
+			}
+			if d.err != nil {
+				return nil, nil, d.err
+			}
+			if n != users {
+				return nil, nil, fmt.Errorf("%w: trailer counts %d users, stream held %d", errSnapshot, n, users)
+			}
+			return e, head.Index, nil
+		default:
+			return nil, nil, fmt.Errorf("%w: unknown record kind %d", errSnapshot, kind)
+		}
+	}
+}
+
+// snapReader decodes one record at a time from buf, reused across
+// records. Decoding errors are sticky: the first one lands in err and
+// every later read returns zero.
+type snapReader struct {
+	r       *bufio.Reader
+	buf     []byte
+	off     int
+	err     error
+	names   []string
+	scratch []profile.Event // FromSnapshot copies the events out
+}
+
+// eof reports a stream that ended early as io.ErrUnexpectedEOF.
+func eof(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// next reads one record frame into buf and returns its kind. The length
+// is checked against the kind's cap first, and buf grows only as payload
+// bytes actually arrive, so a lying length costs no more than the bytes
+// behind it.
+func (d *snapReader) next() (byte, error) {
+	kind, err := d.r.ReadByte()
+	if err != nil {
+		return 0, fmt.Errorf("%w: record kind: %w", errSnapshot, eof(err))
+	}
+	n, err := binary.ReadUvarint(d.r)
+	if err != nil {
+		return 0, fmt.Errorf("%w: record length: %w", errSnapshot, eof(err))
+	}
+	limit := uint64(maxUserRecord)
+	if kind == recHead {
+		limit = maxHeadRecord
+	}
+	if n > limit {
+		return 0, fmt.Errorf("%w: record of kind %d is %d bytes, cap %d", errSnapshot, kind, n, limit)
+	}
+	d.buf, d.off, d.err = d.buf[:0], 0, nil
+	for uint64(len(d.buf)) < n {
+		have := len(d.buf)
+		step := 64 << 10
+		if left := n - uint64(have); left < uint64(step) {
+			step = int(left)
+		}
+		d.buf = slices.Grow(d.buf, step)[:have+step]
+		if _, err := io.ReadFull(d.r, d.buf[have:]); err != nil {
+			return 0, fmt.Errorf("%w: record of kind %d: %w", errSnapshot, kind, eof(err))
+		}
+	}
+	return kind, nil
+}
+
+func (d *snapReader) fail(msg string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s at byte %d of a record", errSnapshot, msg, d.off)
+	}
+}
+
+func (d *snapReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 {
+		d.fail("bad uvarint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *snapReader) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf[d.off:])
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// int reads a varint that must fit an int.
+func (d *snapReader) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail("integer out of range")
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a length whose elements take at least size bytes each and
+// refuses one the rest of the record cannot hold, before the caller
+// allocates for it.
+func (d *snapReader) count(size int) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)-d.off)/uint64(size) {
+		d.fail("count exceeds the record")
+		return 0
+	}
+	return int(n)
+}
+
+func (d *snapReader) str() string {
+	n := d.count(1)
+	if d.err != nil {
+		return ""
+	}
+	s := string(d.buf[d.off : d.off+n])
+	d.off += n
+	return s
+}
+
+func (d *snapReader) name() string {
+	ref := d.uvarint()
+	switch {
+	case d.err != nil:
+		return ""
+	case ref == 0:
+		s := d.str()
+		if d.err == nil {
+			d.names = append(d.names, s)
+		}
+		return s
+	case ref > uint64(len(d.names)):
+		d.fail("unknown name reference")
+		return ""
+	}
+	return d.names[ref-1]
+}
+
+// events decodes an event list onto the scratch; each event takes at
+// least 4 bytes (two name references, an entity count and a timestamp
+// delta).
+func (d *snapReader) events() []profile.Event {
+	n := d.count(4)
+	start := len(d.scratch)
+	var prev int64
+	for i := 0; i < n && d.err == nil; i++ {
+		var ev profile.Event
+		ev.Category = d.name()
+		ev.Producer = d.name()
+		if k := d.count(1); k > 0 {
+			ev.Entities = make([]string, k)
+			for j := range ev.Entities {
+				ev.Entities[j] = d.name()
+			}
+		}
+		prev += d.varint()
+		ev.Timestamp = prev
+		d.scratch = append(d.scratch, ev)
+	}
+	return d.scratch[start:]
+}
+
+// floats fills dst with raw IEEE-754 values.
+func (d *snapReader) floats(dst []float64) {
+	if d.err != nil {
+		return
+	}
+	if len(dst) > (len(d.buf)-d.off)/8 {
+		d.fail("floats exceed the record")
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
+		d.off += 8
+	}
+}
+
+// user decodes one user record into e.
+func (d *snapReader) user(e *Engine) error {
+	id := d.str()
+	var flags byte
+	if d.err == nil && d.off < len(d.buf) {
+		flags = d.buf[d.off]
+		d.off++
+	} else {
+		d.fail("missing flags")
+	}
+	if flags&^(userHasObs|userHasModel) != 0 {
+		d.fail("unknown user flags")
+	}
+	ws := d.uvarint()
+	if ws > math.MaxInt32 {
+		d.fail("window size out of range")
+	}
+	d.scratch = d.scratch[:0]
+	long := d.events()
+	window := d.events()
+	var obs []bihmm.Obs
+	if flags&userHasObs != 0 {
+		n := d.count(2)
+		obs = make([]bihmm.Obs, n)
+		for i := range obs {
+			obs[i] = bihmm.Obs{Cat: d.int(), Z: d.int()}
+			if d.err == nil && (obs[i].Cat < 0 || obs[i].Cat >= len(e.cfg.Categories)) {
+				d.fail("observation category out of range")
+			}
+		}
+	}
+	var m *bihmm.BHMM
+	if flags&userHasModel != 0 {
+		m = d.model(len(e.cfg.Categories))
+	}
+	if d.err == nil && d.off != len(d.buf) {
+		d.fail("trailing bytes in a user record")
+	}
+	if d.err != nil {
+		return fmt.Errorf("user record: %w", d.err)
+	}
+	if _, dup := e.store.Lookup(id); dup {
+		return fmt.Errorf("%w: user %q appears twice", errSnapshot, id)
+	}
+	e.store.Put(profile.FromSnapshot(profile.Snapshot{UserID: id, WindowSize: int(ws), LongTerm: long, Window: window}))
+	if flags&userHasObs != 0 {
+		e.consumerObs[id] = obs
+	}
+	if m != nil {
+		e.consumers[id] = m
+	}
+	return nil
+}
+
+// model decodes a consumer BiHMM whose rows share one slab.
+func (d *snapReader) model(cats int) *bihmm.BHMM {
+	nu, nz, mc := d.count(1), d.count(1), d.count(1)
+	if d.err != nil {
+		return nil
+	}
+	if nu == 0 || mc != cats {
+		d.fail("model dimensions do not match the engine")
+		return nil
+	}
+	slots := (nz + 1) * nu
+	if slots > (len(d.buf)-d.off)/8 || nu+slots*(nu+mc) > (len(d.buf)-d.off)/8 {
+		d.fail("model exceeds the record")
+		return nil
+	}
+	slab := make([]float64, nu+slots*(nu+mc))
+	d.floats(slab)
+	m := &bihmm.BHMM{NU: nu, NZ: nz, M: mc, Pi: slab[:nu:nu],
+		A: make([][][]float64, nz+1), B: make([][][]float64, nz+1)}
+	rest := slab[nu:]
+	cut := func(n int) []float64 {
+		row := rest[:n:n]
+		rest = rest[n:]
+		return row
+	}
+	for _, side := range []struct {
+		rows  [][][]float64
+		width int
+	}{{m.A, nu}, {m.B, mc}} {
+		for z := range side.rows {
+			side.rows[z] = make([][]float64, nu)
+			for i := range side.rows[z] {
+				side.rows[z][i] = cut(side.width)
+			}
+		}
+	}
+	return m
+}
+
+// engineSnapshot is the legacy on-disk form: one gob value inside gzip,
+// read (never written) so snapshots and checkpoints from before the
+// streamed format keep loading. A nil Index (snapshots written before
+// the field existed) falls back to re-clustering.
+type engineSnapshot struct {
+	Config      Config
+	Profiles    []profile.Snapshot
+	Background  profile.BackgroundSnapshot
+	Expander    entity.ExpanderSnapshot
+	Producers   bihmm.LayerSnapshot
+	ConsumerObs map[string][]bihmm.Obs
+	Consumers   map[string]*bihmm.BHMM
+	Population  *bihmm.BHMM
+	ItemZ       map[string]int
+	ProdPos     map[string]int
+	Index       *cppse.State
+}
+
+// decodeSnapshot reads a legacy snapshot: gzip inflate and gob decode.
 func decodeSnapshot(r io.Reader) (*engineSnapshot, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
@@ -138,47 +714,6 @@ func decodeSnapshot(r io.Reader) (*engineSnapshot, error) {
 		return nil, fmt.Errorf("core: decode engine: %w", err)
 	}
 	return snap, nil
-}
-
-// restore turns a decoded snapshot into a ready-to-serve engine: it adopts
-// the learned components and profiles and rebuilds the CPPse-index.
-func restore(snap *engineSnapshot) (*Engine, error) {
-	e := New(snap.Config)
-	e.bg = profile.BackgroundFromSnapshot(snap.Background)
-	e.expander = entity.ExpanderFromSnapshot(snap.Expander)
-	e.producers = bihmm.LayerFromSnapshot(snap.Producers)
-	e.consumerObs = snap.ConsumerObs
-	if e.consumerObs == nil {
-		e.consumerObs = make(map[string][]bihmm.Obs)
-	}
-	e.consumers = snap.Consumers
-	if e.consumers == nil {
-		e.consumers = make(map[string]*bihmm.BHMM)
-	}
-	e.population = snap.Population
-	e.itemZ = snap.ItemZ
-	if e.itemZ == nil {
-		e.itemZ = make(map[string]int)
-	}
-	e.prodPos = snap.ProdPos
-	if e.prodPos == nil {
-		e.prodPos = make(map[string]int)
-	}
-	for _, ps := range snap.Profiles {
-		restored := profile.FromSnapshot(ps)
-		*e.store.Get(ps.UserID) = *restored
-	}
-	if snap.Index != nil {
-		ix, err := buildIndexFromState(e, *snap.Index)
-		if err != nil {
-			return nil, err
-		}
-		e.index = ix
-	} else if err := e.rebuildIndex(); err != nil {
-		return nil, err
-	}
-	e.trained = true
-	return e, nil
 }
 
 // rebuildIndex reconstructs the CPPse-index from the current profile and
@@ -212,14 +747,9 @@ func (e *Engine) SaveFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: create %s: %w", path, err)
 	}
-	bw := bufio.NewWriter(f)
-	if err := e.SaveTo(bw); err != nil {
+	if err := e.SaveTo(f); err != nil {
 		f.Close()
 		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: flush %s: %w", path, err)
 	}
 	return f.Close()
 }
@@ -231,5 +761,5 @@ func LoadFile(path string) (*Engine, error) {
 		return nil, fmt.Errorf("core: open %s: %w", path, err)
 	}
 	defer f.Close()
-	return LoadFrom(bufio.NewReader(f))
+	return LoadFrom(f)
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-	"time"
 
 	"ssrec/internal/dataset"
 	"ssrec/internal/model"
@@ -271,34 +270,4 @@ func TestLegacyIncrementalFoldSnapshot(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BenchmarkLoadFrom splits a snapshot load into its two steps at a fixed
-// synthetic size (the YTube generator at scale 0.1): decode_ms is gzip
-// inflate plus gob decode, build_ms restores the engine and rebuilds its
-// index.
-func BenchmarkLoadFrom(b *testing.B) {
-	src, _, _ := streamEngine(b, Config{})
-	var buf bytes.Buffer
-	if err := src.SaveTo(&buf); err != nil {
-		b.Fatalf("SaveTo: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var decode, build time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		snap, err := decodeSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			b.Fatalf("decode: %v", err)
-		}
-		t1 := time.Now()
-		if _, err := restore(snap); err != nil {
-			b.Fatalf("restore: %v", err)
-		}
-		decode, build = decode+t1.Sub(t0), build+time.Since(t1)
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
-	b.ReportMetric(ms(decode), "decode_ms")
-	b.ReportMetric(ms(build), "build_ms")
 }

@@ -121,6 +121,12 @@ func (p *Profile) addLongTerm(e Event) {
 	p.total++
 }
 
+// Events returns the live long-term list L and short-term window W, both
+// oldest first, without copying; callers must not modify them.
+func (p *Profile) Events() (long, window []Event) {
+	return p.longEvents, p.window
+}
+
 // LongTermEvents returns the long-term interest list L in temporal order.
 func (p *Profile) LongTermEvents() []Event {
 	return append([]Event(nil), p.longEvents...)
@@ -386,12 +392,13 @@ func (p *Profile) Snapshot() Snapshot {
 // FromSnapshot rebuilds a profile from its wire form.
 func FromSnapshot(s Snapshot) *Profile {
 	p := New(s.UserID, s.WindowSize)
+	p.history = make([]string, 0, len(s.LongTerm))
+	p.producers = make([]string, 0, len(s.LongTerm))
+	p.longEvents = make([]Event, 0, len(s.LongTerm))
 	for _, e := range s.LongTerm {
-		p.ObserveLongTerm(e)
+		p.addLongTerm(e)
 	}
-	for _, e := range s.Window {
-		p.window = append(p.window, e)
-	}
+	p.window = append(p.window, s.Window...)
 	return p
 }
 
@@ -461,6 +468,11 @@ func (s *Store) Get(userID string) *Profile {
 		s.profiles[userID] = p
 	}
 	return p
+}
+
+// Put stores p under its UserID, replacing any profile held for that user.
+func (s *Store) Put(p *Profile) {
+	s.profiles[p.UserID] = p
 }
 
 // Lookup returns the profile and whether it exists, without creating it.

@@ -128,3 +128,30 @@ func FuzzRecommendV2Decode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSessionLine sends one fuzzed command line between two valid asks on
+// a /v2/session. The invariants: no panic, every server line is a
+// well-formed protocol line, and the stream ends with either the clean
+// summary or a session-fatal error. Seeds: the refused lines of
+// TestSessionStrictLines and valid commands.
+func FuzzSessionLine(f *testing.F) {
+	for _, line := range sessionBadLines {
+		f.Add(line)
+	}
+	f.Add(`{"obs":{"user_id":"u1","item":{"id":"x","category":"cat00"},"timestamp":1}}`)
+	f.Add(`{"ask":{"item":{"id":"y","category":"cat01","entities":["e"]},"k":3,"expansion":false}}`)
+	f.Add(`{"flush":true}`)
+	f.Add(`null`)
+	f.Add(``)
+
+	const ask = `{"ask":{"item":{"id":"x","category":"cat00"},"k":5}}`
+	f.Fuzz(func(t *testing.T, line string) {
+		out := sessionExchange(t, ask+"\n"+line+"\n"+ask+"\n")
+		if len(out) == 0 {
+			t.Fatal("no server lines")
+		}
+		if last := out[len(out)-1]; last.Done == nil && last.Error == nil {
+			t.Fatalf("stream ended with %+v", last)
+		}
+	})
+}

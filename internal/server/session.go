@@ -10,6 +10,10 @@
 //	{"ask":{"item":{...},"k":10,"expansion":true}}         query
 //	{"flush":true}                                         barrier
 //
+// Lines decode as strictly as a /v2/recommend body: an unknown field (such
+// as the retired "parallelism") or anything after the JSON value ends the
+// session with a bad_line error.
+//
 // Server → client:
 //
 //	{"credit":n}        flow control: the client may send n MORE command
@@ -41,9 +45,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -203,6 +210,20 @@ func (c *creditWindow) retire(n int) {
 
 // ---- the handler ----
 
+// decodeSessionLine decodes one command line, refusing unknown fields and
+// trailing data.
+func decodeSessionLine(raw []byte, line *sessionLineIn) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(line); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the command")
+	}
+	return nil
+}
+
 func (s *Server) handleSessionV2(w http.ResponseWriter, r *http.Request) {
 	// Admission control shares the /v2/observe 503 helper: a saturated
 	// recommender must push back before committing to a stream.
@@ -322,7 +343,7 @@ read:
 			break
 		}
 		var line sessionLineIn
-		if err := json.Unmarshal(raw, &line); err != nil {
+		if err := decodeSessionLine(raw, &line); err != nil {
 			fatal = &errorJSON{Code: "bad_line", Message: err.Error()}
 			break
 		}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -691,4 +692,69 @@ func tinyTrainCorpus() ([]model.Item, []model.Interaction) {
 		}
 	}
 	return items, irs
+}
+
+// sessionExchange runs one /v2/session over the fuzz handler with the
+// whole request body sent up front and returns the server's lines.
+func sessionExchange(t testing.TB, body string) []sessionLineOut {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v2/session", strings.NewReader(body))
+	rr := httptest.NewRecorder()
+	fuzzHandler().ServeHTTP(rr, req)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+	}
+	var out []sessionLineOut
+	dec := json.NewDecoder(rr.Body)
+	dec.DisallowUnknownFields()
+	for {
+		var l sessionLineOut
+		if err := dec.Decode(&l); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("unparseable server line: %v", err)
+		}
+		out = append(out, l)
+	}
+}
+
+// sessionBadLines are command lines the session must refuse: unknown
+// fields at any depth (the retired parallelism ask among them), data
+// after the JSON value, non-JSON, and a line with no command.
+var sessionBadLines = map[string]string{
+	"ask with parallelism":  `{"ask":{"item":{"id":"x","category":"cat00"},"k":5,"parallelism":4}}`,
+	"unknown obs field":     `{"obs":{"user_id":"u","item":{"id":"x","category":"cat00"},"timestamp":1,"weight":2}}`,
+	"unknown item field":    `{"ask":{"item":{"id":"x","category":"cat00","colour":"red"}}}`,
+	"unknown command field": `{"flush":true,"now":true}`,
+	"trailing data":         `{"ask":{"item":{"id":"x","category":"cat00"}}} {"flush":true}`,
+	"not json":              `{not json`,
+	"no command":            `{}`,
+}
+
+// TestSessionStrictLines: a session line decodes as strictly as a
+// /v2/recommend body; a refused line ends the session with bad_line and
+// no summary, while the same stream without it is served to the end.
+func TestSessionStrictLines(t *testing.T) {
+	const ask = `{"ask":{"item":{"id":"x","category":"cat00"},"k":5}}`
+	for name, line := range sessionBadLines {
+		t.Run(name, func(t *testing.T) {
+			out := sessionExchange(t, ask+"\n"+line+"\n"+ask+"\n")
+			last := out[len(out)-1]
+			if last.Error == nil || last.Error.Code != "bad_line" {
+				t.Fatalf("last line %+v, want a bad_line error", last)
+			}
+			if name == "ask with parallelism" && !strings.Contains(last.Error.Message, "parallelism") {
+				t.Fatalf("error %q does not name the field", last.Error.Message)
+			}
+			for _, l := range out {
+				if l.Done != nil {
+					t.Fatal("a refused session sent a summary")
+				}
+			}
+		})
+	}
+	out := sessionExchange(t, ask+"\n"+ask+"\n")
+	if last := out[len(out)-1]; last.Done == nil || last.Done.Asked != 2 || last.Done.Error != nil {
+		t.Fatalf("control stream ended with %+v, want a clean summary of 2 asks", last)
+	}
 }
