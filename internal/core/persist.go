@@ -46,14 +46,13 @@ const (
 	recTrailer = 3
 )
 
-// Record payload caps, checked before anything is read or allocated. The
-// head holds Config, the background, expander and producer layer, the
-// population model, the item maps and the index skeleton; a user record
-// one user's events, observations and BiHMM.
-const (
-	maxHeadRecord = 256 << 20
-	maxUserRecord = 16 << 20
-)
+// maxRecord caps every record's payload on both sides: SaveTo refuses to
+// write a longer one, so a WAL checkpoint fails and keeps its predecessor
+// instead of installing a file no reader accepts, and the reader refuses
+// a longer length before reading a byte. It equals shardrpc's default
+// MaxSnapshotBytes, past which a snapshot cannot be handed off anyway. It
+// is a variable only so tests can reach it with small streams.
+var maxRecord = 1 << 30
 
 // User record flags.
 const (
@@ -99,17 +98,23 @@ func (e *Engine) SaveTo(w io.Writer) error {
 		head.Index = &st
 	}
 	sw := &snapWriter{w: bufio.NewWriterSize(w, 64<<10), names: make(map[string]uint64)}
-	sw.w.Write(snapMagic)                              //nolint:errcheck // sticky: surfaces at Flush
+	sw.w.Write(snapMagic)                              //nolint:errcheck // sticky: surfaces at the next Write or Flush
 	sw.w.Write(binary.AppendUvarint(nil, snapVersion)) //nolint:errcheck
 	var hb bytes.Buffer
 	if err := gob.NewEncoder(&hb).Encode(&head); err != nil {
 		return fmt.Errorf("core: encode snapshot head: %w", err)
 	}
 	sw.buf = hb.Bytes()
-	sw.record(recHead)
+	if err := sw.record(recHead); err != nil {
+		return err
+	}
 	sw.buf = nil
 	var users, withObs, withModel int
+	var err error
 	e.store.Each(func(p *profile.Profile) {
+		if err != nil {
+			return
+		}
 		obs, hasObs := e.consumerObs[p.UserID]
 		m := e.consumers[p.UserID]
 		if hasObs {
@@ -118,14 +123,19 @@ func (e *Engine) SaveTo(w io.Writer) error {
 		if m != nil {
 			withModel++
 		}
-		sw.user(p, obs, hasObs, m)
+		err = sw.user(p, obs, hasObs, m)
 		users++
 	})
+	if err != nil {
+		return err
+	}
 	if withObs != len(e.consumerObs) || withModel != len(e.consumers) {
 		return fmt.Errorf("core: consumer state held for users without a profile")
 	}
 	sw.buf = binary.AppendUvarint(sw.buf[:0], uint64(users))
-	sw.record(recTrailer)
+	if err := sw.record(recTrailer); err != nil {
+		return err
+	}
 	if err := sw.w.Flush(); err != nil {
 		return fmt.Errorf("core: write snapshot: %w", err)
 	}
@@ -138,23 +148,27 @@ func (e *Engine) SaveTo(w io.Writer) error {
 // 0 and takes the next id, later ones are written as id+1.
 type snapWriter struct {
 	w     *bufio.Writer
-	err   error // the writer's first failure; later records are skipped
 	buf   []byte
 	names map[string]uint64
 }
 
-func (sw *snapWriter) record(kind byte) {
-	if sw.err != nil {
-		return
+// record frames buf into w. It refuses a payload over maxRecord and
+// returns the writer's error, which bufio keeps: once a write fails,
+// every later one fails too.
+func (sw *snapWriter) record(kind byte) error {
+	if len(sw.buf) > maxRecord {
+		return fmt.Errorf("core: snapshot record of kind %d is %d bytes, cap %d", kind, len(sw.buf), maxRecord)
 	}
 	var frame [1 + binary.MaxVarintLen64]byte
 	frame[0] = kind
 	n := 1 + binary.PutUvarint(frame[1:], uint64(len(sw.buf)))
 	if _, err := sw.w.Write(frame[:n]); err != nil {
-		sw.err = err
-	} else if _, err := sw.w.Write(sw.buf); err != nil {
-		sw.err = err
+		return fmt.Errorf("core: write snapshot: %w", err)
 	}
+	if _, err := sw.w.Write(sw.buf); err != nil {
+		return fmt.Errorf("core: write snapshot: %w", err)
+	}
+	return nil
 }
 
 func (sw *snapWriter) uvarint(v uint64) { sw.buf = binary.AppendUvarint(sw.buf, v) }
@@ -198,10 +212,7 @@ func (sw *snapWriter) events(evs []profile.Event) {
 
 // user writes one user record: id, flags, the profile's window size, long
 // list and window, then the observations and the BiHMM if present.
-func (sw *snapWriter) user(p *profile.Profile, obs []bihmm.Obs, hasObs bool, m *bihmm.BHMM) {
-	if sw.err != nil {
-		return
-	}
+func (sw *snapWriter) user(p *profile.Profile, obs []bihmm.Obs, hasObs bool, m *bihmm.BHMM) error {
 	sw.buf = sw.buf[:0]
 	sw.str(p.UserID)
 	var flags byte
@@ -236,7 +247,7 @@ func (sw *snapWriter) user(p *profile.Profile, obs []bihmm.Obs, hasObs bool, m *
 			}
 		}
 	}
-	sw.record(recUser)
+	return sw.record(recUser)
 }
 
 // LoadFrom deserialises an engine previously written by SaveTo (or a
@@ -364,7 +375,7 @@ var errSnapshot = errors.New("core: malformed snapshot")
 
 // decodeStream reads a streamed snapshot after its magic: the version,
 // the head, one user record at a time straight into the engine, and the
-// trailer's count.
+// trailer's count, which must end the stream.
 func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.State, error) {
 	v, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -380,8 +391,12 @@ func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.Sta
 		return nil, nil, fmt.Errorf("%w: record kind %d before the head", errSnapshot, kind)
 	}
 	var head snapshotHead
-	if err := gob.NewDecoder(bytes.NewReader(d.buf)).Decode(&head); err != nil {
+	hr := bytes.NewReader(d.buf)
+	if err := gob.NewDecoder(hr).Decode(&head); err != nil {
 		return nil, nil, fmt.Errorf("%w: head: %w", errSnapshot, err)
+	}
+	if hr.Len() != 0 {
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes in the head", errSnapshot, hr.Len())
 	}
 	reconfig(&head.Config)
 	e := fromHead(&head)
@@ -407,6 +422,12 @@ func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.Sta
 			}
 			if n != users {
 				return nil, nil, fmt.Errorf("%w: trailer counts %d users, stream held %d", errSnapshot, n, users)
+			}
+			if _, err := br.ReadByte(); err != io.EOF {
+				if err == nil {
+					err = errors.New("data after the trailer")
+				}
+				return nil, nil, fmt.Errorf("%w: %w", errSnapshot, err)
 			}
 			return e, head.Index, nil
 		default:
@@ -436,7 +457,7 @@ func eof(err error) error {
 }
 
 // next reads one record frame into buf and returns its kind. The length
-// is checked against the kind's cap first, and buf grows only as payload
+// is checked against maxRecord first, and buf grows only as payload
 // bytes actually arrive, so a lying length costs no more than the bytes
 // behind it.
 func (d *snapReader) next() (byte, error) {
@@ -448,12 +469,8 @@ func (d *snapReader) next() (byte, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: record length: %w", errSnapshot, eof(err))
 	}
-	limit := uint64(maxUserRecord)
-	if kind == recHead {
-		limit = maxHeadRecord
-	}
-	if n > limit {
-		return 0, fmt.Errorf("%w: record of kind %d is %d bytes, cap %d", errSnapshot, kind, n, limit)
+	if n > uint64(maxRecord) {
+		return 0, fmt.Errorf("%w: record of kind %d is %d bytes, cap %d", errSnapshot, kind, n, maxRecord)
 	}
 	d.buf, d.off, d.err = d.buf[:0], 0, nil
 	for uint64(len(d.buf)) < n {

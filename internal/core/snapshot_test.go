@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -239,14 +240,40 @@ func TestSnapshotRefusesOversizedRecord(t *testing.T) {
 	over := func(kind byte, n int) []byte {
 		return binary.AppendUvarint([]byte{kind}, uint64(n))
 	}
-	refuse(t, append(append([]byte(nil), pre...), over(recHead, maxHeadRecord+1)...), "cap")
-	refuse(t, append(append([]byte(nil), head...), over(recUser, maxUserRecord+1)...), "cap")
+	refuse(t, append(append([]byte(nil), pre...), over(recHead, maxRecord+1)...), "cap")
+	refuse(t, append(append([]byte(nil), head...), over(recUser, maxRecord+1)...), "cap")
 	// A length within the cap that the stream does not back is read as
 	// far as the bytes go, never allocated up front.
-	claim := append(append([]byte(nil), pre...), over(recHead, maxHeadRecord-1)...)
+	claim := append(append([]byte(nil), pre...), over(recHead, maxRecord-1)...)
 	claim = append(claim, make([]byte, 100)...)
 	if n := allocated(func() { refuse(t, claim, "unexpected EOF") }); n > 4<<20 {
-		t.Fatalf("a %d MiB claim backed by 100 bytes allocated %d bytes", maxHeadRecord>>20, n)
+		t.Fatalf("a %d MiB claim backed by 100 bytes allocated %d bytes", maxRecord>>20, n)
+	}
+}
+
+// TestSaveRefusesOversizedRecord: the writer holds itself to the reader's
+// cap, so a save either fails or writes a stream that loads. With the cap
+// at the largest record the save loads back; one byte lower, the save
+// fails (a WAL checkpoint then keeps its predecessor).
+func TestSaveRefusesOversizedRecord(t *testing.T) {
+	ds := dataset.Generate(dataset.GenConfig{Name: "tiny", Seed: 3, NumCategories: 3, NumProducers: 2,
+		NumConsumers: 8, Steps: 30, CreateProb: 0.25, BrowseProb: 0.35, EntitiesPerCategory: 5})
+	eng := New(Config{Categories: ds.Categories, TrainMaxIter: 2, Restarts: 1})
+	if err := eng.Train(ds.Items, ds.Interactions, ds.Item); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := splitSnapshot(t, saveBytes(t, eng))
+	largest := 0
+	for _, r := range recs {
+		_, k := binary.Uvarint(r[1:])
+		largest = max(largest, len(r)-1-k)
+	}
+	defer func(c int) { maxRecord = c }(maxRecord)
+	maxRecord = largest
+	loadBytes(t, saveBytes(t, eng))
+	maxRecord = largest - 1
+	if err := eng.SaveTo(io.Discard); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("SaveTo with a record over the cap: %v, want a cap error", err)
 	}
 }
 
@@ -283,13 +310,16 @@ func TestSnapshotRefusesWrongVersion(t *testing.T) {
 }
 
 // TestSnapshotRefusesInconsistentStreams covers the rest of the stream
-// grammar: the trailer's count, record order and kinds, duplicate users.
+// grammar: the trailer's count, record order and kinds, duplicate users,
+// bytes past the head's gob value or past the trailer.
 func TestSnapshotRefusesInconsistentStreams(t *testing.T) {
 	b := smallSnapshot(t)
 	pre, recs := splitSnapshot(t, b)
 	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{pre}, parts...), nil) }
 	users := recs[1 : len(recs)-1]
 	trailer := recs[len(recs)-1]
+	_, k := binary.Uvarint(recs[0][1:])
+	headPayload := append([]byte(nil), recs[0][1+k:]...)
 	cases := map[string]struct {
 		stream []byte
 		want   string
@@ -299,6 +329,8 @@ func TestSnapshotRefusesInconsistentStreams(t *testing.T) {
 		"no head":        {join(users[0]), "before the head"},
 		"unknown kind":   {join(recs[0], frame(9, nil)), "unknown record kind"},
 		"padded trailer": {join(append(append([][]byte{recs[0]}, users...), frame(recTrailer, append(trailer[2:], 0)))...), "trailing bytes"},
+		"padded head":    {join(append(append([][]byte{frame(recHead, append(headPayload, 0))}, users...), trailer)...), "trailing bytes in the head"},
+		"data after":     {join(append(append([][]byte{recs[0]}, users...), trailer, []byte{0})...), "after the trailer"},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { refuse(t, c.stream, c.want) })
