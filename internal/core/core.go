@@ -18,8 +18,10 @@ package core
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ssrec/internal/bihmm"
 	"ssrec/internal/cppse"
@@ -729,7 +731,10 @@ func (e *Engine) categoryProb(userID, category string, short bool) float64 {
 	obs := e.consumerObs[userID]
 	ce := e.predCache[userID]
 	if ce == nil || ce.obsLen != len(obs) {
-		ce = e.refreshPrediction(userID, obs)
+		if ce == nil {
+			ce = e.newPredEntry(userID)
+		}
+		e.predScratch = e.predict(ce, userID, obs, e.predScratch)
 	}
 	if short {
 		return ce.short[ci]
@@ -737,26 +742,80 @@ func (e *Engine) categoryProb(userID, category string, short bool) float64 {
 	return ce.long[ci]
 }
 
-// refreshPrediction recomputes a user's cached predictions in place. The
-// forward states fold only the observations that arrived since the last
-// refresh; the observation stream is append-only, so the cached long
-// state is a valid prefix whenever it is bound to the same model and no
-// longer than the needed one — even across a window roll, which only moves
-// the long/short boundary forward. A state replays from scratch when it
-// cannot prove prefix-ness: the consumer's model changed (per-user model
-// vs population), the cached prefix is too long, or the window start moved
+// Prepare implements cppse.Preparer: it brings the cached predictions of
+// the users a build writes leaves for up to date, so the build's Long and
+// Short calls only read predCache.
+func (p engineProbs) Prepare(userIDs []string) { p.e.preparePredictions(userIDs) }
+
+// preparePredictions refreshes the cached predictions of those of userIDs
+// whose entry is missing or stale, on runtime.GOMAXPROCS(0) workers with
+// one prediction scratch each. The entries are made and registered here,
+// serially, so each worker writes only the entries it computes; every
+// entry is computed as categoryProb computes it, so the cache holds the
+// same users and the same rows as a build that filled it lazily.
+func (e *Engine) preparePredictions(userIDs []string) {
+	type job struct {
+		id  string
+		ce  *predEntry
+		obs []bihmm.Obs
+	}
+	var jobs []job
+	for _, id := range userIDs {
+		obs := e.consumerObs[id]
+		ce := e.predCache[id]
+		if ce != nil && ce.obsLen == len(obs) {
+			continue
+		}
+		if ce == nil {
+			ce = e.newPredEntry(id)
+		}
+		jobs = append(jobs, job{id, ce, obs})
+	}
+	var next atomic.Int64
+	work := func() {
+		var scratch []float64
+		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+			j := &jobs[i]
+			scratch = e.predict(j.ce, j.id, j.obs, scratch)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// newPredEntry registers an empty prediction entry for a user.
+func (e *Engine) newPredEntry(userID string) *predEntry {
+	nCats := len(e.cfg.Categories)
+	rows := make([]float64, 2*nCats)
+	ce := &predEntry{long: rows[:nCats:nCats], short: rows[nCats:]}
+	e.predCache[userID] = ce
+	return ce
+}
+
+// predict recomputes ce, the cached predictions of userID, from its
+// observations obs, and returns scratch grown to the model's
+// PredictScratchLen. It writes only ce and scratch. The forward states
+// fold only the observations that arrived since the last refresh; the
+// observation stream is append-only, so the cached long state is a valid
+// prefix whenever it is bound to the same model and no longer than the
+// needed one — even across a window roll, which only moves the long/short
+// boundary forward. A state replays from scratch when it cannot prove
+// prefix-ness: the consumer's model changed (per-user model vs
+// population), the cached prefix is too long, or the window start moved
 // (the short side after a roll; at most WindowSize observations). The fold
 // replays Forward's recurrence and the prediction PredictNextMarginal's
 // statements, so the rows — and every downstream score — are bitwise
 // identical to a full replay of the history.
-func (e *Engine) refreshPrediction(userID string, obs []bihmm.Obs) *predEntry {
+func (e *Engine) predict(ce *predEntry, userID string, obs []bihmm.Obs, scratch []float64) []float64 {
 	nCats := len(e.cfg.Categories)
-	ce := e.predCache[userID]
-	if ce == nil {
-		rows := make([]float64, 2*nCats)
-		ce = &predEntry{long: rows[:nCats:nCats], short: rows[nCats:]}
-		e.predCache[userID] = ce
-	}
 	ce.obsLen = len(obs)
 	m := e.consumers[userID]
 	if m == nil {
@@ -767,7 +826,7 @@ func (e *Engine) refreshPrediction(userID string, obs []bihmm.Obs) *predEntry {
 			ce.long[i] = 1 / float64(nCats)
 			ce.short[i] = 1 / float64(nCats)
 		}
-		return ce
+		return scratch
 	}
 	winLen := 0
 	if p, ok := e.store.Lookup(userID); ok {
@@ -788,12 +847,12 @@ func (e *Engine) refreshPrediction(userID string, obs []bihmm.Obs) *predEntry {
 		ce.shortStart = shortStart
 	}
 	m.Extend(&ce.shortSt, shortObs[ce.shortSt.Len():])
-	if n := m.PredictScratchLen(); len(e.predScratch) < n {
-		e.predScratch = make([]float64, n)
+	if n := m.PredictScratchLen(); len(scratch) < n {
+		scratch = make([]float64, n)
 	}
-	m.PredictNextMarginalState(&ce.longSt, nil, ce.long, e.predScratch)
-	m.PredictNextMarginalState(&ce.shortSt, nil, ce.short, e.predScratch)
-	return ce
+	m.PredictNextMarginalState(&ce.longSt, nil, ce.long, scratch)
+	m.PredictNextMarginalState(&ce.shortSt, nil, ce.short, scratch)
+	return scratch
 }
 
 // SetFullRefresh switches index maintenance onto the rebuild-everything

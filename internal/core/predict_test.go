@@ -138,6 +138,7 @@ func TestPredictionMatchesFullReplay(t *testing.T) {
 				t.Fatalf("LoadFrom: %v", err)
 			}
 			eng = loaded
+			checkLeafUsersPredicted(t, eng, "after load")
 			checkPredictionsReplay(t, eng, "after load")
 			ingest(half, limit)
 			if flushes < 3 || own == 0 || pop == 0 {
@@ -147,6 +148,63 @@ func TestPredictionMatchesFullReplay(t *testing.T) {
 				t.Fatal("the stream never rolled a window")
 			}
 		})
+	}
+}
+
+// checkLeafUsersPredicted asserts that e's prediction cache holds exactly
+// the users with a leaf in some tree of its index: what a build that
+// filled the cache lazily, as it read each leaf's Pl and Ps, left behind.
+func checkLeafUsersPredicted(t *testing.T, e *Engine, step string) {
+	t.Helper()
+	leafUsers := map[string]bool{}
+	for b := range e.index.Stats().Blocks {
+		for _, cat := range e.cfg.Categories {
+			if tr := e.index.Tree(b, cat); tr != nil {
+				for _, id := range tr.Users() {
+					leafUsers[id] = true
+				}
+			}
+		}
+	}
+	if len(leafUsers) == 0 {
+		t.Fatalf("%s: the index holds no leaves", step)
+	}
+	for id := range leafUsers {
+		if e.predCache[id] == nil {
+			t.Fatalf("%s: user %s has leaves but no cached prediction", step, id)
+		}
+	}
+	for id := range e.predCache {
+		if !leafUsers[id] {
+			t.Fatalf("%s: user %s has a cached prediction but no leaf", step, id)
+		}
+	}
+}
+
+// TestShardLoadPredictsOwnedLeafUsers: a sharded load caches predictions
+// for exactly the owned users its build wrote leaves for — no user of
+// another shard — and every cached row equals a full replay.
+func TestShardLoadPredictsOwnedLeafUsers(t *testing.T) {
+	eng := trainedEngine(t, testDataset(t), nil)
+	var buf bytes.Buffer
+	if err := eng.SaveTo(&buf); err != nil {
+		t.Fatalf("SaveTo: %v", err)
+	}
+	for idx := range 2 {
+		e, err := LoadShardFrom(bytes.NewReader(buf.Bytes()), idx, 2)
+		if err != nil {
+			t.Fatalf("LoadShardFrom: %v", err)
+		}
+		step := fmt.Sprintf("shard %d of 2", idx)
+		checkLeafUsersPredicted(t, e, step)
+		for id := range e.predCache {
+			if !e.cfg.ownsUser(id) {
+				t.Fatalf("%s: cached prediction for user %s of another shard", step, id)
+			}
+		}
+		if own, pop := checkPredictionsReplay(t, e, step); own == 0 || pop == 0 {
+			t.Fatalf("%s: %d own-model and %d population rows checked", step, own, pop)
+		}
 	}
 }
 

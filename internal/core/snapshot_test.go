@@ -419,14 +419,17 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // BenchmarkLoadFrom splits a snapshot load into its two steps at the same
 // size: decode_ms streams the records into a fresh engine, build_ms
-// rebuilds its index; peak_heap_mb is how far the heap rose during both.
+// rebuilds its index; build_alloc_mb is the bytes the rebuild allocates
+// (MemStats.TotalAlloc across finishLoad), its garbage included, and
+// peak_heap_mb is how far the heap rose during both.
 func BenchmarkLoadFrom(b *testing.B) {
 	src, _, _ := streamEngine(b, Config{})
 	snap := saveBytes(b, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var decode, build time.Duration
-	var peak uint64
+	var peak, buildAlloc uint64
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		peak = max(peak, heapPeak(func() {
 			t0 := time.Now()
@@ -434,15 +437,20 @@ func BenchmarkLoadFrom(b *testing.B) {
 			if err != nil {
 				b.Fatalf("decode: %v", err)
 			}
+			runtime.ReadMemStats(&before)
 			t1 := time.Now()
 			if err := e.finishLoad(st); err != nil {
 				b.Fatalf("build: %v", err)
 			}
-			decode, build = decode+t1.Sub(t0), build+time.Since(t1)
+			t2 := time.Now()
+			runtime.ReadMemStats(&after)
+			decode, build = decode+t1.Sub(t0), build+t2.Sub(t1)
+			buildAlloc += after.TotalAlloc - before.TotalAlloc
 		}))
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
 	b.ReportMetric(ms(decode), "decode_ms")
 	b.ReportMetric(ms(build), "build_ms")
+	b.ReportMetric(float64(buildAlloc)/(1<<20)/float64(b.N), "build_alloc_mb")
 	b.ReportMetric(float64(peak)/(1<<20), "peak_heap_mb")
 }

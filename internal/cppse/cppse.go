@@ -11,9 +11,14 @@
 package cppse
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"ssrec/internal/cluster"
 	"ssrec/internal/model"
@@ -74,9 +79,25 @@ func (c *Config) fill() {
 // signatures: Long is the long-term p(c|u), Short the short-term ps(c|u)
 // over the user's recent window. The ssRec engine implements this with the
 // trained BiHMM; MLEProbs is a model-free fallback.
+//
+// Build and BuildFromState call Long and Short from several goroutines at
+// once, one per tree being filled, so during a build an implementation
+// must only read: it may not write state those calls share. One that
+// computes lazily implements Preparer as well and does its writing there.
+// Index maintenance (UpdateUser, UpdateUserCats) calls them from one
+// goroutine, under its caller's write lock.
 type Probs interface {
 	Long(userID, category string) float64
 	Short(userID, category string) float64
+}
+
+// Preparer is implemented by a Probs that computes its probabilities
+// lazily. A build calls Prepare once, from its own goroutine and before it
+// reads any probability, with every user whose leaves it writes (each
+// once); the Long and Short calls that follow ask only for those users, so
+// they can read what Prepare stored.
+type Preparer interface {
+	Prepare(userIDs []string)
 }
 
 // MLEProbs implements Probs from profile statistics alone: the long-term
@@ -291,45 +312,106 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 		ix.prodUni[c.ID] = u
 	}
 
-	// (3)+(4) trees and hash entries.
-	sc := getRefreshScratch()
-	defer putRefreshScratch(sc)
+	// (3)+(4), serial phase: every tree's entity universe, its registration
+	// and its hash entries, in block and category order, and the owned
+	// members each tree will hold a leaf for.
+	var jobs []fillJob
+	var leafUsers []string
 	for _, c := range res.Clusters {
+		ids := memberIDs[c.ID]
+		profiles := make([]*profile.Profile, len(ids))
+		owned := make([]bool, len(ids))
+		writes := make([]bool, len(ids))
+		for i, uid := range ids {
+			profiles[i], _ = store.Lookup(uid)
+			owned[i] = ix.owns(uid)
+		}
 		for _, cat := range cfg.Categories {
-			var members []*profile.Profile
 			var ents *sigtree.Universe
 			if seed != nil && seed.EntUni != nil && seed.EntUni[c.ID] != nil {
 				ents = sigtree.NewUniverse(seed.EntUni[c.ID][cat])
 			} else {
 				ents = sigtree.NewUniverse(nil)
 			}
-			for _, uid := range memberIDs[c.ID] {
-				p, _ := store.Lookup(uid)
+			interested := false
+			var leaves []*profile.Profile
+			for i, p := range profiles {
 				if p == nil || !ix.userInterested(p, cat) {
 					continue
 				}
-				members = append(members, p)
+				interested = true
+				if owned[i] {
+					leaves = append(leaves, p)
+					writes[i] = true
+				}
 				for _, e := range sortedStrings(p.EntitiesIn(cat)) {
 					ents.Add(e)
 				}
 			}
-			if len(members) == 0 {
+			if !interested {
 				continue
 			}
 			tr := sigtree.New(c.ID, cat, ix.prodUni[c.ID], ents, cfg.Fanout)
 			ix.trees[treeKey{c.ID, cat}] = tr // register before leafSignatureInto reads tr.Ent
 			ix.treesByCat[cat] = append(ix.treesByCat[cat], tr)
-			for _, p := range members {
-				if ix.owns(p.UserID) {
-					tr.Insert(p.UserID, *ix.leafSignatureInto(sc, p, c.ID, cat))
-				}
-			}
 			for _, e := range ents.Names() {
 				ix.hash.Insert(shx.PairKey(cat, e), tr)
 			}
+			if len(leaves) > 0 {
+				jobs = append(jobs, fillJob{tr: tr, members: leaves})
+			}
+		}
+		for i, w := range writes {
+			if w {
+				leafUsers = append(leafUsers, ids[i])
+			}
 		}
 	}
+	if pr, ok := probs.(Preparer); ok {
+		pr.Prepare(leafUsers)
+	}
+	ix.fill(jobs)
 	return ix
+}
+
+// fillJob is one tree of a build's parallel phase and the owned members it
+// gets leaves for, in insertion order.
+type fillJob struct {
+	tr      *sigtree.Tree
+	members []*profile.Profile
+}
+
+// fill inserts every job's members into its tree on runtime.GOMAXPROCS(0)
+// workers, each taking whole trees from a shared counter with its own
+// refresh scratch. A tree is filled by one goroutine with the inserts, in
+// the order, of a serial build, so it comes out bit-identical whatever the
+// schedule. The phase reads only state no worker writes: profiles,
+// universes, the tree registry and probs (see Probs).
+func (ix *Index) fill(jobs []fillJob) {
+	// Largest first, so the trees taken last are small and no worker is
+	// left finishing a big one alone.
+	slices.SortStableFunc(jobs, func(a, b fillJob) int { return cmp.Compare(len(b.members), len(a.members)) })
+	var next atomic.Int64
+	work := func() {
+		sc := getRefreshScratch()
+		defer putRefreshScratch(sc)
+		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+			j := &jobs[i]
+			for _, p := range j.members {
+				j.tr.Insert(p.UserID, *ix.leafSignatureInto(sc, p, j.tr.BlockID, j.tr.Category))
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // owns reports whether this index materialises leaves for a user

@@ -43,11 +43,7 @@ func sameScalars(a, b *Signature) bool {
 		math.Float64bits(a.EntTotal) == math.Float64bits(b.EntTotal)
 }
 
-func sameCoords(a, b []Coord) bool {
-	return slices.EqualFunc(a, b, func(x, y Coord) bool {
-		return x.Idx == y.Idx && math.Float64bits(x.Val) == math.Float64bits(y.Val)
-	})
-}
+func sameCoords(a, b []Coord) bool { return slices.EqualFunc(a, b, sameCoord) }
 
 // denseSig is a signature in the dense encoding.
 type denseSig struct {

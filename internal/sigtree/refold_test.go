@@ -2,6 +2,7 @@ package sigtree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -47,6 +48,53 @@ func TestFieldwiseRefoldMatchesFullFold(t *testing.T) {
 			step := fmt.Sprintf("seed %d op %d %s", seed, op, d.step())
 			checkAggregatesExact(t, d.tr, d.tr.root, step)
 			checkDenseReference(t, d, step)
+		}
+	}
+}
+
+// TestInsertWideningMatchesFullFold drives insert-only sequences at small
+// fanouts, so splits are frequent and every level of a path widens, with
+// NaN and ±0 common in Pl/Ps, the totals and the counts. After every
+// Insert each vector must mirror its list and each aggregate must equal a
+// full refold: where a new value ties the aggregate at ±0 or either is
+// NaN, folding the new kid alone can disagree with the fold in kid order,
+// and only the refold fallback of widenPath keeps the two equal.
+func TestInsertWideningMatchesFullFold(t *testing.T) {
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0}
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(v float64) float64 {
+			if k := rng.Intn(6); k < len(special) {
+				return special[k]
+			}
+			return v
+		}
+		tr := New(0, "c", NewUniverse(nil), NewUniverse(nil), 2+int(seed%3))
+		var vecs func(n *node, step string)
+		vecs = func(n *node, step string) {
+			checkVec(t, n, false, step)
+			checkVec(t, n, true, step)
+			for _, c := range n.children {
+				vecs(c, step)
+			}
+		}
+		for i := range 300 {
+			prod, ent := make([]float64, 12), make([]float64, 6)
+			for range 3 {
+				prod[rng.Intn(len(prod))] = pick(float64(1 + rng.Intn(3)))
+				ent[rng.Intn(len(ent))] = pick(float64(1 + rng.Intn(3)))
+			}
+			tr.Insert(fmt.Sprintf("u%d", i), Signature{
+				Pl:        pick(float64(rng.Intn(3)) / 2),
+				Ps:        pick(float64(rng.Intn(3)) / 2),
+				ProdTotal: pick(float64(rng.Intn(3))),
+				EntTotal:  pick(float64(rng.Intn(3))),
+				Prod:      fromDense(prod),
+				Ent:       fromDense(ent),
+			})
+			step := fmt.Sprintf("seed %d insert %d", seed, i)
+			vecs(tr.root, step)
+			checkAggregatesExact(t, tr, tr.root, step)
 		}
 	}
 }

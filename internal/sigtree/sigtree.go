@@ -176,11 +176,12 @@ func growTo(v []float64, n int) []float64 {
 }
 
 // widenMax and narrowMin are the only comparison forms of every aggregate
-// fold — the full refold of recomputeSig and the field-wise refold of
-// refoldPath alike — so NaN and −0 resolve identically on both paths: a
-// value replaces the accumulator only when strictly greater (smaller).
-// A count fold starts from +0, so it never yields −0 or NaN, and +0 is
-// exactly what an unlisted coordinate reads.
+// fold — the full refold of recomputeSig, the field-wise refold of
+// refoldPath and the widening of widenPath alike — so the two folds in
+// kid order resolve NaN and −0 identically: a value replaces the
+// accumulator only when strictly greater (smaller). A count fold starts
+// from +0, so it never yields −0 or NaN, and +0 is exactly what an
+// unlisted coordinate reads.
 func widenMax(acc, v float64) float64 {
 	if v > acc {
 		return v
@@ -437,12 +438,14 @@ type Tree struct {
 	byUser map[string]*node // the leaf node holding each user
 
 	// Write-path scratch. prodDirty and entDirty are refoldPath's
-	// coordinate lists: the indices still to refold at the current level.
+	// coordinate lists: the indices still to refold at the current level;
+	// prodWide and entWide are widenPath's, the counts that moved.
 	// cursors holds recomputeSig's merge positions, one per kid, and
 	// packing stages a leaf node's slab while it is rewritten. Trees are
 	// mutated only under their owner's write lock, so one set per tree
 	// keeps a warm refresh allocation-free.
 	prodDirty, entDirty []int32
+	prodWide, entWide   []Coord
 	cursors             []int
 	packing             []Coord
 }
@@ -529,12 +532,10 @@ func (t *Tree) Insert(userID string, sig Signature) {
 	}
 	t.byUser[userID] = n
 	t.writeLeaf(n, len(n.entries)-1, &sig)
-	// The new leaf is one more kid under unchanged ancestors: every
-	// coordinate it holds is dirty against the empty signature, and the
-	// field-wise refold settles the rest. A split that follows leaves
-	// every ancestor's fold as it is — the same leaves, in the same order.
-	t.markDirty(&Signature{}, &sig)
-	t.refoldPath(n)
+	// The new leaf is one more kid under unchanged ancestors, so their
+	// aggregates only widen. A split that follows leaves every ancestor's
+	// fold as it is — the same leaves, in the same order.
+	t.widenPath(n, &sig)
 	if len(n.entries) > t.fanout {
 		t.splitLeaf(n)
 	}
@@ -661,9 +662,8 @@ func appendChanged(dirty []int32, prev, next []Coord) []int32 {
 }
 
 // refoldPath restores the aggregates from leaf node n to the root after
-// one of its entries changed in place or was inserted without a split, with
-// t.prodDirty/t.entDirty holding the count coordinates that changed (for
-// an insert: every coordinate the entry holds). Each level refolds the four
+// one of its entries changed in place, with t.prodDirty/t.entDirty holding
+// the count coordinates that changed. Each level refolds the four
 // scalars over its ≤ fanout kids and the count maxima only at the dirty
 // coordinates; a coordinate whose aggregate came out bit-identical is
 // dropped before the next level, and the walk stops at the first node
@@ -679,6 +679,114 @@ func (t *Tree) refoldPath(n *node) {
 			return
 		}
 	}
+}
+
+// widenPath restores the aggregates from leaf node n to the root after sig
+// was appended to n as a new entry, before any split. One more kid can only
+// raise a maximum or lower a minimum, so each level folds the new values
+// into its aggregate with widenMax/narrowMin instead of refolding its kids:
+// at n the entry's scalars and listed counts, above it the child's
+// aggregate scalars and the counts that moved in it. The walk stops at the
+// first node whose aggregate did not move.
+//
+// Folding a kid's new value into the old aggregate equals the full fold in
+// kid order whenever the two differ in value, or agree in bits: the
+// extremum is then unique in value, or its bits are the same whichever kid
+// holds it first. A field or coordinate whose values are equal but not in
+// bits (±0), or where either is NaN, is refolded over the level's kids.
+func (t *Tree) widenPath(n *node, sig *Signature) {
+	prod := append(t.prodWide[:0], sig.Prod...)
+	ent := append(t.entWide[:0], sig.Ent...)
+	for src := sig; n != nil; src, n = &n.sig, n.parent {
+		changed := widenScalars(n, src)
+		prod = widenCounts(n, prod, false)
+		ent = widenCounts(n, ent, true)
+		if !changed && len(prod) == 0 && len(ent) == 0 {
+			break
+		}
+	}
+	t.prodWide, t.entWide = prod, ent
+}
+
+// foldable reports whether folding v into aggregate acc by itself agrees
+// with a full fold over the kids (see widenPath).
+func foldable(acc, v float64) bool {
+	if acc == v {
+		return math.Float64bits(acc) == math.Float64bits(v)
+	}
+	return acc == acc && v == v
+}
+
+// widenScalars folds src's Pl/Ps and totals into n's aggregate and
+// reports whether any of the four changed bit for bit.
+func widenScalars(n *node, src *Signature) bool {
+	s := &n.sig
+	if !foldable(s.Pl, src.Pl) || !foldable(s.Ps, src.Ps) ||
+		!foldable(s.ProdTotal, src.ProdTotal) || !foldable(s.EntTotal, src.EntTotal) {
+		return refoldScalars(n)
+	}
+	pl, ps := widenMax(s.Pl, src.Pl), widenMax(s.Ps, src.Ps)
+	prodTotal, entTotal := narrowMin(s.ProdTotal, src.ProdTotal), narrowMin(s.EntTotal, src.EntTotal)
+	if math.Float64bits(pl) == math.Float64bits(s.Pl) && math.Float64bits(ps) == math.Float64bits(s.Ps) &&
+		math.Float64bits(prodTotal) == math.Float64bits(s.ProdTotal) &&
+		math.Float64bits(entTotal) == math.Float64bits(s.EntTotal) {
+		return false
+	}
+	s.Pl, s.Ps, s.ProdTotal, s.EntTotal = pl, ps, prodTotal, entTotal
+	s.stampLogs()
+	return true
+}
+
+// widenCounts folds the ascending count coordinates moved into n's
+// producer (ent=false) or entity count maxima and returns, compacted in
+// place, those whose aggregate changed, each holding its new maximum. A
+// dense vector follows every change.
+func widenCounts(n *node, moved []Coord, ent bool) []Coord {
+	agg, vec := n.sig.coords(ent), n.vec(ent)
+	kept := moved[:0]
+	from := 0
+	for _, c := range moved {
+		pos := from + seekIdx((*agg)[from:], c.Idx)
+		listed := pos < len(*agg) && (*agg)[pos].Idx == c.Idx
+		var cur float64
+		if listed {
+			cur = (*agg)[pos].Val
+		}
+		from = pos
+		m := widenMax(cur, c.Val)
+		if !foldable(cur, c.Val) {
+			m = foldAt(n, ent, c.Idx)
+		}
+		if math.Float64bits(m) == math.Float64bits(cur) {
+			continue
+		}
+		// m > cur ≥ +0: the maximum only rises, so it stays listed.
+		if listed {
+			(*agg)[pos].Val = m
+		} else {
+			*agg = slices.Insert(*agg, pos, Coord{Idx: c.Idx, Val: m})
+		}
+		from = pos + 1
+		if *vec != nil {
+			*vec = growTo(*vec, int(c.Idx)+1)
+			(*vec)[c.Idx] = m
+		}
+		kept = append(kept, Coord{Idx: c.Idx, Val: m})
+	}
+	if len(kept) > 0 && *vec == nil && wantsVec(*agg) {
+		n.syncVec(ent)
+	}
+	return kept
+}
+
+// foldAt folds the producer or entity counts of n's kids at idx with
+// widenMax, from +0 and in kid order.
+func foldAt(n *node, ent bool, idx int32) float64 {
+	var m float64
+	for k := range n.kids() {
+		m = widenMax(m, n.kidCount(k, ent, idx))
+	}
+	return m
 }
 
 // refoldScalars refolds n's Pl/Ps maxima and total minima over its kids
@@ -709,10 +817,7 @@ func refoldCounts(n *node, dirty []int32, ent bool) []int32 {
 	agg := n.sig.coords(ent)
 	kept := dirty[:0]
 	for _, i := range dirty {
-		var m float64
-		for k := range n.kids() {
-			m = widenMax(m, n.kidCount(k, ent, i))
-		}
+		m := foldAt(n, ent, i)
 		pos := seekIdx(*agg, i)
 		listed := pos < len(*agg) && (*agg)[pos].Idx == i
 		var cur float64
@@ -830,10 +935,23 @@ func expansionCost(n *node, sig *Signature) float64 {
 	return cost
 }
 
+// handover gives the left half of a split n's buffers: its slab and its
+// aggregate's lists and vectors, which the split drops with n. Repacking
+// the left half stages its lists through t.packing and rewrites only the
+// slab's prefix, where they already lay, so the right half's lists further
+// on stay intact until it repacks into a slab of its own; recomputeSig
+// reads only the kids, so it may refill n's lists.
+func handover(n, left *node) {
+	left.slab = n.slab[:0]
+	left.sig.Prod, left.sig.Ent = n.sig.Prod[:0], n.sig.Ent[:0]
+	left.prodVec, left.entVec = n.prodVec, n.entVec
+}
+
 func (t *Tree) splitLeaf(n *node) {
 	half := len(n.entries) / 2
 	left := &node{leaf: true, entries: n.entries[:half:half], parent: n.parent}
 	right := &node{leaf: true, entries: slices.Clone(n.entries[half:]), parent: n.parent}
+	handover(n, left)
 	for _, half := range []*node{left, right} {
 		for i := range half.entries {
 			t.byUser[half.entries[i].UserID] = half
@@ -849,6 +967,7 @@ func (t *Tree) splitInternal(n *node) {
 	half := len(n.children) / 2
 	left := &node{children: n.children[:half:half], parent: n.parent}
 	right := &node{children: append([]*node(nil), n.children[half:]...), parent: n.parent}
+	handover(n, left)
 	for _, half := range []*node{left, right} {
 		for _, c := range half.children {
 			c.parent = half
