@@ -16,7 +16,7 @@
 //	ssrec-bench -throughput -parallel 8 -json out.json
 //
 // Refresh mode runs the index-refresh micro-benchmark family (the write
-// path the dirty-category masks optimise) and reports ns/op, B/op and
+// path, gated on window rolls) and reports ns/op, B/op and
 // allocs/op per scenario:
 //
 //	ssrec-bench -refresh -json refresh.json

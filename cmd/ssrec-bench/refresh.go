@@ -1,6 +1,6 @@
 // refresh.go is the index-refresh micro-benchmark mode of ssrec-bench: it
 // measures the write-path cost of keeping the CPPse-index consistent with
-// a mutating profile — the per-flush work the dirty-category masks cut —
+// a mutating profile — the per-flush work roll gating cuts —
 // through the same scenario family as the internal/cppse benchmarks, but
 // runnable standalone (and in CI) with a JSON artifact:
 //
@@ -9,14 +9,17 @@
 // Scenarios:
 //
 //	cold_user        first refresh of a brand-new user (block assignment
-//	                 plus leaf inserts) — cost masks cannot avoid
+//	                 plus leaf inserts) — cost roll gating cannot avoid
 //	one_dirty_masked one observation in ONE of the user's categories,
-//	                 masked refresh (rebuild one leaf, restamp the rest)
+//	                 gated refresh: restamp all leaves, rebuild them (and
+//	                 grow the universes) only when the window rolls, one
+//	                 observation in five
 //	one_dirty_full   the same stream through the rebuild-everything path —
-//	                 the before/after axis of the masks
-//	window_roll      every observation rolls the short-term window, so the
-//	                 all-dirty sentinel forces full rebuilds — the masked
-//	                 path's upper bound
+//	                 the before/after axis of roll gating
+//	window_roll      the gated refresh over a stream that cycles through
+//	                 all three categories, starting from a full window:
+//	                 the first observation of every five rolls it and
+//	                 rebuilds every leaf, the other four restamp
 //	one_dirty_masked_wide
 //	                 one_dirty_masked over one block whose producer
 //	                 universe is 600 wide, the width of a ytube-10k block:
@@ -214,7 +217,7 @@ func runRefresh(jsonPath, scrapeURL string) {
 		for i := 0; i < b.N; i++ {
 			rolled := p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
 				Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
-			if err := ix.UpdateUserCats("mixed000", []string{"sports"}, rolled); err != nil {
+			if err := ix.RefreshUser("mixed000", rolled); err != nil {
 				fail(err)
 			}
 		}
@@ -234,7 +237,7 @@ func runRefresh(jsonPath, scrapeURL string) {
 				for j := 0; j < 6; j++ {
 					p.ObserveLongTerm(mixedRefreshEvent(j))
 				}
-				if err := ix.UpdateUserCats(id, nil, true); err != nil {
+				if err := ix.UpdateUser(id); err != nil {
 					fail(err)
 				}
 			}
@@ -248,7 +251,7 @@ func runRefresh(jsonPath, scrapeURL string) {
 			for i := 0; i < b.N; i++ {
 				p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
 					Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
-				if err := ix.UpdateUserCats("mixed000", nil, true); err != nil {
+				if err := ix.UpdateUser("mixed000"); err != nil {
 					fail(err)
 				}
 			}
@@ -256,18 +259,18 @@ func runRefresh(jsonPath, scrapeURL string) {
 		{"window_roll", narrow, func(b *testing.B, ix *cppse.Index, store *profile.Store) {
 			p, _ := store.Lookup("mixed000")
 			inhabitAllCats(p)
-			// Fill the window so every subsequent observation rolls it.
+			// Fill the window so the first measured observation rolls it.
 			for i := 0; i < p.WindowSize(); i++ {
 				p.Observe(mixedRefreshEvent(i))
 			}
-			if err := ix.UpdateUserCats("mixed000", nil, true); err != nil {
+			if err := ix.UpdateUser("mixed000"); err != nil {
 				fail(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rolled := p.Observe(mixedRefreshEvent(i))
-				if err := ix.UpdateUserCats("mixed000", []string{"sports"}, rolled); err != nil {
+				if err := ix.RefreshUser("mixed000", rolled); err != nil {
 					fail(err)
 				}
 			}

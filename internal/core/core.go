@@ -216,12 +216,11 @@ type Engine struct {
 	// widest model's PredictScratchLen); the write lock guards it.
 	predScratch []float64
 
-	// dirty users await batched index maintenance (Config.UpdateBatch),
-	// each carrying the mask of categories their pending observations
-	// touched (plus the window-roll sentinel).
-	dirty      map[string]*dirtyMask
-	maskFree   []*dirtyMask // recycled masks, so steady-state marking is allocation-free
-	flushIDs   []string     // reusable scratch for flushUpdatesLocked
+	// dirty users await batched index maintenance (Config.UpdateBatch);
+	// the value records whether the user's window rolled since the last
+	// flush (sticky until that user is flushed).
+	dirty      map[string]bool
+	flushIDs   []string // reusable scratch for flushUpdatesLocked
 	sinceFlush int
 	trained    bool
 	// fullRefresh forces the rebuild-everything reference path
@@ -233,24 +232,18 @@ type Engine struct {
 	refreshErrs int64
 }
 
-// dirtyMask records which categories a user's pending observations
-// touched. all=true is the window-roll sentinel: a roll moves window
-// events into long-term state, changing counts for categories far beyond
-// this batch's, so the whole signature set must rebuild.
-type dirtyMask struct {
-	all  bool
-	cats []string
-}
-
 // predEntry caches one consumer's long/short category predictions, keyed
 // by the observation length they were computed at (-1 = stale), together
 // with the forward states they were folded from: the long side tracks the
 // prefix obs[:len-winLen], the short side the window suffix starting at
-// shortStart. A refresh writes into the entry's own rows.
+// shortStart. longLen is the prefix length the long row was predicted at
+// (-1 = none since the long state was last reset). A refresh writes into
+// the entry's own rows.
 type predEntry struct {
 	obsLen      int
 	long, short []float64
 	longSt      bihmm.ForwardState
+	longLen     int
 	shortSt     bihmm.ForwardState
 	shortStart  int
 }
@@ -267,7 +260,7 @@ func New(cfg Config) *Engine {
 		itemZ:       make(map[string]int),
 		prodPos:     make(map[string]int),
 		predCache:   make(map[string]*predEntry),
-		dirty:       make(map[string]*dirtyMask),
+		dirty:       make(map[string]bool),
 	}
 	for i, c := range cfg.Categories {
 		e.catIdx[c] = i
@@ -520,35 +513,8 @@ func (e *Engine) observeLocked(ir model.Interaction, v model.Item) {
 	if e.index == nil {
 		return
 	}
-	e.markDirtyLocked(ir.UserID, v.Category, rolled)
+	e.dirty[ir.UserID] = e.dirty[ir.UserID] || rolled
 	e.sinceFlush++
-}
-
-// markDirtyLocked records that a user's pending observations touched cat;
-// rolled raises the all-categories sentinel (window events moved into
-// long-term state, invalidating every leaf's counts).
-func (e *Engine) markDirtyLocked(userID, cat string, rolled bool) {
-	d := e.dirty[userID]
-	if d == nil {
-		if n := len(e.maskFree); n > 0 {
-			d, e.maskFree = e.maskFree[n-1], e.maskFree[:n-1]
-		} else {
-			d = &dirtyMask{}
-		}
-		e.dirty[userID] = d
-	}
-	if rolled {
-		d.all = true
-	}
-	if d.all {
-		return
-	}
-	for _, c := range d.cats {
-		if c == cat {
-			return
-		}
-	}
-	d.cats = append(d.cats, cat)
 }
 
 // FlushUpdates applies all pending batched index maintenance (Algorithm 2)
@@ -573,19 +539,12 @@ func (e *Engine) flushUpdatesLocked() int {
 	// assignment, universes, hash) must advance on every shard — but only
 	// owned users count as refreshed: they are the ones whose signatures
 	// were recomputed, and summing the count across shards must equal the
-	// single-engine figure. The dirty-category mask narrows the expensive
-	// leaf rebuilds to the categories this flush actually touched;
-	// SetFullRefresh restores the rebuild-everything reference path.
+	// single-engine figure. Leaf rebuilds and universe growth run only for
+	// users whose window rolled; SetFullRefresh restores the
+	// rebuild-everything reference path (every user as if rolled).
 	n := 0
 	for _, id := range ids {
-		d := e.dirty[id]
-		var err error
-		if e.fullRefresh {
-			err = e.index.UpdateUser(id)
-		} else {
-			err = e.index.UpdateUserCats(id, d.cats, d.all)
-		}
-		if err != nil {
+		if err := e.index.RefreshUser(id, e.dirty[id] || e.fullRefresh); err != nil {
 			e.refreshErrs++
 			if e.refreshErrs == 1 {
 				log.Printf("core: index refresh failed for user %q: %v (further failures counted in refresh_errors)", id, err)
@@ -593,8 +552,6 @@ func (e *Engine) flushUpdatesLocked() int {
 		} else if e.cfg.ownsUser(id) {
 			n++
 		}
-		d.all, d.cats = false, d.cats[:0]
-		e.maskFree = append(e.maskFree, d)
 	}
 	clear(e.dirty)
 	clear(ids)
@@ -795,7 +752,7 @@ func (e *Engine) preparePredictions(userIDs []string) {
 func (e *Engine) newPredEntry(userID string) *predEntry {
 	nCats := len(e.cfg.Categories)
 	rows := make([]float64, 2*nCats)
-	ce := &predEntry{long: rows[:nCats:nCats], short: rows[nCats:]}
+	ce := &predEntry{long: rows[:nCats:nCats], short: rows[nCats:], longLen: -1}
 	e.predCache[userID] = ce
 	return ce
 }
@@ -810,7 +767,9 @@ func (e *Engine) newPredEntry(userID string) *predEntry {
 // boundary forward. A state replays from scratch when it cannot prove
 // prefix-ness: the consumer's model changed (per-user model vs
 // population), the cached prefix is too long, or the window start moved
-// (the short side after a roll; at most WindowSize observations). The fold
+// (the short side after a roll; at most WindowSize observations). The long
+// row is predicted again only when its prefix grew or its state was reset,
+// so between rolls only the short side predicts. The fold
 // replays Forward's recurrence and the prediction PredictNextMarginal's
 // statements, so the rows — and every downstream score — are bitwise
 // identical to a full replay of the history.
@@ -826,6 +785,7 @@ func (e *Engine) predict(ce *predEntry, userID string, obs []bihmm.Obs, scratch 
 			ce.long[i] = 1 / float64(nCats)
 			ce.short[i] = 1 / float64(nCats)
 		}
+		ce.longLen = -1
 		return scratch
 	}
 	winLen := 0
@@ -839,6 +799,7 @@ func (e *Engine) predict(ce *predEntry, userID string, obs []bihmm.Obs, scratch 
 	shortObs := obs[len(obs)-winLen:]
 	if !ce.longSt.For(m) || ce.longSt.Len() > len(longObs) {
 		ce.longSt.Reset(m)
+		ce.longLen = -1
 	}
 	m.Extend(&ce.longSt, longObs[ce.longSt.Len():])
 	shortStart := len(longObs)
@@ -850,16 +811,20 @@ func (e *Engine) predict(ce *predEntry, userID string, obs []bihmm.Obs, scratch 
 	if n := m.PredictScratchLen(); len(scratch) < n {
 		scratch = make([]float64, n)
 	}
-	m.PredictNextMarginalState(&ce.longSt, nil, ce.long, scratch)
+	if ce.longLen != len(longObs) {
+		m.PredictNextMarginalState(&ce.longSt, nil, ce.long, scratch)
+		ce.longLen = len(longObs)
+	}
 	m.PredictNextMarginalState(&ce.shortSt, nil, ce.short, scratch)
 	return scratch
 }
 
 // SetFullRefresh switches index maintenance onto the rebuild-everything
-// reference path (true: every flush rebuilds ALL of a dirty user's
-// leaves, as the engine did before dirty-category masks existed). It is
-// the conformance oracle the masked refresh is proven bit-identical
-// against, not a tuning knob; it is not persisted in snapshots.
+// reference path (true: every flush runs cppse.UpdateUser for each dirty
+// user, rebuilding all of its leaves and re-adding all of its names as if
+// its window had rolled). It is the conformance oracle the roll-gated
+// refresh is proven bit-identical against, not a tuning knob; it is not
+// persisted in snapshots.
 func (e *Engine) SetFullRefresh(on bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -84,7 +84,7 @@ func (c *Config) fill() {
 // once, one per tree being filled, so during a build an implementation
 // must only read: it may not write state those calls share. One that
 // computes lazily implements Preparer as well and does its writing there.
-// Index maintenance (UpdateUser, UpdateUserCats) calls them from one
+// Index maintenance (UpdateUser, RefreshUser) calls them from one
 // goroutine, under its caller's write lock.
 type Probs interface {
 	Long(userID, category string) float64
@@ -505,7 +505,7 @@ func (ix *Index) lookupTrees(q ranking.ItemQuery) []*sigtree.Tree {
 // leafSignatureInto) and the tree write happen only for owned users. That is
 // the maintenance cost a sharded deployment divides N ways.
 func (ix *Index) UpdateUser(userID string) error {
-	return ix.UpdateUserCats(userID, nil, true)
+	return ix.RefreshUser(userID, true)
 }
 
 // RemoveUser deletes a user's entries from every tree of its block (a user

@@ -1,12 +1,12 @@
-// refresh.go is the write-path counterpart of encode.go: the pooled,
-// mask-aware per-user index refresh of Algorithm 2. UpdateUserCats is
-// UpdateUser restricted by a dirty-category mask (core's per-user masks):
-// routing metadata still advances for every category the user inhabits —
-// every shard must route candidates identically — but the expensive leaf
-// rebuild runs only where the mask says the counts changed. Non-dirty
-// leaves are restamped with fresh Pl/Ps, because every observation grows
-// the short-term window and therefore shifts the short-term prediction
-// for ALL of the user's categories. See DESIGN.md, "Ingest hot path".
+// refresh.go is the write-path counterpart of encode.go: the pooled
+// per-user index refresh of Algorithm 2. RefreshUser is UpdateUser
+// restricted to what a refresh can find changed: leaf counts and the
+// user's universe names move only when the short-term window rolls into
+// long-term state, so between rolls a refresh only creates trees for
+// newly inhabited categories and restamps every leaf with fresh Pl/Ps
+// (every observation grows the window and so shifts the short-term
+// prediction for ALL of the user's categories). See DESIGN.md, "Ingest
+// hot path".
 package cppse
 
 import (
@@ -21,7 +21,7 @@ import (
 	"ssrec/internal/sigtree"
 )
 
-// refreshScratch carries the reusable buffers of one UpdateUserCats call:
+// refreshScratch carries the reusable buffers of one RefreshUser call:
 // the sorted category/producer/entity name slices and the signature lists
 // of the (user, category) being rebuilt. Trees copy a signature's lists on
 // every write, so the scratch is never retained.
@@ -94,25 +94,33 @@ func appendCount(cs []sigtree.Coord, i, n int) []sigtree.Coord {
 
 func byIdx(a, b sigtree.Coord) int { return cmp.Compare(a.Idx, b.Idx) }
 
-// UpdateUserCats refreshes one user's index entries under a dirty-category
-// mask — the per-user body of Algorithm 2, split into its two halves:
+// RefreshUser refreshes one user's index entries — the per-user body of
+// Algorithm 2 — doing only what the observations since the user's last
+// refresh can have changed. rolled reports whether the user's short-term
+// window rolled since then: a roll is the only event that moves long-term
+// state, and every count a leaf lists (ProducerTotal, EntityTotal, the
+// per-name counts and their key sets) is long-term only.
 //
-// Routing metadata (always, for EVERY category the user inhabits): block
-// assignment, producer-universe growth, entity-universe growth and hash
-// insertion. Shards replicate this on every engine regardless of
-// ownership, so it must not depend on the mask — otherwise two shards
-// could route the same query to different candidate trees.
+// Routing metadata — block assignment, tree creation for every category
+// the user inhabits, producer- and entity-universe growth and hash
+// insertion — runs on every shard regardless of ownership, so every shard
+// routes candidates identically. Universes only grow, so the user's names
+// can be missing from one only where the key sets moved or the universe
+// is new to this user: the producer pass runs after a roll or a fresh
+// block assignment (a new user, or one RemoveUser dropped), and a
+// category's entity pass additionally when this refresh created its tree
+// or the category is unconfigured (a build makes trees only for
+// configured categories, so after one, the names of a block's other users
+// in an unconfigured category arrive only with their own refreshes).
+// Elsewhere the full pass would add nothing.
 //
-// Leaf maintenance (owned users only): categories in dirtyCats — plus
-// every category when allDirty, e.g. after a window roll moved events
-// into long-term state — get a full signature rebuild; categories whose
-// counts are provably unchanged get only a Pl/Ps restamp (the short-term
-// prediction changes on every observation). A category the user inhabits
-// but has no leaf for is treated as dirty regardless of the mask (a
-// removed-then-reobserved user must be re-inserted everywhere).
+// Leaf maintenance (owned users only): without a roll no listed count
+// moved, so each inhabited category's leaf only gets its Pl/Ps restamped
+// (the short-term window grew, shifting the prediction); a roll, or a
+// missing leaf, rebuilds the signature.
 //
-// UpdateUserCats(id, nil, true) is exactly UpdateUser.
-func (ix *Index) UpdateUserCats(userID string, dirtyCats []string, allDirty bool) error {
+// RefreshUser(id, true) is exactly UpdateUser.
+func (ix *Index) RefreshUser(userID string, rolled bool) error {
 	p, ok := ix.store.Lookup(userID)
 	if !ok {
 		return fmt.Errorf("cppse: unknown user %q", userID)
@@ -122,14 +130,17 @@ func (ix *Index) UpdateUserCats(userID string, dirtyCats []string, allDirty bool
 		block = ix.nearestBlock(p)
 		ix.userBlock[userID] = block
 	}
+	grow := rolled || !known
 	sc := getRefreshScratch()
 	defer putRefreshScratch(sc)
 
 	prodU := ix.prodUni[block]
-	sc.prods = p.AppendProducers(sc.prods[:0])
-	sort.Strings(sc.prods)
-	for _, up := range sc.prods {
-		prodU.Add(up)
+	if grow {
+		sc.prods = p.AppendProducers(sc.prods[:0])
+		sort.Strings(sc.prods)
+		for _, up := range sc.prods {
+			prodU.Add(up)
+		}
 	}
 
 	// Inhabited categories: long-term ∪ window, sorted and deduplicated —
@@ -150,42 +161,33 @@ func (ix *Index) UpdateUserCats(userID string, dirtyCats []string, allDirty bool
 	for _, cat := range sc.cats {
 		key := treeKey{block, cat}
 		tr := ix.trees[key]
-		if tr == nil {
+		created := tr == nil
+		if created {
 			tr = sigtree.New(block, cat, prodU, sigtree.NewUniverse(nil), ix.cfg.Fanout)
 			ix.trees[key] = tr
 			ix.treesByCat[cat] = append(ix.treesByCat[cat], tr)
 		}
 		// Unseen entities: extend universe + hash (Algorithm 2 lines 5-9).
-		sc.ents = p.AppendEntitiesIn(cat, sc.ents[:0])
-		sort.Strings(sc.ents)
-		for _, e := range sc.ents {
-			if _, ok := tr.Ent.Index(e); !ok {
-				tr.Ent.Add(e)
-				ix.hash.Insert(shx.PairKey(cat, e), tr)
+		if grow || created || !slices.Contains(ix.cfg.Categories, cat) {
+			sc.ents = p.AppendEntitiesIn(cat, sc.ents[:0])
+			sort.Strings(sc.ents)
+			for _, e := range sc.ents {
+				if _, ok := tr.Ent.Index(e); !ok {
+					tr.Ent.Add(e)
+					ix.hash.Insert(shx.PairKey(cat, e), tr)
+				}
 			}
 		}
 		if !owned {
 			continue
 		}
-		if allDirty || containsString(dirtyCats, cat) || !tr.Has(userID) {
-			sig := ix.leafSignatureInto(sc, p, block, cat)
-			if !tr.UpdateCopy(userID, sig) {
-				tr.Insert(userID, *sig)
-			}
-		} else {
-			tr.UpdateProbs(userID, ix.probs.Long(userID, cat), ix.probs.Short(userID, cat))
+		if !rolled && tr.UpdateProbs(userID, ix.probs.Long(userID, cat), ix.probs.Short(userID, cat)) {
+			continue
+		}
+		sig := ix.leafSignatureInto(sc, p, block, cat)
+		if !tr.UpdateCopy(userID, sig) {
+			tr.Insert(userID, *sig)
 		}
 	}
 	return nil
-}
-
-// containsString is a linear membership test — dirty masks hold a handful
-// of categories, far below the crossover where a set would win.
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // mixedEvent cycles a user through all three fixture categories with
-// rotating producers/entities — the stream shape that exercises masks.
+// rotating producers/entities — a stream that crosses categories.
 func mixedEvent(i int) profile.Event {
 	cats := []string{"sports", "music", "news"}
 	cat := cats[i%3]
@@ -34,14 +34,19 @@ func sigsEquivalent(a, b sigtree.Signature) bool {
 	return slices.Equal(a.Prod, b.Prod) && slices.Equal(a.Ent, b.Ent)
 }
 
-// compareIndexes asserts that the masked and full indexes hold equivalent
-// leaves for every user in store and answer queries bit-identically.
-func compareIndexes(t *testing.T, full, masked *Index, store *profile.Store) {
+// compareIndexes asserts that the gated and full indexes hold the same
+// State, the same trees node by node (sigtree.Diff) and equivalent leaves
+// for every user in store, and answer queries bit-identically.
+func compareIndexes(t *testing.T, full, gated *Index, store *profile.Store) {
 	t.Helper()
+	if !reflect.DeepEqual(full.State(), gated.State()) {
+		t.Fatal("index State diverged")
+	}
+	sameTrees(t, "refresh", full, gated)
 	for _, id := range store.UserIDs() {
 		p, _ := store.Lookup(id)
 		bf, okF := full.BlockOf(id)
-		bm, okM := masked.BlockOf(id)
+		bm, okM := gated.BlockOf(id)
 		if okF != okM || bf != bm {
 			t.Fatalf("user %s: block (%d,%v) vs (%d,%v)", id, bf, okF, bm, okM)
 		}
@@ -50,7 +55,7 @@ func compareIndexes(t *testing.T, full, masked *Index, store *profile.Store) {
 		}
 		cats := append(p.Categories(), p.WindowCategories()...)
 		for _, cat := range cats {
-			trF, trM := full.Tree(bf, cat), masked.Tree(bm, cat)
+			trF, trM := full.Tree(bf, cat), gated.Tree(bm, cat)
 			if (trF == nil) != (trM == nil) {
 				t.Fatalf("user %s cat %s: tree presence differs", id, cat)
 			}
@@ -63,25 +68,25 @@ func compareIndexes(t *testing.T, full, masked *Index, store *profile.Store) {
 				t.Fatalf("user %s cat %s: leaf presence %v vs %v", id, cat, okF, okM)
 			}
 			if okF && !sigsEquivalent(sf, sm) {
-				t.Fatalf("user %s cat %s: leaf diverged\n full: %+v\nmask: %+v", id, cat, sf, sm)
+				t.Fatalf("user %s cat %s: leaf diverged\n full: %+v\ngate: %+v", id, cat, sf, sm)
 			}
 		}
 	}
 	for trial := 0; trial < 6; trial++ {
 		q := ranking.BuildQuery(sportsItem(trial), nil)
 		rf, _ := full.Recommend(q, store.Len())
-		rm, _ := masked.Recommend(q, store.Len())
+		rm, _ := gated.Recommend(q, store.Len())
 		if !reflect.DeepEqual(rf, rm) {
-			t.Fatalf("trial %d: results diverged\n full: %v\nmask: %v", trial, rf, rm)
+			t.Fatalf("trial %d: results diverged\n full: %v\ngate: %v", trial, rf, rm)
 		}
 	}
 }
 
-// TestUpdateUserCatsMatchesFull pins the tentpole's exactness claim at the
-// index level: a masked refresh driven by per-observation dirty categories
-// (with the window-roll sentinel) leaves the index equivalent to the
-// rebuild-everything path after EVERY step — including window rolls,
-// universe growth by other users, and remove-then-reobserve.
+// TestUpdateUserCatsMatchesFull pins the roll-gated refresh's exactness at
+// the index level: RefreshUser driven by each observation's roll flag
+// leaves the index identical to the rebuild-everything path after EVERY
+// step — including window rolls, universe growth by other users, and
+// remove-then-reobserve.
 func TestUpdateUserCatsMatchesFull(t *testing.T) {
 	store, bg, cats := fixture(t, 8)
 	probs := MLEProbs{Store: store, NCats: len(cats)}
@@ -90,7 +95,7 @@ func TestUpdateUserCatsMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked, err := Build(store, bg, probs, cfg)
+	gated, err := Build(store, bg, probs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,27 +109,88 @@ func TestUpdateUserCatsMatchesFull(t *testing.T) {
 		if err := full.UpdateUser(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := masked.UpdateUserCats(id, []string{ev.Category}, rolled); err != nil {
+		if err := gated.RefreshUser(id, rolled); err != nil {
 			t.Fatal(err)
 		}
-		compareIndexes(t, full, masked, store)
+		compareIndexes(t, full, gated, store)
 	}
 
-	// Removed-then-reobserved: the masked path must re-insert the user into
-	// EVERY inhabited tree (leaf absence forces a rebuild regardless of the
-	// mask), not just the observed category's.
+	// Removed-then-reobserved: the gated path must re-insert the user into
+	// EVERY inhabited tree (a missing leaf or a fresh block assignment
+	// forces a rebuild without a roll).
 	full.RemoveUser("mixed000")
-	masked.RemoveUser("mixed000")
+	gated.RemoveUser("mixed000")
 	p, _ := store.Lookup("mixed000")
 	ev := mixedEvent(1)
 	rolled := p.Observe(ev)
 	if err := full.UpdateUser("mixed000"); err != nil {
 		t.Fatal(err)
 	}
-	if err := masked.UpdateUserCats("mixed000", []string{ev.Category}, rolled); err != nil {
+	if err := gated.RefreshUser("mixed000", rolled); err != nil {
 		t.Fatal(err)
 	}
-	compareIndexes(t, full, masked, store)
+	compareIndexes(t, full, gated, store)
+
+	// A brand-new user bootstrapped with long-term history under names no
+	// block has seen: its first refresh assigns a block, so the universes
+	// must grow although no window rolled.
+	fresh := store.Get("fresh000")
+	for i := 0; i < 4; i++ {
+		fresh.ObserveLongTerm(profile.Event{Category: "news", Producer: fmt.Sprintf("new-up%d", i),
+			Entities: []string{fmt.Sprintf("new-e%d", i)}})
+	}
+	if err := full.UpdateUser("fresh000"); err != nil {
+		t.Fatal(err)
+	}
+	if err := gated.RefreshUser("fresh000", false); err != nil {
+		t.Fatal(err)
+	}
+	compareIndexes(t, full, gated, store)
+}
+
+// TestRefreshUnconfiguredCategoryAfterBuild is the regression test of the
+// fourth routing-growth case: two users of one block hold long-term events
+// in a category outside Config.Categories before Build, so the build makes
+// no tree for it. The first user's non-rolling refresh creates the tree;
+// the second user's must still add its own names to the tree's entity
+// universe, although neither its window rolled nor its tree is new.
+func TestRefreshUnconfiguredCategoryAfterBuild(t *testing.T) {
+	store, bg, cats := fixture(t, 4)
+	users := []string{"sports000", "sports001"}
+	for i, id := range users {
+		p, _ := store.Lookup(id)
+		p.ObserveLongTerm(profile.Event{Category: "esports", Producer: "twitch-up0",
+			Entities: []string{fmt.Sprintf("speedrun%d", i), "finals"}})
+	}
+	probs := MLEProbs{Store: store, NCats: len(cats)}
+	cfg := Config{Categories: cats, FixedBlocks: 1}
+	full, err := Build(store, bg, probs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := Build(store, bg, probs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Tree(0, "esports") != nil {
+		t.Fatal("Build made a tree for an unconfigured category")
+	}
+	for i, id := range users {
+		p, _ := store.Lookup(id)
+		if p.Observe(mixedEvent(i)) {
+			t.Fatal("fixture window rolled")
+		}
+		if err := full.UpdateUser(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := gated.RefreshUser(id, false); err != nil {
+			t.Fatal(err)
+		}
+		compareIndexes(t, full, gated, store)
+	}
+	if n := gated.Tree(0, "esports").Ent.Len(); n != 3 {
+		t.Fatalf("esports entity universe holds %d names, want 3", n)
+	}
 }
 
 // TestRemoveUserUnconfiguredCategory is the leak regression: a user
@@ -162,7 +228,7 @@ func TestRemoveUserUnconfiguredCategory(t *testing.T) {
 }
 
 // TestRefreshAllocs is the allocation regression guard of the refresh
-// loop: a steady-state masked refresh (warm scratch pool, warm tree
+// loop: a steady-state non-rolling refresh (warm scratch pool, warm tree
 // buffers, no universe growth) must run allocation-free, and even the
 // rebuild-everything path must stay within a small ceiling (the leaf
 // Insert path is excluded — the user already has leaves).
@@ -171,18 +237,19 @@ func TestRefreshAllocs(t *testing.T) {
 	p, _ := store.Lookup("sports000")
 	i := 0
 	// Warm up: grow scratch buffers, tree aggregate buffers and universes.
+	// The window rolls every 5 observations; each roll's refresh grows the
+	// universes.
 	for ; i < 12; i++ {
-		p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
+		rolled := p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
 			Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
-		if err := ix.UpdateUserCats("sports000", []string{"sports"}, false); err != nil {
+		if err := ix.RefreshUser("sports000", rolled); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Measure the refresh alone (it is idempotent): event construction and
 	// Profile.Observe have their own costs that are not the refresh loop's.
-	dirty := []string{"sports"}
-	masked := testing.AllocsPerRun(50, func() {
-		if err := ix.UpdateUserCats("sports000", dirty, false); err != nil {
+	gated := testing.AllocsPerRun(50, func() {
+		if err := ix.RefreshUser("sports000", false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -194,8 +261,8 @@ func TestRefreshAllocs(t *testing.T) {
 	if raceEnabled {
 		return // race-mode sync.Pool drops pooled scratch: the counts mean nothing
 	}
-	if masked > 0 {
-		t.Errorf("masked refresh allocates %.1f allocs/op, want 0", masked)
+	if gated > 0 {
+		t.Errorf("non-rolling refresh allocates %.1f allocs/op, want 0", gated)
 	}
 	if fullPath > 0 {
 		t.Errorf("full refresh allocates %.1f allocs/op, want 0 (scratch-pooled)", fullPath)
@@ -213,7 +280,7 @@ func benchObserveCats(p *profile.Profile, nEvents int) {
 }
 
 // BenchmarkRefreshColdUser measures the first refresh of a brand-new user
-// (block assignment + tree inserts) — the cost masks cannot avoid.
+// (block assignment + tree inserts) — the cost roll gating cannot avoid.
 func BenchmarkRefreshColdUser(b *testing.B) {
 	ix, store, _ := buildIndex(b, 100, Config{})
 	b.ReportAllocs()
@@ -222,23 +289,24 @@ func BenchmarkRefreshColdUser(b *testing.B) {
 		id := fmt.Sprintf("cold%06d", i)
 		p := store.Get(id)
 		benchObserveCats(p, 6)
-		if err := ix.UpdateUserCats(id, nil, true); err != nil {
+		if err := ix.RefreshUser(id, true); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRefreshOneDirtyOfN is the heavy-tailed steady state the masks
-// target: a user inhabiting all three fixture categories takes one event
-// in ONE of them. masked rebuilds one leaf and restamps two; full rebuilds
-// all three.
+// BenchmarkRefreshOneDirtyOfN is the heavy-tailed steady state roll gating
+// targets: a user inhabiting all three fixture categories takes one event
+// in ONE of them. gated restamps all three leaves and rebuilds them only
+// when the window rolls (one observation in five); full rebuilds all three
+// every time.
 func BenchmarkRefreshOneDirtyOfN(b *testing.B) {
-	run := func(b *testing.B, masked bool) {
+	run := func(b *testing.B, gated bool) {
 		ix, store, _ := buildIndex(b, 100, Config{})
 		id := "mixed000"
 		p, _ := store.Lookup(id)
 		benchObserveCats(p, 30) // inhabit all three categories
-		if err := ix.UpdateUserCats(id, nil, true); err != nil {
+		if err := ix.UpdateUser(id); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -246,30 +314,24 @@ func BenchmarkRefreshOneDirtyOfN(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rolled := p.Observe(profile.Event{Category: "sports", Producer: "sports-up0",
 				Entities: []string{fmt.Sprintf("sports-e%d", i%6)}})
-			var err error
-			if masked {
-				err = ix.UpdateUserCats(id, []string{"sports"}, rolled)
-			} else {
-				err = ix.UpdateUserCats(id, nil, true)
-			}
-			if err != nil {
+			if err := ix.RefreshUser(id, rolled || !gated); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("masked", func(b *testing.B) { run(b, true) })
+	b.Run("gated", func(b *testing.B) { run(b, true) })
 	b.Run("full", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkRefreshWindowRoll measures the all-dirty sentinel path: every
-// iteration rolls the window (size 5 fixture store), forcing a full
-// rebuild even under masks — the upper bound of the masked path.
+// BenchmarkRefreshWindowRoll measures a window of observations ending in a
+// roll (size 5 fixture store): four restamps and one full rebuild per
+// iteration — the rolling steady state of the gated path.
 func BenchmarkRefreshWindowRoll(b *testing.B) {
 	ix, store, _ := buildIndex(b, 100, Config{})
 	id := "mixed000"
 	p, _ := store.Lookup(id)
 	benchObserveCats(p, 30)
-	if err := ix.UpdateUserCats(id, nil, true); err != nil {
+	if err := ix.UpdateUser(id); err != nil {
 		b.Fatal(err)
 	}
 	// Fill the window so every subsequent Observe rolls it.
@@ -281,7 +343,7 @@ func BenchmarkRefreshWindowRoll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < p.WindowSize(); j++ {
 			rolled := p.Observe(mixedEvent(i + j))
-			if err := ix.UpdateUserCats(id, []string{"sports"}, rolled); err != nil {
+			if err := ix.RefreshUser(id, rolled); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -70,6 +70,62 @@ func TestFlushPreservesCounts(t *testing.T) {
 	}
 }
 
+// leafStats is every long-term statistic a signature-tree leaf reads from
+// a profile: totals, per-name counts and the key sets behind
+// AppendProducers / AppendEntitiesIn, with the category set they span.
+type leafStats struct {
+	ProdTotal int
+	Prods     map[string]int
+	EntTotals map[string]int
+	Ents      map[string]map[string]int
+}
+
+func leafStatsOf(p *Profile) leafStats {
+	s := leafStats{ProdTotal: p.ProducerTotal(), Prods: map[string]int{},
+		EntTotals: map[string]int{}, Ents: map[string]map[string]int{}}
+	for _, up := range p.AppendProducers(nil) {
+		s.Prods[up] = p.ProducerCount(up)
+	}
+	for _, c := range p.AppendCategories(nil) {
+		s.EntTotals[c] = p.EntityTotal(c)
+		s.Ents[c] = map[string]int{}
+		for _, e := range p.AppendEntitiesIn(c, nil) {
+			s.Ents[c][e] = p.EntityCount(c, e)
+		}
+	}
+	return s
+}
+
+// TestNonRollingObserveKeepsLeafStats pins the contract the index's
+// roll-gated refresh stands on: an Observe that does not roll the window
+// leaves every long-term statistic a leaf lists unchanged, key sets
+// included, and a rolling one is the only kind that moves them.
+func TestNonRollingObserveKeepsLeafStats(t *testing.T) {
+	p := New("u1", 3)
+	p.ObserveLongTerm(ev("sports", "bbc", "arsenal"))
+	cats := []string{"sports", "music", "news"}
+	rolls := 0
+	for i := 0; i < 20; i++ {
+		before := leafStatsOf(p)
+		c := cats[i%3]
+		e := ev(c, fmt.Sprintf("up%d", i%4), fmt.Sprintf("%s-e%d", c, i%5))
+		rolled := p.Observe(e)
+		after := leafStatsOf(p)
+		if !rolled && !reflect.DeepEqual(before, after) {
+			t.Fatalf("observation %d did not roll but moved leaf statistics\nbefore %+v\nafter  %+v", i, before, after)
+		}
+		if rolled {
+			rolls++
+			if reflect.DeepEqual(before, after) {
+				t.Fatalf("observation %d rolled without moving leaf statistics", i)
+			}
+		}
+	}
+	if rolls == 0 {
+		t.Fatal("no observation rolled the window")
+	}
+}
+
 func TestMinWindowSizeOne(t *testing.T) {
 	p := New("u", 0)
 	if p.WindowSize() != 1 {

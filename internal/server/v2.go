@@ -466,6 +466,13 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 		// are replicated, so the first trained shard's numbers are the
 		// deployment's) — no extra per-field round trips to remote shards,
 		// and no hanging on a fully excluded fleet.
+		// The reshard status is read before the shard list: a flip stores
+		// the new fleet before it counts itself complete, so a status that
+		// reports a completed reshard is never paired with the fleet from
+		// before it.
+		if rst, ok := s.eng.(reshardStatser); ok {
+			resp.Resharding = toReshardingJSON(rst.ReshardStatus())
+		}
 		shardStats := ss.ShardStats()
 		for _, sh := range shardStats {
 			resp.Shards = append(resp.Shards, shardStatsJSON{
@@ -488,9 +495,6 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 				resp.Users, resp.Blocks, resp.Trees, resp.HashKeys = sh.Users, sh.Blocks, sh.Trees, sh.HashKeys
 				break
 			}
-		}
-		if rst, ok := s.eng.(reshardStatser); ok {
-			resp.Resharding = toReshardingJSON(rst.ReshardStatus())
 		}
 		if rs, ok := s.eng.(replicaStatser); ok {
 			// Replica topology: group the flat health list by slot (the

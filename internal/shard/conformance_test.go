@@ -120,13 +120,14 @@ func TestConformanceReplicatedStreamReplay(t *testing.T) {
 }
 
 // TestConformanceDirtyMaskStreamReplay is the write-path acceptance gate
-// for the dirty-category-mask refresh: at every micro-batch size in
-// {1, 64, 256} (batch=1 flushes per observation; larger batches merge
-// masks across many observations before one flush), deployments running
-// the masked refresh and the incremental BiHMM fold — a bare engine and
+// for the roll-gated refresh (the name predates it: the gate once held
+// per-category dirty masks): at every micro-batch size in {1, 64, 256}
+// (batch=1 flushes per observation; larger batches merge many
+// observations' roll bits before one flush), deployments running the
+// gated refresh and the incremental BiHMM fold — a bare engine and
 // routed deployments at shards 1 and 2 — must be observably equivalent to
 // a reference engine forced onto the rebuild-everything path
-// (SetFullRefresh).
+// (SetFullRefresh). The "masked" arm names are kept for the same reason.
 func TestConformanceDirtyMaskStreamReplay(t *testing.T) {
 	fx := fixture(t)
 	// Query windows fire after every micro-batch, so small batch sizes are
@@ -147,7 +148,7 @@ func TestConformanceDirtyMaskStreamReplay(t *testing.T) {
 			reference.SetFullRefresh(true)
 			want := fx.ReplayBatchSize(t, reference, batchSize, maxBatches)
 
-			// Every arm runs the masked refresh and the incremental fold
+			// Every arm runs the gated refresh and the incremental fold
 			// (the only prediction path). "shards=1/masked" is the bare,
 			// unrouted engine; the "+fold" arms go through the Router.
 			arms := []struct {

@@ -198,16 +198,21 @@ func (rsd *reshardState) snapshot(active bool, errText string, completed uint64)
 
 // ReshardStatus reports the in-flight reshard, or the last finished one
 // when idle.
+//
+// The completion count is read first: a reshard stores its terminal status
+// before it counts itself, so a count that includes it comes with that
+// status, never with the one before it.
 func (r *Router) ReshardStatus() ReshardStatus {
+	done := r.reshardsDone.Load()
 	if rsd := r.rsd.Load(); rsd != nil {
-		return rsd.snapshot(true, "", r.reshardsDone.Load())
+		return rsd.snapshot(true, "", done)
 	}
 	if last := r.lastReshard.Load(); last != nil {
 		st := *last
-		st.Completed = r.reshardsDone.Load()
+		st.Completed = done
 		return st
 	}
-	return ReshardStatus{Completed: r.reshardsDone.Load()}
+	return ReshardStatus{Completed: done}
 }
 
 // Reshard re-partitions the deployment to m shards online — the
@@ -352,12 +357,13 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 	r.fleet.Store(nf)
 	r.rsd.Store(nil)
 	r.reshardMu.Unlock()
-	r.reshardsDone.Add(1)
 	return r.finishReshard(rsd, ReshardPhaseDone, nil)
 }
 
 // finishReshard retires the reshard state, records the terminal status
-// and passes the error through.
+// and passes the error through. A completed reshard stores its status,
+// already counting itself, before the completion counter moves, so no
+// reader sees the new count with an older status.
 func (r *Router) finishReshard(rsd *reshardState, phase string, err error) error {
 	r.rsd.CompareAndSwap(rsd, nil)
 	rsd.setPhase(phase)
@@ -365,8 +371,15 @@ func (r *Router) finishReshard(rsd *reshardState, phase string, err error) error
 	if err != nil {
 		errText = err.Error()
 	}
-	st := rsd.snapshot(false, errText, r.reshardsDone.Load())
+	done := r.reshardsDone.Load()
+	if phase == ReshardPhaseDone {
+		done++
+	}
+	st := rsd.snapshot(false, errText, done)
 	r.lastReshard.Store(&st)
+	if phase == ReshardPhaseDone {
+		r.reshardsDone.Add(1)
+	}
 	return err
 }
 

@@ -1,0 +1,102 @@
+package shardrpc
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"testing"
+
+	"ssrec/internal/core"
+	"ssrec/internal/model"
+	"ssrec/internal/sigtree"
+	"ssrec/internal/telemetry"
+)
+
+// FuzzQueryStreamLine fuzzes the decoder of the multiplexed query stream
+// (POST /shard/v1/query_stream): a body of NDJSON qsLine values read with
+// a json.Decoder, as shardd reads asks, raises and cancels and the router
+// reads raises and terminal lines. Each decoded line goes through the
+// conversions its receivers apply (the ask's item and options, the
+// result, the error). Invariants: no panic; a decoded error keeps its
+// message verbatim; and every accepted line re-encodes to a form that
+// decodes back to itself, so a line relayed by one peer reads the same
+// at the next.
+func FuzzQueryStreamLine(f *testing.F) {
+	bound := 0.25
+	seeds := []qsLine{
+		{ID: 1, Ask: &qsAsk{
+			Item:    toItemWire(model.Item{ID: "v1", Category: "music", Producer: "up0", Entities: []string{"e1", "e2"}, Timestamp: 17}),
+			Options: toOptionsWire(core.QueryOptions{K: 5}),
+			Bound:   &bound,
+			Trace:   "00000000000000ab-00000000000000cd",
+		}},
+		{ID: 2, B: &bound},
+		{ID: 3, Cancel: true},
+		{ID: 4, Result: toResultWire(core.Result{ItemID: "v1",
+			Recommendations: []model.Recommendation{{UserID: "u1", Score: 0.5}, {UserID: "u2", Score: -1e-300}},
+			Stats:           sigtree.SearchStats{NodesVisited: 3, EntriesScored: 7}}),
+			Spans: []telemetry.SpanData{{TraceID: 0xab, SpanID: 1, Name: "shardd.recommend", StartNs: 5, DurNs: 9,
+				Attrs: telemetry.Attrs{{K: "shard", V: "0"}}}}},
+		{ID: 5, Result: toResultWire(core.Result{ItemID: "v2"}), Err: encodeErr(core.ErrNotTrained)},
+		{ID: 6, Err: encodeErr(context.Canceled)},
+	}
+	var stream bytes.Buffer
+	for _, l := range seeds {
+		b, err := json.Marshal(l)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		stream.Write(b)
+		stream.WriteByte('\n')
+	}
+	f.Add(stream.Bytes())
+	f.Add([]byte(``))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"id":-1}`))
+	f.Add([]byte(`{"id":1,"b":"x"}`))
+	f.Add([]byte(`{"id":1,"ask":null,"b":1e400}`))
+	f.Add([]byte(`{"id":1,"error":{"code":"bogus","message":""}}`))
+	f.Add([]byte(`{"id":1,"spans":[{"trace_id":"zz"}]}`))
+	f.Add([]byte(`{"id":1,"ask":{"item":{"entities":[1]}}}`))
+	f.Add([]byte(`{"id":18446744073709551615,"cancel":true}{"id":2`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for {
+			var line qsLine
+			if err := dec.Decode(&line); err != nil {
+				return
+			}
+			if line.Ask != nil {
+				_ = line.Ask.Item.model()
+				_ = line.Ask.Options.options()
+			}
+			if line.Result != nil {
+				if res := line.Result.result(); res.ItemID != line.Result.ItemID || len(res.Recommendations) != len(line.Result.Recommendations) {
+					t.Fatalf("result conversion lost data: %+v from %+v", res, *line.Result)
+				}
+			}
+			if line.Err != nil {
+				err := decodeErr(line.Err)
+				if err == nil || err.Error() != line.Err.Message {
+					t.Fatalf("error line %+v decoded to %v", *line.Err, err)
+				}
+			}
+			once, err := json.Marshal(line)
+			if err != nil {
+				t.Fatalf("accepted line does not re-encode: %v", err)
+			}
+			var back qsLine
+			if err := json.Unmarshal(once, &back); err != nil {
+				t.Fatalf("re-encoded line %s does not decode: %v", once, err)
+			}
+			twice, err := json.Marshal(back)
+			if err != nil {
+				t.Fatalf("re-decoded line does not re-encode: %v", err)
+			}
+			if !bytes.Equal(once, twice) {
+				t.Fatalf("line is not stable across a relay:\n%s\n%s", once, twice)
+			}
+		}
+	})
+}
