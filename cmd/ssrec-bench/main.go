@@ -9,17 +9,15 @@
 //	ssrec-bench -scale 1.0          # larger datasets (slower, sharper shapes)
 //	ssrec-bench -quick              # coarse grids for a fast pass
 //
-// Throughput mode replays the post-training item stream as concurrent
-// one-item RecommendBatch requests and reports items/sec plus P50/P99 per-item latency
-// (optionally as JSON):
-//
-//	ssrec-bench -throughput -parallel 8 -json out.json
-//
 // Refresh mode runs the index-refresh micro-benchmark family (the write
 // path, gated on window rolls) and reports ns/op, B/op and
 // allocs/op per scenario:
 //
 //	ssrec-bench -refresh -json refresh.json
+//
+// Serving speed is measured by the repository benchmark, not here:
+//
+//	bash bench/run.sh --workload query-10k   # or ingest-10k, fleet-5k
 package main
 
 import (
@@ -40,34 +38,13 @@ func main() {
 		quick     = flag.Bool("quick", false, "coarse parameter grids and item caps")
 		fig67Data = flag.String("sweepdata", "YTube", "dataset for the fig6/fig7 sweeps (YTube or MLens)")
 
-		throughput   = flag.Bool("throughput", false, "serving-throughput mode (items/sec, P50/P99 latency)")
-		refresh      = flag.Bool("refresh", false, "index-refresh micro-benchmark mode (ns/op per refresh scenario)")
-		parallel     = flag.Int("parallel", 1, "throughput mode: concurrent query workers")
-		shards       = flag.Int("shards", 1, "throughput mode: serve through an N-shard scatter-gather deployment")
-		remoteShards = flag.String("remote-shards", "", "throughput mode: serve through REMOTE shardd endpoints — either \"N\" (spawn N loopback shards in-process) or comma-separated shardd addresses in shard-index order; the trained snapshot is pushed via the handoff protocol")
-		replicas     = flag.Int("replicas", 1, "throughput mode: replicas per -remote-shards slot (numeric spec spawns shards*R loopback servers, address lists must be slot-major with shards*R entries)")
-		writers      = flag.Int("writers", 0, "throughput mode: concurrent ObserveBatch ingestion workers (0 = read-only)")
-		batch        = flag.Int("batch", 64, "throughput mode: observe micro-batch size (<=1 sends one-observation batches)")
-		topK         = flag.Int("k", 30, "throughput mode: recommendations per item")
-		session      = flag.Bool("session", false, "throughput mode: drive readers and writers through OpenSession-style sessions (one ordered Push/Ask stream per worker) instead of direct calls")
-		walDir       = flag.String("wal", "", "throughput mode, single-engine only: durable ingest WAL directory — every write batch is logged (and per -fsync, fsynced) before it is applied, measuring the durability tax on the ingest path")
-		fsync        = flag.String("fsync", "batch", "throughput mode, -wal only: fsync policy — batch (sync before every ack), interval (background 100ms ticker), off (OS page cache only)")
-		jsonOut      = flag.String("json", "", "throughput mode: write the JSON report here")
-		scrapeURL    = flag.String("scrape-metrics", "", "throughput/refresh modes: after the run, scrape this /metrics URL (ssrec-server or ssrec-shardd) and embed the series in the JSON artifact")
+		refresh = flag.Bool("refresh", false, "index-refresh micro-benchmark mode (ns/op per refresh scenario)")
+		jsonOut = flag.String("json", "", "refresh mode: write the JSON report here")
 	)
 	flag.Parse()
 
 	if *refresh {
-		runRefresh(*jsonOut, *scrapeURL)
-		return
-	}
-	if *throughput {
-		runThroughput(throughputConfig{
-			Scale: *scale, Seed: *seed, Parallel: *parallel,
-			Shards: *shards, Replicas: *replicas, RemoteShards: *remoteShards, Writers: *writers, Batch: *batch,
-			K: *topK, Session: *session, WALDir: *walDir, Fsync: *fsync, JSONPath: *jsonOut,
-			ScrapeURL: *scrapeURL,
-		})
+		runRefresh(*jsonOut)
 		return
 	}
 

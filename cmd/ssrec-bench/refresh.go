@@ -69,10 +69,27 @@ type refreshReport struct {
 	Users      int               `json:"users"` // users in the three-producer fixture
 	WindowSize int               `json:"window_size"`
 	Scenarios  []refreshScenario `json:"scenarios"`
+}
 
-	// ScrapedMetrics snapshots a live /metrics exposition into the
-	// artifact when -scrape-metrics is given (name{labels} → value).
-	ScrapedMetrics map[string]float64 `json:"scraped_metrics,omitempty"`
+// hostInfo pins the run environment in the artifact (a timing without its
+// core count is not comparable): scheduler width, physical core count,
+// and the GC's view of the run.
+type hostInfo struct {
+	NumCPU         int    `json:"num_cpu"`
+	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
+	GCPauseTotalNs uint64 `json:"gc_pause_total_ns"`
+}
+
+// captureHostInfo snapshots the environment; call it AFTER the measured
+// section so the heap/GC numbers describe the run, not the startup.
+func captureHostInfo() hostInfo {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return hostInfo{
+		NumCPU:         runtime.NumCPU(),
+		HeapAllocBytes: ms.HeapAlloc,
+		GCPauseTotalNs: ms.PauseTotalNs,
+	}
 }
 
 // refreshShape sizes refreshFixture: nPerCohort users per cohort; user c's
@@ -200,7 +217,7 @@ func engineBatchScenario(fail func(error)) refreshScenario {
 	return row
 }
 
-func runRefresh(jsonPath, scrapeURL string) {
+func runRefresh(jsonPath string) {
 	// narrow is the internal/cppse fixture's shape; wide puts 600 users in
 	// one block over 3×200 producers.
 	narrow := refreshShape{nPerCohort: 100, prodsPerCat: 3}
@@ -305,14 +322,6 @@ func runRefresh(jsonPath, scrapeURL string) {
 
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.hostInfo = captureHostInfo()
-	if scrapeURL != "" {
-		m, err := scrapeMetrics(scrapeURL)
-		if err != nil {
-			fail(err)
-		}
-		rep.ScrapedMetrics = m
-		fmt.Fprintf(os.Stderr, "scraped %d metric series from %s\n", len(m), scrapeURL)
-	}
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {

@@ -150,7 +150,8 @@ func (e *Engine) recommendOne(ctx context.Context, v model.Item, o QueryOptions,
 // category) land in results[i].Err while the call-scoped error reports
 // cancellation (ctx.Err()) or ErrNotTrained. On cancellation every
 // undispatched item is marked with ctx.Err() and partial results are
-// returned.
+// returned; a context that ends after every item was answered does not
+// fail the call (see BatchErr).
 func (e *Engine) RecommendBatch(ctx context.Context, items []model.Item, opts ...Option) ([]Result, error) {
 	o := applyOptions(opts)
 	results := make([]Result, len(items))
@@ -194,12 +195,25 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []model.Item, opts ..
 		}()
 	}
 	wg.Wait()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return results, err
+	return results, BatchErr(ctx, results)
+}
+
+// BatchErr is the call-scoped error of a batch whose items have all run:
+// ctx.Err() when cancellation cost at least one item its answer, nil
+// otherwise. Checking ctx.Err() alone would fail a call whose every
+// answer stands whenever the deadline passed between the last item and
+// the check. The shard router shares the rule.
+func BatchErr(ctx context.Context, results []Result) error {
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	err := ctx.Err()
+	for _, res := range results {
+		if errors.Is(res.Err, err) {
+			return err
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // RegisterItemBatch registers many items under ONE write lock, in batch

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -225,6 +226,30 @@ func TestRecommendBatchCancelledMidway(t *testing.T) {
 	for i, res := range results {
 		if !errors.Is(res.Err, context.Canceled) {
 			t.Fatalf("results[%d].Err = %v, want context.Canceled", i, res.Err)
+		}
+	}
+}
+
+// TestBatchErr: a finished batch fails with the context's error only when
+// an item carries it, wrapped or not; a context that ended after every
+// item was answered, or one that never ended, fails nothing.
+func TestBatchErr(t *testing.T) {
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	answered := []Result{{ItemID: "a"}, {ItemID: "b", Err: ErrUnknownCategory}}
+	cut := append(answered, Result{ItemID: "c", Err: fmt.Errorf("shard 1: %w", context.Canceled)})
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		results []Result
+		want    error
+	}{
+		{"live", context.Background(), cut, nil},
+		{"ended after every answer", ended, answered, nil},
+		{"ended before an answer", ended, cut, context.Canceled},
+	} {
+		if got := BatchErr(c.ctx, c.results); got != c.want {
+			t.Errorf("%s: BatchErr = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

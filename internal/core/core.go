@@ -84,7 +84,6 @@ type Config struct {
 	MaxBlocks    int
 	FixedBlocks  int
 	Fanout       int
-	HashBuckets  int
 
 	// Parallelism is ignored: every query is searched serially (see
 	// DESIGN.md, "Why search is serial"). The field stays so snapshots
@@ -427,7 +426,6 @@ func (e *Engine) indexConfig() cppse.Config {
 		MaxBlocks:    e.cfg.MaxBlocks,
 		FixedBlocks:  e.cfg.FixedBlocks,
 		Fanout:       e.cfg.Fanout,
-		HashBuckets:  e.cfg.HashBuckets,
 		Owns:         owns,
 	}
 }

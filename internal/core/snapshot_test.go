@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -146,10 +147,10 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 	}
 }
 
-// smallSnapshot is a valid streamed snapshot of a tiny trained engine:
-// three categories, eight consumers (some with a BiHMM, some without, one
-// with a part-full window).
-func smallSnapshot(t testing.TB) []byte {
+// smallEngine is a tiny trained engine, with the dataset it learned
+// from: three categories, eight consumers (some with a BiHMM, some
+// without, one with a part-full window).
+func smallEngine(t testing.TB) (*Engine, *dataset.Dataset) {
 	t.Helper()
 	ds := dataset.Generate(dataset.GenConfig{Name: "tiny", Seed: 3, NumCategories: 3, NumProducers: 2,
 		NumConsumers: 8, Steps: 30, CreateProb: 0.25, BrowseProb: 0.35, EntitiesPerCategory: 5})
@@ -166,6 +167,13 @@ func smallSnapshot(t testing.TB) []byte {
 	if len(eng.consumers) == 0 || len(eng.consumers) == eng.store.Len() {
 		t.Fatalf("%d of %d users have a BiHMM; want some but not all", len(eng.consumers), eng.store.Len())
 	}
+	return eng, ds
+}
+
+// smallSnapshot is a valid streamed snapshot of smallEngine.
+func smallSnapshot(t testing.TB) []byte {
+	t.Helper()
+	eng, _ := smallEngine(t)
 	return saveBytes(t, eng)
 }
 
@@ -208,6 +216,74 @@ func allocated(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapshotHeadSkipsUnknownConfigField: a streamed snapshot whose
+// head Config carries a field this build's Config lacks (snapshots
+// written while Config.HashBuckets existed carry it) loads to the same
+// state and answers bit-identically, because gob skips the field.
+func TestSnapshotHeadSkipsUnknownConfigField(t *testing.T) {
+	eng, ds := smallEngine(t)
+	pre, recs := splitSnapshot(t, saveBytes(t, eng))
+	_, k := binary.Uvarint(recs[0][1:])
+	var head snapshotHead
+	if err := gob.NewDecoder(bytes.NewReader(recs[0][1+k:])).Decode(&head); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-encode the head with a Config one field wider: every field of
+	// this build's Config plus HashBuckets, set as the older writer set it.
+	// fields lists v's struct fields, retyping those named in types.
+	fields := func(v reflect.Value, types map[string]reflect.Type) []reflect.StructField {
+		fs := make([]reflect.StructField, v.NumField())
+		for i := range fs {
+			fs[i] = v.Type().Field(i)
+			if typ, ok := types[fs[i].Name]; ok {
+				fs[i].Type = typ
+			}
+		}
+		return fs
+	}
+	cfg := reflect.ValueOf(head.Config)
+	wideCfg := reflect.New(reflect.StructOf(append(fields(cfg, nil),
+		reflect.StructField{Name: "HashBuckets", Type: reflect.TypeOf(0)}))).Elem()
+	for i := range cfg.NumField() {
+		wideCfg.Field(i).Set(cfg.Field(i))
+	}
+	wideCfg.FieldByName("HashBuckets").SetInt(1 << 12)
+	hv := reflect.ValueOf(head)
+	wide := reflect.New(reflect.StructOf(fields(hv, map[string]reflect.Type{"Config": wideCfg.Type()}))).Elem()
+	for i := range hv.NumField() {
+		if hv.Type().Field(i).Name == "Config" {
+			wide.Field(i).Set(wideCfg)
+		} else {
+			wide.Field(i).Set(hv.Field(i))
+		}
+	}
+	var hb bytes.Buffer
+	if err := gob.NewEncoder(&hb).Encode(wide.Interface()); err != nil {
+		t.Fatal(err)
+	}
+	var carried struct{ Config struct{ HashBuckets int } }
+	if err := gob.NewDecoder(bytes.NewReader(hb.Bytes())).Decode(&carried); err != nil || carried.Config.HashBuckets != 1<<12 {
+		t.Fatalf("widened head carries HashBuckets %d (%v), want %d", carried.Config.HashBuckets, err, 1<<12)
+	}
+
+	old := bytes.Join(append([][]byte{pre, frame(recHead, hb.Bytes())}, recs[1:]...), nil)
+	loaded := loadBytes(t, old)
+	if want, got := engineState(t, eng), engineState(t, loaded); !reflect.DeepEqual(got, want) {
+		t.Fatal("state loaded from the widened head differs from the saved engine's")
+	}
+	answered := 0
+	for _, v := range ds.Items {
+		if len(eng.Recommend(v, 10)) > 0 {
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no item has an answer to compare")
+	}
+	sameAnswers(t, ds.Items, eng, loaded, loadBytes(t, saveBytes(t, loaded)))
 }
 
 func TestSnapshotRefusesTruncation(t *testing.T) {

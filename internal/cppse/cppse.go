@@ -28,6 +28,9 @@ import (
 	"ssrec/internal/sigtree"
 )
 
+// hashBuckets sizes the chained table of every index.
+const hashBuckets = 1 << 12
+
 // Config parameterises index construction.
 type Config struct {
 	Categories []string
@@ -44,8 +47,6 @@ type Config struct {
 	FixedBlocks int
 	// Fanout of the signature trees. Default sigtree.DefaultFanout.
 	Fanout int
-	// HashBuckets of the chained table. Default 1 << 12.
-	HashBuckets int
 	// Owns gates which users this index materialises leaf entries for —
 	// the sharding hook of internal/shard. nil owns everyone (the single-
 	// engine case). A sharded index still tracks every user's block
@@ -69,9 +70,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBlocks <= 0 {
 		c.MaxBlocks = 20
-	}
-	if c.HashBuckets <= 0 {
-		c.HashBuckets = 1 << 12
 	}
 }
 
@@ -281,7 +279,7 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 		userBlock:  userBlock,
 		trees:      make(map[treeKey]*sigtree.Tree),
 		treesByCat: make(map[string][]*sigtree.Tree),
-		hash:       shx.NewTable(cfg.HashBuckets),
+		hash:       shx.NewTable(hashBuckets),
 	}
 	memberIDs := make([][]string, len(res.Clusters))
 	for id, b := range userBlock {

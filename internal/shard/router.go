@@ -660,10 +660,10 @@ func (r *Router) RecommendCtx(ctx context.Context, v model.Item, opts ...core.Op
 // RecommendBatch mirrors Engine.RecommendBatch over the deployment:
 // results[i] answers items[i]; item-scoped failures (including degraded
 // partial results) land in results[i].Err while the call-scoped error
-// reports cancellation or an untrained deployment. The registration
-// prologue is broadcast ONCE in batch order — per-item registration under
-// the worker pool would advance the shards' producer layers in
-// nondeterministic order.
+// reports cancellation (core.BatchErr) or an untrained deployment. The
+// registration prologue is broadcast ONCE in batch order — per-item
+// registration under the worker pool would advance the shards' producer
+// layers in nondeterministic order.
 func (r *Router) RecommendBatch(ctx context.Context, items []model.Item, opts ...core.Option) ([]core.Result, error) {
 	o := core.ResolveOptions(opts...)
 	results := make([]core.Result, len(items))
@@ -715,12 +715,7 @@ func (r *Router) RecommendBatch(ctx context.Context, items []model.Item, opts ..
 		}()
 	}
 	wg.Wait()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return results, core.BatchErr(ctx, results)
 }
 
 // ---- v1-parity surface (the root ssrec.Recommender API) ----

@@ -14,6 +14,7 @@ import (
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
+	"ssrec/internal/sigtree"
 )
 
 // boot opens an in-process slots × replicas deployment booted from one
@@ -321,6 +322,45 @@ func TestRouterCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled ObserveBatch: %v", err)
 	}
 	settleGoroutines(t, base)
+}
+
+// endAfterShard answers like the shard it wraps and then runs after, so
+// a test can end a context at an exact point of a batch.
+type endAfterShard struct {
+	Shard
+	after func()
+}
+
+func (s endAfterShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+	res, err := s.Shard.Recommend(ctx, v, o, b)
+	s.after()
+	return res, err
+}
+
+// TestRouterBatchAnsweredBeforeDeadline: a context that ends after every
+// item of a batch was answered does not fail the call. The 5ms deadline
+// of TestRouterCancellation ends there only by chance; here the shard
+// ends the context right after answering, so every run ends there.
+func TestRouterBatchAnsweredBeforeDeadline(t *testing.T) {
+	fx := fixture(t)
+	m, err := Booted(fx.Snapshot)(0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r, err := NewRouter(endAfterShard{Shard: m, after: cancel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := r.RecommendBatch(ctx, fx.Queries[:1], core.WithK(10))
+	if ctx.Err() == nil {
+		t.Fatal("the shard did not end the context")
+	}
+	if err != nil || results[0].Err != nil || len(results[0].Recommendations) == 0 {
+		t.Fatalf("batch answered before its context ended: call err %v, item err %v, %d recommendations",
+			err, results[0].Err, len(results[0].Recommendations))
+	}
 }
 
 // TestRouterCancelledBatchStillRegisters: Engine.RecommendBatch registers

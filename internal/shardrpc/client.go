@@ -100,9 +100,9 @@ func NewClient(addr string, idx, of int) *Client {
 // Addr reports the normalised base URL of the remote shard.
 func (c *Client) Addr() string { return c.base }
 
-// SplitAddrs parses a comma-separated shardd address list (the -shard-
-// addrs / -remote-shards flag syntax), trimming whitespace and dropping
-// empty segments. Order is shard-index order: out[i] serves shard i.
+// SplitAddrs parses a comma-separated shardd address list (the
+// -shard-addrs flag syntax), trimming whitespace and dropping empty
+// segments. Order is shard-index order: out[i] serves shard i.
 func SplitAddrs(s string) []string {
 	var out []string
 	for _, a := range strings.Split(s, ",") {
@@ -115,10 +115,10 @@ func SplitAddrs(s string) []string {
 
 // Dial assembles a scatter-gather Router over remote shards, one Client
 // per address — the single construction path shared by
-// ssrec.Open(WithRemoteShards), ssrec-server -shard-addrs and ssrec-bench
-// -remote-shards. The list is SLOT-MAJOR: with n = len(addrs)/replicas
-// slots, addrs[i*replicas : (i+1)*replicas] are the replicas of slot i,
-// each dialed with shard identity (i, n); shard.Open groups them in a
+// ssrec.Open(WithRemoteShards) and ssrec-server -shard-addrs. The list is
+// SLOT-MAJOR: with n = len(addrs)/replicas slots,
+// addrs[i*replicas : (i+1)*replicas] are the replicas of slot i, each
+// dialed with shard identity (i, n); shard.Open groups them in a
 // ReplicaSet when replicas > 1 and serves plain clients otherwise. A
 // non-empty token authenticates every call as "Authorization: Bearer
 // <token>" against shardds started with the matching -auth-token.

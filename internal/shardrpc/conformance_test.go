@@ -8,6 +8,7 @@
 //	shards      ∈ {2}
 //	parallelism ∈ {1, 4}   (concurrent callers asking each query window)
 //	plus one mixed cell: shard 0 in-process, shard 1 remote
+//	plus one replicated cell: 2 slots x 2 replicas, 2 callers
 //
 // By default the suite serves the shards from in-process loopback
 // listeners (self-contained, no processes to manage). Setting
@@ -101,6 +102,48 @@ func TestConformanceRemoteStreamReplay(t *testing.T) {
 				t.Fatalf("shards excluded during a healthy replay: %v", down)
 			}
 		})
+	}
+}
+
+// TestConformanceRemoteReplicatedStreamReplay replays the stream through
+// a replicated remote deployment assembled by Dial: 2 slots x 2 loopback
+// replicas, booted by one snapshot handoff. Writes broadcast every
+// micro-batch to both replicas of a slot over the wire and reads are
+// load-balanced between them, with each query window asked by 2
+// concurrent callers, and the transcript must be bit-identical to the
+// single engine's with every replica still healthy at the end. It always
+// serves from in-process loopbacks: SSREC_SHARD_ADDRS names two endpoints.
+func TestConformanceRemoteReplicatedStreamReplay(t *testing.T) {
+	fx := shardtest.Load(t)
+	maxBatches := 0 // full stream
+	if testing.Short() {
+		maxBatches = 12
+	}
+	const slots, replicas = 2, 2
+
+	reference, err := core.LoadFrom(bytes.NewReader(fx.Snapshot))
+	if err != nil {
+		t.Fatalf("boot reference: %v", err)
+	}
+	want := fx.Replay(t, reference, maxBatches)
+
+	var addrs []string
+	for i := 0; i < slots*replicas; i++ {
+		addrs = append(addrs, startLoopback(t, i/replicas, slots).addr)
+	}
+	r, err := Dial(addrs, replicas, "")
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	if err := r.HandoffSnapshot(context.Background(), fx.Snapshot); err != nil {
+		t.Fatalf("snapshot handoff: %v", err)
+	}
+	got := fx.ReplayCallers(t, r, maxBatches, 2)
+	shardtest.Diff(t, want, got, fmt.Sprintf("remote shards=%d replicas=%d", slots, replicas))
+	for _, st := range r.ReplicaHealth() {
+		if st.State != "healthy" || st.MissedWrite {
+			t.Fatalf("replica left unhealthy by a healthy replay: %+v", st)
+		}
 	}
 }
 
