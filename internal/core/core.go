@@ -103,33 +103,18 @@ type Config struct {
 	ShardIndex int
 	ShardCount int
 
-	// Partition, when non-zero (Blocks > 0), replaces the legacy
-	// ShardOf(·, ShardCount) ownership rule with a versioned block table
-	// (model.Partition) — the online-resharding ownership form. Epoch-0
-	// tables agree exactly with the legacy rule, so the two forms never
-	// disagree on a deployment that has not resharded. Carried in the
-	// Config so it survives SaveTo/LoadFrom snapshots like the shard
-	// identity does.
-	Partition model.Partition
-
 	Seed int64
 }
 
 // ownsUser is the deployment-wide ownership rule: which shard materialises
 // a user's index leaves. Unsharded engines own everyone.
 func (c *Config) ownsUser(userID string) bool {
-	if c.Partition.Blocks > 0 {
-		return c.Partition.Owner(userID) == c.ShardIndex
-	}
 	return c.ShardCount <= 1 || model.ShardOf(userID, c.ShardCount) == c.ShardIndex
 }
 
 // sharded reports whether ownership is actually partitioned — i.e. the
 // index must carry an owns predicate instead of materialising every leaf.
 func (c *Config) sharded() bool {
-	if c.Partition.Blocks > 0 {
-		return c.Partition.Shards > 1
-	}
 	return c.ShardCount > 1
 }
 
@@ -834,27 +819,6 @@ func (e *Engine) Trained() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.trained
-}
-
-// SetShard re-scopes a trained engine as shard idx of an n-way deployment
-// and rebuilds the index so leaves cover only the owned user block — how a
-// shard boots from a shared snapshot (shard.Booted, ssrec-server
-// -model -shards). n <= 1 restores the unsharded engine.
-func (e *Engine) SetShard(idx, n int) error {
-	if n > 1 && (idx < 0 || idx >= n) {
-		return fmt.Errorf("core: shard index %d out of range [0,%d)", idx, n)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg.ShardIndex, e.cfg.ShardCount = idx, n
-	// Re-scoping onto the legacy rule retires any versioned table — the
-	// caller is restating ownership from scratch.
-	e.cfg.Partition = model.Partition{}
-	if !e.trained {
-		return nil
-	}
-	e.flushUpdatesLocked()
-	return e.rebuildIndex()
 }
 
 // Shard reports the engine's position in its deployment (idx of n;

@@ -16,7 +16,6 @@ import (
 	"ssrec/internal/bihmm"
 	"ssrec/internal/cppse"
 	"ssrec/internal/entity"
-	"ssrec/internal/model"
 	"ssrec/internal/profile"
 )
 
@@ -268,26 +267,6 @@ func LoadShardFrom(r io.Reader, idx, n int) (*Engine, error) {
 	}
 	return loadFrom(r, func(c *Config) {
 		c.ShardIndex, c.ShardCount = idx, n
-		c.Partition = model.Partition{}
-	})
-}
-
-// LoadPartitionFrom deserialises a snapshot as shard idx of a deployment
-// partitioned by the versioned block table p — the boot path of an online
-// reshard: any healthy shard's snapshot (it carries the complete
-// replicated state) seeds any slot of the NEW epoch, rebuilding only the
-// leaves p assigns to idx. The snapshot's own shard identity is
-// overridden entirely.
-func LoadPartitionFrom(r io.Reader, idx int, p model.Partition) (*Engine, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if idx < 0 || idx >= p.Shards {
-		return nil, fmt.Errorf("core: shard index %d out of range [0,%d)", idx, p.Shards)
-	}
-	return loadFrom(r, func(c *Config) {
-		c.ShardIndex, c.ShardCount = idx, p.Shards
-		c.Partition = p
 	})
 }
 

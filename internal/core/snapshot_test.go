@@ -69,8 +69,8 @@ func loadBytes(t testing.TB, b []byte) *Engine {
 // reload each item in lockstep (asking registers the item, so every engine
 // must see the same sequence) and requires bit-identical answers, and
 // identical search statistics between the two engines built from the same
-// state.
-func sameAnswers(t *testing.T, items []model.Item, src, loaded, again *Engine) {
+// state. It reports how many items the source answered.
+func sameAnswers(t *testing.T, items []model.Item, src, loaded, again *Engine) (answered int) {
 	t.Helper()
 	same := func(v model.Item, got, want []model.Recommendation) {
 		t.Helper()
@@ -92,7 +92,11 @@ func sameAnswers(t *testing.T, items []model.Item, src, loaded, again *Engine) {
 		if as != ls {
 			t.Fatalf("item %s: stats %+v, want %+v", v.ID, as, ls)
 		}
+		if len(w) > 0 {
+			answered++
+		}
 	}
+	return answered
 }
 
 // TestSnapshotRoundTripProperty: for several seeds and batching modes, an
@@ -219,20 +223,32 @@ func allocated(fn func()) uint64 {
 }
 
 // TestSnapshotHeadSkipsUnknownConfigField: a streamed snapshot whose
-// head Config carries a field this build's Config lacks (snapshots
-// written while Config.HashBuckets existed carry it) loads to the same
-// state and answers bit-identically, because gob skips the field.
+// head Config carries a field this build's Config lacks loads, through
+// LoadFrom and through LoadShardFrom, to the same state, owned users and
+// answers as the same head without the field, because gob skips it. Each
+// case is a retired field set as its last writer set it: HashBuckets
+// (every snapshot written while it was a field) and the versioned block
+// table Partition (the shards of a resharded deployment, which also
+// carried their slot; its owners always equalled model.ShardOf).
 func TestSnapshotHeadSkipsUnknownConfigField(t *testing.T) {
+	type partition struct {
+		Epoch  uint64
+		Shards int
+		Blocks int
+		Owners []int
+	}
+	cases := []struct {
+		field string
+		value any
+		slot  func(*Config) // the head's shard identity, nil to keep it
+	}{
+		{"HashBuckets", 1 << 12, nil},
+		{"Partition", partition{Epoch: 1, Shards: 2, Blocks: 4, Owners: []int{0, 1, 0, 1}},
+			func(c *Config) { c.ShardIndex, c.ShardCount = 1, 2 }},
+	}
 	eng, ds := smallEngine(t)
 	pre, recs := splitSnapshot(t, saveBytes(t, eng))
 	_, k := binary.Uvarint(recs[0][1:])
-	var head snapshotHead
-	if err := gob.NewDecoder(bytes.NewReader(recs[0][1+k:])).Decode(&head); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-encode the head with a Config one field wider: every field of
-	// this build's Config plus HashBuckets, set as the older writer set it.
 	// fields lists v's struct fields, retyping those named in types.
 	fields := func(v reflect.Value, types map[string]reflect.Type) []reflect.StructField {
 		fs := make([]reflect.StructField, v.NumField())
@@ -244,46 +260,92 @@ func TestSnapshotHeadSkipsUnknownConfigField(t *testing.T) {
 		}
 		return fs
 	}
-	cfg := reflect.ValueOf(head.Config)
-	wideCfg := reflect.New(reflect.StructOf(append(fields(cfg, nil),
-		reflect.StructField{Name: "HashBuckets", Type: reflect.TypeOf(0)}))).Elem()
-	for i := range cfg.NumField() {
-		wideCfg.Field(i).Set(cfg.Field(i))
-	}
-	wideCfg.FieldByName("HashBuckets").SetInt(1 << 12)
-	hv := reflect.ValueOf(head)
-	wide := reflect.New(reflect.StructOf(fields(hv, map[string]reflect.Type{"Config": wideCfg.Type()}))).Elem()
-	for i := range hv.NumField() {
-		if hv.Type().Field(i).Name == "Config" {
-			wide.Field(i).Set(wideCfg)
-		} else {
-			wide.Field(i).Set(hv.Field(i))
+	// widen copies head into a struct whose Config has one more field.
+	widen := func(head snapshotHead, name string, value reflect.Value) any {
+		cfg := reflect.ValueOf(head.Config)
+		wideCfg := reflect.New(reflect.StructOf(append(fields(cfg, nil),
+			reflect.StructField{Name: name, Type: value.Type()}))).Elem()
+		for i := range cfg.NumField() {
+			wideCfg.Field(i).Set(cfg.Field(i))
 		}
-	}
-	var hb bytes.Buffer
-	if err := gob.NewEncoder(&hb).Encode(wide.Interface()); err != nil {
-		t.Fatal(err)
-	}
-	var carried struct{ Config struct{ HashBuckets int } }
-	if err := gob.NewDecoder(bytes.NewReader(hb.Bytes())).Decode(&carried); err != nil || carried.Config.HashBuckets != 1<<12 {
-		t.Fatalf("widened head carries HashBuckets %d (%v), want %d", carried.Config.HashBuckets, err, 1<<12)
-	}
-
-	old := bytes.Join(append([][]byte{pre, frame(recHead, hb.Bytes())}, recs[1:]...), nil)
-	loaded := loadBytes(t, old)
-	if want, got := engineState(t, eng), engineState(t, loaded); !reflect.DeepEqual(got, want) {
-		t.Fatal("state loaded from the widened head differs from the saved engine's")
-	}
-	answered := 0
-	for _, v := range ds.Items {
-		if len(eng.Recommend(v, 10)) > 0 {
-			answered++
+		wideCfg.FieldByName(name).Set(value)
+		hv := reflect.ValueOf(head)
+		wide := reflect.New(reflect.StructOf(fields(hv, map[string]reflect.Type{"Config": wideCfg.Type()}))).Elem()
+		for i := range hv.NumField() {
+			if hv.Type().Field(i).Name == "Config" {
+				wide.Field(i).Set(wideCfg)
+			} else {
+				wide.Field(i).Set(hv.Field(i))
+			}
 		}
+		return wide.Interface()
 	}
-	if answered == 0 {
-		t.Fatal("no item has an answer to compare")
+	loaders := []struct {
+		name string
+		load func(io.Reader) (*Engine, error)
+	}{
+		{"LoadFrom", LoadFrom},
+		{"LoadShardFrom(1,2)", func(r io.Reader) (*Engine, error) { return LoadShardFrom(r, 1, 2) }},
 	}
-	sameAnswers(t, ds.Items, eng, loaded, loadBytes(t, saveBytes(t, loaded)))
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			var head snapshotHead
+			if err := gob.NewDecoder(bytes.NewReader(recs[0][1+k:])).Decode(&head); err != nil {
+				t.Fatal(err)
+			}
+			if tc.slot != nil {
+				tc.slot(&head.Config)
+			}
+			encode := func(h any) []byte {
+				var hb bytes.Buffer
+				if err := gob.NewEncoder(&hb).Encode(h); err != nil {
+					t.Fatal(err)
+				}
+				return hb.Bytes()
+			}
+			plainHead, wideHead := encode(&head), encode(widen(head, tc.field, reflect.ValueOf(tc.value)))
+			carried := reflect.New(reflect.StructOf([]reflect.StructField{{Name: "Config",
+				Type: reflect.StructOf([]reflect.StructField{{Name: tc.field, Type: reflect.TypeOf(tc.value)}})}}))
+			if err := gob.NewDecoder(bytes.NewReader(wideHead)).Decode(carried.Interface()); err != nil {
+				t.Fatal(err)
+			}
+			if got := carried.Elem().Field(0).Field(0).Interface(); !reflect.DeepEqual(got, tc.value) {
+				t.Fatalf("widened head carries %s %v, want %v", tc.field, got, tc.value)
+			}
+			snapshot := func(h []byte) []byte {
+				return bytes.Join(append([][]byte{pre, frame(recHead, h)}, recs[1:]...), nil)
+			}
+			for _, ld := range loaders {
+				load := func(b []byte) *Engine {
+					t.Helper()
+					e, err := ld.load(bytes.NewReader(b))
+					if err != nil {
+						t.Fatalf("%s: %v", ld.name, err)
+					}
+					return e
+				}
+				want, got := load(snapshot(plainHead)), load(snapshot(wideHead))
+				if !reflect.DeepEqual(engineState(t, got), engineState(t, want)) {
+					t.Fatalf("%s: state loaded from the widened head differs", ld.name)
+				}
+				wantSt, _ := want.IndexStats()
+				gotSt, _ := got.IndexStats()
+				idx, n := want.Shard()
+				owned := 0
+				want.Store().Each(func(p *profile.Profile) {
+					if model.ShardOf(p.UserID, n) == idx {
+						owned++
+					}
+				})
+				if gotSt.OwnedUsers != wantSt.OwnedUsers || gotSt.OwnedUsers != owned || owned == 0 {
+					t.Fatalf("%s: owns %d users, want %d (ShardOf gives %d)", ld.name, gotSt.OwnedUsers, wantSt.OwnedUsers, owned)
+				}
+				if sameAnswers(t, ds.Items, want, got, loadBytes(t, saveBytes(t, got))) == 0 {
+					t.Fatalf("%s: no item has an answer to compare", ld.name)
+				}
+			}
+		})
+	}
 }
 
 func TestSnapshotRefusesTruncation(t *testing.T) {

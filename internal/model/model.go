@@ -54,8 +54,7 @@ func ShardOf(userID string, n int) int {
 	return int(fnv64(userID) % uint64(n))
 }
 
-// fnv64 is the FNV-1a hash behind both ShardOf and Partition.BlockOf —
-// ONE hash function, so every epoch's block table cuts the same space.
+// fnv64 is the FNV-1a hash behind ShardOf.
 func fnv64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

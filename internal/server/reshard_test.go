@@ -28,6 +28,9 @@ type reshardingStats struct {
 		Phase           string `json:"phase"`
 		FromShards      int    `json:"from_shards"`
 		ToShards        int    `json:"to_shards"`
+		FromEpoch       uint64 `json:"from_epoch"`
+		ToEpoch         uint64 `json:"to_epoch"`
+		MigratingBlocks int    `json:"migrating_blocks"`
 		Seeded          int    `json:"seeded"`
 		MirroredBatches uint64 `json:"mirrored_batches"`
 		Error           string `json:"error"`
@@ -82,8 +85,9 @@ func TestAdminReshardV2Gate(t *testing.T) {
 
 // TestAdminReshardV2Split: an accepted trigger answers 202 immediately
 // and the deployment splits 2→3 asynchronously; /v2/stats converges to
-// the new width with a done, error-free migration record, and the
-// resharded deployment still answers queries.
+// the new width with a done, error-free migration record from epoch 0 to
+// 1 that moved 4 of the 6 residues mod lcm(2, 3), and the resharded
+// deployment still answers queries.
 func TestAdminReshardV2Split(t *testing.T) {
 	s, ds := testShardedServer(t, 2)
 	s.AdminReshard = true
@@ -117,6 +121,9 @@ func TestAdminReshardV2Split(t *testing.T) {
 		st.Resharding.Error != "" || st.Resharding.FromShards != 2 || st.Resharding.ToShards != 3 {
 		t.Fatalf("post-split stats %+v, want 3 shards after a clean 2→3 done migration", st)
 	}
+	if rs := st.Resharding; rs.FromEpoch != 0 || rs.ToEpoch != 1 || rs.MigratingBlocks != 4 {
+		t.Fatalf("post-split epochs %d→%d, migrating_blocks %d; want 0→1 and 4", rs.FromEpoch, rs.ToEpoch, rs.MigratingBlocks)
+	}
 	qr := post(t, h, "/v2/recommend", map[string]any{"items": []map[string]any{itemBody(ds.Items[0])}, "k": 3})
 	if qr.Code != http.StatusOK {
 		t.Fatalf("post-split recommend status %d: %s", qr.Code, qr.Body.String())
@@ -127,12 +134,13 @@ func TestAdminReshardV2Split(t *testing.T) {
 // its context is cancelled — it parks a migration in the seeding phase
 // so the mid-migration surfaces can be observed deterministically.
 type stallMember struct {
-	idx       int
+	idx, of   int
 	started   chan struct{}
 	startOnce sync.Once
 }
 
 func (m *stallMember) Index() int { return m.idx }
+func (m *stallMember) Width() int { return m.of }
 func (m *stallMember) RegisterItems(ctx context.Context, items []model.Item) (bool, error) {
 	return false, nil
 }
@@ -162,9 +170,9 @@ func TestGoldenStatsV2ReshardingMidMigration(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	members := []shard.Shard{
-		&stallMember{idx: 0, started: make(chan struct{})},
-		&stallMember{idx: 1, started: make(chan struct{})},
-		&stallMember{idx: 2, started: make(chan struct{})},
+		&stallMember{idx: 0, of: 3, started: make(chan struct{})},
+		&stallMember{idx: 1, of: 3, started: make(chan struct{})},
+		&stallMember{idx: 2, of: 3, started: make(chan struct{})},
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- r.Reshard(ctx, 3, members...) }()

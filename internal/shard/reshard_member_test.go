@@ -1,9 +1,9 @@
 // reshard_member_test.go exercises the member-seeded half of the online
 // split/merge protocol in-process: a real engine-backed member that is
-// prepared, handed the watermark snapshot and caught up from the mirror
-// ring — the same sequence the remote shardrpc suite drives over HTTP —
-// plus the snapshot-export refusal paths that abort a reshard before any
-// new fleet exists.
+// handed the watermark snapshot and caught up from the mirror ring — the
+// same sequence the remote shardrpc suite drives over HTTP — plus the
+// snapshot-export refusal paths that abort a reshard before any new
+// fleet exists.
 package shard
 
 import (
@@ -22,33 +22,23 @@ import (
 	"ssrec/internal/sigtree"
 )
 
-// gateShard is a reshard member backed by a real engine whose snapshot
-// handoff parks until released: it pins a member-seeded migration in the
-// seeding phase so the test can admit live writes that provably land in
-// the mirror ring, then lets the migration finish and serves the flipped
-// fleet from the seeded engine.
+// gateShard is a reshard member, slot idx of an of-wide deployment,
+// backed by a real engine whose snapshot handoff parks until released: it
+// pins a member-seeded migration in the seeding phase so the test can
+// admit live writes that provably land in the mirror ring, then lets the
+// migration finish and serves the flipped fleet from the seeded engine.
 type gateShard struct {
-	idx     int
+	idx, of int
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 
 	mu    sync.Mutex
-	part  model.Partition
 	inner *Local
 }
 
 func (g *gateShard) Index() int { return g.idx }
-
-func (g *gateShard) PrepareReshard(ctx context.Context, slot int, p model.Partition) error {
-	if slot != g.idx {
-		return fmt.Errorf("prepare for slot %d reached member %d", slot, g.idx)
-	}
-	g.mu.Lock()
-	g.part = p
-	g.mu.Unlock()
-	return nil
-}
+func (g *gateShard) Width() int { return g.of }
 
 func (g *gateShard) Handoff(ctx context.Context, snapshot []byte) error {
 	g.once.Do(func() { close(g.started) })
@@ -59,7 +49,7 @@ func (g *gateShard) Handoff(ctx context.Context, snapshot []byte) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e, err := core.LoadPartitionFrom(bytes.NewReader(snapshot), g.idx, g.part)
+	e, err := core.LoadShardFrom(bytes.NewReader(snapshot), g.idx, g.of)
 	if err != nil {
 		return err
 	}
@@ -123,8 +113,8 @@ func TestReshardMemberSeedingMirrorsLiveWrites(t *testing.T) {
 
 	release := make(chan struct{})
 	members := []Shard{
-		&gateShard{idx: 0, started: make(chan struct{}), release: release},
-		&gateShard{idx: 1, started: make(chan struct{}), release: release},
+		&gateShard{idx: 0, of: 2, started: make(chan struct{}), release: release},
+		&gateShard{idx: 1, of: 2, started: make(chan struct{}), release: release},
 	}
 	ctx := context.Background()
 	errCh := make(chan error, 1)
@@ -161,8 +151,8 @@ func TestReshardMemberSeedingMirrorsLiveWrites(t *testing.T) {
 	if got := r.Shards(); got != 2 {
 		t.Fatalf("post-reshard width %d, want 2", got)
 	}
-	if p := r.Partition(); p.Epoch != 1 || p.Shards != 2 {
-		t.Fatalf("post-reshard partition %+v, want epoch 1 at 2 shards", p)
+	if got := r.Epoch(); got != 1 {
+		t.Fatalf("post-reshard epoch %d, want 1", got)
 	}
 	st = r.ReshardStatus()
 	if st.Active || st.Phase != ReshardPhaseDone || st.Seeded != 2 || st.Completed != 1 {

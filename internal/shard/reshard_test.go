@@ -87,8 +87,8 @@ func TestReshardConformanceSplitMerge(t *testing.T) {
 			if got := r.Shards(); got != 4 {
 				t.Fatalf("post-split width %d, want 4", got)
 			}
-			if p := r.Partition(); p.Epoch != 1 {
-				t.Fatalf("post-split partition epoch %d, want 1", p.Epoch)
+			if got := r.Epoch(); got != 1 {
+				t.Fatalf("post-split epoch %d, want 1", got)
 			}
 			st := r.ReshardStatus()
 			t.Logf("split complete: %d batches mirrored during migration", st.MirroredBatches)
@@ -110,11 +110,10 @@ func TestReshardConformanceSplitMerge(t *testing.T) {
 	got := fx.ReplayWithHooks(t, r, shardtest.ReplayBatch, maxBatches, hooks)
 	shardtest.Diff(t, want, got, "live split+merge")
 
-	// Post-reshard invariants: two epochs advanced, the ownership rule
-	// agrees exactly with the legacy modular rule at the final width, and
-	// the owned-user partition is still exact.
-	if p := r.Partition(); p.Epoch != 2 || p.Shards != 2 {
-		t.Fatalf("final partition %+v, want epoch 2 at 2 shards", p)
+	// Post-reshard invariants: two epochs advanced, ownership is ShardOf
+	// at the final width, and the owned-user partition is still exact.
+	if got := r.Epoch(); got != 2 {
+		t.Fatalf("final epoch %d, want 2", got)
 	}
 	st := r.ReshardStatus()
 	if st.Active || st.Phase != ReshardPhaseDone || st.Completed != 2 {
@@ -261,16 +260,18 @@ func TestReshardConcurrentHammer(t *testing.T) {
 	}
 }
 
-// stallShard is a reshard member whose snapshot handoff blocks until its
-// context is cancelled — it parks a migration in the seeding phase so
-// tests can observe and abort it deterministically.
+// stallShard is a reshard member, slot idx of an of-wide deployment,
+// whose snapshot handoff blocks until its context is cancelled — it parks
+// a migration in the seeding phase so tests can observe and abort it
+// deterministically.
 type stallShard struct {
-	idx       int
+	idx, of   int
 	started   chan struct{}
 	startOnce sync.Once
 }
 
 func (s *stallShard) Index() int { return s.idx }
+func (s *stallShard) Width() int { return s.of }
 func (s *stallShard) RegisterItems(ctx context.Context, items []model.Item) (bool, error) {
 	return false, nil
 }
@@ -320,8 +321,8 @@ func TestReshardCancelNoLeakNoDisruption(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	members := []Shard{
-		&stallShard{idx: 0, started: make(chan struct{})},
-		&stallShard{idx: 1, started: make(chan struct{})},
+		&stallShard{idx: 0, of: 2, started: make(chan struct{})},
+		&stallShard{idx: 1, of: 2, started: make(chan struct{})},
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- r.Reshard(ctx, 2, members...) }()
@@ -397,9 +398,11 @@ func TestReshardCancelNoLeakNoDisruption(t *testing.T) {
 }
 
 // TestReshardValidation covers the refuse-up-front paths: a bad width,
-// a member-count mismatch, a member in the wrong slot and a member that
-// cannot receive a snapshot must all fail before any migration state is
-// created.
+// a member-count mismatch, a member in the wrong slot, a member that
+// cannot receive a snapshot, and a member that reports a width other than
+// the target or none at all must all fail before any migration state is
+// created — no member's Handoff runs and the old fleet keeps serving the
+// same answers.
 func TestReshardValidation(t *testing.T) {
 	fx := fixture(t)
 	r, err := boot(fx.Snapshot, 1, 1)
@@ -407,36 +410,80 @@ func TestReshardValidation(t *testing.T) {
 		t.Fatalf("boot: %v", err)
 	}
 	ctx := context.Background()
+	qs := fx.Queries[:shardtest.ReplayQueryLen]
+	want, err := r.RecommendBatch(ctx, qs, core.WithK(shardtest.ReplayK))
+	if err != nil {
+		t.Fatalf("queries before: %v", err)
+	}
+	// A handoff that slipped past a check returns at once, so a missing
+	// check fails the test instead of hanging it.
+	released := make(chan struct{})
+	close(released)
+	var made []*gateShard
+	member := func(idx, of int) *gateShard {
+		g := &gateShard{idx: idx, of: of, started: make(chan struct{}), release: released}
+		made = append(made, g)
+		return g
+	}
+	// widthless hides gateShard.Width: a handoff-capable member that does
+	// not report its width.
+	type widthless struct {
+		Shard
+		SnapshotReceiver
+	}
+	noWidth := member(1, 2)
 	cases := []struct {
-		name string
-		call func() error
+		name    string
+		m       int
+		members []Shard
 	}{
-		{"zero width", func() error { return r.Reshard(ctx, 0) }},
-		{"member count mismatch", func() error {
-			return r.Reshard(ctx, 2, &stallShard{idx: 0, started: make(chan struct{})})
-		}},
-		{"member slot mismatch", func() error {
-			return r.Reshard(ctx, 2,
-				&stallShard{idx: 1, started: make(chan struct{})},
-				&stallShard{idx: 0, started: make(chan struct{})})
-		}},
-		{"member without handoff", func() error {
-			return r.Reshard(ctx, 2,
-				&stallShard{idx: 0, started: make(chan struct{})},
-				&noHandoffShard{idx: 1})
-		}},
+		{"zero width", 0, nil},
+		{"member count mismatch", 2, []Shard{member(0, 2)}},
+		{"member slot mismatch", 2, []Shard{member(1, 2), member(0, 2)}},
+		{"member without handoff", 2, []Shard{member(0, 2), &noHandoffShard{idx: 1}}},
+		{"member of width 3", 2, []Shard{member(0, 2), member(1, 3)}},
+		{"member without width", 2, []Shard{member(0, 2), widthless{noWidth, noWidth}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.call(); err == nil {
+			if err := r.Reshard(ctx, tc.m, tc.members...); err == nil {
 				t.Fatal("want error, got nil")
 			}
-			if st := r.ReshardStatus(); st.Active {
-				t.Fatalf("refused reshard left active state: %+v", st)
+			for _, g := range made {
+				select {
+				case <-g.started:
+					t.Fatalf("member %d received a handoff", g.idx)
+				default:
+				}
 			}
-			if got := r.Shards(); got != 1 {
-				t.Fatalf("refused reshard changed width to %d", got)
+			if st := r.ReshardStatus(); st.Active || st.Phase != "" {
+				t.Fatalf("refused reshard left status %+v", st)
+			}
+			if r.Shards() != 1 || r.Epoch() != 0 {
+				t.Fatalf("refused reshard moved the fleet to width %d, epoch %d", r.Shards(), r.Epoch())
+			}
+			got, err := r.RecommendBatch(ctx, qs, core.WithK(shardtest.ReplayK))
+			if err != nil {
+				t.Fatalf("queries after refusal: %v", err)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i].Recommendations, want[i].Recommendations) {
+					t.Fatalf("item %s: old fleet answers changed after the refusal", want[i].ItemID)
+				}
 			}
 		})
+	}
+}
+
+// TestMigratingResidues pins the /v2/stats migrating_blocks figure: the
+// residues mod lcm(n, m) whose owner changes, a function of the two
+// widths alone (a chain 2→3→1 reports 2 for its second step).
+func TestMigratingResidues(t *testing.T) {
+	for _, tc := range []struct{ n, m, want int }{
+		{1, 1, 0}, {1, 2, 1}, {2, 1, 1}, {2, 3, 4}, {2, 4, 2}, {4, 2, 2}, {3, 1, 2}, {3, 3, 0},
+	} {
+		if got := migratingResidues(tc.n, tc.m); got != tc.want {
+			t.Errorf("migratingResidues(%d, %d) = %d, want %d", tc.n, tc.m, got, tc.want)
+		}
 	}
 }

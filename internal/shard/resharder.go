@@ -4,21 +4,22 @@
 //
 // # Mechanics
 //
-// A reshard never mutates the serving fleet. It builds a complete
-// REPLACEMENT fleet for the successor partition epoch off to the side
-// and retires the old fleet with one atomic pointer swap:
+// A reshard never mutates the serving fleet. Ownership is always
+// model.ShardOf(·, width), so the successor epoch is just the new width
+// m. The reshard builds a complete REPLACEMENT fleet of m slots off to
+// the side and retires the old fleet with one atomic pointer swap:
 //
 //  1. Watermark (reshardMu held exclusively, writers paused for one
-//     snapshot export): the successor table p' = partition.Next(m) is
-//     derived, ONE snapshot is exported from a healthy shard — it
-//     carries the complete replicated state, so it can seed every new
+//     snapshot export): ONE snapshot is exported from a healthy shard —
+//     it carries the complete replicated state, so it can seed every new
 //     slot — and the mirror ring is installed. Every write admitted
 //     after the watermark is appended to the ring by the write paths
 //     (router.go) AFTER the old fleet applied it.
-//  2. Seeding: each new member boots from the snapshot with the new
-//     epoch's table (core.LoadPartitionFrom in-process; PrepareReshard +
-//     snapshot handoff for remote members), rebuilding only the leaves
-//     p' assigns it. The old fleet keeps serving reads AND writes.
+//  2. Seeding: each new member boots from the snapshot as slot i of m
+//     (core.LoadShardFrom in-process; a snapshot handoff for remote
+//     members, which were started as slot i of m), rebuilding only the
+//     leaves ShardOf(·, m) assigns it. The old fleet keeps serving reads
+//     AND writes.
 //  3. Catch-up: the ring is drained in arrival order, each mirrored
 //     micro-batch broadcast to every new member (the micro-batch stays
 //     the atomic replication unit). Reports from the new fleet are
@@ -41,11 +42,11 @@
 // ring (appended inside the same read-locked critical section that
 // broadcast them), and the flip drains the ring to empty while writers
 // are paused. Sequential streams therefore replay onto the new fleet in
-// the exact order the old fleet applied them, and the post-flip fleet's
-// ownership table agrees exactly with model.ShardOf(·, m) — the
-// conformance gate (reshard_test.go) replays the 11.5k-interaction
-// fixture through a mid-stream 2→4 split and 4→2 merge and asserts
-// bit-identical transcripts against the static single-engine reference.
+// the exact order the old fleet applied them, and the post-flip fleet
+// owns users by model.ShardOf(·, m) — the conformance gate
+// (reshard_test.go) replays the 11.5k-interaction fixture through a
+// mid-stream 2→4 split and 4→2 merge and asserts bit-identical
+// transcripts against the static single-engine reference.
 package shard
 
 import (
@@ -86,12 +87,13 @@ type ReshardStatus struct {
 	// FromShards/ToShards are the old and new deployment widths.
 	FromShards int
 	ToShards   int
-	// FromEpoch/ToEpoch are the partition-table versions being retired
-	// and installed.
+	// FromEpoch/ToEpoch are the fleet epochs being retired and installed
+	// (Router.Epoch).
 	FromEpoch uint64
 	ToEpoch   uint64
-	// MigratingBlocks counts the hash blocks whose owner changes — the
-	// leaf partitions that actually move.
+	// MigratingBlocks counts the residues of the user hash modulo
+	// lcm(FromShards, ToShards) whose owner changes — the share of users
+	// whose leaves move. It depends on the two widths only.
 	MigratingBlocks int
 	// Members and Seeded track the new fleet's boot progress.
 	Members int
@@ -132,17 +134,32 @@ type reshardState struct {
 	ring []mirrorEntry
 }
 
-func newReshardState(old, next model.Partition, members int) *reshardState {
+func newReshardState(from, to int, epoch uint64) *reshardState {
 	rsd := &reshardState{
-		fromShards: old.Shards,
-		toShards:   next.Shards,
-		fromEpoch:  old.Epoch,
-		toEpoch:    next.Epoch,
-		migrating:  len(old.MigratingBlocks(next)),
-		members:    members,
+		fromShards: from,
+		toShards:   to,
+		fromEpoch:  epoch,
+		toEpoch:    epoch + 1,
+		migrating:  migratingResidues(from, to),
+		members:    to,
 	}
 	rsd.phase.Store(ReshardPhaseSeeding)
 	return rsd
+}
+
+// migratingResidues counts the residues r of the user hash modulo
+// lcm(n, m) with r%n != r%m: the hash classes whose owner changes when an
+// n-wide deployment reshards to m. r%n == r%m == a makes r ≡ a modulo
+// lcm(n, m), so r == a < min(n, m): every other residue moves.
+func migratingResidues(n, m int) int {
+	return n/gcd(n, m)*m - min(n, m)
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func (rsd *reshardState) setPhase(p string) { rsd.phase.Store(p) }
@@ -225,10 +242,11 @@ func (r *Router) ReshardStatus() ReshardStatus {
 // shards, each booted from the migration snapshot (the elastic-scale
 // path of an in-process deployment). With members — len(members) == m,
 // members[i].Index() == i — the caller supplies the new fleet, e.g.
-// shardrpc clients for freshly started shardd processes: members
-// implementing ReshardPreparer are told their slot's new partition
-// table first, then every member must accept the snapshot handoff
-// (SnapshotReceiver) and the mirrored catch-up batches.
+// shardrpc clients for freshly started shardd processes: every member
+// must report its width as m (a Width() int method), accept the
+// snapshot handoff (SnapshotReceiver) and the mirrored catch-up batches.
+// A member that fails those checks is refused before the watermark, so
+// the old fleet is never disturbed.
 //
 // Only one reshard runs at a time (ErrReshardInProgress). Writes keep
 // flowing throughout — they pause only while the watermark snapshot is
@@ -249,6 +267,13 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 			if _, ok := mb.(SnapshotReceiver); !ok {
 				return fmt.Errorf("shard: member %d (%T) cannot receive a snapshot handoff", i, mb)
 			}
+			w, ok := mb.(interface{ Width() int })
+			if !ok {
+				return fmt.Errorf("shard: member %d (%T) does not report its width", i, mb)
+			}
+			if w.Width() != m {
+				return fmt.Errorf("shard: member %d reports width %d, want %d", i, w.Width(), m)
+			}
 		}
 	}
 	if ctx == nil {
@@ -264,8 +289,7 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 		return ErrReshardInProgress
 	}
 	old := r.fl()
-	next := old.partition.Next(m)
-	rsd := newReshardState(old.partition, next, m)
+	rsd := newReshardState(len(old.shards), m, old.epoch)
 	snapshot, err := old.snapshotSource(ctx)
 	if err != nil {
 		r.reshardMu.Unlock()
@@ -274,16 +298,16 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 	r.rsd.Store(rsd)
 	r.reshardMu.Unlock()
 
-	// Seeding: boot every new member from the watermark snapshot with
-	// the successor table. The old fleet serves throughout; admitted
-	// writes pile into the ring.
+	// Seeding: boot every new member from the watermark snapshot as its
+	// slot of m. The old fleet serves throughout; admitted writes pile
+	// into the ring.
 	newShards := make([]Shard, m)
 	if len(members) == 0 {
 		for i := 0; i < m; i++ {
 			if err := ctx.Err(); err != nil {
 				return r.finishReshard(rsd, ReshardPhaseCancelled, err)
 			}
-			e, err := core.LoadPartitionFrom(bytes.NewReader(snapshot), i, next)
+			e, err := core.LoadShardFrom(bytes.NewReader(snapshot), i, m)
 			if err != nil {
 				if ctx.Err() != nil {
 					return r.finishReshard(rsd, ReshardPhaseCancelled, ctx.Err())
@@ -297,14 +321,6 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 		for i, mb := range members {
 			if err := ctx.Err(); err != nil {
 				return r.finishReshard(rsd, ReshardPhaseCancelled, err)
-			}
-			if prep, ok := mb.(ReshardPreparer); ok {
-				if err := prep.PrepareReshard(ctx, i, next); err != nil {
-					if ctx.Err() != nil {
-						return r.finishReshard(rsd, ReshardPhaseCancelled, ctx.Err())
-					}
-					return r.finishReshard(rsd, ReshardPhaseFailed, fmt.Errorf("shard: prepare slot %d: %w", i, err))
-				}
 			}
 			if err := mb.(SnapshotReceiver).Handoff(ctx, snapshot); err != nil {
 				if ctx.Err() != nil {
@@ -352,7 +368,7 @@ func (r *Router) Reshard(ctx context.Context, m int, members ...Shard) error {
 			return r.finishReshard(rsd, ReshardPhaseFailed, err)
 		}
 	}
-	nf := newFleet(newShards, next)
+	nf := newFleet(newShards, rsd.toEpoch)
 	nf.setProbeInterval(old.probeInterval())
 	r.fleet.Store(nf)
 	r.rsd.Store(nil)

@@ -65,14 +65,14 @@ type fleet struct {
 	// members holds the shard handles and their exclusion, missed-write
 	// debt, epoch baselines and probe schedule (members.go).
 	members
-	// partition is this fleet's versioned ownership table; epoch 0 agrees
-	// exactly with the legacy model.ShardOf rule, each reshard installs
-	// the successor epoch with the replacement fleet.
-	partition model.Partition
+	// epoch counts the reshards behind this fleet: 0 at boot, each
+	// reshard installs epoch+1 with the replacement fleet. Ownership is
+	// model.ShardOf(·, len(shards)) at every epoch.
+	epoch uint64
 }
 
-func newFleet(shards []Shard, p model.Partition) *fleet {
-	f := &fleet{partition: p}
+func newFleet(shards []Shard, epoch uint64) *fleet {
+	f := &fleet{epoch: epoch}
 	f.init(shards)
 	return f
 }
@@ -132,7 +132,7 @@ type Router struct {
 
 func newRouter(shards []Shard) *Router {
 	r := &Router{}
-	r.fleet.Store(newFleet(shards, model.LegacyPartition(len(shards))))
+	r.fleet.Store(newFleet(shards, 0))
 	return r
 }
 
@@ -290,8 +290,8 @@ func NewRouter(shards ...Shard) (*Router, error) {
 // Shards reports the deployment width.
 func (r *Router) Shards() int { return len(r.fl().shards) }
 
-// Partition reports the current fleet's versioned ownership table.
-func (r *Router) Partition() model.Partition { return r.fl().partition }
+// Epoch reports how many reshards the current fleet is past boot.
+func (r *Router) Epoch() uint64 { return r.fl().epoch }
 
 // Replicas reports the replication factor of the widest slot (1 for a
 // plain unreplicated deployment).
@@ -328,10 +328,10 @@ func (r *Router) ShardStats() []Stats {
 	return out
 }
 
-// Owner returns the shard index that materialises a user's leaves under
-// the current partition epoch.
+// Owner returns the shard index that materialises a user's leaves in the
+// current fleet.
 func (r *Router) Owner(userID string) int {
-	return r.fl().partition.Owner(userID)
+	return model.ShardOf(userID, len(r.fl().shards))
 }
 
 // Down lists the currently excluded shard indices, ascending.

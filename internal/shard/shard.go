@@ -140,18 +140,6 @@ type SnapshotReceiver interface {
 	Handoff(ctx context.Context, snapshot []byte) error
 }
 
-// ReshardPreparer is the optional resharding extension of a Shard: the
-// control half of the online split/merge protocol (Router.Reshard). A
-// new-fleet member implementing it is told, before the snapshot handoff,
-// that its next boot is slot `slot` of the deployment partitioned by the
-// versioned block table p — a remote shard stages p so the handoff boots
-// via core.LoadPartitionFrom instead of the legacy modular rule. Members
-// without it (e.g. in-process shards built by the Router itself) are
-// assumed pre-configured for their slot.
-type ReshardPreparer interface {
-	PrepareReshard(ctx context.Context, slot int, p model.Partition) error
-}
-
 // SnapshotProvider is the optional snapshot-export extension of a Shard:
 // the SOURCE end of the recovery protocol. Snapshot returns the shard's
 // full engine state as core.SaveTo bytes. Because a shard snapshot

@@ -147,6 +147,12 @@ func Dial(addrs []string, replicas int, token string) (*shard.Router, error) {
 // Index implements shard.Shard.
 func (c *Client) Index() int { return c.idx }
 
+// Width reports the deployment width this client addresses — the `of`
+// it sends as X-Ssrec-Shard-Count with every snapshot handoff, which the
+// shardd refuses unless it matches its own -of. Router.Reshard requires
+// it to equal the target width.
+func (c *Client) Width() int { return c.of }
+
 // Close tears down the multiplexed query stream and releases idle
 // connections.
 func (c *Client) Close() {
@@ -436,17 +442,6 @@ func (c *Client) Replay(ctx context.Context, batches []shard.ReplayBatch) error 
 	return c.do(ctx, "replay", pathReplay, req, &resp)
 }
 
-// PrepareReshard implements shard.ReshardPreparer: stages the successor
-// partition table on the shardd (POST /shard/v1/reshard) so the snapshot
-// handoff that follows boots slot `slot` via core.LoadPartitionFrom —
-// the control half of resharding onto remote members (Router.Reshard
-// with shardrpc clients for freshly started shardd processes).
-func (c *Client) PrepareReshard(ctx context.Context, slot int, p model.Partition) error {
-	w := reshardWire{Slot: slot, Partition: toPartitionWire(p)}
-	var resp reshardRespWire
-	return c.do(ctx, "reshard", pathReshard, w, &resp)
-}
-
 // Compile-time interface checks.
 var (
 	_ shard.Shard            = (*Client)(nil)
@@ -454,5 +449,4 @@ var (
 	_ shard.SnapshotReceiver = (*Client)(nil)
 	_ shard.SnapshotProvider = (*Client)(nil)
 	_ shard.Replayer         = (*Client)(nil)
-	_ shard.ReshardPreparer  = (*Client)(nil)
 )

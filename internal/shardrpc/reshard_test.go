@@ -1,10 +1,10 @@
 // reshard_test.go is the REMOTE column of the online-resharding gate
-// plus the fuzz target for its control-plane decoder. The conformance
-// test replays the shared seeded stream through a deployment that starts
-// as ONE in-process shard, splits LIVE onto two shardd endpoints (real
-// TCP, real HTTP/2 — the PrepareReshard + snapshot-handoff + mirrored
-// catch-up protocol end to end) and later merges back in-process, and
-// the transcript must stay bit-identical to the single reference engine.
+// plus the width checks that guard it. The conformance test replays the
+// shared seeded stream through a deployment that starts as ONE
+// in-process shard, splits LIVE onto two shardd endpoints (real TCP,
+// real HTTP/2 — the snapshot-handoff + mirrored catch-up protocol end to
+// end) and later merges back in-process, and the transcript must stay
+// bit-identical to the single reference engine.
 // Setting SSREC_RESHARD_LOG writes a migration transcript artifact; the
 // CI resharding-conformance job runs this against two real ssrec-shardd
 // processes via SSREC_SHARD_ADDRS and uploads it.
@@ -13,7 +13,6 @@ package shardrpc
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,7 +20,6 @@ import (
 	"testing"
 
 	"ssrec/internal/core"
-	"ssrec/internal/model"
 	"ssrec/internal/shard"
 	"ssrec/internal/shardtest"
 )
@@ -108,7 +106,7 @@ func TestRemoteReshardSplitMerge(t *testing.T) {
 			}
 			st := r.ReshardStatus()
 			logf("batch=%d event=split-done epoch=%d mirrored=%d migrating_blocks=%d",
-				b, r.Partition().Epoch, st.MirroredBatches, st.MigratingBlocks)
+				b, r.Epoch(), st.MirroredBatches, st.MigratingBlocks)
 		},
 		mergeAt: func(b int) {
 			logf("batch=%d event=merge-start to=1 transport=in-process", b)
@@ -123,15 +121,15 @@ func TestRemoteReshardSplitMerge(t *testing.T) {
 				t.Fatalf("post-merge width %d, want 1", got)
 			}
 			st := r.ReshardStatus()
-			logf("batch=%d event=merge-done epoch=%d mirrored=%d", b, r.Partition().Epoch, st.MirroredBatches)
+			logf("batch=%d event=merge-done epoch=%d mirrored=%d", b, r.Epoch(), st.MirroredBatches)
 		},
 	}
 
 	got := fx.ReplayWithHooks(t, r, shardtest.ReplayBatch, maxBatches, hooks)
 	shardtest.Diff(t, want, got, "remote split + merge")
 
-	if p := r.Partition(); p.Epoch != 2 || p.Shards != 1 {
-		t.Fatalf("final partition %+v, want epoch 2 at 1 shard", p)
+	if got := r.Epoch(); got != 2 {
+		t.Fatalf("final epoch %d, want 2", got)
 	}
 	st := r.ReshardStatus()
 	if st.Active || st.Phase != shard.ReshardPhaseDone || st.Completed != 2 {
@@ -147,94 +145,41 @@ func TestRemoteReshardSplitMerge(t *testing.T) {
 	}
 }
 
-// TestReshardRPCStaging covers the control plane directly: staging a
-// mismatched slot or width is refused with 409 and stages nothing, a
-// matching stage answers {staged:true}, and the staged table makes the
-// next handoff boot with the successor epoch's partition.
-func TestReshardRPCStaging(t *testing.T) {
+// TestReshardRefusesRemoteMemberWidth: a client addressing slot 1 of a
+// 3-wide deployment is refused as a member of a reshard to 2 before the
+// watermark — no shardd receives a handoff and the old fleet keeps
+// serving.
+func TestReshardRefusesRemoteMemberWidth(t *testing.T) {
 	fx := shardtest.Load(t)
-	lb := startLoopback(t, 1, 2)
-	c := NewClient(lb.addr, 1, 2)
-	defer c.Close()
+	eng, err := core.LoadFrom(bytes.NewReader(fx.Snapshot))
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	r, err := shard.NewRouter(shard.NewLocal(0, eng))
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	lbs := []*loopback{startLoopback(t, 0, 2), startLoopback(t, 1, 2)}
+	members := []shard.Shard{NewClient(lbs[0].addr, 0, 2), NewClient(lbs[1].addr, 1, 3)}
+	for _, m := range members {
+		t.Cleanup(m.(*Client).Close)
+	}
 	ctx := context.Background()
-
-	next := model.LegacyPartition(1).Next(2)
-	// Wrong slot and wrong width are both identity conflicts.
-	if err := c.PrepareReshard(ctx, 0, next); err == nil {
-		t.Fatal("staging slot 0 on shard 1 succeeded, want refusal")
+	if err := r.Reshard(ctx, 2, members...); err == nil || !strings.Contains(err.Error(), "width 3") {
+		t.Fatalf("err = %v, want a width refusal", err)
 	}
-	if err := (NewClient(lb.addr, 1, 2)).PrepareReshard(ctx, 1, model.LegacyPartition(1).Next(3)); err == nil {
-		t.Fatal("staging a 3-wide table on a 2-wide shard succeeded, want refusal")
-	}
-
-	// A matching stage + handoff boots the successor partition: shard 1
-	// of next owns exactly the users ShardOf assigns it.
-	if err := c.PrepareReshard(ctx, 1, next); err != nil {
-		t.Fatalf("stage: %v", err)
-	}
-	if err := c.Handoff(ctx, fx.Snapshot); err != nil {
-		t.Fatalf("handoff: %v", err)
-	}
-	ref, err := core.LoadPartitionFrom(bytes.NewReader(fx.Snapshot), 1, next)
-	if err != nil {
-		t.Fatalf("reference boot: %v", err)
-	}
-	wantStats, gotStats := shard.NewLocal(1, ref).Stats(), c.Stats()
-	if gotStats.OwnedUsers != wantStats.OwnedUsers || gotStats.OwnedUsers == 0 {
-		t.Fatalf("staged boot owns %d users, want %d (>0)", gotStats.OwnedUsers, wantStats.OwnedUsers)
-	}
-
-	// The stage was consumed: a plain handoff boots legacy again.
-	if err := c.Handoff(ctx, fx.Snapshot); err != nil {
-		t.Fatalf("second handoff: %v", err)
-	}
-	legacy, err := core.LoadShardFrom(bytes.NewReader(fx.Snapshot), 1, 2)
-	if err != nil {
-		t.Fatalf("legacy reference boot: %v", err)
-	}
-	wantStats, gotStats = shard.NewLocal(1, legacy).Stats(), c.Stats()
-	if gotStats.OwnedUsers != wantStats.OwnedUsers {
-		t.Fatalf("post-stage handoff owns %d users, want legacy %d", gotStats.OwnedUsers, wantStats.OwnedUsers)
-	}
-}
-
-// FuzzDecodeReshardRequest fuzzes the resharding control-plane decoder.
-// The seed corpus mirrors the malformed-partition table of the model
-// package's validation tests (zero shards, missing owners, owner-count
-// mismatch, out-of-range and negative owners) plus JSON-shape attacks.
-// Invariants: no panic, and any accepted request yields a structurally
-// valid table with the slot inside it.
-func FuzzDecodeReshardRequest(f *testing.F) {
-	valid, _ := encodeReshardBody(1, model.LegacyPartition(2).Next(4))
-	f.Add(valid)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(``))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":0,"blocks":1,"owners":[0]}}`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[]}}`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":2,"blocks":4,"owners":[0,1]}}`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[0,7]}}`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[0,-1]}}`))
-	f.Add([]byte(`{"slot":-1,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[0,1]}}`))
-	f.Add([]byte(`{"slot":9,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[0,1]}}`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[0,1]},"extra":true}`))
-	f.Add([]byte(`{"slot":0,"partition":{"epoch":1,"shards":2,"blocks":2,"owners":[0,1]}}{"slot":1}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		slot, p, err := decodeReshardRequest(data)
-		if err != nil {
-			return
+	for i, lb := range lbs {
+		if lb.srv.boot.Load() != nil {
+			t.Fatalf("shardd %d booted by a refused reshard", i)
 		}
-		if verr := p.Validate(); verr != nil {
-			t.Fatalf("accepted request decoded invalid partition %+v: %v", p, verr)
-		}
-		if slot < 0 || slot >= p.Shards {
-			t.Fatalf("accepted request decoded slot %d outside [0,%d)", slot, p.Shards)
-		}
-	})
-}
-
-// encodeReshardBody builds a wire body the way the client does — kept as
-// a helper so the fuzz seed stays in lockstep with the encoder.
-func encodeReshardBody(slot int, p model.Partition) ([]byte, error) {
-	return json.Marshal(reshardWire{Slot: slot, Partition: toPartitionWire(p)})
+	}
+	if st := r.ReshardStatus(); st.Active || st.Phase != "" {
+		t.Fatalf("refused reshard left status %+v", st)
+	}
+	if r.Shards() != 1 || r.Epoch() != 0 {
+		t.Fatalf("refused reshard moved the fleet to width %d, epoch %d", r.Shards(), r.Epoch())
+	}
+	if _, err := r.RecommendBatch(ctx, fx.Queries[:shardtest.ReplayQueryLen], core.WithK(shardtest.ReplayK)); err != nil {
+		t.Fatalf("old fleet after refusal: %v", err)
+	}
 }

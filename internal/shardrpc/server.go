@@ -18,7 +18,6 @@
 //	POST /shard/v1/snapshot     raw snapshot bytes       → 204
 //	GET  /shard/v1/snapshot                              → raw snapshot bytes
 //	POST /shard/v1/replay       {batches:[...]}          → {applied, boot_epoch}
-//	POST /shard/v1/reshard      {slot, partition}        → {staged}
 //
 // # The bound-streaming query stream
 //
@@ -137,12 +136,6 @@ type Server struct {
 	// engine published for reads always come from the same handoff.
 	bootMu sync.Mutex
 
-	// reshardPending is the partition table staged by POST /shard/v1/
-	// reshard: the next snapshot handoff consumes it and boots via
-	// core.LoadPartitionFrom — the data half of the online split/merge
-	// protocol. Nil outside a reshard seeding.
-	reshardPending atomic.Pointer[model.Partition]
-
 	// reg/tracer are the shard's telemetry surface: GET /metrics serves
 	// the registry, and traces resumed off incoming asks (qsAsk.Trace,
 	// X-Ssrec-Trace on writes) are retained here and fetchable via
@@ -182,7 +175,6 @@ func NewServer(idx, of int) (*Server, error) {
 	s.mux.HandleFunc("POST "+pathSnapshot, s.handleSnapshot)
 	s.mux.HandleFunc("GET "+pathSnapshot, s.handleSnapshotExport)
 	s.mux.HandleFunc("POST "+pathReplay, s.handleReplay)
-	s.mux.HandleFunc("POST "+pathReshard, s.handleReshard)
 	return s, nil
 }
 
@@ -512,31 +504,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, observeRespWire{reportWire: toReportWire(rep), Error: encodeErr(err)})
 }
 
-// handleReshard stages a reshard: the router announces, before the
-// snapshot handoff, that this shard's next boot is slot `slot` of the
-// deployment partitioned by the posted versioned block table. The slot
-// and width must match the identity this shardd was started with —
-// resharding onto remote members means starting fresh processes with the
-// FINAL identity (-index i -of m) and pointing the reshard at them.
-func (s *Server) handleReshard(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "reshard: %v", err)
-		return
-	}
-	slot, p, err := decodeReshardRequest(body)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if slot != s.idx || p.Shards != s.of {
-		s.httpError(w, http.StatusConflict, "reshard addresses slot %d of %d, this shard is %d/%d", slot, p.Shards, s.idx, s.of)
-		return
-	}
-	s.reshardPending.Store(&p)
-	s.writeJSON(w, http.StatusOK, reshardRespWire{Staged: true})
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// Refuse a handoff addressed to a different shard identity — booting
 	// the wrong leaf partition would silently break the deployment's
@@ -549,19 +516,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var (
-		e   *core.Engine
-		err error
-	)
-	if pending := s.reshardPending.Swap(nil); pending != nil {
-		// A staged reshard: boot with the successor epoch's versioned
-		// table instead of the legacy modular rule. The stage is consumed
-		// either way — a failed handoff aborts the whole reshard and any
-		// retry re-stages.
-		e, err = core.LoadPartitionFrom(http.MaxBytesReader(w, r.Body, s.MaxSnapshotBytes), s.idx, *pending)
-	} else {
-		e, err = core.LoadShardFrom(http.MaxBytesReader(w, r.Body, s.MaxSnapshotBytes), s.idx, s.of)
-	}
+	e, err := core.LoadShardFrom(http.MaxBytesReader(w, r.Body, s.MaxSnapshotBytes), s.idx, s.of)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "snapshot: %v", err)
 		return

@@ -12,6 +12,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -228,8 +229,10 @@ func TestUnbootedShard(t *testing.T) {
 }
 
 // TestHandoffIdentityCheck: a snapshot addressed to the wrong shard
-// identity is refused (409), and a client pointed at a shard that
-// identifies differently fails Ping.
+// identity — an X-Ssrec-Shard-Index or X-Ssrec-Shard-Count other than the
+// shardd's -index/-of — is refused with 409 and leaves the shard
+// unbooted, and a client pointed at a shard that identifies differently
+// fails Ping.
 func TestHandoffIdentityCheck(t *testing.T) {
 	snap := tinySnapshot(t)
 	lb := startLoopback(t, 0, 2)
@@ -239,6 +242,19 @@ func TestHandoffIdentityCheck(t *testing.T) {
 	defer wrong.Close()
 	if err := wrong.Handoff(ctx, snap); err == nil || errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("mismatched handoff: %v (want a non-transport refusal)", err)
+	}
+	for _, h := range [][2]string{{"1", "2"}, {"0", "3"}, {"0", "1"}, {"x", "2"}, {"0", "two"}} {
+		req := httptest.NewRequest(http.MethodPost, pathSnapshot, bytes.NewReader(snap))
+		req.Header.Set(headerShardIndex, h[0])
+		req.Header.Set(headerShardCount, h[1])
+		rec := httptest.NewRecorder()
+		lb.srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusConflict {
+			t.Fatalf("handoff as %s of %s: status %d, want 409", h[0], h[1], rec.Code)
+		}
+		if lb.srv.boot.Load() != nil {
+			t.Fatalf("handoff as %s of %s booted the shard", h[0], h[1])
+		}
 	}
 
 	right := NewClient(lb.addr, 0, 2)

@@ -13,9 +13,7 @@
 package shardrpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -39,7 +37,6 @@ const (
 	pathQueryStream = "/shard/v1/query_stream"
 	pathSnapshot    = "/shard/v1/snapshot"
 	pathReplay      = "/shard/v1/replay"
-	pathReshard     = "/shard/v1/reshard"
 )
 
 // Identity headers of the snapshot handoff: the pushing router asserts
@@ -115,65 +112,6 @@ type replayWire struct {
 type replayRespWire struct {
 	Applied   int    `json:"applied"`
 	BootEpoch string `json:"boot_epoch,omitempty"`
-}
-
-// partitionWire is the wire form of model.Partition — the versioned
-// user→shard ownership table an online reshard installs.
-type partitionWire struct {
-	Epoch  uint64 `json:"epoch"`
-	Shards int    `json:"shards"`
-	Blocks int    `json:"blocks"`
-	Owners []int  `json:"owners"`
-}
-
-func toPartitionWire(p model.Partition) partitionWire {
-	return partitionWire{Epoch: p.Epoch, Shards: p.Shards, Blocks: p.Blocks,
-		Owners: append([]int(nil), p.Owners...)}
-}
-
-func (w partitionWire) model() model.Partition {
-	return model.Partition{Epoch: w.Epoch, Shards: w.Shards, Blocks: w.Blocks,
-		Owners: append([]int(nil), w.Owners...)}
-}
-
-// reshardWire is the body of POST /shard/v1/reshard: the control half of
-// the online split/merge protocol. It stages the successor partition
-// table on the shard — the NEXT snapshot handoff then boots via
-// core.LoadPartitionFrom with this table instead of the legacy modular
-// rule.
-type reshardWire struct {
-	Slot      int           `json:"slot"`
-	Partition partitionWire `json:"partition"`
-}
-
-// reshardRespWire acknowledges a staged reshard.
-type reshardRespWire struct {
-	Staged bool `json:"staged"`
-}
-
-// decodeReshardRequest parses and validates a /shard/v1/reshard body:
-// strict JSON (unknown fields refused — a malformed control message must
-// never silently stage a wrong table), a structurally valid partition
-// table, and a slot inside it. It is the fuzzed attack surface of the
-// resharding control plane (FuzzDecodeReshardRequest).
-func decodeReshardRequest(data []byte) (int, model.Partition, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var w reshardWire
-	if err := dec.Decode(&w); err != nil {
-		return 0, model.Partition{}, fmt.Errorf("shardrpc: reshard request: %w", err)
-	}
-	if dec.More() {
-		return 0, model.Partition{}, fmt.Errorf("shardrpc: reshard request: trailing data")
-	}
-	p := w.Partition.model()
-	if err := p.Validate(); err != nil {
-		return 0, model.Partition{}, fmt.Errorf("shardrpc: reshard request: %w", err)
-	}
-	if w.Slot < 0 || w.Slot >= p.Shards {
-		return 0, model.Partition{}, fmt.Errorf("shardrpc: reshard request: slot %d out of range [0,%d)", w.Slot, p.Shards)
-	}
-	return w.Slot, p, nil
 }
 
 // obsErrWire is one rejected batch entry of a BatchReport.
