@@ -247,14 +247,15 @@ func (n *Node) ObserveBatch(ctx context.Context, batch []core.Observation) (core
 	return l.ObserveBatch(ctx, batch)
 }
 
-// Recommend implements shard.Shard.
-func (n *Node) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+// Recommend implements shard.Shard: a fault or a blank node fails the
+// ask before its registration, as a dropped or 503 ask does.
+func (n *Node) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
 	if err := n.fault("recommend"); err != nil {
-		return core.Result{ItemID: v.ID}, err
+		return core.Result{ItemID: v.ID}, false, err
 	}
 	l, err := n.serving("recommend")
 	if err != nil {
-		return core.Result{ItemID: v.ID}, err
+		return core.Result{ItemID: v.ID}, false, err
 	}
 	return l.Recommend(ctx, v, o, b)
 }

@@ -147,8 +147,8 @@ func (m *stallMember) RegisterItems(ctx context.Context, items []model.Item) (bo
 func (m *stallMember) ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error) {
 	return core.BatchReport{}, nil
 }
-func (m *stallMember) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	return core.Result{ItemID: v.ID}, nil
+func (m *stallMember) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	return core.Result{ItemID: v.ID}, false, nil
 }
 func (m *stallMember) Stats() shard.Stats { return shard.Stats{Shard: m.idx} }
 func (m *stallMember) Handoff(ctx context.Context, snapshot []byte) error {

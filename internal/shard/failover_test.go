@@ -62,10 +62,10 @@ func (s *stubShard) ObserveBatch(ctx context.Context, batch []core.Observation) 
 	return s.inner.ObserveBatch(ctx, batch)
 }
 
-func (s *stubShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+func (s *stubShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
 	s.calls.Add(1)
 	if s.failing.Load() {
-		return core.Result{ItemID: v.ID}, errors.Join(ErrShardUnavailable, s.err("recommend"))
+		return core.Result{ItemID: v.ID}, false, errors.Join(ErrShardUnavailable, s.err("recommend"))
 	}
 	return s.inner.Recommend(ctx, v, o, b)
 }

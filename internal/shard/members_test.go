@@ -48,8 +48,8 @@ func (f *fakeMember) ObserveBatch(_ context.Context, batch []core.Observation) (
 	return core.BatchReport{Applied: len(batch)}, f.call()
 }
 
-func (f *fakeMember) Recommend(_ context.Context, v model.Item, _ core.QueryOptions, _ *sigtree.Bound) (core.Result, error) {
-	return core.Result{ItemID: v.ID}, f.call()
+func (f *fakeMember) Recommend(_ context.Context, v model.Item, _ core.QueryOptions, _ *sigtree.Bound) (core.Result, bool, error) {
+	return core.Result{ItemID: v.ID}, false, f.call()
 }
 
 func (f *fakeMember) Stats() Stats { return Stats{Shard: f.idx, Trained: true} }

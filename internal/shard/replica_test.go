@@ -120,7 +120,7 @@ func TestReplicaSetReadFailoverCounter(t *testing.T) {
 	stubs[0][0].failing.Store(true)
 
 	o := core.ResolveOptions(core.WithK(10))
-	res, err := rs.Recommend(context.Background(), fx.Queries[0], o, nil)
+	res, _, err := rs.Recommend(context.Background(), fx.Queries[0], o, nil)
 	if err != nil {
 		t.Fatalf("failover read: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestSupervisorNeverSourcesFromSlotInRouterDebt(t *testing.T) {
 		s.pingOK.Store(false)
 	}
 	o := core.ResolveOptions(core.WithK(5))
-	if _, err := r.recommendOne(ctx, fx.Queries[0], o); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := r.recommendOne(ctx, fx.Queries[0], o, true); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("read with slot 0 down: %v", err)
 	}
 	if down := r.Down(); len(down) != 1 || down[0] != 0 {
@@ -413,7 +413,7 @@ func TestRouterProbeRefusesSlotAfterReplicaReseed(t *testing.T) {
 		s.failing.Store(true)
 		s.pingOK.Store(false)
 	}
-	if _, err := r.recommendOne(ctx, fx.Queries[0], core.ResolveOptions(core.WithK(5))); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := r.recommendOne(ctx, fx.Queries[0], core.ResolveOptions(core.WithK(5)), true); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("read with slot 0 down: %v", err)
 	}
 	if _, err := r.ObserveBatch(ctx, fx.Obs[64:128]); !errors.Is(err, ErrShardUnavailable) {

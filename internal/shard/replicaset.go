@@ -315,7 +315,24 @@ func (rs *ReplicaSet) RegisterItems(ctx context.Context, items []model.Item) (bo
 		changed[j], err = rs.shards[j].RegisterItems(bctx, items)
 		return err
 	})
-	advanced := false
+	advanced := rs.settleRegister(seq, legs, changed, anyOK, anyUnavail, refused)
+	switch {
+	case anyOK:
+		return advanced, nil
+	case refused >= 0:
+		return false, rs.refusal(refused, legs)
+	}
+	return false, rs.unavailErr()
+}
+
+// settleRegister accounts one registration write of the slot — a batch
+// prologue or an ask's — once its legs ran, and reports whether it
+// advanced the replicated dictionaries. seq is the write's ring sequence,
+// 0 for an empty batch. Proven advance, or an unknowable outcome — no leg
+// succeeded and some leg was unavailable (it may have applied), or no
+// replica ran at all while the batch may still land on sibling slots —
+// debts every replica that did not succeed.
+func (rs *ReplicaSet) settleRegister(seq uint64, legs []leg, changed []bool, anyOK, anyUnavail bool, refused int) (advanced bool) {
 	for j, l := range legs {
 		if l.called && l.err == nil {
 			advanced = advanced || changed[j]
@@ -324,18 +341,8 @@ func (rs *ReplicaSet) RegisterItems(ctx context.Context, items []model.Item) (bo
 			}
 		}
 	}
-	// Proven advance, or an unknowable outcome — no leg succeeded and some
-	// leg was unavailable (it may have applied), or no replica ran at all
-	// while the batch may still land on sibling slots — debts every
-	// replica that did not succeed.
-	rs.settle(legs, len(items) > 0 && ((anyOK && advanced) || (!anyOK && (anyUnavail || refused < 0))))
-	switch {
-	case anyOK:
-		return advanced, nil
-	case refused >= 0:
-		return false, rs.refusal(refused, legs)
-	}
-	return false, rs.unavailErr()
+	rs.settle(legs, seq != 0 && ((anyOK && advanced) || (!anyOK && (anyUnavail || refused < 0))))
+	return advanced
 }
 
 // ObserveBatch implements Shard: one micro-batch broadcast to every
@@ -378,38 +385,105 @@ func (rs *ReplicaSet) refusal(j int, legs []leg) error {
 	return fmt.Errorf("slot %d replica %d: %w", rs.idx, j, legs[j].err)
 }
 
-// Recommend implements Shard: ONE healthy replica answers the query —
-// fastest-EWMA first, failing over to siblings on unavailability — so R
-// replicas serve R× the read traffic. Any replica's answer is exact (see
-// the package comment's exactness argument), and a failed attempt can
-// only have RAISED the shared bound with exact scores, so failover never
-// perturbs results. Reads do not mutate, so a failed replica is excluded
-// without debt and rejoins on a plain successful probe.
-func (rs *ReplicaSet) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+// Recommend implements Shard. The ask's registration is a slot write
+// like RegisterItems — sequenced into the delta ring and settled under
+// the same rules — but it costs one round trip: the read replica
+// registers through its own ask while every other target gets
+// RegisterItems concurrently. A registration no replica accepted fails
+// the ask before any read: unavailable when its outcome is unknown (some
+// replica was unavailable, or none ran), otherwise with the refusal
+// wrapped in ErrNotRegistered, so the Router fails the ask and debits the
+// slot when siblings prove the item new. When only the read replica
+// failed, a sibling that registered answers (see readFrom).
+func (rs *ReplicaSet) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
 	rs.maybeProbe()
-	order := rs.readOrder()
-	tried := false
+	items := []model.Item{v}
+	seq, legs := rs.logWrite(items, nil)
+	reader := -1
+	for _, j := range rs.readOrder() {
+		if legs[j].called {
+			reader = j
+			break
+		}
+	}
+	bctx := detach(ctx)
+	changed := make([]bool, len(rs.shards))
+	var res core.Result
+	var rerr error
+	anyOK, anyUnavail, refused := rs.broadcast(legs, func(j int) (err error) {
+		if j != reader {
+			changed[j], err = rs.shards[j].RegisterItems(bctx, items)
+			return err
+		}
+		res, changed[j], rerr = rs.readOne(ctx, j, v, o, b)
+		return registration(rerr)
+	})
+	advanced := rs.settleRegister(seq, legs, changed, anyOK, anyUnavail, refused)
+	switch {
+	case anyOK && reader >= 0 && legs[reader].err == nil:
+		return res, advanced, rerr
+	case anyOK:
+		var order []int
+		for _, j := range rs.readOrder() {
+			if j != reader && legs[j].called && legs[j].err == nil {
+				order = append(order, j)
+			}
+		}
+		res, rerr = rs.readFrom(ctx, order, true, v, o, b)
+		return res, advanced, rerr
+	case !anyUnavail && refused >= 0:
+		return core.Result{ItemID: v.ID}, false, fmt.Errorf("%w: %w", ErrNotRegistered, rs.refusal(refused, legs))
+	}
+	return core.Result{ItemID: v.ID}, false, rs.unavailErr()
+}
+
+// read answers an item the slot has already registered — RecommendBatch's
+// asks, whose prologue wrote their items — without writing it again: ONE
+// healthy replica answers the query, so R replicas serve R× the read
+// traffic, and the replica's ask re-registers warm, mutating nothing.
+func (rs *ReplicaSet) read(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+	rs.maybeProbe()
+	return rs.readFrom(ctx, rs.readOrder(), false, v, o, b)
+}
+
+// readFrom asks the replicas of order in turn — fastest-EWMA first —
+// failing over to the next on unavailability; failedOver marks a read
+// that already failed over once. Any replica's answer is exact (see the
+// package comment's exactness argument), and a failed attempt can only
+// have RAISED the shared bound with exact scores, so failover never
+// perturbs results. A read mutates nothing, so a replica that failed it
+// is excluded without debt and rejoins on a plain successful probe.
+func (rs *ReplicaSet) readFrom(ctx context.Context, order []int, failedOver bool, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
 	for _, j := range order {
-		start := time.Now()
-		sctx, span := telemetry.StartSpan(ctx, "replica.read")
-		span.SetAttr("slot", strconv.Itoa(rs.idx))
-		span.SetAttr("replica", strconv.Itoa(j))
-		res, err := rs.shards[j].Recommend(sctx, v, o, b)
+		res, _, err := rs.readOne(ctx, j, v, o, b)
 		if err != nil && errors.Is(err, ErrShardUnavailable) {
-			span.SetAttr("failover", "true")
-			span.End()
 			rs.exclude(j)
-			tried = true
+			failedOver = true
 			continue
 		}
-		span.End()
-		if tried {
+		if failedOver {
 			rs.failovers.Add(1)
 		}
-		rs.observeLatency(j, time.Since(start))
 		return res, err
 	}
 	return core.Result{ItemID: v.ID}, rs.unavailErr()
+}
+
+// readOne asks replica j under a replica.read span and folds the latency
+// of an answered ask into its EWMA.
+func (rs *ReplicaSet) readOne(ctx context.Context, j int, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	start := time.Now()
+	sctx, span := telemetry.StartSpan(ctx, "replica.read")
+	defer span.End()
+	span.SetAttr("slot", strconv.Itoa(rs.idx))
+	span.SetAttr("replica", strconv.Itoa(j))
+	res, changed, err := rs.shards[j].Recommend(sctx, v, o, b)
+	if err != nil && errors.Is(err, ErrShardUnavailable) {
+		span.SetAttr("failover", "true")
+		return res, changed, err
+	}
+	rs.observeLatency(j, time.Since(start))
+	return res, changed, err
 }
 
 // Handoff implements SnapshotReceiver: the snapshot is pushed to every

@@ -82,10 +82,10 @@ func (g *gateShard) ObserveBatch(ctx context.Context, batch []core.Observation) 
 	return l.ObserveBatch(ctx, batch)
 }
 
-func (g *gateShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
+func (g *gateShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
 	l, err := g.local()
 	if err != nil {
-		return core.Result{ItemID: v.ID}, err
+		return core.Result{ItemID: v.ID}, false, err
 	}
 	return l.Recommend(ctx, v, o, b)
 }

@@ -278,8 +278,8 @@ func (s *stallShard) RegisterItems(ctx context.Context, items []model.Item) (boo
 func (s *stallShard) ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error) {
 	return core.BatchReport{}, nil
 }
-func (s *stallShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	return core.Result{ItemID: v.ID}, nil
+func (s *stallShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	return core.Result{ItemID: v.ID}, false, nil
 }
 func (s *stallShard) Stats() Stats { return Stats{Shard: s.idx} }
 func (s *stallShard) Handoff(ctx context.Context, snapshot []byte) error {
@@ -299,8 +299,8 @@ func (s *noHandoffShard) RegisterItems(ctx context.Context, items []model.Item) 
 func (s *noHandoffShard) ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error) {
 	return core.BatchReport{}, nil
 }
-func (s *noHandoffShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	return core.Result{ItemID: v.ID}, nil
+func (s *noHandoffShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	return core.Result{ItemID: v.ID}, false, nil
 }
 func (s *noHandoffShard) Stats() Stats { return Stats{Shard: s.idx} }
 

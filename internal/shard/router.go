@@ -114,7 +114,8 @@ type Router struct {
 	supervisor atomic.Pointer[Supervisor]
 
 	// reshardMu is the write gate of an online reshard: every write path
-	// (ObserveBatch, registerBroadcast) holds the read side for its whole
+	// (ObserveBatch, registerBroadcast, and recommendOne, whose legs
+	// register the item) holds the read side for its whole
 	// broadcast+mirror critical section, and the resharder holds the
 	// write side only for the two instants that must be atomic against
 	// writers — installing the mirror at the snapshot watermark and
@@ -528,9 +529,11 @@ func (r *Router) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 }
 
 // registerBroadcast runs the deterministic batch prologue on every shard
-// in parallel. Uncancellable for the same drift reason as ObserveBatch.
-// Unavailable shards are excluded rather than failing the query — the
-// degraded-mode error surfaces on the query leg that follows.
+// in parallel — RecommendBatch's, whose items must register in batch order
+// before its workers start, and RegisterItem's. Uncancellable for the same
+// drift reason as ObserveBatch. Unavailable shards are excluded rather
+// than failing the query — the degraded-mode error surfaces on the query
+// leg that follows.
 func (r *Router) registerBroadcast(ctx context.Context, items []model.Item) error {
 	r.reshardMu.RLock()
 	defer r.reshardMu.RUnlock()
@@ -544,86 +547,106 @@ func (r *Router) registerBroadcast(ctx context.Context, items []model.Item) erro
 		changed[i], err = f.shards[i].RegisterItems(bctx, items)
 		return err
 	})
-	// The dictionaries are replicated, so every healthy shard agrees on
-	// whether the batch contained anything new: a successful leg with
-	// changed == false PROVES the broadcast was a no-op everywhere (warm
-	// re-registration, the overwhelmingly common query path) and no debt
-	// accrues — otherwise lazy re-inclusion would be unreachable under
-	// ordinary read traffic. A batch that DID advance the state — or
-	// whose outcome is unknowable because only unavailable legs ran —
-	// leaves every skipped or failed shard owing a re-seed.
-	advanced := false
-	for i, l := range legs {
-		advanced = advanced || (l.called && l.err == nil && changed[i])
-	}
-	mutated := len(items) > 0 && ((anyOK && advanced) || (!anyOK && anyUnavail))
-	f.settle(legs, mutated)
-	// Mirror registrations that (may have) advanced the replicated
-	// dictionaries; a proven no-op is a no-op on the replacement fleet
-	// too (it boots from a snapshot that already contains those items).
-	if mutated {
-		if rsd := r.rsd.Load(); rsd != nil {
-			rsd.mirrorRegister(items)
-		}
-	}
+	r.settleRegister(f, legs, changed, items, anyOK, anyUnavail)
 	if refused >= 0 {
 		return fmt.Errorf("shard %d: %w", refused, legs[refused].err)
 	}
 	return nil
 }
 
+// settleRegister accounts one registration fan-out — a batch prologue or
+// the registrations folded into a single-item ask. The dictionaries are
+// replicated, so every healthy shard agrees on whether the items held
+// anything new: a successful leg with changed == false PROVES the
+// registration was a no-op everywhere (warm re-registration, the
+// overwhelmingly common query path) and no debt accrues — otherwise lazy
+// re-inclusion would be unreachable under ordinary read traffic. A batch
+// that DID advance the state — or whose outcome is unknowable because
+// only unavailable legs ran — leaves every skipped or failed shard owing
+// a re-seed, and is mirrored to an in-flight reshard; a proven no-op is a
+// no-op on the replacement fleet too (it boots from a snapshot that
+// already contains those items). The caller holds reshardMu's read side.
+func (r *Router) settleRegister(f *fleet, legs []leg, changed []bool, items []model.Item, anyOK, anyUnavail bool) {
+	advanced := false
+	for i, l := range legs {
+		advanced = advanced || (l.called && l.err == nil && changed[i])
+	}
+	mutated := len(items) > 0 && ((anyOK && advanced) || (!anyOK && anyUnavail))
+	f.settle(legs, mutated)
+	if mutated {
+		if rsd := r.rsd.Load(); rsd != nil {
+			rsd.mirrorRegister(items)
+		}
+	}
+}
+
+// registration is the registration outcome a Recommend leg's error
+// carries (see Shard.Recommend): nil when the registration took effect —
+// the leg may still have failed its search — and the error itself when
+// the registration is unknown (ErrShardUnavailable) or refused
+// (ErrNotRegistered).
+func registration(err error) error {
+	if err != nil && (errors.Is(err, ErrShardUnavailable) || errors.Is(err, ErrNotRegistered)) {
+		return err
+	}
+	return nil
+}
+
 // recommendOne scatters one item to every healthy shard under one shared
 // bound and gathers the per-shard heaps into the global top-k. Stats are
-// summed. With
+// summed. Each leg registers the item before it searches, so the ask is
+// also a registration fan-out, settled under the same proof rules as
+// registerBroadcast and inside the same reshard critical section. With
 // shards excluded the merged result is partial (their owned users are
-// missing) and the call wraps ErrShardUnavailable alongside it.
-func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOptions) (core.Result, error) {
+// missing) and the call wraps ErrShardUnavailable alongside it; a shard
+// that refused the registration fails the whole ask with no
+// recommendations, as a refused batch prologue does.
+//
+// prologued marks an ask of RecommendBatch, whose prologue already
+// registered and settled the item: its legs re-register warm, so nothing
+// is settled again, and a replica set reads from one replica instead of
+// writing the item to the whole slot a second time.
+func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOptions, prologued bool) (core.Result, error) {
+	if !prologued {
+		r.reshardMu.RLock()
+		defer r.reshardMu.RUnlock()
+	}
 	f := r.fl()
 	f.maybeProbe()
-	if len(f.shards) == 1 {
-		if f.isDown(0) {
-			return core.Result{ItemID: v.ID}, degradedErr([]int{0})
-		}
-		res, err := f.shards[0].Recommend(ctx, v, o, nil)
-		if err != nil && errors.Is(err, ErrShardUnavailable) {
-			f.exclude(0)
-		}
-		return res, err
-	}
 	ctx, scatterSpan := telemetry.StartSpan(ctx, "router.scatter")
 	scatterSpan.SetAttr("shards", strconv.Itoa(len(f.shards)))
-	b := sigtree.NewBound()
-	parts := make([]core.Result, len(f.shards))
-	errs := make([]error, len(f.shards))
-	ran := make([]bool, len(f.shards))
-	var excluded []int
-	var wg sync.WaitGroup
-	for i, s := range f.shards {
-		if f.isDown(i) {
-			excluded = append(excluded, i)
-			continue
-		}
-		ran[i] = true
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			lctx, leg := telemetry.StartSpan(ctx, "router.shard")
-			leg.SetAttr("shard", strconv.Itoa(i))
-			parts[i], errs[i] = s.Recommend(lctx, v, o, b)
-			leg.End()
-		}(i, s)
+	var b *sigtree.Bound
+	if len(f.shards) > 1 {
+		b = sigtree.NewBound()
 	}
-	wg.Wait()
+	parts := make([]core.Result, len(f.shards))
+	changed := make([]bool, len(f.shards))
+	errs := make([]error, len(f.shards))
+	legs := f.targets()
+	anyOK, anyUnavail, refused := f.broadcast(legs, func(i int) error {
+		lctx, leg := telemetry.StartSpan(ctx, "router.shard")
+		leg.SetAttr("shard", strconv.Itoa(i))
+		if rs, ok := f.shards[i].(*ReplicaSet); ok && prologued {
+			parts[i], errs[i] = rs.read(lctx, v, o, b)
+		} else {
+			parts[i], changed[i], errs[i] = f.shards[i].Recommend(lctx, v, o, b)
+		}
+		leg.End()
+		return registration(errs[i])
+	})
 	scatterSpan.End()
+	if !prologued {
+		r.settleRegister(f, legs, changed, []model.Item{v}, anyOK, anyUnavail)
+	}
+	if refused >= 0 {
+		return core.Result{ItemID: v.ID}, fmt.Errorf("shard %d: %w", refused, legs[refused].err)
+	}
 	res := core.Result{ItemID: v.ID}
 	lists := make([][]model.Recommendation, 0, len(parts))
+	var excluded []int
 	var firstErr error
-	for i := range parts {
-		if !ran[i] {
-			continue
-		}
-		if errs[i] != nil && errors.Is(errs[i], ErrShardUnavailable) {
-			f.exclude(i)
+	for i, l := range legs {
+		if l.unavailable() {
 			excluded = append(excluded, i)
 			continue
 		}
@@ -640,10 +663,10 @@ func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOpt
 	return res, firstErr
 }
 
-// RecommendCtx mirrors Engine.RecommendCtx over the deployment: register
-// the item everywhere (deterministically), then scatter-gather the query.
-// In degraded mode it returns the partial result AND a wrapped
-// ErrShardUnavailable.
+// RecommendCtx mirrors Engine.RecommendCtx over the deployment: one
+// scatter-gather whose legs each register the item (deterministically)
+// before they search. In degraded mode it returns the partial result AND
+// a wrapped ErrShardUnavailable.
 func (r *Router) RecommendCtx(ctx context.Context, v model.Item, opts ...core.Option) (core.Result, error) {
 	o := core.ResolveOptions(opts...)
 	if ctx != nil {
@@ -651,10 +674,7 @@ func (r *Router) RecommendCtx(ctx context.Context, v model.Item, opts ...core.Op
 			return core.Result{ItemID: v.ID}, err
 		}
 	}
-	if err := r.registerBroadcast(ctx, []model.Item{v}); err != nil {
-		return core.Result{ItemID: v.ID}, err
-	}
-	return r.recommendOne(ctx, v, o)
+	return r.recommendOne(ctx, v, o, false)
 }
 
 // RecommendBatch mirrors Engine.RecommendBatch over the deployment:
@@ -706,7 +726,7 @@ func (r *Router) RecommendBatch(ctx context.Context, items []model.Item, opts ..
 				if i >= len(items) {
 					return
 				}
-				res, err := r.recommendOne(ctx, items[i], o)
+				res, err := r.recommendOne(ctx, items[i], o, true)
 				if err != nil {
 					res.Err = err
 				}

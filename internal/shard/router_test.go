@@ -331,10 +331,10 @@ type endAfterShard struct {
 	after func()
 }
 
-func (s endAfterShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	res, err := s.Shard.Recommend(ctx, v, o, b)
+func (s endAfterShard) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	res, changed, err := s.Shard.Recommend(ctx, v, o, b)
 	s.after()
-	return res, err
+	return res, changed, err
 }
 
 // TestRouterBatchAnsweredBeforeDeadline: a context that ends after every

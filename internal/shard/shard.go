@@ -32,10 +32,12 @@
 // Shard is a narrow interface (RegisterItems / ObserveBatch / Recommend /
 // Stats) with wire-encodable argument types; Local adapts an in-process
 // engine, and a network-backed implementation can slot in without touching
-// the Router. The Bound protocol tolerates delayed, duplicated or
-// reordered Raise deliveries (it is a monotone max), so an RPC shard can
-// stream bound updates asynchronously and lose only pruning, never
-// correctness.
+// the Router. Recommend registers the asked item before it searches, as
+// core.Engine.RecommendCtx does, so a single-item ask costs one call per
+// shard; RegisterItems is the batch prologue of RecommendBatch. The Bound
+// protocol tolerates delayed, duplicated or reordered Raise deliveries (it
+// is a monotone max), so an RPC shard can stream bound updates
+// asynchronously and lose only pruning, never correctness.
 package shard
 
 import (
@@ -56,6 +58,13 @@ import (
 // and wraps this sentinel so callers know the answer may be missing the
 // excluded shards' owned users. Match with errors.Is.
 var ErrShardUnavailable = errors.New("shard: shard unavailable")
+
+// ErrNotRegistered marks an ask a shard refused before registering its
+// item — a version-skewed or misconfigured shard. Nothing was searched
+// and the registration did not take effect, so the Router fails the ask
+// with it and, when the item was new to the shard's siblings, holds the
+// shard in missed-write debt. Match with errors.Is.
+var ErrNotRegistered = errors.New("shard: ask refused before registration")
 
 // Stats snapshots one shard for /v2/stats and operational monitoring.
 type Stats struct {
@@ -107,10 +116,16 @@ type Shard interface {
 	// only for the users it owns.
 	ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error)
 
-	// Recommend answers one item from this shard's owned users, pruning
-	// against — and raising — the deployment-wide bound shared by all
-	// shards answering the same item.
-	Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error)
+	// Recommend registers v exactly as RegisterItems([]model.Item{v})
+	// would, whatever ctx says, then answers it from this shard's owned
+	// users under ctx, pruning against — and raising — the deployment-wide
+	// bound shared by all shards answering the same item. changed reports
+	// whether the registration advanced the replicated dictionaries. The
+	// error tells the Router what became of the registration: one wrapping
+	// ErrShardUnavailable leaves it unknown, one wrapping ErrNotRegistered
+	// means it did not happen, and any other (a cancelled search, an
+	// unknown category) came after it took effect.
+	Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (res core.Result, changed bool, err error)
 
 	// Stats snapshots the shard.
 	Stats() Stats
@@ -204,9 +219,15 @@ func (l *Local) ObserveBatch(ctx context.Context, batch []core.Observation) (cor
 	return l.eng.ObserveBatch(ctx, batch)
 }
 
-// Recommend implements Shard.
-func (l *Local) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	return l.eng.RecommendBound(ctx, v, o, b)
+// Recommend implements Shard: the registration never fails in process.
+// It is explicit, although RecommendBound's query prologue would register
+// v too, because it must run even on a cancelled ctx (RecommendBound
+// returns before its prologue then) and it is what reports changed; the
+// prologue's own check is then a read-locked no-op.
+func (l *Local) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	changed := l.eng.RegisterItemBatch([]model.Item{v})
+	res, err := l.eng.RecommendBound(ctx, v, o, b)
+	return res, changed, err
 }
 
 // Replay implements Replayer: missed batches apply directly to the

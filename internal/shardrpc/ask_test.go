@@ -1,0 +1,300 @@
+// ask_test.go covers the ask's registration over the wire: a shardd
+// registers every asked item through its write surface before it
+// searches — logged when it has a WAL, reported on the terminal line,
+// kept when the caller cancels — and a client refuses a query stream
+// from a shardd that does not.
+package shardrpc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"ssrec/internal/core"
+	"ssrec/internal/model"
+	"ssrec/internal/shard"
+)
+
+// TestAskNilContextRemoteFleet: a nil context reads as Background on the
+// remote path too — the ask and batch calls of a 2-shard loopback fleet
+// answer exactly as the single engine does.
+func TestAskNilContextRemoteFleet(t *testing.T) {
+	tc := buildTinyCorpus()
+	snap := tinySnapshot(t)
+	reference, err := core.LoadFrom(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := NewClient(startLoopback(t, 0, 2).addr, 0, 2)
+	c1 := NewClient(startLoopback(t, 1, 2).addr, 1, 2)
+	defer c0.Close()
+	defer c1.Close()
+	r, err := shard.NewRouter(c0, c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.HandoffSnapshot(context.Background(), snap); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	var nilCtx context.Context
+	want, werr := reference.RecommendCtx(nilCtx, tc.query, core.WithK(5))
+	got, gerr := r.RecommendCtx(nilCtx, tc.query, core.WithK(5))
+	if werr != nil || gerr != nil {
+		t.Fatalf("nil-context ask: engine err %v, fleet err %v", werr, gerr)
+	}
+	if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
+		t.Fatalf("nil-context ask diverged:\n got %v\nwant %v", got.Recommendations, want.Recommendations)
+	}
+	items := tc.fresh[:3]
+	wantB, werr := reference.RecommendBatch(nilCtx, items, core.WithK(5))
+	gotB, gerr := r.RecommendBatch(nilCtx, items, core.WithK(5))
+	if werr != nil || gerr != nil {
+		t.Fatalf("nil-context batch: engine err %v, fleet err %v", werr, gerr)
+	}
+	for i := range wantB {
+		if gotB[i].Err != nil || !reflect.DeepEqual(gotB[i].Recommendations, wantB[i].Recommendations) {
+			t.Fatalf("nil-context batch item %d diverged (err %v):\n got %v\nwant %v",
+				i, gotB[i].Err, gotB[i].Recommendations, wantB[i].Recommendations)
+		}
+	}
+}
+
+// TestAskRegistrationDurable: an ask alone — no RegisterItems — logs its
+// fresh item's registration once, a warm re-ask logs nothing, and a shard
+// rebooted from the log answers the next asks as the single engine does.
+func TestAskRegistrationDurable(t *testing.T) {
+	ctx := context.Background()
+	tc := buildTinyCorpus()
+	dir := t.TempDir()
+	lb, l := walLoopback(t, dir, 0, 1)
+	c := NewClient(lb.addr, 0, 1)
+	defer c.Close()
+	if err := c.Handoff(ctx, tinySnapshot(t)); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	o := core.ResolveOptions(core.WithK(5))
+	fresh := tc.fresh[0]
+	for i, want := range []bool{true, false} {
+		_, changed, err := c.Recommend(ctx, fresh, o, nil)
+		if err != nil || changed != want {
+			t.Fatalf("ask #%d: changed=%v err=%v, want %v", i+1, changed, err, want)
+		}
+	}
+	if got := l.Stats().Appends; got != 1 {
+		t.Fatalf("a fresh ask and its warm re-ask logged %d records, want 1", got)
+	}
+
+	lb2, _, replayed := restartWAL(t, lb, l, dir)
+	if replayed != 1 {
+		t.Fatalf("reboot replayed %d records, want 1 (the ask's registration)", replayed)
+	}
+	if lb2.srv.boot.Load().local.Engine().NeedsRegistration([]model.Item{fresh}) {
+		t.Fatal("the rebooted shard lost the ask's registration")
+	}
+	reference, err := core.LoadFrom(bytes.NewReader(tinySnapshot(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reference.RecommendCtx(ctx, fresh, core.WithK(5)); err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewClient(lb2.addr, 0, 1)
+	defer c2.Close()
+	for _, v := range []model.Item{fresh, tc.query, tc.fresh[1]} {
+		want, werr := reference.RecommendCtx(ctx, v, core.WithK(5))
+		got, _, gerr := c2.Recommend(ctx, v, o, nil)
+		if werr != nil || gerr != nil {
+			t.Fatalf("ask %s after reboot: engine err %v, shard err %v", v.ID, werr, gerr)
+		}
+		if !reflect.DeepEqual(got.Recommendations, want.Recommendations) {
+			t.Fatalf("ask %s after reboot diverged:\n got %v\nwant %v", v.ID, got.Recommendations, want.Recommendations)
+		}
+	}
+}
+
+// TestAskCancelledStillRegisters: a caller that already gave up still
+// sends the ask, so the shard registers the item and the call reports
+// the context error together with the registration's changed flag.
+func TestAskCancelledStillRegisters(t *testing.T) {
+	tc := buildTinyCorpus()
+	lb := startLoopback(t, 0, 1)
+	c := bootClient(t, lb)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, changed, err := c.Recommend(ctx, tc.fresh[5], core.ResolveOptions(core.WithK(3)), nil)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, shard.ErrShardUnavailable) {
+		t.Fatalf("cancelled ask: err = %v, want context.Canceled", err)
+	}
+	if !changed || len(res.Recommendations) != 0 {
+		t.Fatalf("cancelled ask: changed=%v with %d recommendations, want true and none", changed, len(res.Recommendations))
+	}
+	if lb.srv.boot.Load().local.Engine().NeedsRegistration([]model.Item{tc.fresh[5]}) {
+		t.Fatal("the cancelled ask's item was not registered")
+	}
+}
+
+// silentShard serves a query stream that reads every line and answers
+// none, on an ephemeral loopback port, and returns its address. The
+// stream ends when hold is closed (never, for a nil hold) or the client
+// leaves. With capable unset the response lacks the ask-registration
+// capability, as a shardd from before ask-time registration answers.
+func silentShard(t *testing.T, capable bool, hold <-chan struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+pathQueryStream, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		if capable {
+			w.Header().Set(headerAskRegisters, "1")
+		}
+		w.WriteHeader(http.StatusOK)
+		http.NewResponseController(w).Flush() //nolint:errcheck
+		go io.Copy(io.Discard, r.Body)        //nolint:errcheck // read the asks, answer none
+		select {
+		case <-hold:
+		case <-r.Context().Done():
+		}
+	})
+	p := new(http.Protocols)
+	p.SetUnencryptedHTTP2(true)
+	hs := &http.Server{Handler: mux, Protocols: p}
+	go hs.Serve(ln) //nolint:errcheck // closed by Cleanup
+	t.Cleanup(func() { hs.Close() })
+	return ln.Addr().String()
+}
+
+// TestQueryStreamCapabilityRefused: a query stream whose response lacks
+// the ask-registration capability — a shardd from before ask-time
+// registration — is refused with a clear error rather than used, and a
+// fleet ask that needs it fails with that error and no recommendations.
+func TestQueryStreamCapabilityRefused(t *testing.T) {
+	tc := buildTinyCorpus()
+	old := NewClient(silentShard(t, false, nil), 1, 2)
+	defer old.Close()
+	_, _, err := old.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
+	if !errors.Is(err, shard.ErrNotRegistered) || errors.Is(err, shard.ErrShardUnavailable) ||
+		!strings.Contains(err.Error(), "does not register asks") {
+		t.Fatalf("stream without the capability: err = %v, want a refusal naming it", err)
+	}
+
+	c0 := NewClient(startLoopback(t, 0, 2).addr, 0, 2)
+	defer c0.Close()
+	if err := c0.Handoff(context.Background(), tinySnapshot(t)); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	r, err := shard.NewRouter(c0, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RecommendCtx(context.Background(), tc.fresh[6], core.WithK(3))
+	if !errors.Is(err, shard.ErrNotRegistered) || len(res.Recommendations) != 0 {
+		t.Fatalf("fleet ask over an old shardd: err = %v with %d recommendations, want the refusal and none",
+			err, len(res.Recommendations))
+	}
+}
+
+// askResult is the outcome of one Client.Recommend run in the background.
+type askResult struct {
+	changed bool
+	err     error
+}
+
+// TestAskCancelledOnSilentShard: a cancelled ask waits for its terminal
+// line, since only that line says whether the registration took effect;
+// a shard whose stream ends without one is reported unavailable.
+func TestAskCancelledOnSilentShard(t *testing.T) {
+	tc := buildTinyCorpus()
+	hold := make(chan struct{})
+	c := NewClient(silentShard(t, true, hold), 0, 1)
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	done := make(chan askResult, 1)
+	go func() {
+		_, changed, err := c.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil)
+		done <- askResult{changed, err}
+	}()
+	select {
+	case r := <-done:
+		t.Fatalf("cancelled ask returned before its shard answered or left: changed=%v err=%v", r.changed, r.err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(hold)
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, shard.ErrShardUnavailable) || r.changed {
+			t.Fatalf("cancelled ask on a shard that left: changed=%v err=%v, want ErrShardUnavailable", r.changed, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled ask still waiting after its shard's stream ended")
+	}
+}
+
+// TestAskCancelledDuringSlowRegistration: an ask whose deadline passes
+// while the shard's WAL append is held up waits out the registration,
+// returns the deadline error and excludes no shard: the registration was
+// logged once and the router learned that it took effect.
+func TestAskCancelledDuringSlowRegistration(t *testing.T) {
+	tc := buildTinyCorpus()
+	lb, l := walLoopback(t, t.TempDir(), 0, 1)
+	c := bootClient(t, lb)
+	r, err := shard.NewRouter(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := l.Stats().Appends
+
+	// A checkpoint whose write blocks holds the log, so the ask's
+	// registration stalls in its append; failing it leaves the log as is.
+	held, release := make(chan struct{}), make(chan struct{})
+	ckpt := make(chan error, 1)
+	go func() {
+		ckpt <- l.Checkpoint(func(io.Writer) error {
+			close(held)
+			<-release
+			return errors.New("held")
+		})
+	}()
+	<-held
+
+	fresh := tc.fresh[7]
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RecommendCtx(ctx, fresh, core.WithK(3))
+		done <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	close(release)
+	if err := <-ckpt; err == nil {
+		t.Fatal("the held checkpoint succeeded")
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, shard.ErrShardUnavailable) {
+			t.Fatalf("ask cancelled during a slow registration: err = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ask still waiting after its registration was released")
+	}
+	if down := r.Down(); len(down) != 0 {
+		t.Fatalf("a cancel during a slow registration excluded %v", down)
+	}
+	if got := l.Stats().Appends - appends; got != 1 {
+		t.Fatalf("the cancelled ask logged %d records, want 1", got)
+	}
+	if lb.srv.boot.Load().local.Engine().NeedsRegistration([]model.Item{fresh}) {
+		t.Fatal("the cancelled ask's item was not registered")
+	}
+}

@@ -297,32 +297,31 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 // delivered the shard's owned-users top-k is exact and the merged global
 // result is bit-identical.
 //
+// The shard registers the item before it searches, so the ask is sent
+// even when ctx is already done: a cancelled call still registers, and
+// returns ctx's error with the registration's changed flag. A nil ctx
+// reads as context.Background().
+//
 // A cached stream can outlive its peer: a shardd restarted at the same
 // address leaves the client a stream whose reader has not yet seen the
 // old connection die. When such a stream fails before the shard replied
 // to this query, the call drops it and asks once more on a freshly dialled
 // stream. A fresh stream that fails is not retried, so a dead shard costs
-// one dial, not a loop.
-func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, error) {
-	// A caller that already gave up gets its context error, never an
-	// answer: once the ask is sent, a fast reply and the cancellation race
-	// in the wait below.
-	if ctx != nil && ctx.Err() != nil {
-		return core.Result{ItemID: v.ID}, ctx.Err()
+// one dial, not a loop. The first ask may have registered the item before
+// the stream failed, so a retried ask reports changed conservatively.
+func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	for retry := false; ; retry = true {
 		ms, cached, err := c.muxStream()
 		if err != nil {
-			// Already classified by dialMux (unavailable / status error);
-			// only caller cancellation overrides it.
-			if ctx != nil && ctx.Err() != nil {
-				return core.Result{ItemID: v.ID}, ctx.Err()
-			}
-			return core.Result{ItemID: v.ID}, err
+			// Already classified by dialMux (unavailable or refused).
+			return core.Result{ItemID: v.ID}, false, err
 		}
-		res, unanswered, err := ms.recommend(ctx, v, o, b)
-		if !unanswered || !cached || retry || (ctx != nil && ctx.Err() != nil) {
-			return res, err
+		res, changed, unanswered, err := ms.recommend(ctx, v, o, b)
+		if !unanswered || !cached || retry {
+			return res, changed || retry, err
 		}
 		c.dropMux(ms)
 	}

@@ -46,7 +46,7 @@ func TestMuxMatchesPerItem(t *testing.T) {
 	ctx := context.Background()
 	o := core.ResolveOptions(core.WithK(5))
 	for i, v := range append(tc.fresh, tc.query) {
-		got, gerr := muxed.Recommend(ctx, v, o, nil)
+		got, _, gerr := muxed.Recommend(ctx, v, o, nil)
 		want, werr := ref.RecommendBound(ctx, v, o, nil)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("query %d: err %v vs %v", i, gerr, werr)
@@ -90,7 +90,7 @@ func TestMuxConcurrentQueries(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := c.Recommend(context.Background(), v, o, nil)
+				res, _, err := c.Recommend(context.Background(), v, o, nil)
 				if err != nil {
 					t.Errorf("query %s: %v", v.ID, err)
 					return
@@ -137,7 +137,7 @@ func TestQueryStreamNotFoundIsStatusErr(t *testing.T) {
 		t.Fatalf("handoff: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := c.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
+		res, _, err := c.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
 		if err == nil || !strings.Contains(err.Error(), "status 404") {
 			t.Fatalf("recommend %d: err = %v, want a status 404 error", i, err)
 		}
@@ -158,14 +158,14 @@ func TestMuxCancellation(t *testing.T) {
 	c := bootClient(t, lb)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil)
+	_, _, err := c.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled recommend = %v, want context.Canceled", err)
 	}
 	if errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("cancellation misclassified as unavailable: %v", err)
 	}
-	res, err := c.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
+	res, _, err := c.Recommend(context.Background(), tc.query, core.ResolveOptions(core.WithK(3)), nil)
 	if err != nil || len(res.Recommendations) == 0 {
 		t.Fatalf("stream unusable after a cancelled call: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestShardAuth(t *testing.T) {
 		if _, err := c.Ping(ctx); err == nil {
 			t.Fatalf("%s: ping succeeded", name)
 		}
-		if _, err := c.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil); err == nil {
+		if _, _, err := c.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil); err == nil {
 			t.Fatalf("%s: recommend succeeded", name)
 		}
 		c.Close()
@@ -214,7 +214,7 @@ func TestShardAuth(t *testing.T) {
 	if _, err := good.Ping(ctx); err != nil {
 		t.Fatalf("authed ping: %v", err)
 	}
-	res, err := good.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil)
+	res, _, err := good.Recommend(ctx, tc.query, core.ResolveOptions(core.WithK(3)), nil)
 	if err != nil || len(res.Recommendations) == 0 {
 		t.Fatalf("authed recommend: %v (%d recs)", err, len(res.Recommendations))
 	}

@@ -11,6 +11,18 @@
 // A batch of B items against S shards costs S streams, not B×S, and a
 // Session issuing thousands of sequential asks reuses the same S streams
 // for its whole lifetime.
+//
+// An ask is also a write: the shard registers the asked item through its
+// write surface — with a WAL, logged exactly as POST /register logs it —
+// before it searches, so a single-item ask costs one round trip per
+// shard. The registration runs detached (a cancel line stops the search,
+// never the registration), and the terminal line reports it: changed is
+// set when it advanced the replicated dictionaries, and an error coded
+// unavailable means it did not take effect. A cancelled client therefore
+// still waits for the terminal line, and the router settles missed-write
+// debt from it. A shard announces this with the X-Ssrec-Ask-Registers
+// response header; a client refuses a stream without it rather than ask
+// a shardd that would register unlogged and report nothing.
 package shardrpc
 
 import (
@@ -58,6 +70,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set(headerAskRegisters, "1")
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex() //nolint:errcheck // no-op on HTTP/2
 	w.WriteHeader(http.StatusOK)
@@ -142,15 +155,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			go func(id uint64, ask qsAsk) {
 				defer inflight.Done()
 				defer cancel()
-				var res core.Result
-				var rerr error
-				if bs := s.boot.Load(); bs != nil {
-					res, rerr = bs.local.Recommend(qctx, ask.Item.model(), ask.Options.options(), b)
-				} else {
-					res = core.Result{ItemID: ask.Item.ID}
-					rerr = fmt.Errorf("shard %d/%d not booted (awaiting snapshot handoff): %w",
-						s.idx, s.of, shard.ErrShardUnavailable)
-				}
+				res, changed, rerr := s.ask(qctx, &ask, b)
 				// Retire the query, then flush its final bound (the search
 				// just published its exact k-th score) before the terminal
 				// line: fast searches finish between sampler ticks, and
@@ -166,7 +171,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				}
 				sp.SetAttr("item", ask.Item.ID)
 				sp.End()
-				write(qsLine{ID: id, Result: toResultWire(res), Err: encodeErr(rerr), Spans: coll.Take()})
+				write(qsLine{ID: id, Result: toResultWire(res), Err: encodeErr(rerr), Changed: changed, Spans: coll.Take()})
 			}(line.ID, *line.Ask)
 		case line.B != nil:
 			qmu.Lock()
@@ -188,18 +193,41 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	pump.Wait()
 }
 
+// ask answers one ask line: it registers the item through the shard's
+// write surface — the same path, and with a WAL the same log record, as
+// POST /register — then searches. The registration runs detached, so a
+// cancel line stops the search, never the registration. A registration
+// that fails is reported unavailable, as the 5xx of POST /register is: the
+// router then counts the shard as having missed the item.
+func (s *Server) ask(ctx context.Context, ask *qsAsk, b *sigtree.Bound) (core.Result, bool, error) {
+	v := ask.Item.model()
+	bs := s.boot.Load()
+	if bs == nil {
+		return core.Result{ItemID: v.ID}, false, fmt.Errorf("shard %d/%d not booted (awaiting snapshot handoff): %w",
+			s.idx, s.of, shard.ErrShardUnavailable)
+	}
+	changed, err := bs.writer().RegisterItems(context.WithoutCancel(ctx), []model.Item{v})
+	if err != nil {
+		return core.Result{ItemID: v.ID}, false, fmt.Errorf("shard %d/%d register: %w: %w",
+			s.idx, s.of, shard.ErrShardUnavailable, err)
+	}
+	res, err := bs.local.Engine().RecommendBound(ctx, v, ask.Options.options(), b)
+	return res, changed, err
+}
+
 // ---- client side ----
 
 // muxResp is one terminal answer delivered to a waiting Recommend call.
 // spans carries the shard-side trace spans off the terminal line (the
 // reader goroutine has no per-query context to import them into).
 type muxResp struct {
-	res   core.Result
-	err   error
-	spans []telemetry.SpanData
-	// unanswered marks a stream failure that reached the query before any
-	// line for it arrived.
-	unanswered bool
+	res     core.Result
+	changed bool
+	err     error
+	spans   []telemetry.SpanData
+	// lost marks a stream failure rather than a terminal line; unanswered
+	// marks one that reached the query before any line for it arrived.
+	lost, unanswered bool
 }
 
 // muxQuery is one in-flight query of a multiplexed stream, on the client
@@ -289,7 +317,16 @@ func (c *Client) dialMux() (*muxStream, error) {
 		err := c.statusErr(nil, "query_stream", resp)
 		resp.Body.Close()
 		cancel()
+		if !errors.Is(err, shard.ErrShardUnavailable) {
+			err = fmt.Errorf("%w: %w", shard.ErrNotRegistered, err)
+		}
 		return nil, err
+	}
+	if resp.Header.Get(headerAskRegisters) != "1" {
+		resp.Body.Close()
+		cancel()
+		return nil, fmt.Errorf("shardrpc: shard %d query_stream: %w: the shardd does not register asks; upgrade every shardd before the router",
+			c.idx, shard.ErrNotRegistered)
 	}
 	ms := &muxStream{
 		c:      c,
@@ -332,7 +369,7 @@ func (ms *muxStream) fail(err error) {
 	ms.cancel()
 	close(ms.stop)
 	for _, q := range waiters {
-		q.ch <- muxResp{err: err, unanswered: !q.replied}
+		q.ch <- muxResp{err: err, lost: true, unanswered: !q.replied}
 	}
 }
 
@@ -366,14 +403,12 @@ func (ms *muxStream) read(body io.ReadCloser) {
 			delete(ms.act, line.ID)
 			ms.mu.Unlock()
 			if q == nil {
-				continue // cancelled locally; late terminal is discarded
+				continue // not an ask of this stream
 			}
-			var resp muxResp
+			resp := muxResp{changed: line.Changed, err: decodeErr(line.Err), spans: line.Spans}
 			if line.Result != nil {
 				resp.res = line.Result.result()
 			}
-			resp.err = decodeErr(line.Err)
-			resp.spans = line.Spans
 			q.ch <- resp
 		}
 	}
@@ -414,9 +449,19 @@ func (ms *muxStream) pump() {
 
 // recommend runs one query over the multiplexed stream: ask line out,
 // raises in both directions while the search runs, terminal line back.
-// unanswered reports a transport failure of the stream that came before
-// the shard replied to this query at all.
-func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (_ core.Result, unanswered bool, _ error) {
+// The terminal line reports the ask's registration, so a cancelled call
+// sends a cancel line and still waits for it: the router must learn
+// whether the registration took effect. That wait is the registration's
+// own (a WAL append and its fsync, at most) — the shard's search checks
+// its context before it starts and every 64 node expansions, so the
+// terminal line follows the registration at once — and it is the wait
+// the batch prologue's POST /register imposes on a cancelled caller too.
+// A shard that dies first ends the stream, and the ask reports it
+// unavailable. A stream failure is always unavailable, never the
+// caller's context error — the stream runs under its own context, so the
+// caller's cancel cannot cause one. unanswered reports a stream failure
+// that came before the shard replied to this query at all.
+func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (_ core.Result, changed, unanswered bool, _ error) {
 	sctx, span := telemetry.StartSpan(ctx, "rpc.recommend")
 	span.SetAttr("shard", strconv.Itoa(ms.c.idx))
 	defer span.End()
@@ -432,7 +477,7 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 	if ms.broken {
 		err := ms.err
 		ms.mu.Unlock()
-		return core.Result{ItemID: v.ID}, true, ms.c.transportErr(ctx, "recommend", err)
+		return core.Result{ItemID: v.ID}, false, true, unavailable(ms.c.idx, "recommend", err)
 	}
 	ms.nextID++
 	id := ms.nextID
@@ -441,34 +486,29 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 
 	if err := ms.write(qsLine{ID: id, Ask: ask}); err != nil {
 		// fail() already swept the registration into the waiter channel.
-		return core.Result{ItemID: v.ID}, true, ms.c.transportErr(ctx, "recommend", err)
+		return core.Result{ItemID: v.ID}, false, true, unavailable(ms.c.idx, "recommend", err)
 	}
+	var r muxResp
 	select {
-	case r := <-q.ch:
-		telemetry.ImportSpans(sctx, r.spans)
-		if r.res.ItemID == "" {
-			r.res.ItemID = v.ID
-		}
-		if r.err != nil {
-			ms.mu.Lock()
-			broken := ms.broken
-			ms.mu.Unlock()
-			if broken {
-				// A transport failure, not a shard-reported error: wrap it
-				// so the Router's failover keys on ErrShardUnavailable.
-				return r.res, r.unanswered, ms.c.transportErr(ctx, "recommend", r.err)
-			}
-		}
-		return r.res, false, r.err
+	case r = <-q.ch:
 	case <-ctx.Done():
-		// Abandon the query: unregister so the late terminal is discarded
-		// and tell the shard to stop searching.
-		ms.mu.Lock()
-		delete(ms.act, id)
-		ms.mu.Unlock()
-		ms.write(qsLine{ID: id, Cancel: true}) //nolint:errcheck // best-effort
-		return core.Result{ItemID: v.ID}, false, ctx.Err()
+		ms.write(qsLine{ID: id, Cancel: true}) //nolint:errcheck // a failed write answers through q.ch
+		r = <-q.ch
 	}
+	telemetry.ImportSpans(sctx, r.spans)
+	if r.res.ItemID == "" {
+		r.res.ItemID = v.ID
+	}
+	switch {
+	case r.lost:
+		return r.res, false, r.unanswered, unavailable(ms.c.idx, "recommend", r.err)
+	case r.err != nil && errors.Is(r.err, shard.ErrShardUnavailable):
+		return r.res, false, false, r.err // the registration did not take effect
+	case ctx.Err() != nil:
+		// A caller that gave up gets its context error, never an answer.
+		return core.Result{ItemID: v.ID}, r.changed, false, ctx.Err()
+	}
+	return r.res, r.changed, false, r.err
 }
 
 // Close tears the stream down (idle-connection hygiene on Client.Close).

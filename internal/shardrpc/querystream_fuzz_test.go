@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
+	"ssrec/internal/shard"
 	"ssrec/internal/sigtree"
 	"ssrec/internal/telemetry"
 )
@@ -39,6 +41,17 @@ func FuzzQueryStreamLine(f *testing.F) {
 				Attrs: telemetry.Attrs{{K: "shard", V: "0"}}}}},
 		{ID: 5, Result: toResultWire(core.Result{ItemID: "v2"}), Err: encodeErr(core.ErrNotTrained)},
 		{ID: 6, Err: encodeErr(context.Canceled)},
+		// An ask for an item the shard has not seen (it registers before
+		// searching) and the terminal lines that report the registration.
+		{ID: 7, Ask: &qsAsk{
+			Item:    toItemWire(model.Item{ID: "v-new", Category: "music", Producer: "up9"}),
+			Options: toOptionsWire(core.QueryOptions{K: 3, NoExpansion: true}),
+		}},
+		{ID: 7, Result: toResultWire(core.Result{ItemID: "v-new",
+			Recommendations: []model.Recommendation{{UserID: "u3", Score: 0.125}}}), Changed: true},
+		{ID: 8, Result: toResultWire(core.Result{ItemID: "v-new"}), Err: encodeErr(context.Canceled), Changed: true},
+		{ID: 9, Result: toResultWire(core.Result{ItemID: "v-cold"}),
+			Err: encodeErr(fmt.Errorf("shard 0/2 register: %w: wal: log closed", shard.ErrShardUnavailable))},
 	}
 	var stream bytes.Buffer
 	for _, l := range seeds {
@@ -60,6 +73,8 @@ func FuzzQueryStreamLine(f *testing.F) {
 	f.Add([]byte(`{"id":1,"spans":[{"trace_id":"zz"}]}`))
 	f.Add([]byte(`{"id":1,"ask":{"item":{"entities":[1]}}}`))
 	f.Add([]byte(`{"id":18446744073709551615,"cancel":true}{"id":2`))
+	f.Add([]byte(`{"id":1,"changed":true}`))
+	f.Add([]byte(`{"id":1,"changed":"yes","result":{"item_id":"v"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		for {

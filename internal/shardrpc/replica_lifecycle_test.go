@@ -122,11 +122,11 @@ func TestSnapshotExportRoundTrip(t *testing.T) {
 		t.Fatalf("reseed handoff from export: %v", err)
 	}
 	o := core.ResolveOptions(core.WithK(5))
-	want, err := cSrc.Recommend(ctx, tc.query, o, nil)
+	want, _, err := cSrc.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("source recommend: %v", err)
 	}
-	got, err := cDst.Recommend(ctx, tc.query, o, nil)
+	got, _, err := cDst.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("reseeded recommend: %v", err)
 	}

@@ -12,7 +12,7 @@
 //	GET  /shard/v1/livez        → {shard, of, trained, boot_epoch} (always 200)
 //	GET  /shard/v1/readyz       → same body; 503 until booted AND trained
 //	GET  /shard/v1/stats        → shard.Stats
-//	POST /shard/v1/register     {items:[...]}            → {changed}
+//	POST /shard/v1/register     {items:[...]}            → {changed} (batch prologue)
 //	POST /shard/v1/observe      {observations:[...]}     → BatchReport
 //	POST /shard/v1/query_stream NDJSON duplex (see below)
 //	POST /shard/v1/snapshot     raw snapshot bytes       → 204
@@ -43,10 +43,11 @@
 //
 // # Replication and recovery
 //
-// The write path (RegisterItems, ObserveBatch) is applied under a
-// detached context once a request body has been fully received: the
-// micro-batch is the atomic replication unit, and a client disconnect
-// must not leave this shard half a batch behind its siblings. A shard
+// The write path (RegisterItems, ObserveBatch, and the registration
+// that opens every ask) is applied under a detached context once a
+// request body or ask line has been fully received: the micro-batch is
+// the atomic replication unit, and a client disconnect must not leave
+// this shard half a batch behind its siblings. A shard
 // that DID miss batches (crash, network partition — the Router excludes
 // it on the first ErrShardUnavailable) rejoins by rebooting from a fresh
 // snapshot handoff (POST /shard/v1/snapshot → core.LoadShardFrom), which

@@ -144,7 +144,7 @@ func TestRemoteShardMatchesEngine(t *testing.T) {
 	// Query parity, including the no-bound fast path (b == nil).
 	for _, v := range append([]model.Item{tc.query}, tc.fresh[:3]...) {
 		want, werr := reference.RecommendBound(ctx, v, o, nil)
-		got, gerr := c.Recommend(ctx, v, o, nil)
+		got, _, gerr := c.Recommend(ctx, v, o, nil)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("item %s: err %v vs %v", v.ID, gerr, werr)
 		}
@@ -180,7 +180,7 @@ func TestRemoteShardMatchesEngine(t *testing.T) {
 
 	// Post-observe queries still agree (the observe really replicated).
 	want2, _ := reference.RecommendBound(ctx, tc.fresh[4], o, nil)
-	got2, _ := c.Recommend(ctx, tc.fresh[4], o, nil)
+	got2, _, _ := c.Recommend(ctx, tc.fresh[4], o, nil)
 	if !reflect.DeepEqual(got2.Recommendations, want2.Recommendations) {
 		t.Fatalf("post-observe divergence\n got %v\nwant %v", got2.Recommendations, want2.Recommendations)
 	}
@@ -188,7 +188,7 @@ func TestRemoteShardMatchesEngine(t *testing.T) {
 	// Sentinel errors cross the wire with identity AND message intact.
 	alien := model.Item{ID: "alien", Category: "no-such-cat"}
 	_, werr = reference.RecommendBound(ctx, alien, o, nil)
-	_, gerr = c.Recommend(ctx, alien, o, nil)
+	_, _, gerr = c.Recommend(ctx, alien, o, nil)
 	if !errors.Is(gerr, core.ErrUnknownCategory) {
 		t.Fatalf("remote error lost sentinel: %v", gerr)
 	}
@@ -211,7 +211,7 @@ func TestUnbootedShard(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	if _, err := c.Recommend(ctx, model.Item{ID: "x", Category: "c"}, core.ResolveOptions(), nil); !errors.Is(err, shard.ErrShardUnavailable) {
+	if _, _, err := c.Recommend(ctx, model.Item{ID: "x", Category: "c"}, core.ResolveOptions(), nil); !errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("recommend on blank shard: %v", err)
 	}
 	if _, err := c.ObserveBatch(ctx, []core.Observation{{UserID: "u", Item: model.Item{ID: "i"}}}); !errors.Is(err, shard.ErrShardUnavailable) {
@@ -303,7 +303,7 @@ func TestCancellationIsNotUnavailable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tc := buildTinyCorpus()
-	_, err := c.Recommend(ctx, tc.query, core.ResolveOptions(), nil)
+	_, _, err := c.Recommend(ctx, tc.query, core.ResolveOptions(), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -367,7 +367,7 @@ func TestBoundStreamDelivers(t *testing.T) {
 	// Shard -> router: after a streamed exchange the router-side bound
 	// carries the shard's k-th best exact score (raised by the search).
 	b := sigtree.NewBound()
-	res, err := c.Recommend(ctx, tc.query, o, b)
+	res, _, err := c.Recommend(ctx, tc.query, o, b)
 	if err != nil {
 		t.Fatalf("recommend: %v", err)
 	}

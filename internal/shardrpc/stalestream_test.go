@@ -117,7 +117,7 @@ func TestRecommendRetriesStaleStream(t *testing.T) {
 		held := &heldStreams{rt: c.hc.Transport, hold: make(chan struct{})}
 		c.hc.Transport = held
 
-		want, err := c.Recommend(ctx, tc.query, opts, nil)
+		want, _, err := c.Recommend(ctx, tc.query, opts, nil)
 		if err != nil {
 			t.Fatalf("healthy recommend: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestRecommendRetriesStaleStream(t *testing.T) {
 		}
 		go awaitAsk(stale, held.hold)
 		dials := held.dials.Load()
-		got, err := c.Recommend(ctx, tc.query, opts, nil)
+		got, _, err := c.Recommend(ctx, tc.query, opts, nil)
 		switch {
 		case restart && err != nil:
 			t.Fatalf("recommend after restart: %v (want the stale stream retried)", err)

@@ -93,11 +93,11 @@ func TestReplayRPCRoundTrip(t *testing.T) {
 	}
 
 	o := core.ResolveOptions(core.WithK(5))
-	want, err := cW.Recommend(ctx, tc.query, o, nil)
+	want, _, err := cW.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("control recommend: %v", err)
 	}
-	got, err := cR.Recommend(ctx, tc.query, o, nil)
+	got, _, err := cR.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("replayed recommend: %v", err)
 	}
@@ -161,13 +161,15 @@ func TestWALServerRecovery(t *testing.T) {
 		t.Fatalf("observe: rep=%+v err=%v", rep, err)
 	}
 	o := core.ResolveOptions(core.WithK(5))
-	want, err := c1.Recommend(ctx, tc.query, o, nil)
+	want, _, err := c1.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("pre-stop recommend: %v", err)
 	}
 
-	// Stop WITHOUT a shutdown checkpoint: recovery must replay the two
-	// logged write batches on top of the handoff checkpoint.
+	// Stop WITHOUT a shutdown checkpoint: recovery must replay the three
+	// logged write batches on top of the handoff checkpoint — the
+	// registration, the observations and the registration of the ask's
+	// unseen probe item.
 	lb1.hs.Close()
 	if err := wal1.Close(); err != nil {
 		t.Fatalf("close wal: %v", err)
@@ -178,12 +180,12 @@ func TestWALServerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BootFromWAL: %v", err)
 	}
-	if !recovered || replayed != 2 {
-		t.Fatalf("recovered=%v replayed=%d, want true/2 (register + observe tail)", recovered, replayed)
+	if !recovered || replayed != 3 {
+		t.Fatalf("recovered=%v replayed=%d, want true/3 (register + observe + ask tail)", recovered, replayed)
 	}
 	c2 := NewClient(lb2.addr, 0, 1)
 	defer c2.Close()
-	got, err := c2.Recommend(ctx, tc.query, o, nil)
+	got, _, err := c2.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("post-recovery recommend: %v", err)
 	}
@@ -247,23 +249,33 @@ func TestHandoffOntoIdleWALAnchorsCheckpoint(t *testing.T) {
 	c := NewClient(lb.addr, 0, 1)
 	defer c.Close()
 	o := core.ResolveOptions(core.WithK(5))
-	recommend := func(c *Client) core.Result {
+	clean := func(res core.Result, err error) core.Result {
 		t.Helper()
-		res, err := c.Recommend(ctx, tc.query, o, nil)
 		if err != nil {
 			t.Fatalf("recommend: %v", err)
 		}
 		res.Stats = sigtree.SearchStats{}
 		return res
 	}
+	// Each baseline's answer comes from an in-process engine: an ask
+	// through the shard registers its unseen item, a logged write the idle
+	// log must not see.
+	answer := func(snap []byte) core.Result {
+		t.Helper()
+		e, err := core.LoadShardFrom(bytes.NewReader(snap), 0, 1)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		return clean(e.RecommendBound(ctx, tc.query, o, nil))
+	}
 	if err := c.Handoff(ctx, snapA); err != nil {
 		t.Fatalf("handoff A: %v", err)
 	}
-	answerA := recommend(c)
+	answerA := answer(snapA)
 	if err := c.Handoff(ctx, snapB.Bytes()); err != nil {
 		t.Fatalf("handoff B: %v", err)
 	}
-	answerB := recommend(c)
+	answerB := answer(snapB.Bytes())
 	if reflect.DeepEqual(answerA, answerB) {
 		t.Fatal("snapshots A and B answer alike; the test cannot tell them apart")
 	}
@@ -274,7 +286,8 @@ func TestHandoffOntoIdleWALAnchorsCheckpoint(t *testing.T) {
 	}
 	c2 := NewClient(lb2.addr, 0, 1)
 	defer c2.Close()
-	if got := recommend(c2); !reflect.DeepEqual(got, answerB) {
+	res, _, err := c2.Recommend(ctx, tc.query, o, nil)
+	if got := clean(res, err); !reflect.DeepEqual(got, answerB) {
 		t.Fatalf("recovered shard serves a stale baseline:\n  got:  %+v\n  want: %+v (snapshot B)\n  A:    %+v", got, answerB, answerA)
 	}
 }
@@ -303,7 +316,8 @@ func TestWALRegisterLogsOnlyChanges(t *testing.T) {
 }
 
 // TestWALRefusalLeavesEngineUnchanged: a shard whose log cannot take a
-// batch answers 5xx and applies nothing, so the router counts a missed
+// batch answers 5xx — or, for an ask's registration, an unavailable
+// terminal line — and applies nothing, so the router counts a missed
 // write and the engine still matches its log.
 func TestWALRefusalLeavesEngineUnchanged(t *testing.T) {
 	ctx := context.Background()
@@ -315,7 +329,7 @@ func TestWALRefusalLeavesEngineUnchanged(t *testing.T) {
 		t.Fatalf("handoff: %v", err)
 	}
 	o := core.ResolveOptions(core.WithK(8))
-	before, err := c.Recommend(ctx, tc.query, o, nil)
+	before, _, err := c.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("recommend: %v", err)
 	}
@@ -334,11 +348,25 @@ func TestWALRefusalLeavesEngineUnchanged(t *testing.T) {
 	if _, err := c.ObserveBatch(ctx, obs); !errors.Is(err, shard.ErrShardUnavailable) {
 		t.Fatalf("observe on a closed log: err = %v, want a 5xx (ErrShardUnavailable)", err)
 	}
+	// A cold ask registers through the same log, so it fails the same way
+	// and, refused, searches nothing.
+	coldAsk := tc.fresh[4]
+	res, changed, err := c.Recommend(ctx, coldAsk, o, nil)
+	if !errors.Is(err, shard.ErrShardUnavailable) {
+		t.Fatalf("cold ask on a closed log: err = %v, want ErrShardUnavailable", err)
+	}
+	if changed || len(res.Recommendations) != 0 || res.Stats != (sigtree.SearchStats{}) {
+		t.Fatalf("cold ask on a closed log: changed=%v, %d recommendations, stats %+v; want a search that never ran",
+			changed, len(res.Recommendations), res.Stats)
+	}
 	eng := lb.srv.boot.Load().local.Engine()
 	if !eng.NeedsRegistration(append(cold, tc.fresh[3])) {
 		t.Fatal("items registered although their log append failed")
 	}
-	after, err := c.Recommend(ctx, tc.query, o, nil)
+	if !eng.NeedsRegistration([]model.Item{coldAsk}) {
+		t.Fatal("the cold ask's item registered although its log append failed")
+	}
+	after, _, err := c.Recommend(ctx, tc.query, o, nil)
 	if err != nil {
 		t.Fatalf("recommend: %v", err)
 	}

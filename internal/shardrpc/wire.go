@@ -47,6 +47,14 @@ const (
 	headerShardCount = "X-Ssrec-Shard-Count"
 )
 
+// headerAskRegisters is the capability header of a query_stream response:
+// "1" promises that every ask registers its item through the shard's write
+// surface (logged when the shard has a WAL) and that every terminal line
+// carries the registration's changed flag. A client refuses a stream
+// without it rather than fall back, since an older shardd would register
+// asks unlogged and report nothing the router's debt accounting needs.
+const headerAskRegisters = "X-Ssrec-Ask-Registers"
+
 // itemWire is the wire form of model.Item.
 type itemWire struct {
 	ID          string   `json:"id"`
@@ -161,7 +169,8 @@ func (w optionsWire) options() core.QueryOptions {
 
 // qsAsk starts one query on a multiplexed query stream (POST
 // /shard/v1/query_stream), tagged with the stream-scoped query id carried
-// by the enclosing qsLine.
+// by the enclosing qsLine. The shard registers the item before it
+// searches.
 type qsAsk struct {
 	Item    itemWire    `json:"item"`
 	Options optionsWire `json:"options"`
@@ -182,15 +191,20 @@ type qsAsk struct {
 //     — the receiver folds it with Bound.Raise, so delayed, duplicated or
 //     reordered deliveries only cost pruning, never correctness);
 //   - Cancel (client→shard): abandon query ID (the shard cancels its
-//     search; the client has already returned);
-//   - Result/Err (shard→client): the terminal line of query ID.
+//     search; the client still waits for the terminal line, which says
+//     what became of the registration);
+//   - Result/Err (shard→client): the terminal line of query ID, with
+//     Changed set when the ask's registration advanced the replicated
+//     dictionaries. An Err coded unavailable means the registration did
+//     not take effect; any other Err came after it did.
 type qsLine struct {
-	ID     uint64      `json:"id"`
-	Ask    *qsAsk      `json:"ask,omitempty"`
-	B      *float64    `json:"b,omitempty"`
-	Cancel bool        `json:"cancel,omitempty"`
-	Result *resultWire `json:"result,omitempty"`
-	Err    *errWire    `json:"error,omitempty"`
+	ID      uint64      `json:"id"`
+	Ask     *qsAsk      `json:"ask,omitempty"`
+	B       *float64    `json:"b,omitempty"`
+	Cancel  bool        `json:"cancel,omitempty"`
+	Result  *resultWire `json:"result,omitempty"`
+	Err     *errWire    `json:"error,omitempty"`
+	Changed bool        `json:"changed,omitempty"`
 	// Spans returns the shard-side spans of a traced query on its
 	// terminal line; absent when the ask was untraced.
 	Spans []telemetry.SpanData `json:"spans,omitempty"`
