@@ -1,6 +1,6 @@
 // Command ssrec-shardd serves ONE shard of a distributed ssRec deployment
 // over the shard RPC protocol (internal/shardrpc): HTTP/2 + NDJSON, with
-// the full-duplex bound-streaming recommend exchange, micro-batch
+// the multiplexed query stream, micro-batch
 // replication, per-shard stats and the snapshot boot/handoff endpoint.
 //
 // A shardd always knows its identity — shard -index of an -of-wide
@@ -63,8 +63,7 @@ func main() {
 		of    = flag.Int("of", 1, "deployment width (total shard count)")
 		model = flag.String("model", "", "boot from a saved engine snapshot (core.SaveFile format); omit to await a snapshot handoff")
 
-		boundFlush = flag.Duration("bound-flush", shardrpc.DefaultBoundFlush, "sampling interval of the bound-raise stream on the recommend exchange")
-		authToken  = flag.String("auth-token", "", "shared bearer token: every endpoint (livez/readyz included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
+		authToken = flag.String("auth-token", "", "shared bearer token: every endpoint (livez/readyz included) answers 401 without \"Authorization: Bearer <token>\"; pair with ssrec-server -auth-token / ssrec.WithAuthToken")
 
 		walDir        = flag.String("wal-dir", "", "durable ingest WAL directory: every admitted write batch is logged before it is applied, and on boot the latest checkpoint plus the log tail are recovered (taking precedence over -model)")
 		walFsync      = flag.String("wal-fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval (background ticker), off (OS page cache only)")
@@ -80,7 +79,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.BoundFlush = *boundFlush
 	srv.AuthToken = *authToken
 	if *authToken != "" {
 		log.Printf("bearer auth enabled on every endpoint")

@@ -1,0 +1,11 @@
+package shard
+
+import (
+	"testing"
+
+	"ssrec/internal/shardtest"
+)
+
+// TestMain fails the package when its tests leave goroutines running
+// (shardtest.Main).
+func TestMain(m *testing.M) { shardtest.Main(m) }

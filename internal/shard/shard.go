@@ -21,11 +21,14 @@
 // # The cross-shard protocol
 //
 // A query fans out to every shard with ONE shared sigtree.Bound: as soon
-// as any shard's local top-k fills, its k-th exact score raises the bound
-// and prunes every other shard's traversal. The per-shard top-k heaps are
+// as any in-process shard's local top-k fills, its k-th exact score
+// raises the bound and prunes every other in-process shard's traversal.
+// A remote shard ignores the bound and prunes against its own top-k only,
+// the case in which no raise is shared. The per-shard top-k heaps are
 // folded with sigtree.MergeTopK. Each shard's k-th best exact score
 // lower-bounds the global k-th best, pruning is strict, ties are
-// expanded — so results stay bit-identical at every shard count.
+// expanded — so results stay bit-identical at every shard count, with or
+// without sharing.
 //
 // # The RPC seam
 //
@@ -35,9 +38,8 @@
 // the Router. Recommend registers the asked item before it searches, as
 // core.Engine.RecommendCtx does, so a single-item ask costs one call per
 // shard; RegisterItems is the batch prologue of RecommendBatch. The Bound
-// protocol tolerates delayed, duplicated or reordered Raise deliveries (it
-// is a monotone max), so an RPC shard can stream bound updates
-// asynchronously and lose only pruning, never correctness.
+// is an in-process optimisation: a network-backed shard searches against
+// its own fresh bound and loses only pruning, never correctness.
 package shard
 
 import (
@@ -118,8 +120,9 @@ type Shard interface {
 
 	// Recommend registers v exactly as RegisterItems([]model.Item{v})
 	// would, whatever ctx says, then answers it from this shard's owned
-	// users under ctx, pruning against — and raising — the deployment-wide
-	// bound shared by all shards answering the same item. changed reports
+	// users under ctx. Local prunes against — and raises — b, the
+	// deployment-wide bound shared by all shards answering the same item;
+	// a remote shard ignores b and searches against its own. changed reports
 	// whether the registration advanced the replicated dictionaries. The
 	// error tells the Router what became of the registration: one wrapping
 	// ErrShardUnavailable leaves it unknown, one wrapping ErrNotRegistered

@@ -8,10 +8,12 @@ package shardrpc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,6 +22,8 @@ import (
 	"ssrec/internal/core"
 	"ssrec/internal/model"
 	"ssrec/internal/shard"
+	"ssrec/internal/shardtest"
+	"ssrec/internal/sigtree"
 )
 
 // TestAskNilContextRemoteFleet: a nil context reads as Background on the
@@ -296,5 +300,137 @@ func TestAskCancelledDuringSlowRegistration(t *testing.T) {
 	}
 	if lb.srv.boot.Load().local.Engine().NeedsRegistration([]model.Item{fresh}) {
 		t.Fatal("the cancelled ask's item was not registered")
+	}
+}
+
+// TestAskRemoteStatsAreSoloSums: a remote leg searches against its own
+// fresh bound, so over a 2-shard loopback fleet every ask's Stats equal
+// the sum, over the shards, of that shard's engine searching alone with a
+// fresh bound on the same state — a function of state and query, with no
+// dependence on timing. The mirror engines load the same snapshot
+// partitions and see the same batches and registrations as the shardds.
+func TestAskRemoteStatsAreSoloSums(t *testing.T) {
+	fx := shardtest.Load(t)
+	const n, batches = 2, 8
+	ctx := context.Background()
+	r := remoteRouter(t, []string{startLoopback(t, 0, n).addr, startLoopback(t, 1, n).addr}, fx.Snapshot)
+	mirror := make([]*core.Engine, n)
+	for i := range mirror {
+		eng, err := core.LoadShardFrom(bytes.NewReader(fx.Snapshot), i, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror[i] = eng
+	}
+	o := core.ResolveOptions(core.WithK(shardtest.ReplayK))
+	asks := 0
+	for b := 0; b < batches; b++ {
+		batch := fx.Obs[b*shardtest.ReplayBatch : (b+1)*shardtest.ReplayBatch]
+		if _, err := r.ObserveBatch(ctx, batch); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		for _, eng := range mirror {
+			if _, err := eng.ObserveBatch(ctx, batch); err != nil {
+				t.Fatalf("batch %d: mirror: %v", b, err)
+			}
+		}
+		for _, v := range shardtest.QueryWindow(fx.Queries, b) {
+			got, err := r.RecommendCtx(ctx, v, core.WithK(shardtest.ReplayK))
+			if err != nil {
+				t.Fatalf("ask %s: %v", v.ID, err)
+			}
+			var want sigtree.SearchStats
+			lists := make([][]model.Recommendation, n)
+			for i, eng := range mirror {
+				eng.RegisterItemBatch([]model.Item{v})
+				res, err := eng.RecommendBound(ctx, v, o, sigtree.NewBound())
+				if err != nil {
+					t.Fatalf("ask %s: mirror %d: %v", v.ID, i, err)
+				}
+				want.Add(res.Stats)
+				lists[i] = res.Recommendations
+			}
+			if got.Stats != want {
+				t.Fatalf("batch %d ask %s: fleet stats %+v, want the solo sum %+v", b, v.ID, got.Stats, want)
+			}
+			if recs := sigtree.MergeTopK(o.K, lists...); !reflect.DeepEqual(got.Recommendations, recs) {
+				t.Fatalf("batch %d ask %s diverged:\n got %v\nwant %v", b, v.ID, got.Recommendations, recs)
+			}
+			asks++
+		}
+	}
+	if asks == 0 {
+		t.Fatal("the replay asked nothing")
+	}
+}
+
+// TestAskDuplicateIDBreaksStream: an ask that reuses the id of a query
+// still in flight breaks the stream, as an undecodable line does: the
+// shard reads no further, answers the first ask and never registers the
+// second item. The first ask is held in flight by a log whose checkpoint
+// blocks its registration's append.
+func TestAskDuplicateIDBreaksStream(t *testing.T) {
+	tc := buildTinyCorpus()
+	lb, l := walLoopback(t, t.TempDir(), 0, 1)
+	bootClient(t, lb)
+	held, release := make(chan struct{}), make(chan struct{})
+	ckpt := make(chan error, 1)
+	go func() {
+		ckpt <- l.Checkpoint(func(io.Writer) error {
+			close(held)
+			<-release
+			return errors.New("held")
+		})
+	}()
+	<-held
+
+	first, second := tc.fresh[0], tc.fresh[1]
+	pr, pw := io.Pipe()
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		lb.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathQueryStream, pr))
+	}()
+	o := toOptionsWire(core.ResolveOptions(core.WithK(3)))
+	for _, v := range []model.Item{first, second} {
+		line, err := json.Marshal(qsLine{ID: 1, Ask: &qsAsk{Item: toItemWire(v), Options: o}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.Write(append(line, '\n')); err != nil {
+			t.Fatalf("write ask %s: %v", v.ID, err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // the shard reads the duplicate while the first ask is held
+	close(release)
+	if err := <-ckpt; err == nil {
+		t.Fatal("the held checkpoint succeeded")
+	}
+	pw.Close()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream did not end after its first ask answered")
+	}
+
+	var lines []qsLine
+	dec := json.NewDecoder(rec.Body)
+	for {
+		var line qsLine
+		if err := dec.Decode(&line); err != nil {
+			break
+		}
+		lines = append(lines, line)
+	}
+	if len(lines) != 1 || lines[0].ID != 1 || lines[0].Result == nil || lines[0].Result.ItemID != first.ID {
+		t.Fatalf("stream with a duplicate ask id answered %+v, want one terminal line for %s", lines, first.ID)
+	}
+	eng := lb.srv.boot.Load().local.Engine()
+	if eng.NeedsRegistration([]model.Item{first}) {
+		t.Fatal("the first ask's item was not registered")
+	}
+	if !eng.NeedsRegistration([]model.Item{second}) {
+		t.Fatal("the duplicate ask's item was registered")
 	}
 }

@@ -2,8 +2,8 @@
 // one shardd process over HTTP/2 + NDJSON. A shard.Router can hold any
 // mix of Local and RemoteShard values — the seam is the Shard interface,
 // and this client implements the full protocol: broadcast ObserveBatch
-// (micro-batch as the atomic replication unit), the multiplexed
-// bound-streaming query stream (querystream.go), /stats, health probes
+// (micro-batch as the atomic replication unit), the multiplexed query
+// stream (querystream.go), /stats, health probes
 // (shard.Pinger) and snapshot handoff (shard.SnapshotReceiver).
 package shardrpc
 
@@ -27,29 +27,19 @@ import (
 	"ssrec/internal/telemetry"
 )
 
-// DefaultBoundFlush is the default sampling interval of the bound-raise
-// streams (client→shard and shard→client). A raise is only transmitted
-// when the sampled bound rose since the last send, so idle queries cost
-// nothing; lowering the interval tightens cross-shard pruning at the cost
-// of more tiny frames.
-const DefaultBoundFlush = time.Millisecond
-
 // statsTimeout bounds the context-less Stats() snapshot call.
 const statsTimeout = 5 * time.Second
 
 // Client is a remote shard: the client half of the shard RPC protocol,
 // implementing shard.Shard (plus shard.Pinger and shard.SnapshotReceiver)
 // over unencrypted HTTP/2 so one TCP connection multiplexes the broadcast
-// write path, concurrent scatter queries and their bound streams.
+// write path and concurrent scatter queries.
 type Client struct {
 	idx  int
 	of   int
 	base string
 	hc   *http.Client
 
-	// BoundFlush overrides DefaultBoundFlush when > 0. Set before first
-	// use; not synchronised.
-	BoundFlush time.Duration
 	// AuthToken, when non-empty, is sent as "Authorization: Bearer" on
 	// every request — the shared bearer-token layer of a shardd fleet
 	// started with -auth-token. Set before first use; not synchronised.
@@ -172,13 +162,6 @@ func (c *Client) authorize(req *http.Request) {
 	}
 }
 
-func (c *Client) boundFlush() time.Duration {
-	if c.BoundFlush > 0 {
-		return c.BoundFlush
-	}
-	return DefaultBoundFlush
-}
-
 // transportErr classifies a failed exchange: context cancellation stays a
 // context error (the Router must not exclude a shard because the CALLER
 // gave up); everything else is wrapped in shard.ErrShardUnavailable so the
@@ -289,13 +272,13 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 
 // Recommend implements shard.Shard: the scatter leg. The query is
 // multiplexed over the shard's long-lived query stream (one stream per
-// shard, not per item — see querystream.go): an ask line out, the shared
-// bound's raises relayed in both directions while the search runs, and a
-// terminal result line back. Raises are folded with Bound.Raise on both
-// ends — a monotone max — so a delayed, duplicated or lost raise only
-// costs pruning opportunity, never exactness; even with NO raises
-// delivered the shard's owned-users top-k is exact and the merged global
-// result is bit-identical.
+// shard, not per item — see querystream.go): an ask line out and a
+// terminal result line back. The shard searches against its own fresh
+// bound and b is ignored: neither end relays the other's bound, because a
+// search (a fraction of a millisecond) ends before a relayed raise
+// arrives. The shard's owned-users top-k is exact on its own, so the
+// merged global result is bit-identical, and the result's Stats depend
+// on the shard's state and the query alone.
 //
 // The shard registers the item before it searches, so the ask is sent
 // even when ctx is already done: a cancelled call still registers, and
@@ -304,12 +287,13 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 //
 // A cached stream can outlive its peer: a shardd restarted at the same
 // address leaves the client a stream whose reader has not yet seen the
-// old connection die. When such a stream fails before the shard replied
-// to this query, the call drops it and asks once more on a freshly dialled
-// stream. A fresh stream that fails is not retried, so a dead shard costs
-// one dial, not a loop. The first ask may have registered the item before
-// the stream failed, so a retried ask reports changed conservatively.
-func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, b *sigtree.Bound) (core.Result, bool, error) {
+// old connection die. When such a stream fails before this ask's
+// terminal line arrives, the call drops it and asks once more on a
+// freshly dialled stream. A fresh stream that fails is not retried, so a
+// dead shard costs one dial, not a loop. The first ask may have
+// registered the item before the stream failed; registering it again is
+// a no-op, and a retried ask reports changed conservatively.
+func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOptions, _ *sigtree.Bound) (core.Result, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -319,8 +303,8 @@ func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOption
 			// Already classified by dialMux (unavailable or refused).
 			return core.Result{ItemID: v.ID}, false, err
 		}
-		res, changed, unanswered, err := ms.recommend(ctx, v, o, b)
-		if !unanswered || !cached || retry {
+		res, changed, lost, err := ms.recommend(ctx, v, o)
+		if !lost || !cached || retry {
 			return res, changed || retry, err
 		}
 		c.dropMux(ms)

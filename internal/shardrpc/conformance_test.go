@@ -1,8 +1,8 @@
 // conformance_test.go is the REMOTE column of the stream-replay
 // conformance matrix: the same seeded 11.5k-interaction workload the
 // in-process suite (internal/shard) replays is driven through loopback
-// shardd endpoints — real TCP, real HTTP/2, the full bound-streaming
-// protocol — and must be bit-identical to the single reference engine:
+// shardd endpoints — real TCP, real HTTP/2, the multiplexed query
+// stream — and must be bit-identical to the single reference engine:
 //
 //	transport   = remote (2 shardd endpoints)
 //	shards      ∈ {2}

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"ssrec/internal/core"
@@ -16,23 +19,24 @@ import (
 
 // FuzzQueryStreamLine fuzzes the decoder of the multiplexed query stream
 // (POST /shard/v1/query_stream): a body of NDJSON qsLine values read with
-// a json.Decoder, as shardd reads asks, raises and cancels and the router
-// reads raises and terminal lines. Each decoded line goes through the
-// conversions its receivers apply (the ask's item and options, the
-// result, the error). Invariants: no panic; a decoded error keeps its
-// message verbatim; and every accepted line re-encodes to a form that
-// decodes back to itself, so a line relayed by one peer reads the same
-// at the next.
+// a json.Decoder, as shardd reads asks and cancels and the router reads
+// terminal lines. Each decoded line goes through the conversions its
+// receivers apply (the ask's item and options, the result, the error).
+// Invariants: no panic; a decoded error keeps its message verbatim; every
+// accepted line re-encodes to a form that decodes back to itself, so a
+// line relayed by one peer reads the same at the next; and a line that
+// carries no ask, cancel, result or error — the bound raises of older
+// peers among them — is a no-op for both receivers: a shardd answers it
+// with nothing, and a client delivers nothing to the query it names.
 func FuzzQueryStreamLine(f *testing.F) {
-	bound := 0.25
+	// Lines of the retired bound-raise protocol: an ask carrying the
+	// router's bound, and raise lines in either direction.
+	legacy := []string{
+		`{"id":1,"ask":{"item":{"id":"v1","category":"music","producer":"up0","entities":["e1","e2"],"timestamp":17},` +
+			`"options":{"k":5},"bound":0.25,"trace":"00000000000000ab-00000000000000cd"}}`,
+		`{"id":2,"b":0.25}`,
+	}
 	seeds := []qsLine{
-		{ID: 1, Ask: &qsAsk{
-			Item:    toItemWire(model.Item{ID: "v1", Category: "music", Producer: "up0", Entities: []string{"e1", "e2"}, Timestamp: 17}),
-			Options: toOptionsWire(core.QueryOptions{K: 5}),
-			Bound:   &bound,
-			Trace:   "00000000000000ab-00000000000000cd",
-		}},
-		{ID: 2, B: &bound},
 		{ID: 3, Cancel: true},
 		{ID: 4, Result: toResultWire(core.Result{ItemID: "v1",
 			Recommendations: []model.Recommendation{{UserID: "u1", Score: 0.5}, {UserID: "u2", Score: -1e-300}},
@@ -52,8 +56,17 @@ func FuzzQueryStreamLine(f *testing.F) {
 		{ID: 8, Result: toResultWire(core.Result{ItemID: "v-new"}), Err: encodeErr(context.Canceled), Changed: true},
 		{ID: 9, Result: toResultWire(core.Result{ItemID: "v-cold"}),
 			Err: encodeErr(fmt.Errorf("shard 0/2 register: %w: wal: log closed", shard.ErrShardUnavailable))},
+		{ID: 10, Ask: &qsAsk{
+			Item:    toItemWire(model.Item{ID: "v1", Category: "music", Producer: "up0", Entities: []string{"e1", "e2"}, Timestamp: 17}),
+			Options: toOptionsWire(core.QueryOptions{K: 5}),
+			Trace:   "00000000000000ab-00000000000000cd",
+		}},
 	}
 	var stream bytes.Buffer
+	for _, l := range legacy {
+		f.Add([]byte(l))
+		stream.WriteString(l + "\n")
+	}
 	for _, l := range seeds {
 		b, err := json.Marshal(l)
 		if err != nil {
@@ -75,11 +88,30 @@ func FuzzQueryStreamLine(f *testing.F) {
 	f.Add([]byte(`{"id":18446744073709551615,"cancel":true}{"id":2`))
 	f.Add([]byte(`{"id":1,"changed":true}`))
 	f.Add([]byte(`{"id":1,"changed":"yes","result":{"item_id":"v"}}`))
+	f.Add([]byte(`{"id":3,"b":-0.5,"changed":true,"spans":[]}` + "\n" + `{"id":3,"b":0.75}`))
+
+	srv, err := NewServer(0, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	eng, err := core.LoadFrom(bytes.NewReader(tinySnapshot(f)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := srv.Boot(eng); err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		for {
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); err != nil {
+				return
+			}
 			var line qsLine
-			if err := dec.Decode(&line); err != nil {
+			if err := json.Unmarshal(raw, &line); err != nil {
 				return
 			}
 			if line.Ask != nil {
@@ -96,6 +128,9 @@ func FuzzQueryStreamLine(f *testing.F) {
 				if err == nil || err.Error() != line.Err.Message {
 					t.Fatalf("error line %+v decoded to %v", *line.Err, err)
 				}
+			}
+			if line.Ask == nil && !line.Cancel && line.Result == nil && line.Err == nil {
+				checkNoOpLine(t, h, line.ID, raw)
 			}
 			once, err := json.Marshal(line)
 			if err != nil {
@@ -114,4 +149,31 @@ func FuzzQueryStreamLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkNoOpLine feeds raw, a line that carries no ask, cancel, result or
+// error, to both receivers: the shardd's stream handler h must answer
+// nothing, and a client reader must deliver nothing to the query named id
+// before its stream ends.
+func checkNoOpLine(t *testing.T, h http.Handler, id uint64, raw []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathQueryStream, bytes.NewReader(raw)))
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("shardd answered the no-op line %s: status %d, body %q", raw, rec.Code, rec.Body.String())
+	}
+
+	_, pw := io.Pipe()
+	ch := make(chan muxResp, 1)
+	ms := &muxStream{
+		c:      &Client{},
+		pw:     pw,
+		cancel: func() {},
+		act:    map[uint64]chan muxResp{id: ch},
+		done:   make(chan struct{}),
+	}
+	ms.read(io.NopCloser(bytes.NewReader(raw)))
+	if r := <-ch; !r.lost {
+		t.Fatalf("client delivered the no-op line %s to query %d: %+v", raw, id, r)
+	}
 }

@@ -19,27 +19,22 @@
 //	GET  /shard/v1/snapshot                              → raw snapshot bytes
 //	POST /shard/v1/replay       {batches:[...]}          → {applied, boot_epoch}
 //
-// # The bound-streaming query stream
+// # The query stream
 //
-// The scatter leg of a query must share ONE lower bound across every
-// shard to keep Algorithm 1's pruning global. Over the wire this becomes
-// one long-lived full-duplex NDJSON exchange per shard on a single HTTP/2
-// stream, multiplexing every in-flight query by a stream-scoped id
-// (querystream.go): the router sends an ask line per query (item,
-// resolved options, the shared bound's current value), then `{"id":n,
-// "b":x}` raise lines whenever the ROUTER-side bound rises (i.e. another
-// shard published a better k-th score); the shard streams its own raises
-// back the same way and ends each query with its `{"id":n,"result":...}`
-// line. Both ends fold incoming raises with sigtree.Bound.Raise — a
-// lock-free monotone max — which makes the protocol drift-tolerant BY
-// CONSTRUCTION: raises may be delayed, duplicated, reordered or dropped
-// entirely and the search stays exact, because the bound only ever
-// prunes entries strictly below the true global k-th score. A late raise
-// costs pruning work, never results.
-// That is the paper's Algorithm 1 lower-bound argument carried over the
-// network unchanged; the stream-replay conformance suite
-// (conformance_test.go here, sharing the internal/shardtest fixture)
-// asserts remote deployments are bit-identical to the single engine.
+// The scatter leg is one long-lived full-duplex NDJSON exchange per shard
+// on a single HTTP/2 stream, multiplexing every in-flight query by a
+// stream-scoped id (querystream.go): the router sends an ask line per
+// query (item and resolved options), may follow it with a cancel line,
+// and the shard ends each query with its `{"id":n,"result":...}` line.
+// Each shard searches against its own fresh bound, pruning with its own
+// top-k only. That is the zero-raise case of Algorithm 1's lower-bound
+// argument: the shard's owned-users top-k is exact on its own, so the
+// merged answer is too. Relaying the bound between shards was retired
+// because a search (a fraction of a millisecond) ends before a relayed
+// raise arrives; honouring the raises saved about 0.3 % of the entries
+// scored. The stream-replay conformance suite (conformance_test.go here,
+// sharing the internal/shardtest fixture) asserts remote deployments are
+// bit-identical to the single engine.
 //
 // # Replication and recovery
 //
@@ -120,8 +115,6 @@ type Server struct {
 	// token); mismatches answer 401. The shardd -auth-token flag. Set
 	// before serving; not synchronised.
 	AuthToken string
-	// BoundFlush overrides DefaultBoundFlush for the raise stream when > 0.
-	BoundFlush time.Duration
 	// MaxBodyBytes bounds JSON request bodies (default 64 MiB).
 	MaxBodyBytes int64
 	// MaxSnapshotBytes bounds snapshot handoffs (default 1 GiB).
@@ -337,9 +330,9 @@ func (s *Server) authorized(r *http.Request) bool {
 }
 
 // NewHTTPServer wraps the handler in an http.Server with unencrypted
-// HTTP/2 enabled — REQUIRED for the full-duplex query stream (the bound
-// raise streams flow both ways on one stream; plain HTTP/1.1 cannot do
-// that client-side). No read/write timeouts are set: query streams
+// HTTP/2 enabled — REQUIRED for the full-duplex query stream (asks flow
+// in while terminal lines flow out on one stream; plain HTTP/1.1 cannot
+// do that client-side). No read/write timeouts are set: query streams
 // legitimately outlive any fixed budget, so deadlines belong to the
 // caller's context. ReadHeaderTimeout still bounds header slow-loris.
 func (s *Server) NewHTTPServer(addr string) *http.Server {
@@ -352,13 +345,6 @@ func (s *Server) NewHTTPServer(addr string) *http.Server {
 		Protocols:         p,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-}
-
-func (s *Server) boundFlush() time.Duration {
-	if s.BoundFlush > 0 {
-		return s.BoundFlush
-	}
-	return DefaultBoundFlush
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

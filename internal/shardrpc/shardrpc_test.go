@@ -9,18 +9,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"ssrec/internal/core"
 	"ssrec/internal/model"
 	"ssrec/internal/shard"
-	"ssrec/internal/sigtree"
 )
 
 // loopback is one in-process shardd on a real 127.0.0.1 listener —
@@ -343,46 +340,5 @@ func TestErrWireRoundTrip(t *testing.T) {
 	}
 	if encodeErr(nil) != nil {
 		t.Error("encodeErr(nil) != nil")
-	}
-}
-
-// TestBoundStreamDelivers: the full-duplex exchange really moves raises
-// in both directions — a raise injected on the router side reaches the
-// shard (observable as pruning: the shard's search skips entries), and
-// the shard's own raise reaches the router-side bound.
-func TestBoundStreamDelivers(t *testing.T) {
-	snap := tinySnapshot(t)
-	lb := startLoopback(t, 0, 1)
-	lb.srv.BoundFlush = 100 * time.Microsecond
-	c := NewClient(lb.addr, 0, 1)
-	c.BoundFlush = 100 * time.Microsecond
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.Handoff(ctx, snap); err != nil {
-		t.Fatalf("handoff: %v", err)
-	}
-	tc := buildTinyCorpus()
-	o := core.ResolveOptions(core.WithK(3))
-
-	// Shard -> router: after a streamed exchange the router-side bound
-	// carries the shard's k-th best exact score (raised by the search).
-	b := sigtree.NewBound()
-	res, _, err := c.Recommend(ctx, tc.query, o, b)
-	if err != nil {
-		t.Fatalf("recommend: %v", err)
-	}
-	if len(res.Recommendations) == 0 {
-		t.Fatal("no recommendations")
-	}
-	// The terminal line closes the exchange before the last raise may have
-	// flushed, so the bound is only guaranteed to be <= the k-th score —
-	// but with the aggressive flush interval above, at least ONE raise
-	// must have landed for a query that fills its top-k.
-	if v := b.Load(); math.IsInf(v, -1) {
-		t.Fatal("router-side bound never raised by the shard's stream")
-	}
-	kth := res.Recommendations[len(res.Recommendations)-1].Score
-	if v := b.Load(); v > kth {
-		t.Fatalf("bound %v exceeds the k-th exact score %v (must be a lower bound)", v, kth)
 	}
 }

@@ -174,9 +174,6 @@ func (w optionsWire) options() core.QueryOptions {
 type qsAsk struct {
 	Item    itemWire    `json:"item"`
 	Options optionsWire `json:"options"`
-	// Bound is the shared bound's value at dispatch time, omitted while
-	// -Inf.
-	Bound *float64 `json:"bound,omitempty"`
 	// Trace carries the caller's trace context for this query (the
 	// stream is shared, so propagation is per-ask, not per-request).
 	Trace string `json:"trace,omitempty"`
@@ -187,9 +184,6 @@ type qsAsk struct {
 // payload field is set:
 //
 //   - Ask (client→shard): start query ID;
-//   - B: a monotone raise of query ID's shared lower bound (drift-tolerant
-//     — the receiver folds it with Bound.Raise, so delayed, duplicated or
-//     reordered deliveries only cost pruning, never correctness);
 //   - Cancel (client→shard): abandon query ID (the shard cancels its
 //     search; the client still waits for the terminal line, which says
 //     what became of the registration);
@@ -197,10 +191,13 @@ type qsAsk struct {
 //     Changed set when the ask's registration advanced the replicated
 //     dictionaries. An Err coded unavailable means the registration did
 //     not take effect; any other Err came after it did.
+//
+// A receiver drops every line that carries none of the fields it acts
+// on, unknown fields included: older routers and shardds send bound
+// raise lines ({"id":n,"b":x}), and this protocol has no such line.
 type qsLine struct {
 	ID      uint64      `json:"id"`
 	Ask     *qsAsk      `json:"ask,omitempty"`
-	B       *float64    `json:"b,omitempty"`
 	Cancel  bool        `json:"cancel,omitempty"`
 	Result  *resultWire `json:"result,omitempty"`
 	Err     *errWire    `json:"error,omitempty"`

@@ -2,7 +2,9 @@
 // conformance suites: one seeded stream-replay fixture, a deterministic
 // replay driver and a transcript differ, used by both the in-process suite
 // (internal/shard) and the network-transport suite (internal/shardrpc) so
-// the two prove equivalence against the SAME reference workload.
+// the two prove equivalence against the SAME reference workload. Main is
+// the goroutine-leak check those packages, the server and the
+// fault-injection suites run as their TestMain.
 //
 // The fixture is deliberately heavyweight — a 0.5-scale YTube-shaped
 // dataset whose post-training stream carries at least 10k interactions

@@ -256,12 +256,11 @@ func SearchCtx(ctx context.Context, tqs []TreeQuery, k int, shared *Bound) ([]mo
 // exact score published so far. Create with NewBound; the zero
 // value is NOT ready (the bound must start at -Inf).
 //
-// Bound is the wire protocol of cross-shard pruning: an RPC shard keeps a
-// local Bound that its searcher consults, and streams Raise values to and
-// from the router. Because Raise is a lock-free monotone max, updates may
-// be applied in any order, duplicated or delayed without affecting
-// correctness — a late bound only costs pruning opportunity, never
-// results.
+// Bound carries cross-shard pruning between in-process shards (a remote
+// shard searches against its own). Because Raise is a lock-free monotone
+// max, updates may be applied in any order, duplicated or delayed without
+// affecting correctness — a late bound only costs pruning opportunity,
+// never results.
 type Bound struct{ bits atomic.Uint64 }
 
 // NewBound returns a shared bound initialised to -Inf (nothing pruned yet).
