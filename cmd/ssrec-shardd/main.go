@@ -1,6 +1,7 @@
 // Command ssrec-shardd serves ONE shard of a distributed ssRec deployment
-// over the shard RPC protocol (internal/shardrpc): HTTP/2 + NDJSON, with
-// the multiplexed query stream, micro-batch
+// over the shard RPC protocol (internal/shardrpc): HTTP/2 with binary
+// frames (and the JSON of older routers), with the multiplexed query
+// stream, micro-batch
 // replication, per-shard stats and the snapshot boot/handoff endpoint.
 //
 // A shardd always knows its identity — shard -index of an -of-wide

@@ -11,9 +11,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"ssrec/internal/bihmm"
+	"ssrec/internal/binrec"
 	"ssrec/internal/cppse"
 	"ssrec/internal/entity"
 	"ssrec/internal/profile"
@@ -96,18 +96,18 @@ func (e *Engine) SaveTo(w io.Writer) error {
 		st := e.index.State()
 		head.Index = &st
 	}
-	sw := &snapWriter{w: bufio.NewWriterSize(w, 64<<10), names: make(map[string]uint64)}
+	sw := &snapWriter{w: bufio.NewWriterSize(w, 64<<10)}
 	sw.w.Write(snapMagic)                              //nolint:errcheck // sticky: surfaces at the next Write or Flush
 	sw.w.Write(binary.AppendUvarint(nil, snapVersion)) //nolint:errcheck
 	var hb bytes.Buffer
 	if err := gob.NewEncoder(&hb).Encode(&head); err != nil {
 		return fmt.Errorf("core: encode snapshot head: %w", err)
 	}
-	sw.buf = hb.Bytes()
+	sw.Buf = hb.Bytes()
 	if err := sw.record(recHead); err != nil {
 		return err
 	}
-	sw.buf = nil
+	sw.Buf = nil
 	var users, withObs, withModel int
 	var err error
 	e.store.Each(func(p *profile.Profile) {
@@ -131,7 +131,8 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	if withObs != len(e.consumerObs) || withModel != len(e.consumers) {
 		return fmt.Errorf("core: consumer state held for users without a profile")
 	}
-	sw.buf = binary.AppendUvarint(sw.buf[:0], uint64(users))
+	sw.Reset()
+	sw.Uvarint(uint64(users))
 	if err := sw.record(recTrailer); err != nil {
 		return err
 	}
@@ -141,70 +142,42 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	return nil
 }
 
-// snapWriter builds one record at a time in buf and frames it into w.
-// Category, producer and entity names go through a table shared by the
-// whole stream: a name's first occurrence is written inline as reference
-// 0 and takes the next id, later ones are written as id+1.
+// snapWriter builds one record at a time and frames it into w.
+// Category, producer and entity names go through a name table shared by
+// the whole stream (binrec.Writer.Name).
 type snapWriter struct {
-	w     *bufio.Writer
-	buf   []byte
-	names map[string]uint64
+	binrec.Writer
+	w *bufio.Writer
 }
 
-// record frames buf into w. It refuses a payload over maxRecord and
-// returns the writer's error, which bufio keeps: once a write fails,
+// record frames the payload into w. It refuses a payload over maxRecord
+// and returns the writer's error, which bufio keeps: once a write fails,
 // every later one fails too.
 func (sw *snapWriter) record(kind byte) error {
-	if len(sw.buf) > maxRecord {
-		return fmt.Errorf("core: snapshot record of kind %d is %d bytes, cap %d", kind, len(sw.buf), maxRecord)
+	if len(sw.Buf) > maxRecord {
+		return fmt.Errorf("core: snapshot record of kind %d is %d bytes, cap %d", kind, len(sw.Buf), maxRecord)
 	}
-	var frame [1 + binary.MaxVarintLen64]byte
-	frame[0] = kind
-	n := 1 + binary.PutUvarint(frame[1:], uint64(len(sw.buf)))
-	if _, err := sw.w.Write(frame[:n]); err != nil {
+	var hdr [binrec.MaxHeader]byte
+	if _, err := sw.w.Write(binrec.AppendHeader(hdr[:0], kind, len(sw.Buf))); err != nil {
 		return fmt.Errorf("core: write snapshot: %w", err)
 	}
-	if _, err := sw.w.Write(sw.buf); err != nil {
+	if _, err := sw.w.Write(sw.Buf); err != nil {
 		return fmt.Errorf("core: write snapshot: %w", err)
 	}
 	return nil
 }
 
-func (sw *snapWriter) uvarint(v uint64) { sw.buf = binary.AppendUvarint(sw.buf, v) }
-func (sw *snapWriter) varint(v int64)   { sw.buf = binary.AppendVarint(sw.buf, v) }
-
-func (sw *snapWriter) str(s string) {
-	sw.uvarint(uint64(len(s)))
-	sw.buf = append(sw.buf, s...)
-}
-
-func (sw *snapWriter) name(s string) {
-	if id, ok := sw.names[s]; ok {
-		sw.uvarint(id + 1)
-		return
-	}
-	sw.names[s] = uint64(len(sw.names))
-	sw.uvarint(0)
-	sw.str(s)
-}
-
-func (sw *snapWriter) floats(fs []float64) {
-	for _, f := range fs {
-		sw.buf = binary.LittleEndian.AppendUint64(sw.buf, math.Float64bits(f))
-	}
-}
-
 func (sw *snapWriter) events(evs []profile.Event) {
-	sw.uvarint(uint64(len(evs)))
+	sw.Uvarint(uint64(len(evs)))
 	var prev int64
 	for _, ev := range evs {
-		sw.name(ev.Category)
-		sw.name(ev.Producer)
-		sw.uvarint(uint64(len(ev.Entities)))
+		sw.Name(ev.Category)
+		sw.Name(ev.Producer)
+		sw.Uvarint(uint64(len(ev.Entities)))
 		for _, ent := range ev.Entities {
-			sw.name(ent)
+			sw.Name(ent)
 		}
-		sw.varint(ev.Timestamp - prev)
+		sw.Varint(ev.Timestamp - prev)
 		prev = ev.Timestamp
 	}
 }
@@ -212,8 +185,8 @@ func (sw *snapWriter) events(evs []profile.Event) {
 // user writes one user record: id, flags, the profile's window size, long
 // list and window, then the observations and the BiHMM if present.
 func (sw *snapWriter) user(p *profile.Profile, obs []bihmm.Obs, hasObs bool, m *bihmm.BHMM) error {
-	sw.buf = sw.buf[:0]
-	sw.str(p.UserID)
+	sw.Reset()
+	sw.Str(p.UserID)
 	var flags byte
 	if hasObs {
 		flags |= userHasObs
@@ -221,27 +194,27 @@ func (sw *snapWriter) user(p *profile.Profile, obs []bihmm.Obs, hasObs bool, m *
 	if m != nil {
 		flags |= userHasModel
 	}
-	sw.buf = append(sw.buf, flags)
-	sw.uvarint(uint64(p.WindowSize()))
+	sw.Byte(flags)
+	sw.Uvarint(uint64(p.WindowSize()))
 	long, window := p.Events()
 	sw.events(long)
 	sw.events(window)
 	if hasObs {
-		sw.uvarint(uint64(len(obs)))
+		sw.Uvarint(uint64(len(obs)))
 		for _, o := range obs {
-			sw.varint(int64(o.Cat))
-			sw.varint(int64(o.Z))
+			sw.Varint(int64(o.Cat))
+			sw.Varint(int64(o.Z))
 		}
 	}
 	if m != nil {
-		sw.uvarint(uint64(m.NU))
-		sw.uvarint(uint64(m.NZ))
-		sw.uvarint(uint64(m.M))
-		sw.floats(m.Pi)
+		sw.Uvarint(uint64(m.NU))
+		sw.Uvarint(uint64(m.NZ))
+		sw.Uvarint(uint64(m.M))
+		sw.Floats(m.Pi)
 		for _, rows := range [][][][]float64{m.A, m.B} {
 			for _, z := range rows {
 				for _, row := range z {
-					sw.floats(row)
+					sw.Floats(row)
 				}
 			}
 		}
@@ -363,14 +336,14 @@ func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.Sta
 	if v != snapVersion {
 		return nil, nil, fmt.Errorf("core: snapshot version %d not supported (this build reads %d)", v, snapVersion)
 	}
-	d := &snapReader{r: br}
+	d := &snapReader{Reader: binrec.Reader{Refusal: errSnapshot}, r: br}
 	if kind, err := d.next(); err != nil {
 		return nil, nil, err
 	} else if kind != recHead {
 		return nil, nil, fmt.Errorf("%w: record kind %d before the head", errSnapshot, kind)
 	}
 	var head snapshotHead
-	hr := bytes.NewReader(d.buf)
+	hr := bytes.NewReader(d.Buf)
 	if err := gob.NewDecoder(hr).Decode(&head); err != nil {
 		return nil, nil, fmt.Errorf("%w: head: %w", errSnapshot, err)
 	}
@@ -392,12 +365,10 @@ func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.Sta
 			}
 			users++
 		case recTrailer:
-			n := d.uvarint()
-			if d.err == nil && d.off != len(d.buf) {
-				d.fail("trailing bytes in the trailer")
-			}
-			if d.err != nil {
-				return nil, nil, d.err
+			n := d.Uvarint()
+			d.End("the trailer")
+			if d.Err != nil {
+				return nil, nil, d.Err
 			}
 			if n != users {
 				return nil, nil, fmt.Errorf("%w: trailer counts %d users, stream held %d", errSnapshot, n, users)
@@ -415,15 +386,11 @@ func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.Sta
 	}
 }
 
-// snapReader decodes one record at a time from buf, reused across
-// records. Decoding errors are sticky: the first one lands in err and
-// every later read returns zero.
+// snapReader decodes one record at a time (binrec.Reader) with the
+// stream's name table, plus the events scratch a user record reuses.
 type snapReader struct {
+	binrec.Reader
 	r       *bufio.Reader
-	buf     []byte
-	off     int
-	err     error
-	names   []string
 	scratch []profile.Event // FromSnapshot copies the events out
 }
 
@@ -435,186 +402,68 @@ func eof(err error) error {
 	return err
 }
 
-// next reads one record frame into buf and returns its kind. The length
-// is checked against maxRecord first, and buf grows only as payload
-// bytes actually arrive, so a lying length costs no more than the bytes
-// behind it.
+// next reads one record into the reader and returns its kind; a stream
+// that ends before a record starts is truncated.
 func (d *snapReader) next() (byte, error) {
-	kind, err := d.r.ReadByte()
-	if err != nil {
-		return 0, fmt.Errorf("%w: record kind: %w", errSnapshot, eof(err))
+	kind, err := d.Next(d.r, maxRecord)
+	if err == io.EOF {
+		return 0, fmt.Errorf("%w: record kind: %w", errSnapshot, io.ErrUnexpectedEOF)
 	}
-	n, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: record length: %w", errSnapshot, eof(err))
-	}
-	if n > uint64(maxRecord) {
-		return 0, fmt.Errorf("%w: record of kind %d is %d bytes, cap %d", errSnapshot, kind, n, maxRecord)
-	}
-	d.buf, d.off, d.err = d.buf[:0], 0, nil
-	for uint64(len(d.buf)) < n {
-		have := len(d.buf)
-		step := 64 << 10
-		if left := n - uint64(have); left < uint64(step) {
-			step = int(left)
-		}
-		d.buf = slices.Grow(d.buf, step)[:have+step]
-		if _, err := io.ReadFull(d.r, d.buf[have:]); err != nil {
-			return 0, fmt.Errorf("%w: record of kind %d: %w", errSnapshot, kind, eof(err))
-		}
-	}
-	return kind, nil
-}
-
-func (d *snapReader) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at byte %d of a record", errSnapshot, msg, d.off)
-	}
-}
-
-func (d *snapReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *snapReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// int reads a varint that must fit an int.
-func (d *snapReader) int() int {
-	v := d.varint()
-	if int64(int(v)) != v {
-		d.fail("integer out of range")
-		return 0
-	}
-	return int(v)
-}
-
-// count reads a length whose elements take at least size bytes each and
-// refuses one the rest of the record cannot hold, before the caller
-// allocates for it.
-func (d *snapReader) count(size int) int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.buf)-d.off)/uint64(size) {
-		d.fail("count exceeds the record")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *snapReader) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *snapReader) name() string {
-	ref := d.uvarint()
-	switch {
-	case d.err != nil:
-		return ""
-	case ref == 0:
-		s := d.str()
-		if d.err == nil {
-			d.names = append(d.names, s)
-		}
-		return s
-	case ref > uint64(len(d.names)):
-		d.fail("unknown name reference")
-		return ""
-	}
-	return d.names[ref-1]
+	return kind, err
 }
 
 // events decodes an event list onto the scratch; each event takes at
 // least 4 bytes (two name references, an entity count and a timestamp
 // delta).
 func (d *snapReader) events() []profile.Event {
-	n := d.count(4)
+	n := d.Count(4)
 	start := len(d.scratch)
 	var prev int64
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		var ev profile.Event
-		ev.Category = d.name()
-		ev.Producer = d.name()
-		if k := d.count(1); k > 0 {
+		ev.Category = d.Name()
+		ev.Producer = d.Name()
+		if k := d.Count(1); k > 0 {
 			ev.Entities = make([]string, k)
 			for j := range ev.Entities {
-				ev.Entities[j] = d.name()
+				ev.Entities[j] = d.Name()
 			}
 		}
-		prev += d.varint()
+		prev += d.Varint()
 		ev.Timestamp = prev
 		d.scratch = append(d.scratch, ev)
 	}
 	return d.scratch[start:]
 }
 
-// floats fills dst with raw IEEE-754 values.
-func (d *snapReader) floats(dst []float64) {
-	if d.err != nil {
-		return
-	}
-	if len(dst) > (len(d.buf)-d.off)/8 {
-		d.fail("floats exceed the record")
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-		d.off += 8
-	}
-}
-
 // user decodes one user record into e.
 func (d *snapReader) user(e *Engine) error {
-	id := d.str()
+	id := d.Str()
 	var flags byte
-	if d.err == nil && d.off < len(d.buf) {
-		flags = d.buf[d.off]
-		d.off++
+	if d.Err == nil && d.Off < len(d.Buf) {
+		flags = d.Buf[d.Off]
+		d.Off++
 	} else {
-		d.fail("missing flags")
+		d.Fail("missing flags")
 	}
 	if flags&^(userHasObs|userHasModel) != 0 {
-		d.fail("unknown user flags")
+		d.Fail("unknown user flags")
 	}
-	ws := d.uvarint()
+	ws := d.Uvarint()
 	if ws > math.MaxInt32 {
-		d.fail("window size out of range")
+		d.Fail("window size out of range")
 	}
 	d.scratch = d.scratch[:0]
 	long := d.events()
 	window := d.events()
 	var obs []bihmm.Obs
 	if flags&userHasObs != 0 {
-		n := d.count(2)
+		n := d.Count(2)
 		obs = make([]bihmm.Obs, n)
 		for i := range obs {
-			obs[i] = bihmm.Obs{Cat: d.int(), Z: d.int()}
-			if d.err == nil && (obs[i].Cat < 0 || obs[i].Cat >= len(e.cfg.Categories)) {
-				d.fail("observation category out of range")
+			obs[i] = bihmm.Obs{Cat: d.Int(), Z: d.Int()}
+			if d.Err == nil && (obs[i].Cat < 0 || obs[i].Cat >= len(e.cfg.Categories)) {
+				d.Fail("observation category out of range")
 			}
 		}
 	}
@@ -622,11 +471,9 @@ func (d *snapReader) user(e *Engine) error {
 	if flags&userHasModel != 0 {
 		m = d.model(len(e.cfg.Categories))
 	}
-	if d.err == nil && d.off != len(d.buf) {
-		d.fail("trailing bytes in a user record")
-	}
-	if d.err != nil {
-		return fmt.Errorf("user record: %w", d.err)
+	d.End("a user record")
+	if d.Err != nil {
+		return fmt.Errorf("user record: %w", d.Err)
 	}
 	if _, dup := e.store.Lookup(id); dup {
 		return fmt.Errorf("%w: user %q appears twice", errSnapshot, id)
@@ -643,21 +490,21 @@ func (d *snapReader) user(e *Engine) error {
 
 // model decodes a consumer BiHMM whose rows share one slab.
 func (d *snapReader) model(cats int) *bihmm.BHMM {
-	nu, nz, mc := d.count(1), d.count(1), d.count(1)
-	if d.err != nil {
+	nu, nz, mc := d.Count(1), d.Count(1), d.Count(1)
+	if d.Err != nil {
 		return nil
 	}
 	if nu == 0 || mc != cats {
-		d.fail("model dimensions do not match the engine")
+		d.Fail("model dimensions do not match the engine")
 		return nil
 	}
 	slots := (nz + 1) * nu
-	if slots > (len(d.buf)-d.off)/8 || nu+slots*(nu+mc) > (len(d.buf)-d.off)/8 {
-		d.fail("model exceeds the record")
+	if slots > (len(d.Buf)-d.Off)/8 || nu+slots*(nu+mc) > (len(d.Buf)-d.Off)/8 {
+		d.Fail("model exceeds the record")
 		return nil
 	}
 	slab := make([]float64, nu+slots*(nu+mc))
-	d.floats(slab)
+	d.Floats(slab)
 	m := &bihmm.BHMM{NU: nu, NZ: nz, M: mc, Pi: slab[:nu:nu],
 		A: make([][][]float64, nz+1), B: make([][][]float64, nz+1)}
 	rest := slab[nu:]

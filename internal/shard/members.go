@@ -306,10 +306,28 @@ func (m *members) targets() []leg {
 // the legs: ok, unavailable (the member is excluded on the spot) or a
 // clean refusal (a non-transport error proving the member did NOT apply
 // the batch). refused is the first refusing member, -1 when none.
+//
+// Every targeted Preflighter is checked before any member is called. A
+// member whose check finds it unavailable is not called and its leg
+// fails as the call would have. A member whose check refuses vetoes the
+// fan-out: no member is called, the legs that passed their checks are
+// marked skipped, and anyOK and anyUnavail are false, since nothing
+// anywhere can have applied the batch.
 func (m *members) broadcast(legs []leg, call func(i int) error) (anyOK, anyUnavail bool, refused int) {
+	vetoed := false
+	for i := range legs {
+		if p, ok := m.shards[i].(Preflighter); ok && legs[i].called {
+			legs[i].err = p.Preflight()
+			vetoed = vetoed || (legs[i].err != nil && !errors.Is(legs[i].err, ErrShardUnavailable))
+		}
+	}
 	var wg sync.WaitGroup
 	for i := range legs {
-		if !legs[i].called {
+		switch {
+		case !legs[i].called || legs[i].err != nil:
+			continue
+		case vetoed:
+			legs[i].called = false
 			continue
 		}
 		wg.Add(1)
@@ -332,7 +350,7 @@ func (m *members) broadcast(legs []leg, call func(i int) error) (anyOK, anyUnava
 			refused = i
 		}
 	}
-	return anyOK, anyUnavail, refused
+	return anyOK, anyUnavail && !vetoed, refused
 }
 
 // settle records debt for every member that skipped or failed a batch

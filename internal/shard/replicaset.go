@@ -282,6 +282,23 @@ func (rs *ReplicaSet) Ping(ctx context.Context) (string, error) {
 	return fmt.Sprintf("rs-%d", rs.seedGen.Load()), nil
 }
 
+// Preflight implements Preflighter at slot level: a healthy replica that
+// refuses its check refuses the slot's, so the Router refuses a write
+// before any slot applies it. A replica that cannot be reached leaves the
+// slot to its own write, which fails that replica alone.
+func (rs *ReplicaSet) Preflight() error {
+	for j, s := range rs.shards {
+		p, ok := s.(Preflighter)
+		if !ok || rs.isDown(j) {
+			continue
+		}
+		if err := p.Preflight(); err != nil && !errors.Is(err, ErrShardUnavailable) {
+			return fmt.Errorf("slot %d replica %d: %w", rs.idx, j, err)
+		}
+	}
+	return nil
+}
+
 // Stats implements Shard: the replicas are bit-identical, so the first
 // healthy one speaks for the slot.
 func (rs *ReplicaSet) Stats() Stats {

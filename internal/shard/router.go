@@ -506,8 +506,9 @@ func (r *Router) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 	// Mirror the batch to an in-flight reshard AFTER the old fleet
 	// applied it: the replacement fleet replays the ring in arrival
 	// order, so a sequential writer's stream lands on it in exactly the
-	// order the old fleet saw.
-	if rsd := r.rsd.Load(); rsd != nil {
+	// order the old fleet saw. A batch no shard can have applied (every
+	// leg refused, or a preflight vetoed the fan-out) is not mirrored.
+	if rsd := r.rsd.Load(); rsd != nil && (anyOK || anyUnavail) {
 		rsd.mirrorObserve(batch)
 	}
 	// A clean refusal proves that shard did NOT apply the batch while its

@@ -149,6 +149,18 @@ type Pinger interface {
 	Ping(ctx context.Context) (bootEpoch string, err error)
 }
 
+// Preflighter is the optional pre-write check of a Shard. A fan-out asks
+// every targeted member that implements it before it calls any of them,
+// so a member that cannot take the write at all — a remote shard that
+// does not speak the router's wire format — refuses it before any sibling
+// has applied it. Preflight returns nil when the member can take a
+// write, an error wrapping ErrShardUnavailable when it cannot be reached
+// (its leg then fails as the write itself would), and any other error to
+// refuse the fan-out.
+type Preflighter interface {
+	Preflight() error
+}
+
 // SnapshotReceiver is the optional snapshot-handoff extension of a Shard:
 // the receiving end of the boot/recovery protocol. Handoff ships a full
 // trained-engine snapshot (core.SaveTo bytes); the shard reboots from it

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -144,11 +145,13 @@ func TestAskCancelledStillRegisters(t *testing.T) {
 	}
 }
 
-// silentShard serves a query stream that reads every line and answers
-// none, on an ephemeral loopback port, and returns its address. The
-// stream ends when hold is closed (never, for a nil hold) or the client
-// leaves. With capable unset the response lacks the ask-registration
-// capability, as a shardd from before ask-time registration answers.
+// silentShard serves a query stream that reads every frame and answers
+// none, on an ephemeral loopback port, and returns its address. Its
+// health body announces the frame codec, so a client's codec check lets
+// it through to the stream. The stream ends when hold is closed (never,
+// for a nil hold) or the client leaves. With capable unset the response
+// lacks the ask-registration capability, as a shardd from before
+// ask-time registration answers.
 func silentShard(t *testing.T, capable bool, hold <-chan struct{}) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -156,6 +159,9 @@ func silentShard(t *testing.T, capable bool, hold <-chan struct{}) string {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+pathLivez, func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintf(w, `{"frames":%d}`, framesVersion)
+	})
 	mux.HandleFunc("POST "+pathQueryStream, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		if capable {

@@ -1,10 +1,11 @@
 // client.go is the RemoteShard: a shard.Shard implementation that drives
-// one shardd process over HTTP/2 + NDJSON. A shard.Router can hold any
-// mix of Local and RemoteShard values — the seam is the Shard interface,
-// and this client implements the full protocol: broadcast ObserveBatch
-// (micro-batch as the atomic replication unit), the multiplexed query
-// stream (querystream.go), /stats, health probes
-// (shard.Pinger) and snapshot handoff (shard.SnapshotReceiver).
+// one shardd process over HTTP/2, writing binary frames (frames.go). A
+// shard.Router can hold any mix of Local and RemoteShard values — the
+// seam is the Shard interface, and this client implements the full
+// protocol: broadcast ObserveBatch (micro-batch as the atomic replication
+// unit), the multiplexed query stream (querystream.go), /stats, health
+// probes (shard.Pinger), the codec check before its first write
+// (shard.Preflighter) and snapshot handoff (shard.SnapshotReceiver).
 package shardrpc
 
 import (
@@ -18,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ssrec/internal/core"
@@ -27,8 +29,13 @@ import (
 	"ssrec/internal/telemetry"
 )
 
-// statsTimeout bounds the context-less Stats() snapshot call.
+// statsTimeout bounds the context-less Stats() snapshot call and the
+// codec check.
 const statsTimeout = 5 * time.Second
+
+// maxFrameBytes caps a terminal frame the client reads, as a shardd's
+// default MaxBodyBytes caps what it reads.
+const maxFrameBytes = 64 << 20
 
 // Client is a remote shard: the client half of the shard RPC protocol,
 // implementing shard.Shard (plus shard.Pinger and shard.SnapshotReceiver)
@@ -48,6 +55,11 @@ type Client struct {
 	// muxMu guards the lazily-dialed multiplexed query stream.
 	muxMu sync.Mutex
 	mux   *muxStream
+
+	// frames records that the shardd answered a health probe announcing
+	// the frame codec. It is cleared whenever the shardd cannot be
+	// reached, so a shardd restarted at the same address is checked again.
+	frames atomic.Bool
 }
 
 // NewClient connects shard idx of an of-wide deployment at addr
@@ -172,29 +184,23 @@ func (c *Client) transportErr(ctx context.Context, op string, err error) error {
 			return cerr
 		}
 	}
+	c.frames.Store(false)
 	return unavailable(c.idx, op, err)
 }
 
-// do runs one JSON exchange. out may be nil for 204-style responses.
-func (c *Client) do(ctx context.Context, op, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("shardrpc: encode %s: %w", op, err)
-		}
-		body = bytes.NewReader(raw)
+// do runs one exchange: a POST of body (frames) when it is non-nil, a GET
+// otherwise. The JSON response decodes into out, which may be nil.
+func (c *Client) do(ctx context.Context, op, path string, body []byte, out any) error {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
 	}
-	method := http.MethodPost
-	if in == nil {
-		method = http.MethodGet
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return fmt.Errorf("shardrpc: %s: %w", op, err)
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", contentTypeFrames)
 	}
 	if hv := telemetry.HeaderValue(ctx); hv != "" {
 		req.Header.Set(telemetry.TraceHeader, hv)
@@ -218,6 +224,56 @@ func (c *Client) do(ctx context.Context, op, path string, in, out any) error {
 	return nil
 }
 
+// writers pools the frame writers request bodies are built with, so a
+// body's name table and payload buffer are reused across calls.
+var writers = sync.Pool{New: func() any { return new(frameWriter) }}
+
+// encodeBody builds a request body of frames. The body itself is a fresh
+// slice: the transport may still read it after the exchange returns.
+func encodeBody(encode func(*frameWriter)) []byte {
+	fw := writers.Get().(*frameWriter)
+	fw.out = nil
+	encode(fw)
+	body := fw.out
+	if body == nil {
+		body = []byte{} // an empty replay is still a POST
+	}
+	fw.out = nil
+	writers.Put(fw)
+	return body
+}
+
+// Preflight implements shard.Preflighter: nil once the shardd has
+// announced the frame codec in a health body. Until then it asks
+// /livez, and refuses — wrapping shard.ErrNotRegistered — a shardd that
+// does not announce it: an older shardd would refuse or misread every
+// frame. Every write and ask checks it first, and the Router checks every
+// member before any of them writes, so a refusal leaves every member's
+// state unchanged.
+func (c *Client) Preflight() error {
+	if c.frames.Load() {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
+	defer cancel()
+	var h healthWire
+	if err := c.do(ctx, "livez", pathLivez, nil, &h); err != nil {
+		return err
+	}
+	return c.learn(h)
+}
+
+// learn records the codec a health body announces, refusing a shardd
+// that does not read frames.
+func (c *Client) learn(h healthWire) error {
+	if h.Frames < framesVersion {
+		return fmt.Errorf("shardrpc: shard %d at %s: %w: the shardd does not read binary frames; upgrade every shardd before the router",
+			c.idx, c.base, shard.ErrNotRegistered)
+	}
+	c.frames.Store(true)
+	return nil
+}
+
 // statusErr turns a non-2xx response into an error: 5xx means the shard
 // cannot serve (unavailable — it may be awaiting a snapshot handoff), 4xx
 // is a protocol bug and is reported as-is.
@@ -238,12 +294,11 @@ func (c *Client) statusErr(ctx context.Context, op string, resp *http.Response) 
 // broadcast before a query batch. changed round-trips the shard's "did
 // the replicated dictionaries advance" report.
 func (c *Client) RegisterItems(ctx context.Context, items []model.Item) (bool, error) {
-	w := registerWire{Items: make([]itemWire, len(items))}
-	for i, v := range items {
-		w.Items[i] = toItemWire(v)
+	if err := c.Preflight(); err != nil {
+		return false, err
 	}
 	var resp registerRespWire
-	if err := c.do(ctx, "register", pathRegister, w, &resp); err != nil {
+	if err := c.do(ctx, "register", pathRegister, encodeBody(func(f *frameWriter) { f.register(items) }), &resp); err != nil {
 		return false, err
 	}
 	return resp.Changed, nil
@@ -259,12 +314,11 @@ type observeRespWire struct {
 // replication unit) and returns the shard's BatchReport with sentinel
 // error identities restored.
 func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error) {
-	w := observeWire{Observations: make([]obsWire, len(batch))}
-	for i, o := range batch {
-		w.Observations[i] = obsWire{UserID: o.UserID, Item: toItemWire(o.Item), Timestamp: o.Timestamp}
+	if err := c.Preflight(); err != nil {
+		return core.BatchReport{}, err
 	}
 	var resp observeRespWire
-	if err := c.do(ctx, "observe", pathObserve, w, &resp); err != nil {
+	if err := c.do(ctx, "observe", pathObserve, encodeBody(func(f *frameWriter) { f.observe(batch) }), &resp); err != nil {
 		return core.BatchReport{}, err
 	}
 	return resp.report(), decodeErr(resp.Error)
@@ -272,8 +326,8 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 
 // Recommend implements shard.Shard: the scatter leg. The query is
 // multiplexed over the shard's long-lived query stream (one stream per
-// shard, not per item — see querystream.go): an ask line out and a
-// terminal result line back. The shard searches against its own fresh
+// shard, not per item — see querystream.go): an ask frame out and a
+// terminal frame back. The shard searches against its own fresh
 // bound and b is ignored: neither end relays the other's bound, because a
 // search (a fraction of a millisecond) ends before a relayed raise
 // arrives. The shard's owned-users top-k is exact on its own, so the
@@ -288,7 +342,7 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 // A cached stream can outlive its peer: a shardd restarted at the same
 // address leaves the client a stream whose reader has not yet seen the
 // old connection die. When such a stream fails before this ask's
-// terminal line arrives, the call drops it and asks once more on a
+// terminal frame arrives, the call drops it and asks once more on a
 // freshly dialled stream. A fresh stream that fails is not retried, so a
 // dead shard costs one dial, not a loop. The first ask may have
 // registered the item before the stream failed; registering it again is
@@ -298,6 +352,9 @@ func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOption
 		ctx = context.Background()
 	}
 	for retry := false; ; retry = true {
+		if err := c.Preflight(); err != nil {
+			return core.Result{ItemID: v.ID}, false, err
+		}
 		ms, cached, err := c.muxStream()
 		if err != nil {
 			// Already classified by dialMux (unavailable or refused).
@@ -328,7 +385,9 @@ func (c *Client) Stats() shard.Stats {
 // reports the expected identity AND is trained (ready to serve). A
 // restarted-but-blank shardd therefore stays excluded until a snapshot
 // handoff boots it. The probe keys on /readyz (a blank shard answers 503
-// there, which statusErr classifies unavailable). The returned epoch is
+// there, which statusErr classifies unavailable). A shardd that does not
+// announce the frame codec is refused, as Preflight refuses it, so it is
+// never re-included. The returned epoch is
 // the shard's boot-epoch token (minted per snapshot boot), which the
 // Router uses to refuse re-including a shard that kept running
 // pre-exclusion state.
@@ -340,6 +399,9 @@ func (c *Client) Ping(ctx context.Context) (string, error) {
 	if h.Shard != c.idx || h.Of != c.of {
 		return "", fmt.Errorf("shardrpc: shard at %s identifies as %d/%d, want %d/%d",
 			c.base, h.Shard, h.Of, c.idx, c.of)
+	}
+	if err := c.learn(h); err != nil {
+		return "", err
 	}
 	if !h.Trained {
 		return "", unavailable(c.idx, "readyz", fmt.Errorf("shard is not trained (awaiting snapshot handoff)"))
@@ -404,25 +466,11 @@ func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
 // the next Ping shows the proof-of-reseed the fail-closed probe rules
 // require.
 func (c *Client) Replay(ctx context.Context, batches []shard.ReplayBatch) error {
-	req := replayWire{}
-	for _, b := range batches {
-		if len(b.Items) > 0 {
-			rw := &registerWire{Items: make([]itemWire, len(b.Items))}
-			for i, it := range b.Items {
-				rw.Items[i] = toItemWire(it)
-			}
-			req.Batches = append(req.Batches, replayBatchWire{Seq: b.Seq, Register: rw})
-		}
-		if len(b.Obs) > 0 {
-			ow := &observeWire{Observations: make([]obsWire, len(b.Obs))}
-			for i, o := range b.Obs {
-				ow.Observations[i] = obsWire{UserID: o.UserID, Item: toItemWire(o.Item), Timestamp: o.Timestamp}
-			}
-			req.Batches = append(req.Batches, replayBatchWire{Seq: b.Seq, Observe: ow})
-		}
+	if err := c.Preflight(); err != nil {
+		return err
 	}
 	var resp replayRespWire
-	return c.do(ctx, "replay", pathReplay, req, &resp)
+	return c.do(ctx, "replay", pathReplay, encodeBody(func(f *frameWriter) { f.replay(batches) }), &resp)
 }
 
 // Compile-time interface checks.
@@ -432,4 +480,5 @@ var (
 	_ shard.SnapshotReceiver = (*Client)(nil)
 	_ shard.SnapshotProvider = (*Client)(nil)
 	_ shard.Replayer         = (*Client)(nil)
+	_ shard.Preflighter      = (*Client)(nil)
 )

@@ -2,7 +2,8 @@
 // router-side client opens ONE long-lived full-duplex exchange per shard
 // (POST /shard/v1/query_stream) and multiplexes every concurrent
 // recommend over it with stream-scoped query ids — asks, cancels and
-// terminal results all travel as tagged NDJSON lines on the same stream.
+// terminal results all travel as tagged frames (frames.go) on the same
+// stream.
 //
 // Each ask searches against its own fresh bound on the shard: no bound
 // crosses the wire, and the shard's owned-users top-k is exact on its
@@ -15,22 +16,28 @@
 // An ask is also a write: the shard registers the asked item through its
 // write surface — with a WAL, logged exactly as POST /register logs it —
 // before it searches, so a single-item ask costs one round trip per
-// shard. The registration runs detached (a cancel line stops the search,
-// never the registration), and the terminal line reports it: changed is
+// shard. The registration runs detached (a cancel stops the search,
+// never the registration), and the terminal frame reports it: changed is
 // set when it advanced the replicated dictionaries, and an error coded
 // unavailable means it did not take effect. A cancelled client therefore
-// still waits for the terminal line, and the router settles missed-write
+// still waits for the terminal frame, and the router settles missed-write
 // debt from it. A shard announces this with the X-Ssrec-Ask-Registers
 // response header; a client refuses a stream without it rather than ask
 // a shardd that would register unlogged and report nothing.
 //
-// Both receivers ignore any line that is not theirs to act on — a shardd
-// acts on ask and cancel lines, a client on terminal lines — so the bound
-// raise lines ({"id":n,"b":x}) and the ask's "bound" field that older
-// routers and shardds send are read and dropped.
+// A shardd picks the stream's codec by its first byte: '{' is an older
+// router's NDJSON, answered with NDJSON lines (wire.go's qsLine), and
+// anything else is frames, answered with frames. Both receivers skip
+// what is not theirs to act on — a shardd acts on asks and cancels, a
+// client on terminal frames — so the bound raise lines and the ask's
+// "bound" field that still older routers send are read and dropped.
+// Neither side reads a frame or line longer than its cap (the shardd's
+// MaxBodyBytes, the client's maxFrameBytes): a longer one breaks the
+// stream before its payload is read.
 package shardrpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,13 +55,22 @@ import (
 
 // ---- server side ----
 
-// handleQueryStream serves the multiplexed exchange: it reads tagged
-// lines off the request body (asks start concurrent searches, cancels
-// abort them) and writes one terminal result line per ask. The exchange
-// ends when the client half-closes its request stream, or breaks it, and
-// every in-flight search has answered. A line that does not decode, or an
-// ask that reuses the id of a query still in flight, breaks the stream:
-// the shard reads no further, so the second ask is never registered.
+// qsMsg is one router → shardd message of the query stream: an ask, a
+// cancel, or neither (a message the shardd does not act on).
+type qsMsg struct {
+	id     uint64
+	ask    *askMsg
+	cancel bool
+}
+
+// handleQueryStream serves the multiplexed exchange: it reads asks and
+// cancels off the request body (asks start concurrent searches, cancels
+// abort them) and writes one terminal result per ask. The exchange ends
+// when the client half-closes its request stream, or breaks it, and
+// every in-flight search has answered. A message that does not decode, or
+// an ask that reuses the id of a query still in flight, breaks the
+// stream: the shard reads no further, so the second ask is never
+// registered.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// Admission check only — the stream must NOT capture the engine: a
 	// query stream outlives snapshot handoffs (the connection survives a
@@ -64,19 +80,32 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if s.serving(w) == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(headerAskRegisters, "1")
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex() //nolint:errcheck // no-op on HTTP/2
 	w.WriteHeader(http.StatusOK)
 	rc.Flush() //nolint:errcheck // commit headers so the client's open returns
 
-	var wmu sync.Mutex // serialises response lines
-	enc := json.NewEncoder(w)
-	write := func(line qsLine) {
+	br := bufio.NewReaderSize(r.Body, 64<<10)
+	first, err := br.Peek(1)
+	if err != nil {
+		return // the client asked nothing
+	}
+	var next func() (qsMsg, error)
+	var encode func([]byte, *terminal) []byte
+	if first[0] == '{' {
+		next, encode = s.legacyStream(br)
+	} else {
+		next, encode = s.frameStream(br)
+	}
+	var wmu sync.Mutex // serialises terminal messages
+	var out []byte
+	write := func(t *terminal) {
 		wmu.Lock()
-		enc.Encode(line) //nolint:errcheck // stream best-effort; the client detects loss as EOF
-		rc.Flush()       //nolint:errcheck
+		out = encode(out[:0], t)
+		w.Write(out) //nolint:errcheck // stream best-effort; the client detects loss as EOF
+		rc.Flush()   //nolint:errcheck
 		wmu.Unlock()
 	}
 
@@ -85,19 +114,18 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
-	dec := json.NewDecoder(r.Body)
 	for {
-		var line qsLine
-		if err := dec.Decode(&line); err != nil {
+		m, err := next()
+		if err != nil {
 			return // EOF (client done asking) or broken stream
 		}
 		switch {
-		case line.Ask != nil:
+		case m.ask != nil:
 			qctx, cancel := context.WithCancel(r.Context())
 			qmu.Lock()
-			_, dup := active[line.ID]
+			_, dup := active[m.id]
 			if !dup {
-				active[line.ID] = cancel
+				active[m.id] = cancel
 			}
 			qmu.Unlock()
 			if dup {
@@ -106,29 +134,29 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			}
 			// Resume the caller's trace when the ask carries one: the
 			// shard-side spans are collected and shipped back on the
-			// terminal line, so the router's trace covers both processes.
+			// terminal frame, so the router's trace covers both processes.
 			var coll *telemetry.Collector
 			var sp *telemetry.Span
-			if line.Ask.Trace != "" {
-				qctx, coll = s.tracer.Resume(qctx, line.Ask.Trace)
+			if m.ask.trace != "" {
+				qctx, coll = s.tracer.Resume(qctx, m.ask.trace)
 				qctx, sp = telemetry.StartSpan(qctx, "shardd.recommend")
 				sp.SetAttr("shard", strconv.Itoa(s.idx))
 			}
 			inflight.Add(1)
-			go func(id uint64, ask qsAsk) {
+			go func(id uint64, ask *askMsg) {
 				defer inflight.Done()
 				defer cancel()
-				res, changed, rerr := s.ask(qctx, &ask)
+				res, changed, rerr := s.ask(qctx, ask)
 				qmu.Lock()
 				delete(active, id)
 				qmu.Unlock()
-				sp.SetAttr("item", ask.Item.ID)
+				sp.SetAttr("item", ask.item.ID)
 				sp.End()
-				write(qsLine{ID: id, Result: toResultWire(res), Err: encodeErr(rerr), Changed: changed, Spans: coll.Take()})
-			}(line.ID, *line.Ask)
-		case line.Cancel:
+				write(&terminal{id: id, res: res, err: encodeErr(rerr), changed: changed, spans: coll.Take()})
+			}(m.id, m.ask)
+		case m.cancel:
 			qmu.Lock()
-			cancel := active[line.ID]
+			cancel := active[m.id]
 			qmu.Unlock()
 			if cancel != nil {
 				cancel()
@@ -137,15 +165,95 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ask answers one ask line: it registers the item through the shard's
-// write surface — the same path, and with a WAL the same log record, as
-// POST /register — then searches. The registration runs detached, so a
-// cancel line stops the search, never the registration. A registration
-// that fails is reported unavailable, as the 5xx of POST /register is: the
+// frameStream reads a query stream of frames, answered with terminal
+// frames. A frame over MaxBodyBytes breaks the stream unread.
+func (s *Server) frameStream(br *bufio.Reader) (next func() (qsMsg, error), encode func([]byte, *terminal) []byte) {
+	f := newFrameReader(br, int(s.MaxBodyBytes))
+	var fw frameWriter
+	next = func() (qsMsg, error) {
+		for {
+			kind, err := f.next()
+			if err != nil {
+				return qsMsg{}, err
+			}
+			switch kind {
+			case frameAsk:
+				id, a, err := f.ask()
+				return qsMsg{id: id, ask: &a}, err
+			case frameCancel:
+				id := f.rec.Uvarint()
+				return qsMsg{id: id, cancel: true}, f.done()
+			}
+		}
+	}
+	encode = func(dst []byte, t *terminal) []byte {
+		fw.out = dst
+		fw.terminal(t)
+		return fw.out
+	}
+	return next, encode
+}
+
+// legacyStream reads an older router's NDJSON query stream, answered
+// with NDJSON terminal lines. A line over MaxBodyBytes breaks the stream
+// once the decoder has buffered that much of it.
+func (s *Server) legacyStream(br *bufio.Reader) (next func() (qsMsg, error), encode func([]byte, *terminal) []byte) {
+	lc := &lineCap{r: br}
+	dec := json.NewDecoder(lc)
+	next = func() (qsMsg, error) {
+		lc.limit = dec.InputOffset() + s.MaxBodyBytes
+		var line qsLine
+		if err := dec.Decode(&line); err != nil {
+			return qsMsg{}, err
+		}
+		m := qsMsg{id: line.ID, cancel: line.Cancel}
+		if line.Ask != nil {
+			m.ask = &askMsg{item: line.Ask.Item.model(), opts: line.Ask.Options.options(), trace: line.Ask.Trace}
+		}
+		return m, nil
+	}
+	encode = func(dst []byte, t *terminal) []byte {
+		raw, err := json.Marshal(qsLine{ID: t.id, Result: toResultWire(t.res), Err: t.err, Changed: t.changed, Spans: t.spans})
+		if err != nil {
+			return dst // a score JSON cannot carry (±Inf, NaN): the line is dropped, as older shardds dropped it
+		}
+		return append(append(dst, raw...), '\n')
+	}
+	return next, encode
+}
+
+// errLineTooLong breaks a legacy query stream whose line outgrows the cap.
+var errLineTooLong = errors.New("shardrpc: query-stream line over the body cap")
+
+// lineCap lets a json.Decoder read no further than limit bytes into its
+// input, so one NDJSON value cannot grow the decoder's buffer past the cap.
+type lineCap struct {
+	r     io.Reader
+	read  int64
+	limit int64
+}
+
+func (c *lineCap) Read(p []byte) (int, error) {
+	if c.read >= c.limit {
+		return 0, errLineTooLong
+	}
+	if left := c.limit - c.read; int64(len(p)) > left {
+		p = p[:left]
+	}
+	n, err := c.r.Read(p)
+	c.read += int64(n)
+	return n, err
+}
+
+// ask answers one ask: it registers the item through the shard's write
+// surface — the same path, and with a WAL the same log record, as POST
+// /register — then searches. The registration runs detached, so a
+// cancel stops the search, never the registration. A registration that
+// fails is reported unavailable, as the 5xx of POST /register is: the
 // router then counts the shard as having missed the item. The search
 // prunes against its own top-k alone.
-func (s *Server) ask(ctx context.Context, ask *qsAsk) (core.Result, bool, error) {
-	v := ask.Item.model()
+func (s *Server) ask(ctx context.Context, ask *askMsg) (core.Result, bool, error) {
+	v := ask.item
 	bs := s.boot.Load()
 	if bs == nil {
 		return core.Result{ItemID: v.ID}, false, fmt.Errorf("shard %d/%d not booted (awaiting snapshot handoff): %w",
@@ -156,7 +264,7 @@ func (s *Server) ask(ctx context.Context, ask *qsAsk) (core.Result, bool, error)
 		return core.Result{ItemID: v.ID}, false, fmt.Errorf("shard %d/%d register: %w: %w",
 			s.idx, s.of, shard.ErrShardUnavailable, err)
 	}
-	res, err := bs.local.Engine().RecommendBound(ctx, v, ask.Options.options(), nil)
+	res, err := bs.local.Engine().RecommendBound(ctx, v, ask.opts, nil)
 	return res, changed, err
 }
 
@@ -182,8 +290,8 @@ type muxStream struct {
 	c      *Client
 	pw     *io.PipeWriter
 	cancel context.CancelFunc // aborts the underlying request
-	enc    *json.Encoder
-	wmu    sync.Mutex // serialises request lines
+	wmu    sync.Mutex         // serialises request frames and guards fw
+	fw     frameWriter
 
 	mu     sync.Mutex
 	nextID uint64
@@ -239,12 +347,12 @@ func (c *Client) dialMux() (*muxStream, error) {
 		cancel()
 		return nil, unavailable(c.idx, "query_stream", err)
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
+	req.Header.Set("Content-Type", contentTypeFrames)
 	c.authorize(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		cancel()
-		return nil, unavailable(c.idx, "query_stream", err)
+		return nil, c.transportErr(nil, "query_stream", err)
 	}
 	if resp.StatusCode/100 != 2 {
 		err := c.statusErr(nil, "query_stream", resp)
@@ -265,7 +373,6 @@ func (c *Client) dialMux() (*muxStream, error) {
 		c:      c,
 		pw:     pw,
 		cancel: cancel,
-		enc:    json.NewEncoder(pw),
 		act:    make(map[uint64]chan muxResp),
 		done:   make(chan struct{}),
 	}
@@ -273,10 +380,13 @@ func (c *Client) dialMux() (*muxStream, error) {
 	return ms, nil
 }
 
-// write sends one request line; a pipe failure marks the stream broken.
-func (ms *muxStream) write(line qsLine) error {
+// write sends one request frame, built by encode; a pipe failure marks
+// the stream broken.
+func (ms *muxStream) write(encode func(*frameWriter)) error {
 	ms.wmu.Lock()
-	err := ms.enc.Encode(line)
+	ms.fw.out = ms.fw.out[:0]
+	encode(&ms.fw)
+	_, err := ms.pw.Write(ms.fw.out)
 	ms.wmu.Unlock()
 	if err != nil {
 		ms.fail(err)
@@ -303,56 +413,56 @@ func (ms *muxStream) fail(err error) {
 	}
 }
 
-// read dispatches terminal lines to the waiting calls and drops every
-// other line. A decode failure (server gone, stream reset) fails the
-// stream.
+// read dispatches terminal frames to the waiting calls and skips every
+// other frame. A frame that does not decode (server gone, stream reset,
+// a frame over maxFrameBytes) fails the stream.
 func (ms *muxStream) read(body io.ReadCloser) {
 	defer close(ms.done)
 	defer body.Close()
-	dec := json.NewDecoder(body)
+	f := newFrameReader(body, maxFrameBytes)
 	for {
-		var line qsLine
-		if err := dec.Decode(&line); err != nil {
+		kind, err := f.next()
+		if err == nil && kind != frameTerminal {
+			continue
+		}
+		var t terminal
+		if err == nil {
+			t, err = f.terminal()
+		}
+		if err != nil {
 			ms.fail(err)
 			return
 		}
-		if line.Result == nil && line.Err == nil {
-			continue // not a terminal line
-		}
 		ms.mu.Lock()
-		ch := ms.act[line.ID]
-		delete(ms.act, line.ID)
+		ch := ms.act[t.id]
+		delete(ms.act, t.id)
 		ms.mu.Unlock()
 		if ch == nil {
 			continue // not an ask of this stream
 		}
-		resp := muxResp{changed: line.Changed, err: decodeErr(line.Err), spans: line.Spans}
-		if line.Result != nil {
-			resp.res = line.Result.result()
-		}
-		ch <- resp
+		ch <- muxResp{res: t.res, changed: t.changed, err: decodeErr(t.err), spans: t.spans}
 	}
 }
 
-// recommend runs one query over the multiplexed stream: ask line out,
-// terminal line back. The terminal line reports the ask's registration,
-// so a cancelled call sends a cancel line and still waits for it: the
+// recommend runs one query over the multiplexed stream: ask frame out,
+// terminal frame back. The terminal frame reports the ask's registration,
+// so a cancelled call sends a cancel frame and still waits for it: the
 // router must learn whether the registration took effect. That wait is
 // the registration's own (a WAL append and its fsync, at most) — the
 // shard's search checks its context before it starts and every 64 node
-// expansions, so the terminal line follows the registration at once — and
+// expansions, so the terminal frame follows the registration at once — and
 // it is the wait the batch prologue's POST /register imposes on a
 // cancelled caller too. A shard that dies first ends the stream, and the
 // ask reports it unavailable. A stream failure is always unavailable,
 // never the caller's context error — the stream runs under its own
 // context, so the caller's cancel cannot cause one. lost reports that the
-// stream failed before this query's terminal line arrived.
+// stream failed before this query's terminal frame arrived.
 func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOptions) (_ core.Result, changed, lost bool, _ error) {
 	sctx, span := telemetry.StartSpan(ctx, "rpc.recommend")
 	span.SetAttr("shard", strconv.Itoa(ms.c.idx))
 	defer span.End()
 	ch := make(chan muxResp, 1)
-	ask := &qsAsk{Item: toItemWire(v), Options: toOptionsWire(o), Trace: telemetry.HeaderValue(sctx)}
+	ask := &askMsg{item: v, opts: o, trace: telemetry.HeaderValue(sctx)}
 	ms.mu.Lock()
 	if ms.broken {
 		err := ms.err
@@ -364,7 +474,7 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 	ms.act[id] = ch
 	ms.mu.Unlock()
 
-	if err := ms.write(qsLine{ID: id, Ask: ask}); err != nil {
+	if err := ms.write(func(f *frameWriter) { f.ask(id, ask) }); err != nil {
 		// fail() already swept the registration into the waiter channel.
 		return core.Result{ItemID: v.ID}, false, true, unavailable(ms.c.idx, "recommend", err)
 	}
@@ -372,7 +482,7 @@ func (ms *muxStream) recommend(ctx context.Context, v model.Item, o core.QueryOp
 	select {
 	case r = <-ch:
 	case <-ctx.Done():
-		ms.write(qsLine{ID: id, Cancel: true}) //nolint:errcheck // a failed write answers through ch
+		ms.write(func(f *frameWriter) { f.cancel(id) }) //nolint:errcheck // a failed write answers through ch
 		r = <-ch
 	}
 	telemetry.ImportSpans(sctx, r.spans)

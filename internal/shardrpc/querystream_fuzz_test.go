@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -163,17 +162,7 @@ func checkNoOpLine(t *testing.T, h http.Handler, id uint64, raw []byte) {
 		t.Fatalf("shardd answered the no-op line %s: status %d, body %q", raw, rec.Code, rec.Body.String())
 	}
 
-	_, pw := io.Pipe()
-	ch := make(chan muxResp, 1)
-	ms := &muxStream{
-		c:      &Client{},
-		pw:     pw,
-		cancel: func() {},
-		act:    map[uint64]chan muxResp{id: ch},
-		done:   make(chan struct{}),
-	}
-	ms.read(io.NopCloser(bytes.NewReader(raw)))
-	if r := <-ch; !r.lost {
+	if r := readAlone(raw, id); !r.lost {
 		t.Fatalf("client delivered the no-op line %s to query %d: %+v", raw, id, r)
 	}
 }

@@ -1,31 +1,39 @@
 // Package shardrpc is the network transport of the sharded CPPse-index:
 // it carries the shard.Shard seam cut in the in-process sharding work
-// over HTTP/2 + NDJSON, so a shard.Router can drive a mix of in-process
-// and remote shards transparently.
+// over HTTP/2, so a shard.Router can drive a mix of in-process and
+// remote shards transparently.
 //
 // # Protocol
 //
 // One shardd process serves one shard of a deployment. All endpoints are
-// rooted under /shard/v1 and speak JSON, except the query stream (NDJSON,
-// full-duplex) and the snapshot transfer (raw core.SaveTo bytes):
+// rooted under /shard/v1. A router writes binary frames (frames.go): the
+// register, observe and replay bodies and both directions of the query
+// stream. Responses are JSON, and the snapshot transfer is raw
+// core.SaveTo bytes:
 //
-//	GET  /shard/v1/livez        → {shard, of, trained, boot_epoch} (always 200)
+//	GET  /shard/v1/livez        → {shard, of, trained, boot_epoch, frames} (always 200)
 //	GET  /shard/v1/readyz       → same body; 503 until booted AND trained
 //	GET  /shard/v1/stats        → shard.Stats
-//	POST /shard/v1/register     {items:[...]}            → {changed} (batch prologue)
-//	POST /shard/v1/observe      {observations:[...]}     → BatchReport
-//	POST /shard/v1/query_stream NDJSON duplex (see below)
+//	POST /shard/v1/register     register frame           → {changed} (batch prologue)
+//	POST /shard/v1/observe      observe frame            → BatchReport
+//	POST /shard/v1/query_stream frames, duplex (see below)
 //	POST /shard/v1/snapshot     raw snapshot bytes       → 204
 //	GET  /shard/v1/snapshot                              → raw snapshot bytes
-//	POST /shard/v1/replay       {batches:[...]}          → {applied, boot_epoch}
+//	POST /shard/v1/replay       replay frames            → {applied, boot_epoch}
+//
+// A shardd also serves routers from before the frames: a body without
+// the frames content type is read as JSON, and a query stream whose first
+// byte is '{' as NDJSON, answered in NDJSON. A router checks that a
+// shardd announces "frames" in its health body before it writes to it,
+// and refuses one that does not (Client.Preflight).
 //
 // # The query stream
 //
-// The scatter leg is one long-lived full-duplex NDJSON exchange per shard
-// on a single HTTP/2 stream, multiplexing every in-flight query by a
-// stream-scoped id (querystream.go): the router sends an ask line per
-// query (item and resolved options), may follow it with a cancel line,
-// and the shard ends each query with its `{"id":n,"result":...}` line.
+// The scatter leg is one long-lived full-duplex exchange per shard on a
+// single HTTP/2 stream, multiplexing every in-flight query by a
+// stream-scoped id (querystream.go): the router sends an ask frame per
+// query (item and resolved options), may follow it with a cancel frame,
+// and the shard ends each query with its terminal frame.
 // Each shard searches against its own fresh bound, pruning with its own
 // top-k only. That is the zero-raise case of Algorithm 1's lower-bound
 // argument: the shard's owned-users top-k is exact on its own, so the
@@ -40,7 +48,7 @@
 //
 // The write path (RegisterItems, ObserveBatch, and the registration
 // that opens every ask) is applied under a detached context once a
-// request body or ask line has been fully received: the micro-batch is
+// request body or ask has been fully received: the micro-batch is
 // the atomic replication unit, and a client disconnect must not leave
 // this shard half a batch behind its siblings. A shard
 // that DID miss batches (crash, network partition — the Router excludes
@@ -115,7 +123,8 @@ type Server struct {
 	// token); mismatches answer 401. The shardd -auth-token flag. Set
 	// before serving; not synchronised.
 	AuthToken string
-	// MaxBodyBytes bounds JSON request bodies (default 64 MiB).
+	// MaxBodyBytes bounds request bodies, and each frame or NDJSON line
+	// of a query stream (default 64 MiB).
 	MaxBodyBytes int64
 	// MaxSnapshotBytes bounds snapshot handoffs (default 1 GiB).
 	MaxSnapshotBytes int64
@@ -131,8 +140,8 @@ type Server struct {
 	bootMu sync.Mutex
 
 	// reg/tracer are the shard's telemetry surface: GET /metrics serves
-	// the registry, and traces resumed off incoming asks (qsAsk.Trace,
-	// X-Ssrec-Trace on writes) are retained here and fetchable via
+	// the registry, and traces resumed off incoming asks (the ask's
+	// trace, X-Ssrec-Trace on writes) are retained here and fetchable via
 	// GET /shard/v1/trace/{id}.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
@@ -151,7 +160,7 @@ func NewServer(idx, of int) (*Server, error) {
 	s := &Server{
 		idx:              idx,
 		of:               of,
-		MaxBodyBytes:     64 << 20,
+		MaxBodyBytes:     maxFrameBytes,
 		MaxSnapshotBytes: 1 << 30,
 		reg:              telemetry.NewRegistry(),
 		tracer:           telemetry.NewTracer(),
@@ -284,7 +293,7 @@ func (s *Server) registerGauges() {
 }
 
 // handleTrace serves the spans this shard retained for one trace id —
-// the same payload the terminal qsLine ships to the router, kept
+// the same spans the terminal frame ships to the router, kept
 // for direct inspection of a single shardd.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -331,7 +340,7 @@ func (s *Server) authorized(r *http.Request) bool {
 
 // NewHTTPServer wraps the handler in an http.Server with unencrypted
 // HTTP/2 enabled — REQUIRED for the full-duplex query stream (asks flow
-// in while terminal lines flow out on one stream; plain HTTP/1.1 cannot
+// in while terminal frames flow out on one stream; plain HTTP/1.1 cannot
 // do that client-side). No read/write timeouts are set: query streams
 // legitimately outlive any fixed budget, so deadlines belong to the
 // caller's context. ReadHeaderTimeout still bounds header slow-loris.
@@ -389,7 +398,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) healthSnapshot() healthWire {
-	h := healthWire{Shard: s.idx, Of: s.of}
+	h := healthWire{Shard: s.idx, Of: s.of, Frames: framesVersion}
 	if b := s.boot.Load(); b != nil {
 		h.Trained = b.local.Engine().Trained()
 		h.BootEpoch = b.epoch
@@ -428,6 +437,8 @@ func (s *Server) resumeWrite(r *http.Request, name string) (context.Context, *te
 	return ctx, sp
 }
 
+// decode reads an older router's JSON write body into dst, capped at
+// MaxBodyBytes, and answers 400 when it does not decode.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
 	if err := dec.Decode(dst); err != nil {
@@ -437,18 +448,71 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
+// framesBody reports whether a write body is frames; a body without the
+// content type is an older router's JSON.
+func framesBody(r *http.Request) bool { return r.Header.Get("Content-Type") == contentTypeFrames }
+
+// readFrames reads a write body of frames with read, capped at
+// MaxBodyBytes, and answers 400 when it does not decode.
+func readFrames[T any](s *Server, w http.ResponseWriter, r *http.Request, read func(io.Reader, int) (T, error)) (T, bool) {
+	v, err := read(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes), int(s.MaxBodyBytes))
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "invalid frames: %v", err)
+		return v, false
+	}
+	return v, true
+}
+
+// registerBody decodes a register body of either codec; ok is false when
+// it was refused with 400.
+func (s *Server) registerBody(w http.ResponseWriter, r *http.Request) ([]model.Item, bool) {
+	if framesBody(r) {
+		return readFrames(s, w, r, readRegisterBody)
+	}
+	var req registerWire
+	if !s.decode(w, r, &req) {
+		return nil, false
+	}
+	return req.items(), true
+}
+
+// observeBody decodes an observe body of either codec.
+func (s *Server) observeBody(w http.ResponseWriter, r *http.Request) ([]core.Observation, bool) {
+	if framesBody(r) {
+		return readFrames(s, w, r, readObserveBody)
+	}
+	var req observeWire
+	if !s.decode(w, r, &req) {
+		return nil, false
+	}
+	return req.batch(), true
+}
+
+// replayBody decodes a replay body of either codec.
+func (s *Server) replayBody(w http.ResponseWriter, r *http.Request) ([]replayStep, bool) {
+	if framesBody(r) {
+		return readFrames(s, w, r, readReplayBody)
+	}
+	var req replayWire
+	if !s.decode(w, r, &req) {
+		return nil, false
+	}
+	steps, err := req.steps()
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	return steps, true
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	b := s.serving(w)
 	if b == nil {
 		return
 	}
-	var req registerWire
-	if !s.decode(w, r, &req) {
+	items, ok := s.registerBody(w, r)
+	if !ok {
 		return
-	}
-	items := make([]model.Item, len(req.Items))
-	for i, it := range req.Items {
-		items[i] = it.model()
 	}
 	// Detached context: the batch arrived in full, so it is applied in
 	// full — a disconnecting router must not leave this shard's producer
@@ -471,13 +535,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	var req observeWire
-	if !s.decode(w, r, &req) {
+	batch, ok := s.observeBody(w, r)
+	if !ok {
 		return
-	}
-	batch := make([]core.Observation, len(req.Observations))
-	for i, o := range req.Observations {
-		batch[i] = core.Observation{UserID: o.UserID, Item: o.Item.model(), Timestamp: o.Timestamp}
 	}
 	// Detached for the same atomic-replication reason as handleRegister,
 	// and persisted before applied for the same ack-after-durable reason.
@@ -533,8 +593,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusServiceUnavailable, "shard %d/%d not trained; needs a snapshot, not a delta", s.idx, s.of)
 		return
 	}
-	var req replayWire
-	if !s.decode(w, r, &req) {
+	steps, ok := s.replayBody(w, r)
+	if !ok {
 		return
 	}
 	// The same write surface as the live write path: with a WAL every
@@ -542,27 +602,15 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	ctx := context.WithoutCancel(r.Context())
 	wr := b.writer()
 	applied := 0
-	for _, rb := range req.Batches {
+	for _, st := range steps {
 		var err error
-		switch {
-		case rb.Register != nil:
-			items := make([]model.Item, len(rb.Register.Items))
-			for i, it := range rb.Register.Items {
-				items[i] = it.model()
-			}
-			_, err = wr.RegisterItems(ctx, items)
-		case rb.Observe != nil:
-			batch := make([]core.Observation, len(rb.Observe.Observations))
-			for i, o := range rb.Observe.Observations {
-				batch[i] = core.Observation{UserID: o.UserID, Item: o.Item.model(), Timestamp: o.Timestamp}
-			}
-			_, err = wr.ObserveBatch(ctx, batch)
-		default:
-			s.httpError(w, http.StatusBadRequest, "replay seq %d: neither register nor observe", rb.Seq)
-			return
+		if st.observe {
+			_, err = wr.ObserveBatch(ctx, st.obs)
+		} else {
+			_, err = wr.RegisterItems(ctx, st.items)
 		}
 		if err != nil {
-			s.httpError(w, http.StatusInternalServerError, "replay seq %d: %v", rb.Seq, err)
+			s.httpError(w, http.StatusInternalServerError, "replay seq %d: %v", st.seq, err)
 			return
 		}
 		applied++

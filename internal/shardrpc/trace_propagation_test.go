@@ -7,12 +7,15 @@
 package shardrpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"ssrec/internal/core"
+	"ssrec/internal/model"
 	"ssrec/internal/server"
 	"ssrec/internal/shard"
 	"ssrec/internal/telemetry"
@@ -116,9 +119,12 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 }
 
 // TestUntracedWireIsClean pins the exactness-neutrality contract at the
-// wire: without a trace, the ask and terminal lines must not
-// grow any telemetry fields (omitempty keeps the encoding byte-identical
-// to the pre-telemetry protocol).
+// wire: without a trace, an ask or terminal frame carries no trace or
+// span bytes — no field, not even an empty one, and no flag bit — so it
+// is exactly as long as the frame minus what a trace adds. The legacy
+// NDJSON lines a shardd still answers older routers with keep the same
+// contract (omitempty keeps them byte-identical to the pre-telemetry
+// protocol).
 func TestUntracedWireIsClean(t *testing.T) {
 	for _, v := range []any{
 		qsAsk{},
@@ -132,4 +138,57 @@ func TestUntracedWireIsClean(t *testing.T) {
 			t.Errorf("untraced %T encodes telemetry fields: %s", v, b)
 		}
 	}
+
+	const trace = "00000000000000ab-00000000000000cd"
+	item := model.Item{ID: "v1", Category: "music", Producer: "up0", Entities: []string{"e1"}, Timestamp: 17}
+	encode := func(fn func(*frameWriter)) []byte {
+		var fw frameWriter
+		fn(&fw)
+		return fw.out
+	}
+	plain := encode(func(f *frameWriter) { f.ask(7, &askMsg{item: item, opts: core.QueryOptions{K: 5}}) })
+	traced := encode(func(f *frameWriter) { f.ask(7, &askMsg{item: item, opts: core.QueryOptions{K: 5}, trace: trace}) })
+	// The trace adds its length byte and its bytes; the flag bit lives in
+	// a byte both frames have.
+	if len(traced)-len(plain) != 1+len(trace) || bytes.Contains(plain, []byte(trace)) {
+		t.Errorf("untraced ask frame is %d bytes, traced %d: the trace costs %d, want %d", len(plain), len(traced), len(traced)-len(plain), 1+len(trace))
+	}
+	_, a, err := frameAt(t, plain).ask()
+	if err != nil || a.trace != "" || plain[3]&askTraced != 0 {
+		t.Errorf("untraced ask frame decodes to trace %q (err %v), flags %#x", a.trace, err, plain[3])
+	}
+
+	res := core.Result{ItemID: "v1", Recommendations: []model.Recommendation{{UserID: "u1", Score: 0.5}}}
+	spans := []telemetry.SpanData{{TraceID: 0xab, SpanID: 1, Name: "shardd.recommend"}}
+	bare := encode(func(f *frameWriter) { f.terminal(&terminal{id: 7, res: res}) })
+	withSpans := encode(func(f *frameWriter) { f.terminal(&terminal{id: 7, res: res, spans: spans}) })
+	spanBytes := encode(func(f *frameWriter) {
+		f.begin()
+		f.rec.Uvarint(1)
+		f.rec.Uvarint(0xab)
+		f.rec.Uvarint(1)
+		f.rec.Uvarint(0)
+		f.rec.Str("shardd.recommend")
+		f.rec.Varint(0)
+		f.rec.Varint(0)
+		f.rec.Uvarint(0)
+		f.out = f.rec.Buf
+	})
+	if len(withSpans)-len(bare) != len(spanBytes) {
+		t.Errorf("untraced terminal frame is %d bytes, traced %d: the spans cost %d, want %d", len(bare), len(withSpans), len(withSpans)-len(bare), len(spanBytes))
+	}
+	tm, err := frameAt(t, bare).terminal()
+	if err != nil || tm.spans != nil || bare[3]&termSpans != 0 {
+		t.Errorf("untraced terminal frame decodes to spans %v (err %v), flags %#x", tm.spans, err, bare[3])
+	}
+}
+
+// frameAt reads the one frame in b, positioned at its payload.
+func frameAt(t *testing.T, b []byte) *frameReader {
+	t.Helper()
+	f := newFrameReader(bytes.NewReader(b), len(b))
+	if _, err := f.next(); err != nil {
+		t.Fatalf("frame %x: %v", b, err)
+	}
+	return f
 }

@@ -1,15 +1,9 @@
-// wire.go defines the NDJSON/JSON wire format of the shard RPC protocol —
-// the exact shapes both the RemoteShard client and the shardd server
-// encode — plus the error-code mapping that carries the engine's sentinel
-// errors across the wire without losing errors.Is identity.
-//
-// Every numeric score and bound crosses the wire as a JSON float64;
-// encoding/json emits the shortest representation that round-trips the
-// bit pattern exactly (strconv shortest-float), so remote results stay
-// bit-identical to in-process ones. ±Inf is not representable in JSON —
-// the protocol omits the bound field until it is finite (a fresh
-// sigtree.Bound starts at -Inf, which means "nothing to prune yet" and
-// never needs to be transmitted).
+// wire.go defines the JSON shapes of the shard RPC protocol — the health,
+// stats and write-response bodies both sides exchange, and the request
+// bodies and query-stream lines an older router sends, which a shardd
+// still reads (frames.go holds the binary frames a router sends now) —
+// plus the error-code mapping that carries the engine's sentinel errors
+// across the wire without losing errors.Is identity.
 package shardrpc
 
 import (
@@ -20,7 +14,6 @@ import (
 	"ssrec/internal/core"
 	"ssrec/internal/model"
 	"ssrec/internal/shard"
-	"ssrec/internal/sigtree"
 	"ssrec/internal/telemetry"
 	"ssrec/internal/wal"
 )
@@ -65,11 +58,6 @@ type itemWire struct {
 	Timestamp   int64    `json:"timestamp,omitempty"`
 }
 
-func toItemWire(v model.Item) itemWire {
-	return itemWire{ID: v.ID, Category: v.Category, Producer: v.Producer,
-		Entities: v.Entities, Description: v.Description, Timestamp: v.Timestamp}
-}
-
 func (w itemWire) model() model.Item {
 	return model.Item{ID: w.ID, Category: w.Category, Producer: w.Producer,
 		Entities: w.Entities, Description: w.Description, Timestamp: w.Timestamp}
@@ -78,6 +66,14 @@ func (w itemWire) model() model.Item {
 // registerWire is the body of POST /shard/v1/register.
 type registerWire struct {
 	Items []itemWire `json:"items"`
+}
+
+func (w *registerWire) items() []model.Item {
+	items := make([]model.Item, len(w.Items))
+	for i, it := range w.Items {
+		items[i] = it.model()
+	}
+	return items
 }
 
 // registerRespWire is the response of POST /shard/v1/register: whether
@@ -99,6 +95,14 @@ type observeWire struct {
 	Observations []obsWire `json:"observations"`
 }
 
+func (w *observeWire) batch() []core.Observation {
+	batch := make([]core.Observation, len(w.Observations))
+	for i, o := range w.Observations {
+		batch[i] = core.Observation{UserID: o.UserID, Item: o.Item.model(), Timestamp: o.Timestamp}
+	}
+	return batch
+}
+
 // replayBatchWire is one missed write of a delta catch-up replay:
 // exactly one of Register / Observe is set, tagged with the replica
 // set's write sequence.
@@ -112,6 +116,23 @@ type replayBatchWire struct {
 // in sequence order.
 type replayWire struct {
 	Batches []replayBatchWire `json:"batches"`
+}
+
+// steps lists the replay's missed writes, refusing a batch that holds
+// neither a registration nor a micro-batch.
+func (w *replayWire) steps() ([]replayStep, error) {
+	steps := make([]replayStep, len(w.Batches))
+	for i, b := range w.Batches {
+		switch {
+		case b.Register != nil:
+			steps[i] = replayStep{seq: b.Seq, items: b.Register.items()}
+		case b.Observe != nil:
+			steps[i] = replayStep{seq: b.Seq, observe: true, obs: b.Observe.batch()}
+		default:
+			return nil, fmt.Errorf("replay seq %d: neither register nor observe", b.Seq)
+		}
+	}
+	return steps, nil
 }
 
 // replayRespWire is the replay response: how many batches applied and
@@ -152,25 +173,19 @@ func (w reportWire) report() core.BatchReport {
 	return rep
 }
 
-// optionsWire is the wire form of core.QueryOptions (already resolved by
+// optionsWire is the JSON form of core.QueryOptions (already resolved by
 // the router — defaults applied, no functional options cross the wire).
 type optionsWire struct {
 	K           int  `json:"k"`
 	NoExpansion bool `json:"no_expansion,omitempty"`
 }
 
-func toOptionsWire(o core.QueryOptions) optionsWire {
-	return optionsWire{K: o.K, NoExpansion: o.NoExpansion}
-}
-
 func (w optionsWire) options() core.QueryOptions {
 	return core.QueryOptions{K: w.K, NoExpansion: w.NoExpansion}
 }
 
-// qsAsk starts one query on a multiplexed query stream (POST
-// /shard/v1/query_stream), tagged with the stream-scoped query id carried
-// by the enclosing qsLine. The shard registers the item before it
-// searches.
+// qsAsk starts one query on a legacy NDJSON query stream, tagged with
+// the stream-scoped query id carried by the enclosing qsLine.
 type qsAsk struct {
 	Item    itemWire    `json:"item"`
 	Options optionsWire `json:"options"`
@@ -179,22 +194,19 @@ type qsAsk struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// qsLine is one NDJSON line of the multiplexed query-stream exchange, in
-// either direction. ID scopes the line to one in-flight query; exactly one
-// payload field is set:
+// qsLine is one NDJSON line of the query stream as an older router
+// speaks it; a shardd answers such a router's stream in kind. ID scopes
+// the line to one in-flight query; exactly one payload field is set:
 //
 //   - Ask (client→shard): start query ID;
-//   - Cancel (client→shard): abandon query ID (the shard cancels its
-//     search; the client still waits for the terminal line, which says
-//     what became of the registration);
+//   - Cancel (client→shard): abandon query ID;
 //   - Result/Err (shard→client): the terminal line of query ID, with
 //     Changed set when the ask's registration advanced the replicated
-//     dictionaries. An Err coded unavailable means the registration did
-//     not take effect; any other Err came after it did.
+//     dictionaries.
 //
-// A receiver drops every line that carries none of the fields it acts
-// on, unknown fields included: older routers and shardds send bound
-// raise lines ({"id":n,"b":x}), and this protocol has no such line.
+// A shardd drops every line that carries neither an ask nor a cancel,
+// unknown fields included: still older routers send bound raise lines
+// ({"id":n,"b":x}) and a bound on the ask.
 type qsLine struct {
 	ID      uint64      `json:"id"`
 	Ask     *qsAsk      `json:"ask,omitempty"`
@@ -239,28 +251,19 @@ func toResultWire(res core.Result) *resultWire {
 	return w
 }
 
-func (w *resultWire) result() core.Result {
-	res := core.Result{ItemID: w.ItemID, Stats: sigtree.SearchStats{
-		NodesVisited:   w.Stats.NodesVisited,
-		EntriesScored:  w.Stats.EntriesScored,
-		EntriesSkipped: w.Stats.EntriesSkipped,
-	}}
-	for _, rec := range w.Recommendations {
-		res.Recommendations = append(res.Recommendations, model.Recommendation{UserID: rec.UserID, Score: rec.Score})
-	}
-	return res
-}
-
-// healthWire is the response of GET /shard/v1/health. BootEpoch is an
-// opaque token minted at every engine boot (startup -model load or
+// healthWire is the body of GET /shard/v1/livez and /readyz. BootEpoch is
+// an opaque token minted at every engine boot (startup -model load or
 // snapshot handoff): the Router compares epochs across probes to tell a
 // RE-SEEDED shard (safe to re-include) from one that kept running stale
 // state while it was excluded and missed replicated writes (not safe).
+// Frames is the frame codec version the shardd reads (framesVersion);
+// an older shardd omits it, and a router refuses to write to it.
 type healthWire struct {
 	Shard     int    `json:"shard"`
 	Of        int    `json:"of"`
 	Trained   bool   `json:"trained"`
 	BootEpoch string `json:"boot_epoch,omitempty"`
+	Frames    int    `json:"frames,omitempty"`
 }
 
 // statsWire is the wire form of shard.Stats.
