@@ -330,8 +330,11 @@ var errSnapshot = errors.New("core: malformed snapshot")
 // trailer's count, which must end the stream.
 func decodeStream(br *bufio.Reader, reconfig func(*Config)) (*Engine, *cppse.State, error) {
 	v, err := binary.ReadUvarint(br)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: version: %w", errSnapshot, eof(err))
+		return nil, nil, fmt.Errorf("%w: version: %w", errSnapshot, err)
 	}
 	if v != snapVersion {
 		return nil, nil, fmt.Errorf("core: snapshot version %d not supported (this build reads %d)", v, snapVersion)
@@ -392,14 +395,6 @@ type snapReader struct {
 	binrec.Reader
 	r       *bufio.Reader
 	scratch []profile.Event // FromSnapshot copies the events out
-}
-
-// eof reports a stream that ended early as io.ErrUnexpectedEOF.
-func eof(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // next reads one record into the reader and returns its kind; a stream

@@ -307,21 +307,28 @@ func (m *members) targets() []leg {
 // clean refusal (a non-transport error proving the member did NOT apply
 // the batch). refused is the first refusing member, -1 when none.
 //
-// Every targeted Preflighter is checked before any member is called. A
-// member whose check finds it unavailable is not called and its leg
-// fails as the call would have. A member whose check refuses vetoes the
-// fan-out: no member is called, the legs that passed their checks are
-// marked skipped, and anyOK and anyUnavail are false, since nothing
-// anywhere can have applied the batch.
-func (m *members) broadcast(legs []leg, call func(i int) error) (anyOK, anyUnavail bool, refused int) {
-	vetoed := false
+// Every targeted Preflighter is checked under ctx, in parallel, before
+// any member is called. A member whose check finds it unavailable is not
+// called and its leg fails as the call would have. A member whose check
+// refuses vetoes the fan-out: no member is called, the legs that passed
+// their checks are marked skipped, and anyOK and anyUnavail are false,
+// since nothing anywhere can have applied the batch.
+func (m *members) broadcast(ctx context.Context, legs []leg, call func(i int) error) (anyOK, anyUnavail bool, refused int) {
+	var wg sync.WaitGroup
 	for i := range legs {
 		if p, ok := m.shards[i].(Preflighter); ok && legs[i].called {
-			legs[i].err = p.Preflight()
-			vetoed = vetoed || (legs[i].err != nil && !errors.Is(legs[i].err, ErrShardUnavailable))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				legs[i].err = p.Preflight(ctx)
+			}()
 		}
 	}
-	var wg sync.WaitGroup
+	wg.Wait()
+	vetoed := false
+	for _, l := range legs {
+		vetoed = vetoed || (l.err != nil && !errors.Is(l.err, ErrShardUnavailable))
+	}
 	for i := range legs {
 		switch {
 		case !legs[i].called || legs[i].err != nil:

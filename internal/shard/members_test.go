@@ -254,7 +254,7 @@ func TestMembersBroadcastSortsLegsAndSettles(t *testing.T) {
 	if legs[0].called || !legs[1].called {
 		t.Fatalf("targets = %+v, want member 0 skipped", legs)
 	}
-	anyOK, anyUnavail, refused := m.broadcast(legs, func(i int) error {
+	anyOK, anyUnavail, refused := m.broadcast(context.Background(), legs, func(i int) error {
 		_, err := fakes[i].ObserveBatch(context.Background(), nil)
 		return err
 	})
@@ -346,7 +346,7 @@ func TestMembersConcurrentDebtNeverServes(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
 			legs := m.targets()
-			m.broadcast(legs, func(i int) error {
+			m.broadcast(context.Background(), legs, func(i int) error {
 				_, err := fakes[i].ObserveBatch(ctx, nil)
 				return err
 			})

@@ -282,21 +282,35 @@ func (rs *ReplicaSet) Ping(ctx context.Context) (string, error) {
 	return fmt.Sprintf("rs-%d", rs.seedGen.Load()), nil
 }
 
-// Preflight implements Preflighter at slot level: a healthy replica that
-// refuses its check refuses the slot's, so the Router refuses a write
-// before any slot applies it. A replica that cannot be reached leaves the
-// slot to its own write, which fails that replica alone.
-func (rs *ReplicaSet) Preflight() error {
+// Preflight implements Preflighter at slot level: the healthy replicas
+// are checked in parallel, and one that refuses its check refuses the
+// slot's, so the Router refuses a write before any slot applies it. A
+// replica that cannot be reached is excluded, as its failed write would
+// exclude it, and the slot writes to the others.
+func (rs *ReplicaSet) Preflight(ctx context.Context) error {
+	errs := make([]error, len(rs.shards))
+	var wg sync.WaitGroup
 	for j, s := range rs.shards {
-		p, ok := s.(Preflighter)
-		if !ok || rs.isDown(j) {
-			continue
-		}
-		if err := p.Preflight(); err != nil && !errors.Is(err, ErrShardUnavailable) {
-			return fmt.Errorf("slot %d replica %d: %w", rs.idx, j, err)
+		if p, ok := s.(Preflighter); ok && !rs.isDown(j) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[j] = p.Preflight(ctx)
+			}()
 		}
 	}
-	return nil
+	wg.Wait()
+	var refusal error
+	for j, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrShardUnavailable):
+			rs.exclude(j)
+		case refusal == nil:
+			refusal = fmt.Errorf("slot %d replica %d: %w", rs.idx, j, err)
+		}
+	}
+	return refusal
 }
 
 // Stats implements Shard: the replicas are bit-identical, so the first
@@ -328,7 +342,7 @@ func (rs *ReplicaSet) RegisterItems(ctx context.Context, items []model.Item) (bo
 		legs = rs.targets()
 	}
 	changed := make([]bool, len(rs.shards))
-	anyOK, anyUnavail, refused := rs.broadcast(legs, func(j int) (err error) {
+	anyOK, anyUnavail, refused := rs.broadcast(bctx, legs, func(j int) (err error) {
 		changed[j], err = rs.shards[j].RegisterItems(bctx, items)
 		return err
 	})
@@ -376,7 +390,7 @@ func (rs *ReplicaSet) ObserveBatch(ctx context.Context, batch []core.Observation
 	bctx := detach(ctx)
 	seq, legs := rs.logWrite(nil, batch)
 	reps := make([]core.BatchReport, len(rs.shards))
-	anyOK, anyUnavail, refused := rs.broadcast(legs, func(j int) (err error) {
+	anyOK, anyUnavail, refused := rs.broadcast(bctx, legs, func(j int) (err error) {
 		reps[j], err = rs.shards[j].ObserveBatch(bctx, batch)
 		return err
 	})
@@ -427,7 +441,7 @@ func (rs *ReplicaSet) Recommend(ctx context.Context, v model.Item, o core.QueryO
 	changed := make([]bool, len(rs.shards))
 	var res core.Result
 	var rerr error
-	anyOK, anyUnavail, refused := rs.broadcast(legs, func(j int) (err error) {
+	anyOK, anyUnavail, refused := rs.broadcast(bctx, legs, func(j int) (err error) {
 		if j != reader {
 			changed[j], err = rs.shards[j].RegisterItems(bctx, items)
 			return err

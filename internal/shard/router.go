@@ -479,7 +479,7 @@ func (r *Router) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 	defer obsSpan.End()
 	reps := make([]core.BatchReport, len(f.shards))
 	legs := f.targets()
-	anyOK, anyUnavail, refused := f.broadcast(legs, func(i int) (err error) {
+	anyOK, anyUnavail, refused := f.broadcast(ctx, legs, func(i int) (err error) {
 		reps[i], err = f.shards[i].ObserveBatch(bctx, batch)
 		return err
 	})
@@ -544,7 +544,7 @@ func (r *Router) registerBroadcast(ctx context.Context, items []model.Item) erro
 	defer regSpan.End()
 	changed := make([]bool, len(f.shards))
 	legs := f.targets()
-	anyOK, anyUnavail, refused := f.broadcast(legs, func(i int) (err error) {
+	anyOK, anyUnavail, refused := f.broadcast(bctx, legs, func(i int) (err error) {
 		changed[i], err = f.shards[i].RegisterItems(bctx, items)
 		return err
 	})
@@ -624,7 +624,7 @@ func (r *Router) recommendOne(ctx context.Context, v model.Item, o core.QueryOpt
 	changed := make([]bool, len(f.shards))
 	errs := make([]error, len(f.shards))
 	legs := f.targets()
-	anyOK, anyUnavail, refused := f.broadcast(legs, func(i int) error {
+	anyOK, anyUnavail, refused := f.broadcast(ctx, legs, func(i int) error {
 		lctx, leg := telemetry.StartSpan(ctx, "router.shard")
 		leg.SetAttr("shard", strconv.Itoa(i))
 		if rs, ok := f.shards[i].(*ReplicaSet); ok && prologued {

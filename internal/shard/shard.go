@@ -156,9 +156,10 @@ type Pinger interface {
 // has applied it. Preflight returns nil when the member can take a
 // write, an error wrapping ErrShardUnavailable when it cannot be reached
 // (its leg then fails as the write itself would), and any other error to
-// refuse the fan-out.
+// refuse the fan-out. A check that ctx ends refuses, wrapping ctx's error:
+// nothing has been written anywhere yet.
 type Preflighter interface {
-	Preflight() error
+	Preflight(ctx context.Context) error
 }
 
 // SnapshotReceiver is the optional snapshot-handoff extension of a Shard:

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -244,23 +245,37 @@ func encodeBody(encode func(*frameWriter)) []byte {
 }
 
 // Preflight implements shard.Preflighter: nil once the shardd has
-// announced the frame codec in a health body. Until then it asks
-// /livez, and refuses — wrapping shard.ErrNotRegistered — a shardd that
-// does not announce it: an older shardd would refuse or misread every
-// frame. Every write and ask checks it first, and the Router checks every
-// member before any of them writes, so a refusal leaves every member's
-// state unchanged.
-func (c *Client) Preflight() error {
+// announced the frame codec in a health body. Until then it asks /livez
+// under ctx, bounded by statsTimeout, and refuses — wrapping
+// shard.ErrNotRegistered — a shardd that does not announce it: an older
+// shardd would refuse or misread every frame. Every write and ask checks
+// it first, and the Router checks every member before any of them
+// writes, so a refusal leaves every member's state unchanged. Any other
+// failure of the probe reports the shardd unavailable, so a silent
+// shardd is excluded instead of vetoing its siblings' writes. When ctx
+// ends first, nothing was sent: the error wraps ctx's error and
+// shard.ErrNotRegistered.
+func (c *Client) Preflight(ctx context.Context) error {
 	if c.frames.Load() {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	pctx, cancel := context.WithTimeout(ctx, statsTimeout)
 	defer cancel()
 	var h healthWire
-	if err := c.do(ctx, "livez", pathLivez, nil, &h); err != nil {
+	err := c.do(pctx, "livez", pathLivez, nil, &h)
+	switch {
+	case err == nil:
+		return c.learn(h)
+	case ctx.Err() != nil:
+		return fmt.Errorf("shardrpc: shard %d livez: %w: %w", c.idx, shard.ErrNotRegistered, ctx.Err())
+	case errors.Is(err, shard.ErrShardUnavailable):
 		return err
+	default:
+		return unavailable(c.idx, "livez", err)
 	}
-	return c.learn(h)
 }
 
 // learn records the codec a health body announces, refusing a shardd
@@ -294,7 +309,7 @@ func (c *Client) statusErr(ctx context.Context, op string, resp *http.Response) 
 // broadcast before a query batch. changed round-trips the shard's "did
 // the replicated dictionaries advance" report.
 func (c *Client) RegisterItems(ctx context.Context, items []model.Item) (bool, error) {
-	if err := c.Preflight(); err != nil {
+	if err := c.Preflight(ctx); err != nil {
 		return false, err
 	}
 	var resp registerRespWire
@@ -314,7 +329,7 @@ type observeRespWire struct {
 // replication unit) and returns the shard's BatchReport with sentinel
 // error identities restored.
 func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (core.BatchReport, error) {
-	if err := c.Preflight(); err != nil {
+	if err := c.Preflight(ctx); err != nil {
 		return core.BatchReport{}, err
 	}
 	var resp observeRespWire
@@ -336,8 +351,9 @@ func (c *Client) ObserveBatch(ctx context.Context, batch []core.Observation) (co
 //
 // The shard registers the item before it searches, so the ask is sent
 // even when ctx is already done: a cancelled call still registers, and
-// returns ctx's error with the registration's changed flag. A nil ctx
-// reads as context.Background().
+// returns ctx's error with the registration's changed flag. The codec
+// check before it ignores ctx's cancellation for the same reason. A nil
+// ctx reads as context.Background().
 //
 // A cached stream can outlive its peer: a shardd restarted at the same
 // address leaves the client a stream whose reader has not yet seen the
@@ -352,7 +368,7 @@ func (c *Client) Recommend(ctx context.Context, v model.Item, o core.QueryOption
 		ctx = context.Background()
 	}
 	for retry := false; ; retry = true {
-		if err := c.Preflight(); err != nil {
+		if err := c.Preflight(context.WithoutCancel(ctx)); err != nil {
 			return core.Result{ItemID: v.ID}, false, err
 		}
 		ms, cached, err := c.muxStream()
@@ -466,7 +482,7 @@ func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
 // the next Ping shows the proof-of-reseed the fail-closed probe rules
 // require.
 func (c *Client) Replay(ctx context.Context, batches []shard.ReplayBatch) error {
-	if err := c.Preflight(); err != nil {
+	if err := c.Preflight(ctx); err != nil {
 		return err
 	}
 	var resp replayRespWire
