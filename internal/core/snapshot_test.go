@@ -527,25 +527,26 @@ func heapPeak(fn func()) uint64 {
 
 // BenchmarkSaveTo times a snapshot save at a fixed synthetic size (the
 // YTube generator at scale 0.1) into a sink: save_ms, the snapshot's size
-// and how far the heap rose during the save.
+// and how far the heap rose during the save. The heap is sampled in one
+// more, untimed save, so its forced GC and sampler stay out of save_ms.
 func BenchmarkSaveTo(b *testing.B) {
 	src, _, _ := streamEngine(b, Config{})
-	var size int64
-	var peak uint64
+	var cw countWriter
+	save := func() {
+		cw = 0
+		if err := src.SaveTo(&cw); err != nil {
+			b.Fatalf("SaveTo: %v", err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var cw countWriter
-		peak = max(peak, heapPeak(func() {
-			if err := src.SaveTo(&cw); err != nil {
-				b.Fatalf("SaveTo: %v", err)
-			}
-		}))
-		size = int64(cw)
+		save()
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "save_ms")
-	b.ReportMetric(float64(size), "snapshot_bytes")
-	b.ReportMetric(float64(peak)/(1<<20), "peak_heap_mb")
+	b.ReportMetric(float64(cw), "snapshot_bytes")
+	b.ReportMetric(float64(heapPeak(save))/(1<<20), "peak_heap_mb")
 }
 
 type countWriter int64
@@ -557,38 +558,46 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // BenchmarkLoadFrom splits a snapshot load into its two steps at the same
 // size: decode_ms streams the records into a fresh engine, build_ms
-// rebuilds its index; build_alloc_mb is the bytes the rebuild allocates
-// (MemStats.TotalAlloc across finishLoad), its garbage included, and
-// peak_heap_mb is how far the heap rose during both.
+// rebuilds its index. One more, untimed load takes the memory figures, so
+// its forced GC, heap sampler and MemStats reads stay out of the times:
+// build_alloc_mb is the bytes the rebuild allocates (MemStats.TotalAlloc
+// across finishLoad), its garbage included, and peak_heap_mb is how far
+// the heap rose during both steps.
 func BenchmarkLoadFrom(b *testing.B) {
 	src, _, _ := streamEngine(b, Config{})
 	snap := saveBytes(b, src)
+	// load decodes snap and rebuilds the engine's index, calling mark
+	// after each step, and returns how long each step took.
+	load := func(mark func()) (decode, build time.Duration) {
+		t0 := time.Now()
+		e, st, err := decodeFrom(bytes.NewReader(snap), func(*Config) {})
+		decode = time.Since(t0)
+		if err != nil {
+			b.Fatalf("decode: %v", err)
+		}
+		mark()
+		t1 := time.Now()
+		if err := e.finishLoad(st); err != nil {
+			b.Fatalf("build: %v", err)
+		}
+		build = time.Since(t1)
+		mark()
+		return decode, build
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var decode, build time.Duration
-	var peak, buildAlloc uint64
-	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
-		peak = max(peak, heapPeak(func() {
-			t0 := time.Now()
-			e, st, err := decodeFrom(bytes.NewReader(snap), func(*Config) {})
-			if err != nil {
-				b.Fatalf("decode: %v", err)
-			}
-			runtime.ReadMemStats(&before)
-			t1 := time.Now()
-			if err := e.finishLoad(st); err != nil {
-				b.Fatalf("build: %v", err)
-			}
-			t2 := time.Now()
-			runtime.ReadMemStats(&after)
-			decode, build = decode+t1.Sub(t0), build+t2.Sub(t1)
-			buildAlloc += after.TotalAlloc - before.TotalAlloc
-		}))
+		d, bl := load(func() {})
+		decode, build = decode+d, build+bl
 	}
+	b.StopTimer()
+	var marks [2]runtime.MemStats
+	k := 0
+	peak := heapPeak(func() { load(func() { runtime.ReadMemStats(&marks[k]); k++ }) })
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
 	b.ReportMetric(ms(decode), "decode_ms")
 	b.ReportMetric(ms(build), "build_ms")
-	b.ReportMetric(float64(buildAlloc)/(1<<20)/float64(b.N), "build_alloc_mb")
+	b.ReportMetric(float64(marks[1].TotalAlloc-marks[0].TotalAlloc)/(1<<20), "build_alloc_mb")
 	b.ReportMetric(float64(peak)/(1<<20), "peak_heap_mb")
 }

@@ -212,10 +212,13 @@ func (s *Server) handleObserveV2(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.inflightObserve.Add(-1)
 	}
+	// Statuses stream while the body is still being read; on HTTP/1.1 the
+	// first flushed batch would otherwise close the body under the scanner.
+	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex() //nolint:errcheck // no-op on HTTP/2
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	rc := http.NewResponseController(w)
 	emit := func(st observeStatusJSON) {
 		enc.Encode(st) //nolint:errcheck // response already streaming
 	}
@@ -265,7 +268,7 @@ func (s *Server) handleObserveV2(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
-	sc.Buffer(make([]byte, 0, 64*1024), maxNDJSONLine)
+	sc.Buffer(nil, maxNDJSONLine) // starts at bufio's 4 KB, grows to a long line
 	for sc.Scan() {
 		lineNo++
 		raw := sc.Bytes()

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -211,6 +212,44 @@ func TestObserveV2BulkIngest(t *testing.T) {
 	}
 	if batches := int(sum["batches"].(float64)); batches != 3 {
 		t.Fatalf("batches = %d, want 3 (10 lines / batch size 4)", batches)
+	}
+}
+
+// TestObserveV2LargeBodyOverSocket posts, over a real HTTP/1.1 socket, an
+// NDJSON body far larger than the scanner's first read. Statuses stream
+// back while the body is still being read, so every line after the first
+// flushed batch must still be read and applied.
+func TestObserveV2LargeBodyOverSocket(t *testing.T) {
+	s, ds := testServer(t)
+	s.BatchSize = 64
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	var body bytes.Buffer
+	n := 0
+	for ; body.Len() < 200<<10; n++ {
+		body.WriteString(observeLine(fmt.Sprintf("user%04d", n%300), ds.Items[n%len(ds.Items)], int64(1000+n)))
+		body.WriteByte('\n')
+	}
+	resp, err := http.Post(srv.URL+"/v2/observe", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ndjsonLines(t, string(raw))
+	if len(out) != n+1 {
+		t.Fatalf("%d response lines for %d input lines, want a status each plus the summary", len(out), n)
+	}
+	for _, m := range out[:n] {
+		if m["status"] != "ok" {
+			t.Fatalf("status %v", m)
+		}
+	}
+	if sum := out[n]; sum["status"] != "done" || int(sum["applied"].(float64)) != n {
+		t.Fatalf("summary %v, want %d applied", sum, n)
 	}
 }
 

@@ -209,6 +209,31 @@ func checkDenseReference(t testing.TB, d *opRunner, step string) {
 	if walk(d.tr.root) != d.tr.Len() {
 		t.Fatalf("%s: tree holds %d users, Len says %d", step, walk(d.tr.root), d.tr.Len())
 	}
+	checkSlots(t, d.tr, step)
+}
+
+// checkSlots holds tr.byUser to the tree: every entry's user is recorded
+// with the leaf node and position that hold it, and no other user is.
+func checkSlots(t testing.TB, tr *Tree, step string) {
+	t.Helper()
+	held := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		for i, e := range n.entries {
+			if got := tr.byUser[e.UserID]; got != (slot{n, i}) {
+				t.Fatalf("%s: %s lies at position %d of its leaf node, byUser records position %d of %p (node %p)",
+					step, e.UserID, i, got.i, got.n, n)
+			}
+			held++
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	if held != len(tr.byUser) {
+		t.Fatalf("%s: tree holds %d entries, byUser records %d users", step, held, len(tr.byUser))
+	}
 }
 
 // checkVec holds n's producer or entity vector to its list: present

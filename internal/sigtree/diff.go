@@ -9,10 +9,11 @@ import (
 // Diff returns the first difference between trees a and b, or nil when
 // they are the same tree: the same universes and fanout, the same shape,
 // the same entries in the same order, every leaf signature and aggregate
-// equal bit for bit (cached logarithms and dense vectors included), and
-// every leaf node's slab holding the same counts with its entries' lists
-// packed back to back in it. It is the oracle for code that builds one
-// tree in more than one way, such as cppse's parallel build.
+// equal bit for bit (cached logarithms and dense vectors included), every
+// user's recorded leaf node and position naming the entry, and every leaf
+// node's slab holding the same counts with its entries' lists packed back
+// to back in it. It is the oracle for code that builds one tree in more
+// than one way, such as cppse's parallel build.
 func Diff(a, b *Tree) error {
 	if a.BlockID != b.BlockID || a.Category != b.Category || a.fanout != b.fanout {
 		return fmt.Errorf("tree ⟨%d, %s⟩ fanout %d, other ⟨%d, %s⟩ fanout %d",
@@ -54,7 +55,7 @@ func diffNodes(ta, tb *Tree, a, b *node, path string) error {
 	}
 	for i := range a.entries {
 		ea, eb := &a.entries[i], &b.entries[i]
-		if ea.UserID != eb.UserID || ta.byUser[ea.UserID] != a || tb.byUser[eb.UserID] != b {
+		if ea.UserID != eb.UserID || ta.byUser[ea.UserID] != (slot{a, i}) || tb.byUser[eb.UserID] != (slot{b, i}) {
 			return fmt.Errorf("%s entry %d: user %s, other %s", path, i, ea.UserID, eb.UserID)
 		}
 		if err := diffSigs(&ea.Sig, &eb.Sig); err != nil {

@@ -56,9 +56,9 @@ func TestFieldwiseRefoldMatchesFullFold(t *testing.T) {
 // fanouts, so splits are frequent and every level of a path widens, with
 // NaN and ±0 common in Pl/Ps, the totals and the counts. After every
 // Insert each vector must mirror its list and each aggregate must equal a
-// full refold: where a new value ties the aggregate at ±0 or either is
-// NaN, folding the new kid alone can disagree with the fold in kid order,
-// and only the refold fallback of widenPath keeps the two equal.
+// full refold: where a new value ties the aggregate at ±0, folding the
+// new kid alone can disagree with the fold in kid order, and only the
+// refold fallback of deltaWalk keeps the two equal.
 func TestInsertWideningMatchesFullFold(t *testing.T) {
 	special := []float64{math.NaN(), math.Copysign(0, -1), 0}
 	for seed := int64(1); seed <= 16; seed++ {
@@ -95,6 +95,80 @@ func TestInsertWideningMatchesFullFold(t *testing.T) {
 			step := fmt.Sprintf("seed %d insert %d", seed, i)
 			vecs(tr.root, step)
 			checkAggregatesExact(t, tr, tr.root, step)
+		}
+	}
+}
+
+// TestHolderMovesInwardAtEveryLevel writes a champion user that holds,
+// alone, the extremum of every carried field at every level — the only
+// listed count at one producer, the greatest Pl and the least totals —
+// and then moves each of those values inward: the count falls to +0 (left
+// unlisted, listed as −0, or NaN), Pl falls, and the totals rise, past
+// other kids whose totals tie at ±0. Every level's fold must then be
+// refolded over its kids, and the producer must leave every list on the
+// path; after each write, UpdateProbs and the champion's restoration, the
+// aggregates equal a full refold.
+func TestHolderMovesInwardAtEveryLevel(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const solo = 7 // the producer only the champion lists
+	champion := Signature{Pl: 0.9, Ps: 0.9, ProdTotal: -2, EntTotal: -2,
+		Prod: []Coord{{Idx: 1, Val: 3}, {Idx: solo, Val: 5}}, Ent: []Coord{{Idx: 0, Val: 4}}}
+	for _, tc := range []struct {
+		name                 string
+		count, pl, total     float64
+		listed, viaProbsOnly bool
+	}{
+		{name: "count unlisted", count: 0, pl: 0.1, total: 10},
+		{name: "count listed as −0", count: negZero, pl: negZero, total: negZero, listed: true},
+		{name: "count listed as +0", count: 0, pl: 0, total: 0, listed: true},
+		{name: "NaN", count: math.NaN(), pl: math.NaN(), total: math.NaN(), listed: true},
+		{name: "Pl only, through UpdateProbs", pl: 0.1, viaProbsOnly: true},
+	} {
+		tr := New(0, "c", NewUniverse(nil), NewUniverse(nil), 2)
+		for i := range 24 {
+			// Half the totals are +0 and half −0, so a total that rises
+			// from the champion's −2 ties the rest at ±0 at every level.
+			total := 0.0
+			if i%2 == 1 {
+				total = negZero
+			}
+			tr.Insert(fmt.Sprintf("u%02d", i), Signature{Pl: 0.2, Ps: 0.3, ProdTotal: total, EntTotal: total,
+				Prod: []Coord{{Idx: int32(i % 5), Val: 1}}, Ent: []Coord{{Idx: 0, Val: 1}}})
+			if i == 11 {
+				tr.Insert("champion", champion.Clone())
+			}
+		}
+		checkAggregatesExact(t, tr, tr.root, tc.name+": built")
+		if tr.Depth() < 4 || at(tr.root.sig.Prod, solo) != 5 || tr.root.sig.Pl != 0.9 || tr.root.sig.ProdTotal != -2 {
+			t.Fatalf("%s: the champion does not hold the root's folds (depth %d, root %v)", tc.name, tr.Depth(), tr.root.sig)
+		}
+		if tc.viaProbsOnly {
+			tr.UpdateProbs("champion", tc.pl, champion.Ps)
+		} else {
+			next := champion.Clone()
+			next.Pl, next.ProdTotal, next.EntTotal = tc.pl, tc.total, tc.total
+			next.Prod = next.Prod[:1]
+			if tc.listed {
+				next.Prod = append(next.Prod, Coord{Idx: solo, Val: tc.count})
+			}
+			tr.UpdateCopy("champion", &next)
+		}
+		step := tc.name + ": moved inward"
+		checkAggregatesExact(t, tr, tr.root, step)
+		checkSlots(t, tr, step)
+		for n, _ := tr.entry("champion"); n != nil; n = n.parent {
+			checkVec(t, n, false, step)
+			if !tc.viaProbsOnly && slices.ContainsFunc(n.sig.Prod, func(c Coord) bool { return c.Idx == solo }) {
+				t.Fatalf("%s: producer %d still listed in %v", step, solo, n.sig.Prod)
+			}
+			if n.sig.Pl == 0.9 {
+				t.Fatalf("%s: Pl stayed 0.9 at a level of the champion's path", step)
+			}
+		}
+		tr.UpdateCopy("champion", &champion)
+		checkAggregatesExact(t, tr, tr.root, tc.name+": restored")
+		if at(tr.root.sig.Prod, solo) != 5 || tr.root.sig.Pl != 0.9 {
+			t.Fatalf("%s: restoring the champion left the root at %v", tc.name, tr.root.sig)
 		}
 	}
 }

@@ -176,12 +176,11 @@ func growTo(v []float64, n int) []float64 {
 }
 
 // widenMax and narrowMin are the only comparison forms of every aggregate
-// fold — the full refold of recomputeSig, the field-wise refold of
-// refoldPath and the widening of widenPath alike — so the two folds in
-// kid order resolve NaN and −0 identically: a value replaces the
-// accumulator only when strictly greater (smaller). A count fold starts
-// from +0, so it never yields −0 or NaN, and +0 is exactly what an
-// unlisted coordinate reads.
+// fold — the full refold of recomputeSig and the refolds deltaWalk falls
+// back on alike — so the folds in kid order resolve NaN and −0
+// identically: a value replaces the accumulator only when strictly greater
+// (smaller). A count fold starts from +0, so it never yields −0 or NaN,
+// and +0 is exactly what an unlisted coordinate reads.
 func widenMax(acc, v float64) float64 {
 	if v > acc {
 		return v
@@ -339,16 +338,6 @@ func (n *node) kids() int {
 	return len(n.children)
 }
 
-// find returns the position of userID among leaf node n's entries.
-func (n *node) find(userID string) int {
-	for i := range n.entries {
-		if n.entries[i].UserID == userID {
-			return i
-		}
-	}
-	panic("sigtree: user missing from its leaf node")
-}
-
 // denseSpan sets when an aggregate also keeps a list as a vector indexed
 // by coordinate: when the list holds at least one coordinate in every
 // denseSpan of its span (last index + 1), so the vector costs at most
@@ -435,19 +424,22 @@ type Tree struct {
 
 	root   *node
 	fanout int
-	byUser map[string]*node // the leaf node holding each user
+	byUser map[string]slot // where each user's leaf entry lies
 
-	// Write-path scratch. prodDirty and entDirty are refoldPath's
-	// coordinate lists: the indices still to refold at the current level;
-	// prodWide and entWide are widenPath's, the counts that moved.
-	// cursors holds recomputeSig's merge positions, one per kid, and
-	// packing stages a leaf node's slab while it is rewritten. Trees are
-	// mutated only under their owner's write lock, so one set per tree
-	// keeps a warm refresh allocation-free.
-	prodDirty, entDirty []int32
-	prodWide, entWide   []Coord
+	// Write-path scratch. prodMoves and entMoves are deltaWalk's count
+	// moves at the current level; cursors holds recomputeSig's merge
+	// positions, one per kid, and packing stages a leaf node's slab while
+	// it is rewritten. Trees are mutated only under their owner's write
+	// lock, so one set per tree keeps a warm refresh allocation-free.
+	prodMoves, entMoves []countMove
 	cursors             []int
 	packing             []Coord
+}
+
+// slot names the leaf node holding a user's entry and its position there.
+type slot struct {
+	n *node
+	i int
 }
 
 // DefaultFanout is used when New is called with fanout < 2.
@@ -467,7 +459,7 @@ func New(blockID int, category string, prod, ent *Universe, fanout int) *Tree {
 		Ent:      ent,
 		root:     root,
 		fanout:   fanout,
-		byUser:   make(map[string]*node),
+		byUser:   make(map[string]slot),
 	}
 }
 
@@ -477,11 +469,8 @@ func (t *Tree) Len() int { return len(t.byUser) }
 // entry returns the leaf node holding userID and the user's position in
 // it, or a nil node if the user is absent.
 func (t *Tree) entry(userID string) (*node, int) {
-	n := t.byUser[userID]
-	if n == nil {
-		return nil, -1
-	}
-	return n, n.find(userID)
+	s := t.byUser[userID]
+	return s.n, s.i
 }
 
 // Get returns a copy of the signature stored for userID.
@@ -494,7 +483,7 @@ func (t *Tree) Get(userID string) (Signature, bool) {
 }
 
 // Has reports whether the user has a leaf entry.
-func (t *Tree) Has(userID string) bool { return t.byUser[userID] != nil }
+func (t *Tree) Has(userID string) bool { return t.byUser[userID].n != nil }
 
 // Users returns the user IDs present (unspecified order).
 func (t *Tree) Users() []string {
@@ -526,16 +515,18 @@ func (t *Tree) Insert(userID string, sig Signature) {
 		}
 		n = best
 	}
-	n.entries = append(n.entries, LeafEntry{UserID: userID})
+	// The new entry is a kid whose scalars move from absent and whose
+	// counts move from the +0 an unlisted coordinate reads, which no count
+	// fold depends on. A split that follows leaves every ancestor's fold as
+	// it is — the same leaves, in the same order.
+	i := len(n.entries)
+	n.entries = append(n.entries, LeafEntry{UserID: userID,
+		Sig: Signature{Pl: absent, Ps: absent, ProdTotal: absent, EntTotal: absent}})
 	for a := n; a != nil; a = a.parent {
 		a.size++
 	}
-	t.byUser[userID] = n
-	t.writeLeaf(n, len(n.entries)-1, &sig)
-	// The new leaf is one more kid under unchanged ancestors, so their
-	// aggregates only widen. A split that follows leaves every ancestor's
-	// fold as it is — the same leaves, in the same order.
-	t.widenPath(n, &sig)
+	t.byUser[userID] = slot{n, i}
+	t.updateEntry(n, i, &sig)
 	if len(n.entries) > t.fanout {
 		t.splitLeaf(n)
 	}
@@ -556,28 +547,31 @@ func (t *Tree) UpdateCopy(userID string, sig *Signature) bool {
 
 // updateEntry rewrites the i-th entry of leaf node n.
 func (t *Tree) updateEntry(n *node, i int, sig *Signature) {
-	t.markDirty(&n.entries[i].Sig, sig)
+	e := &n.entries[i].Sig
+	old := e.scalars()
+	t.prodMoves = appendMoves(t.prodMoves[:0], e.Prod, sig.Prod)
+	t.entMoves = appendMoves(t.entMoves[:0], e.Ent, sig.Ent)
 	t.writeLeaf(n, i, sig)
-	t.refoldPath(n)
+	t.deltaWalk(n, e, old)
 }
 
 // UpdateProbs restamps only the cached BiHMM probabilities of a user's
 // leaf, leaving the count statistics untouched — the non-dirty-category
 // leg of an incremental refresh, where the short-term prediction changed
 // (the window grew) but no event landed in this tree's category. No count
-// coordinate is dirty, so the refold touches only the scalars and stops
-// at the first ancestor whose maxima did not move. Returns false if the
-// user is absent.
+// moves, so the walk carries only Pl and Ps and stops at the first
+// ancestor whose maxima did not move. Returns false if the user is absent.
 func (t *Tree) UpdateProbs(userID string, pl, ps float64) bool {
 	n, i := t.entry(userID)
 	if n == nil {
 		return false
 	}
-	e := &n.entries[i]
-	e.Sig.Pl, e.Sig.Ps = pl, ps
-	e.Sig.stampLogs()
-	t.prodDirty, t.entDirty = t.prodDirty[:0], t.entDirty[:0]
-	t.refoldPath(n)
+	e := &n.entries[i].Sig
+	old := e.scalars()
+	e.Pl, e.Ps = pl, ps
+	e.stampLogs()
+	t.prodMoves, t.entMoves = t.prodMoves[:0], t.entMoves[:0]
+	t.deltaWalk(n, e, old)
 	return true
 }
 
@@ -627,151 +621,170 @@ func (t *Tree) repack(n *node, i int, sig *Signature) {
 	}
 }
 
-// markDirty records in the tree's coordinate scratch every producer and
-// entity index at which next differs from prev.
-func (t *Tree) markDirty(prev, next *Signature) {
-	t.prodDirty = appendChanged(t.prodDirty[:0], prev.Prod, next.Prod)
-	t.entDirty = appendChanged(t.entDirty[:0], prev.Ent, next.Ent)
+// absent is the old value of a new entry's scalars. No fold ever holds
+// NaN, so the walk never takes the new kid for the holder of a fold.
+var absent = math.NaN()
+
+// countMove is one count coordinate's change at a kid: its value before a
+// write and after it.
+type countMove struct {
+	idx      int32
+	old, new float64
 }
 
-// appendChanged appends, in ascending order, the indices at which prev and
-// next differ bit for bit, reading an unlisted coordinate as +0.
-func appendChanged(dirty []int32, prev, next []Coord) []int32 {
+// scalars returns the fields of s that folds keep: the Pl and Ps maxima,
+// then the ProdTotal and EntTotal minima.
+func (s *Signature) scalars() [4]float64 {
+	return [4]float64{s.Pl, s.Ps, s.ProdTotal, s.EntTotal}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// appendMoves appends, in ascending order, a move for each coordinate at
+// which next differs from prev bit for bit, reading an unlisted coordinate
+// as +0.
+func appendMoves(moves []countMove, prev, next []Coord) []countMove {
 	i, j := 0, 0
 	for i < len(prev) || j < len(next) {
+		var m countMove
 		switch {
 		case j == len(next) || (i < len(prev) && prev[i].Idx < next[j].Idx):
-			if math.Float64bits(prev[i].Val) != 0 {
-				dirty = append(dirty, prev[i].Idx)
-			}
+			m = countMove{prev[i].Idx, prev[i].Val, 0}
 			i++
 		case i == len(prev) || next[j].Idx < prev[i].Idx:
-			if math.Float64bits(next[j].Val) != 0 {
-				dirty = append(dirty, next[j].Idx)
-			}
+			m = countMove{next[j].Idx, 0, next[j].Val}
 			j++
 		default:
-			if math.Float64bits(prev[i].Val) != math.Float64bits(next[j].Val) {
-				dirty = append(dirty, next[j].Idx)
-			}
+			m = countMove{next[j].Idx, prev[i].Val, next[j].Val}
 			i++
 			j++
 		}
-	}
-	return dirty
-}
-
-// refoldPath restores the aggregates from leaf node n to the root after
-// one of its entries changed in place, with t.prodDirty/t.entDirty holding
-// the count coordinates that changed. Each level refolds the four
-// scalars over its ≤ fanout kids and the count maxima only at the dirty
-// coordinates; a coordinate whose aggregate came out bit-identical is
-// dropped before the next level, and the walk stops at the first node
-// whose aggregate did not change at all. Max and min are exact and
-// widenMax/narrowMin fold the kids in the same order as recomputeSig, so
-// every aggregate equals a from-scratch fold.
-func (t *Tree) refoldPath(n *node) {
-	for ; n != nil; n = n.parent {
-		changed := refoldScalars(n)
-		t.prodDirty = refoldCounts(n, t.prodDirty, false)
-		t.entDirty = refoldCounts(n, t.entDirty, true)
-		if !changed && len(t.prodDirty) == 0 && len(t.entDirty) == 0 {
-			return
+		if !sameBits(m.old, m.new) {
+			moves = append(moves, m)
 		}
 	}
+	return moves
 }
 
-// widenPath restores the aggregates from leaf node n to the root after sig
-// was appended to n as a new entry, before any split. One more kid can only
-// raise a maximum or lower a minimum, so each level folds the new values
-// into its aggregate with widenMax/narrowMin instead of refolding its kids:
-// at n the entry's scalars and listed counts, above it the child's
-// aggregate scalars and the counts that moved in it. The walk stops at the
-// first node whose aggregate did not move.
-//
-// Folding a kid's new value into the old aggregate equals the full fold in
-// kid order whenever the two differ in value, or agree in bits: the
-// extremum is then unique in value, or its bits are the same whichever kid
-// holds it first. A field or coordinate whose values are equal but not in
-// bits (±0), or where either is NaN, is refolded over the level's kids.
-func (t *Tree) widenPath(n *node, sig *Signature) {
-	prod := append(t.prodWide[:0], sig.Prod...)
-	ent := append(t.entWide[:0], sig.Ent...)
-	for src := sig; n != nil; src, n = &n.sig, n.parent {
-		changed := widenScalars(n, src)
-		prod = widenCounts(n, prod, false)
-		ent = widenCounts(n, ent, true)
+// deltaWalk restores the aggregates from leaf node n to the root after
+// one of n's kids, kid, changed: its scalars from old, its counts as
+// t.prodMoves and t.entMoves list. Each level folds every moved field's
+// (old, new) pair into its aggregate with passFold, refolding over the
+// level's kids only the fields passFold cannot tell, and hands its own
+// aggregate's moves to the parent. The walk stops at the first node whose
+// aggregate did not change at all.
+func (t *Tree) deltaWalk(n *node, kid *Signature, old [4]float64) {
+	prod, ent := t.prodMoves, t.entMoves
+	for ; n != nil; n = n.parent {
+		prev := n.sig.scalars()
+		changed := foldScalarMoves(n, old, kid.scalars())
+		prod = foldCountMoves(n, prod, false)
+		ent = foldCountMoves(n, ent, true)
 		if !changed && len(prod) == 0 && len(ent) == 0 {
 			break
 		}
+		kid, old = &n.sig, prev
 	}
-	t.prodWide, t.entWide = prod, ent
+	t.prodMoves, t.entMoves = prod, ent
 }
 
-// foldable reports whether folding v into aggregate acc by itself agrees
-// with a full fold over the kids (see widenPath).
-func foldable(acc, v float64) bool {
-	if acc == v {
-		return math.Float64bits(acc) == math.Float64bits(v)
+// passFold returns the fold of a field over a level's kids after one kid's
+// value moved from old to new, given a, the fold before: a maximum (max)
+// or a minimum, in kid order from the identity with widenMax or
+// narrowMin. Such a fold is the identity if no kid strictly passes it,
+// and otherwise the bits of the first kid holding the extreme value. So
+// when new strictly passes a, it passes every other kid and is the fold.
+// When the kid did not hold a's value (old != a, NaN included), the fold
+// stays a: its holder is unchanged, or new ties it with a's very bits.
+// Otherwise — the kid may have held the fold, or new ties a with other
+// bits (±0) — ok is false and the field must be refolded over the kids.
+func passFold(a, old, new float64, max bool) (fold float64, ok bool) {
+	if max && new > a || !max && new < a {
+		return new, true
 	}
-	return acc == acc && v == v
+	if old != a {
+		return a, new != a || sameBits(new, a)
+	}
+	return a, false
 }
 
-// widenScalars folds src's Pl/Ps and totals into n's aggregate and
-// reports whether any of the four changed bit for bit.
-func widenScalars(n *node, src *Signature) bool {
+// foldScalarMoves folds a kid's scalars' move from old to new into n's
+// aggregate and reports whether any of the four changed bit for bit.
+func foldScalarMoves(n *node, old, new [4]float64) bool {
 	s := &n.sig
-	if !foldable(s.Pl, src.Pl) || !foldable(s.Ps, src.Ps) ||
-		!foldable(s.ProdTotal, src.ProdTotal) || !foldable(s.EntTotal, src.EntTotal) {
-		return refoldScalars(n)
-	}
-	pl, ps := widenMax(s.Pl, src.Pl), widenMax(s.Ps, src.Ps)
-	prodTotal, entTotal := narrowMin(s.ProdTotal, src.ProdTotal), narrowMin(s.EntTotal, src.EntTotal)
-	if math.Float64bits(pl) == math.Float64bits(s.Pl) && math.Float64bits(ps) == math.Float64bits(s.Ps) &&
-		math.Float64bits(prodTotal) == math.Float64bits(s.ProdTotal) &&
-		math.Float64bits(entTotal) == math.Float64bits(s.EntTotal) {
-		return false
-	}
-	s.Pl, s.Ps, s.ProdTotal, s.EntTotal = pl, ps, prodTotal, entTotal
-	s.stampLogs()
-	return true
-}
-
-// widenCounts folds the ascending count coordinates moved into n's
-// producer (ent=false) or entity count maxima and returns, compacted in
-// place, those whose aggregate changed, each holding its new maximum. A
-// dense vector follows every change.
-func widenCounts(n *node, moved []Coord, ent bool) []Coord {
-	agg, vec := n.sig.coords(ent), n.vec(ent)
-	kept := moved[:0]
-	from := 0
-	for _, c := range moved {
-		pos := from + seekIdx((*agg)[from:], c.Idx)
-		listed := pos < len(*agg) && (*agg)[pos].Idx == c.Idx
-		var cur float64
-		if listed {
-			cur = (*agg)[pos].Val
-		}
-		from = pos
-		m := widenMax(cur, c.Val)
-		if !foldable(cur, c.Val) {
-			m = foldAt(n, ent, c.Idx)
-		}
-		if math.Float64bits(m) == math.Float64bits(cur) {
+	cur := s.scalars()
+	next := cur
+	for f := range next {
+		if sameBits(old[f], new[f]) {
 			continue
 		}
-		// m > cur ≥ +0: the maximum only rises, so it stays listed.
-		if listed {
-			(*agg)[pos].Val = m
+		v, ok := passFold(cur[f], old[f], new[f], f < 2)
+		if !ok {
+			return refoldScalars(n)
+		}
+		next[f] = v
+	}
+	for f := range next {
+		if !sameBits(next[f], cur[f]) {
+			s.Pl, s.Ps, s.ProdTotal, s.EntTotal = next[0], next[1], next[2], next[3]
+			s.stampLogs()
+			return true
+		}
+	}
+	return false
+}
+
+// foldCountMoves folds a kid's ascending count moves into n's producer
+// (ent=false) or entity count maxima and returns, compacted in place, the
+// moves of n's own maxima: those that changed bit for bit. It reads a
+// maximum from the dense vector when n has one and seeks the list only to
+// write a maximum that moved. A maximum that falls to +0 leaves the list,
+// one that rises from +0 joins it, and a dense vector follows every
+// change.
+func foldCountMoves(n *node, moves []countMove, ent bool) []countMove {
+	agg, vec := n.sig.coords(ent), n.vec(ent)
+	kept := moves[:0]
+	from := 0 // no coordinate still to visit lies before it in the list
+	for _, m := range moves {
+		var a float64
+		pos := -1
+		if v := *vec; v != nil {
+			if int(m.idx) < len(v) {
+				a = v[m.idx]
+			}
 		} else {
-			*agg = slices.Insert(*agg, pos, Coord{Idx: c.Idx, Val: m})
+			pos = from + seekIdx((*agg)[from:], m.idx)
+			from = pos
+			if pos < len(*agg) && (*agg)[pos].Idx == m.idx {
+				a = (*agg)[pos].Val
+			}
 		}
-		from = pos + 1
+		fold, ok := passFold(a, m.old, m.new, true)
+		if !ok {
+			fold = foldAt(n, ent, m.idx)
+		}
+		if sameBits(fold, a) {
+			continue
+		}
+		if pos < 0 {
+			pos = from + seekIdx((*agg)[from:], m.idx)
+		}
+		switch {
+		case sameBits(fold, 0): // a ≠ +0, so it was listed
+			*agg = slices.Delete(*agg, pos, pos+1)
+			from = pos
+		case sameBits(a, 0):
+			*agg = slices.Insert(*agg, pos, Coord{Idx: m.idx, Val: fold})
+			from = pos + 1
+		default:
+			(*agg)[pos].Val = fold
+			from = pos + 1
+		}
 		if *vec != nil {
-			*vec = growTo(*vec, int(c.Idx)+1)
-			(*vec)[c.Idx] = m
+			*vec = growTo(*vec, int(m.idx)+1)
+			(*vec)[m.idx] = fold
 		}
-		kept = append(kept, Coord{Idx: c.Idx, Val: m})
+		kept = append(kept, countMove{m.idx, a, fold})
 	}
 	if len(kept) > 0 && *vec == nil && wantsVec(*agg) {
 		n.syncVec(ent)
@@ -808,48 +821,9 @@ func refoldScalars(n *node) bool {
 	return changed
 }
 
-// refoldCounts refolds n's producer (ent=false) or entity (ent=true) count
-// maxima at the dirty coordinates and returns, compacted in place, those
-// whose aggregate changed. A coordinate whose maximum falls to +0 leaves
-// the aggregate's list; one that rises from +0 joins it. A dense vector
-// follows every change.
-func refoldCounts(n *node, dirty []int32, ent bool) []int32 {
-	agg := n.sig.coords(ent)
-	kept := dirty[:0]
-	for _, i := range dirty {
-		m := foldAt(n, ent, i)
-		pos := seekIdx(*agg, i)
-		listed := pos < len(*agg) && (*agg)[pos].Idx == i
-		var cur float64
-		if listed {
-			cur = (*agg)[pos].Val
-		}
-		if math.Float64bits(m) == math.Float64bits(cur) {
-			continue
-		}
-		switch {
-		case math.Float64bits(m) == 0:
-			*agg = slices.Delete(*agg, pos, pos+1)
-		case listed:
-			(*agg)[pos].Val = m
-		default:
-			*agg = slices.Insert(*agg, pos, Coord{Idx: i, Val: m})
-		}
-		if v := n.vec(ent); *v != nil {
-			*v = growTo(*v, int(i)+1)
-			(*v)[i] = m
-		}
-		kept = append(kept, i)
-	}
-	if len(kept) > 0 && *n.vec(ent) == nil && wantsVec(*agg) {
-		n.syncVec(ent)
-	}
-	return kept
-}
-
 // recomputeSig refolds n's aggregate from scratch over all its kids — the
-// structural paths' refresh (Delete, splits) and the oracle the
-// field-wise refold of refoldPath must reproduce bit for bit. It reuses
+// structural paths' refresh (Delete, splits) and the oracle deltaWalk
+// must reproduce bit for bit. It reuses
 // the node's own list buffers (kids never share them), so a warm refold
 // does not allocate.
 func (t *Tree) recomputeSig(n *node) {
@@ -954,7 +928,7 @@ func (t *Tree) splitLeaf(n *node) {
 	handover(n, left)
 	for _, half := range []*node{left, right} {
 		for i := range half.entries {
-			t.byUser[half.entries[i].UserID] = half
+			t.byUser[half.entries[i].UserID] = slot{half, i}
 		}
 		half.size = len(half.entries)
 		t.repack(half, -1, nil)
@@ -1016,6 +990,9 @@ func (t *Tree) Delete(userID string) bool {
 		a.size--
 	}
 	delete(t.byUser, userID)
+	for k := i; k < len(n.entries); k++ {
+		t.byUser[n.entries[k].UserID] = slot{n, k}
+	}
 	t.repack(n, -1, nil)
 	t.propagateUp(n)
 	return true

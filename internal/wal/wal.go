@@ -97,14 +97,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeRecord frames a record for appending.
 func EncodeRecord(seq uint64, kind Kind, payload []byte) []byte {
-	body := make([]byte, bodyHeader+len(payload))
+	buf := make([]byte, recordHeader+bodyHeader+len(payload))
+	body := buf[recordHeader:]
 	binary.LittleEndian.PutUint64(body, seq)
 	body[8] = byte(kind)
 	copy(body[bodyHeader:], payload)
-	buf := make([]byte, recordHeader+len(body))
 	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(body, castagnoli))
-	copy(buf[recordHeader:], body)
 	return buf
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -36,6 +37,16 @@ func collect(t *testing.T, l *Log, from uint64) []Record {
 		t.Fatalf("Replay: %v", err)
 	}
 	return recs
+}
+
+// TestEncodeRecordBytes pins the record framing byte for byte: body
+// length, CRC-32C of the body, then sequence, kind and payload, all
+// little-endian. Logs written by any build must keep reading.
+func TestEncodeRecordBytes(t *testing.T) {
+	got := hex.EncodeToString(EncodeRecord(0x0102030405060708, KindRegister, []byte("payload")))
+	if want := "100000007df0d6350807060504030201027061796c6f6164"; got != want {
+		t.Fatalf("record %s, want %s", got, want)
+	}
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
