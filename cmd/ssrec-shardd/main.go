@@ -1,8 +1,7 @@
 // Command ssrec-shardd serves ONE shard of a distributed ssRec deployment
 // over the shard RPC protocol (internal/shardrpc): HTTP/2 with binary
-// frames (and the JSON of older routers), with the multiplexed query
-// stream, micro-batch
-// replication, per-shard stats and the snapshot boot/handoff endpoint.
+// frames, with the multiplexed query stream, micro-batch replication,
+// per-shard stats and the snapshot boot/handoff endpoint.
 //
 // A shardd always knows its identity — shard -index of an -of-wide
 // deployment — and boots in one of two ways:

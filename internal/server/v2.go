@@ -223,9 +223,11 @@ func (s *Server) handleObserveV2(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(st) //nolint:errcheck // response already streaming
 	}
 
+	// The micro-batch and its line numbers are allocated once, at their
+	// full size, and reused after each flush.
+	batch := make([]core.Observation, 0, s.BatchSize)
+	lines := make([]int, 0, s.BatchSize) // input line number of each batch entry
 	var (
-		batch    []core.Observation
-		lines    []int // input line number of each batch entry
 		applied  int
 		invalid  int
 		flushed  int

@@ -346,3 +346,34 @@ func TestRequestIDPassthrough(t *testing.T) {
 		t.Fatalf("X-Request-ID = %q, want passthrough", got)
 	}
 }
+
+// BenchmarkObserveV2Request posts one /v2/observe request of 64 lines —
+// one micro-batch at the default BatchSize — cut from the stream the
+// server was not trained on. B/op and allocs/op count the whole request:
+// the handler, its JSON decoding and the engine's observe.
+func BenchmarkObserveV2Request(b *testing.B) {
+	s, ds := testServer(b)
+	h := s.Handler()
+	rest := ds.Interactions[len(ds.Interactions)/3:]
+	if len(rest) < s.BatchSize {
+		b.Fatalf("the dataset streams %d interactions, want %d", len(rest), s.BatchSize)
+	}
+	var body []byte
+	for _, ir := range rest[:s.BatchSize] {
+		v, ok := ds.Item(ir.ItemID)
+		if !ok {
+			b.Fatalf("interaction references unknown item %q", ir.ItemID)
+		}
+		body = append(append(body, observeLine(ir.UserID, v, ir.Timestamp)...), '\n')
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		req := httptest.NewRequest(http.MethodPost, "/v2/observe", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), fmt.Sprintf(`"applied":%d`, s.BatchSize)) {
+			b.Fatalf("status %d: %s", rr.Code, rr.Body.String()[max(0, rr.Body.Len()-200):])
+		}
+	}
+}

@@ -8,7 +8,6 @@ package shardrpc
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -371,7 +370,7 @@ func TestAskRemoteStatsAreSoloSums(t *testing.T) {
 }
 
 // TestAskDuplicateIDBreaksStream: an ask that reuses the id of a query
-// still in flight breaks the stream, as an undecodable line does: the
+// still in flight breaks the stream, as an undecodable frame does: the
 // shard reads no further, answers the first ask and never registers the
 // second item. The first ask is held in flight by a log whose checkpoint
 // blocks its registration's append.
@@ -396,15 +395,13 @@ func TestAskDuplicateIDBreaksStream(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		lb.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathQueryStream, pr))
+		req := httptest.NewRequest(http.MethodPost, pathQueryStream, pr)
+		req.Header.Set("Content-Type", contentTypeFrames)
+		lb.srv.Handler().ServeHTTP(rec, req)
 	}()
-	o := toOptionsWire(core.ResolveOptions(core.WithK(3)))
+	o := core.ResolveOptions(core.WithK(3))
 	for _, v := range []model.Item{first, second} {
-		line, err := json.Marshal(qsLine{ID: 1, Ask: &qsAsk{Item: toItemWire(v), Options: o}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pw.Write(append(line, '\n')); err != nil {
+		if _, err := pw.Write(encodeBody(func(f *frameWriter) { f.ask(1, &askMsg{item: v, opts: o}) })); err != nil {
 			t.Fatalf("write ask %s: %v", v.ID, err)
 		}
 	}
@@ -420,17 +417,24 @@ func TestAskDuplicateIDBreaksStream(t *testing.T) {
 		t.Fatal("the stream did not end after its first ask answered")
 	}
 
-	var lines []qsLine
-	dec := json.NewDecoder(rec.Body)
+	var terms []terminal
+	f := newFrameReader(rec.Body, maxFrameBytes)
 	for {
-		var line qsLine
-		if err := dec.Decode(&line); err != nil {
+		kind, err := f.next()
+		if err != nil {
 			break
 		}
-		lines = append(lines, line)
+		if kind != frameTerminal {
+			t.Fatalf("stream with a duplicate ask id answered a frame of kind %d", kind)
+		}
+		tm, err := f.terminal()
+		if err != nil {
+			t.Fatalf("terminal frame: %v", err)
+		}
+		terms = append(terms, tm)
 	}
-	if len(lines) != 1 || lines[0].ID != 1 || lines[0].Result == nil || lines[0].Result.ItemID != first.ID {
-		t.Fatalf("stream with a duplicate ask id answered %+v, want one terminal line for %s", lines, first.ID)
+	if len(terms) != 1 || terms[0].id != 1 || terms[0].err != nil || terms[0].res.ItemID != first.ID {
+		t.Fatalf("stream with a duplicate ask id answered %+v, want one terminal frame for %s", terms, first.ID)
 	}
 	eng := lb.srv.boot.Load().local.Engine()
 	if eng.NeedsRegistration([]model.Item{first}) {

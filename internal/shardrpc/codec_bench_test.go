@@ -3,7 +3,6 @@ package shardrpc
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -38,32 +37,12 @@ func ytubeBatch(b *testing.B) []core.Observation {
 	return batch
 }
 
-// BenchmarkObserveCodec compares the two codecs of a POST /observe body
-// on a 64-observation YTube-5k batch: the JSON an older router sends and
-// the frames a router sends now, each encoded as the router encodes it
-// and decoded as the shardd decodes it. bytes/frame is the body's size.
+// BenchmarkObserveCodec times the frames of a POST /observe body on a
+// 64-observation YTube-5k batch, encoded as the router encodes it and
+// decoded as the shardd decodes it. bytes/frame is the body's size.
 func BenchmarkObserveCodec(b *testing.B) {
 	batch := ytubeBatch(b)
-	legacy := toObsWire(batch)
-	jsonBody, err := json.Marshal(legacy)
-	if err != nil {
-		b.Fatal(err)
-	}
 	body := encodeBody(func(f *frameWriter) { f.observe(batch) })
-	runCodec(b, "json/encode", len(jsonBody), func() error {
-		_, err := json.Marshal(legacy)
-		return err
-	})
-	runCodec(b, "json/decode", len(jsonBody), func() error {
-		var w observeWire
-		if err := json.NewDecoder(bytes.NewReader(jsonBody)).Decode(&w); err != nil {
-			return err
-		}
-		if got := w.batch(); len(got) != len(batch) {
-			return fmt.Errorf("decoded %d observations", len(got))
-		}
-		return nil
-	})
 	runCodec(b, "frames/encode", len(body), func() error {
 		encodeBody(func(f *frameWriter) { f.observe(batch) })
 		return nil
@@ -77,11 +56,9 @@ func BenchmarkObserveCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryStreamCodec compares the two codecs of a k = 30 terminal
-// message of the query stream: an NDJSON line as a shardd answers an
-// older router, and a terminal frame as it answers a router now, each
-// encoded as the shardd encodes it and decoded as the router decodes it.
-// bytes/frame is the message's size.
+// BenchmarkQueryStreamCodec times a k = 30 terminal frame of the query
+// stream, encoded as the shardd encodes it and decoded as the router
+// decodes it. bytes/frame is the frame's size.
 func BenchmarkQueryStreamCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	res := core.Result{ItemID: "v004217"}
@@ -91,30 +68,7 @@ func BenchmarkQueryStreamCodec(b *testing.B) {
 	}
 	res.Stats.NodesVisited, res.Stats.EntriesScored, res.Stats.EntriesSkipped = 212, 1304, 87
 	t := &terminal{id: 48213, res: res, changed: true}
-	line := func(dst []byte) ([]byte, error) {
-		raw, err := json.Marshal(qsLine{ID: t.id, Result: toResultWire(t.res), Changed: t.changed})
-		return append(append(dst, raw...), '\n'), err
-	}
-	jsonLine, err := line(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	frame := encodeBody(func(f *frameWriter) { f.terminal(t) })
-	var out []byte
-	runCodec(b, "json/encode", len(jsonLine), func() error {
-		out, err = line(out[:0])
-		return err
-	})
-	runCodec(b, "json/decode", len(jsonLine), func() error {
-		var l qsLine
-		if err := json.NewDecoder(bytes.NewReader(jsonLine)).Decode(&l); err != nil {
-			return err
-		}
-		if got := l.Result.result(); len(got.Recommendations) != 30 {
-			return fmt.Errorf("decoded %d recommendations", len(got.Recommendations))
-		}
-		return nil
-	})
 	var fw frameWriter
 	runCodec(b, "frames/encode", len(frame), func() error {
 		fw.out = fw.out[:0]

@@ -3,7 +3,6 @@ package shardrpc
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -41,10 +40,13 @@ func bootedServer(t *testing.T) *Server {
 	return srv
 }
 
-// serveStream feeds body to srv's query stream and returns the response.
+// serveStream feeds body to srv's query stream as frames and returns the
+// response.
 func serveStream(srv *Server, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathQueryStream, bytes.NewReader(body)))
+	req := httptest.NewRequest(http.MethodPost, pathQueryStream, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentTypeFrames)
+	srv.Handler().ServeHTTP(rec, req)
 	return rec
 }
 
@@ -77,37 +79,6 @@ func TestQueryStreamFrameCap(t *testing.T) {
 	eng := srv.boot.Load().local.Engine()
 	if !eng.NeedsRegistration([]model.Item{long}) || !eng.NeedsRegistration([]model.Item{late}) {
 		t.Fatal("an ask at or behind the oversized frame was registered")
-	}
-}
-
-// TestLegacyQueryStreamLineCap: an older router's NDJSON line longer than
-// MaxBodyBytes breaks the stream once the shardd has buffered the cap,
-// and the asks behind it are never read; a line within the cap is served.
-func TestLegacyQueryStreamLineCap(t *testing.T) {
-	tc := buildTinyCorpus()
-	srv := bootedServer(t)
-	srv.MaxBodyBytes = 1 << 10
-	line := func(id uint64, v model.Item) []byte {
-		raw, err := json.Marshal(qsLine{ID: id, Ask: &qsAsk{Item: toItemWire(v), Options: toOptionsWire(core.QueryOptions{K: 3})}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(raw, '\n')
-	}
-	if rec := serveStream(srv, line(1, tc.fresh[0])); !strings.Contains(rec.Body.String(), `"result"`) {
-		t.Fatalf("a line within the cap answered %q", rec.Body.String())
-	}
-
-	long := tc.fresh[1]
-	long.Description = strings.Repeat("x", int(srv.MaxBodyBytes))
-	late := tc.fresh[2]
-	rec := serveStream(srv, append(line(2, long), line(3, late)...))
-	if rec.Body.Len() != 0 {
-		t.Fatalf("the stream went on past a line over the cap: %q", rec.Body.String())
-	}
-	eng := srv.boot.Load().local.Engine()
-	if !eng.NeedsRegistration([]model.Item{long}) || !eng.NeedsRegistration([]model.Item{late}) {
-		t.Fatal("an ask at or behind the oversized line was registered")
 	}
 }
 

@@ -44,17 +44,16 @@ import (
 	"ssrec/internal/telemetry"
 )
 
-// contentTypeFrames marks a request body of frames. A body without it is
-// read as the JSON an older router sends.
+// contentTypeFrames marks a request body of frames, the only request
+// codec a shardd reads: a request without it is refused with 415.
 const contentTypeFrames = "application/x-ssrec-frames"
 
 // framesVersion is the frame codec version this shardd reads, announced
 // as "frames" in its health body. A shardd that reads version n reads
-// every version below it, as it keeps reading JSON.
+// every version below it.
 const framesVersion = 1
 
-// Frame kinds. A legacy NDJSON query stream starts with '{', which no
-// kind may take.
+// Frame kinds.
 const (
 	frameRegister       byte = 1
 	frameObserve        byte = 2
@@ -346,6 +345,12 @@ func (f *frameReader) ask() (uint64, askMsg, error) {
 		}
 	}
 	return id, a, f.done()
+}
+
+// cancel decodes a cancel frame's payload.
+func (f *frameReader) cancel() (uint64, error) {
+	id := f.rec.Uvarint()
+	return id, f.done()
 }
 
 // terminal decodes a terminal frame's payload.

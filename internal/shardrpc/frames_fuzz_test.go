@@ -1,10 +1,8 @@
 package shardrpc
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -202,28 +200,8 @@ func FuzzQueryStreamFrame(f *testing.F) {
 	h := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The shardd's receiver.
-		next, _ := srv.frameStream(bufio.NewReader(bytes.NewReader(data)))
-		for {
-			m, err := next()
-			if err != nil {
-				break
-			}
-			switch {
-			case m.ask != nil:
-				checkFrame(t, func(f *frameWriter) { f.ask(m.id, m.ask) }, func(f *frameReader) (func(*frameWriter), error) {
-					id, a, err := f.ask()
-					return func(f *frameWriter) { f.ask(id, &a) }, err
-				})
-			case m.cancel:
-				checkFrame(t, func(f *frameWriter) { f.cancel(m.id) }, func(f *frameReader) (func(*frameWriter), error) {
-					id := f.rec.Uvarint()
-					return func(f *frameWriter) { f.cancel(id) }, f.done()
-				})
-			}
-		}
-
-		// The router's receiver, frame by frame.
+		// Frame by frame, the shardd's receiver of asks and cancels and
+		// the router's receiver of terminal frames.
 		fr := newFrameReader(bytes.NewReader(data), len(data))
 		for {
 			kind, err := fr.next()
@@ -231,17 +209,33 @@ func FuzzQueryStreamFrame(f *testing.F) {
 				break
 			}
 			frame := binrec.AppendRecord(nil, kind, fr.rec.Buf)
-			if kind == frameTerminal {
+			switch kind {
+			case frameAsk:
+				if id, a, err := fr.ask(); err == nil {
+					checkFrame(t, func(f *frameWriter) { f.ask(id, &a) }, func(f *frameReader) (func(*frameWriter), error) {
+						id, a, err := f.ask()
+						return func(f *frameWriter) { f.ask(id, &a) }, err
+					})
+				}
+			case frameCancel:
+				if id, err := fr.cancel(); err == nil {
+					checkFrame(t, func(f *frameWriter) { f.cancel(id) }, func(f *frameReader) (func(*frameWriter), error) {
+						id, err := f.cancel()
+						return func(f *frameWriter) { f.cancel(id) }, err
+					})
+				}
+			case frameTerminal:
 				if tm, err := fr.terminal(); err == nil {
 					checkFrame(t, func(f *frameWriter) { f.terminal(&tm) }, func(f *frameReader) (func(*frameWriter), error) {
 						back, err := f.terminal()
 						return func(f *frameWriter) { f.terminal(&back) }, err
 					})
 				}
-			} else {
+			}
+			if kind != frameTerminal {
 				checkClientSkips(t, frame)
 			}
-			if kind != frameAsk && kind != frameCancel && kind != '{' {
+			if kind != frameAsk && kind != frameCancel {
 				checkShardSkips(t, h, frame)
 			}
 		}
@@ -272,7 +266,9 @@ func checkFrame(t *testing.T, encode func(*frameWriter), decode func(*frameReade
 func checkShardSkips(t *testing.T, h http.Handler, frame []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathQueryStream, bytes.NewReader(frame)))
+	req := httptest.NewRequest(http.MethodPost, pathQueryStream, bytes.NewReader(frame))
+	req.Header.Set("Content-Type", contentTypeFrames)
+	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
 		t.Fatalf("shardd answered the frame %x: status %d, body %q", frame, rec.Code, rec.Body.String())
 	}
@@ -302,110 +298,4 @@ func readAlone(body []byte, id uint64) muxResp {
 	}
 	ms.read(io.NopCloser(bytes.NewReader(body)))
 	return <-ch
-}
-
-// FuzzLegacyWriteBody fuzzes the shardd's reader of an older router's
-// JSON write bodies (Server.decode) on register, observe and replay.
-// Invariants: no panic; every accepted body re-encodes as JSON that
-// decodes and encodes back to the same bytes; and the batch it holds,
-// written as frames, reads back from the frame reader unchanged, so both
-// codecs hand the engine the same writes.
-func FuzzLegacyWriteBody(f *testing.F) {
-	tc := buildTinyCorpus()
-	var batch []core.Observation
-	for i, v := range tc.fresh[:3] {
-		batch = append(batch, core.Observation{UserID: fmt.Sprintf("user%d", i), Item: v, Timestamp: v.Timestamp})
-	}
-	for _, v := range []any{
-		toRegisterWire(tc.fresh),
-		toObsWire(batch),
-		toReplayWire([]shard.ReplayBatch{{Seq: 1, Items: tc.fresh[:1]}, {Seq: 2, Items: tc.fresh[1:2], Obs: batch}}),
-	} {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	f.Add([]byte(`{"items":[{"id":"x","category":"music","entities":[]}]}`))
-	f.Add([]byte(`{"observations":[{"user_id":"u","item":{"id":"x"},"timestamp":-1}]}`))
-	f.Add([]byte(`{"batches":[{"seq":3}]}`))
-	f.Add([]byte(`{"batches":[{"seq":1,"register":{"items":null},"observe":{"observations":[]}}]}`))
-	f.Add([]byte(`{"items":[{"id":1}]}`))
-	f.Add([]byte(``))
-
-	srv, err := NewServer(0, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		decode := func(dst any) bool {
-			rec := httptest.NewRecorder()
-			ok := srv.decode(rec, httptest.NewRequest(http.MethodPost, pathObserve, bytes.NewReader(data)), dst)
-			if !ok && rec.Code != http.StatusBadRequest {
-				t.Fatalf("refused body answered %d, want 400", rec.Code)
-			}
-			return ok
-		}
-		var reg registerWire
-		if decode(&reg) {
-			checkJSONStable(t, &reg, new(registerWire))
-			items := reg.items()
-			checkSameAsFrames(t, func(f *frameWriter) { f.register(items) }, func(r io.Reader) (func(*frameWriter), error) {
-				back, err := readRegisterBody(r, 1<<20)
-				return func(f *frameWriter) { f.register(back) }, err
-			})
-		}
-		var obs observeWire
-		if decode(&obs) {
-			checkJSONStable(t, &obs, new(observeWire))
-			batch := obs.batch()
-			checkSameAsFrames(t, func(f *frameWriter) { f.observe(batch) }, func(r io.Reader) (func(*frameWriter), error) {
-				back, err := readObserveBody(r, 1<<20)
-				return func(f *frameWriter) { f.observe(back) }, err
-			})
-		}
-		var rep replayWire
-		if decode(&rep) {
-			checkJSONStable(t, &rep, new(replayWire))
-			if steps, err := rep.steps(); err == nil {
-				checkSameAsFrames(t, func(f *frameWriter) { encodeSteps(f, steps) }, func(r io.Reader) (func(*frameWriter), error) {
-					back, err := readReplayBody(r, 1<<20)
-					return func(f *frameWriter) { encodeSteps(f, back) }, err
-				})
-			}
-		}
-	})
-}
-
-// checkJSONStable holds an accepted JSON body to a stable relay: its
-// encoding decodes into fresh and encodes to the same bytes.
-func checkJSONStable(t *testing.T, v, fresh any) {
-	t.Helper()
-	once, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("accepted body does not re-encode: %v", err)
-	}
-	if err := json.Unmarshal(once, fresh); err != nil {
-		t.Fatalf("re-encoded body %s does not decode: %v", once, err)
-	}
-	twice, err := json.Marshal(fresh)
-	if err != nil || !bytes.Equal(once, twice) {
-		t.Fatalf("body is not stable across a relay (err %v):\n%s\n%s", err, once, twice)
-	}
-}
-
-// checkSameAsFrames writes a JSON-decoded batch as frames with encode,
-// reads it back with read, and holds the result's frames to the same
-// bytes: the frame codec carries everything the JSON one did.
-func checkSameAsFrames(t *testing.T, encode func(*frameWriter), read func(io.Reader) (func(*frameWriter), error)) {
-	t.Helper()
-	once := encodeBody(encode)
-	reencode, err := read(bytes.NewReader(once))
-	if err != nil {
-		t.Fatalf("the batch as frames %x does not decode: %v", once, err)
-	}
-	if twice := encodeBody(reencode); !bytes.Equal(once, twice) {
-		t.Fatalf("the batch changed through the frame codec:\n%x\n%x", once, twice)
-	}
 }

@@ -1,8 +1,7 @@
 // mixed_version_test.go holds the shard RPC to its peers from before the
 // frame codec. A router from before it sends JSON bodies and an NDJSON
-// query stream (with, older still, its bound on the ask and raise lines
-// after it); a new shardd must answer it exactly as it answers a new
-// router. A shardd from before it reads JSON only; a new router must
+// query stream; a new shardd must refuse them with 415 before it applies
+// anything. A shardd from before it reads JSON only; a new router must
 // refuse it before any member of the deployment applies a write.
 package shardrpc
 
@@ -13,11 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
-	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,60 +21,7 @@ import (
 	"ssrec/internal/core"
 	"ssrec/internal/model"
 	"ssrec/internal/shard"
-	"ssrec/internal/sigtree"
 )
-
-// ---- the encoders and decoders of a router from before the frames ----
-
-func toItemWire(v model.Item) itemWire {
-	return itemWire{ID: v.ID, Category: v.Category, Producer: v.Producer,
-		Entities: v.Entities, Description: v.Description, Timestamp: v.Timestamp}
-}
-
-func toOptionsWire(o core.QueryOptions) optionsWire {
-	return optionsWire{K: o.K, NoExpansion: o.NoExpansion}
-}
-
-func toObsWire(batch []core.Observation) *observeWire {
-	w := &observeWire{Observations: make([]obsWire, len(batch))}
-	for i, o := range batch {
-		w.Observations[i] = obsWire{UserID: o.UserID, Item: toItemWire(o.Item), Timestamp: o.Timestamp}
-	}
-	return w
-}
-
-func toRegisterWire(items []model.Item) *registerWire {
-	w := &registerWire{Items: make([]itemWire, len(items))}
-	for i, v := range items {
-		w.Items[i] = toItemWire(v)
-	}
-	return w
-}
-
-func toReplayWire(batches []shard.ReplayBatch) replayWire {
-	var w replayWire
-	for _, b := range batches {
-		if len(b.Items) > 0 {
-			w.Batches = append(w.Batches, replayBatchWire{Seq: b.Seq, Register: toRegisterWire(b.Items)})
-		}
-		if len(b.Obs) > 0 {
-			w.Batches = append(w.Batches, replayBatchWire{Seq: b.Seq, Observe: toObsWire(b.Obs)})
-		}
-	}
-	return w
-}
-
-func (w *resultWire) result() core.Result {
-	res := core.Result{ItemID: w.ItemID, Stats: sigtree.SearchStats{
-		NodesVisited:   w.Stats.NodesVisited,
-		EntriesScored:  w.Stats.EntriesScored,
-		EntriesSkipped: w.Stats.EntriesSkipped,
-	}}
-	for _, rec := range w.Recommendations {
-		res.Recommendations = append(res.Recommendations, model.Recommendation{UserID: rec.UserID, Score: rec.Score})
-	}
-	return res
-}
 
 // h2c is an HTTP client speaking unencrypted HTTP/2, as the query stream
 // needs.
@@ -88,188 +31,10 @@ func h2c() *http.Client {
 	return &http.Client{Transport: &http.Transport{Protocols: p}}
 }
 
-// legacyRouter drives one shardd as a router from before the frame codec
-// did: JSON write bodies and one NDJSON query stream, its asks sent one
-// at a time.
-type legacyRouter struct {
-	t      *testing.T
-	base   string
-	hc     *http.Client
-	pw     *io.PipeWriter
-	dec    *json.Decoder
-	nextID uint64
-}
-
-func newLegacyRouter(t *testing.T, addr string) *legacyRouter {
-	l := &legacyRouter{t: t, base: "http://" + addr, hc: h2c()}
-	t.Cleanup(func() {
-		if l.pw != nil {
-			l.pw.Close()
-		}
-		l.hc.CloseIdleConnections()
-	})
-	return l
-}
-
-func (l *legacyRouter) post(path string, in, out any) {
-	l.t.Helper()
-	raw, err := json.Marshal(in)
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	resp, err := l.hc.Post(l.base+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		l.t.Fatalf("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		l.t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, msg)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		l.t.Fatalf("POST %s: response: %v", path, err)
-	}
-}
-
-func (l *legacyRouter) register(items []model.Item) bool {
-	var resp registerRespWire
-	l.post(pathRegister, toRegisterWire(items), &resp)
-	return resp.Changed
-}
-
-func (l *legacyRouter) observe(batch []core.Observation) (core.BatchReport, error) {
-	var resp observeRespWire
-	l.post(pathObserve, toObsWire(batch), &resp)
-	return resp.report(), decodeErr(resp.Error)
-}
-
-func (l *legacyRouter) replay(batches []shard.ReplayBatch) replayRespWire {
-	var resp replayRespWire
-	l.post(pathReplay, toReplayWire(batches), &resp)
-	return resp
-}
-
-// ask sends one ask line and reads lines up to its terminal line.
-func (l *legacyRouter) ask(v model.Item, o core.QueryOptions) (core.Result, bool, error) {
-	l.t.Helper()
-	if l.pw == nil {
-		pr, pw := io.Pipe()
-		req, err := http.NewRequest(http.MethodPost, l.base+pathQueryStream, pr)
-		if err != nil {
-			l.t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
-		resp, err := l.hc.Do(req)
-		if err != nil {
-			l.t.Fatalf("open the query stream: %v", err)
-		}
-		l.t.Cleanup(func() { resp.Body.Close() })
-		l.pw, l.dec = pw, json.NewDecoder(resp.Body)
-	}
-	l.nextID++
-	raw, err := json.Marshal(qsLine{ID: l.nextID, Ask: &qsAsk{Item: toItemWire(v), Options: toOptionsWire(o)}})
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	if _, err := l.pw.Write(append(raw, '\n')); err != nil {
-		l.t.Fatalf("ask %s: %v", v.ID, err)
-	}
-	for {
-		var line qsLine
-		if err := l.dec.Decode(&line); err != nil {
-			l.t.Fatalf("ask %s: terminal line: %v", v.ID, err)
-		}
-		if line.ID != l.nextID || (line.Result == nil && line.Err == nil) {
-			continue
-		}
-		var res core.Result
-		if line.Result != nil {
-			res = line.Result.result()
-		}
-		return res, line.Changed, decodeErr(line.Err)
-	}
-}
-
-// TestLegacyRouterMatchesNewRouter: a router from before the frame codec
-// and a new one drive two shardds booted from one snapshot through the
-// same registrations, micro-batches, replays and asks. Every answer —
-// changed flags, batch reports, replay counts, rankings to the bit and
-// search stats — must match.
-func TestLegacyRouterMatchesNewRouter(t *testing.T) {
-	tc := buildTinyCorpus()
-	ctx := context.Background()
-	oldSide := bootClient(t, startLoopback(t, 0, 1)) // booted; then driven by the legacy router
-	legacy := newLegacyRouter(t, strings.TrimPrefix(oldSide.Addr(), "http://"))
-	nc := bootClient(t, startLoopback(t, 0, 1))
-
-	obs := func(v model.Item, users ...int) []core.Observation {
-		var batch []core.Observation
-		for _, u := range users {
-			batch = append(batch, core.Observation{UserID: fmt.Sprintf("user%d", u), Item: v, Timestamp: v.Timestamp + int64(u)})
-		}
-		return batch
-	}
-	bad := core.Observation{Item: tc.fresh[1], Timestamp: 9} // no user: rejected
-
-	if got, want := legacy.register(tc.fresh[:2]), mustChanged(t)(nc.RegisterItems(ctx, tc.fresh[:2])); got != want || !got {
-		t.Fatalf("register: legacy changed=%v, new changed=%v, want both true", got, want)
-	}
-	batch := append(obs(tc.fresh[0], 0, 1, 2, 3), append(obs(tc.fresh[1], 4, 5), bad)...)
-	lrep, lerr := legacy.observe(batch)
-	nrep, nerr := nc.ObserveBatch(ctx, batch)
-	if !reflect.DeepEqual(lrep, nrep) || fmt.Sprint(lerr) != fmt.Sprint(nerr) || lrep.Applied != 6 || lrep.Rejected != 1 {
-		t.Fatalf("observe: legacy %+v (%v), new %+v (%v)", lrep, lerr, nrep, nerr)
-	}
-	replay := []shard.ReplayBatch{
-		{Seq: 1, Items: tc.fresh[2:3]},
-		{Seq: 2, Obs: obs(tc.fresh[2], 6, 7, 0)},
-		{Seq: 3, Items: tc.fresh[3:4], Obs: obs(tc.fresh[3], 1, 3, 5)},
-	}
-	if resp := legacy.replay(replay); resp.Applied != 4 {
-		t.Fatalf("legacy replay applied %d batches, want 4", resp.Applied)
-	}
-	if err := nc.Replay(ctx, replay); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-
-	answered := false
-	for _, v := range []model.Item{tc.query, tc.fresh[4], tc.fresh[0], tc.fresh[5], tc.fresh[3]} {
-		for _, o := range []core.QueryOptions{core.ResolveOptions(core.WithK(5)), core.ResolveOptions(core.WithK(3), core.WithoutExpansion())} {
-			lres, lchanged, lerr := legacy.ask(v, o)
-			nres, nchanged, nerr := nc.Recommend(ctx, v, o, nil)
-			if lerr != nil || nerr != nil {
-				t.Fatalf("ask %s: legacy err %v, new err %v", v.ID, lerr, nerr)
-			}
-			if !reflect.DeepEqual(lres, nres) || lchanged != nchanged {
-				t.Fatalf("ask %s %+v:\nlegacy %+v changed=%v\n   new %+v changed=%v", v.ID, o, lres, lchanged, nres, nchanged)
-			}
-			for i, r := range nres.Recommendations {
-				if math.Float64bits(r.Score) != math.Float64bits(lres.Recommendations[i].Score) {
-					t.Fatalf("ask %s: score %d differs in its bits", v.ID, i)
-				}
-			}
-			answered = answered || len(nres.Recommendations) > 0
-		}
-	}
-	if !answered {
-		t.Fatal("no ask returned a ranking to compare")
-	}
-}
-
-func mustChanged(t *testing.T) func(bool, error) bool {
-	return func(changed bool, err error) bool {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return changed
-	}
-}
-
-// legacyShard is a shardd from before the frame codec: it reads JSON
-// bodies and NDJSON query streams only, announces no codec in its health
-// body, and streams the bound raise lines of a still older shardd before
-// each terminal line. writes counts the write requests it received.
+// legacyShard is a shardd from before the frame codec: its health body
+// announces no codec, and it refuses every write with 400, as it refuses
+// a body of frames. writes counts the write requests it received; eng is
+// the engine a write would change.
 type legacyShard struct {
 	addr   string
 	eng    *core.Engine
@@ -293,55 +58,12 @@ func startLegacyShard(t *testing.T, idx, of int) *legacyShard {
 	}
 	mux.HandleFunc("GET "+pathLivez, health)
 	mux.HandleFunc("GET "+pathReadyz, health)
-	mux.HandleFunc("GET "+pathStats, func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(statsWire{Shard: idx, Trained: true, Users: eng.Users()}) //nolint:errcheck
-	})
-	mux.HandleFunc("POST "+pathRegister, func(w http.ResponseWriter, r *http.Request) {
-		ls.writes.Add(1)
-		var req registerWire
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(registerRespWire{Changed: eng.RegisterItemBatch(req.items())}) //nolint:errcheck
-	})
-	mux.HandleFunc("POST "+pathObserve, func(w http.ResponseWriter, r *http.Request) {
-		ls.writes.Add(1)
-		var req observeWire
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rep, err := eng.ObserveBatch(r.Context(), req.batch())
-		json.NewEncoder(w).Encode(observeRespWire{reportWire: toReportWire(rep), Error: encodeErr(err)}) //nolint:errcheck
-	})
-	mux.HandleFunc("POST "+pathQueryStream, func(w http.ResponseWriter, r *http.Request) {
-		ls.writes.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set(headerAskRegisters, "1")
-		w.WriteHeader(http.StatusOK)
-		rc := http.NewResponseController(w)
-		rc.Flush() //nolint:errcheck
-		dec := json.NewDecoder(r.Body)
-		for {
-			var line qsLine
-			if err := dec.Decode(&line); err != nil {
-				return
-			}
-			if line.Ask == nil {
-				continue
-			}
-			v := line.Ask.Item.model()
-			changed := eng.RegisterItemBatch([]model.Item{v})
-			b := sigtree.NewBound()
-			res, err := eng.RecommendBound(r.Context(), v, line.Ask.Options.options(), b)
-			if lb := b.Load(); !math.IsInf(lb, -1) {
-				fmt.Fprintf(w, "{\"id\":%d,\"b\":%v}\n{\"id\":%d,\"b\":%v}\n", line.ID, lb-1, line.ID, lb)
-			}
-			json.NewEncoder(w).Encode(qsLine{ID: line.ID, Result: toResultWire(res), Err: encodeErr(err), Changed: changed}) //nolint:errcheck
-			rc.Flush()                                                                                                       //nolint:errcheck
-		}
-	})
+	for _, path := range []string{pathRegister, pathObserve, pathQueryStream, pathReplay} {
+		mux.HandleFunc("POST "+path, func(w http.ResponseWriter, _ *http.Request) {
+			ls.writes.Add(1)
+			http.Error(w, "invalid JSON", http.StatusBadRequest)
+		})
+	}
 	p := new(http.Protocols)
 	p.SetHTTP1(true)
 	p.SetUnencryptedHTTP2(true)
@@ -454,66 +176,92 @@ func TestRouterRefusesJSONOnlyShardd(t *testing.T) {
 	}
 }
 
-// TestAskLegacyRouterBoundIgnored: an older router's ask carries its
-// bound and is followed by raise lines. A new shardd ignores both and
-// answers exactly — result, stats, changed — as it answers the bare ask,
-// with one terminal line and nothing else. The values are far above any
-// score, so a shard that pruned against them would answer nothing.
-func TestAskLegacyRouterBoundIgnored(t *testing.T) {
+// TestShardRefusesNonFrameRequests: a WAL-backed shardd answers 415 to
+// the register, observe and replay bodies and the query stream of a
+// router from before the frame codec — JSON with its content type or
+// none, and an NDJSON ask — and applies nothing of them: every item still
+// needs registering, no profile changes and the WAL holds no new record.
+// A client then writes and asks as before.
+func TestShardRefusesNonFrameRequests(t *testing.T) {
 	tc := buildTinyCorpus()
-	// serve feeds body to a fresh shardd booted from the tiny snapshot and
-	// returns its terminal line and how many lines it wrote.
-	serve := func(body string) (string, int) {
-		t.Helper()
-		srv, err := NewServer(0, 1)
+	lb, l := walLoopback(t, t.TempDir(), 0, 1)
+	c := bootClient(t, lb)
+	eng := lb.srv.boot.Load().local.Engine()
+	items, users := tc.fresh[:4], []string{"user0", "user1"}
+
+	raw := func(v any) string {
+		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.LoadFrom(bytes.NewReader(tinySnapshot(t)))
-		if err != nil {
-			t.Fatal(err)
+		return string(b)
+	}
+	item := func(v model.Item) map[string]any {
+		return map[string]any{"id": v.ID, "category": v.Category, "producer": v.Producer, "entities": v.Entities, "timestamp": v.Timestamp}
+	}
+	obs := func(v model.Item) map[string]any {
+		var o []any
+		for _, u := range users {
+			o = append(o, map[string]any{"user_id": u, "item": item(v), "timestamp": v.Timestamp + 1})
 		}
-		if err := srv.Boot(eng); err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathQueryStream, bytes.NewBufferString(body)))
-		terminal, lines := "", 0
-		for dec := json.NewDecoder(rec.Body); ; lines++ {
-			var line qsLine
-			if err := dec.Decode(&line); err != nil {
-				return terminal, lines
+		return map[string]any{"observations": o}
+	}
+	bodies := []struct{ path, contentType, body string }{
+		{pathRegister, "application/json", raw(map[string]any{"items": []any{item(items[0])}})},
+		{pathObserve, "application/json", raw(obs(items[1]))},
+		{pathReplay, "application/json", raw(map[string]any{"batches": []any{
+			map[string]any{"seq": 1, "register": map[string]any{"items": []any{item(items[2])}}},
+			map[string]any{"seq": 2, "observe": obs(items[2])},
+		}})},
+		{pathQueryStream, "application/x-ndjson", raw(map[string]any{"id": 1, "ask": map[string]any{"item": item(items[3]), "options": map[string]any{"k": 3}}}) + "\n"},
+	}
+	before, seq := engineState(eng, items, users), l.Stats().LastSeq
+	hc := h2c()
+	t.Cleanup(hc.CloseIdleConnections)
+	for _, b := range bodies {
+		for _, ct := range []string{b.contentType, ""} {
+			req, err := http.NewRequest(http.MethodPost, "http://"+lb.addr+b.path, strings.NewReader(b.body))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if line.Result != nil || line.Err != nil {
-				raw, err := json.Marshal(line)
-				if err != nil {
-					t.Fatal(err)
-				}
-				terminal = string(raw)
+			if ct != "" {
+				req.Header.Set("Content-Type", ct)
+			}
+			resp, err := hc.Do(req)
+			if err != nil {
+				t.Fatalf("POST %s (%q): %v", b.path, ct, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var e errorBody
+			if resp.StatusCode != http.StatusUnsupportedMediaType || json.Unmarshal(msg, &e) != nil || !strings.Contains(e.Error, contentTypeFrames) {
+				t.Fatalf("POST %s (%q): status %d, body %q; want 415 naming %s", b.path, ct, resp.StatusCode, msg, contentTypeFrames)
 			}
 		}
 	}
-	for _, v := range []model.Item{tc.query, tc.fresh[2]} {
-		ask, err := json.Marshal(qsLine{ID: 1, Ask: &qsAsk{Item: toItemWire(v), Options: toOptionsWire(core.ResolveOptions(core.WithK(5)))}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The older router put its bound after the ask's options.
-		legacyAsk := bytes.Replace(ask, []byte(`}}}`), []byte(`},"bound":1e300}}`), 1)
-		if bytes.Equal(legacyAsk, ask) {
-			t.Fatalf("could not splice a bound into %s", ask)
-		}
-		want, _ := serve(string(ask) + "\n")
-		got, lines := serve(string(legacyAsk) + "\n" + `{"id":1,"b":1e300}` + "\n" + `{"id":1,"b":1.5e300}` + "\n")
-		var line qsLine
-		if err := json.Unmarshal([]byte(want), &line); err != nil || len(line.Result.Recommendations) == 0 {
-			t.Fatalf("ask %s: bare ask answered %q (err %v), want a ranking", v.ID, want, err)
-		}
-		if got != want {
-			t.Fatalf("ask %s: an older router's ask answered\n%s\nwant\n%s", v.ID, got, want)
-		}
-		if lines != 1 {
-			t.Fatalf("ask %s: an older router's ask got %d lines, want the terminal line alone", v.ID, lines)
-		}
+	if after := engineState(eng, items, users); after != before {
+		t.Fatalf("refused requests changed the shard:\n%s\n%s", before, after)
+	}
+	if got := l.Stats().LastSeq; got != seq {
+		t.Fatalf("refused requests appended WAL records %d..%d", seq+1, got)
+	}
+
+	ctx := context.Background()
+	if changed, err := c.RegisterItems(ctx, items[:1]); err != nil || !changed {
+		t.Fatalf("register after the refusals: changed=%v err=%v", changed, err)
+	}
+	var batch []core.Observation
+	for _, u := range users {
+		batch = append(batch, core.Observation{UserID: u, Item: items[1], Timestamp: items[1].Timestamp + 1})
+	}
+	if rep, err := c.ObserveBatch(ctx, batch); err != nil || rep.Applied != len(batch) {
+		t.Fatalf("observe after the refusals: %+v err=%v", rep, err)
+	}
+	res, changed, err := c.Recommend(ctx, items[3], core.ResolveOptions(core.WithK(3)), nil)
+	if err != nil || !changed || len(res.Recommendations) == 0 {
+		t.Fatalf("ask after the refusals: %+v changed=%v err=%v", res, changed, err)
+	}
+	if got := l.Stats().LastSeq; got != seq+3 {
+		t.Fatalf("the client's writes took WAL records %d..%d, want three", seq+1, got)
 	}
 }

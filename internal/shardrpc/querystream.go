@@ -25,21 +25,17 @@
 // response header; a client refuses a stream without it rather than ask
 // a shardd that would register unlogged and report nothing.
 //
-// A shardd picks the stream's codec by its first byte: '{' is an older
-// router's NDJSON, answered with NDJSON lines (wire.go's qsLine), and
-// anything else is frames, answered with frames. Both receivers skip
-// what is not theirs to act on — a shardd acts on asks and cancels, a
-// client on terminal frames — so the bound raise lines and the ask's
-// "bound" field that still older routers send are read and dropped.
-// Neither side reads a frame or line longer than its cap (the shardd's
-// MaxBodyBytes, the client's maxFrameBytes): a longer one breaks the
-// stream before its payload is read.
+// Both receivers skip the frames that are not theirs to act on — a
+// shardd acts on asks and cancels, a client on terminal frames. Neither
+// side reads a frame longer than its cap (the shardd's MaxBodyBytes, the
+// client's maxFrameBytes): a longer one breaks the stream before its
+// payload is read. A stream that is not frames is refused with 415
+// before it opens (Server.framesOnly).
 package shardrpc
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -55,19 +51,11 @@ import (
 
 // ---- server side ----
 
-// qsMsg is one router → shardd message of the query stream: an ask, a
-// cancel, or neither (a message the shardd does not act on).
-type qsMsg struct {
-	id     uint64
-	ask    *askMsg
-	cancel bool
-}
-
 // handleQueryStream serves the multiplexed exchange: it reads asks and
 // cancels off the request body (asks start concurrent searches, cancels
 // abort them) and writes one terminal result per ask. The exchange ends
 // when the client half-closes its request stream, or breaks it, and
-// every in-flight search has answered. A message that does not decode, or
+// every in-flight search has answered. A frame that does not decode, or
 // an ask that reuses the id of a query still in flight, breaks the
 // stream: the shard reads no further, so the second ask is never
 // registered.
@@ -87,25 +75,15 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rc.Flush() //nolint:errcheck // commit headers so the client's open returns
 
-	br := bufio.NewReaderSize(r.Body, 64<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return // the client asked nothing
-	}
-	var next func() (qsMsg, error)
-	var encode func([]byte, *terminal) []byte
-	if first[0] == '{' {
-		next, encode = s.legacyStream(br)
-	} else {
-		next, encode = s.frameStream(br)
-	}
-	var wmu sync.Mutex // serialises terminal messages
-	var out []byte
+	f := newFrameReader(bufio.NewReaderSize(r.Body, 64<<10), int(s.MaxBodyBytes))
+	var wmu sync.Mutex // serialises terminal frames and guards fw
+	var fw frameWriter
 	write := func(t *terminal) {
 		wmu.Lock()
-		out = encode(out[:0], t)
-		w.Write(out) //nolint:errcheck // stream best-effort; the client detects loss as EOF
-		rc.Flush()   //nolint:errcheck
+		fw.out = fw.out[:0]
+		fw.terminal(t)
+		w.Write(fw.out) //nolint:errcheck // stream best-effort; the client detects loss as EOF
+		rc.Flush()      //nolint:errcheck
 		wmu.Unlock()
 	}
 
@@ -115,17 +93,21 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
 	for {
-		m, err := next()
+		kind, err := f.next()
 		if err != nil {
 			return // EOF (client done asking) or broken stream
 		}
-		switch {
-		case m.ask != nil:
+		switch kind {
+		case frameAsk:
+			id, ask, err := f.ask()
+			if err != nil {
+				return
+			}
 			qctx, cancel := context.WithCancel(r.Context())
 			qmu.Lock()
-			_, dup := active[m.id]
+			_, dup := active[id]
 			if !dup {
-				active[m.id] = cancel
+				active[id] = cancel
 			}
 			qmu.Unlock()
 			if dup {
@@ -137,8 +119,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			// terminal frame, so the router's trace covers both processes.
 			var coll *telemetry.Collector
 			var sp *telemetry.Span
-			if m.ask.trace != "" {
-				qctx, coll = s.tracer.Resume(qctx, m.ask.trace)
+			if ask.trace != "" {
+				qctx, coll = s.tracer.Resume(qctx, ask.trace)
 				qctx, sp = telemetry.StartSpan(qctx, "shardd.recommend")
 				sp.SetAttr("shard", strconv.Itoa(s.idx))
 			}
@@ -153,96 +135,20 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				sp.SetAttr("item", ask.item.ID)
 				sp.End()
 				write(&terminal{id: id, res: res, err: encodeErr(rerr), changed: changed, spans: coll.Take()})
-			}(m.id, m.ask)
-		case m.cancel:
+			}(id, &ask)
+		case frameCancel:
+			id, err := f.cancel()
+			if err != nil {
+				return
+			}
 			qmu.Lock()
-			cancel := active[m.id]
+			cancel := active[id]
 			qmu.Unlock()
 			if cancel != nil {
 				cancel()
 			}
 		}
 	}
-}
-
-// frameStream reads a query stream of frames, answered with terminal
-// frames. A frame over MaxBodyBytes breaks the stream unread.
-func (s *Server) frameStream(br *bufio.Reader) (next func() (qsMsg, error), encode func([]byte, *terminal) []byte) {
-	f := newFrameReader(br, int(s.MaxBodyBytes))
-	var fw frameWriter
-	next = func() (qsMsg, error) {
-		for {
-			kind, err := f.next()
-			if err != nil {
-				return qsMsg{}, err
-			}
-			switch kind {
-			case frameAsk:
-				id, a, err := f.ask()
-				return qsMsg{id: id, ask: &a}, err
-			case frameCancel:
-				id := f.rec.Uvarint()
-				return qsMsg{id: id, cancel: true}, f.done()
-			}
-		}
-	}
-	encode = func(dst []byte, t *terminal) []byte {
-		fw.out = dst
-		fw.terminal(t)
-		return fw.out
-	}
-	return next, encode
-}
-
-// legacyStream reads an older router's NDJSON query stream, answered
-// with NDJSON terminal lines. A line over MaxBodyBytes breaks the stream
-// once the decoder has buffered that much of it.
-func (s *Server) legacyStream(br *bufio.Reader) (next func() (qsMsg, error), encode func([]byte, *terminal) []byte) {
-	lc := &lineCap{r: br}
-	dec := json.NewDecoder(lc)
-	next = func() (qsMsg, error) {
-		lc.limit = dec.InputOffset() + s.MaxBodyBytes
-		var line qsLine
-		if err := dec.Decode(&line); err != nil {
-			return qsMsg{}, err
-		}
-		m := qsMsg{id: line.ID, cancel: line.Cancel}
-		if line.Ask != nil {
-			m.ask = &askMsg{item: line.Ask.Item.model(), opts: line.Ask.Options.options(), trace: line.Ask.Trace}
-		}
-		return m, nil
-	}
-	encode = func(dst []byte, t *terminal) []byte {
-		raw, err := json.Marshal(qsLine{ID: t.id, Result: toResultWire(t.res), Err: t.err, Changed: t.changed, Spans: t.spans})
-		if err != nil {
-			return dst // a score JSON cannot carry (±Inf, NaN): the line is dropped, as older shardds dropped it
-		}
-		return append(append(dst, raw...), '\n')
-	}
-	return next, encode
-}
-
-// errLineTooLong breaks a legacy query stream whose line outgrows the cap.
-var errLineTooLong = errors.New("shardrpc: query-stream line over the body cap")
-
-// lineCap lets a json.Decoder read no further than limit bytes into its
-// input, so one NDJSON value cannot grow the decoder's buffer past the cap.
-type lineCap struct {
-	r     io.Reader
-	read  int64
-	limit int64
-}
-
-func (c *lineCap) Read(p []byte) (int, error) {
-	if c.read >= c.limit {
-		return 0, errLineTooLong
-	}
-	if left := c.limit - c.read; int64(len(p)) > left {
-		p = p[:left]
-	}
-	n, err := c.r.Read(p)
-	c.read += int64(n)
-	return n, err
 }
 
 // ask answers one ask: it registers the item through the shard's write
@@ -271,8 +177,8 @@ func (s *Server) ask(ctx context.Context, ask *askMsg) (core.Result, bool, error
 // ---- client side ----
 
 // muxResp is one answer delivered to a waiting Recommend call: the
-// query's terminal line or, with lost set, the stream's failure. spans
-// carries the shard-side trace spans off the terminal line (the reader
+// query's terminal frame or, with lost set, the stream's failure. spans
+// carries the shard-side trace spans off the terminal frame (the reader
 // goroutine has no per-query context to import them into).
 type muxResp struct {
 	res     core.Result

@@ -21,11 +21,12 @@
 //	GET  /shard/v1/snapshot                              → raw snapshot bytes
 //	POST /shard/v1/replay       replay frames            → {applied, boot_epoch}
 //
-// A shardd also serves routers from before the frames: a body without
-// the frames content type is read as JSON, and a query stream whose first
-// byte is '{' as NDJSON, answered in NDJSON. A router checks that a
-// shardd announces "frames" in its health body before it writes to it,
-// and refuses one that does not (Client.Preflight).
+// Frames are the only request codec a shardd reads: a register, observe,
+// replay or query_stream request without the frames content type — the
+// JSON bodies and NDJSON stream of a router from before the frames — is
+// answered 415 before any of it is read. A router checks that a shardd
+// announces "frames" in its health body before it writes to it, and
+// refuses one that does not (Client.Preflight).
 //
 // # The query stream
 //
@@ -123,8 +124,8 @@ type Server struct {
 	// token); mismatches answer 401. The shardd -auth-token flag. Set
 	// before serving; not synchronised.
 	AuthToken string
-	// MaxBodyBytes bounds request bodies, and each frame or NDJSON line
-	// of a query stream (default 64 MiB).
+	// MaxBodyBytes bounds request bodies, and each frame of a query
+	// stream (default 64 MiB).
 	MaxBodyBytes int64
 	// MaxSnapshotBytes bounds snapshot handoffs (default 1 GiB).
 	MaxSnapshotBytes int64
@@ -172,12 +173,12 @@ func NewServer(idx, of int) (*Server, error) {
 	s.mux.HandleFunc("GET "+pathLivez, s.handleLivez)
 	s.mux.HandleFunc("GET "+pathReadyz, s.handleReadyz)
 	s.mux.HandleFunc("GET "+pathStats, s.handleStats)
-	s.mux.HandleFunc("POST "+pathRegister, s.handleRegister)
-	s.mux.HandleFunc("POST "+pathObserve, s.handleObserve)
-	s.mux.HandleFunc("POST "+pathQueryStream, s.handleQueryStream)
+	s.mux.HandleFunc("POST "+pathRegister, s.framesOnly(s.handleRegister))
+	s.mux.HandleFunc("POST "+pathObserve, s.framesOnly(s.handleObserve))
+	s.mux.HandleFunc("POST "+pathQueryStream, s.framesOnly(s.handleQueryStream))
 	s.mux.HandleFunc("POST "+pathSnapshot, s.handleSnapshot)
 	s.mux.HandleFunc("GET "+pathSnapshot, s.handleSnapshotExport)
-	s.mux.HandleFunc("POST "+pathReplay, s.handleReplay)
+	s.mux.HandleFunc("POST "+pathReplay, s.framesOnly(s.handleReplay))
 	return s, nil
 }
 
@@ -437,20 +438,21 @@ func (s *Server) resumeWrite(r *http.Request, name string) (context.Context, *te
 	return ctx, sp
 }
 
-// decode reads an older router's JSON write body into dst, capped at
-// MaxBodyBytes, and answers 400 when it does not decode.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
-	if err := dec.Decode(dst); err != nil {
-		s.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return false
+// framesOnly wraps a handler whose request is frames: a request without
+// the frames content type is an older router's JSON or NDJSON, which the
+// frame reader would skip as unknown kinds (acknowledging an empty batch,
+// or leaving asks unanswered), so it is refused with 415 before anything
+// of it is read.
+func (s *Server) framesOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if ct := r.Header.Get("Content-Type"); ct != contentTypeFrames {
+			s.httpError(w, http.StatusUnsupportedMediaType,
+				"request content type %q: this shardd reads %s only; upgrade the router", ct, contentTypeFrames)
+			return
+		}
+		h(w, r)
 	}
-	return true
 }
-
-// framesBody reports whether a write body is frames; a body without the
-// content type is an older router's JSON.
-func framesBody(r *http.Request) bool { return r.Header.Get("Content-Type") == contentTypeFrames }
 
 // readFrames reads a write body of frames with read, capped at
 // MaxBodyBytes, and answers 400 when it does not decode.
@@ -463,54 +465,12 @@ func readFrames[T any](s *Server, w http.ResponseWriter, r *http.Request, read f
 	return v, true
 }
 
-// registerBody decodes a register body of either codec; ok is false when
-// it was refused with 400.
-func (s *Server) registerBody(w http.ResponseWriter, r *http.Request) ([]model.Item, bool) {
-	if framesBody(r) {
-		return readFrames(s, w, r, readRegisterBody)
-	}
-	var req registerWire
-	if !s.decode(w, r, &req) {
-		return nil, false
-	}
-	return req.items(), true
-}
-
-// observeBody decodes an observe body of either codec.
-func (s *Server) observeBody(w http.ResponseWriter, r *http.Request) ([]core.Observation, bool) {
-	if framesBody(r) {
-		return readFrames(s, w, r, readObserveBody)
-	}
-	var req observeWire
-	if !s.decode(w, r, &req) {
-		return nil, false
-	}
-	return req.batch(), true
-}
-
-// replayBody decodes a replay body of either codec.
-func (s *Server) replayBody(w http.ResponseWriter, r *http.Request) ([]replayStep, bool) {
-	if framesBody(r) {
-		return readFrames(s, w, r, readReplayBody)
-	}
-	var req replayWire
-	if !s.decode(w, r, &req) {
-		return nil, false
-	}
-	steps, err := req.steps()
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
-		return nil, false
-	}
-	return steps, true
-}
-
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	b := s.serving(w)
 	if b == nil {
 		return
 	}
-	items, ok := s.registerBody(w, r)
+	items, ok := readFrames(s, w, r, readRegisterBody)
 	if !ok {
 		return
 	}
@@ -535,7 +495,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	batch, ok := s.observeBody(w, r)
+	batch, ok := readFrames(s, w, r, readObserveBody)
 	if !ok {
 		return
 	}
@@ -593,7 +553,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusServiceUnavailable, "shard %d/%d not trained; needs a snapshot, not a delta", s.idx, s.of)
 		return
 	}
-	steps, ok := s.replayBody(w, r)
+	steps, ok := readFrames(s, w, r, readReplayBody)
 	if !ok {
 		return
 	}

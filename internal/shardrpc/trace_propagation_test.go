@@ -121,24 +121,8 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 // TestUntracedWireIsClean pins the exactness-neutrality contract at the
 // wire: without a trace, an ask or terminal frame carries no trace or
 // span bytes — no field, not even an empty one, and no flag bit — so it
-// is exactly as long as the frame minus what a trace adds. The legacy
-// NDJSON lines a shardd still answers older routers with keep the same
-// contract (omitempty keeps them byte-identical to the pre-telemetry
-// protocol).
+// is exactly as long as the frame minus what a trace adds.
 func TestUntracedWireIsClean(t *testing.T) {
-	for _, v := range []any{
-		qsAsk{},
-		qsLine{ID: 7},
-	} {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("marshal %T: %v", v, err)
-		}
-		if strings.Contains(string(b), "trace") || strings.Contains(string(b), "spans") {
-			t.Errorf("untraced %T encodes telemetry fields: %s", v, b)
-		}
-	}
-
 	const trace = "00000000000000ab-00000000000000cd"
 	item := model.Item{ID: "v1", Category: "music", Producer: "up0", Entities: []string{"e1"}, Timestamp: 17}
 	encode := func(fn func(*frameWriter)) []byte {

@@ -1,9 +1,8 @@
 // wire.go defines the JSON shapes of the shard RPC protocol — the health,
-// stats and write-response bodies both sides exchange, and the request
-// bodies and query-stream lines an older router sends, which a shardd
-// still reads (frames.go holds the binary frames a router sends now) —
-// plus the error-code mapping that carries the engine's sentinel errors
-// across the wire without losing errors.Is identity.
+// stats, write-response and error bodies a shardd answers with (requests
+// are binary frames, frames.go) — plus the error-code mapping that
+// carries the engine's sentinel errors across the wire without losing
+// errors.Is identity.
 package shardrpc
 
 import (
@@ -12,7 +11,6 @@ import (
 	"fmt"
 
 	"ssrec/internal/core"
-	"ssrec/internal/model"
 	"ssrec/internal/shard"
 	"ssrec/internal/telemetry"
 	"ssrec/internal/wal"
@@ -42,97 +40,16 @@ const (
 
 // headerAskRegisters is the capability header of a query_stream response:
 // "1" promises that every ask registers its item through the shard's write
-// surface (logged when the shard has a WAL) and that every terminal line
+// surface (logged when the shard has a WAL) and that every terminal frame
 // carries the registration's changed flag. A client refuses a stream
 // without it rather than fall back, since an older shardd would register
 // asks unlogged and report nothing the router's debt accounting needs.
 const headerAskRegisters = "X-Ssrec-Ask-Registers"
 
-// itemWire is the wire form of model.Item.
-type itemWire struct {
-	ID          string   `json:"id"`
-	Category    string   `json:"category"`
-	Producer    string   `json:"producer,omitempty"`
-	Entities    []string `json:"entities,omitempty"`
-	Description string   `json:"description,omitempty"`
-	Timestamp   int64    `json:"timestamp,omitempty"`
-}
-
-func (w itemWire) model() model.Item {
-	return model.Item{ID: w.ID, Category: w.Category, Producer: w.Producer,
-		Entities: w.Entities, Description: w.Description, Timestamp: w.Timestamp}
-}
-
-// registerWire is the body of POST /shard/v1/register.
-type registerWire struct {
-	Items []itemWire `json:"items"`
-}
-
-func (w *registerWire) items() []model.Item {
-	items := make([]model.Item, len(w.Items))
-	for i, it := range w.Items {
-		items[i] = it.model()
-	}
-	return items
-}
-
 // registerRespWire is the response of POST /shard/v1/register: whether
 // the batch advanced the replicated dictionaries (any unseen item).
 type registerRespWire struct {
 	Changed bool `json:"changed"`
-}
-
-// obsWire is one observation of a replicated micro-batch.
-type obsWire struct {
-	UserID    string   `json:"user_id"`
-	Item      itemWire `json:"item"`
-	Timestamp int64    `json:"timestamp,omitempty"`
-}
-
-// observeWire is the body of POST /shard/v1/observe: one micro-batch, the
-// atomic replication unit.
-type observeWire struct {
-	Observations []obsWire `json:"observations"`
-}
-
-func (w *observeWire) batch() []core.Observation {
-	batch := make([]core.Observation, len(w.Observations))
-	for i, o := range w.Observations {
-		batch[i] = core.Observation{UserID: o.UserID, Item: o.Item.model(), Timestamp: o.Timestamp}
-	}
-	return batch
-}
-
-// replayBatchWire is one missed write of a delta catch-up replay:
-// exactly one of Register / Observe is set, tagged with the replica
-// set's write sequence.
-type replayBatchWire struct {
-	Seq      uint64        `json:"seq"`
-	Register *registerWire `json:"register,omitempty"`
-	Observe  *observeWire  `json:"observe,omitempty"`
-}
-
-// replayWire is the body of POST /shard/v1/replay: the missed batches
-// in sequence order.
-type replayWire struct {
-	Batches []replayBatchWire `json:"batches"`
-}
-
-// steps lists the replay's missed writes, refusing a batch that holds
-// neither a registration nor a micro-batch.
-func (w *replayWire) steps() ([]replayStep, error) {
-	steps := make([]replayStep, len(w.Batches))
-	for i, b := range w.Batches {
-		switch {
-		case b.Register != nil:
-			steps[i] = replayStep{seq: b.Seq, items: b.Register.items()}
-		case b.Observe != nil:
-			steps[i] = replayStep{seq: b.Seq, observe: true, obs: b.Observe.batch()}
-		default:
-			return nil, fmt.Errorf("replay seq %d: neither register nor observe", b.Seq)
-		}
-	}
-	return steps, nil
 }
 
 // replayRespWire is the replay response: how many batches applied and
@@ -171,84 +88,6 @@ func (w reportWire) report() core.BatchReport {
 		rep.Errors = append(rep.Errors, core.ObservationError{Index: oe.Index, Err: decodeErr(oe.Error)})
 	}
 	return rep
-}
-
-// optionsWire is the JSON form of core.QueryOptions (already resolved by
-// the router — defaults applied, no functional options cross the wire).
-type optionsWire struct {
-	K           int  `json:"k"`
-	NoExpansion bool `json:"no_expansion,omitempty"`
-}
-
-func (w optionsWire) options() core.QueryOptions {
-	return core.QueryOptions{K: w.K, NoExpansion: w.NoExpansion}
-}
-
-// qsAsk starts one query on a legacy NDJSON query stream, tagged with
-// the stream-scoped query id carried by the enclosing qsLine.
-type qsAsk struct {
-	Item    itemWire    `json:"item"`
-	Options optionsWire `json:"options"`
-	// Trace carries the caller's trace context for this query (the
-	// stream is shared, so propagation is per-ask, not per-request).
-	Trace string `json:"trace,omitempty"`
-}
-
-// qsLine is one NDJSON line of the query stream as an older router
-// speaks it; a shardd answers such a router's stream in kind. ID scopes
-// the line to one in-flight query; exactly one payload field is set:
-//
-//   - Ask (client→shard): start query ID;
-//   - Cancel (client→shard): abandon query ID;
-//   - Result/Err (shard→client): the terminal line of query ID, with
-//     Changed set when the ask's registration advanced the replicated
-//     dictionaries.
-//
-// A shardd drops every line that carries neither an ask nor a cancel,
-// unknown fields included: still older routers send bound raise lines
-// ({"id":n,"b":x}) and a bound on the ask.
-type qsLine struct {
-	ID      uint64      `json:"id"`
-	Ask     *qsAsk      `json:"ask,omitempty"`
-	Cancel  bool        `json:"cancel,omitempty"`
-	Result  *resultWire `json:"result,omitempty"`
-	Err     *errWire    `json:"error,omitempty"`
-	Changed bool        `json:"changed,omitempty"`
-	// Spans returns the shard-side spans of a traced query on its
-	// terminal line; absent when the ask was untraced.
-	Spans []telemetry.SpanData `json:"spans,omitempty"`
-}
-
-// recWire is one ranked entry.
-type recWire struct {
-	UserID string  `json:"user_id"`
-	Score  float64 `json:"score"`
-}
-
-// resultWire is the wire form of core.Result (minus Err, carried beside).
-type resultWire struct {
-	ItemID          string    `json:"item_id"`
-	Recommendations []recWire `json:"recs,omitempty"`
-	Stats           statsLine `json:"stats"`
-}
-
-// statsLine is the wire form of sigtree.SearchStats.
-type statsLine struct {
-	NodesVisited   int `json:"nodes,omitempty"`
-	EntriesScored  int `json:"scored,omitempty"`
-	EntriesSkipped int `json:"skipped,omitempty"`
-}
-
-func toResultWire(res core.Result) *resultWire {
-	w := &resultWire{ItemID: res.ItemID, Stats: statsLine{
-		NodesVisited:   res.Stats.NodesVisited,
-		EntriesScored:  res.Stats.EntriesScored,
-		EntriesSkipped: res.Stats.EntriesSkipped,
-	}}
-	for _, rec := range res.Recommendations {
-		w.Recommendations = append(w.Recommendations, recWire{UserID: rec.UserID, Score: rec.Score})
-	}
-	return w
 }
 
 // healthWire is the body of GET /shard/v1/livez and /readyz. BootEpoch is

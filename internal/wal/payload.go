@@ -1,7 +1,8 @@
-// payload.go is the batch codec of WAL records. It mirrors the shard RPC
-// wire shapes (so a logged batch round-trips exactly what the RPC
-// admitted) but is owned here: the RPC layer depends on the WAL, not the
-// other way around. Only Durable encodes and Recover decodes.
+// payload.go is the batch codec of WAL records: JSON holding every field
+// of the items and observations a write admits (so a logged batch
+// round-trips exactly what the shard applied). It is owned here: the RPC
+// layer depends on the WAL, not the other way around. Only Durable
+// encodes and Recover decodes.
 package wal
 
 import (
