@@ -126,7 +126,7 @@ func refreshFixture(shape refreshShape) (*cppse.Index, *profile.Store) {
 		}
 	}
 	bg := profile.NewBackground(nil, 10)
-	probs := cppse.MLEProbs{Store: store, NCats: len(cats)}
+	probs := cppse.MLEProbs{Store: store}
 	ix, err := cppse.Build(store, bg, probs, cppse.Config{Categories: cats, FixedBlocks: shape.fixedBlocks})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "refresh: build index: %v\n", err)

@@ -65,13 +65,19 @@ func (m *BHMM) Extend(st *ForwardState, obs []Obs) {
 			normalize(st.alpha)
 		} else {
 			zt := m.zSlot(o.Z)
+			a, b := m.A[zt], m.B[zt]
 			prev, cur := st.alpha, st.next
-			for j := 0; j < m.NU; j++ {
-				var s float64
-				for i := 0; i < m.NU; i++ {
-					s += prev[i] * m.A[zt][i][j]
+			// Row by row: cur[j] gathers prev[i]·A[i][j] over ascending i,
+			// the terms and order of Forward's per-j sum, while each step
+			// reads one contiguous row of A.
+			clear(cur)
+			for i, pi := range prev {
+				for j, aij := range a[i][:len(cur)] {
+					cur[j] += pi * aij
 				}
-				cur[j] = s * m.B[zt][j][o.Cat]
+			}
+			for j := range cur {
+				cur[j] *= b[j][o.Cat]
 			}
 			normalize(cur)
 			st.alpha, st.next = cur, prev
@@ -108,24 +114,25 @@ func (m *BHMM) PredictNextMarginalState(st *ForwardState, zDist, out, scratch []
 		if w == 0 {
 			continue
 		}
+		a, b := m.A[z], m.B[z]
+		// Both products run row by row: next[j] and p[c] gather their
+		// terms over ascending i and j, the order of PredictNextGivenZ's
+		// per-element sums, while each step reads one contiguous row.
 		if st.n == 0 {
 			copy(next, m.Pi)
 		} else {
-			cur := st.alpha
-			for j := 0; j < m.NU; j++ {
-				var s float64
-				for i := 0; i < m.NU; i++ {
-					s += cur[i] * m.A[z][i][j]
+			clear(next)
+			for i, ci := range st.alpha[:m.NU] {
+				for j, aij := range a[i][:len(next)] {
+					next[j] += ci * aij
 				}
-				next[j] = s
 			}
 		}
-		for c := 0; c < m.M; c++ {
-			var s float64
-			for j := 0; j < m.NU; j++ {
-				s += next[j] * m.B[z][j][c]
+		clear(p)
+		for j, nj := range next {
+			for c, bjc := range b[j][:len(p)] {
+				p[c] += nj * bjc
 			}
-			p[c] = s
 		}
 		for c := range out {
 			out[c] += w * p[c]

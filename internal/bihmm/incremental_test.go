@@ -1,6 +1,7 @@
 package bihmm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -19,44 +20,55 @@ func randObsSeq(rng *rand.Rand, m *BHMM, n int) []Obs {
 	return obs
 }
 
+// diffBits returns the first index where a and b differ in their bits
+// (so -0 differs from +0 and every NaN from every other), or -1.
+func diffBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestExtendMatchesForward pins the bitwise-identity claim: after
 // extending a state observation by observation, the cached row equals the
 // last normalized alpha row of a full Forward pass over the same prefix —
-// exactly, not approximately — and the marginal next-category prediction
-// from the state equals PredictNextMarginal on the replayed history.
+// bit for bit, not approximately — and the marginal next-category
+// prediction from the state equals PredictNextMarginal on the replayed
+// history. The shapes cover one consumer state, one category and a
+// producer-state distribution with zero weights.
 func TestExtendMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewRandom(4, 3, 5, rng)
-	seq := randObsSeq(rng, m, 60)
-	zDist := []float64{0.1, 0.2, 0.3, 0.4}
+	for _, sh := range []struct{ nu, nz, m int }{{4, 3, 5}, {1, 3, 5}, {3, 3, 1}, {3, 3, 19}} {
+		rng := rand.New(rand.NewSource(7))
+		m := NewRandom(sh.nu, sh.nz, sh.m, rng)
+		seq := randObsSeq(rng, m, 60)
+		zDists := [][]float64{nil, {0.1, 0.2, 0.3, 0.4}, {0, 0.5, 0, 0.5}}
 
-	var st ForwardState
-	got := make([]float64, m.M)
-	scratch := make([]float64, m.PredictScratchLen())
-	for n := 0; n <= len(seq); n++ {
-		if n > 0 {
-			m.Extend(&st, seq[n-1:n]) // one observation at a time
-		}
-		if st.Len() != n && n > 0 {
-			t.Fatalf("after %d obs: Len() = %d", n, st.Len())
-		}
-		if n > 0 {
-			alpha, _, _ := m.Forward(seq[:n])
-			last := alpha[n-1]
-			for i := range last {
-				if st.alpha[i] != last[i] {
-					t.Fatalf("prefix %d state %d: cached row %v != forward row %v",
-						n, i, st.alpha[i], last[i])
+		var st ForwardState
+		got := make([]float64, m.M)
+		scratch := make([]float64, m.PredictScratchLen())
+		for n := 0; n <= len(seq); n++ {
+			if n > 0 {
+				m.Extend(&st, seq[n-1:n]) // one observation at a time
+			}
+			if st.Len() != n && n > 0 {
+				t.Fatalf("%v after %d obs: Len() = %d", sh, n, st.Len())
+			}
+			if n > 0 {
+				alpha, _, _ := m.Forward(seq[:n])
+				last := alpha[n-1]
+				if i := diffBits(st.alpha, last); i >= 0 {
+					t.Fatalf("%v prefix %d state %d: cached row %v != forward row %v",
+						sh, n, i, st.alpha[i], last[i])
 				}
 			}
-		}
-		for _, zd := range [][]float64{nil, zDist} {
-			want := m.PredictNextMarginal(seq[:n], zd)
-			m.PredictNextMarginalState(&st, zd, got, scratch)
-			for c := range want {
-				if got[c] != want[c] {
-					t.Fatalf("prefix %d cat %d: state predict %v != full predict %v",
-						n, c, got[c], want[c])
+			for _, zd := range zDists {
+				want := m.PredictNextMarginal(seq[:n], zd)
+				m.PredictNextMarginalState(&st, zd, got, scratch)
+				if c := diffBits(got, want); c >= 0 {
+					t.Fatalf("%v prefix %d zDist %v cat %d: state predict %v != full predict %v",
+						sh, n, zd, c, got[c], want[c])
 				}
 			}
 		}
@@ -82,10 +94,8 @@ func TestExtendChunked(t *testing.T) {
 	}
 	alpha, _, _ := m.Forward(seq)
 	last := alpha[len(seq)-1]
-	for i := range last {
-		if st.alpha[i] != last[i] {
-			t.Fatalf("state %d: chunked row %v != forward row %v", i, st.alpha[i], last[i])
-		}
+	if i := diffBits(st.alpha, last); i >= 0 {
+		t.Fatalf("state %d: chunked row %v != forward row %v", i, st.alpha[i], last[i])
 	}
 }
 
@@ -110,10 +120,8 @@ func TestExtendModelSwapResets(t *testing.T) {
 	}
 	alpha, _, _ := m2.Forward(seq)
 	last := alpha[len(seq)-1]
-	for i := range last {
-		if st.alpha[i] != last[i] {
-			t.Fatalf("state %d after model swap: %v != %v", i, st.alpha[i], last[i])
-		}
+	if i := diffBits(st.alpha, last); i >= 0 {
+		t.Fatalf("state %d after model swap: %v != %v", i, st.alpha[i], last[i])
 	}
 	// Explicit Reset rewinds without rebinding buffers.
 	st.Reset(m1)
@@ -138,10 +146,8 @@ func TestPredictStateReusesRows(t *testing.T) {
 	m.Extend(&st, seq[:20])
 	m.PredictNextMarginalState(&st, nil, out, scratch)
 	want := m.PredictNextMarginal(seq[:20], nil)
-	for c := range want {
-		if out[c] != want[c] {
-			t.Fatalf("cat %d: reused row %v != replay %v", c, out[c], want[c])
-		}
+	if c := diffBits(out, want); c >= 0 {
+		t.Fatalf("cat %d: reused row %v != replay %v", c, out[c], want[c])
 	}
 	n := 20
 	allocs := testing.AllocsPerRun(10, func() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -127,5 +128,67 @@ func TestParallelismConfigEquivalence(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no items checked")
+	}
+}
+
+// TestQueriesNeverIntern pins that the read path only looks names up:
+// RecommendCtx for items whose producer and entities were never seen (a
+// category must be configured to be asked about), run concurrently with ObserveBatch, leaves the engine's interner
+// exactly as large as the same observations leave it without the queries.
+// Run with -race: interning writes and query lookups share the engine's
+// lock discipline.
+func TestQueriesNeverIntern(t *testing.T) {
+	e, items, irs := streamEngine(t, Config{})
+	quiet, _, _ := streamEngine(t, Config{})
+	byID := make(map[string]model.Item, len(items))
+	for _, v := range items {
+		byID[v.ID] = v
+	}
+	var batches [][]Observation
+	for i := 0; i+16 <= len(irs) && len(batches) < 12; i += 16 {
+		var b []Observation
+		for _, ir := range irs[i : i+16] {
+			b = append(b, Observation{UserID: ir.UserID, Item: byID[ir.ItemID], Timestamp: ir.Timestamp})
+		}
+		batches = append(batches, b)
+	}
+	ctx := context.Background()
+	before := e.store.Names().Len()
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				v := model.Item{
+					ID:       fmt.Sprintf("never-%d-%d", r, i),
+					Category: items[i].Category,
+					Producer: fmt.Sprintf("never-up-%d-%d", r, i),
+					Entities: []string{fmt.Sprintf("never-e-%d", i), "never-shared"},
+				}
+				if _, err := e.RecommendCtx(ctx, v, WithK(5)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	for _, b := range batches {
+		if _, err := e.ObserveBatch(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := quiet.ObserveBatch(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	got, want := e.store.Names().Len(), quiet.store.Names().Len()
+	if got != want {
+		t.Fatalf("interner holds %d names after queries and observations (%d before), %d after the observations alone", got, before, want)
+	}
+	for r := 0; r < 3; r++ {
+		if _, ok := e.store.Names().Prods.Lookup(fmt.Sprintf("never-up-%d-0", r)); ok {
+			t.Fatal("a query interned its item's producer")
+		}
 	}
 }

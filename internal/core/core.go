@@ -649,25 +649,19 @@ func (e *Engine) probs() cppse.Probs { return engineProbs{e} }
 
 type engineProbs struct{ e *Engine }
 
-// Long returns the cached long-term BiHMM probability p(c|u).
-func (p engineProbs) Long(userID, category string) float64 {
-	return p.e.categoryProb(userID, category, false)
+// Rows returns the user's cached long-term BiHMM probabilities p(c|u) and
+// short-term ps(c|u) over the window. The index passes its
+// Config.Categories, which the engine configures as its own category
+// list, so the rows are already in that order.
+func (p engineProbs) Rows(userID string, _ []string, _ []float64) (long, short []float64) {
+	return p.e.predictions(userID)
 }
 
-// Short returns the cached short-term probability ps(c|u) over the window.
-func (p engineProbs) Short(userID, category string) float64 {
-	return p.e.categoryProb(userID, category, true)
-}
-
-// categoryProb computes (with caching) the predictive category
-// distribution of a user from its BiHMM: the long-term side conditions on
-// the full history minus the window; the short-term side on the window
-// alone.
-func (e *Engine) categoryProb(userID, category string, short bool) float64 {
-	ci, ok := e.catIdx[category]
-	if !ok {
-		return 1e-9
-	}
+// predictions returns the user's predictive category rows from its BiHMM,
+// refreshing the cached entry when observations arrived since it was
+// computed: the long-term row conditions on the full history minus the
+// window, the short-term row on the window alone.
+func (e *Engine) predictions(userID string) (long, short []float64) {
 	obs := e.consumerObs[userID]
 	ce := e.predCache[userID]
 	if ce == nil || ce.obsLen != len(obs) {
@@ -676,22 +670,19 @@ func (e *Engine) categoryProb(userID, category string, short bool) float64 {
 		}
 		e.predScratch = e.predict(ce, userID, obs, e.predScratch)
 	}
-	if short {
-		return ce.short[ci]
-	}
-	return ce.long[ci]
+	return ce.long, ce.short
 }
 
 // Prepare implements cppse.Preparer: it brings the cached predictions of
-// the users a build writes leaves for up to date, so the build's Long and
-// Short calls only read predCache.
+// the users a build writes leaves for up to date, so the build's Rows
+// calls only read predCache.
 func (p engineProbs) Prepare(userIDs []string) { p.e.preparePredictions(userIDs) }
 
 // preparePredictions refreshes the cached predictions of those of userIDs
 // whose entry is missing or stale, on runtime.GOMAXPROCS(0) workers with
 // one prediction scratch each. The entries are made and registered here,
 // serially, so each worker writes only the entries it computes; every
-// entry is computed as categoryProb computes it, so the cache holds the
+// entry is computed as predictions computes it, so the cache holds the
 // same users and the same rows as a build that filled it lazily.
 func (e *Engine) preparePredictions(userIDs []string) {
 	type job struct {

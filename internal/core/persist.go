@@ -283,7 +283,7 @@ func decodeFrom(r io.Reader, reconfig func(*Config)) (*Engine, *cppse.State, err
 		e.consumers = snap.Consumers
 	}
 	for _, ps := range snap.Profiles {
-		e.store.Put(profile.FromSnapshot(ps))
+		e.store.Restore(ps)
 	}
 	return e, snap.Index, nil
 }
@@ -473,7 +473,7 @@ func (d *snapReader) user(e *Engine) error {
 	if _, dup := e.store.Lookup(id); dup {
 		return fmt.Errorf("%w: user %q appears twice", errSnapshot, id)
 	}
-	e.store.Put(profile.FromSnapshot(profile.Snapshot{UserID: id, WindowSize: int(ws), LongTerm: long, Window: window}))
+	e.store.Restore(profile.Snapshot{UserID: id, WindowSize: int(ws), LongTerm: long, Window: window})
 	if flags&userHasObs != 0 {
 		e.consumerObs[id] = obs
 	}

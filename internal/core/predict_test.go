@@ -243,7 +243,6 @@ func TestWarmPredictionRefreshZeroAlloc(t *testing.T) {
 	if user == "" {
 		t.Fatal("no user with its own model")
 	}
-	cat := eng.cfg.Categories[0]
 	// Pre-grow the history so appending an observation reuses its backing
 	// array: the measurement is the refresh, not the slice growth.
 	hist := eng.consumerObs[user]
@@ -254,12 +253,12 @@ func TestWarmPredictionRefreshZeroAlloc(t *testing.T) {
 		grown = append(grown, hist[i%n])
 	}
 	eng.consumerObs[user] = grown[:n]
-	eng.categoryProb(user, cat, false)
+	eng.predictions(user)
 	allocs := testing.AllocsPerRun(100, func() {
 		n++
 		eng.consumerObs[user] = grown[:n]
 		eng.predCache[user].obsLen = -1
-		eng.categoryProb(user, cat, true)
+		eng.predictions(user)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm prediction refresh allocates %.1f allocs/op, want 0", allocs)

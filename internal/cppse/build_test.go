@@ -17,7 +17,7 @@ import (
 // that the parallel phase only reads what its workers share.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	store, bg, cats := wideFixture(600)
-	probs := MLEProbs{Store: store, NCats: len(cats)}
+	probs := MLEProbs{Store: store}
 	for _, shard := range []bool{false, true} {
 		cfg := Config{Categories: cats}
 		if shard {
@@ -41,7 +41,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		st := serial.State()
 		sameTrees(t, "Build", serial, build(4, nil))
 		sameTrees(t, "BuildFromState", build(1, &st), build(4, &st))
-		if n := len(serial.trees); n < 8 {
+		if n := len(serial.allTrees()); n < 8 {
 			t.Fatalf("fixture builds %d trees; the parallel phase needs several", n)
 		}
 	}
@@ -51,24 +51,30 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 // order and identical node by node.
 func sameTrees(t *testing.T, how string, a, b *Index) {
 	t.Helper()
-	if len(a.trees) != len(b.trees) {
-		t.Fatalf("%s: %d trees, parallel %d", how, len(a.trees), len(b.trees))
+	ta, tb := a.allTrees(), b.allTrees()
+	if len(ta) != len(tb) {
+		t.Fatalf("%s: %d trees, parallel %d", how, len(ta), len(tb))
 	}
-	for key, ta := range a.trees {
-		tb := b.trees[key]
-		if tb == nil {
-			t.Fatalf("%s: parallel build lacks tree %v", how, key)
+	for _, tr := range ta {
+		other := b.Tree(tr.BlockID, tr.Category)
+		if other == nil {
+			t.Fatalf("%s: parallel build lacks tree %d/%s", how, tr.BlockID, tr.Category)
 		}
-		if err := sigtree.Diff(ta, tb); err != nil {
+		if err := sigtree.Diff(tr, other); err != nil {
 			t.Fatalf("%s: %v", how, err)
 		}
 	}
-	for cat, ts := range a.treesByCat {
-		if len(ts) != len(b.treesByCat[cat]) {
-			t.Fatalf("%s: category %s has %d trees, parallel %d", how, cat, len(ts), len(b.treesByCat[cat]))
+	for id, ts := range a.treesByCat {
+		cat := a.names.Cats.Name(int32(id))
+		var others []*sigtree.Tree
+		if oid, ok := b.names.Cats.Lookup(cat); ok && int(oid) < len(b.treesByCat) {
+			others = b.treesByCat[oid]
+		}
+		if len(ts) != len(others) {
+			t.Fatalf("%s: category %s has %d trees, parallel %d", how, cat, len(ts), len(others))
 		}
 		for i, tr := range ts {
-			if other := b.treesByCat[cat][i]; other.BlockID != tr.BlockID {
+			if other := others[i]; other.BlockID != tr.BlockID {
 				t.Fatalf("%s: category %s tree %d is block %d, parallel block %d", how, cat, i, tr.BlockID, other.BlockID)
 			}
 		}

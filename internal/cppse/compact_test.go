@@ -54,19 +54,19 @@ func wideFixture(nUsers int) (*profile.Store, *profile.Background, []string) {
 // skipped W·(+0) term is ±0.
 func TestLeafCountsArePositive(t *testing.T) {
 	store, bg, cats := wideFixture(300)
-	ix, err := Build(store, bg, MLEProbs{Store: store, NCats: len(cats)}, Config{Categories: cats})
+	ix, err := Build(store, bg, MLEProbs{Store: store}, Config{Categories: cats})
 	if err != nil {
 		t.Fatal(err)
 	}
 	leaves := 0
-	for key, tr := range ix.trees {
+	for _, tr := range ix.allTrees() {
 		for _, id := range tr.Users() {
 			sig, _ := tr.Get(id)
 			leaves++
 			for _, cs := range [][]sigtree.Coord{sig.Prod, sig.Ent} {
 				for i, c := range cs {
 					if c.Val <= 0 || c.Val != math.Trunc(c.Val) || (i > 0 && c.Idx <= cs[i-1].Idx) {
-						t.Fatalf("tree %v user %s: list %v", key, id, cs)
+						t.Fatalf("tree %d/%s user %s: list %v", tr.BlockID, tr.Category, id, cs)
 					}
 				}
 			}
@@ -92,12 +92,13 @@ func TestLeafCountsArePositive(t *testing.T) {
 
 // BenchmarkIndexBytesPerLeaf builds an index over 2 000 users at the
 // ytube-10k leaf shape and reports the live heap the index adds per leaf
-// entry (B/leaf): what the signature encoding costs in memory.
+// entry (B/leaf): what the signature encoding costs in memory, and the
+// bytes of the universes' id → position slices.
 func BenchmarkIndexBytesPerLeaf(b *testing.B) {
 	store, bg, cats := wideFixture(2000)
-	probs := MLEProbs{Store: store, NCats: len(cats)}
+	probs := MLEProbs{Store: store}
 	var ms runtime.MemStats
-	var perLeaf float64
+	var perLeaf, uniIndex float64
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
@@ -109,7 +110,9 @@ func BenchmarkIndexBytesPerLeaf(b *testing.B) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		perLeaf = float64(int64(ms.HeapAlloc)-before) / float64(ix.Stats().TotalLeafCount)
+		uniIndex = float64(ix.UniverseIndexBytes())
 		runtime.KeepAlive(ix)
 	}
 	b.ReportMetric(perLeaf, "B/leaf")
+	b.ReportMetric(uniIndex, "universe-index-B")
 }

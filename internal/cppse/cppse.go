@@ -17,10 +17,12 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"ssrec/internal/cluster"
+	"ssrec/internal/intern"
 	"ssrec/internal/model"
 	"ssrec/internal/profile"
 	"ssrec/internal/ranking"
@@ -74,59 +76,60 @@ func (c *Config) fill() {
 }
 
 // Probs supplies the cached BiHMM category probabilities stored in leaf
-// signatures: Long is the long-term p(c|u), Short the short-term ps(c|u)
-// over the user's recent window. The ssRec engine implements this with the
-// trained BiHMM; MLEProbs is a model-free fallback.
+// signatures. Rows returns a user's long-term p(c|u) and short-term
+// ps(c|u) rows over cats, which the index always passes as its
+// Config.Categories: row position i is cats[i]. A leaf of a category
+// outside Config.Categories stores OffCategoryProb instead. scratch holds
+// 2·len(cats) values the caller owns: an implementation that computes
+// rows on each call writes them there rather than allocating. The index reads the rows before its next call to Rows with
+// the same scratch and never writes them. The ssRec engine implements
+// this with the trained BiHMM; MLEProbs is a model-free fallback.
 //
-// Build and BuildFromState call Long and Short from several goroutines at
-// once, one per tree being filled, so during a build an implementation
-// must only read: it may not write state those calls share. One that
-// computes lazily implements Preparer as well and does its writing there.
-// Index maintenance (UpdateUser, RefreshUser) calls them from one
-// goroutine, under its caller's write lock.
+// Build and BuildFromState call Rows from several goroutines at once, one
+// per tree being filled, so during a build an implementation must only
+// read: it may not write state those calls share. One that computes
+// lazily implements Preparer as well and does its writing there. Index
+// maintenance (UpdateUser, RefreshUser) calls it from one goroutine,
+// under its caller's write lock, at most once per refreshed user.
 type Probs interface {
-	Long(userID, category string) float64
-	Short(userID, category string) float64
+	Rows(userID string, cats []string, scratch []float64) (long, short []float64)
 }
+
+// OffCategoryProb is the Pl and Ps of a leaf whose category is not among
+// Config.Categories (the stream may carry categories no model was trained
+// on).
+const OffCategoryProb = 1e-9
 
 // Preparer is implemented by a Probs that computes its probabilities
 // lazily. A build calls Prepare once, from its own goroutine and before it
 // reads any probability, with every user whose leaves it writes (each
-// once); the Long and Short calls that follow ask only for those users, so
-// they can read what Prepare stored.
+// once); the Rows calls that follow ask only for those users, so they can
+// read what Prepare stored.
 type Preparer interface {
 	Prepare(userIDs []string)
 }
 
 // MLEProbs implements Probs from profile statistics alone: the long-term
-// category MLE and the add-one-smoothed window frequency.
+// category MLE and the add-one-smoothed window frequency over the
+// categories the index passes.
 type MLEProbs struct {
 	Store *profile.Store
-	NCats int
 }
 
-// Long implements Probs.
-func (m MLEProbs) Long(userID, category string) float64 {
+// Rows implements Probs.
+func (m MLEProbs) Rows(userID string, cats []string, scratch []float64) (long, short []float64) {
+	n := len(cats)
+	long, short = scratch[:n:n], scratch[n:2*n]
 	p, ok := m.Store.Lookup(userID)
-	if !ok {
-		return 1 / float64(m.NCats)
+	for i, c := range cats {
+		if !ok {
+			long[i], short[i] = 1/float64(n), 1/float64(n)
+			continue
+		}
+		long[i] = p.CategoryMLE(c, n)
+		short[i] = float64(p.WindowCategoryCount(c)+1) / float64(p.WindowLen()+n)
 	}
-	return p.CategoryMLE(category, m.NCats)
-}
-
-// Short implements Probs.
-func (m MLEProbs) Short(userID, category string) float64 {
-	p, ok := m.Store.Lookup(userID)
-	if !ok {
-		return 1 / float64(m.NCats)
-	}
-	n := p.WindowCategoryCount(category)
-	return float64(n+1) / float64(p.WindowLen()+m.NCats)
-}
-
-type treeKey struct {
-	block    int
-	category string
+	return long, short
 }
 
 // Index is the assembled CPPse-index.
@@ -136,11 +139,14 @@ type Index struct {
 	probs Probs
 	store *profile.Store
 
+	names *intern.Names // the store's interner
+
 	blocks     *cluster.Result
 	userBlock  map[string]int
 	prodUni    []*sigtree.Universe // per block, shared across its trees
-	trees      map[treeKey]*sigtree.Tree
-	treesByCat map[string][]*sigtree.Tree
+	trees      [][]*sigtree.Tree   // per block, by category id; nil where the block has no tree
+	treesByCat [][]*sigtree.Tree   // by category id, in creation order
+	cfgPos     []int32             // by category id: position in Config.Categories, -1 if unconfigured
 	hash       *shx.Table
 }
 
@@ -219,13 +225,13 @@ func (ix *Index) State() State {
 		st.ProdUni[b] = append([]string(nil), u.Names()...)
 	}
 	st.EntUni = make([]map[string][]string, len(ix.prodUni))
-	for key, tr := range ix.trees {
-		m := st.EntUni[key.block]
+	for _, tr := range ix.allTrees() {
+		m := st.EntUni[tr.BlockID]
 		if m == nil {
 			m = make(map[string][]string)
-			st.EntUni[key.block] = m
+			st.EntUni[tr.BlockID] = m
 		}
-		m[key.category] = append([]string(nil), tr.Ent.Names()...)
+		m[tr.Category] = append([]string(nil), tr.Ent.Names()...)
 	}
 	return st
 }
@@ -271,15 +277,22 @@ func BuildFromState(store *profile.Store, bg *profile.Background, probs Probs, c
 // the tree, exactly as a live index leaves such trees empty.
 func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Config, res *cluster.Result, userBlock map[string]int, seed *State) *Index {
 	ix := &Index{
-		cfg:        cfg,
-		bg:         bg,
-		probs:      probs,
-		store:      store,
-		blocks:     res,
-		userBlock:  userBlock,
-		trees:      make(map[treeKey]*sigtree.Tree),
-		treesByCat: make(map[string][]*sigtree.Tree),
-		hash:       shx.NewTable(hashBuckets),
+		cfg:       cfg,
+		bg:        bg,
+		probs:     probs,
+		store:     store,
+		names:     store.Names(),
+		blocks:    res,
+		userBlock: userBlock,
+		trees:     make([][]*sigtree.Tree, len(res.Clusters)),
+		hash:      shx.NewTable(hashBuckets),
+	}
+	for i, c := range cfg.Categories {
+		id := ix.names.Cats.Intern(c)
+		for int(id) >= len(ix.cfgPos) {
+			ix.cfgPos = append(ix.cfgPos, -1)
+		}
+		ix.cfgPos[id] = int32(i)
 	}
 	memberIDs := make([][]string, len(res.Clusters))
 	for id, b := range userBlock {
@@ -288,23 +301,19 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 	for _, ids := range memberIDs {
 		sort.Strings(ids)
 	}
+	var missing []int32
 
 	// (2) block producer universes.
 	ix.prodUni = make([]*sigtree.Universe, len(res.Clusters))
 	for _, c := range res.Clusters {
-		var u *sigtree.Universe
+		var names []string
 		if seed != nil && seed.ProdUni != nil {
-			u = sigtree.NewUniverse(seed.ProdUni[c.ID])
-		} else {
-			u = sigtree.NewUniverse(nil)
+			names = seed.ProdUni[c.ID]
 		}
+		u := sigtree.NewUniverse(&ix.names.Prods, names)
 		for _, uid := range memberIDs[c.ID] {
-			p, _ := store.Lookup(uid)
-			if p == nil {
-				continue
-			}
-			for _, up := range sortedStrings(p.Producers()) {
-				u.Add(up)
+			if p, _ := store.Lookup(uid); p != nil {
+				missing = addMissing(u, p.ProducerCounts(), missing)
 			}
 		}
 		ix.prodUni[c.ID] = u
@@ -325,16 +334,20 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 			owned[i] = ix.owns(uid)
 		}
 		for _, cat := range cfg.Categories {
-			var ents *sigtree.Universe
+			catID, _ := ix.names.Cats.Lookup(cat)
+			var names []string
 			if seed != nil && seed.EntUni != nil && seed.EntUni[c.ID] != nil {
-				ents = sigtree.NewUniverse(seed.EntUni[c.ID][cat])
-			} else {
-				ents = sigtree.NewUniverse(nil)
+				names = seed.EntUni[c.ID][cat]
 			}
+			ents := sigtree.NewUniverse(ix.names.Ents(catID), names)
 			interested := false
 			var leaves []*profile.Profile
 			for i, p := range profiles {
-				if p == nil || !ix.userInterested(p, cat) {
+				if p == nil {
+					continue
+				}
+				cs := p.Category(catID)
+				if cs == nil {
 					continue
 				}
 				interested = true
@@ -342,21 +355,18 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 					leaves = append(leaves, p)
 					writes[i] = true
 				}
-				for _, e := range sortedStrings(p.EntitiesIn(cat)) {
-					ents.Add(e)
-				}
+				missing = addMissing(ents, cs.Ents, missing)
 			}
 			if !interested {
 				continue
 			}
 			tr := sigtree.New(c.ID, cat, ix.prodUni[c.ID], ents, cfg.Fanout)
-			ix.trees[treeKey{c.ID, cat}] = tr // register before leafSignatureInto reads tr.Ent
-			ix.treesByCat[cat] = append(ix.treesByCat[cat], tr)
+			ix.addTree(tr, catID) // register before leafSignatureInto reads tr.Ent
 			for _, e := range ents.Names() {
 				ix.hash.Insert(shx.PairKey(cat, e), tr)
 			}
 			if len(leaves) > 0 {
-				jobs = append(jobs, fillJob{tr: tr, members: leaves})
+				jobs = append(jobs, fillJob{tr: tr, cat: catID, members: leaves})
 			}
 		}
 		for i, w := range writes {
@@ -372,10 +382,93 @@ func assemble(store *profile.Store, bg *profile.Background, probs Probs, cfg Con
 	return ix
 }
 
+// addMissing appends to u the ids of counts it lacks, in ascending name
+// order, so the positions they take are those of a pass adding every name
+// of counts in sorted order. It returns the ids it appended, in order,
+// reusing missing's storage.
+func addMissing(u *sigtree.Universe, counts []profile.IDCount, missing []int32) []int32 {
+	missing = missing[:0]
+	for _, c := range counts {
+		if _, ok := u.Pos(c.ID); !ok {
+			missing = append(missing, c.ID)
+		}
+	}
+	if len(missing) > 1 {
+		slices.SortFunc(missing, func(a, b int32) int { return strings.Compare(u.Name(a), u.Name(b)) })
+	}
+	for _, id := range missing {
+		u.AddID(id)
+	}
+	return missing
+}
+
+// addTree registers tr as the tree of its block and category id cat.
+func (ix *Index) addTree(tr *sigtree.Tree, cat int32) {
+	ts := ix.trees[tr.BlockID]
+	for int(cat) >= len(ts) {
+		ts = append(ts, nil)
+	}
+	ts[cat] = tr
+	ix.trees[tr.BlockID] = ts
+	for int(cat) >= len(ix.treesByCat) {
+		ix.treesByCat = append(ix.treesByCat, nil)
+	}
+	ix.treesByCat[cat] = append(ix.treesByCat[cat], tr)
+}
+
+// tree returns block's tree of category id cat, or nil.
+func (ix *Index) tree(block int, cat int32) *sigtree.Tree {
+	if ts := ix.trees[block]; int(cat) < len(ts) {
+		return ts[cat]
+	}
+	return nil
+}
+
+// allTrees returns every tree, by block and then category id.
+func (ix *Index) allTrees() []*sigtree.Tree {
+	var out []*sigtree.Tree
+	for _, ts := range ix.trees {
+		for _, tr := range ts {
+			if tr != nil {
+				out = append(out, tr)
+			}
+		}
+	}
+	return out
+}
+
+// catPos returns the position of category id cat in Config.Categories, or
+// -1 when the category is not configured.
+func (ix *Index) catPos(cat int32) int {
+	if int(cat) < len(ix.cfgPos) {
+		return int(ix.cfgPos[cat])
+	}
+	return -1
+}
+
+// leafProbs returns the Pl and Ps a leaf of category id cat stores for
+// the user whose rows sc caches; the rows are fetched from Probs on the
+// first configured category asked for since sc.forUser.
+func (ix *Index) leafProbs(sc *refreshScratch, cat int32) (pl, ps float64) {
+	ci := ix.catPos(cat)
+	if ci < 0 {
+		return OffCategoryProb, OffCategoryProb
+	}
+	if !sc.rowsOK {
+		if n := 2 * len(ix.cfg.Categories); len(sc.rowBuf) < n {
+			sc.rowBuf = make([]float64, n)
+		}
+		sc.long, sc.short = ix.probs.Rows(sc.user, ix.cfg.Categories, sc.rowBuf)
+		sc.rowsOK = true
+	}
+	return sc.long[ci], sc.short[ci]
+}
+
 // fillJob is one tree of a build's parallel phase and the owned members it
 // gets leaves for, in insertion order.
 type fillJob struct {
 	tr      *sigtree.Tree
+	cat     int32
 	members []*profile.Profile
 }
 
@@ -396,7 +489,9 @@ func (ix *Index) fill(jobs []fillJob) {
 		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
 			j := &jobs[i]
 			for _, p := range j.members {
-				j.tr.Insert(p.UserID, *ix.leafSignatureInto(sc, p, j.tr.BlockID, j.tr.Category))
+				sc.forUser(p.UserID)
+				pl, ps := ix.leafProbs(sc, j.cat)
+				j.tr.Insert(p.UserID, *ix.leafSignatureInto(sc, p, p.Category(j.cat), j.tr, pl, ps))
 			}
 		}
 	}
@@ -416,20 +511,6 @@ func (ix *Index) fill(jobs []fillJob) {
 // (Config.Owns; nil owns everyone).
 func (ix *Index) owns(userID string) bool {
 	return ix.cfg.Owns == nil || ix.cfg.Owns(userID)
-}
-
-// userInterested reports whether a user belongs in the tree of cat: any
-// long-term or windowed activity there.
-func (ix *Index) userInterested(p *profile.Profile, cat string) bool {
-	if p.CategoryCount(cat) > 0 {
-		return true
-	}
-	for _, wc := range p.WindowCategories() {
-		if wc == cat {
-			return true
-		}
-	}
-	return false
 }
 
 // Recommend returns the top-k users for the prepared item query, plus the
@@ -488,6 +569,7 @@ func (ix *Index) lookupTrees(q ranking.ItemQuery) []*sigtree.Tree {
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.reset()
+	ix.resolve(sc, q)
 	ix.lookupTreesInto(sc, q)
 	return append([]*sigtree.Tree(nil), sc.trees...)
 }
@@ -514,16 +596,15 @@ func (ix *Index) UpdateUser(userID string) error {
 // UpdateUser creates trees from the PROFILE's categories, so a user
 // observed under an unconfigured category (v1 Observe admits them) has a
 // leaf the configured set would never find — iterating the configured
-// categories leaked that leaf forever. Per-tree deletes are independent,
-// so map iteration order does not affect the final state.
+// categories leaked that leaf forever.
 func (ix *Index) RemoveUser(userID string) bool {
 	block, ok := ix.userBlock[userID]
 	if !ok {
 		return false
 	}
 	removed := false
-	for key, tr := range ix.trees {
-		if key.block == block && tr.Delete(userID) {
+	for _, tr := range ix.trees[block] {
+		if tr != nil && tr.Delete(userID) {
 			removed = true
 		}
 	}
@@ -565,7 +646,8 @@ type IndexStats struct {
 
 // Stats computes the index summary.
 func (ix *Index) Stats() IndexStats {
-	s := IndexStats{Blocks: len(ix.blocks.Clusters), Trees: len(ix.trees), Users: len(ix.userBlock)}
+	trees := ix.allTrees()
+	s := IndexStats{Blocks: len(ix.blocks.Clusters), Trees: len(trees), Users: len(ix.userBlock)}
 	if ix.cfg.Owns == nil {
 		s.OwnedUsers = s.Users
 	} else {
@@ -580,7 +662,7 @@ func (ix *Index) Stats() IndexStats {
 			s.MaxProducerUni = u.Len()
 		}
 	}
-	for _, tr := range ix.trees {
+	for _, tr := range trees {
 		if tr.Ent.Len() > s.MaxEntityUni {
 			s.MaxEntityUni = tr.Ent.Len()
 		}
@@ -598,9 +680,27 @@ func (ix *Index) Stats() IndexStats {
 	return s
 }
 
+// UniverseIndexBytes sums the bytes of every universe's id → position
+// slice. Ids are engine-local, so two engines holding equal universes can
+// report different sizes.
+func (ix *Index) UniverseIndexBytes() int {
+	n := 0
+	for _, u := range ix.prodUni {
+		n += u.IndexBytes()
+	}
+	for _, tr := range ix.allTrees() {
+		n += tr.Ent.IndexBytes()
+	}
+	return n
+}
+
 // Tree exposes one tree for tests.
 func (ix *Index) Tree(block int, category string) *sigtree.Tree {
-	return ix.trees[treeKey{block, category}]
+	id, ok := ix.names.Cats.Lookup(category)
+	if !ok || block < 0 || block >= len(ix.trees) {
+		return nil
+	}
+	return ix.tree(block, id)
 }
 
 // BlockOf returns the block a user is assigned to.
@@ -613,10 +713,4 @@ func (ix *Index) BlockOf(userID string) (int, bool) {
 
 func sortPointsByID(points []cluster.Point) {
 	sort.Slice(points, func(i, j int) bool { return points[i].ID < points[j].ID })
-}
-
-func sortedStrings(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	return out
 }

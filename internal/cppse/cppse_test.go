@@ -55,7 +55,7 @@ func buildIndex(t testing.TB, nPerCohort int, cfg Config) (*Index, *profile.Stor
 	t.Helper()
 	store, bg, cats := fixture(t, nPerCohort)
 	cfg.Categories = cats
-	probs := MLEProbs{Store: store, NCats: len(cats)}
+	probs := MLEProbs{Store: store}
 	ix, err := Build(store, bg, probs, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -90,7 +90,7 @@ func TestBuildBasic(t *testing.T) {
 func TestBuildRequiresCategories(t *testing.T) {
 	store := profile.NewStore(5)
 	bg := profile.NewBackground(nil, 10)
-	if _, err := Build(store, bg, MLEProbs{Store: store, NCats: 1}, Config{}); err == nil {
+	if _, err := Build(store, bg, MLEProbs{Store: store}, Config{}); err == nil {
 		t.Fatal("Build accepted empty categories")
 	}
 }
@@ -272,14 +272,21 @@ func TestMLEProbs(t *testing.T) {
 	p.ObserveLongTerm(profile.Event{Category: "a", Producer: "x"})
 	p.ObserveLongTerm(profile.Event{Category: "a", Producer: "x"})
 	p.Observe(profile.Event{Category: "b", Producer: "x"})
-	probs := MLEProbs{Store: store, NCats: 2}
-	if probs.Long("u", "a") <= probs.Long("u", "b") {
+	probs := MLEProbs{Store: store}
+	cats := []string{"a", "b"}
+	long, short := probs.Rows("u", cats, make([]float64, 4))
+	if long[0] <= long[1] {
 		t.Error("long-term MLE ignores history")
 	}
-	if probs.Short("u", "b") <= probs.Short("u", "a") {
+	if short[1] <= short[0] {
 		t.Error("short-term prob ignores window")
 	}
-	if probs.Long("ghost", "a") <= 0 || probs.Short("ghost", "a") <= 0 {
+	rl, rs := probs.Rows("u", []string{"b", "a"}, make([]float64, 4))
+	if rl[0] != long[1] || rl[1] != long[0] || rs[0] != short[1] || rs[1] != short[0] {
+		t.Error("rows do not follow the order of the categories passed")
+	}
+	long, short = probs.Rows("ghost", cats, make([]float64, 4))
+	if long[0] <= 0 || short[0] <= 0 {
 		t.Error("unknown user probabilities must be positive")
 	}
 }

@@ -8,17 +8,24 @@ import (
 	"slices"
 	"sync"
 
+	"ssrec/internal/intern"
 	"ssrec/internal/ranking"
 	"ssrec/internal/shx"
 	"ssrec/internal/sigtree"
 )
 
 // queryScratch carries every reusable buffer of one Recommend call: the
-// candidate-tree dedup set, the encoded per-tree queries (value slab),
-// an arena for their sparse entity lists, and a stamped dense accumulator
-// for entity-weight folding. Instances are pooled; all buffers retain
-// capacity across queries.
+// item's names resolved to interned ids, the candidate-tree dedup set,
+// the encoded per-tree queries (value slab), an arena for their sparse
+// entity lists, and a stamped dense accumulator for entity-weight
+// folding. Instances are pooled; all buffers retain capacity across
+// queries.
 type queryScratch struct {
+	// The item's names as interned ids; -1 where a name was never
+	// interned, which no universe holds.
+	cat, prod int32
+	entIDs    []int32 // by query entity
+
 	seen    map[*sigtree.Tree]bool
 	trees   []*sigtree.Tree
 	tqs     []sigtree.TreeQuery
@@ -92,11 +99,34 @@ func (ix *Index) lookupTreesInto(sc *queryScratch, q ranking.ItemQuery) {
 			add(ptr.(*sigtree.Tree))
 		}
 	}
-	for _, tr := range ix.treesByCat[q.Category] {
-		if _, ok := tr.Prod.Index(q.Producer); ok {
-			add(tr)
+	if sc.cat >= 0 && int(sc.cat) < len(ix.treesByCat) {
+		for _, tr := range ix.treesByCat[sc.cat] {
+			if _, ok := tr.Prod.Pos(sc.prod); ok {
+				add(tr)
+			}
 		}
 	}
+}
+
+// resolve looks the item's names up in the interner once, so every
+// candidate tree is then read by slice index. It only reads the
+// interner: an item's unseen names are not interned by a query.
+func (ix *Index) resolve(sc *queryScratch, q ranking.ItemQuery) {
+	sc.cat = idOf(&ix.names.Cats, q.Category)
+	sc.prod = idOf(&ix.names.Prods, q.Producer)
+	ents := ix.names.LookupEnts(sc.cat)
+	sc.entIDs = sc.entIDs[:0]
+	for _, we := range q.Entities {
+		sc.entIDs = append(sc.entIDs, idOf(ents, we.Name))
+	}
+}
+
+// idOf returns name's id in tab, or -1 when it was never interned.
+func idOf(tab *intern.Table, name string) int32 {
+	if id, ok := tab.Lookup(name); ok {
+		return id
+	}
+	return -1
 }
 
 // encodeAll produces the pseudo-queries of the paper's Example 1 for every
@@ -105,9 +135,12 @@ func (ix *Index) lookupTreesInto(sc *queryScratch, q ranking.ItemQuery) {
 // item instead of once per (item, tree); the per-tree work is only the
 // producer-index lookup and the sparse entity projection, folded through
 // the stamped dense accumulator (no maps, no per-tree allocations in
-// steady state).
+// steady state). The item's names are resolved to ids once, before the
+// candidate trees are looked up; every candidate tree is of the item's
+// category, so its entity ids hold for all of them.
 func (ix *Index) encodeAll(sc *queryScratch, q ranking.ItemQuery) []sigtree.TreeQuery {
 	sc.reset()
+	ix.resolve(sc, q)
 	ix.lookupTreesInto(sc, q)
 	if len(sc.trees) == 0 {
 		return nil
@@ -125,7 +158,7 @@ func (ix *Index) encodeAll(sc *queryScratch, q ranking.ItemQuery) []sigtree.Tree
 			Mu:      ix.cfg.Mu,
 			LambdaS: ix.cfg.LambdaS,
 		}
-		if i, ok := tr.Prod.Index(q.Producer); ok {
+		if i, ok := tr.Prod.Pos(sc.prod); ok {
 			sq.ProdIdx = i
 		}
 		if n := tr.Ent.Len(); n > len(sc.dense) {
@@ -134,8 +167,8 @@ func (ix *Index) encodeAll(sc *queryScratch, q ranking.ItemQuery) []sigtree.Tree
 		}
 		sc.epoch++
 		sc.touched = sc.touched[:0]
-		for _, we := range q.Entities {
-			if i, ok := tr.Ent.Index(we.Name); ok {
+		for k, we := range q.Entities {
+			if i, ok := tr.Ent.Pos(sc.entIDs[k]); ok {
 				if sc.stamp[i] != sc.epoch {
 					sc.stamp[i] = sc.epoch
 					sc.dense[i] = 0

@@ -20,7 +20,7 @@ import (
 func shardIndexes(t testing.TB, nPerCohort, n int) (*Index, []*Index, *profile.Store) {
 	t.Helper()
 	store, bg, cats := fixture(t, nPerCohort)
-	probs := MLEProbs{Store: store, NCats: len(cats)}
+	probs := MLEProbs{Store: store}
 	build := func(owns func(string) bool) *Index {
 		ix, err := Build(store, bg, probs, Config{Categories: cats, Owns: owns})
 		if err != nil {

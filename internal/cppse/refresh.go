@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"ssrec/internal/profile"
@@ -22,14 +21,23 @@ import (
 )
 
 // refreshScratch carries the reusable buffers of one RefreshUser call:
-// the sorted category/producer/entity name slices and the signature lists
-// of the (user, category) being rebuilt. Trees copy a signature's lists on
-// every write, so the scratch is never retained.
+// the ids a universe lacks, the user's probability rows once fetched, and
+// the signature lists of the (user, category) being rebuilt. Trees copy a
+// signature's lists on every write, so the scratch is never retained.
 type refreshScratch struct {
-	cats  []string
-	prods []string
-	ents  []string
-	sig   sigtree.Signature
+	missing []int32
+
+	user        string
+	rowsOK      bool
+	long, short []float64
+	rowBuf      []float64
+
+	sig sigtree.Signature
+}
+
+// forUser points the scratch at a user whose rows are not yet fetched.
+func (sc *refreshScratch) forUser(userID string) {
+	sc.user, sc.rowsOK = userID, false
 }
 
 var refreshPool = sync.Pool{New: func() any { return new(refreshScratch) }}
@@ -37,59 +45,38 @@ var refreshPool = sync.Pool{New: func() any { return new(refreshScratch) }}
 func getRefreshScratch() *refreshScratch { return refreshPool.Get().(*refreshScratch) }
 
 func putRefreshScratch(sc *refreshScratch) {
-	// Drop string references so idle scratches don't pin profile data.
-	clearStrings(&sc.cats)
-	clearStrings(&sc.prods)
-	clearStrings(&sc.ents)
+	// Drop references so idle scratches don't pin a user or its rows.
+	sc.user, sc.long, sc.short = "", nil, nil
 	refreshPool.Put(sc)
 }
 
-func clearStrings(s *[]string) {
-	*s = (*s)[:cap(*s)]
-	clear(*s)
-	*s = (*s)[:0]
-}
-
-// leafSignatureInto encodes a user's statistics for one tree into pooled
-// scratch: the producer and entity counts the profile holds, as Coords
-// sorted by universe index — no pass over the universe. Profile counts
-// are positive integers, so every listed count is positive and every
-// unlisted one is the +0 a sparse list reads. The returned signature
-// aliases sc and is only valid until the next use of sc; trees copy it.
-func (ix *Index) leafSignatureInto(sc *refreshScratch, p *profile.Profile, block int, cat string) *sigtree.Signature {
-	prodU := ix.prodUni[block]
+// leafSignatureInto encodes a user's statistics for tree tr, whose
+// category's record in p is cs, into pooled scratch: the producer and
+// entity counts the profile holds, as Coords sorted by universe position
+// — no pass over the universe. Profile counts are positive integers, so
+// every listed count is positive and every unlisted one is the +0 a
+// sparse list reads. The returned signature aliases sc and is only valid
+// until the next use of sc; trees copy it.
+func (ix *Index) leafSignatureInto(sc *refreshScratch, p *profile.Profile, cs *profile.CategoryStats, tr *sigtree.Tree, pl, ps float64) *sigtree.Signature {
 	sig := &sc.sig
-	sig.Pl = ix.probs.Long(p.UserID, cat)
-	sig.Ps = ix.probs.Short(p.UserID, cat)
+	sig.Pl, sig.Ps = pl, ps
 	sig.ProdTotal = float64(p.ProducerTotal())
-	sig.EntTotal = float64(p.EntityTotal(cat))
-	sig.Prod = sig.Prod[:0]
-	sc.prods = p.AppendProducers(sc.prods[:0])
-	for _, up := range sc.prods {
-		if i, ok := prodU.Index(up); ok {
-			sig.Prod = appendCount(sig.Prod, i, p.ProducerCount(up))
-		}
-	}
-	slices.SortFunc(sig.Prod, byIdx)
-	sig.Ent = sig.Ent[:0]
-	if tr := ix.trees[treeKey{block, cat}]; tr != nil {
-		sc.ents = p.AppendEntitiesIn(cat, sc.ents[:0])
-		for _, e := range sc.ents {
-			if i, ok := tr.Ent.Index(e); ok {
-				sig.Ent = appendCount(sig.Ent, i, p.EntityCount(cat, e))
-			}
-		}
-		slices.SortFunc(sig.Ent, byIdx)
-	}
+	sig.EntTotal = float64(cs.EntTotal)
+	sig.Prod = appendCoords(sig.Prod[:0], tr.Prod, p.ProducerCounts())
+	sig.Ent = appendCoords(sig.Ent[:0], tr.Ent, cs.Ents)
 	return sig
 }
 
-// appendCount lists count n at universe index i unless it is zero.
-func appendCount(cs []sigtree.Coord, i, n int) []sigtree.Coord {
-	if n == 0 {
-		return cs
+// appendCoords lists the counts u holds a position for, sorted by
+// position.
+func appendCoords(dst []sigtree.Coord, u *sigtree.Universe, counts []profile.IDCount) []sigtree.Coord {
+	for _, c := range counts {
+		if i, ok := u.Pos(c.ID); ok {
+			dst = append(dst, sigtree.Coord{Idx: int32(i), Val: float64(c.N)})
+		}
 	}
-	return append(cs, sigtree.Coord{Idx: int32(i), Val: float64(n)})
+	slices.SortFunc(dst, byIdx)
+	return dst
 }
 
 func byIdx(a, b sigtree.Coord) int { return cmp.Compare(a.Idx, b.Idx) }
@@ -112,7 +99,9 @@ func byIdx(a, b sigtree.Coord) int { return cmp.Compare(a.Idx, b.Idx) }
 // or the category is unconfigured (a build makes trees only for
 // configured categories, so after one, the names of a block's other users
 // in an unconfigured category arrive only with their own refreshes).
-// Elsewhere the full pass would add nothing.
+// Elsewhere the full pass would add nothing. A pass checks each of the
+// user's ids against the universe and adds only the missing ones, sorted
+// by name: the positions a sorted pass over every name would give.
 //
 // Leaf maintenance (owned users only): without a roll no listed count
 // moved, so each inhabited category's leaf only gets its Pl/Ps restamped
@@ -136,55 +125,38 @@ func (ix *Index) RefreshUser(userID string, rolled bool) error {
 
 	prodU := ix.prodUni[block]
 	if grow {
-		sc.prods = p.AppendProducers(sc.prods[:0])
-		sort.Strings(sc.prods)
-		for _, up := range sc.prods {
-			prodU.Add(up)
-		}
+		sc.missing = addMissing(prodU, p.ProducerCounts(), sc.missing)
 	}
 
-	// Inhabited categories: long-term ∪ window, sorted and deduplicated —
-	// the same set (and growth order) UpdateUser has always used.
-	sc.cats = p.AppendCategories(sc.cats[:0])
-	sc.cats = p.AppendWindowCategories(sc.cats)
-	sort.Strings(sc.cats)
-	w := 0
-	for i, c := range sc.cats {
-		if i == 0 || c != sc.cats[i-1] {
-			sc.cats[w] = c
-			w++
-		}
-	}
-	sc.cats = sc.cats[:w]
-
+	// Inhabited categories (long-term ∪ window), by name — the set and
+	// growth order UpdateUser has always used.
 	owned := ix.owns(userID)
-	for _, cat := range sc.cats {
-		key := treeKey{block, cat}
-		tr := ix.trees[key]
+	sc.forUser(userID)
+	cats := p.ActiveCategories()
+	for i := range cats {
+		cs := &cats[i]
+		tr := ix.tree(block, cs.ID)
 		created := tr == nil
 		if created {
-			tr = sigtree.New(block, cat, prodU, sigtree.NewUniverse(nil), ix.cfg.Fanout)
-			ix.trees[key] = tr
-			ix.treesByCat[cat] = append(ix.treesByCat[cat], tr)
+			tab := ix.names.Ents(cs.ID)
+			tr = sigtree.New(block, ix.names.Cats.Name(cs.ID), prodU, sigtree.NewUniverse(tab, nil), ix.cfg.Fanout)
+			ix.addTree(tr, cs.ID)
 		}
 		// Unseen entities: extend universe + hash (Algorithm 2 lines 5-9).
-		if grow || created || !slices.Contains(ix.cfg.Categories, cat) {
-			sc.ents = p.AppendEntitiesIn(cat, sc.ents[:0])
-			sort.Strings(sc.ents)
-			for _, e := range sc.ents {
-				if _, ok := tr.Ent.Index(e); !ok {
-					tr.Ent.Add(e)
-					ix.hash.Insert(shx.PairKey(cat, e), tr)
-				}
+		if grow || created || ix.catPos(cs.ID) < 0 {
+			sc.missing = addMissing(tr.Ent, cs.Ents, sc.missing)
+			for _, id := range sc.missing {
+				ix.hash.Insert(shx.PairKey(tr.Category, tr.Ent.Name(id)), tr)
 			}
 		}
 		if !owned {
 			continue
 		}
-		if !rolled && tr.UpdateProbs(userID, ix.probs.Long(userID, cat), ix.probs.Short(userID, cat)) {
+		pl, ps := ix.leafProbs(sc, cs.ID)
+		if !rolled && tr.UpdateProbs(userID, pl, ps) {
 			continue
 		}
-		sig := ix.leafSignatureInto(sc, p, block, cat)
+		sig := ix.leafSignatureInto(sc, p, cs, tr, pl, ps)
 		if !tr.UpdateCopy(userID, sig) {
 			tr.Insert(userID, *sig)
 		}

@@ -3,6 +3,7 @@ package cppse
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -89,7 +90,7 @@ func compareIndexes(t *testing.T, full, gated *Index, store *profile.Store) {
 // remove-then-reobserve.
 func TestUpdateUserCatsMatchesFull(t *testing.T) {
 	store, bg, cats := fixture(t, 8)
-	probs := MLEProbs{Store: store, NCats: len(cats)}
+	probs := MLEProbs{Store: store}
 	cfg := Config{Categories: cats}
 	full, err := Build(store, bg, probs, cfg)
 	if err != nil {
@@ -162,7 +163,7 @@ func TestRefreshUnconfiguredCategoryAfterBuild(t *testing.T) {
 		p.ObserveLongTerm(profile.Event{Category: "esports", Producer: "twitch-up0",
 			Entities: []string{fmt.Sprintf("speedrun%d", i), "finals"}})
 	}
-	probs := MLEProbs{Store: store, NCats: len(cats)}
+	probs := MLEProbs{Store: store}
 	cfg := Config{Categories: cats, FixedBlocks: 1}
 	full, err := Build(store, bg, probs, cfg)
 	if err != nil {
@@ -281,14 +282,19 @@ func benchObserveCats(p *profile.Profile, nEvents int) {
 
 // BenchmarkRefreshColdUser measures the first refresh of a brand-new user
 // (block assignment + tree inserts) — the cost roll gating cannot avoid.
+// The cold profiles are made and filled before the timer starts, and the
+// set-up's garbage collected, so the loop times RefreshUser alone.
 func BenchmarkRefreshColdUser(b *testing.B) {
 	ix, store, _ := buildIndex(b, 100, Config{})
+	ids := make([]string, b.N)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("cold%06d", i)
+		benchObserveCats(store.Get(ids[i]), 6)
+	}
+	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("cold%06d", i)
-		p := store.Get(id)
-		benchObserveCats(p, 6)
+	for _, id := range ids {
 		if err := ix.RefreshUser(id, true); err != nil {
 			b.Fatal(err)
 		}

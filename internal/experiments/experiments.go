@@ -153,7 +153,7 @@ func Table2(o Options) []Table2Row {
 	cfg.CreateProb = 0.08
 	ds := dataset.Generate(cfg)
 	store, bg := profilesFromDataset(ds)
-	probs := cppse.MLEProbs{Store: store, NCats: len(ds.Categories)}
+	probs := cppse.MLEProbs{Store: store}
 	blockCounts := []int{1, 10, 20, 30, 40, 50}
 	if o.Quick {
 		blockCounts = []int{1, 10, 30}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ssrec/internal/model"
 )
@@ -72,7 +73,7 @@ func TestFlushPreservesCounts(t *testing.T) {
 
 // leafStats is every long-term statistic a signature-tree leaf reads from
 // a profile: totals, per-name counts and the key sets behind
-// AppendProducers / AppendEntitiesIn, with the category set they span.
+// ProducerCounts / ActiveCategories, with the category set they span.
 type leafStats struct {
 	ProdTotal int
 	Prods     map[string]int
@@ -83,13 +84,13 @@ type leafStats struct {
 func leafStatsOf(p *Profile) leafStats {
 	s := leafStats{ProdTotal: p.ProducerTotal(), Prods: map[string]int{},
 		EntTotals: map[string]int{}, Ents: map[string]map[string]int{}}
-	for _, up := range p.AppendProducers(nil) {
+	for _, up := range p.Producers() {
 		s.Prods[up] = p.ProducerCount(up)
 	}
-	for _, c := range p.AppendCategories(nil) {
+	for _, c := range p.Categories() {
 		s.EntTotals[c] = p.EntityTotal(c)
 		s.Ents[c] = map[string]int{}
-		for _, e := range p.AppendEntitiesIn(c, nil) {
+		for _, e := range p.EntitiesIn(c) {
 			s.Ents[c][e] = p.EntityCount(c, e)
 		}
 	}
@@ -123,6 +124,52 @@ func TestNonRollingObserveKeepsLeafStats(t *testing.T) {
 	}
 	if rolls == 0 {
 		t.Fatal("no observation rolled the window")
+	}
+}
+
+// TestInternedEvents pins the interned layer: profiles of one store share
+// its interner and keep its copy of every string they record, and the
+// id-keyed views agree with the name-keyed ones.
+func TestInternedEvents(t *testing.T) {
+	s := NewStore(2)
+	a, b := s.Get("a"), s.Get("b")
+	a.Observe(ev("sports", "bbc", "arsenal", "spurs"))
+	b.Observe(Event{Category: string([]byte("sports")), Producer: string([]byte("bbc")),
+		Entities: []string{string([]byte("arsenal"))}})
+	_, wa := a.Events()
+	_, wb := b.Events()
+	if unsafe.StringData(wa[0].Producer) != unsafe.StringData(wb[0].Producer) ||
+		unsafe.StringData(wa[0].Entities[0]) != unsafe.StringData(wb[0].Entities[0]) {
+		t.Fatal("profiles of one store hold separate copies of a name")
+	}
+	a.Observe(ev("news", "bbc", "vote"))
+	a.Observe(ev("music", "mtv"))
+	cats := a.ActiveCategories()
+	var names []string
+	for _, cs := range cats {
+		names = append(names, s.Names().Cats.Name(cs.ID))
+	}
+	if !reflect.DeepEqual(names, []string{"music", "news", "sports"}) {
+		t.Fatalf("ActiveCategories in order %v, want by name", names)
+	}
+	for _, cs := range cats {
+		c := s.Names().Cats.Name(cs.ID)
+		if cs.Count != a.CategoryCount(c) || cs.EntTotal != a.EntityTotal(c) || len(cs.Ents) != a.DistinctEntityCount(c) {
+			t.Fatalf("%s: record %+v disagrees with the name-keyed counts", c, cs)
+		}
+		for _, ec := range cs.Ents {
+			if int(ec.N) != a.EntityCount(c, s.Names().LookupEnts(cs.ID).Name(ec.ID)) {
+				t.Fatalf("%s: entity count %+v disagrees", c, ec)
+			}
+		}
+	}
+	for _, pc := range a.ProducerCounts() {
+		if int(pc.N) != a.ProducerCount(s.Names().Prods.Name(pc.ID)) {
+			t.Fatalf("producer count %+v disagrees", pc)
+		}
+	}
+	if a.ProducerCount("bbc") != 2 || a.EntityCount("sports", "spurs") != 1 {
+		t.Fatalf("counts after the roll: bbc %d spurs %d", a.ProducerCount("bbc"), a.EntityCount("sports", "spurs"))
 	}
 }
 

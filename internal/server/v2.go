@@ -271,13 +271,18 @@ func (s *Server) handleObserveV2(w http.ResponseWriter, r *http.Request) {
 
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
 	sc.Buffer(nil, maxNDJSONLine) // starts at bufio's 4 KB, grows to a long line
+	// One decode target for every line: &line escapes into json.Unmarshal,
+	// so a per-line variable would cost a heap object each. It is zeroed
+	// before each decode, so a field a line omits reads as absent, and
+	// its entity slice is never shared with the previous observation.
+	var line observeLineJSON
 	for sc.Scan() {
 		lineNo++
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
-		var line observeLineJSON
+		line = observeLineJSON{}
 		if err := json.Unmarshal(raw, &line); err != nil {
 			invalid++
 			emit(observeStatusJSON{Line: lineNo, Status: "error",

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -308,6 +309,49 @@ func TestObserveV2ChangesEngineState(t *testing.T) {
 	}
 	if after := s.eng.Users(); after != before+6 {
 		t.Fatalf("users %d -> %d, want +6", before, after)
+	}
+}
+
+// recordingBackend keeps every observation batch it is given.
+type recordingBackend struct{ batches [][]core.Observation }
+
+func (r *recordingBackend) RecommendBatch(context.Context, []model.Item, ...core.Option) ([]core.Result, error) {
+	return nil, nil
+}
+
+func (r *recordingBackend) ObserveBatch(_ context.Context, batch []core.Observation) (core.BatchReport, error) {
+	r.batches = append(r.batches, slices.Clone(batch))
+	return core.BatchReport{Applied: len(batch)}, nil
+}
+
+func (r *recordingBackend) Users() int                     { return 0 }
+func (r *recordingBackend) IndexView() core.IndexStatsView { return core.IndexStatsView{} }
+
+// TestObserveV2LinesDecodeIndependently pins that a line's omitted fields
+// read as absent even when the line before set them: the handler decodes
+// every line into one reused value, so it must start each from zero.
+func TestObserveV2LinesDecodeIndependently(t *testing.T) {
+	rec := &recordingBackend{}
+	s := New(rec)
+	body := `{"user_id":"a","item":{"id":"i1","category":"c","producer":"p","entities":["e1","e2"]},"timestamp":7}
+{"user_id":"b","item":{"id":"i2","category":"c"}}
+`
+	rr := postRaw(t, s.Handler(), "/v2/observe", "application/x-ndjson", []byte(body))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+	}
+	var got []core.Observation
+	for _, b := range rec.batches {
+		got = append(got, b...)
+	}
+	if len(got) != 2 {
+		t.Fatalf("backend saw %d observations, want 2", len(got))
+	}
+	if first := got[0]; first.Timestamp != 7 || !slices.Equal(first.Item.Entities, []string{"e1", "e2"}) {
+		t.Fatalf("first observation = %+v", first)
+	}
+	if second := got[1]; second.Timestamp != 0 || second.Item.Entities != nil || second.Item.Producer != "" {
+		t.Fatalf("second observation inherited the first's fields: %+v", second)
 	}
 }
 

@@ -341,7 +341,7 @@ type opRunner struct {
 }
 
 func newOpRunner(src opSource, special bool, fanout int) *opRunner {
-	return &opRunner{tr: New(0, "c", NewUniverse(nil), NewUniverse(nil), fanout),
+	return &opRunner{tr: New(0, "c", NewUniverse(nil, nil), NewUniverse(nil, nil), fanout),
 		src: src, special: special, nProd: 3, nEnt: 2}
 }
 

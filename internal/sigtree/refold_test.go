@@ -69,7 +69,7 @@ func TestInsertWideningMatchesFullFold(t *testing.T) {
 			}
 			return v
 		}
-		tr := New(0, "c", NewUniverse(nil), NewUniverse(nil), 2+int(seed%3))
+		tr := New(0, "c", NewUniverse(nil, nil), NewUniverse(nil, nil), 2+int(seed%3))
 		var vecs func(n *node, step string)
 		vecs = func(n *node, step string) {
 			checkVec(t, n, false, step)
@@ -124,7 +124,7 @@ func TestHolderMovesInwardAtEveryLevel(t *testing.T) {
 		{name: "NaN", count: math.NaN(), pl: math.NaN(), total: math.NaN(), listed: true},
 		{name: "Pl only, through UpdateProbs", pl: 0.1, viaProbsOnly: true},
 	} {
-		tr := New(0, "c", NewUniverse(nil), NewUniverse(nil), 2)
+		tr := New(0, "c", NewUniverse(nil, nil), NewUniverse(nil, nil), 2)
 		for i := range 24 {
 			// Half the totals are +0 and half −0, so a total that rises
 			// from the champion's −2 ties the rest at ±0 at every level.
@@ -210,7 +210,7 @@ func ytubeShapeTree(tb testing.TB) (*Tree, []string, *rand.Rand) {
 	tb.Helper()
 	const nUsers, nProd, nEnt = 600, 582, 80
 	rng := rand.New(rand.NewSource(31))
-	prod, ent := NewUniverse(nil), NewUniverse(nil)
+	prod, ent := NewUniverse(nil, nil), NewUniverse(nil, nil)
 	for i := range nProd {
 		prod.Add(fmt.Sprintf("p%d", i))
 	}

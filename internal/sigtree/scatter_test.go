@@ -41,8 +41,8 @@ func tieForest() []TreeQuery {
 	q := randomQuery(4, 6, rng)
 	var tqs []TreeQuery
 	for b := 0; b < 4; b++ {
-		prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-		ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+		prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+		ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 		tr := New(b, "c", prod, ent, 4)
 		for i := 0; i < 12; i++ {
 			tr.Insert(fmt.Sprintf("t%02du%02d", b, i), shared.Clone())
@@ -96,7 +96,7 @@ func TestSearchParallelDegenerate(t *testing.T) {
 	if got := scatter(nil, 5, 4); len(got) != 0 {
 		t.Fatalf("results from empty input: %v", got)
 	}
-	empty := New(0, "c", NewUniverse(nil), NewUniverse(nil), 4)
+	empty := New(0, "c", NewUniverse(nil, nil), NewUniverse(nil, nil), 4)
 	tqs := []TreeQuery{{Tree: empty, Query: &Query{Mu: 10, ProdIdx: -1}}}
 	if got := scatter(tqs, 5, 8); len(got) != 0 {
 		t.Fatalf("results from empty tree: %v", got)

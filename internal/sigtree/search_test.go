@@ -19,8 +19,8 @@ func buildForest(t testing.TB, nTrees, nUsers int, seed int64) []TreeQuery {
 	rng := rand.New(rand.NewSource(seed))
 	var tqs []TreeQuery
 	for b := 0; b < nTrees; b++ {
-		prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-		ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+		prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+		ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 		tr := New(b, "c", prod, ent, 6)
 		for i := 0; i < nUsers; i++ {
 			tr.Insert(fmt.Sprintf("b%02du%04d", b, i), randomSignature(4, 6, rng))

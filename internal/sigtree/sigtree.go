@@ -35,52 +35,76 @@ package sigtree
 import (
 	"math"
 	"slices"
+
+	"ssrec/internal/intern"
 )
 
-// Universe is an append-only name→index mapping shared by signatures and
-// queries. Following the paper's maintenance rule, a fifth of extra
-// capacity is reserved at construction so early growth does not reallocate
-// ("we reserve 20% space of each entry").
+// Universe is an append-only list of names drawn from one interned id
+// space (the producers', or one category's entities), giving each its
+// position in the signatures of the trees that share it. Positions follow
+// insertion order; an id maps to its position through a slice bounded by
+// the largest id added, so the hot paths never hash a name. Following the
+// paper's maintenance rule, a fifth of extra name capacity is reserved at
+// construction so early growth does not reallocate ("we reserve 20% space
+// of each entry").
 type Universe struct {
+	tab   *intern.Table
 	names []string
-	idx   map[string]int
+	pos   []int32 // pos[id] is id's position + 1; 0 = absent
 }
 
-// NewUniverse builds a universe over the initial names (deduplicated,
-// insertion order preserved).
-func NewUniverse(names []string) *Universe {
-	u := &Universe{
-		names: make([]string, 0, len(names)+len(names)/5+1),
-		idx:   make(map[string]int, len(names)),
+// NewUniverse builds a universe over ids of tab, seeded with the initial
+// names (interned into tab, deduplicated, insertion order preserved). A
+// nil tab gives the universe an id space of its own.
+func NewUniverse(tab *intern.Table, names []string) *Universe {
+	if tab == nil {
+		tab = new(intern.Table)
 	}
+	u := &Universe{tab: tab, names: make([]string, 0, len(names)+len(names)/5+1)}
 	for _, n := range names {
 		u.Add(n)
 	}
 	return u
 }
 
-// Index returns the index of name and whether it is present.
-func (u *Universe) Index(name string) (int, bool) {
-	i, ok := u.idx[name]
-	return i, ok
+// Pos returns the position of the name with id and whether it is present
+// (never for a negative id).
+func (u *Universe) Pos(id int32) (int, bool) {
+	if uint(id) >= uint(len(u.pos)) || u.pos[id] == 0 {
+		return 0, false
+	}
+	return int(u.pos[id]) - 1, true
 }
 
-// Add returns the index of name, appending it if new.
-func (u *Universe) Add(name string) int {
-	if i, ok := u.idx[name]; ok {
+// AddID returns the position of the name with id, appending it if new.
+func (u *Universe) AddID(id int32) int {
+	if i, ok := u.Pos(id); ok {
 		return i
 	}
+	if int(id) >= len(u.pos) {
+		u.pos = append(u.pos, make([]int32, int(id)+1-len(u.pos))...)
+	}
 	i := len(u.names)
-	u.names = append(u.names, name)
-	u.idx[name] = i
+	u.names = append(u.names, u.tab.Name(id))
+	u.pos[id] = int32(i + 1)
 	return i
 }
+
+// Add returns the position of name, interning it and appending it if new.
+func (u *Universe) Add(name string) int { return u.AddID(u.tab.Intern(name)) }
+
+// Name returns the name with id in the universe's id space, whether or
+// not the universe holds it.
+func (u *Universe) Name(id int32) string { return u.tab.Name(id) }
 
 // Len returns the number of names.
 func (u *Universe) Len() int { return len(u.names) }
 
 // Names returns the backing name slice (do not mutate).
 func (u *Universe) Names() []string { return u.names }
+
+// IndexBytes reports the bytes of the universe's id → position slice.
+func (u *Universe) IndexBytes() int { return 4 * cap(u.pos) }
 
 // Coord is one stored coordinate of a sparse count vector: a universe
 // index and the count there.

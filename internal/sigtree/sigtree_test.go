@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"ssrec/internal/intern"
 )
 
 // randomSignature builds a plausible leaf signature over the given
@@ -63,8 +65,8 @@ func randomQuery(nProd, nEnt int, rng *rand.Rand) *Query {
 func buildTree(t testing.TB, nUsers, fanout int, seed int64) (*Tree, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-	ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+	prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+	ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 	tr := New(0, "sports", prod, ent, fanout)
 	for i := 0; i < nUsers; i++ {
 		tr.Insert(fmt.Sprintf("u%03d", i), randomSignature(prod.Len(), ent.Len(), rng))
@@ -72,15 +74,53 @@ func buildTree(t testing.TB, nUsers, fanout int, seed int64) (*Tree, *rand.Rand)
 	return tr, rng
 }
 
+// TestUniverseSharedIDSpace pins that positions follow each universe's
+// own insertion order whatever ids the shared table assigned.
+// posOf looks name up in u's id space and returns its position in u.
+func posOf(u *Universe, name string) (int, bool) {
+	id, ok := u.tab.Lookup(name)
+	if !ok {
+		return 0, false
+	}
+	return u.Pos(id)
+}
+
+func TestUniverseSharedIDSpace(t *testing.T) {
+	tab := new(intern.Table)
+	for _, n := range []string{"z", "y", "x", "w"} {
+		tab.Intern(n)
+	}
+	a := NewUniverse(tab, []string{"x", "z"})
+	b := NewUniverse(tab, nil)
+	b.AddID(3) // "w"
+	b.Add("v") // interned as id 4
+	y, _ := tab.Lookup("y")
+	if _, ok := a.Pos(y); ok {
+		t.Fatal("a holds a name it never added")
+	}
+	if i, ok := posOf(a, "z"); !ok || i != 1 {
+		t.Fatalf("position of z in a = %d %v", i, ok)
+	}
+	if i, ok := b.Pos(4); !ok || i != 1 || b.Name(4) != "v" {
+		t.Fatalf("b.Pos(4) = %d %v", i, ok)
+	}
+	if _, ok := b.Pos(-1); ok {
+		t.Fatal("a negative id has a position")
+	}
+	if !reflect.DeepEqual(a.Names(), []string{"x", "z"}) || !reflect.DeepEqual(b.Names(), []string{"w", "v"}) {
+		t.Fatalf("Names = %v, %v", a.Names(), b.Names())
+	}
+}
+
 func TestUniverse(t *testing.T) {
-	u := NewUniverse([]string{"a", "b", "a"})
+	u := NewUniverse(nil, []string{"a", "b", "a"})
 	if u.Len() != 2 {
 		t.Fatalf("Len = %d", u.Len())
 	}
-	if i, ok := u.Index("b"); !ok || i != 1 {
-		t.Fatalf("Index(b) = %d %v", i, ok)
+	if i, ok := posOf(u, "b"); !ok || i != 1 {
+		t.Fatalf("position of b = %d %v", i, ok)
 	}
-	if _, ok := u.Index("z"); ok {
+	if _, ok := posOf(u, "z"); ok {
 		t.Fatal("phantom index")
 	}
 	if got := u.Add("c"); got != 2 {
@@ -226,8 +266,8 @@ func TestSearchAcrossMultipleTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var tqs []TreeQuery
 	for b := 0; b < 3; b++ {
-		prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-		ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+		prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+		ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 		tr := New(b, "sports", prod, ent, 4)
 		for i := 0; i < 40; i++ {
 			tr.Insert(fmt.Sprintf("b%du%03d", b, i), randomSignature(4, 6, rng))
@@ -242,8 +282,8 @@ func TestSearchAcrossMultipleTrees(t *testing.T) {
 }
 
 func TestSearchEmptyTree(t *testing.T) {
-	prod := NewUniverse(nil)
-	ent := NewUniverse(nil)
+	prod := NewUniverse(nil, nil)
+	ent := NewUniverse(nil, nil)
 	tr := New(0, "c", prod, ent, 4)
 	got, _ := Search([]TreeQuery{{Tree: tr, Query: &Query{Mu: 10, ProdIdx: -1}}}, 5)
 	if len(got) != 0 {
@@ -259,8 +299,8 @@ func TestSearchPrunes(t *testing.T) {
 	// signatures with small noise. The upper bound must let the search
 	// skip most entries.
 	rng := rand.New(rand.NewSource(10))
-	prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-	ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+	prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+	ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 	tr := New(0, "c", prod, ent, 6)
 	archetypes := make([]Signature, 5)
 	for a := range archetypes {
@@ -354,8 +394,8 @@ func TestSearchEquivalenceProperty(t *testing.T) {
 		k := int(kRaw%20) + 1
 		n := int(nRaw%100) + 5
 		rng := rand.New(rand.NewSource(seed))
-		prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-		ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+		prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+		ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 		tr := New(0, "c", prod, ent, 4)
 		for i := 0; i < n; i++ {
 			tr.Insert(fmt.Sprintf("u%03d", i), randomSignature(4, 6, rng))
@@ -376,8 +416,8 @@ func TestSearchEquivalenceProperty(t *testing.T) {
 func TestDominationProperty(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		prod := NewUniverse([]string{"p0", "p1"})
-		ent := NewUniverse([]string{"e0", "e1", "e2"})
+		prod := NewUniverse(nil, []string{"p0", "p1"})
+		ent := NewUniverse(nil, []string{"e0", "e1", "e2"})
 		tr := New(0, "c", prod, ent, 3)
 		users := 0
 		for _, op := range ops {
@@ -441,8 +481,8 @@ func BenchmarkSequentialScan(b *testing.B) {
 
 func BenchmarkInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
-	prod := NewUniverse([]string{"p0", "p1", "p2", "p3"})
-	ent := NewUniverse([]string{"e0", "e1", "e2", "e3", "e4", "e5"})
+	prod := NewUniverse(nil, []string{"p0", "p1", "p2", "p3"})
+	ent := NewUniverse(nil, []string{"e0", "e1", "e2", "e3", "e4", "e5"})
 	tr := New(0, "c", prod, ent, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
