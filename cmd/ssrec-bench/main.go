@@ -9,15 +9,13 @@
 //	ssrec-bench -scale 1.0          # larger datasets (slower, sharper shapes)
 //	ssrec-bench -quick              # coarse grids for a fast pass
 //
-// Refresh mode runs the index-refresh micro-benchmark family (the write
-// path, gated on window rolls) and reports ns/op, B/op and
-// allocs/op per scenario:
-//
-//	ssrec-bench -refresh -json refresh.json
-//
 // Serving speed is measured by the repository benchmark, not here:
 //
 //	bash bench/run.sh --workload query-10k   # or ingest-10k, fleet-5k
+//
+// and the write path's refresh cost by the Go benchmarks:
+//
+//	go test -run xxx -bench 'BenchmarkRefresh|BenchmarkObserveBatchBiHMM' -benchmem ./internal/cppse ./internal/core
 package main
 
 import (
@@ -37,16 +35,8 @@ func main() {
 		seed      = flag.Int64("seed", 42, "base random seed")
 		quick     = flag.Bool("quick", false, "coarse parameter grids and item caps")
 		fig67Data = flag.String("sweepdata", "YTube", "dataset for the fig6/fig7 sweeps (YTube or MLens)")
-
-		refresh = flag.Bool("refresh", false, "index-refresh micro-benchmark mode (ns/op per refresh scenario)")
-		jsonOut = flag.String("json", "", "refresh mode: write the JSON report here")
 	)
 	flag.Parse()
-
-	if *refresh {
-		runRefresh(*jsonOut)
-		return
-	}
 
 	o := experiments.Options{Scale: *scale, Seed: *seed, Quick: *quick, Ks: []int{5, 10, 20, 30}}
 	want := map[string]bool{}

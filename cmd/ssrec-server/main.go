@@ -107,7 +107,7 @@ func main() {
 		sessionBurst  = flag.Int("session-burst", 0, "token-bucket burst of -session-rate (default max(1, rate))")
 		sessionLinger = flag.Duration("session-linger", 200*time.Millisecond, "flush a session's pending observations at most this long after the first arrives (<= 0 disables the timer)")
 
-		principalRate  = flag.Float64("principal-rate", 0, "per-principal request quota in requests/sec on /v2/* (principal = bearer token, else client host; token bucket; 0 = unlimited)")
+		principalRate  = flag.Float64("principal-rate", 0, "per-principal request quota in requests/sec on /v2/* (principal = bearer token when -auth-token is set, else client host; token bucket; 0 = unlimited)")
 		principalBurst = flag.Int("principal-burst", 0, "token-bucket burst of -principal-rate (default max(1, rate))")
 
 		traceAll  = flag.Bool("trace", false, "trace EVERY request (otherwise only requests carrying an X-Ssrec-Trace header are traced); fetch span trees via GET /v2/trace/{id}")

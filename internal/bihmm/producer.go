@@ -109,15 +109,6 @@ func (pl *ProducerLayer) AlignedStateAt(producer string, pos int) int {
 	return pl.dominantCategory(producer, z)
 }
 
-// AlignedCurrentZ is CurrentZ in the aligned (dominant-category) alphabet.
-func (pl *ProducerLayer) AlignedCurrentZ(producer string) int {
-	z := pl.CurrentZ(producer)
-	if z == ZUnknown {
-		return ZUnknown
-	}
-	return pl.dominantCategory(producer, z)
-}
-
 func (pl *ProducerLayer) dominantCategory(producer string, state int) int {
 	m := pl.models[producer]
 	if m == nil || state < 0 || state >= m.N {

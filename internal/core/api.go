@@ -144,9 +144,8 @@ func (e *Engine) recommendOne(ctx context.Context, v model.Item, o QueryOptions,
 }
 
 // RecommendBatch answers many items in one call: unseen items are
-// registered and pending maintenance flushed under a single write-lock
-// upgrade, then the queries fan out across GOMAXPROCS workers on the read
-// lock. results[i] corresponds to items[i]; item-scoped failures (unknown
+// registered under a single write-lock upgrade, then the queries fan out
+// across GOMAXPROCS workers on the read lock. results[i] corresponds to items[i]; item-scoped failures (unknown
 // category) land in results[i].Err while the call-scoped error reports
 // cancellation (ctx.Err()) or ErrNotTrained. On cancellation every
 // undispatched item is marked with ctx.Err() and partial results are
@@ -165,10 +164,10 @@ func (e *Engine) RecommendBatch(ctx context.Context, items []model.Item, opts ..
 		return results, ErrNotTrained
 	}
 	// Amortised prologue: ONE write-lock upgrade registers every unseen
-	// item (in batch order) and flushes pending maintenance, so the
-	// per-item queryPrologue stays on its read-locked fast path. The shard
-	// router broadcasts this same prologue; both paths share
-	// RegisterItemBatch so their semantics cannot drift.
+	// item (in batch order), so the per-item queryPrologue stays on its
+	// read-locked fast path. The shard router broadcasts this same
+	// prologue; both paths share RegisterItemBatch so their semantics
+	// cannot drift.
 	e.RegisterItemBatch(items)
 
 	workers := runtime.GOMAXPROCS(0)
@@ -217,18 +216,18 @@ func BatchErr(ctx context.Context, results []Result) error {
 }
 
 // RegisterItemBatch registers many items under ONE write lock, in batch
-// order, then flushes pending index maintenance — the deterministic batch
-// prologue of RecommendBatch, exposed so the shard router can broadcast it
-// to every shard before scattering a query batch (concurrent per-item
-// registration would advance the producer layer in nondeterministic order
-// and the shards would drift apart). A fully warmed batch takes only the
+// order — the deterministic batch prologue of RecommendBatch, exposed so
+// the shard router can broadcast it to every shard before scattering a
+// query batch (concurrent per-item registration would advance the
+// producer layer in nondeterministic order and the shards would drift
+// apart). A fully warmed batch takes only the
 // read lock.
 //
 // The return reports whether any PREVIOUSLY-UNSEEN item was registered —
 // i.e. whether the call advanced the replicated dictionaries. A warm
-// batch (and a dirty-flush-only call, which is shard-local maintenance)
-// reports false; the shard router uses this to decide whether an
-// excluded shard that skipped the broadcast actually fell behind.
+// batch changes nothing and reports false; the shard router uses this to
+// decide whether an excluded shard that skipped the broadcast actually
+// fell behind.
 func (e *Engine) RegisterItemBatch(items []model.Item) bool {
 	if !e.NeedsRegistration(items) {
 		return false
@@ -242,21 +241,16 @@ func (e *Engine) RegisterItemBatch(items []model.Item) bool {
 		}
 		e.registerItemLocked(v)
 	}
-	e.flushUpdatesLocked()
 	return changed
 }
 
 // NeedsRegistration reports whether RegisterItemBatch(items) would change
-// anything: some item is previously unseen, or index maintenance is
-// pending. It is RegisterItemBatch's own fast-path test, read-locked and
-// mutation-free. The durable engine (internal/wal) logs a registration
+// anything: some item is previously unseen. It is RegisterItemBatch's own
+// fast-path test, read-locked and mutation-free. The durable engine (internal/wal) logs a registration
 // exactly when this is true, so a warm batch costs no log record.
 func (e *Engine) NeedsRegistration(items []model.Item) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if len(e.dirty) > 0 {
-		return true
-	}
 	for _, v := range items {
 		if _, known := e.itemZ[v.ID]; !known {
 			return true

@@ -257,7 +257,7 @@ func TestBatchErr(t *testing.T) {
 // TestBatchAPIConcurrencyHammer drives RecommendBatch readers against an
 // ObserveBatch writer — the v2 acceptance hammer; run with -race.
 func TestBatchAPIConcurrencyHammer(t *testing.T) {
-	e, items, irs := streamEngine(t, Config{UpdateBatch: 4})
+	e, items, irs := streamEngine(t, Config{})
 	byID := make(map[string]model.Item, len(items))
 	for _, v := range items {
 		byID[v.ID] = v
@@ -340,9 +340,8 @@ func TestObserveBatchAmortisesFlushes(t *testing.T) {
 	if rep.Flushed != len(uniq) {
 		t.Errorf("flushed %d users, want the %d unique users of the batch", rep.Flushed, len(uniq))
 	}
-	// After the batch flush nothing may be pending: a follow-up flush is
-	// a no-op.
-	if n := e.FlushUpdates(); n != 0 {
-		t.Errorf("FlushUpdates after ObserveBatch refreshed %d users, want 0", n)
+	// After the batch flush nothing may be pending.
+	if len(e.dirty) != 0 {
+		t.Errorf("%d users still dirty after ObserveBatch, want 0", len(e.dirty))
 	}
 }

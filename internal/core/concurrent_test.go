@@ -33,14 +33,14 @@ func streamEngine(t testing.TB, cfg Config) (*Engine, []model.Item, []model.Inte
 }
 
 // TestConcurrentRecommendObserve hammers overlapping Recommend calls
-// against concurrent Observe/FlushUpdates writers — the contract the
-// RWMutex serves. At parallelism p the interaction stream is split
-// round-robin over p writers, so p > 1 also contends writer against
-// writer. Run with -race.
+// against concurrent writers, each ingesting ObserveBatch chunks of four
+// — the contract the RWMutex serves. At parallelism p the interaction
+// stream is split round-robin over p writers, so p > 1 also contends
+// writer against writer. Run with -race.
 func TestConcurrentRecommendObserve(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
-			e, items, irs := streamEngine(t, Config{UpdateBatch: 4})
+			e, items, irs := streamEngine(t, Config{})
 			byID := make(map[string]model.Item, len(items))
 			for _, v := range items {
 				byID[v.ID] = v
@@ -66,15 +66,25 @@ func TestConcurrentRecommendObserve(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					var chunk []Observation
 					for i := w; i < len(irs); i += parallelism {
 						if v, ok := byID[irs[i].ItemID]; ok {
-							e.Observe(irs[i], v)
+							chunk = append(chunk, Observation{UserID: irs[i].UserID, Item: v, Timestamp: irs[i].Timestamp})
+						}
+						if len(chunk) == 4 {
+							if _, err := e.ObserveBatch(context.Background(), chunk); err != nil {
+								t.Errorf("writer %d: %v", w, err)
+								return
+							}
+							chunk = chunk[:0]
 						}
 						if i%50 == 0 {
-							e.FlushUpdates()
 							e.Users()
 							e.IndexStats()
 						}
+					}
+					if _, err := e.ObserveBatch(context.Background(), chunk); err != nil {
+						t.Errorf("writer %d: %v", w, err)
 					}
 				}(w)
 			}

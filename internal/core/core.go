@@ -72,12 +72,6 @@ type Config struct {
 	// DisableUpdates freezes profiles and index after Train (ssRec-nu,
 	// Fig. 9).
 	DisableUpdates bool
-	// UpdateBatch batches index maintenance: profile changes are applied
-	// immediately, but the per-user index entries (Algorithm 2) refresh
-	// only every UpdateBatch observations — the paper's "periodic"
-	// maintenance mode. Pending users are always flushed before a query
-	// so results never serve stale entries. 0 or 1 = immediate.
-	UpdateBatch int
 
 	// Index knobs (see cppse.Config).
 	SimThreshold float64
@@ -167,13 +161,14 @@ func (c *Config) fill() {
 // Engine is safe for concurrent use across its streaming surface: the
 // recommend path (Recommend, RecommendStats, RecommendScan, BuildQuery)
 // runs under a read lock so overlapping queries execute in parallel,
-// while the mutating path (Train, Observe, RegisterItem, FlushUpdates,
-// RebuildIndex, SaveTo) takes the write lock. A query that must first
-// register an unseen item or flush batched maintenance briefly upgrades
-// to the write lock before re-acquiring the read side. The direct
-// component accessors (Store, Index, Expander, ProducerLayer) return
-// interior state and are for single-threaded callers (experiments,
-// tests) only. See DESIGN.md, "Concurrency".
+// while the mutating path (Train, Observe, ObserveBatch, RegisterItem,
+// RebuildIndex, SaveTo) takes the write lock. Every write call leaves the
+// index current before it releases the lock: no maintenance is ever
+// pending while the lock is free. A query that must first register an
+// unseen item briefly upgrades to the write lock before re-acquiring the
+// read side. The direct component accessors (Store, Index, Expander,
+// ProducerLayer) return interior state and are for single-threaded
+// callers (experiments, tests) only. See DESIGN.md, "Concurrency".
 type Engine struct {
 	mu     sync.RWMutex
 	cfg    Config
@@ -200,13 +195,12 @@ type Engine struct {
 	// widest model's PredictScratchLen); the write lock guards it.
 	predScratch []float64
 
-	// dirty users await batched index maintenance (Config.UpdateBatch);
-	// the value records whether the user's window rolled since the last
-	// flush (sticky until that user is flushed).
-	dirty      map[string]bool
-	flushIDs   []string // reusable scratch for flushUpdatesLocked
-	sinceFlush int
-	trained    bool
+	// dirty holds the users one write call has observed, for the flush
+	// that ends the call; the value records whether the user's window
+	// rolled during the call. It is empty whenever the lock is free.
+	dirty    map[string]bool
+	flushIDs []string // reusable scratch for flushUpdatesLocked
+	trained  bool
 	// fullRefresh forces the rebuild-everything reference path
 	// (SetFullRefresh).
 	fullRefresh bool
@@ -471,20 +465,14 @@ func (e *Engine) Observe(ir model.Interaction, v model.Item) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.observeLocked(ir, v)
-	if e.index == nil {
-		return
-	}
-	if e.cfg.UpdateBatch <= 1 || e.sinceFlush >= e.cfg.UpdateBatch {
-		e.flushUpdatesLocked()
-	}
+	e.flushUpdatesLocked()
 }
 
 // observeLocked applies one interaction to the profile, observation and
 // prediction state and marks the user for index maintenance. The caller
-// decides when the dirty set is flushed: per interaction (Observe with
-// UpdateBatch <= 1), per UpdateBatch interactions, or once per micro-batch
-// (ObserveBatch) — flushing is idempotent on the final profile state, so
-// every policy converges to the same index.
+// flushes the dirty set before it releases the write lock: per
+// interaction (Observe) or once per micro-batch (ObserveBatch), so the
+// micro-batch is the maintenance period.
 func (e *Engine) observeLocked(ir model.Interaction, v model.Item) {
 	e.registerItemLocked(v)
 	p := e.store.Get(ir.UserID)
@@ -497,20 +485,13 @@ func (e *Engine) observeLocked(ir model.Interaction, v model.Item) {
 		return
 	}
 	e.dirty[ir.UserID] = e.dirty[ir.UserID] || rolled
-	e.sinceFlush++
 }
 
-// FlushUpdates applies all pending batched index maintenance (Algorithm 2)
-// and returns how many users were refreshed.
-func (e *Engine) FlushUpdates() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.flushUpdatesLocked()
-}
-
+// flushUpdatesLocked applies the index maintenance (Algorithm 2) of the
+// users the current write call observed and returns how many owned users
+// were refreshed.
 func (e *Engine) flushUpdatesLocked() int {
-	if e.index == nil || len(e.dirty) == 0 {
-		e.sinceFlush = 0
+	if len(e.dirty) == 0 {
 		return 0
 	}
 	ids := e.flushIDs[:0]
@@ -539,7 +520,6 @@ func (e *Engine) flushUpdatesLocked() int {
 	clear(e.dirty)
 	clear(ids)
 	e.flushIDs = ids[:0]
-	e.sinceFlush = 0
 	return n
 }
 
@@ -564,8 +544,7 @@ func (e *Engine) Recommend(v model.Item, k int) []model.Recommendation {
 //
 // Overlapping calls run concurrently under the read lock; the call
 // briefly upgrades to the write lock when the item is unseen (it must be
-// registered) or batched maintenance is pending (stale entries must not
-// be served).
+// registered).
 func (e *Engine) RecommendStats(v model.Item, k int) ([]model.Recommendation, sigtree.SearchStats) {
 	if !e.queryPrologue(v) {
 		return nil, sigtree.SearchStats{}
@@ -591,30 +570,25 @@ func (e *Engine) RecommendScan(v model.Item, k int) []model.Recommendation {
 
 // queryPrologue prepares a query: it leaves the engine read-locked and
 // ready to serve (returning true), or unlocked (returning false) when the
-// engine is untrained. Unseen items and pending batched maintenance are
-// handled under a transient write lock before the read lock is
-// re-acquired.
+// engine is untrained. An unseen item is registered under a transient
+// write lock before the read lock is re-acquired.
 func (e *Engine) queryPrologue(v model.Item) bool {
 	e.mu.RLock()
-	for {
-		if !e.trained {
-			e.mu.RUnlock()
-			return false
-		}
-		_, known := e.itemZ[v.ID]
-		if known && len(e.dirty) == 0 {
-			return true
-		}
-		// Upgrade. A writer may slip in between Unlock and RLock and
-		// re-dirty the index, so loop until the read-locked check holds —
-		// stale entries must never be served.
+	if !e.trained {
 		e.mu.RUnlock()
-		e.mu.Lock()
-		e.flushUpdatesLocked()
-		e.registerItemLocked(v)
-		e.mu.Unlock()
-		e.mu.RLock()
+		return false
 	}
+	if _, known := e.itemZ[v.ID]; known {
+		return true
+	}
+	// Upgrade. Registration is permanent and every write call leaves the
+	// index current, so the read-locked state after the upgrade serves.
+	e.mu.RUnlock()
+	e.mu.Lock()
+	e.registerItemLocked(v)
+	e.mu.Unlock()
+	e.mu.RLock()
+	return true
 }
 
 // BuildQuery prepares the weighted entity query for an item, applying

@@ -82,7 +82,6 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	if !e.trained {
 		return fmt.Errorf("core: cannot save an untrained engine")
 	}
-	e.flushUpdatesLocked()
 	head := snapshotHead{
 		Config:     e.cfg,
 		Background: e.bg.Snapshot(),
@@ -575,7 +574,6 @@ func (e *Engine) RebuildIndex() error {
 	if !e.trained {
 		return fmt.Errorf("core: engine not trained")
 	}
-	e.flushUpdatesLocked()
 	return e.rebuildIndex()
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"math"
@@ -114,20 +115,32 @@ func TestRebuildIndexUntrained(t *testing.T) {
 	}
 }
 
+// TestBatchedUpdatesMatchImmediate: maintenance once per ObserveBatch
+// chunk of 25 (the micro-batch is the period) answers exactly as
+// maintenance after every Observe.
 func TestBatchedUpdatesMatchImmediate(t *testing.T) {
 	ds := testDataset(t)
 	immediate := trainedEngine(t, ds, nil)
-	batched := trainedEngine(t, ds, func(c *Config) { c.UpdateBatch = 25 })
+	batched := trainedEngine(t, ds, nil)
 
 	parts := ds.Partition(6)
 	feed := parts[2][:min(120, len(parts[2]))]
+	var chunk []Observation
 	for _, ir := range feed {
 		if v, ok := ds.Item(ir.ItemID); ok {
 			immediate.Observe(ir, v)
-			batched.Observe(ir, v)
+			chunk = append(chunk, Observation{UserID: ir.UserID, Item: v, Timestamp: ir.Timestamp})
+		}
+		if len(chunk) == 25 {
+			if _, err := batched.ObserveBatch(context.Background(), chunk); err != nil {
+				t.Fatalf("ObserveBatch: %v", err)
+			}
+			chunk = chunk[:0]
 		}
 	}
-	// Queries flush pending maintenance, so results must agree exactly.
+	if _, err := batched.ObserveBatch(context.Background(), chunk); err != nil {
+		t.Fatalf("ObserveBatch: %v", err)
+	}
 	for i := 0; i < 20 && i < len(ds.Items); i++ {
 		v := ds.Items[len(ds.Items)-1-i]
 		want := immediate.Recommend(v, 10)
@@ -135,25 +148,6 @@ func TestBatchedUpdatesMatchImmediate(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("item %s: batched != immediate\n got %v\nwant %v", v.ID, got, want)
 		}
-	}
-}
-
-func TestFlushUpdatesCount(t *testing.T) {
-	ds := testDataset(t)
-	eng := trainedEngine(t, ds, func(c *Config) { c.UpdateBatch = 1000 })
-	parts := ds.Partition(6)
-	users := map[string]bool{}
-	for _, ir := range parts[2][:min(40, len(parts[2]))] {
-		if v, ok := ds.Item(ir.ItemID); ok {
-			eng.Observe(ir, v)
-			users[ir.UserID] = true
-		}
-	}
-	if n := eng.FlushUpdates(); n != len(users) {
-		t.Fatalf("flushed %d users, want %d", n, len(users))
-	}
-	if n := eng.FlushUpdates(); n != 0 {
-		t.Fatalf("second flush refreshed %d users, want 0", n)
 	}
 }
 
@@ -200,8 +194,9 @@ func TestEngineConcurrentUse(t *testing.T) {
 // Restarts 1, UpdateBatch 8, trained on partitions 0–1), and
 // incremental_fold.answers.json holds what that engine answered for the
 // first 25 interactions' items of partition 3 (k=5) after ingesting
-// partition 2. Gob skips the field the current Config lacks, so the
-// snapshot must load and serve the same answers bit for bit.
+// partition 2. Gob skips the fields the current Config lacks
+// (IncrementalFold, UpdateBatch), so the snapshot must load and serve the
+// same answers bit for bit, maintaining after every observation.
 func TestLegacyIncrementalFoldSnapshot(t *testing.T) {
 	const snapPath = "testdata/incremental_fold.snap"
 	f, err := os.Open(snapPath)
@@ -213,15 +208,18 @@ func TestLegacyIncrementalFoldSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var legacy struct {
-		Config struct{ IncrementalFold bool }
+		Config struct {
+			IncrementalFold bool
+			UpdateBatch     int
+		}
 	}
 	err = gob.NewDecoder(gz).Decode(&legacy)
 	f.Close()
 	if err != nil {
 		t.Fatalf("decode legacy config: %v", err)
 	}
-	if !legacy.Config.IncrementalFold {
-		t.Fatal("fixture does not carry IncrementalFold: true")
+	if !legacy.Config.IncrementalFold || legacy.Config.UpdateBatch != 8 {
+		t.Fatalf("fixture config %+v, want IncrementalFold true and UpdateBatch 8", legacy.Config)
 	}
 
 	eng, err := LoadFile(snapPath)

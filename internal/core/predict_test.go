@@ -60,33 +60,33 @@ func checkPredictionsReplay(t *testing.T, e *Engine, step string) (own, pop int)
 // over a seeded stream that rolls windows (of the default size and of
 // one event), for users on their own model and on the population model,
 // across a snapshot round trip (whose load rebuilds every forward state
-// from scratch) and at flush granularities 1 and 64, every cached
-// prediction equals a full forward replay.
+// from scratch), maintained per Observe and per ObserveBatch chunk of 64,
+// every cached prediction equals a full forward replay.
 func TestPredictionMatchesFullReplay(t *testing.T) {
 	ds := testDataset(t)
 	parts := ds.Partition(6)
 	stream := append(parts[2][:len(parts[2]):len(parts[2])], parts[3]...)
 	arms := []struct {
 		name          string
-		updateBatch   int
+		checkEvery    int  // Observe arms: check after every checkEvery observations
 		window        int  // WindowSize; 0 = default
 		batchAPI      bool // ingest through ObserveBatch(64) instead of Observe
 		users, maxObs int  // > 0: follow only the stream's first users, up to maxObs observations
 	}{
-		// Every observation flushes and every flush replays every user:
-		// follow a subset of users, each long enough to roll its window.
+		// Every observation is checked and every check replays every
+		// user: follow a subset of users, each long enough to roll its
+		// window.
 		{"observe/batch=1", 1, 0, false, 24, 240},
 		// Every observation rolls the window, so the short side's start
 		// moves while its length stays 1.
 		{"observe/batch=1/window=1", 1, 1, false, 24, 120},
+		// The whole stream, one observation per fold, checked every 64.
 		{"observe/batch=64", 64, 0, false, 0, 0},
 		{"observebatch=64", 0, 0, true, 0, 0},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			eng := trainedEngine(t, ds, func(c *Config) {
-				c.UpdateBatch, c.WindowSize = arm.updateBatch, arm.window
-			})
+			eng := trainedEngine(t, ds, func(c *Config) { c.WindowSize = arm.window })
 			checkPredictionsReplay(t, eng, "after train")
 			stream := stream
 			if arm.users > 0 {
@@ -94,7 +94,7 @@ func TestPredictionMatchesFullReplay(t *testing.T) {
 			}
 			limit := len(stream)
 			half := limit / 2
-			var own, pop, flushes, rolls int
+			var own, pop, flushes, rolls, observed int
 			ingest := func(from, to int) {
 				for i := from; i < to; {
 					if arm.batchAPI {
@@ -119,7 +119,7 @@ func TestPredictionMatchesFullReplay(t *testing.T) {
 							rolls++
 						}
 						eng.Observe(ir, v)
-						if eng.sinceFlush != 0 {
+						if observed++; observed%arm.checkEvery != 0 {
 							continue
 						}
 					}

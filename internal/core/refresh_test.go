@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"log"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ssrec/internal/model"
@@ -36,7 +40,7 @@ func cloneTrained(t *testing.T, n int) (*Engine, []*Engine) {
 // TestMaskedRefreshMatchesFullEngine is the engine-level exactness pin:
 // two arms boot from one snapshot — reference (SetFullRefresh) and
 // roll-gated (default) — replay the same interaction stream observation by
-// observation (UpdateBatch default: flush per observe), and must answer
+// observation (Observe flushes per call), and must answer
 // every query bit-identically throughout. Both arms predict through the
 // incremental fold; TestPredictionMatchesFullReplay pins the fold itself.
 func TestMaskedRefreshMatchesFullEngine(t *testing.T) {
@@ -79,48 +83,61 @@ func TestMaskedRefreshMatchesFullEngine(t *testing.T) {
 	}
 }
 
-// TestRefreshErrorsSurfaced forces the previously-swallowed error path:
-// a user is marked dirty, then vanishes from the store before the batched
-// flush runs. The flush must count the failure in RefreshErrors, exclude
-// the user from the applied count, and keep serving.
+// TestRefreshErrorsSurfaced forces the refresh-error path from inside
+// the package: a user missing from the store is marked dirty and the dirty
+// set is flushed under the write lock, as a write call ends. The flush
+// must count the failure in RefreshErrors, exclude the user from the
+// applied count, log the first failure and keep serving.
 func TestRefreshErrorsSurfaced(t *testing.T) {
 	ds := testDataset(t)
-	eng := trainedEngine(t, ds, func(c *Config) { c.UpdateBatch = 10_000 })
-	parts := ds.Partition(6)
-	ir := parts[2][0]
-	v, ok := ds.Item(ir.ItemID)
-	if !ok {
-		t.Fatal("query item missing")
+	eng := trainedEngine(t, ds, nil)
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	flushMissing := func(id string) int {
+		eng.mu.Lock()
+		defer eng.mu.Unlock()
+		eng.dirty[id] = true
+		return eng.flushUpdatesLocked()
 	}
-	eng.Observe(ir, v) // marks ir.UserID dirty; UpdateBatch keeps it pending
-	eng.Store().Remove(ir.UserID)
-	if n := eng.FlushUpdates(); n != 0 {
+	if n := flushMissing("missing-user"); n != 0 {
 		t.Errorf("flush applied %d users, want 0 (the only dirty user errored)", n)
 	}
 	if got := eng.RefreshErrors(); got != 1 {
 		t.Fatalf("RefreshErrors = %d, want 1", got)
 	}
+	if !strings.Contains(logged.String(), `index refresh failed for user "missing-user"`) {
+		t.Errorf("first refresh failure not logged: %q", logged.String())
+	}
 	// Surfaced through the stats view (and hence /v2/stats).
 	if got := eng.IndexView().RefreshErrors; got != 1 {
 		t.Fatalf("IndexView().RefreshErrors = %d, want 1", got)
 	}
-	// The engine keeps serving.
+	// The engine keeps serving, and a healthy user still counts toward
+	// the applied figure.
+	ir := ds.Partition(6)[2][0]
+	v, ok := ds.Item(ir.ItemID)
+	if !ok {
+		t.Fatal("query item missing")
+	}
 	if recs := eng.Recommend(v, 5); recs == nil {
 		t.Error("engine stopped serving after refresh error")
 	}
-	// A healthy dirty user still counts toward the applied figure.
-	ir2 := parts[2][1]
-	if ir2.UserID == ir.UserID {
-		ir2 = parts[2][2]
+	rep, err := eng.ObserveBatch(context.Background(), []Observation{{UserID: ir.UserID, Item: v, Timestamp: ir.Timestamp}})
+	if err != nil {
+		t.Fatalf("ObserveBatch: %v", err)
 	}
-	if v2, ok := ds.Item(ir2.ItemID); ok {
-		eng.Observe(ir2, v2)
-		if n := eng.FlushUpdates(); n != 1 {
-			t.Errorf("flush applied %d users, want 1", n)
-		}
+	if rep.Flushed != 1 {
+		t.Errorf("flush applied %d users, want 1", rep.Flushed)
 	}
 	if got := eng.RefreshErrors(); got != 1 {
 		t.Errorf("RefreshErrors = %d after healthy flush, want still 1", got)
+	}
+	if n := flushMissing("missing-user-2"); n != 0 || eng.RefreshErrors() != 2 {
+		t.Errorf("second failure: applied %d, RefreshErrors %d; want 0 and 2", n, eng.RefreshErrors())
+	}
+	if c := strings.Count(logged.String(), "index refresh failed"); c != 1 {
+		t.Errorf("%d refresh failures logged, want only the first", c)
 	}
 }
 
@@ -179,12 +196,12 @@ func sameIndex(t *testing.T, step string, a, b *Engine) {
 
 // TestRollGatedRefreshMatchesFullIndex holds the roll-gated refresh to the
 // rebuild-everything oracle (SetFullRefresh) tree by tree after every
-// flush, at UpdateBatch 1 and 64, on an unsharded engine and on one shard
-// of two. The stream covers window rolls, a user removed from the index
-// and then observed again, a brand-new user, and two users of one block
-// observed under a category outside Config.Categories, carried across a
-// save and load (the load builds no tree for that category) into refreshes
-// that do not roll.
+// flush, at ObserveBatch chunks of 1 and 64, on an unsharded engine and
+// on one shard of two. The stream covers window rolls, a user removed
+// from the index and then observed again, a brand-new user, and two users
+// of one block observed under a category outside Config.Categories,
+// carried across a save and load (the load builds no tree for that
+// category) into refreshes that do not roll.
 func TestRollGatedRefreshMatchesFullIndex(t *testing.T) {
 	ds := testDataset(t)
 	src := trainedEngine(t, ds, nil)
@@ -228,29 +245,30 @@ func TestRollGatedRefreshMatchesFullIndex(t *testing.T) {
 					if err != nil {
 						t.Fatalf("load: %v", err)
 					}
-					e.cfg.UpdateBatch = batch
 					return e
 				}
 				ref, gated := load(bytes.NewReader(snap.Bytes())), load(bytes.NewReader(snap.Bytes()))
 				ref.SetFullRefresh(true)
 				step := 0
-				observe := func(ir model.Interaction, v model.Item) {
-					t.Helper()
-					ref.Observe(ir, v)
-					gated.Observe(ir, v)
-					step++
-					if len(ref.dirty) != len(gated.dirty) {
-						t.Fatalf("step %d: %d dirty users, other %d", step, len(ref.dirty), len(gated.dirty))
-					}
-					if len(ref.dirty) == 0 {
-						sameIndex(t, fmt.Sprintf("step %d", step), ref, gated)
-					}
-				}
+				var chunk []Observation
+				// flush ingests the pending chunk through both engines.
 				flush := func() {
 					t.Helper()
-					ref.FlushUpdates()
-					gated.FlushUpdates()
+					for _, e := range []*Engine{ref, gated} {
+						if _, err := e.ObserveBatch(context.Background(), chunk); err != nil {
+							t.Fatalf("ObserveBatch: %v", err)
+						}
+					}
+					chunk = chunk[:0]
 					sameIndex(t, fmt.Sprintf("flush at step %d", step), ref, gated)
+				}
+				observe := func(ir model.Interaction, v model.Item) {
+					t.Helper()
+					chunk = append(chunk, Observation{UserID: ir.UserID, Item: v, Timestamp: ir.Timestamp})
+					step++
+					if len(chunk) == batch {
+						flush()
+					}
 				}
 				item := func(ir model.Interaction) model.Item {
 					v, ok := ds.Item(ir.ItemID)

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -99,7 +100,8 @@ func sameAnswers(t *testing.T, items []model.Item, src, loaded, again *Engine) (
 	return answered
 }
 
-// TestSnapshotRoundTripProperty: for several seeds and batching modes, an
+// TestSnapshotRoundTripProperty: for several seeds and batching modes
+// (Observe per interaction, or ObserveBatch chunks of 16), an
 // engine that has trained and then ingested part of a stream (so windows
 // are part-full and a user exists that training never saw) saves and
 // loads to the same state and answers bit-identically. A loaded engine
@@ -115,18 +117,37 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				cfg.Seed = seed
 				ds := dataset.Generate(cfg)
 				parts := ds.Partition(6)
-				eng := New(Config{Categories: ds.Categories, TrainMaxIter: 3, Restarts: 1, UpdateBatch: batch, Seed: seed})
+				eng := New(Config{Categories: ds.Categories, TrainMaxIter: 3, Restarts: 1, Seed: seed})
 				if err := eng.Train(ds.Items, append(append([]model.Interaction(nil), parts[0]...), parts[1]...), ds.Item); err != nil {
 					t.Fatal(err)
 				}
 				feed := func(irs []model.Interaction, es ...*Engine) {
+					var chunk []Observation
+					observe := func() {
+						for _, e := range es {
+							if _, err := e.ObserveBatch(context.Background(), chunk); err != nil {
+								t.Fatal(err)
+							}
+						}
+						chunk = chunk[:0]
+					}
 					for _, ir := range irs {
-						if v, ok := ds.Item(ir.ItemID); ok {
+						v, ok := ds.Item(ir.ItemID)
+						if !ok {
+							continue
+						}
+						if batch == 0 {
 							for _, e := range es {
 								e.Observe(ir, v)
 							}
+							continue
+						}
+						chunk = append(chunk, Observation{UserID: ir.UserID, Item: v, Timestamp: ir.Timestamp})
+						if len(chunk) == batch {
+							observe()
 						}
 					}
+					observe()
 				}
 				feed(parts[2][:len(parts[2])/2], eng)
 				feed([]model.Interaction{{UserID: "late-joiner", ItemID: ds.Items[0].ID, Timestamp: ds.Items[0].Timestamp + 1}}, eng)
@@ -243,6 +264,7 @@ func TestSnapshotHeadSkipsUnknownConfigField(t *testing.T) {
 		slot  func(*Config) // the head's shard identity, nil to keep it
 	}{
 		{"HashBuckets", 1 << 12, nil},
+		{"UpdateBatch", 8, nil},
 		{"Partition", partition{Epoch: 1, Shards: 2, Blocks: 4, Owners: []int{0, 1, 0, 1}},
 			func(c *Config) { c.ShardIndex, c.ShardCount = 1, 2 }},
 	}

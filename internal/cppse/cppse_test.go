@@ -15,13 +15,20 @@ import (
 // mixed) plus the matching background.
 func fixture(t testing.TB, nPerCohort int) (*profile.Store, *profile.Background, []string) {
 	t.Helper()
+	return fixtureProds(nPerCohort, 3)
+}
+
+// fixtureProds is fixture over prodsPerCat producers per category: user
+// c's i-th event goes to producer (i+c) mod prodsPerCat of its category,
+// so with enough users every producer is seen.
+func fixtureProds(nPerCohort, prodsPerCat int) (*profile.Store, *profile.Background, []string) {
 	cats := []string{"sports", "music", "news"}
 	store := profile.NewStore(5)
 	rng := rand.New(rand.NewSource(42))
 
 	var items []model.Item
 	mkEvent := func(cat string, i int) profile.Event {
-		up := fmt.Sprintf("%s-up%d", cat, i%3)
+		up := fmt.Sprintf("%s-up%d", cat, i%prodsPerCat)
 		ents := []string{
 			fmt.Sprintf("%s-e%d", cat, i%6),
 			fmt.Sprintf("%s-e%d", cat, (i+1)%6),

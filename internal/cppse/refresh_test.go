@@ -305,10 +305,18 @@ func BenchmarkRefreshColdUser(b *testing.B) {
 // targets: a user inhabiting all three fixture categories takes one event
 // in ONE of them. gated restamps all three leaves and rebuilds them only
 // when the window rolls (one observation in five); full rebuilds all three
-// every time.
+// every time. gated_wide is gated over one block of 600 users whose
+// producer universe is 600 wide, the width of a ytube-10k block: the cost
+// of aggregate maintenance in the signature trees scales with that width,
+// which the three-producer fixture cannot show. Each run reports the
+// width of the refreshed user's producer universe (prod_universe).
 func BenchmarkRefreshOneDirtyOfN(b *testing.B) {
-	run := func(b *testing.B, gated bool) {
-		ix, store, _ := buildIndex(b, 100, Config{})
+	run := func(b *testing.B, gated bool, nPerCohort, prodsPerCat, fixedBlocks int) {
+		store, bg, cats := fixtureProds(nPerCohort, prodsPerCat)
+		ix, err := Build(store, bg, MLEProbs{Store: store}, Config{Categories: cats, FixedBlocks: fixedBlocks})
+		if err != nil {
+			b.Fatal(err)
+		}
 		id := "mixed000"
 		p, _ := store.Lookup(id)
 		benchObserveCats(p, 30) // inhabit all three categories
@@ -324,9 +332,13 @@ func BenchmarkRefreshOneDirtyOfN(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		block, _ := ix.BlockOf(id)
+		b.ReportMetric(float64(ix.Tree(block, "sports").Prod.Len()), "prod_universe")
 	}
-	b.Run("gated", func(b *testing.B) { run(b, true) })
-	b.Run("full", func(b *testing.B) { run(b, false) })
+	b.Run("gated", func(b *testing.B) { run(b, true, 100, 3, 0) })
+	b.Run("full", func(b *testing.B) { run(b, false, 100, 3, 0) })
+	b.Run("gated_wide", func(b *testing.B) { run(b, true, 200, 200, 1) })
 }
 
 // BenchmarkRefreshWindowRoll measures a window of observations ending in a

@@ -171,9 +171,6 @@ func (n *Node) Revive() {
 	n.killed.Store(false)
 }
 
-// Killed reports whether the node is currently crashed.
-func (n *Node) Killed() bool { return n.killed.Load() }
-
 // Index implements shard.Shard.
 func (n *Node) Index() int { return n.idx }
 

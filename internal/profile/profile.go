@@ -249,11 +249,6 @@ func (p *Profile) Events() (long, window []Event) {
 	return p.longEvents, p.window
 }
 
-// LongTermEvents returns the long-term interest list L in temporal order.
-func (p *Profile) LongTermEvents() []Event {
-	return append([]Event(nil), p.longEvents...)
-}
-
 // Window returns a copy of the current short-term window contents, oldest
 // first.
 func (p *Profile) Window() []Event {

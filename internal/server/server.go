@@ -155,8 +155,8 @@ type Server struct {
 	// Set before serving; not synchronised.
 	TraceAll bool
 
-	// PrincipalRate, when > 0, paces each principal (bearer token, or
-	// remote host when the request carries none) to this many /v2
+	// PrincipalRate, when > 0, paces each principal (the bearer token
+	// when AuthToken is set, else the remote host) to this many /v2
 	// requests per second (token bucket; PrincipalBurst is the bucket
 	// size, default max(1, PrincipalRate)). Excess requests answer 429 +
 	// Retry-After. Set before serving; not synchronised.
@@ -178,9 +178,11 @@ type Server struct {
 	// sessions aggregates the /v2/session counters for /v2/stats.
 	sessions sessionCounters
 
-	// principals holds the per-principal quota buckets of PrincipalRate.
-	principalMu sync.Mutex
-	principals  map[string]*principalBucket
+	// principals holds the per-principal quota buckets of PrincipalRate;
+	// principalsSwept is its size after the last sweep (takePrincipal).
+	principalMu     sync.Mutex
+	principals      map[string]*principalBucket
+	principalsSwept int
 }
 
 // New builds a server around a (trained) Backend: a single engine, that

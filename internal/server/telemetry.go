@@ -5,6 +5,7 @@
 package server
 
 import (
+	"maps"
 	"net"
 	"net/http"
 	"strings"
@@ -70,13 +71,15 @@ type principalBucket struct {
 	last   time.Time
 }
 
-// principal keys the quota: the bearer token when the request carries
-// one (regardless of whether auth is enforced), else the remote host —
-// so one noisy client cannot starve the rest even on a token-less
-// deployment.
-func principal(r *http.Request) string {
-	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok && tok != "" {
-		return "token:" + tok
+// principal keys the quota: the bearer token when auth is on (requireAuth
+// has verified it before the quota runs), else the remote host. With
+// auth off a bearer string is unverified, and a client that chose a fresh
+// one per request would escape its quota.
+func (s *Server) principal(r *http.Request) string {
+	if s.AuthToken != "" {
+		if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+			return "token:" + tok
+		}
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -86,7 +89,11 @@ func principal(r *http.Request) string {
 }
 
 // takePrincipal refills and draws one token from key's bucket,
-// reporting whether the request is admitted.
+// reporting whether the request is admitted. An insert that finds the
+// map at twice its size after the last sweep first deletes every bucket
+// that has refilled to its burst: a full bucket answers exactly as a new
+// one would, so the sweep changes no decision, and the map stays within
+// twice the buckets that are still draining.
 func (s *Server) takePrincipal(key string, now time.Time) bool {
 	burst := float64(s.PrincipalBurst)
 	if burst < 1 {
@@ -96,6 +103,12 @@ func (s *Server) takePrincipal(key string, now time.Time) bool {
 	defer s.principalMu.Unlock()
 	b := s.principals[key]
 	if b == nil {
+		if len(s.principals) >= 2*s.principalsSwept {
+			maps.DeleteFunc(s.principals, func(_ string, b *principalBucket) bool {
+				return b.tokens+s.PrincipalRate*now.Sub(b.last).Seconds() >= burst
+			})
+			s.principalsSwept = len(s.principals)
+		}
 		b = &principalBucket{tokens: burst, last: now}
 		s.principals[key] = b
 	}
@@ -117,7 +130,7 @@ func (s *Server) takePrincipal(key string, now time.Time) bool {
 func (s *Server) principalQuota(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.PrincipalRate > 0 && strings.HasPrefix(r.URL.Path, "/v2/") {
-			if !s.takePrincipal(principal(r), time.Now()) {
+			if !s.takePrincipal(s.principal(r), time.Now()) {
 				s.rejectStatus(w, http.StatusTooManyRequests, "principal request quota exceeded")
 				return
 			}

@@ -7,10 +7,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ssrec/internal/telemetry"
 )
@@ -145,7 +147,8 @@ func TestEmptyTraceHeaderOptsIn(t *testing.T) {
 
 // TestPrincipalQuota pins the per-principal token bucket: a principal
 // that exhausts its burst gets 429 + Retry-After while other principals
-// stay admitted, and non-API routes are never quota'd.
+// stay admitted, and non-API routes are never quota'd. With auth off the
+// principal is the client host.
 func TestPrincipalQuota(t *testing.T) {
 	s, ds := testServer(t)
 	s.PrincipalRate = 0.001 // no meaningful refill within the test
@@ -156,21 +159,22 @@ func TestPrincipalQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ask := func(token string) *httptest.ResponseRecorder {
+	ask := func(remote string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v2/recommend", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Authorization", "Bearer "+token)
+		req.RemoteAddr = remote
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, req)
 		return rr
 	}
+	const alice, bob = "192.0.2.1:40000", "192.0.2.2:40000"
 
 	for i := 0; i < 2; i++ {
-		if rr := ask("alice"); rr.Code != http.StatusOK {
+		if rr := ask(alice); rr.Code != http.StatusOK {
 			t.Fatalf("alice request %d: status %d, want 200", i+1, rr.Code)
 		}
 	}
-	rr := ask("alice")
+	rr := ask(alice)
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("alice over burst: status %d, want 429: %s", rr.Code, rr.Body.String())
 	}
@@ -182,18 +186,90 @@ func TestPrincipalQuota(t *testing.T) {
 	}
 
 	// A different principal has its own bucket.
-	if rr := ask("bob"); rr.Code != http.StatusOK {
+	if rr := ask(bob); rr.Code != http.StatusOK {
 		t.Errorf("bob (fresh principal): status %d, want 200", rr.Code)
 	}
 
 	// Health and metrics are never quota'd — monitoring must not be
 	// starved by a throttled API principal.
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	req.Header.Set("Authorization", "Bearer alice")
+	req.RemoteAddr = alice
 	hr := httptest.NewRecorder()
 	h.ServeHTTP(hr, req)
 	if hr.Code != http.StatusOK {
 		t.Errorf("healthz under exhausted quota: status %d, want 200", hr.Code)
+	}
+}
+
+// TestPrincipalQuotaKey: with auth off a bearer string is chosen by the
+// client, so one host rotating strings still spends one bucket; with auth
+// on the verified token is the principal, shared by every host that
+// presents it.
+func TestPrincipalQuotaKey(t *testing.T) {
+	s, ds := testServer(t)
+	s.PrincipalRate = 0.001
+	s.PrincipalBurst = 2
+	body, err := json.Marshal(map[string]any{"items": []map[string]any{itemBody(ds.Items[0])}, "k": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, token func(i int) string, host func(i int) string) {
+		t.Helper()
+		h := s.Handler()
+		for i := range 3 {
+			req := httptest.NewRequest(http.MethodPost, "/v2/recommend", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Authorization", "Bearer "+token(i))
+			req.RemoteAddr = host(i)
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, req)
+			want := http.StatusOK
+			if i == 2 {
+				want = http.StatusTooManyRequests
+			}
+			if rr.Code != want {
+				t.Fatalf("%s: request %d: status %d, want %d", name, i+1, rr.Code, want)
+			}
+		}
+	}
+	run("auth off, one host rotating bearer strings",
+		func(i int) string { return fmt.Sprintf("rotated-%d", i) },
+		func(int) string { return "192.0.2.9:40000" })
+	s.AuthToken = "secret"
+	run("auth on, one token from three hosts",
+		func(int) string { return "secret" },
+		func(i int) string { return fmt.Sprintf("192.0.2.%d:40000", 20+i) })
+}
+
+// TestPrincipalBucketsBounded: buckets that have refilled to their burst
+// are swept as new principals arrive, so many hosts passing through keep
+// the map within twice the buckets still draining, and a swept principal
+// is admitted exactly as a new one.
+func TestPrincipalBucketsBounded(t *testing.T) {
+	s := New(nil)
+	s.PrincipalRate = 10
+	s.PrincipalBurst = 2
+	now := time.Unix(1_700_000_000, 0)
+	for i := range 1000 {
+		// Each host spends one token, and 100 ms later its bucket is
+		// full again.
+		if !s.takePrincipal(fmt.Sprintf("host:h%d", i), now) {
+			t.Fatalf("host %d refused its first request", i)
+		}
+		now = now.Add(100 * time.Millisecond)
+		if n := len(s.principals); n > 4 {
+			t.Fatalf("after %d hosts the quota holds %d buckets", i+1, n)
+		}
+	}
+	// A draining principal is never swept: it keeps its spent tokens.
+	if !s.takePrincipal("host:busy", now) || !s.takePrincipal("host:busy", now) || s.takePrincipal("host:busy", now) {
+		t.Fatal("busy host: want two admits, then a refusal")
+	}
+	for i := range 100 {
+		s.takePrincipal(fmt.Sprintf("host:later%d", i), now)
+	}
+	if s.takePrincipal("host:busy", now) {
+		t.Fatal("a sweep forgot a draining bucket")
 	}
 }
 

@@ -87,14 +87,6 @@ func NewTable(buckets int) *Table {
 	return &Table{hasher: NewHasher(), buckets: make([]*triad, buckets)}
 }
 
-// NewTableWithHasher returns a table using a custom hasher, e.g. a
-// different seed from the shift-add-xor class.
-func NewTableWithHasher(buckets int, h Hasher) *Table {
-	t := NewTable(buckets)
-	t.hasher = h
-	return t
-}
-
 // Len returns the number of distinct keys stored.
 func (t *Table) Len() int { return t.size }
 
